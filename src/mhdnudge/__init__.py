@@ -1,7 +1,6 @@
 """Pseudo-spectral 2D periodic MHD in Elsasser variables with a
 continuous-data-assimilation (nudging) layer."""
 
-from ._kernels import BACKEND
 from .spectral import (
     Grid,
     SpectralScalar,

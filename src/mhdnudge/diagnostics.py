@@ -9,7 +9,7 @@ reported alongside any computed threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,6 @@ class ErrorSeries:
     l2_zeta: np.ndarray
     h1_eta: np.ndarray
     h1_zeta: np.ndarray
-    fitted_rates: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .spectral import (
     Grid,
     SpectralVectorField,
@@ -28,19 +27,30 @@ from .spectral import (
 FOUR_PI_SQ = 4.0 * np.pi ** 2
 
 
+# The constructor arguments are passed on as the exception's args, so that
+# pickle (which calls cls(*args)) can rebuild them in a sweep's parent process.
+
+
 class CflError(RuntimeError):
     def __init__(self, dt: float, admissible_dt: float):
-        super().__init__(
-            f"CFL violation: dt={dt:.3e} exceeds admissible dt={admissible_dt:.3e}"
-        )
+        super().__init__(dt, admissible_dt)
+        self.dt = dt
         self.admissible_dt = admissible_dt
+
+    def __str__(self):
+        return (f"CFL violation: dt={self.dt:.3e} exceeds admissible "
+                f"dt={self.admissible_dt:.3e}")
 
 
 class BlowUpError(RuntimeError):
     def __init__(self, t: float, step: int, detail: str = ""):
-        super().__init__(f"non-finite state at t={t:.6g} (step {step}) {detail}")
+        super().__init__(t, step, detail)
         self.t = t
         self.step = step
+        self.detail = detail
+
+    def __str__(self):
+        return f"non-finite state at t={self.t:.6g} (step {self.step}) {self.detail}"
 
 
 # ---------------------------------------------------------------------------
@@ -211,26 +221,32 @@ class ElsasserState:
 
 
 # ---------------------------------------------------------------------------
-# right-hand side (used directly by tests; the stepper has its own fused path)
+# right-hand side
 
 
-def advection_coef(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(a.grad)b computed pseudo-spectrally with 2/3 dealiasing; raw coefs."""
-    n2 = grid.n ** 2
-    ad = dealias_coef(grid, a)
-    bd = dealias_coef(grid, b)
+def advection(grid: Grid, X: np.ndarray):
+    """Dealiased ((w.grad)v, (v.grad)w) of the stacked state X = (v1, v2, w1, w2),
+    as raw (4, n, n) coefs, and the physical-space maximum speed of v and w.
+
+    Divergence form: for divergence-free v and w, (w.grad)v_i = d_j(w_j v_i)
+    and (v.grad)w_i = d_j(v_j w_i), so both terms come from the four products
+    v_i w_j.  Inputs and result are 2/3-rule dealiased.
+    """
+    n = grid.n
+    n2 = n * n
+    Xd = dealias_coef(grid, X)
+    phys = np.fft.irfft2(Xd[..., : n // 2 + 1], s=(n, n)) * n2
+    v, w = phys[:2], phys[2:]
+    P = np.fft.fft2(v[:, None] * w[None, :]) / n2  # P[i, j] = (v_i w_j)^
     fac = 2.0 * np.pi * 1j
-    a1 = np.real(np.fft.ifft2(ad[0])) * n2
-    a2 = np.real(np.fft.ifft2(ad[1])) * n2
-    g1x = np.real(np.fft.ifft2(fac * grid.k1 * bd[0])) * n2
-    g1y = np.real(np.fft.ifft2(fac * grid.k2 * bd[0])) * n2
-    g2x = np.real(np.fft.ifft2(fac * grid.k1 * bd[1])) * n2
-    g2y = np.real(np.fft.ifft2(fac * grid.k2 * bd[1])) * n2
-    p1, p2 = _kernels.advect_products(a1, a2, g1x, g1y, g2x, g2y)
-    out = np.fft.fft2(np.stack([p1, p2]), axes=(-2, -1)) / n2
-    out = dealias_coef(grid, out)
-    out[:, 0, 0] = 0.0
-    return out
+    adv = np.empty_like(X)
+    adv[:2] = fac * (grid.k1 * P[:, 0] + grid.k2 * P[:, 1])
+    adv[2:] = fac * (grid.k1 * P[0] + grid.k2 * P[1])
+    adv = dealias_coef(grid, adv)
+    adv[:, 0, 0] = 0.0
+    speed = max(float(np.max(np.sum(v * v, axis=0))),
+                float(np.max(np.sum(w * w, axis=0)))) ** 0.5
+    return adv, speed
 
 
 def mhd_rhs(state: ElsasserState, params: ElsasserParams, forcing: ForcingSpec,
@@ -241,12 +257,11 @@ def mhd_rhs(state: ElsasserState, params: ElsasserParams, forcing: ForcingSpec,
     grid = state.v.grid
     lap = -FOUR_PI_SQ * grid.ksq
     vc, wc = state.v.coef, state.w.coef
+    adv, _ = advection(grid, np.concatenate([vc, wc]))
     rv = params.alpha * lap * vc + params.beta * lap * wc
     rw = params.alpha * lap * wc + params.beta * lap * vc
-    rv = rv - leray_project_coef(grid, advection_coef(grid, wc, vc))
-    rw = rw - leray_project_coef(grid, advection_coef(grid, vc, wc))
-    rv = rv + leray_project_coef(grid, forcing.f_coef(t))
-    rw = rw + leray_project_coef(grid, forcing.g_coef(t))
+    rv = rv + leray_project_coef(grid, forcing.f_coef(t) - adv[:2])
+    rw = rw + leray_project_coef(grid, forcing.g_coef(t) - adv[2:])
     return (
         SpectralVectorField(grid, rv, divergence_free=True),
         SpectralVectorField(grid, rw, divergence_free=True),
@@ -320,13 +335,16 @@ class MhdStepper:
         self.X[0], self.X[1] = vcoef[0], vcoef[1]
         self.X[2], self.X[3] = wcoef[0], wcoef[1]
         self.X[:, 0, 0] = 0.0
+        self.restart(t)
+
+    def restart(self, t: float = 0.0, forcing: ForcingSpec | None = None):
+        """Set the clock to t and drop the Adams-Bashforth history, so the
+        next step is an Euler step; `forcing`, if given, replaces the forcing."""
         self.t = t
         self.step_count = 0
         self._prev_expl = None
-
-    def reset_clock(self):
-        self.t = 0.0
-        self.step_count = 0
+        if forcing is not None:
+            self.forcing = forcing
 
     @property
     def vcoef(self) -> np.ndarray:
@@ -358,30 +376,11 @@ class MhdStepper:
     # -- stepping -----------------------------------------------------------
 
     def _explicit_terms(self):
-        """Advection + projected forcing, plus the physical-space max speed."""
-        grid = self.grid
-        n2 = grid.n ** 2
-        fac = 2.0 * np.pi * 1j
-        Xd = dealias_coef(grid, self.X)
-        phys = np.real(np.fft.ifft2(Xd, axes=(-2, -1))) * n2
-        v1, v2, w1, w2 = phys
-        gvx = np.real(np.fft.ifft2(fac * grid.k1 * Xd[:2], axes=(-2, -1))) * n2
-        gvy = np.real(np.fft.ifft2(fac * grid.k2 * Xd[:2], axes=(-2, -1))) * n2
-        gwx = np.real(np.fft.ifft2(fac * grid.k1 * Xd[2:], axes=(-2, -1))) * n2
-        gwy = np.real(np.fft.ifft2(fac * grid.k2 * Xd[2:], axes=(-2, -1))) * n2
-        # (w.grad)v and (v.grad)w
-        av1, av2 = _kernels.advect_products(w1, w2, gvx[0], gvy[0], gvx[1], gvy[1])
-        aw1, aw2 = _kernels.advect_products(v1, v2, gwx[0], gwy[0], gwx[1], gwy[1])
-        adv = np.fft.fft2(np.stack([av1, av2, aw1, aw2]), axes=(-2, -1)) / n2
-        adv = dealias_coef(grid, adv)
-        E = np.empty_like(self.X)
-        E[:2] = -leray_project_coef(grid, adv[:2]) + leray_project_coef(
-            grid, self.forcing.f_coef(self.t))
-        E[2:] = -leray_project_coef(grid, adv[2:]) + leray_project_coef(
-            grid, self.forcing.g_coef(self.t))
-        speed = max(
-            float(np.max(v1 * v1 + v2 * v2)), float(np.max(w1 * w1 + w2 * w2))
-        ) ** 0.5
+        """Projected forcing minus advection, plus the physical-space max speed."""
+        adv, speed = advection(self.grid, self.X)
+        E = np.empty_like(adv)
+        E[:2] = leray_project_coef(self.grid, self.forcing.f_coef(self.t) - adv[:2])
+        E[2:] = leray_project_coef(self.grid, self.forcing.g_coef(self.t) - adv[2:])
         return E, speed
 
     def max_admissible_dt(self, speed: float) -> float:
@@ -413,9 +412,9 @@ class MhdStepper:
             self.params, self.grid.ksq, self.X) + self.dt * expl
         if extra_plain is not None:
             rhs = rhs + self.dt * extra_plain
-        m = self.grid.n ** 2
-        sol = _kernels.mode_solve(self._ainv, rhs.reshape(4, m).T.copy())
-        self.X = np.ascontiguousarray(sol.T.reshape(4, self.grid.n, self.grid.n))
+        n = self.grid.n
+        self.X = np.einsum("mij,jm->im", self._ainv, rhs.reshape(4, -1),
+                           order="C").reshape(4, n, n)
         self.X[:, 0, 0] = 0.0
         self.t += self.dt
         self.step_count += 1
@@ -490,7 +489,7 @@ def spin_up(stepper: MhdStepper, tol: float = 0.01, max_time: float = 60.0,
 
     Window length is T = 1/(pi^2 (alpha-beta)); stops when consecutive
     window averages differ by less than `tol` relative.  Returns the spin-up
-    time spent; the stepper clock is reset to 0 afterwards.
+    time spent; the stepper is restarted at t = 0 afterwards.
     """
     T = 1.0 / (np.pi ** 2 * stepper.params.nu_bar)
     steps_per_window = max(int(round(T / stepper.dt)), 8)
@@ -511,5 +510,5 @@ def spin_up(stepper: MhdStepper, tol: float = 0.01, max_time: float = 60.0,
                 break
         prev_avg = avg
     spent = elapsed
-    stepper.reset_clock()
+    stepper.restart()
     return spent

@@ -22,6 +22,7 @@ import numpy as np
 from . import diagnostics as diag
 from .dynamics import (
     BlowUpError,
+    CflError,
     ForcingSpec,
     MhdStepper,
     Modulation,
@@ -42,6 +43,7 @@ from .interpolants import (
     SPECTRAL,
     VOLUME,
     InterpolantSpec,
+    apply_interpolant_coef,
     calibrate,
     verification_report,
 )
@@ -180,6 +182,13 @@ class ExperimentConfig:
             raise ConfigError("dt and horizon must be positive")
         if self.mu < 0:
             raise ConfigError("mu must be >= 0")
+        # explicit feedback is stable only for mu*dt <= 1; the determining
+        # scenario derives its own gain and does not use mu
+        if (self.interpolant_kind != SPECTRAL and self.scenario != "determining"
+                and self.mu * self.dt > 1.0):
+            raise ConfigError(
+                f"explicit nudging ({self.interpolant_kind} interpolant) needs "
+                f"mu*dt <= 1, got mu*dt = {self.mu * self.dt:g}")
         return self
 
     def dump(self) -> str:
@@ -467,7 +476,7 @@ def run_scenario(cfg: ExperimentConfig, outdir=None):
         summary["passed"] = bool(passed)
         _json_dump(os.path.join(outdir, "summary.json"), summary)
         return (EXIT_OK if passed else EXIT_CHECK), summary
-    except BlowUpError as exc:
+    except (BlowUpError, CflError) as exc:
         summary = {"scenario": cfg.scenario, "error": str(exc), "passed": False}
         _json_dump(os.path.join(outdir, "summary.json"), summary)
         return EXIT_BLOWUP, summary
@@ -511,15 +520,14 @@ def _scenario_determining(cfg: ExperimentConfig, outdir):
     sol2.set_state(init2.coef, init2.coef, 0.0)
     spin_up(sol1, cfg.spinup_tol, cfg.spinup_max_time)
     spin_up(sol2, cfg.spinup_tol, cfg.spinup_max_time)
-    sol2.forcing = forcing2  # envelope clock starts at the reset t=0
-    aux.forcing = forcing2
+    sol2.restart(forcing=forcing2)  # envelope clock starts at the reset t=0
+    aux.restart(forcing=forcing2)
     aux.set_state(np.zeros((2, grid.n, grid.n), np.complex128),
                   np.zeros((2, grid.n, grid.n), np.complex128), 0.0)
 
     n_steps = int(round(cfg.horizon / cfg.dt))
     rows = []
     chi_spec = ncfg.interpolant
-    from .interpolants import apply_interpolant_coef
 
     def record():
         dv = sol1.vcoef - sol2.vcoef

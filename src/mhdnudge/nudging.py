@@ -286,7 +286,6 @@ def run_assimilation(grid: Grid, params, forcing: ForcingSpec,
     pair = init_assimilation(ref.state(), config, init_mode)
     coupled.assimilated.set_state(pair.assimilated.v.coef,
                                   pair.assimilated.w.coef, 0.0)
-    ref._prev_expl = None  # multistep restart after the clock reset
 
     n_steps = int(round(horizon / dt))
     n_samples = n_steps // sample_every + 1

@@ -159,10 +159,6 @@ def forward_transform_vector(samples: np.ndarray, grid: Grid) -> SpectralVectorF
     return SpectralVectorField(grid, np.stack([c0.coef, c1.coef]))
 
 
-def inverse_transform_vector(u: SpectralVectorField) -> np.ndarray:
-    return np.real(np.fft.ifft2(u.coef, axes=(-2, -1))) * u.grid.n ** 2
-
-
 # ---------------------------------------------------------------------------
 # calculus (exact per retained mode)
 
@@ -177,11 +173,6 @@ def gradient(s: SpectralScalar) -> SpectralVectorField:
 def laplacian(s: SpectralScalar) -> SpectralScalar:
     g = s.grid
     return SpectralScalar(g, -4.0 * np.pi ** 2 * g.ksq * s.coef)
-
-
-def laplacian_vector(u: SpectralVectorField) -> SpectralVectorField:
-    g = u.grid
-    return SpectralVectorField(g, -4.0 * np.pi ** 2 * g.ksq * u.coef)
 
 
 def divergence(u: SpectralVectorField) -> SpectralScalar:
@@ -247,14 +238,6 @@ def inner_product(u, v) -> float:
     if u.grid.n != v.grid.n:
         raise GridMismatchError("inner product of fields on different grids")
     return float(np.real(np.sum(np.conj(cu) * cv)))
-
-
-def h1_inner_product(u, v) -> float:
-    cu, cv = _coef(u), _coef(v)
-    if u.grid.n != v.grid.n:
-        raise GridMismatchError("inner product of fields on different grids")
-    g = u.grid
-    return float(4.0 * np.pi ** 2 * np.real(np.sum(g.ksq * np.conj(cu) * cv)))
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,13 @@ def test_invalid_config_exit_2(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_explicit_feedback_mu_dt_exit_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "scenario = type2\ninterpolant_kind = nodal\n"
+                    f"mu = 600\ndt = 2e-3\noutdir = {tmp_path / 'out'}\n")
+    assert main(["run", cfg]) == 2
+    assert "mu*dt" in capsys.readouterr().err
+
+
 def test_run_verb(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SMALL + f"outdir = {tmp_path / 'out'}\n")
     assert main(["run", cfg]) == 0

@@ -1,14 +1,17 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from mhdnudge.dynamics import (
+    BlowUpError,
     CflError,
     DimensionalParams,
     ElsasserState,
     ForcingSpec,
     MhdStepper,
     Modulation,
-    advection_coef,
+    advection,
     derive_elsasser_params,
     energy_budget,
     forcing_from_original,
@@ -20,7 +23,12 @@ from mhdnudge.dynamics import (
     spin_up,
     to_elsasser,
 )
-from mhdnudge.spectral import Grid, SpectralVectorField, random_divfree_field
+from mhdnudge.spectral import (
+    Grid,
+    SpectralVectorField,
+    dealias_coef,
+    random_divfree_field,
+)
 
 from conftest import normalized_field
 
@@ -139,12 +147,42 @@ def test_forcing_from_original():
 # right-hand side oracles
 
 
+def advective_form(grid, a, b):
+    """Reference (a.grad)b in advective form: six inverse transforms of a and
+    of the gradient of b, the products a_j d_j b_i, 2/3 dealiasing."""
+    n2 = grid.n ** 2
+    ad = dealias_coef(grid, a)
+    bd = dealias_coef(grid, b)
+    fac = 2.0 * np.pi * 1j
+    a1 = np.real(np.fft.ifft2(ad[0])) * n2
+    a2 = np.real(np.fft.ifft2(ad[1])) * n2
+    g1x = np.real(np.fft.ifft2(fac * grid.k1 * bd[0])) * n2
+    g1y = np.real(np.fft.ifft2(fac * grid.k2 * bd[0])) * n2
+    g2x = np.real(np.fft.ifft2(fac * grid.k1 * bd[1])) * n2
+    g2y = np.real(np.fft.ifft2(fac * grid.k2 * bd[1])) * n2
+    prod = np.stack([a1 * g1x + a2 * g1y, a1 * g2x + a2 * g2y])
+    out = dealias_coef(grid, np.fft.fft2(prod) / n2)
+    out[:, 0, 0] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_advection_matches_advective_form(n):
+    g = Grid(n)
+    v = random_divfree_field(g, 5, 1.0, g.cutoff).coef
+    w = random_divfree_field(g, 6, 1.0, g.cutoff).coef
+    adv, _ = advection(g, np.concatenate([v, w]))
+    expected = np.concatenate([advective_form(g, w, v), advective_form(g, v, w)])
+    assert np.max(np.abs(adv - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
 def test_advection_skew_symmetry():
     # <(a.grad)b, b> = 0 discretely for divergence-free a and band-limited b
     g = Grid(32)
     a = random_divfree_field(g, 5, 1.0, g.cutoff)
     b = random_divfree_field(g, 6, 1.0, g.cutoff)
-    adv = advection_coef(g, a.coef, b.coef)
+    adv, _ = advection(g, np.concatenate([b.coef, a.coef]))
+    adv = adv[:2]  # (w.grad)v with v = b, w = a
     ip = np.real(np.sum(np.conj(adv) * b.coef))
     scale = np.sqrt(np.sum(np.abs(adv) ** 2)) * np.sqrt(np.sum(np.abs(b.coef) ** 2))
     assert abs(ip) < 1e-12 * max(scale, 1e-300)
@@ -153,8 +191,9 @@ def test_advection_skew_symmetry():
 def test_advection_of_shear_flow_vanishes():
     g = Grid(32)
     c = shear_mode(g)
-    adv = advection_coef(g, c, c)
+    adv, speed = advection(g, np.concatenate([c, c]))
     assert np.max(np.abs(adv)) < 1e-15
+    assert speed == pytest.approx(2.0, rel=1e-14)
 
 
 def test_mhd_rhs_zero_at_stokes_steady_state():
@@ -249,8 +288,35 @@ def test_stepper_clock_and_counters(grid32, params, forcing32):
         st.advance()
     assert st.t == pytest.approx(5e-3)
     assert st.step_count == 5
-    st.reset_clock()
+    st.restart()
     assert st.t == 0.0
+    assert st.step_count == 0
+
+
+def test_restart_matches_fresh_stepper(grid32, params, forcing32):
+    # after restart() the next step is the Euler start-up step of a fresh
+    # stepper set to the same state, clock and forcing
+    init = random_divfree_field(grid32, 1, 2.0)
+    modulated = ForcingSpec(forcing32.f, forcing32.g, Modulation(1.0, 1.0, 1.0))
+    st = MhdStepper(grid32, params, forcing32, 1e-3)
+    st.set_state(init.coef, init.coef, 0.0)
+    for _ in range(5):
+        st.advance()
+    st.restart(forcing=modulated)
+    fresh = MhdStepper(grid32, params, modulated, 1e-3)
+    fresh.set_state(st.vcoef, st.wcoef, 0.0)
+    st.advance()
+    fresh.advance()
+    assert np.array_equal(st.X, fresh.X)
+    assert st.t == fresh.t and st.step_count == fresh.step_count == 1
+
+
+def test_errors_round_trip_through_pickle():
+    for exc in (CflError(0.05, 1.2e-3), BlowUpError(1.5, 750, "(mu=60)")):
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc)
+        assert str(back) == str(exc)
+        assert vars(back) == vars(exc)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from mhdnudge.dynamics import derive_elsasser_params, grashof_number
 from mhdnudge.experiments import (
+    EXIT_BLOWUP,
     EXIT_CHECK,
     EXIT_OK,
     ConfigError,
@@ -194,6 +195,29 @@ def test_baseline_failure_exit_code(tmp_path):
     code, summary = run_scenario(cfg)
     assert code == EXIT_CHECK
     assert summary["passed"] is False
+
+
+def test_explicit_feedback_needs_mu_dt_at_most_1():
+    with pytest.raises(ConfigError, match="mu\\*dt"):
+        parse_config_text("scenario = type2\ninterpolant_kind = nodal\n"
+                          "mu = 600\ndt = 2e-3\n")
+    # the implicit spectral feedback has no such limit
+    parse_config_text("scenario = baseline\nmu = 600\ndt = 2e-3\n")
+
+
+def test_cfl_failure_exit_code_and_serial_sweep(tmp_path):
+    # dt = 0.05 is far above the CFL limit at n = 32: the first step fails
+    cfg = parse_config_text(f"scenario = baseline\nn = 32\ndt = 0.05\n"
+                            f"outdir = {tmp_path / 'run'}\n")
+    code, summary = run_scenario(cfg)
+    assert code == EXIT_BLOWUP
+    assert "CFL" in summary["error"]
+    saved = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert saved["passed"] is False
+    table = run_sweep(cfg, "mu", [10.0, 20.0], outdir=tmp_path / "sweep",
+                      max_workers=1)
+    assert [row["exit_code"] for row in table] == [EXIT_BLOWUP, EXIT_BLOWUP]
+    assert (tmp_path / "sweep" / "sweep.csv").read_text().count("\n") == 3
 
 
 def test_g_sweep_scales_grashof(tmp_path):
