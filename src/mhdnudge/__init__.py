@@ -46,7 +46,6 @@ from .nudging import (
     AssimilationPair,
     CoupledStepper,
     NudgingConfig,
-    Perturbation,
     init_assimilation,
     nudging_term,
     run_assimilation,
@@ -55,7 +54,6 @@ from .diagnostics import (
     AnalysisConstants,
     ErrorSeries,
     TheoremThresholds,
-    error_norms,
     fit_exponential_rate,
     theorem_thresholds,
     gronwall_condition_check,

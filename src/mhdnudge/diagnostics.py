@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ElsasserParams, Trajectory
-from .spectral import SpectralVectorField, h1_seminorm, l2_norm
 
 NORM_FLOOR = 1e-14
 
@@ -29,10 +28,6 @@ THEOREM_IDS = (THM_ALL, THM_FIRST, THM_V, THM_H1_ALL, THM_H1_FIRST,
                THM_H1_V, THM_T2_FIRST)
 
 _H1_IDS = (THM_H1_ALL, THM_H1_FIRST, THM_H1_V)
-
-
-class ClockMismatchError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -69,17 +64,6 @@ class ErrorSeries:
     def load_csv(cls, path):
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         return cls(data[:, 0], data[:, 1], data[:, 2], data[:, 3], data[:, 4])
-
-
-def error_norms(reference, assimilated):
-    """One (l2_eta, l2_zeta, h1_eta, h1_zeta) record from two states."""
-    if reference.t != assimilated.t:
-        raise ClockMismatchError(
-            f"states at different times: {reference.t} vs {assimilated.t}")
-    grid = reference.v.grid
-    eta = SpectralVectorField(grid, reference.v.coef - assimilated.v.coef)
-    zeta = SpectralVectorField(grid, reference.w.coef - assimilated.w.coef)
-    return l2_norm(eta), l2_norm(zeta), h1_seminorm(eta), h1_seminorm(zeta)
 
 
 # ---------------------------------------------------------------------------

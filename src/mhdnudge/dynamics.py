@@ -25,6 +25,8 @@ from .spectral import (
 )
 
 FOUR_PI_SQ = 4.0 * np.pi ** 2
+# admissible dt = CFL_SAFETY / (n * max speed)
+CFL_SAFETY = 0.5
 
 
 # The constructor arguments are passed on as the exception's args, so that
@@ -268,6 +270,17 @@ def mhd_rhs(state: ElsasserState, params: ElsasserParams, forcing: ForcingSpec,
     )
 
 
+def norms(grid: Grid, X: np.ndarray):
+    """(l2_v, l2_w, h1_v, h1_w) of a stacked (4, n, n) array X = (v, w)."""
+    av = np.abs(X[:2]) ** 2
+    aw = np.abs(X[2:]) ** 2
+    l2v = np.sqrt(av.sum())
+    l2w = np.sqrt(aw.sum())
+    h1v = 2.0 * np.pi * np.sqrt((grid.ksq * av).sum())
+    h1w = 2.0 * np.pi * np.sqrt((grid.ksq * aw).sum())
+    return float(l2v), float(l2w), float(h1v), float(h1w)
+
+
 # ---------------------------------------------------------------------------
 # IMEX stepper
 
@@ -313,16 +326,13 @@ class MhdStepper:
     """
 
     def __init__(self, grid: Grid, params: ElsasserParams, forcing: ForcingSpec,
-                 dt: float, damping: np.ndarray | None = None,
-                 cfl_safety: float = 0.5, check_cfl: bool = True):
+                 dt: float, damping: np.ndarray | None = None):
         if dt <= 0:
             raise ValueError("dt must be positive")
         self.grid = grid
         self.params = params
         self.forcing = forcing
         self.dt = dt
-        self.cfl_safety = cfl_safety
-        self.check_cfl = check_cfl
         self._ainv = _build_implicit_inverse(grid, params, dt, damping)
         self.X = np.zeros((4, grid.n, grid.n), dtype=np.complex128)
         self.t = 0.0
@@ -365,13 +375,7 @@ class MhdStepper:
 
     def norms(self):
         """(l2_v, l2_w, h1_v, h1_w) of the current state."""
-        av = np.abs(self.X[:2]) ** 2
-        aw = np.abs(self.X[2:]) ** 2
-        l2v = np.sqrt(av.sum())
-        l2w = np.sqrt(aw.sum())
-        h1v = 2.0 * np.pi * np.sqrt((self.grid.ksq * av).sum())
-        h1w = 2.0 * np.pi * np.sqrt((self.grid.ksq * aw).sum())
-        return float(l2v), float(l2w), float(h1v), float(h1w)
+        return norms(self.grid, self.X)
 
     # -- stepping -----------------------------------------------------------
 
@@ -386,7 +390,7 @@ class MhdStepper:
     def max_admissible_dt(self, speed: float) -> float:
         if speed == 0.0:
             return np.inf
-        return self.cfl_safety / (self.grid.n * speed)
+        return CFL_SAFETY / (self.grid.n * speed)
 
     def advance(self, extra_ab: np.ndarray | None = None,
                 extra_plain: np.ndarray | None = None):
@@ -397,10 +401,9 @@ class MhdStepper:
         as-is (used for the implicitly balanced nudging data term).
         """
         E, speed = self._explicit_terms()
-        if self.check_cfl:
-            adm = self.max_admissible_dt(speed)
-            if self.dt > adm:
-                raise CflError(self.dt, adm)
+        adm = self.max_admissible_dt(speed)
+        if self.dt > adm:
+            raise CflError(self.dt, adm)
         if extra_ab is not None:
             E = E + extra_ab
         if self._prev_expl is None:
@@ -443,19 +446,28 @@ class Trajectory:
     def enstrophy(self) -> np.ndarray:
         return self.h1_v ** 2 + self.h1_w ** 2
 
+    @classmethod
+    def from_rows(cls, rows: np.ndarray) -> "Trajectory":
+        """From an (m, 6) array of trajectory_row rows."""
+        return cls(*rows.T)
+
+
+def trajectory_row(stepper: MhdStepper):
+    """One Trajectory row of the stepper's current state: (t, l2_v, l2_w,
+    h1_v, h1_w, ||f||^2 + ||g||^2)."""
+    fc = stepper.forcing.f_coef(stepper.t)
+    gc = stepper.forcing.g_coef(stepper.t)
+    f2 = float(np.sum(np.abs(fc) ** 2) + np.sum(np.abs(gc) ** 2))
+    return (stepper.t, *stepper.norms(), f2)
+
 
 def record_trajectory(stepper: MhdStepper, n_steps: int) -> Trajectory:
     rows = np.empty((n_steps + 1, 6))
     for i in range(n_steps + 1):
-        l2v, l2w, h1v, h1w = stepper.norms()
-        fc = stepper.forcing.f_coef(stepper.t)
-        gc = stepper.forcing.g_coef(stepper.t)
-        f2 = float(np.sum(np.abs(fc) ** 2) + np.sum(np.abs(gc) ** 2))
-        rows[i] = (stepper.t, l2v, l2w, h1v, h1w, f2)
+        rows[i] = trajectory_row(stepper)
         if i < n_steps:
             stepper.advance()
-    return Trajectory(rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3], rows[:, 4],
-                      rows[:, 5])
+    return Trajectory.from_rows(rows)
 
 
 def energy_budget(traj: Trajectory, params: ElsasserParams,
@@ -483,19 +495,27 @@ def energy_budget(traj: Trajectory, params: ElsasserParams,
     return residuals, residuals > tol
 
 
+@dataclass(frozen=True)
+class SpinUp:
+    time: float       # time integrated
+    converged: bool   # False: max_time was reached before the average settled
+
+
 def spin_up(stepper: MhdStepper, tol: float = 0.01, max_time: float = 60.0,
-            min_windows: int = 2) -> float:
+            min_windows: int = 2) -> SpinUp:
     """Integrate until the windowed average of the total enstrophy settles.
 
     Window length is T = 1/(pi^2 (alpha-beta)); stops when consecutive
-    window averages differ by less than `tol` relative.  Returns the spin-up
-    time spent; the stepper is restarted at t = 0 afterwards.
+    window averages differ by less than `tol` relative, or once `max_time`
+    has been integrated (at least one window is always run).  The stepper
+    is restarted at t = 0 afterwards.
     """
     T = 1.0 / (np.pi ** 2 * stepper.params.nu_bar)
     steps_per_window = max(int(round(T / stepper.dt)), 8)
     prev_avg = None
     elapsed = 0.0
     windows = 0
+    converged = False
     while elapsed < max_time:
         acc = 0.0
         for _ in range(steps_per_window):
@@ -507,8 +527,8 @@ def spin_up(stepper: MhdStepper, tol: float = 0.01, max_time: float = 60.0,
         windows += 1
         if prev_avg is not None and windows >= min_windows:
             if abs(avg - prev_avg) <= tol * max(prev_avg, 1e-14):
+                converged = True
                 break
         prev_avg = avg
-    spent = elapsed
     stepper.restart()
-    return spent
+    return SpinUp(elapsed, converged)

@@ -21,14 +21,12 @@ from .dynamics import (
     ForcingSpec,
     MhdStepper,
     Trajectory,
+    norms,
     spin_up,
+    trajectory_row,
 )
 from .interpolants import (
     MASK_ALL,
-    MASK_B_ONLY,
-    MASK_FIRST,
-    MASK_U_ONLY,
-    MASK_V_ONLY,
     SPECTRAL,
     InterpolantSpec,
     apply_masked,
@@ -37,30 +35,18 @@ from .spectral import Grid, SpectralVectorField, divergence_defect, leray_projec
 
 
 @dataclass
-class Perturbation:
-    """Fixed field scaled by a decaying envelope: amplitude * exp(-rate t)."""
-
-    fld: SpectralVectorField
-    amplitude: float
-    rate: float
-
-    def __post_init__(self):
-        if self.rate < 0:
-            raise ValueError("perturbation envelope rate must be >= 0")
-
-    def coef_at(self, t: float) -> np.ndarray:
-        return self.fld.coef * (self.amplitude * np.exp(-self.rate * t))
-
-
-@dataclass
 class NudgingConfig:
+    """Gain, observation operator and mask of the feedback term.
+
+    `delta` is a forcing pair added to the assimilated system only; `eps`
+    is an observation error pair (its f on v, its g on w).
+    """
+
     mu: float
     interpolant: InterpolantSpec
     mask: str = MASK_ALL
-    delta1: Perturbation | None = None  # added to the assimilated f only
-    delta2: Perturbation | None = None  # added to the assimilated g only
-    eps1: Perturbation | None = None    # observation error on v
-    eps2: Perturbation | None = None    # observation error on w
+    delta: ForcingSpec | None = None
+    eps: ForcingSpec | None = None
 
     def __post_init__(self):
         if self.mu < 0:
@@ -108,19 +94,14 @@ def init_assimilation(reference: ElsasserState, config: NudgingConfig,
 # feedback term
 
 
-def nudging_term(config: NudgingConfig, reference: ElsasserState,
-                 assimilated: ElsasserState) -> np.ndarray:
-    """mu * P[I_h masked(v + eps1 - v~, w + eps2 - w~)] as a (4,n,n) array."""
-    if reference.t != assimilated.t:
-        raise ValueError("reference and assimilated clocks differ")
-    grid = reference.v.grid
-    t = reference.t
-    eta = reference.v.coef - assimilated.v.coef
-    zeta = reference.w.coef - assimilated.w.coef
-    if config.eps1 is not None:
-        eta = eta + config.eps1.coef_at(t)
-    if config.eps2 is not None:
-        zeta = zeta + config.eps2.coef_at(t)
+def nudging_term(config: NudgingConfig, grid: Grid, eta: np.ndarray,
+                 zeta: np.ndarray) -> np.ndarray:
+    """mu * P[I_h masked(eta, zeta)] as a (4,n,n) array.
+
+    Linear in the raw (2,n,n) coefficient arrays eta and zeta, which are
+    observed minus model for the explicit feedback and the observation
+    alone for the implicit data term.
+    """
     fv, fw = apply_masked(config.interpolant, config.mask, grid, eta, zeta)
     out = np.empty((4, grid.n, grid.n), dtype=np.complex128)
     out[:2] = config.mu * leray_project_coef(grid, fv)
@@ -129,82 +110,30 @@ def nudging_term(config: NudgingConfig, reference: ElsasserState,
 
 
 def _observation_matrix(grid: Grid, config: NudgingConfig) -> np.ndarray:
-    """Per-mode (n, n, 4, 4) matrix of mu * P I_h masked(.) for the spectral
-    projection interpolant (the only kind that is diagonal per mode)."""
+    """Per-mode (n, n, 4, 4) matrix of nudging_term for the spectral
+    projection interpolant.
+
+    That interpolant, every mask and P act mode by mode, so column j of each
+    mode's matrix is nudging_term applied to the constant unit field e_j.
+    """
     if config.interpolant.kind != SPECTRAL:
         raise ValueError("implicit feedback requires the spectral interpolant")
-    n = grid.n
-    cut = config.interpolant.resolution
-    chi = ((np.abs(grid.k1) <= cut) & (np.abs(grid.k2) <= cut)).astype(float)
-    chi[0, 0] = 0.0
-    # Leray projector entries
-    p11 = 1.0 - grid.k1 * grid.k1 * grid.inv_ksq
-    p12 = -grid.k1 * grid.k2 * grid.inv_ksq
-    p22 = 1.0 - grid.k2 * grid.k2 * grid.inv_ksq
-    p11 = np.where(grid.ksq > 0, p11, 0.0)
-    p22 = np.where(grid.ksq > 0, p22, 0.0)
-    P = np.zeros((n, n, 2, 2))
-    P[..., 0, 0] = p11
-    P[..., 0, 1] = p12
-    P[..., 1, 0] = p12
-    P[..., 1, 1] = p22
-    M = np.zeros((n, n, 4, 4))
-    mu_chi = (config.mu * chi)[..., None, None]
-    if config.mask == MASK_ALL:
-        M[..., :2, :2] = mu_chi * P
-        M[..., 2:, 2:] = mu_chi * P
-    elif config.mask == MASK_FIRST:
-        PE1 = P.copy()
-        PE1[..., :, 1] = 0.0  # observe first components only
-        M[..., :2, :2] = mu_chi * PE1
-        M[..., 2:, 2:] = mu_chi * PE1
-    elif config.mask == MASK_V_ONLY:
-        M[..., :2, :2] = mu_chi * P
-    elif config.mask == MASK_B_ONLY:
-        half = 0.5 * mu_chi * P
-        M[..., :2, :2] = half
-        M[..., :2, 2:] = -half
-        M[..., 2:, :2] = -half
-        M[..., 2:, 2:] = half
-    elif config.mask == MASK_U_ONLY:
-        half = 0.5 * mu_chi * P
-        M[..., :2, :2] = half
-        M[..., :2, 2:] = half
-        M[..., 2:, :2] = half
-        M[..., 2:, 2:] = half
-    else:
-        raise ValueError(f"unknown observation mask {config.mask!r}")
-    return M
+    units = np.zeros((4, 4, grid.n, grid.n), dtype=np.complex128)
+    units[np.arange(4), np.arange(4)] = 1.0
+    cols = np.stack([nudging_term(config, grid, e[:2], e[2:]).real
+                     for e in units], axis=-1)  # cols[i, x, y, j]
+    return np.moveaxis(cols, 0, 2)
 
 
-class _PerturbedForcing:
-    """Forcing wrapper adding the delta perturbations of the assimilated
-    system; presents the same f_coef/g_coef interface as ForcingSpec."""
-
-    def __init__(self, base: ForcingSpec, delta1: Perturbation | None,
-                 delta2: Perturbation | None):
-        self.base = base
-        self.delta1 = delta1
-        self.delta2 = delta2
-
-    def f_coef(self, t):
-        out = self.base.f_coef(t)
-        if self.delta1 is not None:
-            out = out + self.delta1.coef_at(t)
-        return out
-
-    def g_coef(self, t):
-        out = self.base.g_coef(t)
-        if self.delta2 is not None:
-            out = out + self.delta2.coef_at(t)
-        return out
+def _pair_coef(pair: ForcingSpec, t: float) -> np.ndarray:
+    return np.concatenate([pair.f_coef(t), pair.g_coef(t)])
 
 
 class CoupledStepper:
     """Advances the reference and the assimilating system on one clock."""
 
     def __init__(self, grid: Grid, params, forcing: ForcingSpec,
-                 config: NudgingConfig, dt: float, cfl_safety: float = 0.5):
+                 config: NudgingConfig, dt: float):
         self.grid = grid
         self.config = config
         self.implicit = config.interpolant.kind == SPECTRAL
@@ -212,48 +141,41 @@ class CoupledStepper:
             raise ValueError(
                 f"explicit nudging needs mu*dt <= 1; max admissible dt "
                 f"is {1.0 / config.mu:.3e}")
-        self.reference = MhdStepper(grid, params, forcing, dt,
-                                    cfl_safety=cfl_safety)
+        self.reference = MhdStepper(grid, params, forcing, dt)
         damping = _observation_matrix(grid, config) if self.implicit else None
-        assim_forcing = _PerturbedForcing(forcing, config.delta1, config.delta2)
-        self.assimilated = MhdStepper(grid, params, assim_forcing, dt,
-                                      damping=damping, cfl_safety=cfl_safety)
-
-    def set_states(self, pair: AssimilationPair):
-        self.reference.set_state(pair.reference.v.coef, pair.reference.w.coef,
-                                 pair.reference.t)
-        self.assimilated.set_state(pair.assimilated.v.coef,
-                                   pair.assimilated.w.coef, pair.assimilated.t)
+        self.assimilated = MhdStepper(grid, params, forcing, dt, damping=damping)
 
     def pair(self) -> AssimilationPair:
         return AssimilationPair(self.reference.state(), self.assimilated.state())
 
-    def _implicit_data_term(self) -> np.ndarray:
-        # observation of the reference at the *new* time level, matching the
-        # implicitly treated damping so a synchronized pair stays a fixed point
-        cfg = self.config
-        t = self.reference.t
-        obs_v = self.reference.vcoef
-        obs_w = self.reference.wcoef
-        if cfg.eps1 is not None:
-            obs_v = obs_v + cfg.eps1.coef_at(t)
-        if cfg.eps2 is not None:
-            obs_w = obs_w + cfg.eps2.coef_at(t)
-        fv, fw = apply_masked(cfg.interpolant, cfg.mask, self.grid, obs_v, obs_w)
-        out = np.empty((4, self.grid.n, self.grid.n), dtype=np.complex128)
-        out[:2] = cfg.mu * leray_project_coef(self.grid, fv)
-        out[2:] = cfg.mu * leray_project_coef(self.grid, fw)
-        return out
+    def _observed(self) -> np.ndarray:
+        """The observed reference state: its X plus the observation error."""
+        ref = self.reference
+        if self.config.eps is None:
+            return ref.X
+        return ref.X + _pair_coef(self.config.eps, ref.t)
 
     def step(self):
+        cfg, grid = self.config, self.grid
+        assim = self.assimilated
+        delta = None
+        if cfg.delta is not None:
+            d = _pair_coef(cfg.delta, assim.t)
+            delta = np.concatenate([leray_project_coef(grid, d[:2]),
+                                    leray_project_coef(grid, d[2:])])
         if self.implicit:
+            # observation of the reference at the *new* time level, matching
+            # the implicitly treated damping so a synchronized pair stays a
+            # fixed point
             self.reference.advance()
-            self.assimilated.advance(extra_plain=self._implicit_data_term())
+            obs = self._observed()
+            assim.advance(extra_ab=delta,
+                          extra_plain=nudging_term(cfg, grid, obs[:2], obs[2:]))
         else:
-            fb = nudging_term(self.config, self.reference.state(),
-                              self.assimilated.state())
+            diff = self._observed() - assim.X
+            fb = nudging_term(cfg, grid, diff[:2], diff[2:])
             self.reference.advance()
-            self.assimilated.advance(extra_ab=fb)
+            assim.advance(extra_ab=fb if delta is None else fb + delta)
 
     def error_coefs(self):
         return (self.reference.vcoef - self.assimilated.vcoef,
@@ -269,6 +191,7 @@ class RunResult:
     errors: ErrorSeries
     reference_trajectory: Trajectory
     spin_up_time: float
+    spin_up_converged: bool
     final_pair: AssimilationPair
 
 
@@ -282,40 +205,22 @@ def run_assimilation(grid: Grid, params, forcing: ForcingSpec,
     coupled = CoupledStepper(grid, params, forcing, config, dt)
     ref = coupled.reference
     ref.set_state(initial_v.coef, initial_w.coef, 0.0)
-    spent = spin_up(ref, tol=spinup_tol, max_time=spinup_max_time)
+    spun = spin_up(ref, tol=spinup_tol, max_time=spinup_max_time)
     pair = init_assimilation(ref.state(), config, init_mode)
-    coupled.assimilated.set_state(pair.assimilated.v.coef,
-                                  pair.assimilated.w.coef, 0.0)
+    assim = coupled.assimilated
+    assim.set_state(pair.assimilated.v.coef, pair.assimilated.w.coef, 0.0)
 
     n_steps = int(round(horizon / dt))
-    n_samples = n_steps // sample_every + 1
-    err_rows = np.empty((n_samples, 5))
+    err_rows = np.empty((n_steps // sample_every + 1, 5))
     traj_rows = np.empty((n_steps + 1, 6))
-    si = 0
     for i in range(n_steps + 1):
-        l2v, l2w, h1v, h1w = ref.norms()
-        fc = ref.forcing.f_coef(ref.t)
-        gc = ref.forcing.g_coef(ref.t)
-        f2 = float(np.sum(np.abs(fc) ** 2) + np.sum(np.abs(gc) ** 2))
-        traj_rows[i] = (ref.t, l2v, l2w, h1v, h1w, f2)
+        traj_rows[i] = trajectory_row(ref)
         if i % sample_every == 0:
-            ec_v, ec_w = coupled.error_coefs()
-            av = np.abs(ec_v) ** 2
-            aw = np.abs(ec_w) ** 2
-            err_rows[si] = (
-                ref.t,
-                np.sqrt(av.sum()),
-                np.sqrt(aw.sum()),
-                2.0 * np.pi * np.sqrt((grid.ksq * av).sum()),
-                2.0 * np.pi * np.sqrt((grid.ksq * aw).sum()),
-            )
-            if not np.isfinite(err_rows[si]).all():
+            row = (ref.t, *norms(grid, ref.X - assim.X))
+            if not np.isfinite(row).all():
                 raise BlowUpError(ref.t, i, f"(mu={config.mu}, dt={dt})")
-            si += 1
+            err_rows[i // sample_every] = row
         if i < n_steps:
             coupled.step()
-    errors = ErrorSeries(err_rows[:si, 0], err_rows[:si, 1], err_rows[:si, 2],
-                         err_rows[:si, 3], err_rows[:si, 4])
-    traj = Trajectory(traj_rows[:, 0], traj_rows[:, 1], traj_rows[:, 2],
-                      traj_rows[:, 3], traj_rows[:, 4], traj_rows[:, 5])
-    return RunResult(errors, traj, spent, coupled.pair())
+    return RunResult(ErrorSeries(*err_rows.T), Trajectory.from_rows(traj_rows),
+                     spun.time, spun.converged, coupled.pair())

@@ -44,6 +44,24 @@ def test_explicit_feedback_mu_dt_exit_2(tmp_path, capsys):
     assert "mu*dt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb, scenario", [("determining", "determining"),
+                                             ("run", "generalized-da")])
+def test_short_horizon_tail_fit_exit_4(tmp_path, capsys, verb, scenario):
+    # 0.01 time units leave too few samples for the tail-rate fit; the
+    # spin-up max_time is below the two windows that settling needs
+    cfg = write_cfg(tmp_path, f"scenario = {scenario}\nn = 32\n"
+                    "interpolant_kind = nodal\nhorizon = 0.01\n"
+                    f"spinup_max_time = 0.2\noutdir = {tmp_path / 'out'}\n")
+    assert main([verb, cfg]) == 4
+    capsys.readouterr()
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["passed"] is False
+    assert summary["spin_up_converged"] is False
+    fit = summary["checks"]["tail_fit"]
+    assert fit["passed"] is False
+    assert "rate fit needs >= 10 samples" in fit["error"]
+
+
 def test_run_verb(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SMALL + f"outdir = {tmp_path / 'out'}\n")
     assert main(["run", cfg]) == 0

@@ -10,11 +10,9 @@ from mhdnudge.diagnostics import (
     THM_T2_FIRST,
     THM_V,
     AnalysisConstants,
-    ClockMismatchError,
     ErrorSeries,
     check_int_bound,
     decay_window_fit,
-    error_norms,
     fit_exponential_rate,
     gronwall_condition_check,
     onset_time,
@@ -53,16 +51,6 @@ def test_error_series_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.h1_zeta, es.h1_zeta)
     header = path.read_text().splitlines()[0]
     assert header == "t,l2_eta,l2_zeta,h1_eta,h1_zeta"
-
-
-def test_error_norms_clock_mismatch(grid32):
-    from mhdnudge.dynamics import ElsasserState
-    from mhdnudge.spectral import random_divfree_field
-    a = random_divfree_field(grid32, 0, 2.0)
-    s1 = ElsasserState(a, a.copy(), 0.0)
-    s2 = ElsasserState(a.copy(), a.copy(), 1.0)
-    with pytest.raises(ClockMismatchError):
-        error_norms(s1, s2)
 
 
 # ---------------------------------------------------------------------------

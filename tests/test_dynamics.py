@@ -323,6 +323,16 @@ def test_errors_round_trip_through_pickle():
 # trajectory, energy budget, spin-up
 
 
+def test_norms_match_field_norms(grid32):
+    from mhdnudge.dynamics import norms
+    from mhdnudge.spectral import h1_seminorm, l2_norm
+    v = random_divfree_field(grid32, 1, 2.0)
+    w = random_divfree_field(grid32, 2, 2.0)
+    got = norms(grid32, np.concatenate([v.coef, w.coef]))
+    want = (l2_norm(v), l2_norm(w), h1_seminorm(v), h1_seminorm(w))
+    np.testing.assert_allclose(got, want, rtol=1e-13)
+
+
 def test_record_trajectory_shapes(grid32, params, forcing32):
     st = MhdStepper(grid32, params, forcing32, 2e-3)
     init = random_divfree_field(grid32, 1, 2.0)
@@ -359,6 +369,19 @@ def test_spin_up_resets_clock(grid32, params, forcing32):
     st = MhdStepper(grid32, params, forcing32, 2e-3)
     init = random_divfree_field(grid32, 1, 2.0)
     st.set_state(init.coef, init.coef, 0.0)
-    spent = spin_up(st, tol=0.05, max_time=10.0)
-    assert spent > 0.0
+    spun = spin_up(st, tol=0.05, max_time=10.0)
+    assert spun.time > 0.0
+    assert spun.converged
+    assert st.t == 0.0
+
+
+def test_spin_up_reports_not_converged(grid32, params, forcing32):
+    # settling needs two windows; max_time below that stops after one
+    st = MhdStepper(grid32, params, forcing32, 2e-3)
+    init = random_divfree_field(grid32, 1, 2.0)
+    st.set_state(init.coef, init.coef, 0.0)
+    T = 1.0 / (np.pi ** 2 * params.nu_bar)
+    spun = spin_up(st, tol=0.05, max_time=0.5 * T)
+    assert spun.converged is False
+    assert spun.time == pytest.approx(T, rel=0.01)
     assert st.t == 0.0

@@ -1,11 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from mhdnudge.dynamics import MhdStepper
+from mhdnudge.dynamics import ForcingSpec, MhdStepper, Modulation
 from mhdnudge.interpolants import (
     MASK_ALL,
     MASK_B_ONLY,
     MASK_FIRST,
+    MASK_U_ONLY,
     MASK_V_ONLY,
     NODAL,
     SPECTRAL,
@@ -15,7 +18,6 @@ from mhdnudge.interpolants import (
 from mhdnudge.nudging import (
     CoupledStepper,
     NudgingConfig,
-    Perturbation,
     init_assimilation,
     nudging_term,
     run_assimilation,
@@ -36,6 +38,20 @@ def spec_config(mu=20.0, mask=MASK_ALL, kind=SPECTRAL, h=0.125, **kw):
 
 def seeded_init(grid, seed=0, amplitude=1.0):
     return normalized_field(grid, seed, amplitude)
+
+
+def decaying_pair(f, g, amplitude, rate):
+    """(f, g) scaled by amplitude * exp(-rate t)."""
+    return ForcingSpec(f, g, Modulation(amplitude, rate, 0.0))
+
+
+def seeded_diff(grid):
+    """(eta, zeta) raw arrays: the difference of two seeded states."""
+    return (seeded_init(grid, 0).coef - seeded_init(grid, 2).coef,
+            seeded_init(grid, 1).coef - seeded_init(grid, 3).coef)
+
+
+ALL_MASKS = (MASK_ALL, MASK_FIRST, MASK_V_ONLY, MASK_B_ONLY, MASK_U_ONLY)
 
 
 def test_config_validation():
@@ -68,35 +84,28 @@ def test_init_rejects_non_divfree(grid32):
 
 
 def test_nudging_term_is_divergence_free(grid32):
-    from mhdnudge.dynamics import ElsasserState
-    a = ElsasserState(seeded_init(grid32, 0), seeded_init(grid32, 1), 0.0)
-    b = ElsasserState(seeded_init(grid32, 2), seeded_init(grid32, 3), 0.0)
-    for mask in (MASK_ALL, MASK_FIRST, MASK_V_ONLY, MASK_B_ONLY):
-        term = nudging_term(spec_config(mask=mask), a, b)
+    eta, zeta = seeded_diff(grid32)
+    for mask, h in itertools.product(ALL_MASKS, (0.125, 0.0625)):
+        term = nudging_term(spec_config(mask=mask, h=h), grid32, eta, zeta)
         assert divergence_defect(grid32, term[:2]) < 1e-10
         assert divergence_defect(grid32, term[2:]) < 1e-10
 
 
 def test_nudging_term_scales_with_mu(grid32):
-    from mhdnudge.dynamics import ElsasserState
-    a = ElsasserState(seeded_init(grid32, 0), seeded_init(grid32, 1), 0.0)
-    b = ElsasserState(seeded_init(grid32, 2), seeded_init(grid32, 3), 0.0)
-    t1 = nudging_term(spec_config(mu=10.0), a, b)
-    t2 = nudging_term(spec_config(mu=30.0), a, b)
+    eta, zeta = seeded_diff(grid32)
+    t1 = nudging_term(spec_config(mu=10.0), grid32, eta, zeta)
+    t2 = nudging_term(spec_config(mu=30.0), grid32, eta, zeta)
     np.testing.assert_allclose(t2, 3.0 * t1, atol=1e-13)
 
 
-def test_observation_matrix_matches_nudging_term(grid32, params, forcing32):
+def test_observation_matrix_matches_nudging_term(grid32):
     # the folded-in implicit operator must agree with the explicit feedback
-    from mhdnudge.dynamics import ElsasserState
     from mhdnudge.nudging import _observation_matrix
-    ref = ElsasserState(seeded_init(grid32, 0), seeded_init(grid32, 1), 0.0)
-    assim = ElsasserState(seeded_init(grid32, 2), seeded_init(grid32, 3), 0.0)
-    diff = np.concatenate([ref.v.coef - assim.v.coef,
-                           ref.w.coef - assim.w.coef])
-    for mask in (MASK_ALL, MASK_FIRST, MASK_V_ONLY, MASK_B_ONLY):
-        cfg = spec_config(mu=17.0, mask=mask)
-        term = nudging_term(cfg, ref, assim)
+    eta, zeta = seeded_diff(grid32)
+    diff = np.concatenate([eta, zeta])
+    for mask, h in itertools.product(ALL_MASKS, (0.125, 0.0625)):
+        cfg = spec_config(mu=17.0, mask=mask, h=h)
+        term = nudging_term(cfg, grid32, eta, zeta)
         M = _observation_matrix(grid32, cfg)
         applied = np.einsum("xyij,jxy->ixy", M, diff)
         np.testing.assert_allclose(applied, term, atol=1e-11)
@@ -139,6 +148,28 @@ def test_mu_zero_decouples(grid32, params, forcing32):
     np.testing.assert_allclose(cs.assimilated.X, solo.X, atol=1e-13)
 
 
+@pytest.mark.parametrize("kind", [SPECTRAL, VOLUME])
+def test_delta_matches_perturbed_forcing(grid32, params, forcing32, kind):
+    # with mu = 0 the assimilated system is a solution forced by (f + df, g + dg)
+    df, dg = normalized_field(grid32, 9, 0.3), normalized_field(grid32, 10, 0.3)
+    cfg = spec_config(mu=0.0, kind=kind, delta=decaying_pair(df, dg, 1.0, 0.0))
+    cs = CoupledStepper(grid32, params, forcing32, cfg, dt=2e-3)
+    init = seeded_init(grid32, 0, 0.5)
+    other = seeded_init(grid32, 1, 0.5)
+    cs.reference.set_state(init.coef, init.coef, 0.0)
+    cs.assimilated.set_state(other.coef, other.coef, 0.0)
+    perturbed = ForcingSpec(
+        SpectralVectorField(grid32, forcing32.f.coef + df.coef),
+        SpectralVectorField(grid32, forcing32.g.coef + dg.coef))
+    solo = MhdStepper(grid32, params, perturbed, 2e-3)
+    solo.set_state(other.coef, other.coef, 0.0)
+    for _ in range(100):
+        cs.step()
+        solo.advance()
+    np.testing.assert_allclose(cs.assimilated.X, solo.X, rtol=0, atol=1e-13)
+    assert np.max(np.abs(cs.assimilated.X - cs.reference.X)) > 1e-3
+
+
 def test_states_stay_divergence_free(grid32, params, forcing32):
     cfg = spec_config(mu=20.0, mask=MASK_FIRST)
     cs = CoupledStepper(grid32, params, forcing32, cfg, dt=2e-3)
@@ -160,6 +191,7 @@ def test_run_assimilation_converges(grid32, params, forcing32):
     assert l2[0] > 0.0
     assert l2[-1] <= 1e-6 * l2[0]
     assert result.spin_up_time > 0.0
+    assert result.spin_up_converged
     # trajectory sampled every step, errors every 5
     assert len(result.reference_trajectory.times) == 2001
     assert len(result.errors.times) == 401
@@ -168,8 +200,8 @@ def test_run_assimilation_converges(grid32, params, forcing32):
 def test_observation_error_sets_floor(grid32, params, forcing32):
     # persistent (rate 0) observation noise keeps the error away from zero
     noise = normalized_field(grid32, 9, 1.0)
-    eps = Perturbation(noise, amplitude=1e-3, rate=0.0)
-    cfg = spec_config(mu=50.0, eps1=eps)
+    zero = SpectralVectorField(grid32, np.zeros_like(noise.coef))
+    cfg = spec_config(mu=50.0, eps=decaying_pair(noise, zero, 1e-3, 0.0))
     init = seeded_init(grid32, 0, 0.5)
     result = run_assimilation(grid32, params, forcing32, cfg, init, init.copy(),
                               2e-3, 4.0, spinup_max_time=2.0, sample_every=5)
@@ -180,9 +212,10 @@ def test_observation_error_sets_floor(grid32, params, forcing32):
 
 def test_decaying_perturbations_still_converge(grid32, params, forcing32):
     noise = normalized_field(grid32, 9, 1.0)
+    zero = SpectralVectorField(grid32, np.zeros_like(noise.coef))
     cfg = spec_config(mu=50.0,
-                      delta1=Perturbation(noise, 0.5, 1.0),
-                      eps1=Perturbation(noise, 0.5, 1.0))
+                      delta=decaying_pair(noise, zero, 0.5, 1.0),
+                      eps=decaying_pair(noise, zero, 0.5, 1.0))
     init = seeded_init(grid32, 0, 0.5)
     result = run_assimilation(grid32, params, forcing32, cfg, init, init.copy(),
                               2e-3, 12.0, spinup_max_time=2.0, sample_every=5)
