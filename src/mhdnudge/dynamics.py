@@ -498,17 +498,23 @@ def energy_budget(traj: Trajectory, params: ElsasserParams,
 @dataclass(frozen=True)
 class SpinUp:
     time: float       # time integrated
-    converged: bool   # False: max_time was reached before the average settled
+    # False: the average had not settled by the first window end at or past
+    # max_time; spin-up stops there, so time can exceed max_time either way
+    converged: bool
 
 
 def spin_up(stepper: MhdStepper, tol: float = 0.01, max_time: float = 60.0,
             min_windows: int = 2) -> SpinUp:
     """Integrate until the windowed average of the total enstrophy settles.
 
-    Window length is T = 1/(pi^2 (alpha-beta)); stops when consecutive
-    window averages differ by less than `tol` relative, or once `max_time`
-    has been integrated (at least one window is always run).  The stepper
-    is restarted at t = 0 afterwards.
+    Runs whole windows of length T = 1/(pi^2 (alpha-beta)) and stops when
+    two consecutive window averages differ by less than `tol` relative, or
+    at the first window end at or past `max_time`.  `max_time` is thus not
+    a hard cap: the returned time may exceed it by up to one window (at
+    least one window always runs), and the window that crosses it may still
+    settle.  At the default Reynolds numbers and dt = 2e-3 a window is 0.506
+    long, and a config with `spinup_max_time = 2.0` settles only in window
+    4, at t = 2.024.  The stepper is restarted at t = 0 afterwards.
     """
     T = 1.0 / (np.pi ** 2 * stepper.params.nu_bar)
     steps_per_window = max(int(round(T / stepper.dt)), 8)

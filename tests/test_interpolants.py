@@ -111,6 +111,86 @@ def test_nodal_matches_samples_at_nodes():
     np.testing.assert_allclose(shift, shift.flat[0], atol=1e-12)
 
 
+# physical-space reference operators: sample or average on the grid, then
+# transform back (the form I_h had before it acted on the coefficients)
+
+
+def _ref_volume(coef, n, m):
+    s = n // m
+    phys = np.real(np.fft.ifft2(coef, axes=(-2, -1))) * n ** 2
+    cells = phys.reshape(*phys.shape[:-2], m, s, m, s).mean(axis=(-3, -1))
+    flat = np.repeat(np.repeat(cells, s, axis=-2), s, axis=-1)
+    out = np.fft.fft2(flat, axes=(-2, -1)) / n ** 2
+    out[..., 0, 0] = 0.0
+    return out
+
+
+def _ref_nodal(coef, n, m):
+    s = n // m
+    phys = np.real(np.fft.ifft2(coef, axes=(-2, -1))) * n ** 2
+    nodes = phys[..., ::s, ::s]
+    frac = (np.arange(n) % s) / s
+    cell = np.arange(n) // s
+    nxt = (cell + 1) % m
+    fx = frac[:, None]
+    fy = frac[None, :]
+    f00 = nodes[..., cell[:, None], cell[None, :]]
+    f10 = nodes[..., nxt[:, None], cell[None, :]]
+    f01 = nodes[..., cell[:, None], nxt[None, :]]
+    f11 = nodes[..., nxt[:, None], nxt[None, :]]
+    interp = ((1 - fx) * (1 - fy) * f00 + fx * (1 - fy) * f10
+              + (1 - fx) * fy * f01 + fx * fy * f11)
+    out = np.fft.fft2(interp, axes=(-2, -1)) / n ** 2
+    out[..., 0, 0] = 0.0
+    return out
+
+
+_REFERENCES = {VOLUME: _ref_volume, NODAL: _ref_nodal}
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+@pytest.mark.parametrize("kind", [VOLUME, NODAL])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_matches_physical_space_reference(n, kind, stacked):
+    g = Grid(n)
+    fields = [random_scalar_field(g, seed).coef for seed in (10, 11)]
+    coef = np.stack(fields) if stacked else fields[0]
+    for m in (1, 4, 8, 16):
+        ref = _REFERENCES[kind](coef, n, m)
+        out = apply_interpolant_coef(InterpolantSpec(kind, 1.0 / m), g, coef)
+        assert out.shape == coef.shape
+        # with one cell (h = 1) I_h u is the constant mean, removed: the
+        # reference is 0 up to roundoff, so the input sets the scale
+        scale = np.abs(ref).max() if m > 1 else np.abs(coef).max()
+        assert np.abs(out - ref).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("kind", [SPECTRAL, VOLUME, NODAL])
+def test_real_field_stays_real(kind):
+    g = Grid(64)
+    coef = random_scalar_field(g, 12).coef
+    for h in (0.25, 0.125, 0.0625):
+        out = apply_interpolant_coef(InterpolantSpec(kind, h), g, coef)
+        phys = np.fft.ifft2(out) * g.n ** 2
+        assert np.abs(phys.imag).max() <= 1e-14
+
+
+def test_volume_and_nodal_make_no_fft(monkeypatch):
+    g = Grid(32)
+    coef = random_scalar_field(g, 13).coef
+    stacked = np.stack([coef, 2.0 * coef])
+
+    def no_fft(*args, **kwargs):
+        raise AssertionError("I_h called an FFT")
+
+    for name in ("fft2", "ifft2", "fftn", "ifftn", "rfft2", "irfft2"):
+        monkeypatch.setattr(np.fft, name, no_fft)
+    for kind in (SPECTRAL, VOLUME, NODAL):
+        spec = InterpolantSpec(kind, 0.125)
+        apply_interpolant_coef(spec, g, coef)
+        apply_interpolant_coef(spec, g, stacked)
+
+
 def test_spectral_c1_single_mode_oracle():
     # u concentrated at max(|k1|,|k2|) = m > 1/h: ratio is exactly 1/(2 pi m h)
     g = Grid(64)
