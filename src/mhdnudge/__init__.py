@@ -22,7 +22,6 @@ from .spectral import (
 from .dynamics import (
     DimensionalParams,
     ElsasserParams,
-    ElsasserState,
     ForcingSpec,
     Modulation,
     MhdStepper,
@@ -30,7 +29,6 @@ from .dynamics import (
     nondimensionalize,
     to_elsasser,
     from_elsasser,
-    mhd_rhs,
     grashof_number,
     energy_budget,
     spin_up,
@@ -43,10 +41,8 @@ from .interpolants import (
     verify_type2_bound,
 )
 from .nudging import (
-    AssimilationPair,
     CoupledStepper,
     NudgingConfig,
-    init_assimilation,
     nudging_term,
     run_assimilation,
 )

@@ -16,6 +16,8 @@ import numpy as np
 from .dynamics import ElsasserParams, Trajectory
 
 NORM_FLOOR = 1e-14
+# decay_window_fit ends its segment where the series falls to DECAY_DROP * peak
+DECAY_DROP = 1e-6
 
 THM_ALL = "thm-all"
 THM_FIRST = "thm-first"
@@ -98,19 +100,18 @@ def onset_time(times: np.ndarray, values: np.ndarray) -> float:
     return float(times[int(np.argmax(values))])
 
 
-def decay_window_fit(times: np.ndarray, values: np.ndarray,
-                     drop: float = 1e-6, floor: float = NORM_FLOOR):
+def decay_window_fit(times: np.ndarray, values: np.ndarray):
     """Log-linear fit over the decaying segment from the peak down to
-    peak*drop (or to the floor, whichever is higher).
+    peak * DECAY_DROP (or to NORM_FLOOR, whichever is higher).
 
     Returns a dict with the achieved decay magnitude (in orders of ten),
     the fitted rate and R^2 over the segment, and whether the requested
     drop was reached.
     """
-    values = np.maximum(np.asarray(values, dtype=float), floor)
+    values = np.maximum(np.asarray(values, dtype=float), NORM_FLOOR)
     i0 = int(np.argmax(values))
     peak = values[i0]
-    target = max(peak * drop, floor)
+    target = max(peak * DECAY_DROP, NORM_FLOOR)
     below = np.nonzero(values[i0:] <= target)[0]
     reached = len(below) > 0
     i1 = i0 + int(below[0]) if reached else len(values) - 1
@@ -129,7 +130,7 @@ def decay_window_fit(times: np.ndarray, values: np.ndarray,
     return {
         "peak": float(peak),
         "terminal": float(terminal),
-        "orders_of_decay": float(np.log10(peak / max(terminal, floor))),
+        "orders_of_decay": float(np.log10(peak / max(terminal, NORM_FLOOR))),
         "reached_drop": bool(reached),
         "rate": rate,
         "r_squared": r2,
@@ -188,10 +189,9 @@ class TheoremThresholds:
 def theorem_thresholds(theorem_id: str, G: float, params: ElsasserParams,
                        constants: AnalysisConstants | None = None,
                        c1: float | None = None, c2: float | None = None,
-                       c3: float | None = None,
-                       mu_margin: float = 0.0) -> TheoremThresholds:
+                       c3: float | None = None) -> TheoremThresholds:
     """Sufficient (mu_min, h_max) per theorem; h_max is evaluated at the
-    chosen gain mu = mu_min * (1 + mu_margin)."""
+    gain mu = mu_min."""
     if theorem_id not in THEOREM_IDS:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
     if G < 0:
@@ -228,15 +228,14 @@ def theorem_thresholds(theorem_id: str, G: float, params: ElsasserParams,
                   * (1.0 + G ** 2) ** 3 * np.exp(2.0 * k["C"] * G ** 4)
                   * (k["c_tilde_t2"] + np.log(1.0 + G) + k["C"] * G ** 4))
     mu_min = float(max(mu_min, 0.0))
-    mu = mu_min * (1.0 + mu_margin)
-    if mu <= 0:
+    if mu_min <= 0:
         h_max = np.inf
     elif theorem_id == THM_T2_FIRST:
-        h_max = float(np.sqrt(nub / (2.0 * mu * max(c2 ** 2, c3))))
+        h_max = float(np.sqrt(nub / (2.0 * mu_min * max(c2 ** 2, c3))))
     elif theorem_id in _H1_IDS:
-        h_max = float((2.0 * np.sqrt(2.0) * c1) ** -1 * nub ** 0.5 * mu ** -0.5)
+        h_max = float((2.0 * np.sqrt(2.0) * c1) ** -1 * nub ** 0.5 * mu_min ** -0.5)
     else:
-        h_max = float(c1 ** -1 * nub ** 0.5 * mu ** -0.5)
+        h_max = float(c1 ** -1 * nub ** 0.5 * mu_min ** -0.5)
     return TheoremThresholds(theorem_id, G, mu_min, h_max, used)
 
 
@@ -291,21 +290,21 @@ def gronwall_condition_check(times: np.ndarray, psi: np.ndarray, T: float):
 
 
 def check_int_bound(traj: Trajectory, G: float, params: ElsasserParams,
-                    T: float | None = None, min_samples_per_window: int = 8):
+                    min_samples_per_window: int = 8):
     """Verify the time-averaged enstrophy bound
 
         int_t^{t+T} (|grad v|^2 + |grad w|^2) <= (1 + T pi^2 nub) nub G^2
 
-    over every window start, via trapezoidal quadrature.  Returns the worst
-    margin (bound - integral); pass means worst margin >= -1e-10.
+    with T = 1/(pi^2 nub), over every window start, via trapezoidal
+    quadrature.  Returns the worst margin (bound - integral); pass means
+    worst margin >= -1e-10.
 
     The bound is a long-time estimate: it holds for trajectories inside the
     absorbing ball, such as a spun-up reference, and a solution started
     with large energy can exceed it in its first windows.
     """
     nub = params.nu_bar
-    if T is None:
-        T = 1.0 / (np.pi ** 2 * nub)
+    T = 1.0 / (np.pi ** 2 * nub)
     H = traj.enstrophy()
     ints, starts = _window_integrals(traj.times, H, T)
     if len(ints) == 0 or min(n for _, n in starts) < min_samples_per_window:

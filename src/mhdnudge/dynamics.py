@@ -27,6 +27,8 @@ from .spectral import (
 FOUR_PI_SQ = 4.0 * np.pi ** 2
 # admissible dt = CFL_SAFETY / (n * max speed)
 CFL_SAFETY = 0.5
+# energy_budget flags a residual above ENERGY_TOL * max(1, ||f||^2 + ||g||^2)
+ENERGY_TOL = 1e-6
 
 
 # The constructor arguments are passed on as the exception's args, so that
@@ -171,10 +173,6 @@ class ForcingSpec:
     g: SpectralVectorField
     modulation: Modulation | None = None
 
-    @property
-    def kind(self) -> str:
-        return "steady-low-mode" if self.modulation is None else "time-modulated"
-
     def f_coef(self, t: float) -> np.ndarray:
         m = 1.0 if self.modulation is None else self.modulation.value(t)
         return self.f.coef * m
@@ -209,20 +207,6 @@ def grashof_number(forcing: ForcingSpec, params: ElsasserParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# state
-
-
-@dataclass
-class ElsasserState:
-    v: SpectralVectorField
-    w: SpectralVectorField
-    t: float = 0.0
-
-    def copy(self) -> "ElsasserState":
-        return ElsasserState(self.v.copy(), self.w.copy(), self.t)
-
-
-# ---------------------------------------------------------------------------
 # right-hand side
 
 
@@ -249,25 +233,6 @@ def advection(grid: Grid, X: np.ndarray):
     speed = max(float(np.max(np.sum(v * v, axis=0))),
                 float(np.max(np.sum(w * w, axis=0)))) ** 0.5
     return adv, speed
-
-
-def mhd_rhs(state: ElsasserState, params: ElsasserParams, forcing: ForcingSpec,
-            t: float | None = None):
-    """Leray-projected right-hand sides (dv/dt, dw/dt) as vector fields."""
-    if t is None:
-        t = state.t
-    grid = state.v.grid
-    lap = -FOUR_PI_SQ * grid.ksq
-    vc, wc = state.v.coef, state.w.coef
-    adv, _ = advection(grid, np.concatenate([vc, wc]))
-    rv = params.alpha * lap * vc + params.beta * lap * wc
-    rw = params.alpha * lap * wc + params.beta * lap * vc
-    rv = rv + leray_project_coef(grid, forcing.f_coef(t) - adv[:2])
-    rw = rw + leray_project_coef(grid, forcing.g_coef(t) - adv[2:])
-    return (
-        SpectralVectorField(grid, rv, divergence_free=True),
-        SpectralVectorField(grid, rw, divergence_free=True),
-    )
 
 
 def norms(grid: Grid, X: np.ndarray):
@@ -355,21 +320,6 @@ class MhdStepper:
         self._prev_expl = None
         if forcing is not None:
             self.forcing = forcing
-
-    @property
-    def vcoef(self) -> np.ndarray:
-        return self.X[:2]
-
-    @property
-    def wcoef(self) -> np.ndarray:
-        return self.X[2:]
-
-    def state(self) -> ElsasserState:
-        return ElsasserState(
-            SpectralVectorField(self.grid, self.X[:2].copy(), divergence_free=True),
-            SpectralVectorField(self.grid, self.X[2:].copy(), divergence_free=True),
-            self.t,
-        )
 
     # -- norms --------------------------------------------------------------
 
@@ -470,29 +420,28 @@ def record_trajectory(stepper: MhdStepper, n_steps: int) -> Trajectory:
     return Trajectory.from_rows(rows)
 
 
-def energy_budget(traj: Trajectory, params: ElsasserParams,
-                  tol_factor: float = 1e-6):
+def energy_budget(traj: Trajectory, params: ElsasserParams):
     """Discrete residuals of the L2 energy inequality
 
         d/dt(|v|^2+|w|^2) + (a-b)(|grad v|^2+|grad w|^2)
             <= (||f||^2+||g||^2) / (4 pi^2 (a-b)).
 
-    Returns (residuals, flags) over interior samples; a flagged residual
-    exceeds tol_factor * max(1, ||f||^2+||g||^2).
+    Returns (residuals, flags) over interior samples; a residual is flagged
+    unless it is at most ENERGY_TOL * max(1, ||f||^2+||g||^2), so a
+    non-finite one is flagged too.
     """
     if len(traj.times) < 3:
         raise ValueError("energy budget needs at least 3 samples")
     nub = params.nu_bar
     E = traj.energy()
     H = traj.enstrophy()
-    dt = np.diff(traj.times)
     # centered difference on interior points
     dEdt = (E[2:] - E[:-2]) / (traj.times[2:] - traj.times[:-2])
     lhs = dEdt + nub * H[1:-1]
     rhs = traj.forcing_sq[1:-1] / (FOUR_PI_SQ * nub)
     residuals = lhs - rhs
-    tol = tol_factor * np.maximum(1.0, traj.forcing_sq[1:-1])
-    return residuals, residuals > tol
+    tol = ENERGY_TOL * np.maximum(1.0, traj.forcing_sq[1:-1])
+    return residuals, ~(residuals <= tol)
 
 
 @dataclass(frozen=True)
@@ -503,8 +452,8 @@ class SpinUp:
     converged: bool
 
 
-def spin_up(stepper: MhdStepper, tol: float = 0.01, max_time: float = 60.0,
-            min_windows: int = 2) -> SpinUp:
+def spin_up(stepper: MhdStepper, tol: float = 0.01,
+            max_time: float = 60.0) -> SpinUp:
     """Integrate until the windowed average of the total enstrophy settles.
 
     Runs whole windows of length T = 1/(pi^2 (alpha-beta)) and stops when
@@ -520,7 +469,6 @@ def spin_up(stepper: MhdStepper, tol: float = 0.01, max_time: float = 60.0,
     steps_per_window = max(int(round(T / stepper.dt)), 8)
     prev_avg = None
     elapsed = 0.0
-    windows = 0
     converged = False
     while elapsed < max_time:
         acc = 0.0
@@ -530,11 +478,10 @@ def spin_up(stepper: MhdStepper, tol: float = 0.01, max_time: float = 60.0,
             acc += h1v ** 2 + h1w ** 2
         elapsed += steps_per_window * stepper.dt
         avg = acc / steps_per_window
-        windows += 1
-        if prev_avg is not None and windows >= min_windows:
-            if abs(avg - prev_avg) <= tol * max(prev_avg, 1e-14):
-                converged = True
-                break
+        if (prev_avg is not None
+                and abs(avg - prev_avg) <= tol * max(prev_avg, 1e-14)):
+            converged = True
+            break
         prev_avg = avg
     stepper.restart()
     return SpinUp(elapsed, converged)

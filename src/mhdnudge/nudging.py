@@ -17,7 +17,6 @@ import numpy as np
 from .diagnostics import ErrorSeries
 from .dynamics import (
     BlowUpError,
-    ElsasserState,
     ForcingSpec,
     MhdStepper,
     Trajectory,
@@ -31,7 +30,7 @@ from .interpolants import (
     InterpolantSpec,
     apply_masked,
 )
-from .spectral import Grid, SpectralVectorField, divergence_defect, leray_project_coef
+from .spectral import Grid, divergence_defect, leray_project_coef
 
 
 @dataclass
@@ -51,43 +50,6 @@ class NudgingConfig:
     def __post_init__(self):
         if self.mu < 0:
             raise ValueError("gain mu must be >= 0")
-
-
-@dataclass
-class AssimilationPair:
-    reference: ElsasserState
-    assimilated: ElsasserState
-
-    def __post_init__(self):
-        if self.reference.v.grid.n != self.assimilated.v.grid.n:
-            raise ValueError("reference and assimilated states on different grids")
-        if self.reference.t != self.assimilated.t:
-            raise ValueError("reference and assimilated clocks differ")
-
-
-def init_assimilation(reference: ElsasserState, config: NudgingConfig,
-                      init_mode="zero") -> AssimilationPair:
-    """Initial assimilated state: zero (the default), a copy of the
-    reference, or a caller-supplied divergence-free (v, w) pair."""
-    grid = reference.v.grid
-    if init_mode == "zero":
-        z = np.zeros((2, grid.n, grid.n), dtype=np.complex128)
-        assim = ElsasserState(
-            SpectralVectorField(grid, z.copy(), divergence_free=True),
-            SpectralVectorField(grid, z.copy(), divergence_free=True),
-            reference.t,
-        )
-    elif init_mode == "copy":
-        assim = ElsasserState(reference.v.copy(), reference.w.copy(), reference.t)
-    else:
-        v0, w0 = init_mode
-        for name, f in (("v", v0), ("w", w0)):
-            defect = divergence_defect(grid, f.coef)
-            norm = np.sqrt(np.sum(np.abs(f.coef) ** 2))
-            if defect > 1e-10 * max(norm, 1e-300):
-                raise ValueError(f"custom initial {name} is not divergence-free")
-        assim = ElsasserState(v0.copy(), w0.copy(), reference.t)
-    return AssimilationPair(reference, assim)
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +107,6 @@ class CoupledStepper:
         damping = _observation_matrix(grid, config) if self.implicit else None
         self.assimilated = MhdStepper(grid, params, forcing, dt, damping=damping)
 
-    def pair(self) -> AssimilationPair:
-        return AssimilationPair(self.reference.state(), self.assimilated.state())
-
     def _observed(self) -> np.ndarray:
         """The observed reference state: its X plus the observation error."""
         ref = self.reference
@@ -177,10 +136,6 @@ class CoupledStepper:
             self.reference.advance()
             assim.advance(extra_ab=fb if delta is None else fb + delta)
 
-    def error_coefs(self):
-        return (self.reference.vcoef - self.assimilated.vcoef,
-                self.reference.wcoef - self.assimilated.wcoef)
-
 
 # ---------------------------------------------------------------------------
 # full experiment driver
@@ -192,7 +147,6 @@ class RunResult:
     reference_trajectory: Trajectory
     spin_up_time: float
     spin_up_converged: bool
-    final_pair: AssimilationPair
 
 
 def run_assimilation(grid: Grid, params, forcing: ForcingSpec,
@@ -201,14 +155,27 @@ def run_assimilation(grid: Grid, params, forcing: ForcingSpec,
                      spinup_max_time: float = 40.0, spinup_tol: float = 0.01,
                      sample_every: int = 10, init_mode="zero") -> RunResult:
     """Spin up the reference from (initial_v, initial_w), reset the clock,
-    co-evolve to the horizon and record per-variable L2/H1 errors."""
+    co-evolve to the horizon and record per-variable L2/H1 errors.
+
+    The assimilated system starts at zero (`init_mode` "zero"), at a copy
+    of the spun-up reference ("copy"), or at a caller-supplied (v, w) pair
+    of vector fields, which must be divergence-free.
+    """
+    if init_mode not in ("zero", "copy"):
+        v0, w0 = init_mode
+        for name, f in (("v", v0), ("w", w0)):
+            defect = divergence_defect(grid, f.coef)
+            norm = np.sqrt(np.sum(np.abs(f.coef) ** 2))
+            if defect > 1e-10 * max(norm, 1e-300):
+                raise ValueError(f"custom initial {name} is not divergence-free")
     coupled = CoupledStepper(grid, params, forcing, config, dt)
-    ref = coupled.reference
+    ref, assim = coupled.reference, coupled.assimilated
     ref.set_state(initial_v.coef, initial_w.coef, 0.0)
     spun = spin_up(ref, tol=spinup_tol, max_time=spinup_max_time)
-    pair = init_assimilation(ref.state(), config, init_mode)
-    assim = coupled.assimilated
-    assim.set_state(pair.assimilated.v.coef, pair.assimilated.w.coef, 0.0)
+    if init_mode == "copy":
+        assim.set_state(ref.X[:2], ref.X[2:])
+    elif init_mode != "zero":
+        assim.set_state(v0.coef, w0.coef)
 
     n_steps = int(round(horizon / dt))
     err_rows = np.empty((n_steps // sample_every + 1, 5))
@@ -223,4 +190,4 @@ def run_assimilation(grid: Grid, params, forcing: ForcingSpec,
         if i < n_steps:
             coupled.step()
     return RunResult(ErrorSeries(*err_rows.T), Trajectory.from_rows(traj_rows),
-                     spun.time, spun.converged, coupled.pair())
+                     spun.time, spun.converged)

@@ -115,13 +115,6 @@ class SpectralVectorField:
                     f"field flagged divergence-free has relative defect {err / max(norm, 1e-300):.3e}"
                 )
 
-    @property
-    def components(self):
-        return (
-            SpectralScalar(self.grid, self.coef[0].copy()),
-            SpectralScalar(self.grid, self.coef[1].copy()),
-        )
-
     def copy(self) -> "SpectralVectorField":
         return SpectralVectorField(self.grid, self.coef.copy(), self.divergence_free)
 

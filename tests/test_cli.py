@@ -37,6 +37,25 @@ def test_invalid_config_exit_2(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("line, verb, args, message", [
+    ("sample_every = 0", "run", [], "sample_every"),
+    ("sample_every = -5", "run", [], "sample_every"),
+    ("calibration_samples = 0", "run", [], "calibration_samples"),
+    ("horizon = 0.002", "run", [], "horizon"),
+    ("", "sweep", ["--axis", "mu", "--values", "20", "30", "--workers", "0"],
+     "workers"),
+], ids=["sample_every=0", "sample_every=-5", "calibration_samples=0",
+        "horizon<2dt", "sweep-workers=0"])
+def test_config_rejected_exit_2(tmp_path, capsys, line, verb, args, message):
+    cfg = write_cfg(tmp_path, f"scenario = baseline\nn = 32\n{line}\n"
+                    f"outdir = {tmp_path / 'out'}\n")
+    assert main([verb, cfg, *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_explicit_feedback_mu_dt_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "scenario = type2\ninterpolant_kind = nodal\n"
                     f"mu = 600\ndt = 2e-3\noutdir = {tmp_path / 'out'}\n")

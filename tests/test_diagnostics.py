@@ -88,7 +88,7 @@ def test_onset_time():
 def test_decay_window_fit_synthetic():
     t = np.linspace(0.0, 10.0, 1001)
     v = np.where(t < 1.0, 0.1 + 0.9 * t, np.exp(-4.0 * (t - 1.0)))
-    fit = decay_window_fit(t, v, drop=1e-6)
+    fit = decay_window_fit(t, v)
     assert fit["onset_time"] == pytest.approx(1.0, abs=0.02)
     assert fit["reached_drop"]
     assert fit["rate"] == pytest.approx(4.0, rel=1e-3)

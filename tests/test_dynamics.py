@@ -7,7 +7,6 @@ from mhdnudge.dynamics import (
     BlowUpError,
     CflError,
     DimensionalParams,
-    ElsasserState,
     ForcingSpec,
     MhdStepper,
     Modulation,
@@ -17,7 +16,6 @@ from mhdnudge.dynamics import (
     forcing_from_original,
     from_elsasser,
     grashof_number,
-    mhd_rhs,
     nondimensionalize,
     record_trajectory,
     spin_up,
@@ -139,8 +137,6 @@ def test_forcing_from_original():
     spec = forcing_from_original(f1, g1)
     np.testing.assert_allclose(spec.f.coef, f1.coef + g1.coef, atol=1e-15)
     np.testing.assert_allclose(spec.g.coef, f1.coef - g1.coef, atol=1e-15)
-    assert spec.kind == "steady-low-mode"
-    assert ForcingSpec(f1, g1, Modulation(1, 1, 0)).kind == "time-modulated"
 
 
 # ---------------------------------------------------------------------------
@@ -196,20 +192,19 @@ def test_advection_of_shear_flow_vanishes():
     assert speed == pytest.approx(2.0, rel=1e-14)
 
 
-def test_mhd_rhs_zero_at_stokes_steady_state():
+def test_stokes_steady_state_is_fixed_point():
     # f = g = shear forcing; v = w = f/(4 pi^2 alpha) is an exact steady state
     g = Grid(32)
     p = derive_elsasser_params(5.0, 5.0)
     fc = shear_mode(g, amplitude=0.3)
     f = SpectralVectorField(g, fc, divergence_free=True)
-    forcing = ForcingSpec(f, f.copy())
+    st = MhdStepper(g, p, ForcingSpec(f, f.copy()), 2e-3)
     vc = fc / (4.0 * np.pi ** 2 * p.alpha)
-    state = ElsasserState(
-        SpectralVectorField(g, vc, divergence_free=True),
-        SpectralVectorField(g, vc.copy(), divergence_free=True))
-    rv, rw = mhd_rhs(state, p, forcing)
-    assert np.max(np.abs(rv.coef)) < 1e-14
-    assert np.max(np.abs(rw.coef)) < 1e-14
+    st.set_state(vc, vc)
+    X0 = st.X.copy()
+    for _ in range(20):
+        st.advance()
+    assert np.max(np.abs(st.X - X0)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +223,7 @@ def test_crank_nicolson_single_mode_factor():
     expected = (1.0 - 0.5 * dt * kappa) / (1.0 + 0.5 * dt * kappa)
     assert st.X[0, 0, 1] == pytest.approx(expected * c[0, 0, 1], rel=1e-13)
     # w stays exactly zero when beta = 0
-    assert np.max(np.abs(st.wcoef)) == 0.0
+    assert np.max(np.abs(st.X[2:])) == 0.0
 
 
 def test_crank_nicolson_beta_coupling():
@@ -304,7 +299,7 @@ def test_restart_matches_fresh_stepper(grid32, params, forcing32):
         st.advance()
     st.restart(forcing=modulated)
     fresh = MhdStepper(grid32, params, modulated, 1e-3)
-    fresh.set_state(st.vcoef, st.wcoef, 0.0)
+    fresh.set_state(st.X[:2], st.X[2:], 0.0)
     st.advance()
     fresh.advance()
     assert np.array_equal(st.X, fresh.X)

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from mhdnudge.dynamics import ForcingSpec, MhdStepper, Modulation
+from mhdnudge.dynamics import ForcingSpec, MhdStepper, Modulation, norms, spin_up
 from mhdnudge.interpolants import (
     MASK_ALL,
     MASK_B_ONLY,
@@ -18,7 +18,6 @@ from mhdnudge.interpolants import (
 from mhdnudge.nudging import (
     CoupledStepper,
     NudgingConfig,
-    init_assimilation,
     nudging_term,
     run_assimilation,
 )
@@ -59,28 +58,42 @@ def test_config_validation():
         spec_config(mu=-1.0)
 
 
-def test_init_modes(grid32):
-    init = seeded_init(grid32)
-    from mhdnudge.dynamics import ElsasserState
-    state = ElsasserState(init, init.copy(), 0.0)
-    pair = init_assimilation(state, spec_config(), "zero")
-    assert np.max(np.abs(pair.assimilated.v.coef)) == 0.0
-    pair = init_assimilation(state, spec_config(), "copy")
-    np.testing.assert_array_equal(pair.assimilated.v.coef, init.coef)
+def short_run(grid, params, forcing, init_mode):
+    """A 20-step run after a short spin-up, sampling every step."""
+    init = seeded_init(grid, 0, 0.5)
+    return run_assimilation(grid, params, forcing, spec_config(), init,
+                            init.copy(), 2e-3, 0.04, spinup_max_time=0.5,
+                            sample_every=1, init_mode=init_mode)
+
+
+def test_init_modes(grid32, params, forcing32):
+    # the first error row is the spun-up reference minus the initial state
+    init = seeded_init(grid32, 0, 0.5)
+    ref = MhdStepper(grid32, params, forcing32, 2e-3)
+    ref.set_state(init.coef, init.coef, 0.0)
+    spin_up(ref, max_time=0.5)
     custom = seeded_init(grid32, seed=5)
-    pair = init_assimilation(state, spec_config(), (custom, custom.copy()))
-    np.testing.assert_array_equal(pair.assimilated.w.coef, custom.coef)
+    pair = np.concatenate([custom.coef, custom.coef])
+    for init_mode, expected in (("zero", norms(grid32, ref.X)),
+                                ("copy", (0.0, 0.0, 0.0, 0.0)),
+                                ((custom, custom.copy()), norms(grid32, ref.X - pair))):
+        e = short_run(grid32, params, forcing32, init_mode).errors
+        assert (e.l2_eta[0], e.l2_zeta[0], e.h1_eta[0], e.h1_zeta[0]) == expected
 
 
-def test_init_rejects_non_divfree(grid32):
-    from mhdnudge.dynamics import ElsasserState
-    init = seeded_init(grid32)
-    state = ElsasserState(init, init.copy(), 0.0)
+def test_init_rejects_non_divfree(grid32, params, forcing32, monkeypatch):
+    # the caller's pair is checked before any time goes into spin-up
+    from mhdnudge import nudging
+
+    def no_spin_up(*args, **kw):
+        pytest.fail("spin_up ran before the initial pair was checked")
+
+    monkeypatch.setattr(nudging, "spin_up", no_spin_up)
     bad = np.zeros((2, 32, 32), dtype=complex)
     bad[0, 1, 0] = 1.0  # k.c != 0 at k=(1,0)
     bad_field = SpectralVectorField(grid32, bad)
-    with pytest.raises(ValueError):
-        init_assimilation(state, spec_config(), (bad_field, bad_field.copy()))
+    with pytest.raises(ValueError, match="not divergence-free"):
+        short_run(grid32, params, forcing32, (bad_field, bad_field.copy()))
 
 
 def test_nudging_term_is_divergence_free(grid32):
@@ -127,8 +140,7 @@ def test_synchronized_pair_is_fixed_point(grid32, params, forcing32, kind):
     cs.assimilated.set_state(init.coef, init.coef, 0.0)
     for _ in range(200):
         cs.step()
-    ev, ew = cs.error_coefs()
-    err = np.sqrt(np.sum(np.abs(ev) ** 2) + np.sum(np.abs(ew) ** 2))
+    err = np.sqrt(np.sum(np.abs(cs.reference.X - cs.assimilated.X) ** 2))
     assert err <= 1e-12
 
 
@@ -177,9 +189,9 @@ def test_states_stay_divergence_free(grid32, params, forcing32):
     cs.reference.set_state(init.coef, init.coef, 0.0)
     for _ in range(100):
         cs.step()
-    assert divergence_defect(grid32, cs.reference.vcoef) < 1e-10
-    assert divergence_defect(grid32, cs.assimilated.vcoef) < 1e-10
-    assert divergence_defect(grid32, cs.assimilated.wcoef) < 1e-10
+    assert divergence_defect(grid32, cs.reference.X[:2]) < 1e-10
+    assert divergence_defect(grid32, cs.assimilated.X[:2]) < 1e-10
+    assert divergence_defect(grid32, cs.assimilated.X[2:]) < 1e-10
 
 
 def test_run_assimilation_converges(grid32, params, forcing32):
