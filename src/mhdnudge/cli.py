@@ -22,7 +22,6 @@ from dataclasses import replace
 from .dynamics import BlowUpError, CflError
 from .experiments import (
     EXIT_BLOWUP,
-    EXIT_CHECK,
     EXIT_CONFIG,
     EXIT_OK,
     ConfigError,

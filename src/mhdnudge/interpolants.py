@@ -28,9 +28,9 @@ The zero mode of the result is set to 0.
 
 Type 1 satisfies  ||u - I_h u|| <= c1 h ||grad u||; type 2 satisfies
 ||u - I_h u|| <= c2 h ||grad u|| + c3 h^2 ||Lap u||.  The constants are
-empirical: measured over random band-limited samples and inflated 5%
-before being stored (they feed sufficient-condition calculators, where an
-underestimate would be unsound).
+empirical: fitted over random band-limited samples, then inflated 5% by
+`calibrate` before being stored (they feed sufficient-condition
+calculators, where an underestimate would be unsound).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .spectral import (
     Grid,
@@ -90,9 +89,6 @@ class InterpolantSpec:
     def resolution(self) -> int:
         """Number of cells/modes per axis, 1/h."""
         return int(round(1.0 / self.h))
-
-    def with_constants(self, **kw) -> "InterpolantSpec":
-        return replace(self, **kw)
 
 
 def _check_grid(spec: InterpolantSpec, grid: Grid):
@@ -187,9 +183,19 @@ def apply_masked(spec: InterpolantSpec, mask: str, grid: Grid,
 # inequality verification
 
 
-def _sample_fields(grid: Grid, n_samples: int, seed: int):
+def _bound_samples(spec: InterpolantSpec, grid: Grid, n_samples: int,
+                   seed: int, lap: bool):
+    """(a, b, r) over the sample fields: a = h|grad u|, r = ||u - I_h u||,
+    and b = h^2|Lap u| when `lap` is set (else None)."""
+    a, r = np.empty(n_samples), np.empty(n_samples)
+    b = np.empty(n_samples) if lap else None
     for i in range(n_samples):
-        yield random_scalar_field(grid, seed + i, energy_spectrum_decay=1.0)
+        u = random_scalar_field(grid, seed + i, energy_spectrum_decay=1.0)
+        r[i] = l2_norm(u.coef - apply_interpolant_coef(spec, grid, u.coef))
+        a[i] = spec.h * h1_seminorm(u)
+        if lap:
+            b[i] = spec.h ** 2 * h2_seminorm(u)
+    return a, b, r
 
 
 def verify_type1_bound(spec: InterpolantSpec, grid: Grid, n_samples: int = 200,
@@ -197,62 +203,58 @@ def verify_type1_bound(spec: InterpolantSpec, grid: Grid, n_samples: int = 200,
     """Empirical c1: max over samples of ||u - I_h u|| / (h ||grad u||)."""
     if spec.type_class != 1:
         raise ValueError(f"{spec.kind} is not a type-1 interpolant")
-    worst = 0.0
-    for u in _sample_fields(grid, n_samples, seed):
-        res = l2_norm(SpectralScalar(
-            grid, u.coef - apply_interpolant_coef(spec, grid, u.coef)))
-        denom = spec.h * h1_seminorm(u)
-        if denom > 0:
-            worst = max(worst, res / denom)
-    return worst
+    a, _, r = _bound_samples(spec, grid, n_samples, seed, lap=False)
+    return float(np.max(r[a > 0] / a[a > 0], initial=0.0))
+
+
+def _type2_lp(a, b, r):
+    """Exact optimum of  min c2 + c3  s.t.  a_i c2 + b_i c3 >= r_i,  c >= 0.
+
+    Rows with b_i = 0 bound c2 from below.  Above that, the least feasible
+    c3 is the convex, non-increasing upper envelope of c3 = 0 and the lines
+    c3 = p_i - q_i c2 (p = r/b, q = a/b).  Walk it to the first point where
+    its slope -q is >= -1, so ties take the smallest c2.  Each step moves
+    to a line of smaller q (a tie gives a step of length 0), so there are
+    at most N steps of O(N) work.
+    """
+    flat = b == 0
+    c2 = float(np.max(r[flat] / a[flat], initial=0.0))
+    p, q = (np.append(x[~flat] / b[~flat], 0.0) for x in (r, a))
+    i = np.argmax(p - q * c2)
+    while q[i] > 1.0:
+        # the first line of smaller slope to meet line i takes over there
+        cand = np.flatnonzero(q < q[i])
+        meet = (p[i] - p[cand]) / (q[i] - q[cand])
+        j = np.argmin(meet)
+        c2, i = max(c2, float(meet[j])), cand[j]
+    return c2, float(p[i] - q[i] * c2)
 
 
 def verify_type2_bound(spec: InterpolantSpec, grid: Grid, n_samples: int = 200,
                        seed: int = 0):
-    """Fit minimal (c2, c3) covering ||u-I_h u|| <= c2 h|grad u| + c3 h^2|Lap u|.
-
-    Solved as a small linear program (minimize c2 + c3 subject to the
-    per-sample constraints), then inflated 5%.
-    """
+    """Minimal (c2, c3) covering ||u-I_h u|| <= c2 h|grad u| + c3 h^2|Lap u|
+    on every sample: the exact optimum of the LP `_type2_lp`."""
     if spec.type_class != 2:
         raise ValueError(f"{spec.kind} is not a type-2 interpolant")
-    rows = []
-    for u in _sample_fields(grid, n_samples, seed):
-        res = l2_norm(SpectralScalar(
-            grid, u.coef - apply_interpolant_coef(spec, grid, u.coef)))
-        a = spec.h * h1_seminorm(u)
-        b = spec.h ** 2 * h2_seminorm(u)
-        if a > 0 or b > 0:
-            rows.append((a, b, res))
-    A_ub = [(-a, -b) for a, b, _ in rows]
-    b_ub = [-r for _, _, r in rows]
-    sol = linprog(c=[1.0, 1.0], A_ub=A_ub, b_ub=b_ub, bounds=[(0, None), (0, None)])
-    if not sol.success:
-        raise RuntimeError(f"type-2 constant fit failed: {sol.message}")
-    c2, c3 = 1.05 * sol.x[0], 1.05 * sol.x[1]
-    return float(c2), float(c3)
+    a, b, r = _bound_samples(spec, grid, n_samples, seed, lap=True)
+    keep = (a > 0) | (b > 0)
+    return _type2_lp(a[keep], b[keep], r[keep])
 
 
 def calibrate(spec: InterpolantSpec, grid: Grid, n_samples: int = 200,
               seed: int = 0) -> InterpolantSpec:
     """Populate the spec's empirical constants (inflated 5%)."""
     if spec.type_class == 1:
-        c1 = 1.05 * verify_type1_bound(spec, grid, n_samples, seed)
-        return spec.with_constants(c1=c1)
+        c1 = verify_type1_bound(spec, grid, n_samples, seed)
+        return replace(spec, c1=1.05 * c1)
     c2, c3 = verify_type2_bound(spec, grid, n_samples, seed)
-    return spec.with_constants(c2=c2, c3=c3)
+    return replace(spec, c2=1.05 * c2, c3=1.05 * c3)
 
 
 def verification_report(spec: InterpolantSpec, grid: Grid, n_samples: int,
                         seed: int) -> dict:
     fitted = calibrate(spec, grid, n_samples, seed)
-    out = {
-        "kind": spec.kind,
-        "h": spec.h,
-        "type_class": spec.type_class,
-        "n_samples": n_samples,
-        "seed": seed,
-    }
     names = ("c1",) if spec.type_class == 1 else ("c2", "c3")
-    out.update({name: getattr(fitted, name) for name in names})
-    return out
+    return {"kind": spec.kind, "h": spec.h, "type_class": spec.type_class,
+            "n_samples": n_samples, "seed": seed,
+            **{name: getattr(fitted, name) for name in names}}

@@ -12,7 +12,7 @@ multiplication by 2*pi*i*k.  The zero mode is forcibly zero everywhere
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -237,6 +237,24 @@ def inner_product(u, v) -> float:
 # field construction
 
 
+def _band_noise(grid: Grid, seed: int, shape: tuple, decay: float,
+                k_max: int | None) -> np.ndarray:
+    """Coefficients of Gaussian noise of `shape` shaped by |k|^-decay on the
+    band 0 < |k| <= k_max (default: the dealias cutoff), zero elsewhere."""
+    k_max = grid.cutoff if k_max is None else k_max
+    if k_max > grid.cutoff:
+        raise ValueError(f"k_max={k_max} exceeds dealias cutoff {grid.cutoff}")
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal(shape)
+    coef = np.fft.fft2(noise, axes=(-2, -1)) / grid.n ** 2
+    kmag = np.sqrt(grid.ksq)
+    shaping = np.zeros_like(kmag)
+    band = (kmag > 0) & (kmag <= k_max)
+    shaping[band] = kmag[band] ** (-decay)
+    coef *= shaping
+    return coef
+
+
 def random_divfree_field(
     grid: Grid, seed: int, energy_spectrum_decay: float = 2.0, k_max: int | None = None
 ) -> SpectralVectorField:
@@ -244,38 +262,17 @@ def random_divfree_field(
 
     Energy lives on modes 0 < |k| <= k_max; everything above is exactly zero.
     """
-    if k_max is None:
-        k_max = grid.cutoff
-    if k_max > grid.cutoff:
-        raise ValueError(f"k_max={k_max} exceeds dealias cutoff {grid.cutoff}")
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((2, grid.n, grid.n))
-    coef = np.fft.fft2(noise, axes=(-2, -1)) / grid.n ** 2
-    kmag = np.sqrt(grid.ksq)
-    shaping = np.zeros_like(kmag)
-    band = (kmag > 0) & (kmag <= k_max)
-    shaping[band] = kmag[band] ** (-energy_spectrum_decay)
-    coef *= shaping
-    coef = leray_project_coef(grid, coef)
-    return SpectralVectorField(grid, coef, divergence_free=True)
+    coef = _band_noise(grid, seed, (2, grid.n, grid.n), energy_spectrum_decay,
+                       k_max)
+    return SpectralVectorField(grid, leray_project_coef(grid, coef),
+                               divergence_free=True)
 
 
 def random_scalar_field(
     grid: Grid, seed: int, energy_spectrum_decay: float = 1.0, k_max: int | None = None
 ) -> SpectralScalar:
     """Mean-zero random scalar with band-limited |k|^-decay spectrum."""
-    if k_max is None:
-        k_max = grid.cutoff
-    if k_max > grid.cutoff:
-        raise ValueError(f"k_max={k_max} exceeds dealias cutoff {grid.cutoff}")
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((grid.n, grid.n))
-    coef = np.fft.fft2(noise) / grid.n ** 2
-    kmag = np.sqrt(grid.ksq)
-    shaping = np.zeros_like(kmag)
-    band = (kmag > 0) & (kmag <= k_max)
-    shaping[band] = kmag[band] ** (-energy_spectrum_decay)
-    coef *= shaping
+    coef = _band_noise(grid, seed, (grid.n, grid.n), energy_spectrum_decay, k_max)
     return SpectralScalar(grid, coef)
 
 

@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mhdnudge import diagnostics as diag
 from mhdnudge.diagnostics import (
     THM_ALL,
     THM_FIRST,

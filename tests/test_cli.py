@@ -1,11 +1,14 @@
 import importlib
 import json
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import mhdnudge
 from mhdnudge.cli import main
 
 
@@ -158,3 +161,16 @@ def test_console_script_entry_point(capsys):
     out = capsys.readouterr().out
     for verb in ("run", "sweep", "verify-interpolant", "determining"):
         assert verb in out
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only dependency: importing the package, the scenarios
+    # and the CLI must not pull in scipy
+    src = str(Path(mhdnudge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, mhdnudge, mhdnudge.experiments, mhdnudge.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

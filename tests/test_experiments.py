@@ -9,7 +9,6 @@ from mhdnudge.experiments import (
     EXIT_CHECK,
     EXIT_OK,
     ConfigError,
-    ExperimentConfig,
     build_forcing,
     parse_config,
     parse_config_text,

@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from mhdnudge.interpolants import (
+    _type2_lp,
     MASK_ALL,
     MASK_B_ONLY,
     MASK_FIRST,
@@ -255,6 +258,79 @@ def test_nodal_h_refinement_order():
         residuals.append(res)
     orders = np.log2(np.array(residuals[:-1]) / np.array(residuals[1:]))
     assert orders.min() >= 1.9
+
+
+def _lp_brute_force(a, b, r):
+    """Optimum of  min c2 + c3  s.t.  a c2 + b c3 >= r,  c >= 0  by trying
+    every vertex: each pair of boundary lines, including c2 = 0 and c3 = 0.
+    Ties in c2 + c3 (to 1e-12) go to the smallest c2."""
+    lines = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)] + list(zip(a, b, r))
+    best = None
+    for (a1, b1, r1), (a2, b2, r2) in itertools.combinations(lines, 2):
+        det = a1 * b2 - a2 * b1
+        if det == 0:
+            continue
+        c = np.array([(r1 * b2 - r2 * b1) / det, (a1 * r2 - a2 * r1) / det])
+        if c.min() < -1e-12 or np.any(a * c[0] + b * c[1] < r - 1e-12):
+            continue
+        if best is None or c.sum() < best.sum() - 1e-12 or (
+                c.sum() <= best.sum() + 1e-12 and c[0] < best[0]):
+            best = c
+    return best
+
+
+@pytest.mark.parametrize("rows, expected", [
+    # two steep lines: the optimum is where they meet, c2 = c3 = 1/1.2
+    ([(1.0, 0.2, 1.0), (0.2, 1.0, 1.0)], (1 / 1.2, 1 / 1.2)),
+    # c2 alone is cheapest: c3 = 0
+    ([(1.0, 0.1, 1.0), (2.0, 0.1, 1.0)], (1.0, 0.0)),
+    # a row with b = 0 bounds c2 from below
+    ([(1.0, 0.0, 0.5), (0.1, 1.0, 1.0)], (0.5, 0.95)),
+    # the edge c2 + c3 = 1.5 from (0.5, 1) to (1.5, 0) is optimal: the
+    # smallest c2 is taken
+    ([(2.0, 1.0, 2.0), (1.0, 1.0, 1.5)], (0.5, 1.0)),
+    # no rows
+    ([], (0.0, 0.0)),
+], ids=["interior", "c3=0", "b=0-row", "slope-minus-one-edge", "empty"])
+def test_type2_lp_closed_form(rows, expected):
+    a, b, r = np.array(rows, dtype=float).reshape(-1, 3).T
+    c2, c3 = _type2_lp(a, b, r)
+    np.testing.assert_allclose((c2, c3), expected, rtol=1e-14, atol=1e-15)
+    if rows:
+        np.testing.assert_allclose((c2, c3), _lp_brute_force(a, b, r),
+                                   rtol=1e-12, atol=1e-15)
+
+
+def test_type2_lp_matches_brute_force_on_random_rows():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        a = rng.uniform(0.0, 2.0, n) * (rng.random(n) > 0.2)
+        b = rng.uniform(0.0, 2.0, n) * (rng.random(n) > 0.2)
+        a[(a == 0) & (b == 0)] = 1.0
+        r = rng.uniform(0.0, 1.0, n)
+        c2, c3 = _type2_lp(a, b, r)
+        best = _lp_brute_force(a, b, r)
+        assert c2 + c3 == pytest.approx(best.sum(), rel=1e-12)
+        assert np.all(a * c2 + b * c3 >= r * (1 - 1e-12))
+
+
+def test_nodal_constants_golden():
+    spec = calibrate(InterpolantSpec(NODAL, 0.125), Grid(32), 100, 100)
+    assert spec.c2 == 0.0
+    assert spec.c3 == pytest.approx(0.04153025669470928, rel=1e-12)
+
+
+def test_calibrate_inflates_raw_fit_5_percent():
+    g = Grid(32)
+    for kind in (SPECTRAL, VOLUME):
+        spec = InterpolantSpec(kind, 0.125)
+        assert (calibrate(spec, g, 20, 3).c1
+                == 1.05 * verify_type1_bound(spec, g, 20, 3))
+    spec = InterpolantSpec(NODAL, 0.125)
+    c2, c3 = verify_type2_bound(spec, g, 20, 3)
+    fitted = calibrate(spec, g, 20, 3)
+    assert (fitted.c2, fitted.c3) == (1.05 * c2, 1.05 * c3)
 
 
 def test_verification_report_keys():

@@ -22,10 +22,8 @@ from mhdnudge.nudging import (
     run_assimilation,
 )
 from mhdnudge.spectral import (
-    Grid,
     SpectralVectorField,
     divergence_defect,
-    random_divfree_field,
 )
 
 from conftest import normalized_field
