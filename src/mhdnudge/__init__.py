@@ -3,14 +3,12 @@ continuous-data-assimilation (nudging) layer."""
 
 from .spectral import (
     Grid,
-    SpectralScalar,
-    SpectralVectorField,
     forward_transform,
     inverse_transform,
     gradient,
     laplacian,
-    leray_project,
-    dealias,
+    leray_project_coef,
+    dealias_coef,
     l2_norm,
     h1_seminorm,
     h2_seminorm,
@@ -35,7 +33,7 @@ from .dynamics import (
 )
 from .interpolants import (
     InterpolantSpec,
-    apply_interpolant,
+    apply_interpolant_coef,
     apply_masked,
     verify_type1_bound,
     verify_type2_bound,

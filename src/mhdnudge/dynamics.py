@@ -17,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (
-    Grid,
-    SpectralVectorField,
-    dealias_coef,
-    leray_project_coef,
-)
+from .spectral import Grid, dealias_coef, leray_project_coef
 
 FOUR_PI_SQ = 4.0 * np.pi ** 2
 # admissible dt = CFL_SAFETY / (n * max speed)
@@ -117,27 +112,16 @@ def nondimensionalize(dims: DimensionalParams, f1: np.ndarray, g1: np.ndarray):
 # Elsasser change of variables
 
 
-def to_elsasser(u: SpectralVectorField, b: SpectralVectorField, swapped: bool):
-    if u.grid.n != b.grid.n:
-        raise ValueError("u and b live on different grids")
-    v = SpectralVectorField(u.grid, u.coef + b.coef, divergence_free=u.divergence_free and b.divergence_free)
-    wc = b.coef - u.coef if swapped else u.coef - b.coef
-    w = SpectralVectorField(u.grid, wc, divergence_free=u.divergence_free and b.divergence_free)
-    return v, w
+def to_elsasser(u: np.ndarray, b: np.ndarray, swapped: bool):
+    """Original (u, b) -> Elsasser (v, w) = (u + b, u - b); w = b - u if swapped."""
+    return u + b, (b - u if swapped else u - b)
 
 
-def from_elsasser(v: SpectralVectorField, w: SpectralVectorField, swapped: bool):
-    if v.grid.n != w.grid.n:
-        raise ValueError("v and w live on different grids")
+def from_elsasser(v: np.ndarray, w: np.ndarray, swapped: bool):
+    """Elsasser (v, w) -> original (u, b), the inverse of to_elsasser."""
     if swapped:
-        uc = 0.5 * (v.coef - w.coef)
-        bc = 0.5 * (v.coef + w.coef)
-    else:
-        uc = 0.5 * (v.coef + w.coef)
-        bc = 0.5 * (v.coef - w.coef)
-    u = SpectralVectorField(v.grid, uc, divergence_free=v.divergence_free and w.divergence_free)
-    b = SpectralVectorField(v.grid, bc, divergence_free=v.divergence_free and w.divergence_free)
-    return u, b
+        return 0.5 * (v - w), 0.5 * (v + w)
+    return 0.5 * (v + w), 0.5 * (v - w)
 
 
 # ---------------------------------------------------------------------------
@@ -167,42 +151,40 @@ class Modulation:
 
 @dataclass
 class ForcingSpec:
-    """Elsasser forcing pair (f, g) with an optional time modulation."""
+    """Elsasser forcing pair (f, g) of (2, n, n) coefficient arrays with an
+    optional time modulation."""
 
-    f: SpectralVectorField
-    g: SpectralVectorField
+    f: np.ndarray
+    g: np.ndarray
     modulation: Modulation | None = None
 
     def f_coef(self, t: float) -> np.ndarray:
         m = 1.0 if self.modulation is None else self.modulation.value(t)
-        return self.f.coef * m
+        return self.f * m
 
     def g_coef(self, t: float) -> np.ndarray:
         m = 1.0 if self.modulation is None else self.modulation.value(t)
-        return self.g.coef * m
+        return self.g * m
 
     def limsup_norms(self):
         """limsup_t of (||f(t)||, ||g(t)||)."""
         m = 1.0 if self.modulation is None else self.modulation.limsup_abs()
-        nf = float(np.sqrt(np.sum(np.abs(self.f.coef) ** 2))) * m
-        ng = float(np.sqrt(np.sum(np.abs(self.g.coef) ** 2))) * m
+        nf = float(np.sqrt(np.sum(np.abs(self.f) ** 2))) * m
+        ng = float(np.sqrt(np.sum(np.abs(self.g) ** 2))) * m
         return nf, ng
 
 
-def forcing_from_original(f1: SpectralVectorField, g1: SpectralVectorField,
+def forcing_from_original(f1: np.ndarray, g1: np.ndarray,
                           modulation: Modulation | None = None) -> ForcingSpec:
     """Relabel original-variable forcing: f = f1 + g1, g = f1 - g1."""
-    grid = f1.grid
-    f = SpectralVectorField(grid, f1.coef + g1.coef)
-    g = SpectralVectorField(grid, f1.coef - g1.coef)
-    return ForcingSpec(f, g, modulation)
+    return ForcingSpec(f1 + g1, f1 - g1, modulation)
 
 
 def grashof_number(forcing: ForcingSpec, params: ElsasserParams) -> float:
     """G = max{Re^2, Rm^2}/pi^2 * limsup_t max{||f+g||, ||f-g||}."""
     m = 1.0 if forcing.modulation is None else forcing.modulation.limsup_abs()
-    n_sum = float(np.sqrt(np.sum(np.abs(forcing.f.coef + forcing.g.coef) ** 2))) * m
-    n_dif = float(np.sqrt(np.sum(np.abs(forcing.f.coef - forcing.g.coef) ** 2))) * m
+    n_sum = float(np.sqrt(np.sum(np.abs(forcing.f + forcing.g) ** 2))) * m
+    n_dif = float(np.sqrt(np.sum(np.abs(forcing.f - forcing.g) ** 2))) * m
     return max(params.Re, params.Rm) ** 2 / np.pi ** 2 * max(n_sum, n_dif)
 
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from .interpolants import (
     SPECTRAL,
     VOLUME,
     InterpolantSpec,
+    _check_grid,
     apply_interpolant_coef,
     calibrate,
     verification_report,
@@ -53,12 +55,7 @@ from .nudging import (
     NudgingConfig,
     run_assimilation,
 )
-from .spectral import (
-    Grid,
-    SpectralVectorField,
-    forward_transform_vector,
-    random_divfree_field,
-)
+from .spectral import Grid, forward_transform, random_divfree_field
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -80,85 +77,46 @@ class ConfigError(ValueError):
     pass
 
 
-_REQUIRED = object()
-
-# key -> (python type, default); _REQUIRED means the key must be present
-_SCHEMA = {
-    "scenario": (str, _REQUIRED),
-    "outdir": (str, "runs"),
-    "n": (int, 64),
-    "re": (float, 5.0),
-    "rm": (float, 5.0),
-    "seed": (int, 0),
-    "dt": (float, 2e-3),
-    "horizon": (float, 20.0),
-    "sample_every": (int, 10),
-    "spinup_max_time": (float, 40.0),
-    "spinup_tol": (float, 0.01),
-    "init_amplitude": (float, 1.0),
-    "forcing_mode": (str, "random"),
-    "forcing_amplitude": (float, 2.0),
-    "forcing_g_amplitude": (float, 0.0),
-    "forcing_kmax": (int, 2),
-    "forcing_seed": (int, 100),
-    "forcing_kolmogorov_k": (int, 2),
-    "modulation_amplitude": (float, 0.0),
-    "modulation_rate": (float, 0.0),
-    "modulation_offset": (float, 1.0),
-    "interpolant_kind": (str, SPECTRAL),
-    "interpolant_h": (float, 0.125),
-    "mask": (str, MASK_ALL),
-    "mu": (float, 50.0),
-    "init_mode": (str, "zero"),
-    "init_seed": (int, 1),
-    "delta_amplitude": (float, 0.0),
-    "delta_rate": (float, 1.0),
-    "eps_amplitude": (float, 0.0),
-    "eps_rate": (float, 1.0),
-    "det_seed2": (int, 7),
-    "det_envelope_amplitude": (float, 1.0),
-    "det_envelope_rate": (float, 1.0),
-    "calibration_samples": (int, 100),
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The config keys, in file order, with their types and defaults; a key
+    without a default must be present."""
+
     scenario: str
-    outdir: str
-    n: int
-    re: float
-    rm: float
-    seed: int
-    dt: float
-    horizon: float
-    sample_every: int
-    spinup_max_time: float
-    spinup_tol: float
-    init_amplitude: float
-    forcing_mode: str
-    forcing_amplitude: float
-    forcing_g_amplitude: float
-    forcing_kmax: int
-    forcing_seed: int
-    forcing_kolmogorov_k: int
-    modulation_amplitude: float
-    modulation_rate: float
-    modulation_offset: float
-    interpolant_kind: str
-    interpolant_h: float
-    mask: str
-    mu: float
-    init_mode: str
-    init_seed: int
-    delta_amplitude: float
-    delta_rate: float
-    eps_amplitude: float
-    eps_rate: float
-    det_seed2: int
-    det_envelope_amplitude: float
-    det_envelope_rate: float
-    calibration_samples: int
+    outdir: str = "runs"
+    n: int = 64
+    re: float = 5.0
+    rm: float = 5.0
+    seed: int = 0
+    dt: float = 2e-3
+    horizon: float = 20.0
+    sample_every: int = 10
+    spinup_max_time: float = 40.0
+    spinup_tol: float = 0.01
+    init_amplitude: float = 1.0
+    forcing_mode: str = "random"
+    forcing_amplitude: float = 2.0
+    forcing_g_amplitude: float = 0.0
+    forcing_kmax: int = 2
+    forcing_seed: int = 100
+    forcing_kolmogorov_k: int = 2
+    modulation_amplitude: float = 0.0
+    modulation_rate: float = 0.0
+    modulation_offset: float = 1.0
+    interpolant_kind: str = SPECTRAL
+    interpolant_h: float = 0.125
+    mask: str = MASK_ALL
+    mu: float = 50.0
+    init_mode: str = "zero"
+    init_seed: int = 1
+    delta_amplitude: float = 0.0
+    delta_rate: float = 1.0
+    eps_amplitude: float = 0.0
+    eps_rate: float = 1.0
+    det_seed2: int = 7
+    det_envelope_amplitude: float = 1.0
+    det_envelope_rate: float = 1.0
+    calibration_samples: int = 100
 
     def validated(self) -> "ExperimentConfig":
         if self.scenario not in SCENARIOS:
@@ -173,8 +131,8 @@ class ExperimentConfig:
         if self.init_mode not in ("zero", "copy", "random"):
             raise ConfigError(f"unknown init mode {self.init_mode!r}")
         try:
-            Grid(self.n)
-            InterpolantSpec(self.interpolant_kind, self.interpolant_h)
+            _check_grid(InterpolantSpec(self.interpolant_kind, self.interpolant_h),
+                        Grid(self.n))
             derive_elsasser_params(self.re, self.rm)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -204,6 +162,9 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
 
+_TYPES = get_type_hints(ExperimentConfig)
+
+
 def parse_config_text(text: str, overrides: dict | None = None) -> ExperimentConfig:
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -215,11 +176,11 @@ def parse_config_text(text: str, overrides: dict | None = None) -> ExperimentCon
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in _SCHEMA:
+        if key not in _TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        typ, _default = _SCHEMA[key]
+        typ = _TYPES[key]
         try:
             values[key] = typ(val)
         except ValueError as exc:
@@ -228,11 +189,9 @@ def parse_config_text(text: str, overrides: dict | None = None) -> ExperimentCon
             ) from exc
     if overrides:
         values.update(overrides)
-    for key, (typ, default) in _SCHEMA.items():
-        if key not in values:
-            if default is _REQUIRED:
-                raise ConfigError(f"missing required key {key!r}")
-            values[key] = default
+    for f in fields(ExperimentConfig):
+        if f.name not in values and f.default is MISSING:
+            raise ConfigError(f"missing required key {f.name!r}")
     return ExperimentConfig(**values).validated()
 
 
@@ -245,13 +204,11 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
 # building blocks
 
 
-def _normalize(field: SpectralVectorField, amplitude: float) -> SpectralVectorField:
-    norm = float(np.sqrt(np.sum(np.abs(field.coef) ** 2)))
+def _normalize(coef: np.ndarray, amplitude: float) -> np.ndarray:
+    norm = float(np.sqrt(np.sum(np.abs(coef) ** 2)))
     if norm == 0 or amplitude == 0:
-        return SpectralVectorField(field.grid,
-                                   np.zeros_like(field.coef), divergence_free=True)
-    return SpectralVectorField(field.grid, field.coef * (amplitude / norm),
-                               divergence_free=True)
+        return np.zeros_like(coef)
+    return coef * (amplitude / norm)
 
 
 def build_forcing(grid: Grid, cfg: ExperimentConfig) -> ForcingSpec:
@@ -266,7 +223,7 @@ def build_forcing(grid: Grid, cfg: ExperimentConfig) -> ForcingSpec:
         x1, x2 = grid.points()
         phys = np.zeros((2, grid.n, grid.n))
         phys[0] = np.sin(2.0 * np.pi * cfg.forcing_kolmogorov_k * x2)
-        f1 = _normalize(forward_transform_vector(phys, grid), cfg.forcing_amplitude)
+        f1 = _normalize(forward_transform(grid, phys)[0], cfg.forcing_amplitude)
         g1 = _normalize(
             random_divfree_field(grid, cfg.forcing_seed + 1, 2.0, cfg.forcing_kmax),
             cfg.forcing_g_amplitude)
@@ -297,9 +254,8 @@ def build_nudging_config(grid: Grid, cfg: ExperimentConfig) -> NudgingConfig:
     return NudgingConfig(cfg.mu, spec, cfg.mask, delta, eps)
 
 
-def _initial_state(grid: Grid, cfg: ExperimentConfig):
-    init = _normalize(random_divfree_field(grid, cfg.seed, 2.0), cfg.init_amplitude)
-    return init, init.copy()
+def _initial_field(grid: Grid, cfg: ExperimentConfig, seed: int) -> np.ndarray:
+    return _normalize(random_divfree_field(grid, seed, 2.0), cfg.init_amplitude)
 
 
 def _write_trajectory_csv(path, traj, params):
@@ -369,14 +325,13 @@ def _run_nudged(cfg: ExperimentConfig, outdir):
     params = derive_elsasser_params(cfg.re, cfg.rm)
     forcing = build_forcing(grid, cfg)
     ncfg = build_nudging_config(grid, cfg)
-    v0, w0 = _initial_state(grid, cfg)
+    init = _initial_field(grid, cfg, cfg.seed)
     init_mode = cfg.init_mode
     if init_mode == "random":
-        alt = _normalize(random_divfree_field(grid, cfg.init_seed, 2.0),
-                         cfg.init_amplitude)
-        init_mode = (alt, alt.copy())
+        alt = _initial_field(grid, cfg, cfg.init_seed)
+        init_mode = (alt, alt)
     result = run_assimilation(
-        grid, params, forcing, ncfg, v0, w0, cfg.dt, cfg.horizon,
+        grid, params, forcing, ncfg, init, init, cfg.dt, cfg.horizon,
         spinup_max_time=cfg.spinup_max_time, spinup_tol=cfg.spinup_tol,
         sample_every=cfg.sample_every, init_mode=init_mode)
     G = grashof_number(forcing, params)
@@ -527,12 +482,10 @@ def _scenario_determining(cfg: ExperimentConfig, outdir):
     sol1 = coupled.reference
     aux = coupled.assimilated
     sol2 = MhdStepper(grid, params, forcing1, cfg.dt)
-    init1 = _normalize(random_divfree_field(grid, cfg.seed, 2.0),
-                       cfg.init_amplitude)
-    init2 = _normalize(random_divfree_field(grid, cfg.det_seed2, 2.0),
-                       cfg.init_amplitude)
-    sol1.set_state(init1.coef, init1.coef, 0.0)
-    sol2.set_state(init2.coef, init2.coef, 0.0)
+    init1 = _initial_field(grid, cfg, cfg.seed)
+    init2 = _initial_field(grid, cfg, cfg.det_seed2)
+    sol1.set_state(init1, init1, 0.0)
+    sol2.set_state(init2, init2, 0.0)
     spun = [spin_up(s, cfg.spinup_tol, cfg.spinup_max_time) for s in (sol1, sol2)]
     sol2.restart(forcing=forcing2)  # envelope clock starts at the reset t=0
     aux.restart(forcing=forcing2)
@@ -667,6 +620,8 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, outdir=None,
 
 def run_interpolant_verification(cfg: ExperimentConfig, n_samples: int,
                                  outdir=None):
+    if n_samples < 1:
+        raise ConfigError(f"verification samples must be >= 1, got {n_samples}")
     outdir = outdir or cfg.outdir
     os.makedirs(outdir, exist_ok=True)
     grid = Grid(cfg.n)

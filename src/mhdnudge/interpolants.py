@@ -42,7 +42,6 @@ import numpy as np
 
 from .spectral import (
     Grid,
-    SpectralScalar,
     h1_seminorm,
     h2_seminorm,
     l2_norm,
@@ -146,11 +145,6 @@ def apply_interpolant_coef(spec: InterpolantSpec, grid: Grid,
     return out
 
 
-def apply_interpolant(spec: InterpolantSpec, field: SpectralScalar) -> SpectralScalar:
-    return SpectralScalar(field.grid,
-                          apply_interpolant_coef(spec, field.grid, field.coef))
-
-
 def apply_masked(spec: InterpolantSpec, mask: str, grid: Grid,
                  eta: np.ndarray, zeta: np.ndarray):
     """Observation-masked feedback from the state difference (eta, zeta).
@@ -191,10 +185,10 @@ def _bound_samples(spec: InterpolantSpec, grid: Grid, n_samples: int,
     b = np.empty(n_samples) if lap else None
     for i in range(n_samples):
         u = random_scalar_field(grid, seed + i, energy_spectrum_decay=1.0)
-        r[i] = l2_norm(u.coef - apply_interpolant_coef(spec, grid, u.coef))
-        a[i] = spec.h * h1_seminorm(u)
+        r[i] = l2_norm(u - apply_interpolant_coef(spec, grid, u))
+        a[i] = spec.h * h1_seminorm(grid, u)
         if lap:
-            b[i] = spec.h ** 2 * h2_seminorm(u)
+            b[i] = spec.h ** 2 * h2_seminorm(grid, u)
     return a, b, r
 
 

@@ -149,9 +149,18 @@ class RunResult:
     spin_up_converged: bool
 
 
+def _check_divfree(grid: Grid, named_fields):
+    """Reject any (name, (2, n, n) coef) pair whose field is not
+    divergence-free, to a relative tolerance of 1e-10."""
+    for name, coef in named_fields:
+        norm = np.sqrt(np.sum(np.abs(coef) ** 2))
+        if divergence_defect(grid, coef) > 1e-10 * max(norm, 1e-300):
+            raise ValueError(f"{name} is not divergence-free")
+
+
 def run_assimilation(grid: Grid, params, forcing: ForcingSpec,
-                     config: NudgingConfig, initial_v, initial_w,
-                     dt: float, horizon: float,
+                     config: NudgingConfig, initial_v: np.ndarray,
+                     initial_w: np.ndarray, dt: float, horizon: float,
                      spinup_max_time: float = 40.0, spinup_tol: float = 0.01,
                      sample_every: int = 10, init_mode="zero") -> RunResult:
     """Spin up the reference from (initial_v, initial_w), reset the clock,
@@ -159,23 +168,22 @@ def run_assimilation(grid: Grid, params, forcing: ForcingSpec,
 
     The assimilated system starts at zero (`init_mode` "zero"), at a copy
     of the spun-up reference ("copy"), or at a caller-supplied (v, w) pair
-    of vector fields, which must be divergence-free.
+    of (2, n, n) arrays.  Every caller-supplied field must be
+    divergence-free.
     """
+    fields = [("initial v", initial_v), ("initial w", initial_w)]
     if init_mode not in ("zero", "copy"):
-        v0, w0 = init_mode
-        for name, f in (("v", v0), ("w", w0)):
-            defect = divergence_defect(grid, f.coef)
-            norm = np.sqrt(np.sum(np.abs(f.coef) ** 2))
-            if defect > 1e-10 * max(norm, 1e-300):
-                raise ValueError(f"custom initial {name} is not divergence-free")
+        fields += [("custom initial v", init_mode[0]),
+                   ("custom initial w", init_mode[1])]
+    _check_divfree(grid, fields)
     coupled = CoupledStepper(grid, params, forcing, config, dt)
     ref, assim = coupled.reference, coupled.assimilated
-    ref.set_state(initial_v.coef, initial_w.coef, 0.0)
+    ref.set_state(initial_v, initial_w, 0.0)
     spun = spin_up(ref, tol=spinup_tol, max_time=spinup_max_time)
     if init_mode == "copy":
         assim.set_state(ref.X[:2], ref.X[2:])
     elif init_mode != "zero":
-        assim.set_state(v0.coef, w0.coef)
+        assim.set_state(*init_mode)
 
     n_steps = int(round(horizon / dt))
     err_rows = np.empty((n_steps // sample_every + 1, 5))

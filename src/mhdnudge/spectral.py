@@ -1,13 +1,14 @@
 """Periodic fields on the unit square, spectral transforms and calculus.
 
-Fields live on the non-dimensional torus [0,1]^2 and are stored as full
-(n, n) arrays of Fourier coefficients with the convention
+Fields live on the non-dimensional torus [0,1]^2.  A field is a raw
+complex array of Fourier coefficients, (n, n) for a scalar and (2, n, n)
+for a vector, passed beside the `Grid` it lives on, with the convention
 
     u(x) = sum_k c_k exp(2*pi*i k.x),   c_k = fft2(samples) / n**2,
 
 so Parseval reads ||u||_L2^2 = sum |c_k|^2 and the gradient is
-multiplication by 2*pi*i*k.  The zero mode is forcibly zero everywhere
-(the governing equations assume zero space average).
+multiplication by 2*pi*i*k.  The zero mode is kept at zero (the governing
+equations assume zero space average).
 """
 
 from __future__ import annotations
@@ -18,10 +19,6 @@ from functools import cached_property
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
-
-
-class GridMismatchError(ValueError):
-    """Raised when two fields do not share the same grid."""
 
 
 @dataclass(frozen=True)
@@ -73,52 +70,6 @@ class Grid:
         return np.meshgrid(x, x, indexing="ij")
 
 
-@dataclass
-class SpectralScalar:
-    """Mean-zero real scalar field stored as Fourier coefficients."""
-
-    grid: Grid
-    coef: np.ndarray
-
-    def __post_init__(self):
-        if self.coef.shape != (self.grid.n, self.grid.n):
-            raise GridMismatchError(
-                f"coefficient array {self.coef.shape} does not match grid n={self.grid.n}"
-            )
-        self.coef = np.ascontiguousarray(self.coef, dtype=np.complex128)
-        self.coef[0, 0] = 0.0
-
-    def copy(self) -> "SpectralScalar":
-        return SpectralScalar(self.grid, self.coef.copy())
-
-
-@dataclass
-class SpectralVectorField:
-    """Two-component field; coef has shape (2, n, n)."""
-
-    grid: Grid
-    coef: np.ndarray
-    divergence_free: bool = False
-
-    def __post_init__(self):
-        if self.coef.shape != (2, self.grid.n, self.grid.n):
-            raise GridMismatchError(
-                f"coefficient array {self.coef.shape} does not match grid n={self.grid.n}"
-            )
-        self.coef = np.ascontiguousarray(self.coef, dtype=np.complex128)
-        self.coef[:, 0, 0] = 0.0
-        if self.divergence_free:
-            err = divergence_defect(self.grid, self.coef)
-            norm = np.sqrt(np.sum(np.abs(self.coef) ** 2))
-            if err > 1e-12 * max(norm, 1e-300):
-                raise ValueError(
-                    f"field flagged divergence-free has relative defect {err / max(norm, 1e-300):.3e}"
-                )
-
-    def copy(self) -> "SpectralVectorField":
-        return SpectralVectorField(self.grid, self.coef.copy(), self.divergence_free)
-
-
 def divergence_defect(grid: Grid, coef: np.ndarray) -> float:
     """max_k |k . c_k|, which is 0 for exactly divergence-free fields."""
     d = grid.k1 * coef[0] + grid.k2 * coef[1]
@@ -129,49 +80,41 @@ def divergence_defect(grid: Grid, coef: np.ndarray) -> float:
 # transforms
 
 
-def forward_transform(samples: np.ndarray, grid: Grid):
-    """Physical samples -> SpectralScalar.  Returns (field, removed_mean)."""
+def forward_transform(grid: Grid, samples: np.ndarray):
+    """Physical samples (..., n, n) -> (coefficients, removed mean)."""
     samples = np.asarray(samples, dtype=np.float64)
-    if samples.shape != (grid.n, grid.n):
-        raise GridMismatchError(
+    if samples.shape[-2:] != (grid.n, grid.n):
+        raise ValueError(
             f"sample array {samples.shape} does not match grid n={grid.n}"
         )
     coef = np.fft.fft2(samples) / grid.n ** 2
-    mean = float(coef[0, 0].real)
-    coef[0, 0] = 0.0
-    return SpectralScalar(grid, coef), mean
+    mean = coef[..., 0, 0].real.copy()
+    coef[..., 0, 0] = 0.0
+    return coef, mean
 
 
-def inverse_transform(s: SpectralScalar) -> np.ndarray:
-    return np.real(np.fft.ifft2(s.coef)) * s.grid.n ** 2
-
-
-def forward_transform_vector(samples: np.ndarray, grid: Grid) -> SpectralVectorField:
-    c0, _ = forward_transform(samples[0], grid)
-    c1, _ = forward_transform(samples[1], grid)
-    return SpectralVectorField(grid, np.stack([c0.coef, c1.coef]))
+def inverse_transform(grid: Grid, coef: np.ndarray) -> np.ndarray:
+    return np.real(np.fft.ifft2(coef)) * grid.n ** 2
 
 
 # ---------------------------------------------------------------------------
 # calculus (exact per retained mode)
 
 
-def gradient(s: SpectralScalar) -> SpectralVectorField:
-    g = s.grid
+def gradient(grid: Grid, coef: np.ndarray) -> np.ndarray:
+    """(2, n, n) gradient of an (n, n) scalar."""
     fac = TWO_PI * 1j
-    coef = np.stack([fac * g.k1 * s.coef, fac * g.k2 * s.coef])
-    return SpectralVectorField(g, coef)
+    return np.stack([fac * grid.k1 * coef, fac * grid.k2 * coef])
 
 
-def laplacian(s: SpectralScalar) -> SpectralScalar:
-    g = s.grid
-    return SpectralScalar(g, -4.0 * np.pi ** 2 * g.ksq * s.coef)
+def laplacian(grid: Grid, coef: np.ndarray) -> np.ndarray:
+    return -4.0 * np.pi ** 2 * grid.ksq * coef
 
 
-def divergence(u: SpectralVectorField) -> SpectralScalar:
-    g = u.grid
+def divergence(grid: Grid, coef: np.ndarray) -> np.ndarray:
+    """(n, n) divergence of a (2, n, n) vector field."""
     fac = TWO_PI * 1j
-    return SpectralScalar(g, fac * (g.k1 * u.coef[0] + g.k2 * u.coef[1]))
+    return fac * (grid.k1 * coef[0] + grid.k2 * coef[1])
 
 
 def leray_project_coef(grid: Grid, coef: np.ndarray) -> np.ndarray:
@@ -184,53 +127,29 @@ def leray_project_coef(grid: Grid, coef: np.ndarray) -> np.ndarray:
     return out
 
 
-def leray_project(u: SpectralVectorField) -> SpectralVectorField:
-    return SpectralVectorField(
-        u.grid, leray_project_coef(u.grid, u.coef), divergence_free=True
-    )
-
-
 def dealias_coef(grid: Grid, coef: np.ndarray) -> np.ndarray:
     return coef * grid.dealias_mask
 
 
-def dealias(u):
-    if isinstance(u, SpectralScalar):
-        return SpectralScalar(u.grid, dealias_coef(u.grid, u.coef))
-    return SpectralVectorField(
-        u.grid, dealias_coef(u.grid, u.coef), u.divergence_free
-    )
-
-
 # ---------------------------------------------------------------------------
-# norms (Parseval)
+# norms (Parseval); scalars and vectors alike
 
 
-def _coef(u) -> np.ndarray:
-    return u.coef if hasattr(u, "coef") else u
+def l2_norm(coef: np.ndarray) -> float:
+    return float(np.sqrt(np.sum(np.abs(coef) ** 2)))
 
 
-def l2_norm(u) -> float:
-    return float(np.sqrt(np.sum(np.abs(_coef(u)) ** 2)))
+def h1_seminorm(grid: Grid, coef: np.ndarray) -> float:
+    return float(TWO_PI * np.sqrt(np.sum(grid.ksq * np.abs(coef) ** 2)))
 
 
-def h1_seminorm(u) -> float:
-    c = _coef(u)
-    g = u.grid
-    return float(TWO_PI * np.sqrt(np.sum(g.ksq * np.abs(c) ** 2)))
+def h2_seminorm(grid: Grid, coef: np.ndarray) -> float:
+    return float(4.0 * np.pi ** 2
+                 * np.sqrt(np.sum(grid.ksq ** 2 * np.abs(coef) ** 2)))
 
 
-def h2_seminorm(u) -> float:
-    c = _coef(u)
-    g = u.grid
-    return float(4.0 * np.pi ** 2 * np.sqrt(np.sum(g.ksq ** 2 * np.abs(c) ** 2)))
-
-
-def inner_product(u, v) -> float:
-    cu, cv = _coef(u), _coef(v)
-    if u.grid.n != v.grid.n:
-        raise GridMismatchError("inner product of fields on different grids")
-    return float(np.real(np.sum(np.conj(cu) * cv)))
+def inner_product(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.real(np.sum(np.conj(a) * b)))
 
 
 # ---------------------------------------------------------------------------
@@ -257,23 +176,22 @@ def _band_noise(grid: Grid, seed: int, shape: tuple, decay: float,
 
 def random_divfree_field(
     grid: Grid, seed: int, energy_spectrum_decay: float = 2.0, k_max: int | None = None
-) -> SpectralVectorField:
-    """Deterministic random divergence-free field with |k|^-decay amplitudes.
+) -> np.ndarray:
+    """Deterministic random divergence-free (2, n, n) field with |k|^-decay
+    amplitudes.
 
     Energy lives on modes 0 < |k| <= k_max; everything above is exactly zero.
     """
     coef = _band_noise(grid, seed, (2, grid.n, grid.n), energy_spectrum_decay,
                        k_max)
-    return SpectralVectorField(grid, leray_project_coef(grid, coef),
-                               divergence_free=True)
+    return leray_project_coef(grid, coef)
 
 
 def random_scalar_field(
     grid: Grid, seed: int, energy_spectrum_decay: float = 1.0, k_max: int | None = None
-) -> SpectralScalar:
-    """Mean-zero random scalar with band-limited |k|^-decay spectrum."""
-    coef = _band_noise(grid, seed, (grid.n, grid.n), energy_spectrum_decay, k_max)
-    return SpectralScalar(grid, coef)
+) -> np.ndarray:
+    """Mean-zero random (n, n) scalar with band-limited |k|^-decay spectrum."""
+    return _band_noise(grid, seed, (grid.n, grid.n), energy_spectrum_decay, k_max)
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +199,16 @@ def random_scalar_field(
 # k1,k2,re_c1,im_c1,re_c2,im_c2.  repr() round-trips float64 exactly.
 
 
-def save_field(path, u: SpectralVectorField) -> None:
-    n = u.grid.n
+def save_field(path, coef: np.ndarray) -> None:
+    """Write a (2, n, n) vector field; all-zero modes are skipped."""
+    n = coef.shape[-1]
     with open(path, "w") as fh:
         fh.write(f"mhdnudge-field v1, n={n}\n")
         ks = np.fft.fftfreq(n, 1.0 / n).astype(int)
         for i, k1 in enumerate(ks):
             for j, k2 in enumerate(ks):
-                c1 = u.coef[0, i, j]
-                c2 = u.coef[1, i, j]
+                c1 = coef[0, i, j]
+                c2 = coef[1, i, j]
                 if c1 == 0 and c2 == 0:
                     continue
                 fh.write(
@@ -298,13 +217,14 @@ def save_field(path, u: SpectralVectorField) -> None:
                 )
 
 
-def load_field(path) -> SpectralVectorField:
+def load_field(path) -> np.ndarray:
+    """Read a (2, n, n) vector field; a (0, 0) row is dropped."""
     with open(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("mhdnudge-field v1, n="):
             raise ValueError(f"not a mhdnudge field snapshot: {header!r}")
         n = int(header.split("n=")[1])
-        grid = Grid(n)
+        Grid(n)  # rejects an odd or too small n
         coef = np.zeros((2, n, n), dtype=np.complex128)
         for line in fh:
             line = line.strip()
@@ -315,4 +235,5 @@ def load_field(path) -> SpectralVectorField:
             j = int(k2s) % n
             coef[0, i, j] = complex(float(a), float(b))
             coef[1, i, j] = complex(float(c), float(d))
-    return SpectralVectorField(grid, coef)
+    coef[:, 0, 0] = 0.0
+    return coef

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mhdnudge.dynamics import ForcingSpec, derive_elsasser_params
-from mhdnudge.spectral import Grid, SpectralVectorField, random_divfree_field
+from mhdnudge.spectral import Grid, random_divfree_field
 
 
 @pytest.fixture(scope="session")
@@ -17,9 +17,7 @@ def params():
 
 def normalized_field(grid, seed, amplitude, k_max=2):
     fld = random_divfree_field(grid, seed, 2.0, k_max)
-    norm = np.sqrt(np.sum(np.abs(fld.coef) ** 2))
-    return SpectralVectorField(grid, fld.coef * (amplitude / norm),
-                               divergence_free=True)
+    return fld * (amplitude / np.sqrt(np.sum(np.abs(fld) ** 2)))
 
 
 @pytest.fixture(scope="session")

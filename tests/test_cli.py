@@ -47,8 +47,13 @@ def test_invalid_config_exit_2(tmp_path, capsys):
     ("horizon = 0.002", "run", [], "horizon"),
     ("", "sweep", ["--axis", "mu", "--values", "20", "30", "--workers", "0"],
      "workers"),
+    ("interpolant_kind = nodal\ninterpolant_h = 0.2", "run", [],
+     "1/h=5 must divide the grid size n=32"),
+    ("", "verify-interpolant", ["--samples", "0"], "samples"),
+    ("", "verify-interpolant", ["--samples", "-3"], "samples"),
 ], ids=["sample_every=0", "sample_every=-5", "calibration_samples=0",
-        "horizon<2dt", "sweep-workers=0"])
+        "horizon<2dt", "sweep-workers=0", "nodal-h=0.2-n=32",
+        "verify-samples=0", "verify-samples=-3"])
 def test_config_rejected_exit_2(tmp_path, capsys, line, verb, args, message):
     cfg = write_cfg(tmp_path, f"scenario = baseline\nn = 32\n{line}\n"
                     f"outdir = {tmp_path / 'out'}\n")

@@ -23,7 +23,6 @@ from mhdnudge.dynamics import (
 )
 from mhdnudge.spectral import (
     Grid,
-    SpectralVectorField,
     dealias_coef,
     random_divfree_field,
 )
@@ -40,8 +39,8 @@ def shear_mode(grid, amplitude=1.0):
 
 
 def zero_forcing(grid):
-    z = SpectralVectorField(grid, np.zeros((2, grid.n, grid.n), dtype=complex))
-    return ForcingSpec(z, z.copy())
+    z = np.zeros((2, grid.n, grid.n), dtype=complex)
+    return ForcingSpec(z, z)
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +84,8 @@ def test_elsasser_round_trip():
     for swapped in (False, True):
         v, w = to_elsasser(u, b, swapped)
         u2, b2 = from_elsasser(v, w, swapped)
-        np.testing.assert_allclose(u2.coef, u.coef, atol=1e-14)
-        np.testing.assert_allclose(b2.coef, b.coef, atol=1e-14)
+        np.testing.assert_allclose(u2, u, atol=1e-14)
+        np.testing.assert_allclose(b2, b, atol=1e-14)
 
 
 def test_elsasser_definition_unswapped():
@@ -94,8 +93,8 @@ def test_elsasser_definition_unswapped():
     u = random_divfree_field(g, 1, 2.0, 4)
     b = random_divfree_field(g, 2, 2.0, 4)
     v, w = to_elsasser(u, b, swapped=False)
-    np.testing.assert_allclose(v.coef, u.coef + b.coef, atol=1e-15)
-    np.testing.assert_allclose(w.coef, u.coef - b.coef, atol=1e-15)
+    np.testing.assert_allclose(v, u + b, atol=1e-15)
+    np.testing.assert_allclose(w, u - b, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +104,7 @@ def test_elsasser_definition_unswapped():
 def test_grashof_hand_value():
     g = Grid(16)
     f = normalized_field(g, 0, 2.0)
-    z = SpectralVectorField(g, np.zeros_like(f.coef))
+    z = np.zeros_like(f)
     forcing = ForcingSpec(f, z)
     p = derive_elsasser_params(5.0, 10.0)
     # ||f+g|| = ||f-g|| = 2, so G = max(Re,Rm)^2/pi^2 * 2
@@ -115,7 +114,7 @@ def test_grashof_hand_value():
 def test_grashof_with_decaying_modulation():
     g = Grid(16)
     f = normalized_field(g, 0, 2.0)
-    z = SpectralVectorField(g, np.zeros_like(f.coef))
+    z = np.zeros_like(f)
     base = grashof_number(ForcingSpec(f, z), derive_elsasser_params(5.0, 5.0))
     # envelope decays to offset 0.5, which sets the limsup
     mod = Modulation(amplitude=3.0, rate=1.0, offset=0.5)
@@ -135,8 +134,8 @@ def test_forcing_from_original():
     f1 = random_divfree_field(g, 3, 2.0, 4)
     g1 = random_divfree_field(g, 4, 2.0, 4)
     spec = forcing_from_original(f1, g1)
-    np.testing.assert_allclose(spec.f.coef, f1.coef + g1.coef, atol=1e-15)
-    np.testing.assert_allclose(spec.g.coef, f1.coef - g1.coef, atol=1e-15)
+    np.testing.assert_allclose(spec.f, f1 + g1, atol=1e-15)
+    np.testing.assert_allclose(spec.g, f1 - g1, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +164,8 @@ def advective_form(grid, a, b):
 @pytest.mark.parametrize("n", [32, 64])
 def test_advection_matches_advective_form(n):
     g = Grid(n)
-    v = random_divfree_field(g, 5, 1.0, g.cutoff).coef
-    w = random_divfree_field(g, 6, 1.0, g.cutoff).coef
+    v = random_divfree_field(g, 5, 1.0, g.cutoff)
+    w = random_divfree_field(g, 6, 1.0, g.cutoff)
     adv, _ = advection(g, np.concatenate([v, w]))
     expected = np.concatenate([advective_form(g, w, v), advective_form(g, v, w)])
     assert np.max(np.abs(adv - expected)) <= 1e-13 * np.max(np.abs(expected))
@@ -177,10 +176,10 @@ def test_advection_skew_symmetry():
     g = Grid(32)
     a = random_divfree_field(g, 5, 1.0, g.cutoff)
     b = random_divfree_field(g, 6, 1.0, g.cutoff)
-    adv, _ = advection(g, np.concatenate([b.coef, a.coef]))
+    adv, _ = advection(g, np.concatenate([b, a]))
     adv = adv[:2]  # (w.grad)v with v = b, w = a
-    ip = np.real(np.sum(np.conj(adv) * b.coef))
-    scale = np.sqrt(np.sum(np.abs(adv) ** 2)) * np.sqrt(np.sum(np.abs(b.coef) ** 2))
+    ip = np.real(np.sum(np.conj(adv) * b))
+    scale = np.sqrt(np.sum(np.abs(adv) ** 2)) * np.sqrt(np.sum(np.abs(b) ** 2))
     assert abs(ip) < 1e-12 * max(scale, 1e-300)
 
 
@@ -197,8 +196,7 @@ def test_stokes_steady_state_is_fixed_point():
     g = Grid(32)
     p = derive_elsasser_params(5.0, 5.0)
     fc = shear_mode(g, amplitude=0.3)
-    f = SpectralVectorField(g, fc, divergence_free=True)
-    st = MhdStepper(g, p, ForcingSpec(f, f.copy()), 2e-3)
+    st = MhdStepper(g, p, ForcingSpec(fc, fc), 2e-3)
     vc = fc / (4.0 * np.pi ** 2 * p.alpha)
     st.set_state(vc, vc)
     X0 = st.X.copy()
@@ -253,7 +251,7 @@ def test_temporal_convergence_order(grid32, params, forcing32):
 
     def final_state(dt):
         st = MhdStepper(grid32, params, forcing32, dt)
-        st.set_state(init.coef, init.coef, 0.0)
+        st.set_state(init, init, 0.0)
         for _ in range(int(round(horizon / dt))):
             st.advance()
         return st.X.copy()
@@ -270,7 +268,7 @@ def test_temporal_convergence_order(grid32, params, forcing32):
 def test_cfl_violation_raises(grid32, params):
     fld = normalized_field(grid32, 2, 50.0)
     st = MhdStepper(grid32, params, zero_forcing(grid32), dt=0.05)
-    st.set_state(fld.coef, fld.coef, 0.0)
+    st.set_state(fld, fld, 0.0)
     with pytest.raises(CflError):
         st.advance()
 
@@ -278,7 +276,7 @@ def test_cfl_violation_raises(grid32, params):
 def test_stepper_clock_and_counters(grid32, params, forcing32):
     st = MhdStepper(grid32, params, forcing32, 1e-3)
     init = random_divfree_field(grid32, 1, 2.0)
-    st.set_state(init.coef, init.coef, 0.0)
+    st.set_state(init, init, 0.0)
     for _ in range(5):
         st.advance()
     assert st.t == pytest.approx(5e-3)
@@ -294,7 +292,7 @@ def test_restart_matches_fresh_stepper(grid32, params, forcing32):
     init = random_divfree_field(grid32, 1, 2.0)
     modulated = ForcingSpec(forcing32.f, forcing32.g, Modulation(1.0, 1.0, 1.0))
     st = MhdStepper(grid32, params, forcing32, 1e-3)
-    st.set_state(init.coef, init.coef, 0.0)
+    st.set_state(init, init, 0.0)
     for _ in range(5):
         st.advance()
     st.restart(forcing=modulated)
@@ -323,15 +321,16 @@ def test_norms_match_field_norms(grid32):
     from mhdnudge.spectral import h1_seminorm, l2_norm
     v = random_divfree_field(grid32, 1, 2.0)
     w = random_divfree_field(grid32, 2, 2.0)
-    got = norms(grid32, np.concatenate([v.coef, w.coef]))
-    want = (l2_norm(v), l2_norm(w), h1_seminorm(v), h1_seminorm(w))
+    got = norms(grid32, np.concatenate([v, w]))
+    want = (l2_norm(v), l2_norm(w), h1_seminorm(grid32, v),
+            h1_seminorm(grid32, w))
     np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
 def test_record_trajectory_shapes(grid32, params, forcing32):
     st = MhdStepper(grid32, params, forcing32, 2e-3)
     init = random_divfree_field(grid32, 1, 2.0)
-    st.set_state(init.coef, init.coef, 0.0)
+    st.set_state(init, init, 0.0)
     traj = record_trajectory(st, 50)
     assert len(traj.times) == 51
     assert traj.times[0] == 0.0
@@ -343,7 +342,7 @@ def test_record_trajectory_shapes(grid32, params, forcing32):
 def test_energy_budget_holds_on_run(grid32, params, forcing32):
     st = MhdStepper(grid32, params, forcing32, 2e-3)
     init = random_divfree_field(grid32, 1, 2.0)
-    st.set_state(init.coef, init.coef, 0.0)
+    st.set_state(init, init, 0.0)
     traj = record_trajectory(st, 500)
     residuals, flags = energy_budget(traj, params)
     assert not flags.any()
@@ -363,7 +362,7 @@ def test_energy_budget_flags_synthetic_violation(params):
 def test_spin_up_resets_clock(grid32, params, forcing32):
     st = MhdStepper(grid32, params, forcing32, 2e-3)
     init = random_divfree_field(grid32, 1, 2.0)
-    st.set_state(init.coef, init.coef, 0.0)
+    st.set_state(init, init, 0.0)
     spun = spin_up(st, tol=0.05, max_time=10.0)
     assert spun.time > 0.0
     assert spun.converged
@@ -374,7 +373,7 @@ def test_spin_up_reports_not_converged(grid32, params, forcing32):
     # settling needs two windows; max_time below that stops after one
     st = MhdStepper(grid32, params, forcing32, 2e-3)
     init = random_divfree_field(grid32, 1, 2.0)
-    st.set_state(init.coef, init.coef, 0.0)
+    st.set_state(init, init, 0.0)
     T = 1.0 / (np.pi ** 2 * params.nu_bar)
     spun = spin_up(st, tol=0.05, max_time=0.5 * T)
     assert spun.converged is False

@@ -7,6 +7,7 @@ from mhdnudge.dynamics import derive_elsasser_params, grashof_number
 from mhdnudge.experiments import (
     EXIT_BLOWUP,
     EXIT_CHECK,
+    EXIT_CONFIG,
     EXIT_OK,
     ConfigError,
     build_forcing,
@@ -97,8 +98,8 @@ def test_build_forcing_amplitude():
     g = Grid(32)
     forcing = build_forcing(g, cfg)
     # f = f1+g1, g = f1-g1 with ||f1|| = 3 and ||g1|| = 1
-    nf2 = np.sum(np.abs(forcing.f.coef) ** 2)
-    ng2 = np.sum(np.abs(forcing.g.coef) ** 2)
+    nf2 = np.sum(np.abs(forcing.f) ** 2)
+    ng2 = np.sum(np.abs(forcing.g) ** 2)
     assert nf2 + ng2 == pytest.approx(2.0 * (9.0 + 1.0), rel=1e-10)
 
 
@@ -109,7 +110,7 @@ def test_build_forcing_kolmogorov():
     g = Grid(32)
     forcing = build_forcing(g, cfg)
     # energy exactly at k = (0, +-3), first component only
-    nz = np.nonzero(np.abs(forcing.f.coef) > 1e-12)
+    nz = np.nonzero(np.abs(forcing.f) > 1e-12)
     assert set(zip(*nz)) == {(0, 0, 3), (0, 0, 29)}
 
 
@@ -229,3 +230,17 @@ def test_g_sweep_scales_grashof(tmp_path):
                       forcing_g_amplitude=cfg.forcing_g_amplitude * 2.0)
     assert grashof_number(build_forcing(g, doubled), p) == \
         pytest.approx(2.0 * base, rel=1e-12)
+
+
+def test_h_sweep_records_indivisible_h_and_goes_on(tmp_path):
+    # 1/h = 5 does not divide n = 32: that value is a config error, the next
+    # value still runs and the sweep table is written
+    cfg = parse_config_text("scenario = type2\nn = 32\ninterpolant_kind = nodal\n"
+                            "mask = first\nmu = 60\nhorizon = 0.5\n"
+                            "spinup_max_time = 0.2\n")
+    table = run_sweep(cfg, "h", [0.2, 0.25], outdir=tmp_path, max_workers=1)
+    assert [row["value"] for row in table] == [0.2, 0.25]
+    assert table[0]["exit_code"] == EXIT_CONFIG
+    assert table[1]["exit_code"] in (EXIT_OK, EXIT_CHECK)
+    assert (tmp_path / "h=0.25" / "summary.json").exists()
+    assert (tmp_path / "sweep.csv").read_text().count("\n") == 3

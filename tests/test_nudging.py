@@ -21,10 +21,7 @@ from mhdnudge.nudging import (
     nudging_term,
     run_assimilation,
 )
-from mhdnudge.spectral import (
-    SpectralVectorField,
-    divergence_defect,
-)
+from mhdnudge.spectral import divergence_defect
 
 from conftest import normalized_field
 
@@ -44,8 +41,8 @@ def decaying_pair(f, g, amplitude, rate):
 
 def seeded_diff(grid):
     """(eta, zeta) raw arrays: the difference of two seeded states."""
-    return (seeded_init(grid, 0).coef - seeded_init(grid, 2).coef,
-            seeded_init(grid, 1).coef - seeded_init(grid, 3).coef)
+    return (seeded_init(grid, 0) - seeded_init(grid, 2),
+            seeded_init(grid, 1) - seeded_init(grid, 3))
 
 
 ALL_MASKS = (MASK_ALL, MASK_FIRST, MASK_V_ONLY, MASK_B_ONLY, MASK_U_ONLY)
@@ -68,10 +65,10 @@ def test_init_modes(grid32, params, forcing32):
     # the first error row is the spun-up reference minus the initial state
     init = seeded_init(grid32, 0, 0.5)
     ref = MhdStepper(grid32, params, forcing32, 2e-3)
-    ref.set_state(init.coef, init.coef, 0.0)
+    ref.set_state(init, init, 0.0)
     spin_up(ref, max_time=0.5)
     custom = seeded_init(grid32, seed=5)
-    pair = np.concatenate([custom.coef, custom.coef])
+    pair = np.concatenate([custom, custom])
     for init_mode, expected in (("zero", norms(grid32, ref.X)),
                                 ("copy", (0.0, 0.0, 0.0, 0.0)),
                                 ((custom, custom.copy()), norms(grid32, ref.X - pair))):
@@ -79,19 +76,37 @@ def test_init_modes(grid32, params, forcing32):
         assert (e.l2_eta[0], e.l2_zeta[0], e.h1_eta[0], e.h1_zeta[0]) == expected
 
 
-def test_init_rejects_non_divfree(grid32, params, forcing32, monkeypatch):
-    # the caller's pair is checked before any time goes into spin-up
-    from mhdnudge import nudging
-
-    def no_spin_up(*args, **kw):
-        pytest.fail("spin_up ran before the initial pair was checked")
-
-    monkeypatch.setattr(nudging, "spin_up", no_spin_up)
+def no_divfree_field():
     bad = np.zeros((2, 32, 32), dtype=complex)
     bad[0, 1, 0] = 1.0  # k.c != 0 at k=(1,0)
-    bad_field = SpectralVectorField(grid32, bad)
-    with pytest.raises(ValueError, match="not divergence-free"):
-        short_run(grid32, params, forcing32, (bad_field, bad_field.copy()))
+    return bad
+
+
+@pytest.fixture
+def no_spin_up(monkeypatch):
+    from mhdnudge import nudging
+
+    def fail(*args, **kw):
+        pytest.fail("spin_up ran before the initial fields were checked")
+
+    monkeypatch.setattr(nudging, "spin_up", fail)
+
+
+def test_init_rejects_non_divfree(grid32, params, forcing32, no_spin_up):
+    # the caller's pair is checked before any time goes into spin-up
+    bad = no_divfree_field()
+    with pytest.raises(ValueError, match="custom initial v is not divergence-free"):
+        short_run(grid32, params, forcing32, (bad, bad))
+
+
+def test_reference_init_rejects_non_divfree(grid32, params, forcing32,
+                                            no_spin_up):
+    # the reference's initial state is checked the same way
+    init = seeded_init(grid32, 0, 0.5)
+    with pytest.raises(ValueError, match="^initial v is not divergence-free"):
+        run_assimilation(grid32, params, forcing32, spec_config(),
+                         init + no_divfree_field(), init, 2e-3, 0.04,
+                         spinup_max_time=0.5)
 
 
 def test_nudging_term_is_divergence_free(grid32):
@@ -134,8 +149,8 @@ def test_synchronized_pair_is_fixed_point(grid32, params, forcing32, kind):
     cfg = spec_config(mu=50.0, kind=kind)
     cs = CoupledStepper(grid32, params, forcing32, cfg, dt=2e-3)
     init = seeded_init(grid32, 0, 0.5)
-    cs.reference.set_state(init.coef, init.coef, 0.0)
-    cs.assimilated.set_state(init.coef, init.coef, 0.0)
+    cs.reference.set_state(init, init, 0.0)
+    cs.assimilated.set_state(init, init, 0.0)
     for _ in range(200):
         cs.step()
     err = np.sqrt(np.sum(np.abs(cs.reference.X - cs.assimilated.X) ** 2))
@@ -148,10 +163,10 @@ def test_mu_zero_decouples(grid32, params, forcing32):
     cs = CoupledStepper(grid32, params, forcing32, cfg, dt=2e-3)
     init = seeded_init(grid32, 0, 0.5)
     other = seeded_init(grid32, 1, 0.5)
-    cs.reference.set_state(init.coef, init.coef, 0.0)
-    cs.assimilated.set_state(other.coef, other.coef, 0.0)
+    cs.reference.set_state(init, init, 0.0)
+    cs.assimilated.set_state(other, other, 0.0)
     solo = MhdStepper(grid32, params, forcing32, 2e-3)
-    solo.set_state(other.coef, other.coef, 0.0)
+    solo.set_state(other, other, 0.0)
     for _ in range(100):
         cs.step()
         solo.advance()
@@ -166,13 +181,11 @@ def test_delta_matches_perturbed_forcing(grid32, params, forcing32, kind):
     cs = CoupledStepper(grid32, params, forcing32, cfg, dt=2e-3)
     init = seeded_init(grid32, 0, 0.5)
     other = seeded_init(grid32, 1, 0.5)
-    cs.reference.set_state(init.coef, init.coef, 0.0)
-    cs.assimilated.set_state(other.coef, other.coef, 0.0)
-    perturbed = ForcingSpec(
-        SpectralVectorField(grid32, forcing32.f.coef + df.coef),
-        SpectralVectorField(grid32, forcing32.g.coef + dg.coef))
+    cs.reference.set_state(init, init, 0.0)
+    cs.assimilated.set_state(other, other, 0.0)
+    perturbed = ForcingSpec(forcing32.f + df, forcing32.g + dg)
     solo = MhdStepper(grid32, params, perturbed, 2e-3)
-    solo.set_state(other.coef, other.coef, 0.0)
+    solo.set_state(other, other, 0.0)
     for _ in range(100):
         cs.step()
         solo.advance()
@@ -184,7 +197,7 @@ def test_states_stay_divergence_free(grid32, params, forcing32):
     cfg = spec_config(mu=20.0, mask=MASK_FIRST)
     cs = CoupledStepper(grid32, params, forcing32, cfg, dt=2e-3)
     init = seeded_init(grid32, 0, 0.5)
-    cs.reference.set_state(init.coef, init.coef, 0.0)
+    cs.reference.set_state(init, init, 0.0)
     for _ in range(100):
         cs.step()
     assert divergence_defect(grid32, cs.reference.X[:2]) < 1e-10
@@ -210,7 +223,7 @@ def test_run_assimilation_converges(grid32, params, forcing32):
 def test_observation_error_sets_floor(grid32, params, forcing32):
     # persistent (rate 0) observation noise keeps the error away from zero
     noise = normalized_field(grid32, 9, 1.0)
-    zero = SpectralVectorField(grid32, np.zeros_like(noise.coef))
+    zero = np.zeros_like(noise)
     cfg = spec_config(mu=50.0, eps=decaying_pair(noise, zero, 1e-3, 0.0))
     init = seeded_init(grid32, 0, 0.5)
     result = run_assimilation(grid32, params, forcing32, cfg, init, init.copy(),
@@ -222,7 +235,7 @@ def test_observation_error_sets_floor(grid32, params, forcing32):
 
 def test_decaying_perturbations_still_converge(grid32, params, forcing32):
     noise = normalized_field(grid32, 9, 1.0)
-    zero = SpectralVectorField(grid32, np.zeros_like(noise.coef))
+    zero = np.zeros_like(noise)
     cfg = spec_config(mu=50.0,
                       delta=decaying_pair(noise, zero, 0.5, 1.0),
                       eps=decaying_pair(noise, zero, 0.5, 1.0))
