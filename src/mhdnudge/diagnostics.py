@@ -55,12 +55,9 @@ class ErrorSeries:
         return np.sqrt(self.h1_eta ** 2 + self.h1_zeta ** 2)
 
     def save_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("t,l2_eta,l2_zeta,h1_eta,h1_zeta\n")
-            for i in range(len(self.times)):
-                row = (self.times[i], self.l2_eta[i], self.l2_zeta[i],
-                       self.h1_eta[i], self.h1_zeta[i])
-                fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        _write_csv(path, "t,l2_eta,l2_zeta,h1_eta,h1_zeta",
+                   np.column_stack([self.times, self.l2_eta, self.l2_zeta,
+                                    self.h1_eta, self.h1_zeta]))
 
     @classmethod
     def load_csv(cls, path):
@@ -68,8 +65,28 @@ class ErrorSeries:
         return cls(data[:, 0], data[:, 1], data[:, 2], data[:, 3], data[:, 4])
 
 
+def _write_csv(path, header: str, rows):
+    """A CSV file: the header line, then one line per row with each value
+    written as repr(float), which round-trips exactly."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # rate fitting
+
+
+def _log_linear_fit(t: np.ndarray, v: np.ndarray):
+    """Least-squares line through (t, ln v): returns (rate, r_squared) with
+    rate = -slope, so positive means decay."""
+    y = np.log(v)
+    slope, intercept = np.polyfit(t, y, 1)
+    pred = slope * t + intercept
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum((y - pred) ** 2)) / ss_tot
+    return -float(slope), r2
 
 
 def fit_exponential_rate(times: np.ndarray, values: np.ndarray,
@@ -86,13 +103,7 @@ def fit_exponential_rate(times: np.ndarray, values: np.ndarray,
     v = np.maximum(np.asarray(values[start:], dtype=float), NORM_FLOOR)
     if len(t) < 10:
         raise ValueError(f"rate fit needs >= 10 samples in window, got {len(t)}")
-    y = np.log(v)
-    slope, intercept = np.polyfit(t, y, 1)
-    pred = slope * t + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return float(-slope), float(r2)
+    return _log_linear_fit(t, v)
 
 
 def onset_time(times: np.ndarray, values: np.ndarray) -> float:
@@ -115,15 +126,8 @@ def decay_window_fit(times: np.ndarray, values: np.ndarray):
     below = np.nonzero(values[i0:] <= target)[0]
     reached = len(below) > 0
     i1 = i0 + int(below[0]) if reached else len(values) - 1
-    seg_t = times[i0:i1 + 1]
-    seg_v = values[i0:i1 + 1]
-    if len(seg_t) >= 3:
-        y = np.log(seg_v)
-        slope, intercept = np.polyfit(seg_t, y, 1)
-        pred = slope * seg_t + intercept
-        ss_tot = float(np.sum((y - y.mean()) ** 2))
-        r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum((y - pred) ** 2)) / ss_tot
-        rate = -float(slope)
+    if i1 - i0 >= 2:
+        rate, r2 = _log_linear_fit(times[i0:i1 + 1], values[i0:i1 + 1])
     else:
         rate, r2 = 0.0, 0.0
     terminal = values[-1]
@@ -187,17 +191,17 @@ class TheoremThresholds:
 
 
 def theorem_thresholds(theorem_id: str, G: float, params: ElsasserParams,
-                       constants: AnalysisConstants | None = None,
+                       constants: dict | None = None,
                        c1: float | None = None, c2: float | None = None,
                        c3: float | None = None) -> TheoremThresholds:
     """Sufficient (mu_min, h_max) per theorem; h_max is evaluated at the
-    gain mu = mu_min."""
+    gain mu = mu_min.  `constants` is an AnalysisConstants.resolved() dict,
+    by default that of the declared defaults."""
     if theorem_id not in THEOREM_IDS:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
     if G < 0:
         raise ValueError("G must be nonnegative")
-    constants = constants or AnalysisConstants()
-    k = constants.resolved()
+    k = constants if constants is not None else AnalysisConstants().resolved()
     nub = params.nu_bar
     used = dict(k)
     used["G"] = G
@@ -244,26 +248,17 @@ def theorem_thresholds(theorem_id: str, G: float, params: ElsasserParams,
 
 
 def _window_integrals(times: np.ndarray, values: np.ndarray, T: float):
-    """Sliding-window integrals of a sampled function over [t, t+T]."""
+    """Trapezoidal integrals of a sampled function over [t_i, t_i + T] for
+    every sample time t_i whose window ends by the last sample, and the
+    number of samples in each window."""
     times = np.asarray(times, float)
     values = np.asarray(values, float)
     dt = np.diff(times)
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (values[1:] + values[:-1]) * dt)])
-
-    def integral_at(t):
-        return np.interp(t, times, cum)
-
-    out = []
-    starts = []
-    for i, t0 in enumerate(times):
-        t1 = t0 + T
-        if t1 > times[-1] + 1e-12:
-            break
-        # require enough samples inside the window for the quadrature
-        n_inside = np.searchsorted(times, t1 + 1e-12) - i
-        out.append(integral_at(t1) - cum[i])
-        starts.append((t0, n_inside))
-    return np.array(out), starts
+    ends = times + T
+    ends = ends[ends <= times[-1] + 1e-12]  # a prefix, as the times increase
+    counts = np.searchsorted(times, ends + 1e-12) - np.arange(len(ends))
+    return np.interp(ends, times, cum) - cum[:len(ends)], counts
 
 
 def gronwall_condition_check(times: np.ndarray, psi: np.ndarray, T: float):
@@ -306,8 +301,8 @@ def check_int_bound(traj: Trajectory, G: float, params: ElsasserParams,
     nub = params.nu_bar
     T = 1.0 / (np.pi ** 2 * nub)
     H = traj.enstrophy()
-    ints, starts = _window_integrals(traj.times, H, T)
-    if len(ints) == 0 or min(n for _, n in starts) < min_samples_per_window:
+    ints, counts = _window_integrals(traj.times, H, T)
+    if len(ints) == 0 or counts.min() < min_samples_per_window:
         raise ValueError(
             f"need >= {min_samples_per_window} samples per window of length {T:.3g}")
     bound = (1.0 + T * np.pi ** 2 * nub) * nub * G ** 2
@@ -317,6 +312,6 @@ def check_int_bound(traj: Trajectory, G: float, params: ElsasserParams,
         "T": T,
         "bound": float(bound),
         "worst_margin": worst,
-        "worst_window_start": float(starts[int(np.argmin(margins))][0]),
+        "worst_window_start": float(traj.times[int(np.argmin(margins))]),
         "passed": worst >= -1e-10,
     }

@@ -5,10 +5,14 @@ The evolved system is
     dv/dt = alpha Lap v + beta Lap w - P[(w.grad)v] + P[f]
     dw/dt = alpha Lap w + beta Lap v - P[(v.grad)w] + P[g]
 
-with alpha = (1/Re + 1/Rm)/2, beta = |1/Re - 1/Rm|/2 and P the Leray
-projection (pressure never appears).  Time discretization: Crank-Nicolson
-on the coupled diffusion block (a per-mode linear solve), Adams-Bashforth 2
-on advection and forcing, explicit Euler on the first step.
+with v = u + b, w = u - b, alpha = (1/Re + 1/Rm)/2, the signed
+beta = (1/Re - 1/Rm)/2 (negative when Re > Rm) and P the Leray projection
+(pressure never appears).  The diffusion block has eigenvalues
+alpha + beta = 1/Re and alpha - beta = 1/Rm, so the effective dissipation
+is nu_bar = alpha - |beta| = min(1/Re, 1/Rm).  Time discretization:
+Crank-Nicolson on the coupled diffusion block (a per-mode linear solve),
+Adams-Bashforth 2 on advection and forcing, explicit Euler on the first
+step.
 """
 
 from __future__ import annotations
@@ -17,13 +21,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Grid, dealias_coef, leray_project_coef
+from .spectral import Grid, dealias_coef, l2_norm, leray_project_coef
 
 FOUR_PI_SQ = 4.0 * np.pi ** 2
 # admissible dt = CFL_SAFETY / (n * max speed)
 CFL_SAFETY = 0.5
 # energy_budget flags a residual above ENERGY_TOL * max(1, ||f||^2 + ||g||^2)
 ENERGY_TOL = 1e-6
+# spin_up stops once two window averages of the enstrophy differ by less
+# than SPINUP_TOL relative, or at the first window end at or past
+# SPINUP_MAX_TIME
+SPINUP_TOL = 0.01
+SPINUP_MAX_TIME = 40.0
 
 
 # The constructor arguments are passed on as the exception's args, so that
@@ -77,12 +86,11 @@ class ElsasserParams:
     Rm: float
     alpha: float
     beta: float
-    swapped: bool
 
     @property
     def nu_bar(self) -> float:
-        """alpha - beta = min(1/Re, 1/Rm), the effective dissipation."""
-        return self.alpha - self.beta
+        """alpha - |beta| = min(1/Re, 1/Rm), the effective dissipation."""
+        return self.alpha - abs(self.beta)
 
 
 def derive_elsasser_params(Re: float, Rm: float) -> ElsasserParams:
@@ -90,8 +98,8 @@ def derive_elsasser_params(Re: float, Rm: float) -> ElsasserParams:
         raise ValueError(f"Reynolds numbers must be positive, got Re={Re}, Rm={Rm}")
     inv_re, inv_rm = 1.0 / Re, 1.0 / Rm
     alpha = 0.5 * (inv_re + inv_rm)
-    beta = abs(0.5 * (inv_re - inv_rm))
-    return ElsasserParams(Re, Rm, alpha, beta, swapped=inv_re < inv_rm)
+    beta = 0.5 * (inv_re - inv_rm)
+    return ElsasserParams(Re, Rm, alpha, beta)
 
 
 def nondimensionalize(dims: DimensionalParams, f1: np.ndarray, g1: np.ndarray):
@@ -112,15 +120,13 @@ def nondimensionalize(dims: DimensionalParams, f1: np.ndarray, g1: np.ndarray):
 # Elsasser change of variables
 
 
-def to_elsasser(u: np.ndarray, b: np.ndarray, swapped: bool):
-    """Original (u, b) -> Elsasser (v, w) = (u + b, u - b); w = b - u if swapped."""
-    return u + b, (b - u if swapped else u - b)
+def to_elsasser(u: np.ndarray, b: np.ndarray):
+    """Original (u, b) -> Elsasser (v, w) = (u + b, u - b)."""
+    return u + b, u - b
 
 
-def from_elsasser(v: np.ndarray, w: np.ndarray, swapped: bool):
+def from_elsasser(v: np.ndarray, w: np.ndarray):
     """Elsasser (v, w) -> original (u, b), the inverse of to_elsasser."""
-    if swapped:
-        return 0.5 * (v - w), 0.5 * (v + w)
     return 0.5 * (v + w), 0.5 * (v - w)
 
 
@@ -151,40 +157,37 @@ class Modulation:
 
 @dataclass
 class ForcingSpec:
-    """Elsasser forcing pair (f, g) of (2, n, n) coefficient arrays with an
-    optional time modulation."""
+    """Elsasser forcing pair (f, g) of (2, n, n) coefficient arrays times a
+    time envelope; the default envelope is exactly 1."""
 
     f: np.ndarray
     g: np.ndarray
-    modulation: Modulation | None = None
+    modulation: Modulation = Modulation(0.0, 0.0, 1.0)
 
     def f_coef(self, t: float) -> np.ndarray:
-        m = 1.0 if self.modulation is None else self.modulation.value(t)
-        return self.f * m
+        return self.f * self.modulation.value(t)
 
     def g_coef(self, t: float) -> np.ndarray:
-        m = 1.0 if self.modulation is None else self.modulation.value(t)
-        return self.g * m
+        return self.g * self.modulation.value(t)
 
     def limsup_norms(self):
         """limsup_t of (||f(t)||, ||g(t)||)."""
-        m = 1.0 if self.modulation is None else self.modulation.limsup_abs()
-        nf = float(np.sqrt(np.sum(np.abs(self.f) ** 2))) * m
-        ng = float(np.sqrt(np.sum(np.abs(self.g) ** 2))) * m
-        return nf, ng
+        m = self.modulation.limsup_abs()
+        return l2_norm(self.f) * m, l2_norm(self.g) * m
 
 
 def forcing_from_original(f1: np.ndarray, g1: np.ndarray,
-                          modulation: Modulation | None = None) -> ForcingSpec:
-    """Relabel original-variable forcing: f = f1 + g1, g = f1 - g1."""
-    return ForcingSpec(f1 + g1, f1 - g1, modulation)
+                          modulation: Modulation = ForcingSpec.modulation
+                          ) -> ForcingSpec:
+    """Original-variable forcing (f1, g1) mapped by to_elsasser."""
+    return ForcingSpec(*to_elsasser(f1, g1), modulation)
 
 
 def grashof_number(forcing: ForcingSpec, params: ElsasserParams) -> float:
     """G = max{Re^2, Rm^2}/pi^2 * limsup_t max{||f+g||, ||f-g||}."""
-    m = 1.0 if forcing.modulation is None else forcing.modulation.limsup_abs()
-    n_sum = float(np.sqrt(np.sum(np.abs(forcing.f + forcing.g) ** 2))) * m
-    n_dif = float(np.sqrt(np.sum(np.abs(forcing.f - forcing.g) ** 2))) * m
+    m = forcing.modulation.limsup_abs()
+    n_sum = l2_norm(forcing.f + forcing.g) * m
+    n_dif = l2_norm(forcing.f - forcing.g) * m
     return max(params.Re, params.Rm) ** 2 / np.pi ** 2 * max(n_sum, n_dif)
 
 
@@ -235,30 +238,21 @@ def norms(grid: Grid, X: np.ndarray):
 def _diffusion_apply(params: ElsasserParams, ksq: np.ndarray, X: np.ndarray) -> np.ndarray:
     """L X with state X = (v1, v2, w1, w2) stacked along axis 0."""
     kap = FOUR_PI_SQ * ksq
-    out = np.empty_like(X)
-    out[0] = -kap * (params.alpha * X[0] + params.beta * X[2])
-    out[1] = -kap * (params.alpha * X[1] + params.beta * X[3])
-    out[2] = -kap * (params.alpha * X[2] + params.beta * X[0])
-    out[3] = -kap * (params.alpha * X[3] + params.beta * X[1])
-    return out
+    return -kap * (params.alpha * X + params.beta * X[[2, 3, 0, 1]])
 
 
 def _build_implicit_inverse(grid: Grid, params: ElsasserParams, dt: float,
                             damping: np.ndarray | None) -> np.ndarray:
-    """(I - dt/2 L + dt*damping)^-1 per mode, flattened to (n*n, 4, 4)."""
-    n = grid.n
-    kap = FOUR_PI_SQ * grid.ksq.reshape(-1)
-    m = n * n
-    A = np.zeros((m, 4, 4), dtype=np.complex128)
-    idx = np.arange(4)
-    A[:, idx, idx] = 1.0
-    half = 0.5 * dt
-    for i, j, coeff in (
-        (0, 0, params.alpha), (1, 1, params.alpha), (2, 2, params.alpha),
-        (3, 3, params.alpha), (0, 2, params.beta), (1, 3, params.beta),
-        (2, 0, params.beta), (3, 1, params.beta),
-    ):
-        A[:, i, j] += half * kap * coeff
+    """(I - dt/2 L + dt*damping)^-1 per mode, flattened to (n*n, 4, 4).
+
+    L = -4 pi^2 |k|^2 K, where the coupling K = alpha I + beta S and S
+    swaps v and w, as in _diffusion_apply.
+    """
+    m = grid.n * grid.n
+    eye = np.eye(4)
+    K = params.alpha * eye + params.beta * eye[[2, 3, 0, 1]]
+    kap = FOUR_PI_SQ * grid.ksq.reshape(m, 1, 1)
+    A = np.eye(4, dtype=np.complex128) + (0.5 * dt * kap) * K
     if damping is not None:
         A += dt * damping.reshape(m, 4, 4)
     return np.linalg.inv(A)
@@ -405,8 +399,8 @@ def record_trajectory(stepper: MhdStepper, n_steps: int) -> Trajectory:
 def energy_budget(traj: Trajectory, params: ElsasserParams):
     """Discrete residuals of the L2 energy inequality
 
-        d/dt(|v|^2+|w|^2) + (a-b)(|grad v|^2+|grad w|^2)
-            <= (||f||^2+||g||^2) / (4 pi^2 (a-b)).
+        d/dt(|v|^2+|w|^2) + nu_bar (|grad v|^2+|grad w|^2)
+            <= (||f||^2+||g||^2) / (4 pi^2 nu_bar).
 
     Returns (residuals, flags) over interior samples; a residual is flagged
     unless it is at most ENERGY_TOL * max(1, ||f||^2+||g||^2), so a
@@ -434,11 +428,11 @@ class SpinUp:
     converged: bool
 
 
-def spin_up(stepper: MhdStepper, tol: float = 0.01,
-            max_time: float = 60.0) -> SpinUp:
+def spin_up(stepper: MhdStepper, tol: float = SPINUP_TOL,
+            max_time: float = SPINUP_MAX_TIME) -> SpinUp:
     """Integrate until the windowed average of the total enstrophy settles.
 
-    Runs whole windows of length T = 1/(pi^2 (alpha-beta)) and stops when
+    Runs whole windows of length T = 1/(pi^2 nu_bar) and stops when
     two consecutive window averages differ by less than `tol` relative, or
     at the first window end at or past `max_time`.  `max_time` is thus not
     a hard cap: the returned time may exceed it by up to one window (at

@@ -22,6 +22,8 @@ import numpy as np
 
 from . import diagnostics as diag
 from .dynamics import (
+    SPINUP_MAX_TIME,
+    SPINUP_TOL,
     BlowUpError,
     CflError,
     ForcingSpec,
@@ -55,7 +57,7 @@ from .nudging import (
     NudgingConfig,
     run_assimilation,
 )
-from .spectral import Grid, forward_transform, random_divfree_field
+from .spectral import Grid, forward_transform, l2_norm, random_divfree_field
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -91,8 +93,8 @@ class ExperimentConfig:
     dt: float = 2e-3
     horizon: float = 20.0
     sample_every: int = 10
-    spinup_max_time: float = 40.0
-    spinup_tol: float = 0.01
+    spinup_max_time: float = SPINUP_MAX_TIME
+    spinup_tol: float = SPINUP_TOL
     init_amplitude: float = 1.0
     forcing_mode: str = "random"
     forcing_amplitude: float = 2.0
@@ -136,6 +138,15 @@ class ExperimentConfig:
             derive_elsasser_params(self.re, self.rm)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        for key in ("modulation_rate", "delta_rate", "eps_rate",
+                    "det_envelope_rate"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
+        # a wavenumber above the dealiasing cutoff n//3 is not resolved
+        for key in ("forcing_kmax", "forcing_kolmogorov_k"):
+            if not 1 <= getattr(self, key) <= self.n // 3:
+                raise ConfigError(f"{key} must lie in 1..{self.n // 3} (n//3), "
+                                  f"got {getattr(self, key)}")
         if self.dt <= 0 or self.horizon <= 0:
             raise ConfigError("dt and horizon must be positive")
         # the energy budget differences three trajectory samples
@@ -205,7 +216,7 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
 
 
 def _normalize(coef: np.ndarray, amplitude: float) -> np.ndarray:
-    norm = float(np.sqrt(np.sum(np.abs(coef) ** 2)))
+    norm = l2_norm(coef)
     if norm == 0 or amplitude == 0:
         return np.zeros_like(coef)
     return coef * (amplitude / norm)
@@ -216,22 +227,17 @@ def build_forcing(grid: Grid, cfg: ExperimentConfig) -> ForcingSpec:
         f1 = _normalize(
             random_divfree_field(grid, cfg.forcing_seed, 2.0, cfg.forcing_kmax),
             cfg.forcing_amplitude)
-        g1 = _normalize(
-            random_divfree_field(grid, cfg.forcing_seed + 1, 2.0, cfg.forcing_kmax),
-            cfg.forcing_g_amplitude)
     else:  # kolmogorov: f1 = A sin(2 pi k y) e1
         x1, x2 = grid.points()
         phys = np.zeros((2, grid.n, grid.n))
         phys[0] = np.sin(2.0 * np.pi * cfg.forcing_kolmogorov_k * x2)
         f1 = _normalize(forward_transform(grid, phys)[0], cfg.forcing_amplitude)
-        g1 = _normalize(
-            random_divfree_field(grid, cfg.forcing_seed + 1, 2.0, cfg.forcing_kmax),
-            cfg.forcing_g_amplitude)
-    mod = None
-    if cfg.modulation_amplitude != 0.0 or cfg.modulation_offset != 1.0:
-        mod = Modulation(cfg.modulation_amplitude, cfg.modulation_rate,
-                         cfg.modulation_offset)
-    return forcing_from_original(f1, g1, mod)
+    g1 = _normalize(
+        random_divfree_field(grid, cfg.forcing_seed + 1, 2.0, cfg.forcing_kmax),
+        cfg.forcing_g_amplitude)
+    return forcing_from_original(
+        f1, g1, Modulation(cfg.modulation_amplitude, cfg.modulation_rate,
+                           cfg.modulation_offset))
 
 
 def _decaying_pair(grid: Grid, cfg: ExperimentConfig, seed: int,
@@ -263,12 +269,9 @@ def _write_trajectory_csv(path, traj, params):
     residuals, flags = energy_budget(traj, params)
     res = np.zeros(len(traj.times))
     res[1:-1] = residuals
-    with open(path, "w") as fh:
-        fh.write("t,l2_v,l2_w,h1_v,h1_w,energy_residual\n")
-        for i in range(len(traj.times)):
-            row = (traj.times[i], traj.l2_v[i], traj.l2_w[i],
-                   traj.h1_v[i], traj.h1_w[i], res[i])
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+    diag._write_csv(path, "t,l2_v,l2_w,h1_v,h1_w,energy_residual",
+                    np.column_stack([traj.times, traj.l2_v, traj.l2_w,
+                                     traj.h1_v, traj.h1_w, res]))
     return flags
 
 
@@ -298,9 +301,9 @@ def _theorem_ids_for(cfg: ExperimentConfig):
     }[cfg.mask]
 
 
-def threshold_report(cfg: ExperimentConfig, grid: Grid, params, G: float,
-                     spec: InterpolantSpec) -> dict:
-    constants = diag.AnalysisConstants()
+def threshold_report(cfg: ExperimentConfig, params, G: float,
+                     spec: InterpolantSpec, constants: dict) -> dict:
+    """Per-theorem thresholds at the resolved analysis `constants`."""
     report = {"G": G, "actual_mu": cfg.mu, "actual_h": cfg.interpolant_h,
               "theorems": {}}
     for tid in _theorem_ids_for(cfg):
@@ -341,18 +344,17 @@ def _run_nudged(cfg: ExperimentConfig, outdir):
     energy_flags = _write_trajectory_csv(os.path.join(outdir, "trajectory.csv"),
                                          result.reference_trajectory, params)
     result.errors.save_csv(os.path.join(outdir, "errors.csv"))
-    thresholds = threshold_report(cfg, grid, params, G, spec)
-    _json_dump(os.path.join(outdir, "thresholds.json"), thresholds)
-    constants_ledger = diag.AnalysisConstants().resolved()
-    constants_ledger.update({"c1": spec.c1, "c2": spec.c2, "c3": spec.c3})
-    _json_dump(os.path.join(outdir, "constants.json"), constants_ledger)
+    constants = diag.AnalysisConstants().resolved()
+    _json_dump(os.path.join(outdir, "thresholds.json"),
+               threshold_report(cfg, params, G, spec, constants))
+    _json_dump(os.path.join(outdir, "constants.json"),
+               {**constants, "c1": spec.c1, "c2": spec.c2, "c3": spec.c3})
 
     try:
         int_bound = diag.check_int_bound(result.reference_trajectory, G, params)
     except ValueError as exc:
         int_bound = {"passed": False, "error": str(exc)}
     # damping coefficient of the all-components convergence proof
-    constants = diag.AnalysisConstants().resolved()
     nub = params.nu_bar
     psi = cfg.mu - ((constants["c_L"] ** 4 + nub ** 4) / (2.0 * nub ** 3)) \
         * result.reference_trajectory.enstrophy()
@@ -500,9 +502,8 @@ def _scenario_determining(cfg: ExperimentConfig, outdir):
         diff = sol1.X - sol2.X
         l2_ih = norms(grid, apply_interpolant_coef(chi_spec, grid, diff))[:2]
         l2_diff = norms(grid, diff)[:2]
-        a1 = np.sqrt(np.sum(np.abs(sol1.X - aux.X) ** 2))
-        a2 = np.sqrt(np.sum(np.abs(sol2.X - aux.X) ** 2))
-        rows.append((sol1.t, *l2_ih, *l2_diff, float(a1), float(a2)))
+        rows.append((sol1.t, *l2_ih, *l2_diff, l2_norm(sol1.X - aux.X),
+                     l2_norm(sol2.X - aux.X)))
 
     for i in range(n_steps + 1):
         record()
@@ -511,11 +512,9 @@ def _scenario_determining(cfg: ExperimentConfig, outdir):
             coupled.step()  # advances solution 1 and the nudged auxiliary
 
     arr = np.array(rows)
-    with open(os.path.join(outdir, "determining.csv"), "w") as fh:
-        fh.write("t,ih_diff_v,ih_diff_w,l2_diff_v,l2_diff_w,"
-                 "aux_minus_sol1,aux_minus_sol2\n")
-        for row in arr:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+    diag._write_csv(os.path.join(outdir, "determining.csv"),
+                    "t,ih_diff_v,ih_diff_w,l2_diff_v,l2_diff_w,"
+                    "aux_minus_sol1,aux_minus_sol2", arr)
 
     full = np.sqrt(arr[:, 3] ** 2 + arr[:, 4] ** 2)
     ih = np.sqrt(arr[:, 1] ** 2 + arr[:, 2] ** 2)

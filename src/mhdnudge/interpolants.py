@@ -40,6 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .dynamics import from_elsasser
 from .spectral import (
     Grid,
     h1_seminorm,
@@ -57,7 +58,7 @@ MASK_ALL = "all"
 MASK_FIRST = "first"
 MASK_V_ONLY = "v-only"
 # extensions used by the negative-control / exploratory scenarios: observe
-# only the original magnetic variable b = (v-w)/2, or only u = (v+w)/2
+# only the original magnetic variable b or only u, as from_elsasser gives them
 MASK_B_ONLY = "b-only"
 MASK_U_ONLY = "u-only"
 MASKS = (MASK_ALL, MASK_FIRST, MASK_V_ONLY, MASK_B_ONLY, MASK_U_ONLY)
@@ -165,10 +166,10 @@ def apply_masked(spec: InterpolantSpec, mask: str, grid: Grid,
     if mask == MASK_V_ONLY:
         return apply_interpolant_coef(spec, grid, eta), np.zeros_like(zeta)
     if mask == MASK_B_ONLY:
-        obs = apply_interpolant_coef(spec, grid, 0.5 * (eta - zeta))
+        obs = apply_interpolant_coef(spec, grid, from_elsasser(eta, zeta)[1])
         return obs, -obs
     if mask == MASK_U_ONLY:
-        obs = apply_interpolant_coef(spec, grid, 0.5 * (eta + zeta))
+        obs = apply_interpolant_coef(spec, grid, from_elsasser(eta, zeta)[0])
         return obs, obs
     raise ValueError(f"unknown observation mask {mask!r}")
 

@@ -16,6 +16,8 @@ import numpy as np
 
 from .diagnostics import ErrorSeries
 from .dynamics import (
+    SPINUP_MAX_TIME,
+    SPINUP_TOL,
     BlowUpError,
     ForcingSpec,
     MhdStepper,
@@ -30,7 +32,7 @@ from .interpolants import (
     InterpolantSpec,
     apply_masked,
 )
-from .spectral import Grid, divergence_defect, leray_project_coef
+from .spectral import Grid, divergence_defect, l2_norm, leray_project_coef
 
 
 @dataclass
@@ -153,15 +155,15 @@ def _check_divfree(grid: Grid, named_fields):
     """Reject any (name, (2, n, n) coef) pair whose field is not
     divergence-free, to a relative tolerance of 1e-10."""
     for name, coef in named_fields:
-        norm = np.sqrt(np.sum(np.abs(coef) ** 2))
-        if divergence_defect(grid, coef) > 1e-10 * max(norm, 1e-300):
+        if divergence_defect(grid, coef) > 1e-10 * max(l2_norm(coef), 1e-300):
             raise ValueError(f"{name} is not divergence-free")
 
 
 def run_assimilation(grid: Grid, params, forcing: ForcingSpec,
                      config: NudgingConfig, initial_v: np.ndarray,
                      initial_w: np.ndarray, dt: float, horizon: float,
-                     spinup_max_time: float = 40.0, spinup_tol: float = 0.01,
+                     spinup_max_time: float = SPINUP_MAX_TIME,
+                     spinup_tol: float = SPINUP_TOL,
                      sample_every: int = 10, init_mode="zero") -> RunResult:
     """Spin up the reference from (initial_v, initial_w), reset the clock,
     co-evolve to the horizon and record per-variable L2/H1 errors.

@@ -1,8 +1,7 @@
-import numpy as np
 import pytest
 
 from mhdnudge.dynamics import ForcingSpec, derive_elsasser_params
-from mhdnudge.spectral import Grid, random_divfree_field
+from mhdnudge.spectral import Grid, l2_norm, random_divfree_field
 
 
 @pytest.fixture(scope="session")
@@ -17,7 +16,7 @@ def params():
 
 def normalized_field(grid, seed, amplitude, k_max=2):
     fld = random_divfree_field(grid, seed, 2.0, k_max)
-    return fld * (amplitude / np.sqrt(np.sum(np.abs(fld) ** 2)))
+    return fld * (amplitude / l2_norm(fld))
 
 
 @pytest.fixture(scope="session")

@@ -313,7 +313,7 @@ def test_criterion_11_zero_error_absorbing_state(params64):
         for _ in range(1000):
             cs.step()
         diff = cs.reference.X - cs.assimilated.X
-        err = float(np.sqrt(np.sum(np.abs(diff) ** 2)))
+        err = l2_norm(diff)
         worst = max(worst, err)
     ok = worst <= 1e-10
     report(11, f"identical initialization stays synchronized for 1000 steps "

@@ -51,9 +51,22 @@ def test_invalid_config_exit_2(tmp_path, capsys):
      "1/h=5 must divide the grid size n=32"),
     ("", "verify-interpolant", ["--samples", "0"], "samples"),
     ("", "verify-interpolant", ["--samples", "-3"], "samples"),
+    ("modulation_rate = -1", "run", [], "modulation_rate must be >= 0"),
+    ("delta_rate = -1", "run", [], "delta_rate must be >= 0"),
+    ("eps_rate = -2", "sweep", ["--axis", "mu", "--values", "1", "2",
+                                "--workers", "1"], "eps_rate must be >= 0"),
+    ("det_envelope_rate = -1", "determining", [], "det_envelope_rate must be >= 0"),
+    ("forcing_kmax = 20", "run", [], "forcing_kmax must lie in 1..10"),
+    ("forcing_kmax = 0", "run", [], "forcing_kmax must lie in 1..10"),
+    ("forcing_mode = kolmogorov\nforcing_kolmogorov_k = 16", "run", [],
+     "forcing_kolmogorov_k must lie in 1..10"),
+    ("forcing_kolmogorov_k = 0", "run", [], "forcing_kolmogorov_k must lie in 1..10"),
 ], ids=["sample_every=0", "sample_every=-5", "calibration_samples=0",
         "horizon<2dt", "sweep-workers=0", "nodal-h=0.2-n=32",
-        "verify-samples=0", "verify-samples=-3"])
+        "verify-samples=0", "verify-samples=-3", "modulation_rate<0",
+        "delta_rate<0", "sweep-eps_rate<0", "det_envelope_rate<0",
+        "forcing_kmax=20-n=32", "forcing_kmax=0", "kolmogorov_k=16-n=32",
+        "kolmogorov_k=0"])
 def test_config_rejected_exit_2(tmp_path, capsys, line, verb, args, message):
     cfg = write_cfg(tmp_path, f"scenario = baseline\nn = 32\n{line}\n"
                     f"outdir = {tmp_path / 'out'}\n")

@@ -11,6 +11,7 @@ from mhdnudge.diagnostics import (
     THM_V,
     AnalysisConstants,
     ErrorSeries,
+    _window_integrals,
     check_int_bound,
     decay_window_fit,
     fit_exponential_rate,
@@ -206,7 +207,8 @@ def test_constants_reported(p52):
 
 def test_constants_overridable(p52):
     consts = AnalysisConstants(c_L=1.0)
-    th = theorem_thresholds(THM_ALL, 1.0, p52, constants=consts, c1=0.1)
+    th = theorem_thresholds(THM_ALL, 1.0, p52, constants=consts.resolved(),
+                            c1=0.1)
     expected = np.pi ** 2 * (1.0 + 0.2 ** 4) / 0.2
     assert th.mu_min == pytest.approx(expected, rel=1e-12)
 
@@ -227,6 +229,38 @@ def _flat_trajectory(h_const, t_end=2.0, dt=0.01, forcing_sq=0.0):
     return Trajectory(times, np.zeros(n), np.zeros(n),
                       np.full(n, np.sqrt(h_const)), np.zeros(n),
                       np.full(n, forcing_sq))
+
+
+def _window_integrals_loop(times, values, T):
+    """The per-window loop that _window_integrals replaces: trapezoidal
+    cumulative integral, one np.interp and one np.searchsorted per start."""
+    dt = np.diff(times)
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (values[1:] + values[:-1]) * dt)])
+    out, counts = [], []
+    for i, t0 in enumerate(times):
+        t1 = t0 + T
+        if t1 > times[-1] + 1e-12:
+            break
+        counts.append(np.searchsorted(times, t1 + 1e-12) - i)
+        out.append(np.interp(t1, times, cum) - cum[i])
+    return np.array(out), np.array(counts)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_window_integrals_match_loop(seed):
+    rng = np.random.default_rng(seed)
+    # irregular steps of k/1024, so windows of T = 300/1024 end exactly on
+    # a sample wherever the steps add up to it
+    times = np.cumsum(rng.integers(1, 20, 500)) / 1024.0
+    values = rng.standard_normal(500)
+    for T in (300 / 1024.0, 0.7301, times[-1] - times[0]):
+        ints, counts = _window_integrals(times, values, T)
+        ref_ints, ref_counts = _window_integrals_loop(times, values, T)
+        assert len(ints) > 0
+        assert ints.tobytes() == ref_ints.tobytes()
+        assert counts.tolist() == ref_counts.tolist()
+    ends = times + 300 / 1024.0
+    assert np.isin(ends, times).sum() > 10
 
 
 def test_check_int_bound_pass_and_fail(p52):

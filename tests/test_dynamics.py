@@ -10,6 +10,7 @@ from mhdnudge.dynamics import (
     ForcingSpec,
     MhdStepper,
     Modulation,
+    _diffusion_apply,
     advection,
     derive_elsasser_params,
     energy_budget,
@@ -24,6 +25,9 @@ from mhdnudge.dynamics import (
 from mhdnudge.spectral import (
     Grid,
     dealias_coef,
+    l2_norm,
+    laplacian,
+    leray_project_coef,
     random_divfree_field,
 )
 
@@ -52,12 +56,13 @@ def test_derive_elsasser_params():
     assert p.alpha == pytest.approx(0.15)
     assert p.beta == pytest.approx(0.05)
     assert p.nu_bar == pytest.approx(0.1)
-    assert not p.swapped
 
 
-def test_swapped_flag():
+def test_signed_beta():
+    # Re > Rm: beta = (1/Re - 1/Rm)/2 < 0, and nu_bar is still min(1/Re, 1/Rm)
     p = derive_elsasser_params(10.0, 5.0)
-    assert p.swapped
+    assert p.alpha == pytest.approx(0.15)
+    assert p.beta == pytest.approx(-0.05)
     assert p.nu_bar == pytest.approx(0.1)
 
 
@@ -81,18 +86,16 @@ def test_elsasser_round_trip():
     g = Grid(16)
     u = random_divfree_field(g, 1, 2.0, 4)
     b = random_divfree_field(g, 2, 2.0, 4)
-    for swapped in (False, True):
-        v, w = to_elsasser(u, b, swapped)
-        u2, b2 = from_elsasser(v, w, swapped)
-        np.testing.assert_allclose(u2, u, atol=1e-14)
-        np.testing.assert_allclose(b2, b, atol=1e-14)
+    u2, b2 = from_elsasser(*to_elsasser(u, b))
+    np.testing.assert_allclose(u2, u, atol=1e-14)
+    np.testing.assert_allclose(b2, b, atol=1e-14)
 
 
-def test_elsasser_definition_unswapped():
+def test_elsasser_definition():
     g = Grid(16)
     u = random_divfree_field(g, 1, 2.0, 4)
     b = random_divfree_field(g, 2, 2.0, 4)
-    v, w = to_elsasser(u, b, swapped=False)
+    v, w = to_elsasser(u, b)
     np.testing.assert_allclose(v, u + b, atol=1e-15)
     np.testing.assert_allclose(w, u - b, atol=1e-15)
 
@@ -121,6 +124,17 @@ def test_grashof_with_decaying_modulation():
     forced = ForcingSpec(f, z, mod)
     assert grashof_number(forced, derive_elsasser_params(5.0, 5.0)) == \
         pytest.approx(0.5 * base)
+
+
+def test_default_modulation_is_exactly_one():
+    g = Grid(16)
+    f = normalized_field(g, 0, 2.0)
+    h = normalized_field(g, 1, 0.5)
+    spec = ForcingSpec(f, h)
+    for t in (0.0, 0.7, 1e6):
+        assert spec.f_coef(t).tobytes() == (f * 1.0).tobytes()
+        assert spec.g_coef(t).tobytes() == (h * 1.0).tobytes()
+    assert spec.limsup_norms() == (l2_norm(f), l2_norm(h))
 
 
 def test_modulation_limsup_rate_zero():
@@ -161,6 +175,33 @@ def advective_form(grid, a, b):
     return out
 
 
+def mhd_tendency(grid, params, u, b):
+    """Unforced 2D MHD tendency in the original variables:
+    P[-(u.grad)u + (b.grad)b + Lap u / Re] and
+    P[-(u.grad)b + (b.grad)u + Lap b / Rm]."""
+    du = (-advective_form(grid, u, u) + advective_form(grid, b, b)
+          + laplacian(grid, u) / params.Re)
+    db = (-advective_form(grid, u, b) + advective_form(grid, b, u)
+          + laplacian(grid, b) / params.Rm)
+    return leray_project_coef(grid, du), leray_project_coef(grid, db)
+
+
+@pytest.mark.parametrize("re, rm", [(5.0, 10.0), (5.0, 5.0), (10.0, 5.0)])
+def test_stepper_tendency_matches_mhd(re, rm):
+    # the Elsasser system the stepper integrates is the MHD system mapped by
+    # to_elsasser, for either sign of 1/Re - 1/Rm
+    g = Grid(32)
+    p = derive_elsasser_params(re, rm)
+    u = random_divfree_field(g, 5, 1.0, g.cutoff)
+    b = random_divfree_field(g, 6, 1.0, g.cutoff)
+    st = MhdStepper(g, p, zero_forcing(g), 1e-3)
+    st.set_state(*to_elsasser(u, b))
+    explicit, _ = st._explicit_terms()
+    got = _diffusion_apply(p, g.ksq, st.X) + explicit
+    expected = np.concatenate(to_elsasser(*mhd_tendency(g, p, u, b)))
+    assert l2_norm(got - expected) <= 1e-13 * l2_norm(expected)
+
+
 @pytest.mark.parametrize("n", [32, 64])
 def test_advection_matches_advective_form(n):
     g = Grid(n)
@@ -179,7 +220,7 @@ def test_advection_skew_symmetry():
     adv, _ = advection(g, np.concatenate([b, a]))
     adv = adv[:2]  # (w.grad)v with v = b, w = a
     ip = np.real(np.sum(np.conj(adv) * b))
-    scale = np.sqrt(np.sum(np.abs(adv) ** 2)) * np.sqrt(np.sum(np.abs(b) ** 2))
+    scale = l2_norm(adv) * l2_norm(b)
     assert abs(ip) < 1e-12 * max(scale, 1e-300)
 
 
@@ -259,8 +300,8 @@ def test_temporal_convergence_order(grid32, params, forcing32):
     x1 = final_state(4e-3)
     x2 = final_state(2e-3)
     x3 = final_state(1e-3)
-    e1 = np.sqrt(np.sum(np.abs(x1 - x2) ** 2))
-    e2 = np.sqrt(np.sum(np.abs(x2 - x3) ** 2))
+    e1 = l2_norm(x1 - x2)
+    e2 = l2_norm(x2 - x3)
     order = np.log2(e1 / e2)
     assert order >= 1.9
 
