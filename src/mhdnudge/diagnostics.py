@@ -3,7 +3,7 @@
 The threshold calculator implements the per-theorem sufficient conditions
 on the gain mu and the observation resolution h as exact formulas in the
 Grashof number G.  The analysis constants they contain are not pinned by
-theory; defaults below are declared placeholders, overridable and always
+theory; the values below are declared placeholders, fixed, and always
 reported alongside any computed threshold.
 """
 
@@ -18,6 +18,8 @@ from .dynamics import ElsasserParams, Trajectory
 NORM_FLOOR = 1e-14
 # decay_window_fit ends its segment where the series falls to DECAY_DROP * peak
 DECAY_DROP = 1e-6
+# check_int_bound needs this many samples in every window
+MIN_SAMPLES_PER_WINDOW = 8
 
 THM_ALL = "thm-all"
 THM_FIRST = "thm-first"
@@ -59,11 +61,6 @@ class ErrorSeries:
                    np.column_stack([self.times, self.l2_eta, self.l2_zeta,
                                     self.h1_eta, self.h1_zeta]))
 
-    @classmethod
-    def load_csv(cls, path):
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        return cls(data[:, 0], data[:, 1], data[:, 2], data[:, 3], data[:, 4])
-
 
 def _write_csv(path, header: str, rows):
     """A CSV file: the header line, then one line per row with each value
@@ -89,26 +86,18 @@ def _log_linear_fit(t: np.ndarray, v: np.ndarray):
     return -float(slope), r2
 
 
-def fit_exponential_rate(times: np.ndarray, values: np.ndarray,
-                         window: float = 0.5):
-    """Least-squares slope of ln(values) over the trailing `window` fraction.
+def fit_exponential_rate(times: np.ndarray, values: np.ndarray):
+    """Least-squares slope of ln(values) over the trailing half, from
+    sample len // 2 on.
 
     Returns (rate, r_squared) with rate = -slope, so positive means decay.
     """
-    if not 0 < window <= 1:
-        raise ValueError("window must lie in (0, 1]")
-    n = len(times)
-    start = int(np.floor(n * (1.0 - window)))
+    start = len(times) // 2
     t = np.asarray(times[start:], dtype=float)
     v = np.maximum(np.asarray(values[start:], dtype=float), NORM_FLOOR)
     if len(t) < 10:
         raise ValueError(f"rate fit needs >= 10 samples in window, got {len(t)}")
     return _log_linear_fit(t, v)
-
-
-def onset_time(times: np.ndarray, values: np.ndarray) -> float:
-    """Time at which decay begins: the location of the series maximum."""
-    return float(times[int(np.argmax(values))])
 
 
 def decay_window_fit(times: np.ndarray, values: np.ndarray):
@@ -146,35 +135,18 @@ def decay_window_fit(times: np.ndarray, values: np.ndarray):
 # analysis constants and theorem thresholds
 
 
-@dataclass(frozen=True)
-class AnalysisConstants:
-    """Unquantified analysis constants with declared defaults.
-
-    c_L is the Ladyzhenskaya constant; c_B/c_T the Brezis-Gallouet-type
-    constants; c_M the H2 a-priori constant.  Derived entries (c, C and the
-    two log-offset constants) follow their stated definitions unless
-    overridden.
-    """
-
-    c_L: float = (2.0 * np.pi) ** -0.5
-    c_B: float = 1.0
-    c_T: float = 1.0
-    c_M: float = 1.0
-    c: float | None = None
-    C: float | None = None
-    c_tilde_first: float | None = None
-    c_tilde_t2: float | None = None
-
-    def resolved(self) -> dict:
-        c = self.c if self.c is not None else max(self.c_L / 4.0, 1.5 * self.c_B)
-        C = self.C if self.C is not None else (81.0 / 4.0) * self.c_L ** 8
-        ct2 = (self.c_tilde_t2 if self.c_tilde_t2 is not None else
-               np.log(250.0 * (self.c_B + self.c_T) ** 2
-                      * (20.0 * np.pi ** 2 + self.c_M)) / 8.0)
-        ct1 = self.c_tilde_first if self.c_tilde_first is not None else ct2
-        return {"c_L": self.c_L, "c_B": self.c_B, "c_T": self.c_T,
-                "c_M": self.c_M, "c": c, "C": C,
-                "c_tilde_first": ct1, "c_tilde_t2": ct2}
+# Unquantified analysis constants, fixed at declared values: c_L is the
+# Ladyzhenskaya constant, c_B/c_T the Brezis-Gallouet-type constants, c_M
+# the H2 a-priori constant; c, C and the two log-offset constants follow
+# from them by their stated definitions.
+_C_L = (2.0 * np.pi) ** -0.5
+_C_B = _C_T = _C_M = 1.0
+_C_TILDE = np.log(250.0 * (_C_B + _C_T) ** 2 * (20.0 * np.pi ** 2 + _C_M)) / 8.0
+ANALYSIS_CONSTANTS = {
+    "c_L": _C_L, "c_B": _C_B, "c_T": _C_T, "c_M": _C_M,
+    "c": max(_C_L / 4.0, 1.5 * _C_B), "C": (81.0 / 4.0) * _C_L ** 8,
+    "c_tilde_first": _C_TILDE, "c_tilde_t2": _C_TILDE,
+}
 
 
 @dataclass
@@ -191,17 +163,15 @@ class TheoremThresholds:
 
 
 def theorem_thresholds(theorem_id: str, G: float, params: ElsasserParams,
-                       constants: dict | None = None,
                        c1: float | None = None, c2: float | None = None,
                        c3: float | None = None) -> TheoremThresholds:
-    """Sufficient (mu_min, h_max) per theorem; h_max is evaluated at the
-    gain mu = mu_min.  `constants` is an AnalysisConstants.resolved() dict,
-    by default that of the declared defaults."""
+    """Sufficient (mu_min, h_max) per theorem at ANALYSIS_CONSTANTS; h_max
+    is evaluated at the gain mu = mu_min."""
     if theorem_id not in THEOREM_IDS:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
     if G < 0:
         raise ValueError("G must be nonnegative")
-    k = constants if constants is not None else AnalysisConstants().resolved()
+    k = ANALYSIS_CONSTANTS
     nub = params.nu_bar
     used = dict(k)
     used["G"] = G
@@ -284,27 +254,32 @@ def gronwall_condition_check(times: np.ndarray, psi: np.ndarray, T: float):
     }
 
 
-def check_int_bound(traj: Trajectory, G: float, params: ElsasserParams,
-                    min_samples_per_window: int = 8):
+def check_int_bound(traj: Trajectory, G: float, params: ElsasserParams):
     """Verify the time-averaged enstrophy bound
 
         int_t^{t+T} (|grad v|^2 + |grad w|^2) <= (1 + T pi^2 nub) nub G^2
 
     with T = 1/(pi^2 nub), over every window start, via trapezoidal
     quadrature.  Returns the worst margin (bound - integral); pass means
-    worst margin >= -1e-10.
+    worst margin >= -1e-10.  Raises ValueError when the trajectory is
+    shorter than T or a window holds fewer than MIN_SAMPLES_PER_WINDOW
+    samples.
 
     The bound is a long-time estimate: it holds for trajectories inside the
     absorbing ball, such as a spun-up reference, and a solution started
     with large energy can exceed it in its first windows.
     """
     nub = params.nu_bar
-    T = 1.0 / (np.pi ** 2 * nub)
+    T = params.window
     H = traj.enstrophy()
     ints, counts = _window_integrals(traj.times, H, T)
-    if len(ints) == 0 or counts.min() < min_samples_per_window:
+    if len(ints) == 0:
         raise ValueError(
-            f"need >= {min_samples_per_window} samples per window of length {T:.3g}")
+            f"horizon {traj.times[-1] - traj.times[0]:.3g} is shorter than "
+            f"the window T = {T:.3g}")
+    if counts.min() < MIN_SAMPLES_PER_WINDOW:
+        raise ValueError(f"need >= {MIN_SAMPLES_PER_WINDOW} samples per "
+                         f"window of length {T:.3g}")
     bound = (1.0 + T * np.pi ** 2 * nub) * nub * G ** 2
     margins = bound - ints
     worst = float(np.min(margins))

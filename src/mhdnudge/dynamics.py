@@ -66,21 +66,6 @@ class BlowUpError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DimensionalParams:
-    nu: float
-    lam: float
-    rho0: float
-    mu0: float
-    L: float
-    U: float
-
-    def __post_init__(self):
-        for name in ("nu", "lam", "rho0", "mu0", "L", "U"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-
-@dataclass(frozen=True)
 class ElsasserParams:
     Re: float
     Rm: float
@@ -92,6 +77,12 @@ class ElsasserParams:
         """alpha - |beta| = min(1/Re, 1/Rm), the effective dissipation."""
         return self.alpha - abs(self.beta)
 
+    @property
+    def window(self) -> float:
+        """T = 1/(pi^2 nu_bar), the window length of spin-up and of the
+        time-averaged bound checks."""
+        return 1.0 / (np.pi ** 2 * self.nu_bar)
+
 
 def derive_elsasser_params(Re: float, Rm: float) -> ElsasserParams:
     if Re <= 0 or Rm <= 0:
@@ -100,20 +91,6 @@ def derive_elsasser_params(Re: float, Rm: float) -> ElsasserParams:
     alpha = 0.5 * (inv_re + inv_rm)
     beta = 0.5 * (inv_re - inv_rm)
     return ElsasserParams(Re, Rm, alpha, beta)
-
-
-def nondimensionalize(dims: DimensionalParams, f1: np.ndarray, g1: np.ndarray):
-    """Dimensional (f1, g1) physical-space forcing -> (ElsasserParams, scale factors).
-
-    Returns (params, f1_nd, g1_nd) where f1_nd = f1 * L/U^2 and
-    g1_nd = g1 * L/(U^2 sqrt(rho0 mu0)) are the non-dimensional forcings.
-    """
-    Re = dims.U * dims.L / dims.nu
-    Rm = dims.U * dims.L / dims.lam
-    params = derive_elsasser_params(Re, Rm)
-    f_scale = dims.L / dims.U ** 2
-    g_scale = dims.L / (dims.U ** 2 * np.sqrt(dims.rho0 * dims.mu0))
-    return params, np.asarray(f1) * f_scale, np.asarray(g1) * g_scale
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +146,6 @@ class ForcingSpec:
 
     def g_coef(self, t: float) -> np.ndarray:
         return self.g * self.modulation.value(t)
-
-    def limsup_norms(self):
-        """limsup_t of (||f(t)||, ||g(t)||)."""
-        m = self.modulation.limsup_abs()
-        return l2_norm(self.f) * m, l2_norm(self.g) * m
 
 
 def forcing_from_original(f1: np.ndarray, g1: np.ndarray,
@@ -387,15 +359,6 @@ def trajectory_row(stepper: MhdStepper):
     return (stepper.t, *stepper.norms(), f2)
 
 
-def record_trajectory(stepper: MhdStepper, n_steps: int) -> Trajectory:
-    rows = np.empty((n_steps + 1, 6))
-    for i in range(n_steps + 1):
-        rows[i] = trajectory_row(stepper)
-        if i < n_steps:
-            stepper.advance()
-    return Trajectory.from_rows(rows)
-
-
 def energy_budget(traj: Trajectory, params: ElsasserParams):
     """Discrete residuals of the L2 energy inequality
 
@@ -441,7 +404,7 @@ def spin_up(stepper: MhdStepper, tol: float = SPINUP_TOL,
     long, and a config with `spinup_max_time = 2.0` settles only in window
     4, at t = 2.024.  The stepper is restarted at t = 0 afterwards.
     """
-    T = 1.0 / (np.pi ** 2 * stepper.params.nu_bar)
+    T = stepper.params.window
     steps_per_window = max(int(round(T / stepper.dt)), 8)
     prev_avg = None
     elapsed = 0.0

@@ -63,6 +63,9 @@ MASK_B_ONLY = "b-only"
 MASK_U_ONLY = "u-only"
 MASKS = (MASK_ALL, MASK_FIRST, MASK_V_ONLY, MASK_B_ONLY, MASK_U_ONLY)
 
+# calibrate stores the fitted constants times this factor
+CALIBRATION_INFLATION = 1.05
+
 
 @dataclass(frozen=True)
 class InterpolantSpec:
@@ -238,12 +241,14 @@ def verify_type2_bound(spec: InterpolantSpec, grid: Grid, n_samples: int = 200,
 
 def calibrate(spec: InterpolantSpec, grid: Grid, n_samples: int = 200,
               seed: int = 0) -> InterpolantSpec:
-    """Populate the spec's empirical constants (inflated 5%)."""
+    """Populate the spec's empirical constants, inflated by
+    CALIBRATION_INFLATION."""
     if spec.type_class == 1:
         c1 = verify_type1_bound(spec, grid, n_samples, seed)
-        return replace(spec, c1=1.05 * c1)
+        return replace(spec, c1=CALIBRATION_INFLATION * c1)
     c2, c3 = verify_type2_bound(spec, grid, n_samples, seed)
-    return replace(spec, c2=1.05 * c2, c3=1.05 * c3)
+    return replace(spec, c2=CALIBRATION_INFLATION * c2,
+                   c3=CALIBRATION_INFLATION * c3)
 
 
 def verification_report(spec: InterpolantSpec, grid: Grid, n_samples: int,

@@ -1,4 +1,4 @@
-"""Periodic fields on the unit square, spectral transforms and calculus.
+"""Periodic fields on the unit square: transforms, projection and norms.
 
 Fields live on the non-dimensional torus [0,1]^2.  A field is a raw
 complex array of Fourier coefficients, (n, n) for a scalar and (2, n, n)
@@ -93,28 +93,8 @@ def forward_transform(grid: Grid, samples: np.ndarray):
     return coef, mean
 
 
-def inverse_transform(grid: Grid, coef: np.ndarray) -> np.ndarray:
-    return np.real(np.fft.ifft2(coef)) * grid.n ** 2
-
-
 # ---------------------------------------------------------------------------
-# calculus (exact per retained mode)
-
-
-def gradient(grid: Grid, coef: np.ndarray) -> np.ndarray:
-    """(2, n, n) gradient of an (n, n) scalar."""
-    fac = TWO_PI * 1j
-    return np.stack([fac * grid.k1 * coef, fac * grid.k2 * coef])
-
-
-def laplacian(grid: Grid, coef: np.ndarray) -> np.ndarray:
-    return -4.0 * np.pi ** 2 * grid.ksq * coef
-
-
-def divergence(grid: Grid, coef: np.ndarray) -> np.ndarray:
-    """(n, n) divergence of a (2, n, n) vector field."""
-    fac = TWO_PI * 1j
-    return fac * (grid.k1 * coef[0] + grid.k2 * coef[1])
+# Leray projection and dealiasing (exact per retained mode)
 
 
 def leray_project_coef(grid: Grid, coef: np.ndarray) -> np.ndarray:
@@ -146,10 +126,6 @@ def h1_seminorm(grid: Grid, coef: np.ndarray) -> float:
 def h2_seminorm(grid: Grid, coef: np.ndarray) -> float:
     return float(4.0 * np.pi ** 2
                  * np.sqrt(np.sum(grid.ksq ** 2 * np.abs(coef) ** 2)))
-
-
-def inner_product(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.real(np.sum(np.conj(a) * b)))
 
 
 # ---------------------------------------------------------------------------
@@ -192,48 +168,3 @@ def random_scalar_field(
 ) -> np.ndarray:
     """Mean-zero random (n, n) scalar with band-limited |k|^-decay spectrum."""
     return _band_noise(grid, seed, (grid.n, grid.n), energy_spectrum_decay, k_max)
-
-
-# ---------------------------------------------------------------------------
-# snapshot file format: "mhdnudge-field v1, n=<n>" header, then CSV rows
-# k1,k2,re_c1,im_c1,re_c2,im_c2.  repr() round-trips float64 exactly.
-
-
-def save_field(path, coef: np.ndarray) -> None:
-    """Write a (2, n, n) vector field; all-zero modes are skipped."""
-    n = coef.shape[-1]
-    with open(path, "w") as fh:
-        fh.write(f"mhdnudge-field v1, n={n}\n")
-        ks = np.fft.fftfreq(n, 1.0 / n).astype(int)
-        for i, k1 in enumerate(ks):
-            for j, k2 in enumerate(ks):
-                c1 = coef[0, i, j]
-                c2 = coef[1, i, j]
-                if c1 == 0 and c2 == 0:
-                    continue
-                fh.write(
-                    f"{k1},{k2},{float(c1.real)!r},{float(c1.imag)!r},"
-                    f"{float(c2.real)!r},{float(c2.imag)!r}\n"
-                )
-
-
-def load_field(path) -> np.ndarray:
-    """Read a (2, n, n) vector field; a (0, 0) row is dropped."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("mhdnudge-field v1, n="):
-            raise ValueError(f"not a mhdnudge field snapshot: {header!r}")
-        n = int(header.split("n=")[1])
-        Grid(n)  # rejects an odd or too small n
-        coef = np.zeros((2, n, n), dtype=np.complex128)
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            k1s, k2s, a, b, c, d = line.split(",")
-            i = int(k1s) % n
-            j = int(k2s) % n
-            coef[0, i, j] = complex(float(a), float(b))
-            coef[1, i, j] = complex(float(c), float(d))
-    coef[:, 0, 0] = 0.0
-    return coef

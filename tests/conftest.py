@@ -1,6 +1,12 @@
+import numpy as np
 import pytest
 
-from mhdnudge.dynamics import ForcingSpec, derive_elsasser_params
+from mhdnudge.dynamics import (
+    ForcingSpec,
+    Trajectory,
+    derive_elsasser_params,
+    trajectory_row,
+)
 from mhdnudge.spectral import Grid, l2_norm, random_divfree_field
 
 
@@ -24,3 +30,19 @@ def forcing32(grid32):
     f = normalized_field(grid32, 100, 2.0)
     g = normalized_field(grid32, 101, 0.5)
     return ForcingSpec(f, g)
+
+
+def inverse_transform(grid, coef):
+    """Physical samples of raw coefficients, the inverse of forward_transform
+    for a mean-zero field."""
+    return np.real(np.fft.ifft2(coef)) * grid.n ** 2
+
+
+def record_trajectory(stepper, n_steps):
+    """The Trajectory of n_steps advances of the stepper, one row per state."""
+    rows = np.empty((n_steps + 1, 6))
+    for i in range(n_steps + 1):
+        rows[i] = trajectory_row(stepper)
+        if i < n_steps:
+            stepper.advance()
+    return Trajectory.from_rows(rows)

@@ -29,7 +29,6 @@ from mhdnudge.dynamics import (
     derive_elsasser_params,
     energy_budget,
     grashof_number,
-    record_trajectory,
 )
 from mhdnudge.experiments import build_forcing, parse_config_text, run_scenario
 from mhdnudge.interpolants import (
@@ -53,7 +52,7 @@ from mhdnudge.spectral import (
     random_scalar_field,
 )
 
-from conftest import normalized_field
+from conftest import normalized_field, record_trajectory
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_summary.json").read_text())
 

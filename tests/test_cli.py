@@ -84,6 +84,21 @@ def test_explicit_feedback_mu_dt_exit_2(tmp_path, capsys):
     assert "mu*dt" in capsys.readouterr().err
 
 
+def test_determining_explicit_mu_aux_dt_exit_2(tmp_path, capsys):
+    # the derived gain mu_aux is 720 here, so the default dt = 2e-3 gives
+    # mu_aux*dt = 1.44; the run stops before spin-up
+    cfg = write_cfg(tmp_path, "scenario = determining\nn = 64\n"
+                    "interpolant_kind = volume\ninterpolant_h = 0.125\n"
+                    f"outdir = {tmp_path / 'out'}\n")
+    assert main(["determining", cfg]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["scenario"] == "determining"
+    assert summary["passed"] is False
+    assert "mu_aux*dt <= 1, got mu_aux*dt = 1.44" in summary["error"]
+    assert "the largest admissible dt is 1.38" in summary["error"]
+
+
 @pytest.mark.parametrize("verb, scenario", [("determining", "determining"),
                                              ("run", "generalized-da")])
 def test_short_horizon_tail_fit_exit_4(tmp_path, capsys, verb, scenario):

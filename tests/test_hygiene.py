@@ -35,3 +35,69 @@ def test_unused_import_is_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# ---------------------------------------------------------------------------
+# every public name of the package is used by the package or the benchmark
+
+
+PACKAGE = sorted((ROOT / "src" / "mhdnudge").glob("*.py"))
+BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
+# the console script, which pyproject.toml names as a string
+ENTRY_POINTS = {("cli", "main")}
+
+
+def public_definitions(tree):
+    """Each public top-level function or class, and each public method of a
+    top-level class."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                and not node.name.startswith("_"):
+            out.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            out += [item.name for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("_")]
+    return out
+
+
+def references(source: str, strings: bool):
+    """The names of each Name and Attribute, and with `strings` each
+    dot-separated part of each string constant."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) \
+                and isinstance(node.value, str):
+            out.update(node.value.split("."))
+    return out
+
+
+def unreferenced_public_names(package: dict, benchmark: list):
+    """Public names defined in `package` (module name -> source, without
+    __init__) that neither the package nor the benchmark sources name; a
+    definition itself is not a reference."""
+    used = set().union(*(references(src, strings=False) for src in package.values()),
+                       *(references(src, strings=True) for src in benchmark))
+    return sorted(f"{mod}.{name}" for mod, src in package.items()
+                  for name in public_definitions(ast.parse(src))
+                  if name not in used and (mod, name) not in ENTRY_POINTS)
+
+
+def test_unreferenced_public_name_is_found():
+    package = {"a": "def f():\n    pass\n\n\nclass C:\n    def m(self):\n"
+                    "        pass\n\n    def _p(self):\n        pass\n",
+               "b": "from .a import C\n\n\ndef g():\n    return C\n"}
+    assert unreferenced_public_names(package, []) == ["a.f", "a.m", "b.g"]
+    assert unreferenced_public_names(
+        package, ["TARGETS = {'a.f': ('mhdnudge.a', 'C.m')}\n"]) == ["b.g"]
+
+
+def test_public_names_are_used():
+    package = {p.stem: p.read_text() for p in PACKAGE if p.name != "__init__.py"}
+    benchmark = [p.read_text() for p in BENCHMARK]
+    assert unreferenced_public_names(package, benchmark) == []

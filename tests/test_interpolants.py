@@ -25,10 +25,11 @@ from mhdnudge.spectral import (
     Grid,
     h1_seminorm,
     h2_seminorm,
-    inverse_transform,
     l2_norm,
     random_scalar_field,
 )
+
+from conftest import inverse_transform
 
 
 def test_spec_validation():

@@ -4,21 +4,17 @@ import pytest
 from mhdnudge.spectral import (
     Grid,
     dealias_coef,
-    divergence,
     divergence_defect,
     forward_transform,
-    gradient,
     h1_seminorm,
     h2_seminorm,
-    inner_product,
-    inverse_transform,
     l2_norm,
-    laplacian,
     leray_project_coef,
-    load_field,
     random_divfree_field,
     random_scalar_field,
 )
+
+from conftest import inverse_transform
 
 
 def test_grid_validation():
@@ -96,25 +92,15 @@ def test_gradient_single_mode():
     u[3, 0] = 0.5
     u[-3, 0] = 0.5
     assert h1_seminorm(g, u) == pytest.approx(2 * np.pi * 3 * l2_norm(u), rel=1e-12)
-    gr = gradient(g, u)
-    assert gr.shape == (2, 32, 32)
-    assert l2_norm(gr) == pytest.approx(h1_seminorm(g, u), rel=1e-12)
 
 
 def test_laplacian_eigenvalue():
+    # the mode k = (2, 1) has Lap = -4 pi^2 |k|^2 = -4 pi^2 5
     g = Grid(32)
     u = np.zeros((32, 32), dtype=complex)
     u[2, 1] = 1.0
-    lap = laplacian(g, u)
-    assert lap[2, 1] == pytest.approx(-4 * np.pi ** 2 * 5 * u[2, 1])
-    assert h2_seminorm(g, u) == pytest.approx(l2_norm(lap), rel=1e-12)
-
-
-def test_divergence_of_gradient_vs_laplacian():
-    g = Grid(32)
-    u = random_scalar_field(g, 7)
-    np.testing.assert_allclose(
-        divergence(g, gradient(g, u)), laplacian(g, u), atol=1e-12)
+    assert h2_seminorm(g, u) == pytest.approx(4 * np.pi ** 2 * 5 * l2_norm(u),
+                                              rel=1e-12)
 
 
 def test_leray_projection_idempotent_and_divfree():
@@ -133,7 +119,7 @@ def test_leray_projection_orthogonal():
     rng = np.random.default_rng(13)
     coef = rng.standard_normal((2, 32, 32)) + 1j * rng.standard_normal((2, 32, 32))
     pu = leray_project_coef(g, coef)
-    assert abs(inner_product(pu, coef - pu)) < 1e-10
+    assert abs(np.vdot(pu, coef - pu)) < 1e-10
 
 
 def test_leray_projection_self_adjoint():
@@ -141,8 +127,8 @@ def test_leray_projection_self_adjoint():
     rng = np.random.default_rng(17)
     a = rng.standard_normal((2, 16, 16)) + 1j * rng.standard_normal((2, 16, 16))
     b = rng.standard_normal((2, 16, 16)) + 1j * rng.standard_normal((2, 16, 16))
-    assert inner_product(leray_project_coef(g, a), b) == pytest.approx(
-        inner_product(a, leray_project_coef(g, b)), abs=1e-10)
+    assert np.vdot(leray_project_coef(g, a), b) == pytest.approx(
+        np.vdot(a, leray_project_coef(g, b)), abs=1e-10)
 
 
 def test_poincare_inequality_random_fields():
@@ -181,14 +167,3 @@ def test_random_field_kmax_beyond_cutoff_rejected():
     g = Grid(32)
     with pytest.raises(ValueError):
         random_divfree_field(g, 0, 2.0, 11)
-
-
-def test_zero_mode_forced_to_zero(tmp_path):
-    # a snapshot file is outside input: its (0,0) row is dropped on load,
-    # since the equations assume zero space average
-    path = tmp_path / "snap.csv"
-    path.write_text("mhdnudge-field v1, n=16\n0,0,1.0,2.0,3.0,4.0\n"
-                    "1,0,0.5,0.0,0.0,0.0\n")
-    u = load_field(path)
-    assert np.all(u[:, 0, 0] == 0.0)
-    assert u[0, 1, 0] == 0.5
