@@ -10,9 +10,11 @@ beta = (1/Re - 1/Rm)/2 (negative when Re > Rm) and P the Leray projection
 (pressure never appears).  The diffusion block has eigenvalues
 alpha + beta = 1/Re and alpha - beta = 1/Rm, so the effective dissipation
 is nu_bar = alpha - |beta| = min(1/Re, 1/Rm).  Time discretization:
-Crank-Nicolson on the coupled diffusion block (a per-mode linear solve),
-Adams-Bashforth 2 on advection and forcing, explicit Euler on the first
-step.
+Crank-Nicolson on the coupled diffusion block, Adams-Bashforth 2 on
+advection and forcing, explicit Euler on the first step.  The diffusion
+block couples v and w only through beta, so its Crank-Nicolson solve is a
+closed form per mode; an implicit damping term (the nudging feedback) is
+solved with dense 4x4 blocks on the modes where it acts.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Grid, dealias_coef, l2_norm, leray_project_coef
+from .spectral import Grid, full_spectrum, l2_norm, leray_project_coef
 
 FOUR_PI_SQ = 4.0 * np.pi ** 2
 # admissible dt = CFL_SAFETY / (n * max speed)
@@ -173,23 +175,35 @@ def advection(grid: Grid, X: np.ndarray):
 
     Divergence form: for divergence-free v and w, (w.grad)v_i = d_j(w_j v_i)
     and (v.grad)w_i = d_j(v_j w_i), so both terms come from the four products
-    v_i w_j.  Inputs and result are 2/3-rule dealiased.
+    v_i w_j.  Inputs and result are 2/3-rule dealiased.  The products are
+    real, so only their columns k2 = 0..cutoff are transformed and
+    differentiated; full_spectrum fills in the rest.
     """
     n = grid.n
     n2 = n * n
-    Xd = dealias_coef(grid, X)
-    phys = np.fft.irfft2(Xd[..., : n // 2 + 1], s=(n, n)) * n2
+    c = grid.cutoff
+    mask = grid.dealias_mask[:, : c + 1]
+    # irfft2 zero-pads the columns c+1..n/2
+    phys = np.fft.irfft2(X[..., : c + 1] * mask, s=(n, n)) * n2
     v, w = phys[:2], phys[2:]
-    P = np.fft.fft2(v[:, None] * w[None, :]) / n2  # P[i, j] = (v_i w_j)^
+    P = np.fft.rfft2(v[:, None] * w[None, :])[..., : c + 1] / n2  # (v_i w_j)^
+    k1, k2 = grid.k1[:, : c + 1], grid.k2[:, : c + 1]
     fac = 2.0 * np.pi * 1j
-    adv = np.empty_like(X)
-    adv[:2] = fac * (grid.k1 * P[:, 0] + grid.k2 * P[:, 1])
-    adv[2:] = fac * (grid.k1 * P[0] + grid.k2 * P[1])
-    adv = dealias_coef(grid, adv)
+    half = np.empty((4, n, c + 1), dtype=np.complex128)
+    half[:2] = fac * (k1 * P[:, 0] + k2 * P[:, 1])
+    half[2:] = fac * (k1 * P[0] + k2 * P[1])
+    half *= mask
+    adv = full_spectrum(grid, half)
     adv[:, 0, 0] = 0.0
     speed = max(float(np.max(np.sum(v * v, axis=0))),
                 float(np.max(np.sum(w * w, axis=0)))) ** 0.5
     return adv, speed
+
+
+def project_pair(grid: Grid, X: np.ndarray) -> np.ndarray:
+    """Leray projection of v and of w in a stacked (4, n, n) array, in one call."""
+    n = grid.n
+    return leray_project_coef(grid, X.reshape(2, 2, n, n)).reshape(4, n, n)
 
 
 def norms(grid: Grid, X: np.ndarray):
@@ -207,50 +221,55 @@ def norms(grid: Grid, X: np.ndarray):
 # IMEX stepper
 
 
-def _diffusion_apply(params: ElsasserParams, ksq: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """L X with state X = (v1, v2, w1, w2) stacked along axis 0."""
-    kap = FOUR_PI_SQ * ksq
-    return -kap * (params.alpha * X + params.beta * X[[2, 3, 0, 1]])
+def _implicit_operators(grid: Grid, params: ElsasserParams, dt: float,
+                        damping: tuple | None):
+    """Per-mode operators of one Crank-Nicolson step with implicit damping D.
 
+    L = -4 pi^2 |k|^2 (alpha I + beta S), where S swaps v and w, so
+    I + dt/2 L = p I + q S and (I - dt/2 L)^-1 = a I + b S with real
+    (n, n) coefficients.  I - dt/2 L = a0 I + b0 S has the determinant
+    (a0 - b0)(a0 + b0) > 0, since a0 - |b0| = 1 + dt/2 4 pi^2 |k|^2 nu_bar.
+    D is zero off the modes idx, so (I - dt/2 L + dt D)^-1 is a I + b S
+    there as well; at idx it is the real (s, 4, 4) block inverse `inv`.
 
-def _build_implicit_inverse(grid: Grid, params: ElsasserParams, dt: float,
-                            damping: np.ndarray | None) -> np.ndarray:
-    """(I - dt/2 L + dt*damping)^-1 per mode, flattened to (n*n, 4, 4).
-
-    L = -4 pi^2 |k|^2 K, where the coupling K = alpha I + beta S and S
-    swaps v and w, as in _diffusion_apply.
+    Returns ((p, q), (a, b), (idx, inv)).
     """
-    m = grid.n * grid.n
+    half = 0.5 * dt * FOUR_PI_SQ * grid.ksq
+    ha, hb = half * params.alpha, half * params.beta
+    a0, b0 = 1.0 + ha, hb
+    det = (a0 - b0) * (a0 + b0)
+    if damping is None:
+        idx, blocks = np.zeros(0, dtype=np.intp), np.zeros((0, 4, 4))
+    else:
+        idx, blocks = damping
     eye = np.eye(4)
-    K = params.alpha * eye + params.beta * eye[[2, 3, 0, 1]]
-    kap = FOUR_PI_SQ * grid.ksq.reshape(m, 1, 1)
-    A = np.eye(4, dtype=np.complex128) + (0.5 * dt * kap) * K
-    if damping is not None:
-        A += dt * damping.reshape(m, 4, 4)
-    return np.linalg.inv(A)
+    swap = eye[[2, 3, 0, 1]]  # S on (v1, v2, w1, w2)
+    A = (a0.ravel()[idx, None, None] * eye + b0.ravel()[idx, None, None] * swap
+         + dt * blocks)
+    return (1.0 - ha, -hb), (a0 / det, -b0 / det), (idx, np.linalg.inv(A))
 
 
 class MhdStepper:
     """Owns one evolving (v, w) state and advances it with the IMEX scheme.
 
-    `damping` is an optional per-mode (n, n, 4, 4) linear operator added
-    implicitly to the left-hand side (used for the nudging self-damping
-    term); the matching data term is supplied per step via `extra_plain`.
+    `damping` is an optional linear operator added implicitly to the
+    left-hand side (used for the nudging self-damping term).  It is given
+    as (flat mode indices idx, real (s, 4, 4) blocks acting on
+    (v1, v2, w1, w2) at those modes) and is zero at every other mode; the
+    matching data term is supplied per step via `extra_plain`.
     """
 
     def __init__(self, grid: Grid, params: ElsasserParams, forcing: ForcingSpec,
-                 dt: float, damping: np.ndarray | None = None):
+                 dt: float, damping: tuple | None = None):
         if dt <= 0:
             raise ValueError("dt must be positive")
         self.grid = grid
         self.params = params
-        self.forcing = forcing
         self.dt = dt
-        self._ainv = _build_implicit_inverse(grid, params, dt, damping)
+        self._half_step, self._inverse, self._band = _implicit_operators(
+            grid, params, dt, damping)
         self.X = np.zeros((4, grid.n, grid.n), dtype=np.complex128)
-        self.t = 0.0
-        self.step_count = 0
-        self._prev_expl: np.ndarray | None = None
+        self.restart(forcing=forcing)
 
     # -- state accessors ----------------------------------------------------
 
@@ -267,7 +286,16 @@ class MhdStepper:
         self.step_count = 0
         self._prev_expl = None
         if forcing is not None:
-            self.forcing = forcing
+            self._forcing = forcing
+            # P[m(t) (f, g)] = m(t) P[(f, g)]: project once, scale per step
+            self._projected_forcing = project_pair(
+                self.grid, np.concatenate([forcing.f, forcing.g]))
+
+    @property
+    def forcing(self) -> ForcingSpec:
+        """Read-only: restart(forcing=...) replaces it together with its
+        projection."""
+        return self._forcing
 
     # -- norms --------------------------------------------------------------
 
@@ -280,10 +308,22 @@ class MhdStepper:
     def _explicit_terms(self):
         """Projected forcing minus advection, plus the physical-space max speed."""
         adv, speed = advection(self.grid, self.X)
-        E = np.empty_like(adv)
-        E[:2] = leray_project_coef(self.grid, self.forcing.f_coef(self.t) - adv[:2])
-        E[2:] = leray_project_coef(self.grid, self.forcing.g_coef(self.t) - adv[2:])
+        m = self.forcing.modulation.value(self.t)
+        E = project_pair(self.grid, adv)
+        np.subtract(m * self._projected_forcing, E, out=E)
         return E, speed
+
+    def _implicit_solve(self, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """(I - dt/2 L + dt*damping)^-1 rhs for a stacked (4, n, n) rhs,
+        written to the C-contiguous `out`, which must not overlap rhs."""
+        a, b = self._inverse
+        np.multiply(a, rhs, out=out)
+        out[:2] += b * rhs[2:]
+        out[2:] += b * rhs[:2]
+        idx, inv = self._band
+        out.reshape(4, -1)[:, idx] = np.einsum("sij,js->is", inv,
+                                               rhs.reshape(4, -1)[:, idx])
+        return out
 
     def max_admissible_dt(self, speed: float) -> float:
         if speed == 0.0:
@@ -303,19 +343,20 @@ class MhdStepper:
         if self.dt > adm:
             raise CflError(self.dt, adm)
         if extra_ab is not None:
-            E = E + extra_ab
+            E += extra_ab
         if self._prev_expl is None:
-            expl = E  # startup Euler step for the multistep part
+            rhs = self.dt * E  # startup Euler step for the multistep part
         else:
-            expl = 1.5 * E - 0.5 * self._prev_expl
+            rhs = (1.5 * self.dt) * E
+            rhs -= (0.5 * self.dt) * self._prev_expl
         self._prev_expl = E
-        rhs = self.X + 0.5 * self.dt * _diffusion_apply(
-            self.params, self.grid.ksq, self.X) + self.dt * expl
+        p, q = self._half_step
+        rhs += p * self.X
+        rhs[:2] += q * self.X[2:]
+        rhs[2:] += q * self.X[:2]
         if extra_plain is not None:
-            rhs = rhs + self.dt * extra_plain
-        n = self.grid.n
-        self.X = np.einsum("mij,jm->im", self._ainv, rhs.reshape(4, -1),
-                           order="C").reshape(4, n, n)
+            rhs += self.dt * extra_plain
+        self._implicit_solve(rhs, out=self.X)
         self.X[:, 0, 0] = 0.0
         self.t += self.dt
         self.step_count += 1

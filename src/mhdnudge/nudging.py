@@ -3,9 +3,10 @@
 The assimilating system is the reference system plus the feedback term
 mu * P[I_h(observed - model)] applied through an observation mask.  For
 spectral-projection interpolants the self-damping half of the feedback is
-folded into the implicit per-mode solve (the theorem-scale gains would
-otherwise force dt ~ 1/mu); for the other interpolant kinds the feedback
-is explicit, with the stability restriction mu*dt <= 1.
+folded into the implicit solve as dense 4x4 blocks on the observed modes,
+the only modes where it acts (the theorem-scale gains would otherwise
+force dt ~ 1/mu); for the other interpolant kinds the feedback is
+explicit, with the stability restriction mu*dt <= 1.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .dynamics import (
     MhdStepper,
     Trajectory,
     norms,
+    project_pair,
     spin_up,
     trajectory_row,
 )
@@ -30,9 +32,10 @@ from .interpolants import (
     MASK_ALL,
     SPECTRAL,
     InterpolantSpec,
+    apply_interpolant_coef,
     apply_masked,
 )
-from .spectral import Grid, divergence_defect, l2_norm, leray_project_coef
+from .spectral import Grid, divergence_defect, l2_norm
 
 
 @dataclass
@@ -67,26 +70,31 @@ def nudging_term(config: NudgingConfig, grid: Grid, eta: np.ndarray,
     alone for the implicit data term.
     """
     fv, fw = apply_masked(config.interpolant, config.mask, grid, eta, zeta)
-    out = np.empty((4, grid.n, grid.n), dtype=np.complex128)
-    out[:2] = config.mu * leray_project_coef(grid, fv)
-    out[2:] = config.mu * leray_project_coef(grid, fw)
-    return out
+    return config.mu * project_pair(grid, np.concatenate([fv, fw]))
 
 
-def _observation_matrix(grid: Grid, config: NudgingConfig) -> np.ndarray:
-    """Per-mode (n, n, 4, 4) matrix of nudging_term for the spectral
-    projection interpolant.
+def _observation_blocks(grid: Grid, config: NudgingConfig):
+    """nudging_term for the spectral projection interpolant as (idx, blocks):
+    the flat indices of the observed modes and the real (s, 4, 4) matrix of
+    nudging_term at each of them.
 
-    That interpolant, every mask and P act mode by mode, so column j of each
+    That interpolant, every mask and P act mode by mode, so column j of a
     mode's matrix is nudging_term applied to the constant unit field e_j.
+    Every mask observes through I_h, so nudging_term is zero wherever I_h
+    drops the mode.
     """
     if config.interpolant.kind != SPECTRAL:
         raise ValueError("implicit feedback requires the spectral interpolant")
-    units = np.zeros((4, 4, grid.n, grid.n), dtype=np.complex128)
-    units[np.arange(4), np.arange(4)] = 1.0
-    cols = np.stack([nudging_term(config, grid, e[:2], e[2:]).real
-                     for e in units], axis=-1)  # cols[i, x, y, j]
-    return np.moveaxis(cols, 0, 2)
+    n = grid.n
+    observed = apply_interpolant_coef(config.interpolant, grid, np.ones((n, n)))
+    idx = np.flatnonzero(observed)
+    blocks = np.empty((idx.size, 4, 4))
+    for j in range(4):
+        e = np.zeros((4, n, n), dtype=np.complex128)
+        e[j] = 1.0
+        col = nudging_term(config, grid, e[:2], e[2:]).reshape(4, -1)
+        blocks[:, :, j] = col[:, idx].real.T
+    return idx, blocks
 
 
 def _pair_coef(pair: ForcingSpec, t: float) -> np.ndarray:
@@ -106,8 +114,11 @@ class CoupledStepper:
                 f"explicit nudging needs mu*dt <= 1; max admissible dt "
                 f"is {1.0 / config.mu:.3e}")
         self.reference = MhdStepper(grid, params, forcing, dt)
-        damping = _observation_matrix(grid, config) if self.implicit else None
+        damping = _observation_blocks(grid, config) if self.implicit else None
         self.assimilated = MhdStepper(grid, params, forcing, dt, damping=damping)
+        # P[m(t) delta] = m(t) P[delta], as for the forcing
+        self._projected_delta = None if config.delta is None else project_pair(
+            grid, np.concatenate([config.delta.f, config.delta.g]))
 
     def _observed(self) -> np.ndarray:
         """The observed reference state: its X plus the observation error."""
@@ -121,9 +132,7 @@ class CoupledStepper:
         assim = self.assimilated
         delta = None
         if cfg.delta is not None:
-            d = _pair_coef(cfg.delta, assim.t)
-            delta = np.concatenate([leray_project_coef(grid, d[:2]),
-                                    leray_project_coef(grid, d[2:])])
+            delta = cfg.delta.modulation.value(assim.t) * self._projected_delta
         if self.implicit:
             # observation of the reference at the *new* time level, matching
             # the implicitly treated damping so a synchronized pair stays a

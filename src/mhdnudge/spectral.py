@@ -14,7 +14,7 @@ equations assume zero space average).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -98,17 +98,34 @@ def forward_transform(grid: Grid, samples: np.ndarray):
 
 
 def leray_project_coef(grid: Grid, coef: np.ndarray) -> np.ndarray:
-    """c -> c - k (k.c)/|k|^2 on raw (2,n,n) coefficients."""
-    kd = (grid.k1 * coef[0] + grid.k2 * coef[1]) * grid.inv_ksq
+    """c -> c - k (k.c)/|k|^2 on raw (..., 2, n, n) coefficients: the
+    component axis is third from last, so a stacked (v, w) pair is
+    projected by one call on its (2, 2, n, n) view."""
+    kd = (grid.k1 * coef[..., 0, :, :] + grid.k2 * coef[..., 1, :, :]) * grid.inv_ksq
     out = np.empty_like(coef)
-    out[0] = coef[0] - grid.k1 * kd
-    out[1] = coef[1] - grid.k2 * kd
-    out[:, 0, 0] = 0.0
+    out[..., 0, :, :] = coef[..., 0, :, :] - grid.k1 * kd
+    out[..., 1, :, :] = coef[..., 1, :, :] - grid.k2 * kd
+    out[..., 0, 0] = 0.0
     return out
 
 
 def dealias_coef(grid: Grid, coef: np.ndarray) -> np.ndarray:
     return coef * grid.dealias_mask
+
+
+def full_spectrum(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """(..., n, n) coefficients of a real field from its columns
+    k2 = 0..c, a (..., n, c + 1) array with c < n/2.
+
+    Columns k2 = -c..-1 are the conjugate mirror c(k1, k2) = c(-k1, -k2)^*
+    and every column with |k2| > c is zero.
+    """
+    n = grid.n
+    c = half.shape[-1] - 1
+    out = np.zeros(half.shape[:-1] + (n,), dtype=np.complex128)
+    out[..., : c + 1] = half
+    out[..., n - c:] = np.conj(half[..., -np.arange(n) % n, c:0:-1])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +149,20 @@ def h2_seminorm(grid: Grid, coef: np.ndarray) -> float:
 # field construction
 
 
+@lru_cache(maxsize=None)
+def _band_shaping(n: int, decay: float, k_max: int) -> np.ndarray:
+    """|k|^-decay on the band 0 < |k| <= k_max, zero elsewhere, over the
+    columns k2 = 0..k_max of an n x n grid.  Read-only, as it is shared by
+    every call with the same arguments."""
+    k = np.fft.fftfreq(n, 1.0 / n)
+    kmag = np.sqrt(k[:, None] ** 2 + k[None, : k_max + 1] ** 2)
+    shaping = np.zeros_like(kmag)
+    band = (kmag > 0) & (kmag <= k_max)
+    shaping[band] = kmag[band] ** (-decay)
+    shaping.setflags(write=False)
+    return shaping
+
+
 def _band_noise(grid: Grid, seed: int, shape: tuple, decay: float,
                 k_max: int | None) -> np.ndarray:
     """Coefficients of Gaussian noise of `shape` shaped by |k|^-decay on the
@@ -141,13 +172,9 @@ def _band_noise(grid: Grid, seed: int, shape: tuple, decay: float,
         raise ValueError(f"k_max={k_max} exceeds dealias cutoff {grid.cutoff}")
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(shape)
-    coef = np.fft.fft2(noise, axes=(-2, -1)) / grid.n ** 2
-    kmag = np.sqrt(grid.ksq)
-    shaping = np.zeros_like(kmag)
-    band = (kmag > 0) & (kmag <= k_max)
-    shaping[band] = kmag[band] ** (-decay)
-    coef *= shaping
-    return coef
+    half = np.fft.rfft2(noise)[..., : k_max + 1] / grid.n ** 2
+    half *= _band_shaping(grid.n, decay, k_max)
+    return full_spectrum(grid, half)
 
 
 def random_divfree_field(

@@ -32,6 +32,13 @@ def forcing32(grid32):
     return ForcingSpec(f, g)
 
 
+def diffusion(grid, params, X):
+    """L X = -4 pi^2 |k|^2 (alpha X + beta S X) of a stacked (4, n, n) X,
+    S swapping v and w."""
+    return -4.0 * np.pi ** 2 * grid.ksq * (params.alpha * X
+                                            + params.beta * X[[2, 3, 0, 1]])
+
+
 def inverse_transform(grid, coef):
     """Physical samples of raw coefficients, the inverse of forward_transform
     for a mean-zero field."""

@@ -9,7 +9,6 @@ from mhdnudge.dynamics import (
     ForcingSpec,
     MhdStepper,
     Modulation,
-    _diffusion_apply,
     advection,
     derive_elsasser_params,
     energy_budget,
@@ -22,12 +21,13 @@ from mhdnudge.dynamics import (
 from mhdnudge.spectral import (
     Grid,
     dealias_coef,
+    forward_transform,
     l2_norm,
     leray_project_coef,
     random_divfree_field,
 )
 
-from conftest import normalized_field, record_trajectory
+from conftest import diffusion, normalized_field, record_trajectory
 
 
 def shear_mode(grid, amplitude=1.0):
@@ -183,7 +183,7 @@ def test_stepper_tendency_matches_mhd(re, rm):
     st = MhdStepper(g, p, zero_forcing(g), 1e-3)
     st.set_state(*to_elsasser(u, b))
     explicit, _ = st._explicit_terms()
-    got = _diffusion_apply(p, g.ksq, st.X) + explicit
+    got = diffusion(g, p, st.X) + explicit
     expected = np.concatenate(to_elsasser(*mhd_tendency(g, p, u, b)))
     assert l2_norm(got - expected) <= 1e-13 * l2_norm(expected)
 
@@ -196,6 +196,37 @@ def test_advection_matches_advective_form(n):
     adv, _ = advection(g, np.concatenate([v, w]))
     expected = np.concatenate([advective_form(g, w, v), advective_form(g, v, w)])
     assert np.max(np.abs(adv - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def advection_full_fft(grid, X):
+    """Reference advection: the same divergence form with a full complex
+    fft2 of the four products, differentiated and dealiased on all modes."""
+    n2 = grid.n ** 2
+    Xd = dealias_coef(grid, X)
+    phys = np.fft.irfft2(Xd[..., : grid.n // 2 + 1], s=(grid.n, grid.n)) * n2
+    v, w = phys[:2], phys[2:]
+    P = np.fft.fft2(v[:, None] * w[None, :]) / n2  # P[i, j] = (v_i w_j)^
+    fac = 2.0 * np.pi * 1j
+    adv = np.empty_like(X)
+    adv[:2] = fac * (grid.k1 * P[:, 0] + grid.k2 * P[:, 1])
+    adv[2:] = fac * (grid.k1 * P[0] + grid.k2 * P[1])
+    adv = dealias_coef(grid, adv)
+    adv[:, 0, 0] = 0.0
+    speed = max(float(np.max(np.sum(v * v, axis=0))),
+                float(np.max(np.sum(w * w, axis=0)))) ** 0.5
+    return adv, speed
+
+
+@pytest.mark.parametrize("n", [16, 48])
+def test_advection_matches_full_fft(n):
+    # n=48 puts the cutoff at exactly n/3; the state has energy on every
+    # mode, so the input dealiasing is exercised too
+    g = Grid(n)
+    X, _ = forward_transform(g, np.random.default_rng(n).standard_normal((4, n, n)))
+    adv, speed = advection(g, X)
+    expected, expected_speed = advection_full_fft(g, X)
+    assert np.max(np.abs(adv - expected)) <= 1e-13 * np.max(np.abs(expected))
+    assert speed == expected_speed
 
 
 def test_advection_skew_symmetry():

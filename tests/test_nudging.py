@@ -3,7 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from mhdnudge.dynamics import ForcingSpec, MhdStepper, Modulation, norms, spin_up
+from mhdnudge.dynamics import (
+    ForcingSpec,
+    MhdStepper,
+    Modulation,
+    derive_elsasser_params,
+    norms,
+    spin_up,
+)
 from mhdnudge.interpolants import (
     MASK_ALL,
     MASK_B_ONLY,
@@ -21,9 +28,9 @@ from mhdnudge.nudging import (
     nudging_term,
     run_assimilation,
 )
-from mhdnudge.spectral import divergence_defect, l2_norm
+from mhdnudge.spectral import Grid, divergence_defect, l2_norm
 
-from conftest import normalized_field
+from conftest import diffusion, normalized_field
 
 
 def spec_config(mu=20.0, mask=MASK_ALL, kind=SPECTRAL, h=0.125, **kw):
@@ -125,16 +132,82 @@ def test_nudging_term_scales_with_mu(grid32):
 
 
 def test_observation_matrix_matches_nudging_term(grid32):
-    # the folded-in implicit operator must agree with the explicit feedback
-    from mhdnudge.nudging import _observation_matrix
+    # the folded-in implicit operator must agree with the explicit feedback:
+    # the blocks on their modes, and zero at every other mode
+    from mhdnudge.nudging import _observation_blocks
     eta, zeta = seeded_diff(grid32)
-    diff = np.concatenate([eta, zeta])
+    diff = np.concatenate([eta, zeta]).reshape(4, -1)
     for mask, h in itertools.product(ALL_MASKS, (0.125, 0.0625)):
         cfg = spec_config(mu=17.0, mask=mask, h=h)
         term = nudging_term(cfg, grid32, eta, zeta)
-        M = _observation_matrix(grid32, cfg)
-        applied = np.einsum("xyij,jxy->ixy", M, diff)
-        np.testing.assert_allclose(applied, term, atol=1e-11)
+        idx, blocks = _observation_blocks(grid32, cfg)
+        applied = np.zeros_like(diff)
+        applied[:, idx] = np.einsum("sij,js->is", blocks, diff[:, idx])
+        np.testing.assert_allclose(applied.reshape(term.shape), term, atol=1e-11)
+
+
+def dense_implicit_operator(grid, params, dt, config=None):
+    """I - dt/2 L + dt D as a dense (4n^2, 4n^2) matrix, column by column,
+    with D = nudging_term(config) (zero without a config)."""
+    m = 4 * grid.n ** 2
+    A = np.empty((m, m), dtype=complex)
+    for j in range(m):
+        e = np.zeros(m, dtype=complex)
+        e[j] = 1.0
+        e = e.reshape(4, grid.n, grid.n)
+        col = e - 0.5 * dt * diffusion(grid, params, e)
+        if config is not None:
+            col = col + dt * nudging_term(config, grid, e[:2], e[2:])
+        A[:, j] = col.ravel()
+    return A
+
+
+@pytest.mark.parametrize("re, rm", [(5.0, 20.0), (20.0, 5.0), (5.0, 5.0)])
+def test_implicit_solve_matches_dense_solve(re, rm):
+    # the closed form plus band blocks against a dense solve, for either
+    # sign of beta, undamped and with every mask
+    g = Grid(16)
+    p = derive_elsasser_params(re, rm)
+    dt = 5e-3
+    rng = np.random.default_rng(3)
+    rhs = rng.standard_normal((4, 16, 16)) + 1j * rng.standard_normal((4, 16, 16))
+    z = np.zeros((2, 16, 16), dtype=complex)
+    for mask in ALL_MASKS:
+        cfg = spec_config(mu=80.0, mask=mask, h=0.25)
+        cs = CoupledStepper(g, p, ForcingSpec(z, z), cfg, dt)
+        for stepper, config in ((cs.reference, None), (cs.assimilated, cfg)):
+            want = np.linalg.solve(dense_implicit_operator(g, p, dt, config),
+                                   rhs.ravel()).reshape(rhs.shape)
+            got = stepper._implicit_solve(rhs, out=np.empty_like(rhs))
+            assert l2_norm(got - want) <= 1e-13 * l2_norm(want)
+
+
+def _arrays(stepper):
+    """Every array a stepper holds, also inside tuple attributes."""
+    for value in vars(stepper).values():
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                yield item
+
+
+def test_steppers_hold_no_per_mode_matrix(params):
+    # the solve keeps real (n, n) coefficients, plus 4x4 blocks only on the
+    # observed modes: 17^2 - 1 = 288 of them for h = 1/8 at n = 64
+    g = Grid(64)
+    z = np.zeros((2, 64, 64), dtype=complex)
+    cs = CoupledStepper(g, params, ForcingSpec(z, z), spec_config(mu=50.0), 2e-3)
+    ref, assim = cs.reference, cs.assimilated
+    assert ref._band[0].size == 0
+    for arr in _arrays(ref):
+        if arr.shape == (64, 64):
+            assert arr.dtype == np.float64
+        else:
+            assert arr.size == 0 or arr.shape == (4, 64, 64)
+    idx, inv = assim._band
+    assert idx.shape == (288,)
+    assert inv.shape == (288, 4, 4) and inv.dtype == np.float64
+    for arr in list(_arrays(ref)) + list(_arrays(assim)):
+        assert arr.size <= 4 * 64 * 64
 
 
 def test_explicit_kind_requires_mu_dt_bound(grid32, params, forcing32):

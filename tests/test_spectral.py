@@ -167,3 +167,28 @@ def test_random_field_kmax_beyond_cutoff_rejected():
     g = Grid(32)
     with pytest.raises(ValueError):
         random_divfree_field(g, 0, 2.0, 11)
+
+
+def band_noise_full_fft(grid, seed, shape, decay, k_max):
+    """Reference _band_noise: a full complex fft2 of the noise, shaped on
+    every mode."""
+    k_max = grid.cutoff if k_max is None else k_max
+    noise = np.random.default_rng(seed).standard_normal(shape)
+    coef = np.fft.fft2(noise) / grid.n ** 2
+    kmag = np.sqrt(grid.ksq)
+    band = (kmag > 0) & (kmag <= k_max)
+    shaping = np.zeros_like(kmag)
+    shaping[band] = kmag[band] ** (-decay)
+    return coef * shaping
+
+
+@pytest.mark.parametrize("n", [16, 48])
+def test_band_noise_matches_full_fft(n):
+    from mhdnudge.spectral import _band_noise
+    g = Grid(n)
+    for shape, decay, k_max in (((n, n), 1.0, None), ((2, n, n), 2.0, None),
+                                ((2, n, n), 2.0, 4), ((n, n), 1.5, 1)):
+        got = _band_noise(g, 7, shape, decay, k_max)
+        want = band_noise_full_fft(g, 7, shape, decay, k_max)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
