@@ -14,7 +14,9 @@ Crank-Nicolson on the coupled diffusion block, Adams-Bashforth 2 on
 advection and forcing, explicit Euler on the first step.  The diffusion
 block couples v and w only through beta, so its Crank-Nicolson solve is a
 closed form per mode; an implicit damping term (the nudging feedback) is
-solved with dense 4x4 blocks on the modes where it acts.
+solved with dense 4x4 blocks on the modes where it acts.  The state is
+real, so the stepper keeps only its half spectrum, the columns
+k2 = 0..n/2, and every per-mode operation acts on that half.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Grid, full_spectrum, l2_norm, leray_project_coef
+from .spectral import Grid, dealias_coef, l2_norm, leray_project_coef
 
 FOUR_PI_SQ = 4.0 * np.pi ** 2
 # admissible dt = CFL_SAFETY / (n * max speed)
@@ -169,51 +171,70 @@ def grashof_number(forcing: ForcingSpec, params: ElsasserParams) -> float:
 # right-hand side
 
 
-def advection(grid: Grid, X: np.ndarray):
-    """Dealiased ((w.grad)v, (v.grad)w) of the stacked state X = (v1, v2, w1, w2),
-    as raw (4, n, n) coefs, and the physical-space maximum speed of v and w.
+def advection(grid: Grid, X: np.ndarray, out: np.ndarray | None = None,
+              products: np.ndarray | None = None):
+    """P[(w.grad)v] and P[(v.grad)w] of the stacked state X = (v1, v2, w1, w2)
+    on the columns k2 = 0..cutoff, a (4, n, cutoff + 1) band that is zero
+    past the dealias cutoff, and the physical-space maximum speed of v and w.
 
-    Divergence form: for divergence-free v and w, (w.grad)v_i = d_j(w_j v_i)
-    and (v.grad)w_i = d_j(v_j w_i), so both terms come from the four products
-    v_i w_j.  Inputs and result are 2/3-rule dealiased.  The products are
-    real, so only their columns k2 = 0..cutoff are transformed and
-    differentiated; full_spectrum fills in the rest.
+    X may be the half spectrum or the full one: only its columns
+    0..cutoff are read.  Divergence form: for divergence-free v and w,
+    (w.grad)v_i = d_j(w_j v_i) and (v.grad)w_i = d_j(v_j w_i), so both terms
+    come from the four products v_i w_j.  Inputs and result are 2/3-rule
+    dealiased.  `out` receives the band and `products` the (2, 2, n, n/2 + 1)
+    rfft2 of the products; both are allocated when not given.
     """
     n = grid.n
     n2 = n * n
     c = grid.cutoff
-    mask = grid.dealias_mask[:, : c + 1]
-    # irfft2 zero-pads the columns c+1..n/2
-    phys = np.fft.irfft2(X[..., : c + 1] * mask, s=(n, n)) * n2
+    # irfft2 zero-pads the columns c+1..n/2; no out= here, since numpy 2.4.6
+    # leaves wrong values in irfft2's out array
+    phys = np.fft.irfft2(dealias_coef(grid, X[..., : c + 1]), s=(n, n))
+    phys *= n2
     v, w = phys[:2], phys[2:]
-    P = np.fft.rfft2(v[:, None] * w[None, :])[..., : c + 1] / n2  # (v_i w_j)^
+    P = np.fft.rfft2(v[:, None] * w[None, :], out=products)[..., : c + 1]
+    P /= n2  # (v_i w_j)^
     k1, k2 = grid.k1[:, : c + 1], grid.k2[:, : c + 1]
+    if out is None:
+        out = np.empty((4, n, c + 1), dtype=np.complex128)
     fac = 2.0 * np.pi * 1j
-    half = np.empty((4, n, c + 1), dtype=np.complex128)
-    half[:2] = fac * (k1 * P[:, 0] + k2 * P[:, 1])
-    half[2:] = fac * (k1 * P[0] + k2 * P[1])
-    half *= mask
-    adv = full_spectrum(grid, half)
-    adv[:, 0, 0] = 0.0
+    np.multiply(fac, k1 * P[:, 0] + k2 * P[:, 1], out=out[:2])
+    np.multiply(fac, k1 * P[0] + k2 * P[1], out=out[2:])
+    dealias_coef(grid, out, out=out)
+    project_pair(grid, out, out=out)
     speed = max(float(np.max(np.sum(v * v, axis=0))),
                 float(np.max(np.sum(w * w, axis=0)))) ** 0.5
-    return adv, speed
+    return out, speed
 
 
-def project_pair(grid: Grid, X: np.ndarray) -> np.ndarray:
-    """Leray projection of v and of w in a stacked (4, n, n) array, in one call."""
-    n = grid.n
-    return leray_project_coef(grid, X.reshape(2, 2, n, n)).reshape(4, n, n)
+def project_pair(grid: Grid, X: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Leray projection of v and of w in a stacked (4, n, w) array, in one
+    call; `out` may be X itself."""
+    shape = (2, 2) + X.shape[1:]
+    if out is None:
+        out = np.empty_like(X)
+    leray_project_coef(grid, X.reshape(shape), out=out.reshape(shape))
+    return out
+
+
+def project_half(grid: Grid, pair: ForcingSpec) -> np.ndarray:
+    """P[(f, g)] of a forcing pair as a (4, n, n/2 + 1) half array, without
+    its envelope; since P[m(t) (f, g)] = m(t) P[(f, g)], the stepper scales
+    it per step."""
+    h = grid.half_width
+    return project_pair(grid, np.concatenate([pair.f[..., :h], pair.g[..., :h]]))
 
 
 def norms(grid: Grid, X: np.ndarray):
-    """(l2_v, l2_w, h1_v, h1_w) of a stacked (4, n, n) array X = (v, w)."""
-    av = np.abs(X[:2]) ** 2
-    aw = np.abs(X[2:]) ** 2
-    l2v = np.sqrt(av.sum())
-    l2w = np.sqrt(aw.sum())
-    h1v = 2.0 * np.pi * np.sqrt((grid.ksq * av).sum())
-    h1w = 2.0 * np.pi * np.sqrt((grid.ksq * aw).sum())
+    """(l2_v, l2_w, h1_v, h1_w) of a stacked (4, n, n/2 + 1) half spectrum
+    X = (v, w), with the Parseval weights of its columns."""
+    a = np.abs(X)
+    np.square(a, out=a)
+    a *= grid.parseval_weights
+    l2v, l2w = np.sqrt(a.reshape(2, -1).sum(axis=1))
+    a *= grid.ksq[:, : X.shape[-1]]
+    h1v, h1w = 2.0 * np.pi * np.sqrt(a.reshape(2, -1).sum(axis=1))
     return float(l2v), float(l2w), float(h1v), float(h1w)
 
 
@@ -223,18 +244,19 @@ def norms(grid: Grid, X: np.ndarray):
 
 def _implicit_operators(grid: Grid, params: ElsasserParams, dt: float,
                         damping: tuple | None):
-    """Per-mode operators of one Crank-Nicolson step with implicit damping D.
+    """Per-mode operators of one Crank-Nicolson step with implicit damping D,
+    on the half spectrum.
 
     L = -4 pi^2 |k|^2 (alpha I + beta S), where S swaps v and w, so
     I + dt/2 L = p I + q S and (I - dt/2 L)^-1 = a I + b S with real
-    (n, n) coefficients.  I - dt/2 L = a0 I + b0 S has the determinant
+    (n, n/2 + 1) coefficients.  I - dt/2 L = a0 I + b0 S has the determinant
     (a0 - b0)(a0 + b0) > 0, since a0 - |b0| = 1 + dt/2 4 pi^2 |k|^2 nu_bar.
     D is zero off the modes idx, so (I - dt/2 L + dt D)^-1 is a I + b S
     there as well; at idx it is the real (s, 4, 4) block inverse `inv`.
 
     Returns ((p, q), (a, b), (idx, inv)).
     """
-    half = 0.5 * dt * FOUR_PI_SQ * grid.ksq
+    half = 0.5 * dt * FOUR_PI_SQ * grid.ksq[:, : grid.half_width]
     ha, hb = half * params.alpha, half * params.beta
     a0, b0 = 1.0 + ha, hb
     det = (a0 - b0) * (a0 + b0)
@@ -252,11 +274,20 @@ def _implicit_operators(grid: Grid, params: ElsasserParams, dt: float,
 class MhdStepper:
     """Owns one evolving (v, w) state and advances it with the IMEX scheme.
 
+    The state `X` is the (4, n, n/2 + 1) half spectrum of (v1, v2, w1, w2),
+    the columns k2 = 0..n/2 (see `spectral`); read it through `norms`,
+    which applies the Parseval weights.  Forcing and initial states are
+    given as full (2, n, n) arrays and sliced to the half here.  An advance
+    allocates no state-sized array: it works in two explicit-term buffers
+    that swap roles as the Adams-Bashforth history, a right-hand side, the
+    advection band and the rfft2 output of the advection products.
+
     `damping` is an optional linear operator added implicitly to the
     left-hand side (used for the nudging self-damping term).  It is given
-    as (flat mode indices idx, real (s, 4, 4) blocks acting on
-    (v1, v2, w1, w2) at those modes) and is zero at every other mode; the
-    matching data term is supplied per step via `extra_plain`.
+    as (flat indices idx into the (n, n/2 + 1) half-spectrum modes, real
+    (s, 4, 4) blocks acting on (v1, v2, w1, w2) at those modes) and is zero
+    at every other mode; the matching data term is supplied per step via
+    `extra_plain`.
     """
 
     def __init__(self, grid: Grid, params: ElsasserParams, forcing: ForcingSpec,
@@ -266,16 +297,25 @@ class MhdStepper:
         self.grid = grid
         self.params = params
         self.dt = dt
-        self._half_step, self._inverse, self._band = _implicit_operators(
+        self._half_step, self._inverse, self._blocks = _implicit_operators(
             grid, params, dt, damping)
-        self.X = np.zeros((4, grid.n, grid.n), dtype=np.complex128)
+        n, h = grid.n, grid.half_width
+        self.X = np.zeros((4, n, h), dtype=np.complex128)
+        # work buffers: (this step's E, the previous step's E), the
+        # right-hand side, the advection band and the rfft2 products
+        self._E = (np.empty_like(self.X), np.empty_like(self.X))
+        self._rhs = np.empty_like(self.X)
+        self._adv = np.empty((4, n, grid.cutoff + 1), dtype=np.complex128)
+        self._products = np.empty((2, 2, n, h), dtype=np.complex128)
         self.restart(forcing=forcing)
 
     # -- state accessors ----------------------------------------------------
 
     def set_state(self, vcoef: np.ndarray, wcoef: np.ndarray, t: float = 0.0):
-        self.X[0], self.X[1] = vcoef[0], vcoef[1]
-        self.X[2], self.X[3] = wcoef[0], wcoef[1]
+        """Set (v, w) from (2, n, n) full or (2, n, n/2 + 1) half arrays."""
+        h = self.grid.half_width
+        self.X[:2] = vcoef[..., :h]
+        self.X[2:] = wcoef[..., :h]
         self.X[:, 0, 0] = 0.0
         self.restart(t)
 
@@ -287,9 +327,9 @@ class MhdStepper:
         self._prev_expl = None
         if forcing is not None:
             self._forcing = forcing
-            # P[m(t) (f, g)] = m(t) P[(f, g)]: project once, scale per step
-            self._projected_forcing = project_pair(
-                self.grid, np.concatenate([forcing.f, forcing.g]))
+            self._projected_forcing = project_half(self.grid, forcing)
+            self._forcing_sq = float(np.sum(np.abs(forcing.f) ** 2)
+                                     + np.sum(np.abs(forcing.g) ** 2))
 
     @property
     def forcing(self) -> ForcingSpec:
@@ -303,26 +343,34 @@ class MhdStepper:
         """(l2_v, l2_w, h1_v, h1_w) of the current state."""
         return norms(self.grid, self.X)
 
+    def forcing_sq(self) -> float:
+        """||f||^2 + ||g||^2 of the forcing at the current time."""
+        return self.forcing.modulation.value(self.t) ** 2 * self._forcing_sq
+
     # -- stepping -----------------------------------------------------------
 
-    def _explicit_terms(self):
-        """Projected forcing minus advection, plus the physical-space max speed."""
-        adv, speed = advection(self.grid, self.X)
+    def _explicit_terms(self, E: np.ndarray) -> float:
+        """Projected forcing minus advection, written to E; returns the
+        physical-space max speed."""
+        adv, speed = advection(self.grid, self.X, self._adv, self._products)
         m = self.forcing.modulation.value(self.t)
-        E = project_pair(self.grid, adv)
-        np.subtract(m * self._projected_forcing, E, out=E)
-        return E, speed
+        np.multiply(m, self._projected_forcing, out=E)
+        E[..., : adv.shape[-1]] -= adv
+        return speed
 
     def _implicit_solve(self, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """(I - dt/2 L + dt*damping)^-1 rhs for a stacked (4, n, n) rhs,
-        written to the C-contiguous `out`, which must not overlap rhs."""
+        """(I - dt/2 L + dt*damping)^-1 rhs for a stacked (4, n, n/2 + 1) rhs,
+        written to the C-contiguous `out`, which must not overlap rhs; rhs
+        is overwritten."""
+        idx, inv = self._blocks
+        blocks = np.einsum("sij,js->is", inv, rhs.reshape(4, -1)[:, idx])
         a, b = self._inverse
         np.multiply(a, rhs, out=out)
-        out[:2] += b * rhs[2:]
-        out[2:] += b * rhs[:2]
-        idx, inv = self._band
-        out.reshape(4, -1)[:, idx] = np.einsum("sij,js->is", inv,
-                                               rhs.reshape(4, -1)[:, idx])
+        rhs[2:] *= b
+        out[:2] += rhs[2:]
+        rhs[:2] *= b
+        out[2:] += rhs[:2]
+        out.reshape(4, -1)[:, idx] = blocks
         return out
 
     def max_admissible_dt(self, speed: float) -> float:
@@ -336,31 +384,37 @@ class MhdStepper:
 
         extra_ab joins the Adams-Bashforth-extrapolated explicit terms at
         the current time level; extra_plain is added to the right-hand side
-        as-is (used for the implicitly balanced nudging data term).
+        as-is (used for the implicitly balanced nudging data term).  Both
+        are (4, n, n/2 + 1) half arrays.
         """
-        E, speed = self._explicit_terms()
+        # spare holds the previous E, if any; it is free once rhs has it
+        E, spare = self._E
+        speed = self._explicit_terms(E)
         adm = self.max_admissible_dt(speed)
         if self.dt > adm:
             raise CflError(self.dt, adm)
         if extra_ab is not None:
             E += extra_ab
+        rhs = self._rhs
         if self._prev_expl is None:
-            rhs = self.dt * E  # startup Euler step for the multistep part
+            np.multiply(self.dt, E, out=rhs)  # startup Euler step
         else:
-            rhs = (1.5 * self.dt) * E
-            rhs -= (0.5 * self.dt) * self._prev_expl
+            np.multiply(1.5 * self.dt, E, out=rhs)
+            rhs -= np.multiply(0.5 * self.dt, spare, out=spare)
         self._prev_expl = E
+        self._E = (spare, E)
         p, q = self._half_step
-        rhs += p * self.X
-        rhs[:2] += q * self.X[2:]
-        rhs[2:] += q * self.X[:2]
+        X = self.X
+        rhs += np.multiply(p, X, out=spare)
+        rhs[:2] += np.multiply(q, X[2:], out=spare[:2])
+        rhs[2:] += np.multiply(q, X[:2], out=spare[2:])
         if extra_plain is not None:
-            rhs += self.dt * extra_plain
-        self._implicit_solve(rhs, out=self.X)
-        self.X[:, 0, 0] = 0.0
+            rhs += np.multiply(self.dt, extra_plain, out=spare)
+        self._implicit_solve(rhs, out=X)
+        X[:, 0, 0] = 0.0
         self.t += self.dt
         self.step_count += 1
-        if self.step_count % 50 == 0 and not np.isfinite(self.X.view(np.float64)).all():
+        if self.step_count % 50 == 0 and not np.isfinite(X.view(np.float64)).all():
             raise BlowUpError(self.t, self.step_count)
 
 
@@ -394,10 +448,7 @@ class Trajectory:
 def trajectory_row(stepper: MhdStepper):
     """One Trajectory row of the stepper's current state: (t, l2_v, l2_w,
     h1_v, h1_w, ||f||^2 + ||g||^2)."""
-    fc = stepper.forcing.f_coef(stepper.t)
-    gc = stepper.forcing.g_coef(stepper.t)
-    f2 = float(np.sum(np.abs(fc) ** 2) + np.sum(np.abs(gc) ** 2))
-    return (stepper.t, *stepper.norms(), f2)
+    return (stepper.t, *stepper.norms(), stepper.forcing_sq())
 
 
 def energy_budget(traj: Trajectory, params: ElsasserParams):

@@ -13,6 +13,7 @@ Exit codes: 0 all checks passed, 2 invalid config, 3 numerical blow-up,
 from __future__ import annotations
 
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
@@ -508,8 +509,9 @@ def _scenario_determining(cfg: ExperimentConfig, outdir):
         diff = sol1.X - sol2.X
         l2_ih = norms(grid, apply_interpolant_coef(chi_spec, grid, diff))[:2]
         l2_diff = norms(grid, diff)[:2]
-        rows.append((sol1.t, *l2_ih, *l2_diff, l2_norm(sol1.X - aux.X),
-                     l2_norm(sol2.X - aux.X)))
+        rows.append((sol1.t, *l2_ih, *l2_diff,
+                     math.hypot(*norms(grid, sol1.X - aux.X)[:2]),
+                     math.hypot(*norms(grid, sol2.X - aux.X)[:2])))
 
     for i in range(n_steps + 1):
         record()

@@ -43,6 +43,7 @@ import numpy as np
 from .dynamics import from_elsasser
 from .spectral import (
     Grid,
+    full_spectrum,
     h1_seminorm,
     h2_seminorm,
     l2_norm,
@@ -130,21 +131,28 @@ def _weights(kind: str, n: int, resolution: int):
 
 def apply_interpolant_coef(spec: InterpolantSpec, grid: Grid,
                            coef: np.ndarray) -> np.ndarray:
-    """I_h on raw coefficients; supports stacked leading axes.
+    """I_h on raw coefficients, full (..., n, n) or half (..., n, n/2 + 1)
+    spectra; supports stacked leading axes.
 
     Complex-linear: on the coefficients of a real field it returns those of
-    a real field.
+    a real field.  The spectral mask acts per mode; the fold of volume and
+    nodal I_h gathers aliases from both half planes, so a half spectrum is
+    first rebuilt by the conjugate mirror, and only the result's first
+    columns are kept.
     """
     _check_grid(spec, grid)
     m, pre, post = _weights(spec.kind, grid.n, spec.resolution)
     s = grid.n // m
+    w = coef.shape[-1]
     if s == 1:
-        out = coef * post
+        out = coef * post[:, :w]
     else:
+        if w < grid.n:
+            coef = full_spectrum(grid, coef)
         x = coef if pre is None else coef * pre
         folded = x.reshape(*x.shape[:-2], s, m, s, m).sum(axis=(-4, -2))
-        out = np.tile(folded, (s, s))
-        out *= post
+        out = np.tile(folded, (s, s))[..., :w]
+        out *= post[:, :w]
     out[..., 0, 0] = 0.0
     return out
 

@@ -6,7 +6,8 @@ spectral-projection interpolants the self-damping half of the feedback is
 folded into the implicit solve as dense 4x4 blocks on the observed modes,
 the only modes where it acts (the theorem-scale gains would otherwise
 force dt ~ 1/mu); for the other interpolant kinds the feedback is
-explicit, with the stability restriction mu*dt <= 1.
+explicit, with the stability restriction mu*dt <= 1.  Like the steppers'
+states, the feedback and its inputs are (.., n, n/2 + 1) half spectra.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .dynamics import (
     MhdStepper,
     Trajectory,
     norms,
+    project_half,
     project_pair,
     spin_up,
     trajectory_row,
@@ -62,21 +64,28 @@ class NudgingConfig:
 
 
 def nudging_term(config: NudgingConfig, grid: Grid, eta: np.ndarray,
-                 zeta: np.ndarray) -> np.ndarray:
-    """mu * P[I_h masked(eta, zeta)] as a (4,n,n) array.
+                 zeta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """mu * P[I_h masked(eta, zeta)] as a (4, n, w) array, written to `out`
+    when it is given.
 
-    Linear in the raw (2,n,n) coefficient arrays eta and zeta, which are
-    observed minus model for the explicit feedback and the observation
-    alone for the implicit data term.
+    Linear in the raw (2, n, w) coefficient arrays eta and zeta (half
+    spectra, w = n/2 + 1, or full ones, w = n), which are observed minus
+    model for the explicit feedback and the observation alone for the
+    implicit data term.
     """
-    fv, fw = apply_masked(config.interpolant, config.mask, grid, eta, zeta)
-    return config.mu * project_pair(grid, np.concatenate([fv, fw]))
+    if out is None:
+        out = np.empty((4,) + eta.shape[1:], dtype=np.complex128)
+    out[:2], out[2:] = apply_masked(config.interpolant, config.mask, grid,
+                                    eta, zeta)
+    project_pair(grid, out, out=out)
+    out *= config.mu
+    return out
 
 
 def _observation_blocks(grid: Grid, config: NudgingConfig):
     """nudging_term for the spectral projection interpolant as (idx, blocks):
-    the flat indices of the observed modes and the real (s, 4, 4) matrix of
-    nudging_term at each of them.
+    the flat indices of the observed half-spectrum modes and the real
+    (s, 4, 4) matrix of nudging_term at each of them.
 
     That interpolant, every mask and P act mode by mode, so column j of a
     mode's matrix is nudging_term applied to the constant unit field e_j.
@@ -85,20 +94,16 @@ def _observation_blocks(grid: Grid, config: NudgingConfig):
     """
     if config.interpolant.kind != SPECTRAL:
         raise ValueError("implicit feedback requires the spectral interpolant")
-    n = grid.n
-    observed = apply_interpolant_coef(config.interpolant, grid, np.ones((n, n)))
+    shape = (grid.n, grid.half_width)
+    observed = apply_interpolant_coef(config.interpolant, grid, np.ones(shape))
     idx = np.flatnonzero(observed)
     blocks = np.empty((idx.size, 4, 4))
     for j in range(4):
-        e = np.zeros((4, n, n), dtype=np.complex128)
+        e = np.zeros((4,) + shape, dtype=np.complex128)
         e[j] = 1.0
         col = nudging_term(config, grid, e[:2], e[2:]).reshape(4, -1)
         blocks[:, :, j] = col[:, idx].real.T
     return idx, blocks
-
-
-def _pair_coef(pair: ForcingSpec, t: float) -> np.ndarray:
-    return np.concatenate([pair.f_coef(t), pair.g_coef(t)])
 
 
 class CoupledStepper:
@@ -117,15 +122,20 @@ class CoupledStepper:
         damping = _observation_blocks(grid, config) if self.implicit else None
         self.assimilated = MhdStepper(grid, params, forcing, dt, damping=damping)
         # P[m(t) delta] = m(t) P[delta], as for the forcing
-        self._projected_delta = None if config.delta is None else project_pair(
-            grid, np.concatenate([config.delta.f, config.delta.g]))
+        self._projected_delta = None if config.delta is None else project_half(
+            grid, config.delta)
+        eps = config.eps
+        h = grid.half_width
+        self._eps = None if eps is None else np.concatenate(
+            [eps.f[..., :h], eps.g[..., :h]])
+        self._feedback = np.empty_like(self.assimilated.X)
 
     def _observed(self) -> np.ndarray:
         """The observed reference state: its X plus the observation error."""
         ref = self.reference
-        if self.config.eps is None:
+        if self._eps is None:
             return ref.X
-        return ref.X + _pair_coef(self.config.eps, ref.t)
+        return ref.X + self.config.eps.modulation.value(ref.t) * self._eps
 
     def step(self):
         cfg, grid = self.config, self.grid
@@ -139,13 +149,15 @@ class CoupledStepper:
             # fixed point
             self.reference.advance()
             obs = self._observed()
-            assim.advance(extra_ab=delta,
-                          extra_plain=nudging_term(cfg, grid, obs[:2], obs[2:]))
+            assim.advance(extra_ab=delta, extra_plain=nudging_term(
+                cfg, grid, obs[:2], obs[2:], out=self._feedback))
         else:
             diff = self._observed() - assim.X
-            fb = nudging_term(cfg, grid, diff[:2], diff[2:])
+            fb = nudging_term(cfg, grid, diff[:2], diff[2:], out=self._feedback)
+            if delta is not None:
+                fb += delta
             self.reference.advance()
-            assim.advance(extra_ab=fb if delta is None else fb + delta)
+            assim.advance(extra_ab=fb)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,16 @@ for a vector, passed beside the `Grid` it lives on, with the convention
 so Parseval reads ||u||_L2^2 = sum |c_k|^2 and the gradient is
 multiplication by 2*pi*i*k.  The zero mode is kept at zero (the governing
 equations assume zero space average).
+
+The coefficients of a real field satisfy c(-k) = c(k)^*, so the time
+stepper keeps only the rfft2 half spectrum: the columns k2 = 0..n/2, an
+(..., n, n/2 + 1) array.  `full_spectrum` rebuilds the other columns by
+the conjugate mirror.  Each mode of columns 1..n/2 - 1 stands for itself
+and its mirror, so Parseval on a half array weights |c_k|^2 by 2 there and
+by 1 on column 0 and on the Nyquist column n/2 (`Grid.parseval_weights`).
+The per-mode operators (`leray_project_coef`, `dealias_coef`,
+`divergence_defect`) act on the first columns of whatever width they are
+given, so they serve full arrays and half arrays alike.
 """
 
 from __future__ import annotations
@@ -65,6 +75,20 @@ class Grid:
         out[nz] = 1.0 / self.ksq[nz]
         return out
 
+    @property
+    def half_width(self) -> int:
+        """Columns of the half spectrum, k2 = 0..n/2."""
+        return self.n // 2 + 1
+
+    @cached_property
+    def parseval_weights(self) -> np.ndarray:
+        """Weight of each half-spectrum column in a Parseval sum: 1 on
+        column 0 and on the Nyquist column n/2, 2 on the others."""
+        w = np.full(self.half_width, 2.0)
+        w[0] = w[-1] = 1.0
+        w.setflags(write=False)
+        return w
+
     def points(self):
         x = np.arange(self.n) / self.n
         return np.meshgrid(x, x, indexing="ij")
@@ -72,7 +96,8 @@ class Grid:
 
 def divergence_defect(grid: Grid, coef: np.ndarray) -> float:
     """max_k |k . c_k|, which is 0 for exactly divergence-free fields."""
-    d = grid.k1 * coef[0] + grid.k2 * coef[1]
+    w = coef.shape[-1]
+    d = grid.k1[:, :w] * coef[0] + grid.k2[:, :w] * coef[1]
     return float(np.max(np.abs(d)))
 
 
@@ -97,34 +122,44 @@ def forward_transform(grid: Grid, samples: np.ndarray):
 # Leray projection and dealiasing (exact per retained mode)
 
 
-def leray_project_coef(grid: Grid, coef: np.ndarray) -> np.ndarray:
-    """c -> c - k (k.c)/|k|^2 on raw (..., 2, n, n) coefficients: the
-    component axis is third from last, so a stacked (v, w) pair is
-    projected by one call on its (2, 2, n, n) view."""
-    kd = (grid.k1 * coef[..., 0, :, :] + grid.k2 * coef[..., 1, :, :]) * grid.inv_ksq
-    out = np.empty_like(coef)
-    out[..., 0, :, :] = coef[..., 0, :, :] - grid.k1 * kd
-    out[..., 1, :, :] = coef[..., 1, :, :] - grid.k2 * kd
+def leray_project_coef(grid: Grid, coef: np.ndarray,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """c -> c - k (k.c)/|k|^2 on raw (..., 2, n, w) coefficients, the
+    first w columns of the spectrum: the component axis is third from
+    last, so a stacked (v, w) pair is projected by one call on its
+    (2, 2, n, w) view.  `out` may be coef itself."""
+    w = coef.shape[-1]
+    k1, k2 = grid.k1[:, :w], grid.k2[:, :w]
+    kd = (k1 * coef[..., 0, :, :] + k2 * coef[..., 1, :, :]) * grid.inv_ksq[:, :w]
+    if out is None:
+        out = np.empty_like(coef)
+    np.subtract(coef[..., 0, :, :], k1 * kd, out=out[..., 0, :, :])
+    np.subtract(coef[..., 1, :, :], k2 * kd, out=out[..., 1, :, :])
     out[..., 0, 0] = 0.0
     return out
 
 
-def dealias_coef(grid: Grid, coef: np.ndarray) -> np.ndarray:
-    return coef * grid.dealias_mask
+def dealias_coef(grid: Grid, coef: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """The 2/3-rule mask on the first coef.shape[-1] columns; `out` may be
+    coef itself."""
+    return np.multiply(coef, grid.dealias_mask[:, : coef.shape[-1]], out=out)
 
 
 def full_spectrum(grid: Grid, half: np.ndarray) -> np.ndarray:
     """(..., n, n) coefficients of a real field from its columns
-    k2 = 0..c, a (..., n, c + 1) array with c < n/2.
+    k2 = 0..c, a (..., n, c + 1) array with c <= n/2.
 
-    Columns k2 = -c..-1 are the conjugate mirror c(k1, k2) = c(-k1, -k2)^*
-    and every column with |k2| > c is zero.
+    Columns k2 = -min(c, n/2 - 1)..-1 are the conjugate mirror
+    c(k1, k2) = c(-k1, -k2)^*; the Nyquist column n/2, when given, is kept
+    as it is, and every other column with |k2| > c is zero.
     """
     n = grid.n
     c = half.shape[-1] - 1
+    m = min(c, n // 2 - 1)
     out = np.zeros(half.shape[:-1] + (n,), dtype=np.complex128)
     out[..., : c + 1] = half
-    out[..., n - c:] = np.conj(half[..., -np.arange(n) % n, c:0:-1])
+    out[..., n - m:] = np.conj(half[..., -np.arange(n) % n, m:0:-1])
     return out
 
 

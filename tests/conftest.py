@@ -5,6 +5,7 @@ from mhdnudge.dynamics import (
     ForcingSpec,
     Trajectory,
     derive_elsasser_params,
+    norms,
     trajectory_row,
 )
 from mhdnudge.spectral import Grid, l2_norm, random_divfree_field
@@ -33,10 +34,21 @@ def forcing32(grid32):
 
 
 def diffusion(grid, params, X):
-    """L X = -4 pi^2 |k|^2 (alpha X + beta S X) of a stacked (4, n, n) X,
-    S swapping v and w."""
-    return -4.0 * np.pi ** 2 * grid.ksq * (params.alpha * X
-                                            + params.beta * X[[2, 3, 0, 1]])
+    """L X = -4 pi^2 |k|^2 (alpha X + beta S X) of a stacked (4, n, w) X,
+    the first w columns of the spectrum, S swapping v and w."""
+    ksq = grid.ksq[:, : X.shape[-1]]
+    return -4.0 * np.pi ** 2 * ksq * (params.alpha * X
+                                       + params.beta * X[[2, 3, 0, 1]])
+
+
+def half(grid, coef):
+    """The half spectrum, columns k2 = 0..n/2, of a full coefficient array."""
+    return coef[..., : grid.half_width]
+
+
+def state_l2(grid, X):
+    """L2 norm of a stacked (4, n, n/2 + 1) half spectrum (v, w)."""
+    return float(np.hypot(*norms(grid, X)[:2]))
 
 
 def inverse_transform(grid, coef):

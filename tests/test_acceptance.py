@@ -52,7 +52,7 @@ from mhdnudge.spectral import (
     random_scalar_field,
 )
 
-from conftest import normalized_field, record_trajectory
+from conftest import normalized_field, record_trajectory, state_l2
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_summary.json").read_text())
 
@@ -311,8 +311,7 @@ def test_criterion_11_zero_error_absorbing_state(params64):
         cs.assimilated.set_state(init, init, 0.0)
         for _ in range(1000):
             cs.step()
-        diff = cs.reference.X - cs.assimilated.X
-        err = l2_norm(diff)
+        err = state_l2(grid, cs.reference.X - cs.assimilated.X)
         worst = max(worst, err)
     ok = worst <= 1e-10
     report(11, f"identical initialization stays synchronized for 1000 steps "

@@ -15,6 +15,8 @@ from mhdnudge.dynamics import (
     forcing_from_original,
     from_elsasser,
     grashof_number,
+    norms,
+    project_pair,
     spin_up,
     to_elsasser,
 )
@@ -22,12 +24,20 @@ from mhdnudge.spectral import (
     Grid,
     dealias_coef,
     forward_transform,
+    full_spectrum,
+    h1_seminorm,
     l2_norm,
     leray_project_coef,
     random_divfree_field,
 )
 
-from conftest import diffusion, normalized_field, record_trajectory
+from conftest import (
+    diffusion,
+    half,
+    normalized_field,
+    record_trajectory,
+    state_l2,
+)
 
 
 def shear_mode(grid, amplitude=1.0):
@@ -182,10 +192,16 @@ def test_stepper_tendency_matches_mhd(re, rm):
     b = random_divfree_field(g, 6, 1.0, g.cutoff)
     st = MhdStepper(g, p, zero_forcing(g), 1e-3)
     st.set_state(*to_elsasser(u, b))
-    explicit, _ = st._explicit_terms()
+    explicit = np.empty_like(st.X)
+    st._explicit_terms(explicit)
     got = diffusion(g, p, st.X) + explicit
-    expected = np.concatenate(to_elsasser(*mhd_tendency(g, p, u, b)))
-    assert l2_norm(got - expected) <= 1e-13 * l2_norm(expected)
+    expected = half(g, np.concatenate(to_elsasser(*mhd_tendency(g, p, u, b))))
+    assert state_l2(g, got - expected) <= 1e-13 * state_l2(g, expected)
+
+
+def projected_band(grid, adv):
+    """The Leray-projected columns k2 = 0..cutoff of a full (4, n, n) term."""
+    return project_pair(grid, adv)[..., : grid.cutoff + 1]
 
 
 @pytest.mark.parametrize("n", [32, 64])
@@ -193,8 +209,9 @@ def test_advection_matches_advective_form(n):
     g = Grid(n)
     v = random_divfree_field(g, 5, 1.0, g.cutoff)
     w = random_divfree_field(g, 6, 1.0, g.cutoff)
-    adv, _ = advection(g, np.concatenate([v, w]))
-    expected = np.concatenate([advective_form(g, w, v), advective_form(g, v, w)])
+    adv, _ = advection(g, half(g, np.concatenate([v, w])))
+    expected = projected_band(g, np.concatenate([advective_form(g, w, v),
+                                                 advective_form(g, v, w)]))
     assert np.max(np.abs(adv - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
@@ -223,8 +240,9 @@ def test_advection_matches_full_fft(n):
     # mode, so the input dealiasing is exercised too
     g = Grid(n)
     X, _ = forward_transform(g, np.random.default_rng(n).standard_normal((4, n, n)))
-    adv, speed = advection(g, X)
-    expected, expected_speed = advection_full_fft(g, X)
+    adv, speed = advection(g, half(g, X))
+    full, expected_speed = advection_full_fft(g, X)
+    expected = projected_band(g, full)
     assert np.max(np.abs(adv - expected)) <= 1e-13 * np.max(np.abs(expected))
     assert speed == expected_speed
 
@@ -234,8 +252,9 @@ def test_advection_skew_symmetry():
     g = Grid(32)
     a = random_divfree_field(g, 5, 1.0, g.cutoff)
     b = random_divfree_field(g, 6, 1.0, g.cutoff)
-    adv, _ = advection(g, np.concatenate([b, a]))
-    adv = adv[:2]  # (w.grad)v with v = b, w = a
+    adv, _ = advection(g, half(g, np.concatenate([b, a])))
+    # P[(w.grad)v] with v = b, w = a; P is self-adjoint and P b = b
+    adv = full_spectrum(g, adv[:2])
     ip = np.real(np.sum(np.conj(adv) * b))
     scale = l2_norm(adv) * l2_norm(b)
     assert abs(ip) < 1e-12 * max(scale, 1e-300)
@@ -244,7 +263,7 @@ def test_advection_skew_symmetry():
 def test_advection_of_shear_flow_vanishes():
     g = Grid(32)
     c = shear_mode(g)
-    adv, speed = advection(g, np.concatenate([c, c]))
+    adv, speed = advection(g, half(g, np.concatenate([c, c])))
     assert np.max(np.abs(adv)) < 1e-15
     assert speed == pytest.approx(2.0, rel=1e-14)
 
@@ -317,8 +336,8 @@ def test_temporal_convergence_order(grid32, params, forcing32):
     x1 = final_state(4e-3)
     x2 = final_state(2e-3)
     x3 = final_state(1e-3)
-    e1 = l2_norm(x1 - x2)
-    e2 = l2_norm(x2 - x3)
+    e1 = state_l2(grid32, x1 - x2)
+    e2 = state_l2(grid32, x2 - x3)
     order = np.log2(e1 / e2)
     assert order >= 1.9
 
@@ -375,14 +394,27 @@ def test_errors_round_trip_through_pickle():
 
 
 def test_norms_match_field_norms(grid32):
-    from mhdnudge.dynamics import norms
-    from mhdnudge.spectral import h1_seminorm, l2_norm
     v = random_divfree_field(grid32, 1, 2.0)
     w = random_divfree_field(grid32, 2, 2.0)
-    got = norms(grid32, np.concatenate([v, w]))
+    got = norms(grid32, half(grid32, np.concatenate([v, w])))
     want = (l2_norm(v), l2_norm(w), h1_seminorm(grid32, v),
             h1_seminorm(grid32, w))
     np.testing.assert_allclose(got, want, rtol=1e-13)
+
+
+def test_norms_parseval_weights_on_half_spectrum():
+    # real noise has energy on every column, column 0 and the Nyquist
+    # column n/2 included, which count once; the others count twice
+    g = Grid(16)
+    X, _ = forward_transform(g, np.random.default_rng(7).standard_normal((4, 16, 16)))
+    assert np.count_nonzero(X[..., 0]) == 4 * 15  # all but the zero modes
+    assert np.count_nonzero(X[..., 8]) == 4 * 16
+    got = norms(g, half(g, X))
+    want = (l2_norm(X[:2]), l2_norm(X[2:]), h1_seminorm(g, X[:2]),
+            h1_seminorm(g, X[2:]))
+    np.testing.assert_allclose(got, want, rtol=1e-14)
+    np.testing.assert_allclose(full_spectrum(g, half(g, X)), X, rtol=0,
+                               atol=1e-15 * np.max(np.abs(X)))
 
 
 def test_record_trajectory_shapes(grid32, params, forcing32):

@@ -101,3 +101,38 @@ def test_public_names_are_used():
     package = {p.stem: p.read_text() for p in PACKAGE if p.name != "__init__.py"}
     benchmark = [p.read_text() for p in BENCHMARK]
     assert unreferenced_public_names(package, benchmark) == []
+
+
+# ---------------------------------------------------------------------------
+# no inverse real FFT writes to out=
+
+# rfft2(..., out=o) is exact, but the inverse transforms are not
+IRFFT_OUT_DEFECT = ("with numpy 2.4.6, irfft2/irfftn(..., out=o) return a "
+                    "new, correct array and leave wrong values in o; call "
+                    "them without out=")
+
+
+def inverse_real_fft_with_out(source: str):
+    """Lines of each irfft2(...) or irfftn(...) call given an `out` array,
+    as a keyword or as the fifth positional argument."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in ("irfft2", "irfftn") and (
+                len(node.args) >= 5 or any(k.arg == "out" for k in node.keywords)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_inverse_real_fft_with_out_is_found():
+    src = ("np.fft.irfft2(x, s=(8, 8))\nnp.fft.irfft2(x, s=(8, 8), out=o)\n"
+           "irfftn(x, None, None, None, o)\nnp.fft.rfft2(x, out=o)\n")
+    assert inverse_real_fft_with_out(src) == [2, 3]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_inverse_real_fft_with_out(path):
+    assert inverse_real_fft_with_out(path.read_text()) == [], IRFFT_OUT_DEFECT

@@ -29,7 +29,22 @@ from mhdnudge.spectral import (
     random_scalar_field,
 )
 
-from conftest import inverse_transform
+from conftest import half, inverse_transform
+
+
+@pytest.mark.parametrize("kind", [SPECTRAL, VOLUME, NODAL])
+def test_half_spectrum_input_matches_full(kind):
+    # a half spectrum is rebuilt by the conjugate mirror before the fold;
+    # the result is the first n/2 + 1 columns of I_h on the full spectrum
+    g = Grid(32)
+    u = np.stack([random_scalar_field(g, s) for s in (1, 2)])
+    for h in (0.25, 0.125, 1.0 / 3 if kind == SPECTRAL else 0.0625):
+        spec = InterpolantSpec(kind, h)
+        got = apply_interpolant_coef(spec, g, half(g, u))
+        want = half(g, apply_interpolant_coef(spec, g, u))
+        assert got.shape == (2, 32, 17)
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-15 * np.max(np.abs(want)))
 
 
 def test_spec_validation():

@@ -30,7 +30,7 @@ from mhdnudge.nudging import (
 )
 from mhdnudge.spectral import Grid, divergence_defect, l2_norm
 
-from conftest import diffusion, normalized_field
+from conftest import diffusion, half, normalized_field, state_l2
 
 
 def spec_config(mu=20.0, mask=MASK_ALL, kind=SPECTRAL, h=0.125, **kw):
@@ -47,9 +47,9 @@ def decaying_pair(f, g, amplitude, rate):
 
 
 def seeded_diff(grid):
-    """(eta, zeta) raw arrays: the difference of two seeded states."""
-    return (seeded_init(grid, 0) - seeded_init(grid, 2),
-            seeded_init(grid, 1) - seeded_init(grid, 3))
+    """(eta, zeta) half spectra: the difference of two seeded states."""
+    return (half(grid, seeded_init(grid, 0) - seeded_init(grid, 2)),
+            half(grid, seeded_init(grid, 1) - seeded_init(grid, 3)))
 
 
 ALL_MASKS = (MASK_ALL, MASK_FIRST, MASK_V_ONLY, MASK_B_ONLY, MASK_U_ONLY)
@@ -75,7 +75,7 @@ def test_init_modes(grid32, params, forcing32):
     ref.set_state(init, init, 0.0)
     spin_up(ref, max_time=0.5)
     custom = seeded_init(grid32, seed=5)
-    pair = np.concatenate([custom, custom])
+    pair = half(grid32, np.concatenate([custom, custom]))
     for init_mode, expected in (("zero", norms(grid32, ref.X)),
                                 ("copy", (0.0, 0.0, 0.0, 0.0)),
                                 ((custom, custom.copy()), norms(grid32, ref.X - pair))):
@@ -147,14 +147,16 @@ def test_observation_matrix_matches_nudging_term(grid32):
 
 
 def dense_implicit_operator(grid, params, dt, config=None):
-    """I - dt/2 L + dt D as a dense (4n^2, 4n^2) matrix, column by column,
-    with D = nudging_term(config) (zero without a config)."""
-    m = 4 * grid.n ** 2
+    """I - dt/2 L + dt D on the half spectrum as a dense (4 n w, 4 n w)
+    matrix, w = n/2 + 1, column by column, with D = nudging_term(config)
+    (zero without a config)."""
+    shape = (4, grid.n, grid.half_width)
+    m = int(np.prod(shape))
     A = np.empty((m, m), dtype=complex)
     for j in range(m):
         e = np.zeros(m, dtype=complex)
         e[j] = 1.0
-        e = e.reshape(4, grid.n, grid.n)
+        e = e.reshape(shape)
         col = e - 0.5 * dt * diffusion(grid, params, e)
         if config is not None:
             col = col + dt * nudging_term(config, grid, e[:2], e[2:])
@@ -170,7 +172,8 @@ def test_implicit_solve_matches_dense_solve(re, rm):
     p = derive_elsasser_params(re, rm)
     dt = 5e-3
     rng = np.random.default_rng(3)
-    rhs = rng.standard_normal((4, 16, 16)) + 1j * rng.standard_normal((4, 16, 16))
+    shape = (4, 16, g.half_width)
+    rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     z = np.zeros((2, 16, 16), dtype=complex)
     for mask in ALL_MASKS:
         cfg = spec_config(mu=80.0, mask=mask, h=0.25)
@@ -178,7 +181,7 @@ def test_implicit_solve_matches_dense_solve(re, rm):
         for stepper, config in ((cs.reference, None), (cs.assimilated, cfg)):
             want = np.linalg.solve(dense_implicit_operator(g, p, dt, config),
                                    rhs.ravel()).reshape(rhs.shape)
-            got = stepper._implicit_solve(rhs, out=np.empty_like(rhs))
+            got = stepper._implicit_solve(rhs.copy(), out=np.empty_like(rhs))
             assert l2_norm(got - want) <= 1e-13 * l2_norm(want)
 
 
@@ -191,23 +194,25 @@ def _arrays(stepper):
 
 
 def test_steppers_hold_no_per_mode_matrix(params):
-    # the solve keeps real (n, n) coefficients, plus 4x4 blocks only on the
-    # observed modes: 17^2 - 1 = 288 of them for h = 1/8 at n = 64
+    # the solve keeps real (n, n/2 + 1) coefficients, plus 4x4 blocks only
+    # on the observed half-plane modes: 17 * 9 - 1 = 152 of them for
+    # h = 1/8 at n = 64; no array is larger than the (4, n, n/2 + 1) state
     g = Grid(64)
     z = np.zeros((2, 64, 64), dtype=complex)
     cs = CoupledStepper(g, params, ForcingSpec(z, z), spec_config(mu=50.0), 2e-3)
     ref, assim = cs.reference, cs.assimilated
-    assert ref._band[0].size == 0
+    assert ref._blocks[0].size == 0
+    state = (4, 64, 33)
     for arr in _arrays(ref):
-        if arr.shape == (64, 64):
+        if arr.shape == (64, 33):
             assert arr.dtype == np.float64
         else:
-            assert arr.size == 0 or arr.shape == (4, 64, 64)
-    idx, inv = assim._band
-    assert idx.shape == (288,)
-    assert inv.shape == (288, 4, 4) and inv.dtype == np.float64
+            assert arr.size == 0 or arr.shape in (state, (4, 64, 22), (2, 2, 64, 33))
+    idx, inv = assim._blocks
+    assert idx.shape == (152,)
+    assert inv.shape == (152, 4, 4) and inv.dtype == np.float64
     for arr in list(_arrays(ref)) + list(_arrays(assim)):
-        assert arr.size <= 4 * 64 * 64
+        assert arr.size <= 4 * 64 * 33
 
 
 def test_explicit_kind_requires_mu_dt_bound(grid32, params, forcing32):
@@ -226,7 +231,7 @@ def test_synchronized_pair_is_fixed_point(grid32, params, forcing32, kind):
     cs.assimilated.set_state(init, init, 0.0)
     for _ in range(200):
         cs.step()
-    err = l2_norm(cs.reference.X - cs.assimilated.X)
+    err = state_l2(grid32, cs.reference.X - cs.assimilated.X)
     assert err <= 1e-12
 
 
