@@ -52,7 +52,9 @@ def build_parser():
     _add_common(p)
     p.add_argument("--axis", required=True, choices=("mu", "h", "G"))
     p.add_argument("--values", required=True, nargs="+", type=float)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None,
+                   help="processes for the runs of a G sweep; the values of "
+                        "a mu or h sweep share one run")
 
     p = sub.add_parser("verify-interpolant",
                        help="measure the interpolant inequality constants")

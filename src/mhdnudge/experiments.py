@@ -266,15 +266,14 @@ def _initial_field(grid: Grid, cfg: ExperimentConfig, seed: int) -> np.ndarray:
     return _normalize(random_divfree_field(grid, seed, 2.0), cfg.init_amplitude)
 
 
-def _write_trajectory_csv(path, traj, params):
-    """Trajectory CSV with the energy-budget residuals; returns their flags."""
+def _trajectory_table(traj, params):
+    """Rows of the trajectory CSV, with the energy-budget residuals, and
+    the residuals' flags."""
     residuals, flags = energy_budget(traj, params)
     res = np.zeros(len(traj.times))
     res[1:-1] = residuals
-    diag._write_csv(path, "t,l2_v,l2_w,h1_v,h1_w,energy_residual",
-                    np.column_stack([traj.times, traj.l2_v, traj.l2_w,
-                                     traj.h1_v, traj.h1_w, res]))
-    return flags
+    return np.column_stack([traj.times, traj.l2_v, traj.l2_w, traj.h1_v,
+                            traj.h1_w, res]), flags
 
 
 def _json_default(o):
@@ -325,66 +324,80 @@ def threshold_report(cfg: ExperimentConfig, params, G: float,
 # scenario runners
 
 
-def _run_nudged(cfg: ExperimentConfig, outdir):
+def _run_nudged(cfgs, outdirs):
+    """Nudge one member per config against one reference run and write each
+    surviving member's artifacts.  The configs differ at most in mu and
+    interpolant_h.  Returns, per config, (its ErrorSeries, its summary) or
+    the error that retired its member."""
+    cfg = cfgs[0]
     grid = Grid(cfg.n)
     params = derive_elsasser_params(cfg.re, cfg.rm)
     forcing = build_forcing(grid, cfg)
-    ncfg = build_nudging_config(grid, cfg)
+    ncfgs = [build_nudging_config(grid, c) for c in cfgs]
     init = _initial_field(grid, cfg, cfg.seed)
     init_mode = cfg.init_mode
     if init_mode == "random":
         alt = _initial_field(grid, cfg, cfg.init_seed)
         init_mode = (alt, alt)
     result = run_assimilation(
-        grid, params, forcing, ncfg, init, init, cfg.dt, cfg.horizon,
+        grid, params, forcing, ncfgs, init, init, cfg.dt, cfg.horizon,
         spinup_max_time=cfg.spinup_max_time, spinup_tol=cfg.spinup_tol,
         sample_every=cfg.sample_every, init_mode=init_mode)
     G = grashof_number(forcing, params)
-    spec = calibrate(ncfg.interpolant, grid, cfg.calibration_samples,
-                     cfg.forcing_seed)
-
-    energy_flags = _write_trajectory_csv(os.path.join(outdir, "trajectory.csv"),
-                                         result.reference_trajectory, params)
-    result.errors.save_csv(os.path.join(outdir, "errors.csv"))
+    traj = result.reference_trajectory
+    traj_table, energy_flags = _trajectory_table(traj, params)
     constants = diag.ANALYSIS_CONSTANTS
-    _json_dump(os.path.join(outdir, "thresholds.json"),
-               threshold_report(cfg, params, G, spec))
-    _json_dump(os.path.join(outdir, "constants.json"),
-               {**constants, "c1": spec.c1, "c2": spec.c2, "c3": spec.c3})
-
     try:
-        int_bound = diag.check_int_bound(result.reference_trajectory, G, params)
+        int_bound = diag.check_int_bound(traj, G, params)
     except ValueError as exc:
         int_bound = {"passed": False, "error": str(exc)}
-    # damping coefficient of the all-components convergence proof
+    # enstrophy factor of the damping coefficient of the all-components
+    # convergence proof
     nub = params.nu_bar
-    psi = cfg.mu - ((constants["c_L"] ** 4 + nub ** 4) / (2.0 * nub ** 3)) \
-        * result.reference_trajectory.enstrophy()
-    try:
-        gronwall = diag.gronwall_condition_check(
-            result.reference_trajectory.times, psi, params.window)
-    except ValueError as exc:
-        gronwall = {"error": str(exc)}
-
-    l2_fit = diag.decay_window_fit(result.errors.times, result.errors.l2_total())
-    h1_fit = diag.decay_window_fit(result.errors.times, result.errors.h1_total())
-    summary = {
-        "scenario": cfg.scenario,
-        "n": cfg.n, "re": cfg.re, "rm": cfg.rm,
-        "alpha": params.alpha, "beta": params.beta,
-        "G": G, "mu": cfg.mu, "mask": cfg.mask,
-        "interpolant_kind": cfg.interpolant_kind, "h": cfg.interpolant_h,
-        "spin_up_time": result.spin_up_time,
-        "spin_up_converged": result.spin_up_converged,
-        "l2_fit": l2_fit, "h1_fit": h1_fit,
-        "checks": {
-            "energy_budget": not energy_flags.any(),
-            "int_bound": int_bound,
-            "gronwall": gronwall,
-        },
-        "note": "desk-scale regime chosen by this artifact, not by theory",
-    }
-    return result, summary
+    enstrophy_term = ((constants["c_L"] ** 4 + nub ** 4) / (2.0 * nub ** 3)) \
+        * traj.enstrophy()
+    calibrated = {}  # one calibration per distinct interpolant
+    outcomes = []
+    for k, (c, outdir, ncfg, errors) in enumerate(
+            zip(cfgs, outdirs, ncfgs, result.errors)):
+        if errors is None:
+            outcomes.append(result.failures[k])
+            continue
+        if ncfg.interpolant not in calibrated:
+            calibrated[ncfg.interpolant] = calibrate(
+                ncfg.interpolant, grid, c.calibration_samples, c.forcing_seed)
+        spec = calibrated[ncfg.interpolant]
+        diag._write_csv(os.path.join(outdir, "trajectory.csv"),
+                        "t,l2_v,l2_w,h1_v,h1_w,energy_residual", traj_table)
+        errors.save_csv(os.path.join(outdir, "errors.csv"))
+        _json_dump(os.path.join(outdir, "thresholds.json"),
+                   threshold_report(c, params, G, spec))
+        _json_dump(os.path.join(outdir, "constants.json"),
+                   {**constants, "c1": spec.c1, "c2": spec.c2, "c3": spec.c3})
+        try:
+            gronwall = diag.gronwall_condition_check(
+                traj.times, c.mu - enstrophy_term, params.window)
+        except ValueError as exc:
+            gronwall = {"error": str(exc)}
+        summary = {
+            "scenario": c.scenario,
+            "n": c.n, "re": c.re, "rm": c.rm,
+            "alpha": params.alpha, "beta": params.beta,
+            "G": G, "mu": c.mu, "mask": c.mask,
+            "interpolant_kind": c.interpolant_kind, "h": c.interpolant_h,
+            "spin_up_time": result.spin_up_time,
+            "spin_up_converged": result.spin_up_converged,
+            "l2_fit": diag.decay_window_fit(errors.times, errors.l2_total()),
+            "h1_fit": diag.decay_window_fit(errors.times, errors.h1_total()),
+            "checks": {
+                "energy_budget": not energy_flags.any(),
+                "int_bound": int_bound,
+                "gronwall": gronwall,
+            },
+            "note": "desk-scale regime chosen by this artifact, not by theory",
+        }
+        outcomes.append((errors, summary))
+    return outcomes
 
 
 def _tail_rate(times, values, checks: dict):
@@ -403,55 +416,81 @@ def _convergence_ok(fit: dict, orders: float = 6.0, r2: float = 0.98) -> bool:
     return fit["orders_of_decay"] >= orders and fit["r_squared"] >= r2
 
 
+def _judge(cfg: ExperimentConfig, errors, summary: dict) -> bool:
+    """The scenario's checks, added to summary["checks"]; True if it passed."""
+    checks = summary["checks"]
+    if cfg.scenario == "baseline":
+        checks["l2_decay"] = _convergence_ok(summary["l2_fit"])
+        return checks["l2_decay"] and checks["energy_budget"] \
+            and checks["int_bound"]["passed"]
+    if cfg.scenario == "h1track":
+        checks["l2_decay"] = _convergence_ok(summary["l2_fit"])
+        checks["h1_decay"] = _convergence_ok(summary["h1_fit"])
+        dt_sample = cfg.dt * cfg.sample_every
+        checks["h1_onset_after_l2"] = (
+            summary["h1_fit"]["onset_time"]
+            >= summary["l2_fit"]["onset_time"] - dt_sample * 1.5)
+        return all(checks[k] for k in
+                   ("l2_decay", "h1_decay", "h1_onset_after_l2"))
+    if cfg.scenario == "type2":
+        checks["h1_decay_4_orders"] = _convergence_ok(
+            summary["h1_fit"], orders=4.0, r2=0.0) \
+            and summary["h1_fit"]["rate"] > 0
+        return checks["h1_decay_4_orders"]
+    if cfg.scenario == "generalized-da":
+        rate = _tail_rate(errors.times, errors.l2_total(), checks)
+        checks["tail_trend_decaying"] = rate is not None and rate > 0
+        return checks["tail_trend_decaying"]
+    if cfg.scenario == "b-only-control":
+        vals = errors.l2_total()
+        checks["non_convergence"] = bool(vals[-1] > 1e-2 * vals[0])
+        return checks["non_convergence"]
+    # u-only-exploratory: no acceptance requirement
+    checks["exploratory"] = True
+    return True
+
+
 def run_scenario(cfg: ExperimentConfig, outdir=None):
     """Execute one scenario end to end.  Returns (exit_code, summary)."""
-    outdir = outdir or cfg.outdir
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "config.txt"), "w") as fh:
-        fh.write(cfg.dump())
+    return _run_group([cfg], [outdir or cfg.outdir])[0]
+
+
+def _group_key(cfg: ExperimentConfig) -> ExperimentConfig:
+    """Configs with equal keys differ at most in mu and interpolant_h, so
+    _run_group runs them against one reference."""
+    if cfg.scenario == "determining":
+        return cfg
+    return replace(cfg, mu=0.0, interpolant_h=1.0)
+
+
+def _run_group(cfgs, outdirs):
+    """Execute configs with one _group_key, each into its own directory,
+    with one reference run for all of them.  Returns one (exit_code,
+    summary) per config, each what a run of that config alone gives."""
+    for cfg, outdir in zip(cfgs, outdirs):
+        os.makedirs(outdir, exist_ok=True)
+        with open(os.path.join(outdir, "config.txt"), "w") as fh:
+            fh.write(cfg.dump())
     try:
-        if cfg.scenario == "determining":
-            return _scenario_determining(cfg, outdir)
-        result, summary = _run_nudged(cfg, outdir)
-        checks = summary["checks"]
-        if cfg.scenario == "baseline":
-            checks["l2_decay"] = _convergence_ok(summary["l2_fit"])
-            passed = checks["l2_decay"] and checks["energy_budget"] \
-                and checks["int_bound"]["passed"]
-        elif cfg.scenario == "h1track":
-            checks["l2_decay"] = _convergence_ok(summary["l2_fit"])
-            checks["h1_decay"] = _convergence_ok(summary["h1_fit"])
-            dt_sample = cfg.dt * cfg.sample_every
-            checks["h1_onset_after_l2"] = (
-                summary["h1_fit"]["onset_time"]
-                >= summary["l2_fit"]["onset_time"] - dt_sample * 1.5)
-            passed = all(checks[k] for k in
-                         ("l2_decay", "h1_decay", "h1_onset_after_l2"))
-        elif cfg.scenario == "type2":
-            checks["h1_decay_4_orders"] = _convergence_ok(
-                summary["h1_fit"], orders=4.0, r2=0.0) \
-                and summary["h1_fit"]["rate"] > 0
-            passed = checks["h1_decay_4_orders"]
-        elif cfg.scenario == "generalized-da":
-            rate = _tail_rate(result.errors.times, result.errors.l2_total(),
-                              checks)
-            checks["tail_trend_decaying"] = rate is not None and rate > 0
-            passed = checks["tail_trend_decaying"]
-        elif cfg.scenario == "b-only-control":
-            vals = result.errors.l2_total()
-            checks["non_convergence"] = bool(vals[-1] > 1e-2 * vals[0])
-            passed = checks["non_convergence"]
-        else:  # u-only-exploratory: no acceptance requirement
-            checks["exploratory"] = True
-            passed = True
-        summary["passed"] = bool(passed)
-        _json_dump(os.path.join(outdir, "summary.json"), summary)
-        return (EXIT_OK if passed else EXIT_CHECK), summary
+        if cfgs[0].scenario == "determining":
+            (cfg,), (outdir,) = cfgs, outdirs
+            return [_scenario_determining(cfg, outdir)]
+        outcomes = _run_nudged(cfgs, outdirs)
     except (ConfigError, BlowUpError, CflError) as exc:
-        summary = {"scenario": cfg.scenario, "error": str(exc), "passed": False}
+        outcomes = [exc] * len(cfgs)
+    results = []
+    for cfg, outdir, outcome in zip(cfgs, outdirs, outcomes):
+        if isinstance(outcome, Exception):
+            summary = {"scenario": cfg.scenario, "error": str(outcome),
+                       "passed": False}
+            code = EXIT_CONFIG if isinstance(outcome, ConfigError) else EXIT_BLOWUP
+        else:
+            errors, summary = outcome
+            summary["passed"] = bool(_judge(cfg, errors, summary))
+            code = EXIT_OK if summary["passed"] else EXIT_CHECK
         _json_dump(os.path.join(outdir, "summary.json"), summary)
-        return (EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_BLOWUP,
-                summary)
+        results.append((code, summary))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -558,20 +597,15 @@ def _scenario_determining(cfg: ExperimentConfig, outdir):
 # sweeps
 
 
-def _sweep_worker(args):
-    cfg_text, outdir = args
-    try:
-        cfg = parse_config_text(cfg_text)
-        code, summary = run_scenario(cfg, outdir)
-        return code, summary
-    except ConfigError as exc:
-        return EXIT_CONFIG, {"error": str(exc), "passed": False}
-
-
 def run_sweep(cfg: ExperimentConfig, axis: str, values, outdir=None,
               max_workers: int | None = None):
-    """One scenario run per value along mu | h | G; failures are recorded
-    and the sweep continues."""
+    """One scenario run per value along mu | h | G, each in its own
+    directory; failures are recorded and the sweep continues.
+
+    Values of a mu or h sweep share one reference run (see _run_group);
+    each G value has its own forcing, so runs alone, and `max_workers`
+    spreads those runs over processes.
+    """
     if axis not in ("mu", "h", "G"):
         raise ConfigError(f"sweep axis must be mu, h or G, got {axis!r}")
     if max_workers is not None and max_workers < 1:
@@ -579,16 +613,23 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, outdir=None,
     values = [float(v) for v in values]
     if any(not np.isfinite(v) or v < 0 for v in values):
         raise ConfigError("sweep values must be finite and nonnegative")
+    names = [f"{axis}={v:g}" for v in values]
+    clashes = sorted({name for name in names if names.count(name) > 1})
+    if clashes:
+        raise ConfigError(f"sweep values must have distinct directory names; "
+                          f"{', '.join(clashes)} is shared by several values")
     outdir = outdir or cfg.outdir
     os.makedirs(outdir, exist_ok=True)
-    jobs = []
     if axis == "G":
         grid = Grid(cfg.n)
         params = derive_elsasser_params(cfg.re, cfg.rm)
         g_base = grashof_number(build_forcing(grid, cfg), params)
         if g_base == 0:
             raise ConfigError("cannot sweep G from a zero-forcing base config")
-    for v in values:
+    results = [None] * len(values)
+    groups = {}  # group key -> indices of its values
+    subs = []
+    for i, v in enumerate(values):
         if axis == "mu":
             sub = replace(cfg, mu=v)
         elif axis == "h":
@@ -597,14 +638,23 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, outdir=None,
             scalef = v / g_base
             sub = replace(cfg, forcing_amplitude=cfg.forcing_amplitude * scalef,
                           forcing_g_amplitude=cfg.forcing_g_amplitude * scalef)
-        sub_out = os.path.join(outdir, f"{axis}={v:g}")
-        jobs.append((sub.dump(), sub_out))
-
-    if max_workers == 1 or len(jobs) == 1:
-        results = [_sweep_worker(j) for j in jobs]
+        try:
+            sub = parse_config_text(sub.dump())
+        except ConfigError as exc:
+            results[i] = (EXIT_CONFIG, {"error": str(exc), "passed": False})
+        else:
+            groups.setdefault(_group_key(sub), []).append(i)
+        subs.append(sub)
+    jobs = [([subs[i] for i in idx], [os.path.join(outdir, names[i]) for i in idx])
+            for idx in groups.values()]
+    if max_workers == 1 or len(jobs) <= 1:
+        done = [_run_group(*job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(_sweep_worker, jobs))
+            done = list(pool.map(_run_group, *zip(*jobs)))
+    for idx, group_results in zip(groups.values(), done):
+        for i, result in zip(idx, group_results):
+            results[i] = result
 
     table = []
     for v, (code, summary) in zip(values, results):
@@ -615,6 +665,7 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, outdir=None,
             "rate": fit.get("rate"),
             "r_squared": fit.get("r_squared"),
             "passed": summary.get("passed", False),
+            "spin_up_converged": summary.get("spin_up_converged"),
         })
     with open(os.path.join(outdir, "sweep.csv"), "w") as fh:
         fh.write("value,exit_code,rate,r_squared,passed\n")

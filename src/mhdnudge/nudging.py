@@ -1,4 +1,4 @@
-"""Co-evolution of a reference MHD solution with a nudged copy.
+"""Co-evolution of a reference MHD solution with nudged copies.
 
 The assimilating system is the reference system plus the feedback term
 mu * P[I_h(observed - model)] applied through an observation mask.  For
@@ -8,10 +8,13 @@ the only modes where it acts (the theorem-scale gains would otherwise
 force dt ~ 1/mu); for the other interpolant kinds the feedback is
 explicit, with the stability restriction mu*dt <= 1.  Like the steppers'
 states, the feedback and its inputs are (.., n, n/2 + 1) half spectra.
+Nudging is one-way, so any number of assimilating systems (members), each
+with its own gain, interpolant and mask, can share one reference.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +24,7 @@ from .dynamics import (
     SPINUP_MAX_TIME,
     SPINUP_TOL,
     BlowUpError,
+    CflError,
     ForcingSpec,
     MhdStepper,
     Trajectory,
@@ -106,58 +110,118 @@ def _observation_blocks(grid: Grid, config: NudgingConfig):
     return idx, blocks
 
 
-class CoupledStepper:
-    """Advances the reference and the assimilating system on one clock."""
+class _Member:
+    """One assimilated system: its stepper and what its feedback needs."""
 
     def __init__(self, grid: Grid, params, forcing: ForcingSpec,
                  config: NudgingConfig, dt: float):
-        self.grid = grid
         self.config = config
         self.implicit = config.interpolant.kind == SPECTRAL
         if not self.implicit and config.mu * dt > 1.0:
             raise ValueError(
                 f"explicit nudging needs mu*dt <= 1; max admissible dt "
                 f"is {1.0 / config.mu:.3e}")
-        self.reference = MhdStepper(grid, params, forcing, dt)
         damping = _observation_blocks(grid, config) if self.implicit else None
-        self.assimilated = MhdStepper(grid, params, forcing, dt, damping=damping)
+        self.stepper = MhdStepper(grid, params, forcing, dt, damping=damping)
         # P[m(t) delta] = m(t) P[delta], as for the forcing
-        self._projected_delta = None if config.delta is None else project_half(
+        self.projected_delta = None if config.delta is None else project_half(
             grid, config.delta)
         eps = config.eps
         h = grid.half_width
-        self._eps = None if eps is None else np.concatenate(
+        self.eps = None if eps is None else np.concatenate(
             [eps.f[..., :h], eps.g[..., :h]])
-        self._feedback = np.empty_like(self.assimilated.X)
+        self.feedback = np.empty_like(self.stepper.X)
 
-    def _observed(self) -> np.ndarray:
+    def observed(self, ref: MhdStepper) -> np.ndarray:
         """The observed reference state: its X plus the observation error."""
-        ref = self.reference
-        if self._eps is None:
+        if self.eps is None:
             return ref.X
-        return ref.X + self.config.eps.modulation.value(ref.t) * self._eps
+        return ref.X + self.config.eps.modulation.value(ref.t) * self.eps
+
+    def delta(self) -> np.ndarray | None:
+        """P[delta] at the member's time, or None without a delta."""
+        if self.projected_delta is None:
+            return None
+        return self.config.delta.modulation.value(self.stepper.t) \
+            * self.projected_delta
+
+
+class CoupledStepper:
+    """Advances one reference and K assimilated systems (the members) on one
+    clock.
+
+    `configs` is one NudgingConfig or a sequence of them, one per member.
+    Nudging is one-way: the reference never sees a member and the members
+    never see each other, so every member of a mu or h sweep shares the
+    reference.  `members` lists the assimilated steppers in config order;
+    `assimilated` is the one member of a one-member system.
+    """
+
+    def __init__(self, grid: Grid, params, forcing: ForcingSpec,
+                 configs: NudgingConfig | Sequence[NudgingConfig], dt: float):
+        if isinstance(configs, NudgingConfig):
+            configs = [configs]
+        self.grid = grid
+        self.configs = list(configs)
+        self._members = [_Member(grid, params, forcing, cfg, dt)
+                         for cfg in self.configs]
+        self.members = [m.stepper for m in self._members]
+        self.reference = MhdStepper(grid, params, forcing, dt)
+        # member index -> the BlowUpError or CflError that retired it
+        self.failures = {}
+
+    @property
+    def assimilated(self) -> MhdStepper:
+        (member,) = self._members
+        return member.stepper
+
+    def active(self) -> list[int]:
+        """Indices of the members that are still advanced."""
+        return [k for k in range(len(self._members)) if k not in self.failures]
+
+    def retire(self, k: int, error: Exception):
+        """Stop advancing member k, recording the error that ended it."""
+        self.failures.setdefault(k, error)
 
     def step(self):
-        cfg, grid = self.config, self.grid
-        assim = self.assimilated
-        delta = None
-        if cfg.delta is not None:
-            delta = cfg.delta.modulation.value(assim.t) * self._projected_delta
-        if self.implicit:
-            # observation of the reference at the *new* time level, matching
-            # the implicitly treated damping so a synchronized pair stays a
-            # fixed point
-            self.reference.advance()
-            obs = self._observed()
-            assim.advance(extra_ab=delta, extra_plain=nudging_term(
-                cfg, grid, obs[:2], obs[2:], out=self._feedback))
-        else:
-            diff = self._observed() - assim.X
-            fb = nudging_term(cfg, grid, diff[:2], diff[2:], out=self._feedback)
-            if delta is not None:
-                fb += delta
-            self.reference.advance()
-            assim.advance(extra_ab=fb)
+        """Advance the reference once, then every active member.
+
+        Explicit members take their feedback from the reference before it
+        steps; implicit members observe it after, matching the implicitly
+        treated damping so a synchronized pair stays a fixed point.  A
+        member whose advance raises BlowUpError or CflError is retired; an
+        error of the reference retires every active member.  Once no
+        member is active, step raises the error that retired the last one,
+        so a one-member system fails as a plain pair does.
+        """
+        grid, ref = self.grid, self.reference
+        active = [(k, self._members[k]) for k in self.active()]
+        for k, m in active:
+            if not m.implicit:
+                diff = m.observed(ref) - m.stepper.X
+                nudging_term(m.config, grid, diff[:2], diff[2:], out=m.feedback)
+                if m.projected_delta is not None:
+                    m.feedback += m.delta()
+        try:
+            ref.advance()
+        except (BlowUpError, CflError) as exc:
+            for k, _ in active:
+                self.retire(k, exc)
+            raise
+        error = None
+        for k, m in active:
+            try:
+                if m.implicit:
+                    obs = m.observed(ref)
+                    m.stepper.advance(extra_ab=m.delta(), extra_plain=nudging_term(
+                        m.config, grid, obs[:2], obs[2:], out=m.feedback))
+                else:
+                    m.stepper.advance(extra_ab=m.feedback)
+            except (BlowUpError, CflError) as exc:
+                self.retire(k, exc)
+                error = exc
+        if error is not None and not self.active():
+            raise error
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +230,10 @@ class CoupledStepper:
 
 @dataclass
 class RunResult:
-    errors: ErrorSeries
+    # per member: its error series, or None once it was retired
+    errors: list[ErrorSeries | None]
+    # member index -> the BlowUpError or CflError that retired it
+    failures: dict[int, Exception]
     reference_trajectory: Trajectory
     spin_up_time: float
     spin_up_converged: bool
@@ -181,44 +248,59 @@ def _check_divfree(grid: Grid, named_fields):
 
 
 def run_assimilation(grid: Grid, params, forcing: ForcingSpec,
-                     config: NudgingConfig, initial_v: np.ndarray,
-                     initial_w: np.ndarray, dt: float, horizon: float,
-                     spinup_max_time: float = SPINUP_MAX_TIME,
+                     configs: NudgingConfig | Sequence[NudgingConfig],
+                     initial_v: np.ndarray, initial_w: np.ndarray, dt: float,
+                     horizon: float, spinup_max_time: float = SPINUP_MAX_TIME,
                      spinup_tol: float = SPINUP_TOL,
                      sample_every: int = 10, init_mode="zero") -> RunResult:
     """Spin up the reference from (initial_v, initial_w), reset the clock,
-    co-evolve to the horizon and record per-variable L2/H1 errors.
+    co-evolve it with one member per config to the horizon and record each
+    member's per-variable L2/H1 errors.
 
-    The assimilated system starts at zero (`init_mode` "zero"), at a copy
-    of the spun-up reference ("copy"), or at a caller-supplied (v, w) pair
-    of (2, n, n) arrays.  Every caller-supplied field must be
-    divergence-free.
+    Every member starts at zero (`init_mode` "zero"), at a copy of the
+    spun-up reference ("copy"), or at a caller-supplied (v, w) pair of
+    (2, n, n) arrays.  Every caller-supplied field must be
+    divergence-free.  A member whose state or error turns non-finite, or
+    that breaks the CFL limit, is retired and the others go on; a failure
+    of the reference in spin-up is raised, and one while co-evolving
+    retires every remaining member.
     """
     fields = [("initial v", initial_v), ("initial w", initial_w)]
     if init_mode not in ("zero", "copy"):
         fields += [("custom initial v", init_mode[0]),
                    ("custom initial w", init_mode[1])]
     _check_divfree(grid, fields)
-    coupled = CoupledStepper(grid, params, forcing, config, dt)
-    ref, assim = coupled.reference, coupled.assimilated
+    coupled = CoupledStepper(grid, params, forcing, configs, dt)
+    ref = coupled.reference
     ref.set_state(initial_v, initial_w, 0.0)
     spun = spin_up(ref, tol=spinup_tol, max_time=spinup_max_time)
-    if init_mode == "copy":
-        assim.set_state(ref.X[:2], ref.X[2:])
-    elif init_mode != "zero":
-        assim.set_state(*init_mode)
+    for assim in coupled.members:
+        if init_mode == "copy":
+            assim.set_state(ref.X[:2], ref.X[2:])
+        elif init_mode != "zero":
+            assim.set_state(*init_mode)
 
     n_steps = int(round(horizon / dt))
-    err_rows = np.empty((n_steps // sample_every + 1, 5))
+    members = coupled.members
+    err_rows = np.empty((len(members), n_steps // sample_every + 1, 5))
     traj_rows = np.empty((n_steps + 1, 6))
     for i in range(n_steps + 1):
         traj_rows[i] = trajectory_row(ref)
         if i % sample_every == 0:
-            row = (ref.t, *norms(grid, ref.X - assim.X))
-            if not np.isfinite(row).all():
-                raise BlowUpError(ref.t, i, f"(mu={config.mu}, dt={dt})")
-            err_rows[i // sample_every] = row
+            for k in coupled.active():
+                row = (ref.t, *norms(grid, ref.X - members[k].X))
+                if not np.isfinite(row).all():
+                    coupled.retire(k, BlowUpError(
+                        ref.t, i, f"(mu={coupled.configs[k].mu}, dt={dt})"))
+                err_rows[k, i // sample_every] = row
+        if not coupled.active():
+            break
         if i < n_steps:
-            coupled.step()
-    return RunResult(ErrorSeries(*err_rows.T), Trajectory.from_rows(traj_rows),
+            try:
+                coupled.step()
+            except (BlowUpError, CflError):
+                break  # every member is retired, each with its error
+    errors = [None if k in coupled.failures else ErrorSeries(*rows.T)
+              for k, rows in enumerate(err_rows)]
+    return RunResult(errors, coupled.failures, Trajectory.from_rows(traj_rows),
                      spun.time, spun.converged)

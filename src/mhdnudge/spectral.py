@@ -63,6 +63,10 @@ class Grid:
         return self.k1 ** 2 + self.k2 ** 2
 
     @cached_property
+    def ksq_sq(self) -> np.ndarray:
+        return self.ksq ** 2
+
+    @cached_property
     def dealias_mask(self) -> np.ndarray:
         c = self.cutoff
         return (np.abs(self.k1) <= c) & (np.abs(self.k2) <= c)
@@ -127,7 +131,13 @@ def leray_project_coef(grid: Grid, coef: np.ndarray,
     """c -> c - k (k.c)/|k|^2 on raw (..., 2, n, w) coefficients, the
     first w columns of the spectrum: the component axis is third from
     last, so a stacked (v, w) pair is projected by one call on its
-    (2, 2, n, w) view.  `out` may be coef itself."""
+    (2, 2, n, w) view.  `out` may be coef itself.
+
+    The Nyquist row k1 = n/2, and the Nyquist column k2 = n/2 when it is
+    among the w, are set to zero: each such mode stands for both signs of
+    n/2, so no single k projects it, and a projection with fftfreq's
+    -n/2 would leave a field that is not the transform of a real one.
+    """
     w = coef.shape[-1]
     k1, k2 = grid.k1[:, :w], grid.k2[:, :w]
     kd = (k1 * coef[..., 0, :, :] + k2 * coef[..., 1, :, :]) * grid.inv_ksq[:, :w]
@@ -135,7 +145,11 @@ def leray_project_coef(grid: Grid, coef: np.ndarray,
         out = np.empty_like(coef)
     np.subtract(coef[..., 0, :, :], k1 * kd, out=out[..., 0, :, :])
     np.subtract(coef[..., 1, :, :], k2 * kd, out=out[..., 1, :, :])
+    nyq = grid.n // 2
     out[..., 0, 0] = 0.0
+    out[..., nyq, :] = 0.0
+    if w > nyq:
+        out[..., nyq] = 0.0
     return out
 
 
@@ -146,9 +160,11 @@ def dealias_coef(grid: Grid, coef: np.ndarray,
     return np.multiply(coef, grid.dealias_mask[:, : coef.shape[-1]], out=out)
 
 
-def full_spectrum(grid: Grid, half: np.ndarray) -> np.ndarray:
+def full_spectrum(grid: Grid, half: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """(..., n, n) coefficients of a real field from its columns
-    k2 = 0..c, a (..., n, c + 1) array with c <= n/2.
+    k2 = 0..c, a (..., n, c + 1) array with c <= n/2, written to `out`
+    when it is given.
 
     Columns k2 = -min(c, n/2 - 1)..-1 are the conjugate mirror
     c(k1, k2) = c(-k1, -k2)^*; the Nyquist column n/2, when given, is kept
@@ -157,9 +173,12 @@ def full_spectrum(grid: Grid, half: np.ndarray) -> np.ndarray:
     n = grid.n
     c = half.shape[-1] - 1
     m = min(c, n // 2 - 1)
-    out = np.zeros(half.shape[:-1] + (n,), dtype=np.complex128)
+    if out is None:
+        out = np.zeros(half.shape[:-1] + (n,), dtype=np.complex128)
+    else:
+        out[..., c + 1:] = 0.0
     out[..., : c + 1] = half
-    out[..., n - m:] = np.conj(half[..., -np.arange(n) % n, m:0:-1])
+    np.conjugate(half[..., -np.arange(n) % n, m:0:-1], out=out[..., n - m:])
     return out
 
 
@@ -167,17 +186,30 @@ def full_spectrum(grid: Grid, half: np.ndarray) -> np.ndarray:
 # norms (Parseval); scalars and vectors alike
 
 
-def l2_norm(coef: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(np.abs(coef) ** 2)))
+# `work`, a real array of coef's shape, takes the temporaries when given:
+# a loop over many samples then allocates and frees no (n, n) array
 
 
-def h1_seminorm(grid: Grid, coef: np.ndarray) -> float:
-    return float(TWO_PI * np.sqrt(np.sum(grid.ksq * np.abs(coef) ** 2)))
+def _abs_sq(coef: np.ndarray, work: np.ndarray | None) -> np.ndarray:
+    a = np.abs(coef, out=work)
+    return np.square(a, out=a)
 
 
-def h2_seminorm(grid: Grid, coef: np.ndarray) -> float:
+def l2_norm(coef: np.ndarray, work: np.ndarray | None = None) -> float:
+    return float(np.sqrt(np.sum(_abs_sq(coef, work))))
+
+
+def h1_seminorm(grid: Grid, coef: np.ndarray,
+                work: np.ndarray | None = None) -> float:
+    a = _abs_sq(coef, work)
+    return float(TWO_PI * np.sqrt(np.sum(np.multiply(grid.ksq, a, out=a))))
+
+
+def h2_seminorm(grid: Grid, coef: np.ndarray,
+                work: np.ndarray | None = None) -> float:
+    a = _abs_sq(coef, work)
     return float(4.0 * np.pi ** 2
-                 * np.sqrt(np.sum(grid.ksq ** 2 * np.abs(coef) ** 2)))
+                 * np.sqrt(np.sum(np.multiply(grid.ksq_sq, a, out=a))))
 
 
 # ---------------------------------------------------------------------------
@@ -199,17 +231,19 @@ def _band_shaping(n: int, decay: float, k_max: int) -> np.ndarray:
 
 
 def _band_noise(grid: Grid, seed: int, shape: tuple, decay: float,
-                k_max: int | None) -> np.ndarray:
+                k_max: int | None, out: np.ndarray | None = None) -> np.ndarray:
     """Coefficients of Gaussian noise of `shape` shaped by |k|^-decay on the
-    band 0 < |k| <= k_max (default: the dealias cutoff), zero elsewhere."""
+    band 0 < |k| <= k_max (default: the dealias cutoff), zero elsewhere;
+    written to `out` when it is given."""
     k_max = grid.cutoff if k_max is None else k_max
     if k_max > grid.cutoff:
         raise ValueError(f"k_max={k_max} exceeds dealias cutoff {grid.cutoff}")
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(shape)
-    half = np.fft.rfft2(noise)[..., : k_max + 1] / grid.n ** 2
+    half = np.fft.rfft2(noise)[..., : k_max + 1]
+    half /= grid.n ** 2
     half *= _band_shaping(grid.n, decay, k_max)
-    return full_spectrum(grid, half)
+    return full_spectrum(grid, half, out)
 
 
 def random_divfree_field(
@@ -226,7 +260,10 @@ def random_divfree_field(
 
 
 def random_scalar_field(
-    grid: Grid, seed: int, energy_spectrum_decay: float = 1.0, k_max: int | None = None
+    grid: Grid, seed: int, energy_spectrum_decay: float = 1.0, k_max: int | None = None,
+    out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Mean-zero random (n, n) scalar with band-limited |k|^-decay spectrum."""
-    return _band_noise(grid, seed, (grid.n, grid.n), energy_spectrum_decay, k_max)
+    """Mean-zero random (n, n) scalar with band-limited |k|^-decay spectrum,
+    written to `out` when it is given."""
+    return _band_noise(grid, seed, (grid.n, grid.n), energy_spectrum_decay, k_max,
+                       out)

@@ -114,7 +114,7 @@ def abridged_runs(grid64, params64, forcing64):
 
 def test_criterion_1_full_observation_sync(baseline_run, grid64):
     result, elapsed = baseline_run
-    fit = decay_window_fit(result.errors.times, result.errors.l2_total())
+    fit = decay_window_fit(result.errors[0].times, result.errors[0].l2_total())
     ok = converged(fit) and elapsed < 300.0
     report(1, f"full-observation L2 sync: {fit['orders_of_decay']:.1f} orders, "
               f"R^2={fit['r_squared']:.4f}, {elapsed:.0f}s", ok)
@@ -123,9 +123,9 @@ def test_criterion_1_full_observation_sync(baseline_run, grid64):
 
 def test_criterion_2_h1_tracking(baseline_run):
     result, _ = baseline_run
-    l2 = decay_window_fit(result.errors.times, result.errors.l2_total())
-    h1 = decay_window_fit(result.errors.times, result.errors.h1_total())
-    dt_sample = np.diff(result.errors.times).max()
+    l2 = decay_window_fit(result.errors[0].times, result.errors[0].l2_total())
+    h1 = decay_window_fit(result.errors[0].times, result.errors[0].h1_total())
+    dt_sample = np.diff(result.errors[0].times).max()
     onset_ok = h1["onset_time"] >= l2["onset_time"] - dt_sample
     ok = converged(h1) and onset_ok
     report(2, f"H1 tracking: {h1['orders_of_decay']:.1f} orders, "
@@ -138,7 +138,7 @@ def test_criterion_3_abridged_observations(abridged_runs):
     ok = True
     parts = []
     for key, result in abridged_runs.items():
-        fit = decay_window_fit(result.errors.times, result.errors.l2_total())
+        fit = decay_window_fit(result.errors[0].times, result.errors[0].l2_total())
         ok = ok and converged(fit)
         parts.append(f"{key}: {fit['orders_of_decay']:.1f} orders")
     h_ok = all(GOLDEN[k]["h"] <= GOLDEN["baseline"]["h"]
@@ -155,7 +155,7 @@ def test_criterion_4_type2_interpolant(grid64, params64, forcing64):
     assert spec.c2 is not None and spec.c3 is not None
     result, _ = nudged_run(grid64, params64, forcing64, g["mask"],
                            g["interpolant_kind"], g["h"], g["mu"])
-    fit = decay_window_fit(result.errors.times, result.errors.h1_total())
+    fit = decay_window_fit(result.errors[0].times, result.errors[0].h1_total())
     ok = fit["orders_of_decay"] >= 4.0 and fit["rate"] > 0
     report(4, f"nodal bilinear (c2={spec.c2:.3g}, c3={spec.c3:.3g}) H1 decay "
               f"{fit['orders_of_decay']:.1f} orders", ok)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from mhdnudge.experiments import (
     run_scenario,
     run_sweep,
 )
+from mhdnudge.nudging import CoupledStepper
 from mhdnudge.spectral import Grid
 
 
@@ -225,7 +227,6 @@ def test_g_sweep_scales_grashof(tmp_path):
     g = Grid(32)
     p = derive_elsasser_params(cfg.re, cfg.rm)
     base = grashof_number(build_forcing(g, cfg), p)
-    from dataclasses import replace
     doubled = replace(cfg, forcing_amplitude=cfg.forcing_amplitude * 2.0,
                       forcing_g_amplitude=cfg.forcing_g_amplitude * 2.0)
     assert grashof_number(build_forcing(g, doubled), p) == \
@@ -244,3 +245,90 @@ def test_h_sweep_records_indivisible_h_and_goes_on(tmp_path):
     assert table[1]["exit_code"] in (EXIT_OK, EXIT_CHECK)
     assert (tmp_path / "h=0.25" / "summary.json").exists()
     assert (tmp_path / "sweep.csv").read_text().count("\n") == 3
+
+
+def test_sweep_rejects_values_sharing_a_directory(tmp_path):
+    # 50 and 50.0000001 both format as mu=50: the later would overwrite the
+    # earlier's artifacts, so the sweep is refused before any run starts
+    cfg = parse_config_text(SMALL)
+    with pytest.raises(ConfigError, match="mu=50"):
+        run_sweep(cfg, "mu", [50.0, 50.0000001], outdir=tmp_path / "sweep")
+    assert not (tmp_path / "sweep").exists()
+
+
+ARTIFACTS = ("config.txt", "trajectory.csv", "errors.csv", "summary.json",
+             "thresholds.json", "constants.json")
+TYPE2 = """scenario = type2
+n = 32
+interpolant_kind = nodal
+interpolant_h = 0.125
+mask = first
+horizon = 1.0
+spinup_max_time = 0.5
+init_mode = random
+"""
+
+
+def plain_runs(tmp_path, cfg, key, values):
+    """Run each value's config alone; returns value -> (its directory, its
+    exit code)."""
+    runs = {}
+    for v in values:
+        outdir = tmp_path / "plain" / f"{v:g}"
+        runs[v] = outdir, run_scenario(replace(cfg, **{key: v}), outdir)[0]
+    return runs
+
+
+def assert_same_artifacts(swept, plain):
+    for name in ARTIFACTS:
+        assert (swept / name).read_bytes() == (plain / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("text, axis, key, values", [
+    (TYPE2, "mu", "mu", [60.0, 240.0, 480.0]),
+    (SMALL.replace("u-only-exploratory", "baseline").replace("u-only", "all"),
+     "h", "interpolant_h", [0.25, 0.125]),
+])
+def test_shared_reference_sweep_matches_plain_runs(tmp_path, text, axis, key,
+                                                   values):
+    # the values share one reference run, yet each writes what a run of its
+    # config alone writes
+    cfg = parse_config_text(text)
+    plain = plain_runs(tmp_path, cfg, key, values)
+    table = run_sweep(cfg, axis, values, outdir=tmp_path / "sweep", max_workers=1)
+    swept = {v: tmp_path / "sweep" / f"{axis}={v:g}" for v in values}
+    for v in values:
+        assert_same_artifacts(swept[v], plain[v][0])
+    assert len({(swept[v] / "errors.csv").read_bytes() for v in values}) == len(values)
+    rows = json.loads((tmp_path / "sweep" / "sweep.json").read_text())["runs"]
+    for v, row, table_row in zip(values, rows, table):
+        summary = json.loads((swept[v] / "summary.json").read_text())
+        assert row["spin_up_converged"] == summary["spin_up_converged"]
+        assert row["exit_code"] == table_row["exit_code"] == plain[v][1]
+    lines = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+    assert lines[0] == "value,exit_code,rate,r_squared,passed"
+
+
+def test_sweep_retires_a_non_finite_member_and_goes_on(tmp_path, monkeypatch):
+    cfg = parse_config_text(TYPE2)
+    values = [60.0, 240.0, 480.0]
+    plain = plain_runs(tmp_path, cfg, "mu", values)
+    step = CoupledStepper.step
+
+    def step_then_spoil_second_member(self):
+        step(self)
+        if self.reference.step_count == 100:
+            nan = np.full((2, cfg.n, cfg.n), np.nan, dtype=complex)
+            self.members[1].set_state(nan, nan, self.members[1].t)
+
+    monkeypatch.setattr(CoupledStepper, "step", step_then_spoil_second_member)
+    table = run_sweep(cfg, "mu", values, outdir=tmp_path / "sweep", max_workers=1)
+    assert [row["exit_code"] for row in table] == [
+        plain[60.0][1], EXIT_BLOWUP, plain[480.0][1]]
+    failed = tmp_path / "sweep" / "mu=240"
+    summary = json.loads((failed / "summary.json").read_text())
+    assert summary["passed"] is False
+    assert "non-finite" in summary["error"] and "mu=240.0" in summary["error"]
+    assert not (failed / "errors.csv").exists()
+    for v in (60.0, 480.0):
+        assert_same_artifacts(tmp_path / "sweep" / f"mu={v:g}", plain[v][0])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mhdnudge.dynamics import (
+    BlowUpError,
     ForcingSpec,
     MhdStepper,
     Modulation,
@@ -79,7 +80,7 @@ def test_init_modes(grid32, params, forcing32):
     for init_mode, expected in (("zero", norms(grid32, ref.X)),
                                 ("copy", (0.0, 0.0, 0.0, 0.0)),
                                 ((custom, custom.copy()), norms(grid32, ref.X - pair))):
-        e = short_run(grid32, params, forcing32, init_mode).errors
+        e = short_run(grid32, params, forcing32, init_mode).errors[0]
         assert (e.l2_eta[0], e.l2_zeta[0], e.h1_eta[0], e.h1_zeta[0]) == expected
 
 
@@ -288,14 +289,14 @@ def test_run_assimilation_converges(grid32, params, forcing32):
     result = run_assimilation(grid32, params, forcing32, spec_config(mu=50.0),
                               init, init.copy(), 2e-3, 4.0,
                               spinup_max_time=4.0, sample_every=5)
-    l2 = result.errors.l2_total()
+    l2 = result.errors[0].l2_total()
     assert l2[0] > 0.0
     assert l2[-1] <= 1e-6 * l2[0]
     assert result.spin_up_time > 0.0
     assert result.spin_up_converged
     # trajectory sampled every step, errors every 5
     assert len(result.reference_trajectory.times) == 2001
-    assert len(result.errors.times) == 401
+    assert len(result.errors[0].times) == 401
 
 
 def test_observation_error_sets_floor(grid32, params, forcing32):
@@ -306,7 +307,7 @@ def test_observation_error_sets_floor(grid32, params, forcing32):
     init = seeded_init(grid32, 0, 0.5)
     result = run_assimilation(grid32, params, forcing32, cfg, init, init.copy(),
                               2e-3, 4.0, spinup_max_time=2.0, sample_every=5)
-    tail = result.errors.l2_total()[-20:]
+    tail = result.errors[0].l2_total()[-20:]
     assert tail.min() > 1e-5
     assert tail.max() < 1e-1
 
@@ -320,5 +321,53 @@ def test_decaying_perturbations_still_converge(grid32, params, forcing32):
     init = seeded_init(grid32, 0, 0.5)
     result = run_assimilation(grid32, params, forcing32, cfg, init, init.copy(),
                               2e-3, 12.0, spinup_max_time=2.0, sample_every=5)
-    l2 = result.errors.l2_total()
+    l2 = result.errors[0].l2_total()
     assert l2[-1] <= 1e-3 * l2.max()
+
+
+def test_members_match_one_member_systems(grid32, params, forcing32):
+    # implicit and explicit members, one with a forcing perturbation,
+    # advance against one reference exactly as each does in its own pair
+    noise = normalized_field(grid32, 9, 0.3)
+    configs = [spec_config(mu=50.0),
+               spec_config(mu=60.0, kind=NODAL, mask=MASK_FIRST),
+               spec_config(mu=100.0, kind=VOLUME,
+                           delta=decaying_pair(noise, noise, 0.5, 1.0))]
+    init = seeded_init(grid32, 0, 0.5)
+    other = seeded_init(grid32, 1, 0.5)
+    systems = [CoupledStepper(grid32, params, forcing32, configs, 2e-3)] + [
+        CoupledStepper(grid32, params, forcing32, cfg, 2e-3) for cfg in configs]
+    for cs in systems:
+        cs.reference.set_state(init, init, 0.0)
+        for assim in cs.members:
+            assim.set_state(other, other, 0.0)
+    for _ in range(30):
+        for cs in systems:
+            cs.step()
+    shared = systems[0]
+    for k, single in enumerate(systems[1:]):
+        assert np.array_equal(shared.reference.X, single.reference.X)
+        assert np.array_equal(shared.members[k].X, single.assimilated.X)
+
+
+def test_failed_member_is_retired_and_others_go_on(grid32, params, forcing32):
+    cfgs = [spec_config(mu=20.0), spec_config(mu=50.0)]
+    init = seeded_init(grid32, 0, 0.5)
+    cs = CoupledStepper(grid32, params, forcing32, cfgs, 2e-3)
+    solo = CoupledStepper(grid32, params, forcing32, cfgs[1], 2e-3)
+    for system in (cs, solo):
+        system.reference.set_state(init, init, 0.0)
+    nan = np.full((2, 32, 32), np.nan, dtype=complex)
+    cs.members[0].set_state(nan, nan, 0.0)
+    for _ in range(60):  # the stepper checks for non-finite states every 50
+        cs.step()
+        solo.step()
+    assert cs.active() == [1]
+    assert isinstance(cs.failures[0], BlowUpError)
+    assert np.array_equal(cs.members[1].X, solo.assimilated.X)
+    # once no member is left, step raises the error of the last one
+    cs.members[1].set_state(nan, nan, cs.reference.t)
+    with pytest.raises(BlowUpError):
+        for _ in range(60):
+            cs.step()
+    assert cs.active() == []
