@@ -62,13 +62,20 @@ class ErrorSeries:
                                     self.h1_eta, self.h1_zeta]))
 
 
-def _write_csv(path, header: str, rows):
-    """A CSV file: the header line, then one line per row with each value
-    written as repr(float), which round-trips exactly."""
+def _csv_text(header: str, rows) -> str:
+    """The text of a CSV file: the header line, then one line per row with
+    each value written as repr(float), which round-trips exactly."""
+    lines = [header] + [",".join(repr(float(x)) for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _write_text(path, text: str):
     with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        fh.write(text)
+
+
+def _write_csv(path, header: str, rows):
+    _write_text(path, _csv_text(header, rows))
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,8 @@ Crank-Nicolson on the coupled diffusion block, Adams-Bashforth 2 on
 advection and forcing, explicit Euler on the first step.  The diffusion
 block couples v and w only through beta, so its Crank-Nicolson solve is a
 closed form per mode; an implicit damping term (the nudging feedback) is
-solved with dense 4x4 blocks on the modes where it acts.  The state is
-real, so the stepper keeps only its half spectrum, the columns
-k2 = 0..n/2, and every per-mode operation acts on that half.
+solved with dense 4x4 blocks on the modes where it acts.  States,
+forcings and every per-mode operator are half spectra (see `spectral`).
 """
 
 from __future__ import annotations
@@ -25,7 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Grid, dealias_coef, l2_norm, leray_project_coef
+from .spectral import (
+    Grid,
+    dealias_coef,
+    l2_norm,
+    leray_project_coef,
+    parseval_sq,
+)
 
 FOUR_PI_SQ = 4.0 * np.pi ** 2
 # admissible dt = CFL_SAFETY / (n * max speed)
@@ -138,7 +143,7 @@ class Modulation:
 
 @dataclass
 class ForcingSpec:
-    """Elsasser forcing pair (f, g) of (2, n, n) coefficient arrays times a
+    """Elsasser forcing pair (f, g) of (2, n, n/2 + 1) half spectra times a
     time envelope; the default envelope is exactly 1."""
 
     f: np.ndarray
@@ -177,10 +182,10 @@ def advection(grid: Grid, X: np.ndarray, out: np.ndarray | None = None,
     on the columns k2 = 0..cutoff, a (4, n, cutoff + 1) band that is zero
     past the dealias cutoff, and the physical-space maximum speed of v and w.
 
-    X may be the half spectrum or the full one: only its columns
-    0..cutoff are read.  Divergence form: for divergence-free v and w,
-    (w.grad)v_i = d_j(w_j v_i) and (v.grad)w_i = d_j(v_j w_i), so both terms
-    come from the four products v_i w_j.  Inputs and result are 2/3-rule
+    Only the columns 0..cutoff of X are read.  Divergence form: for
+    divergence-free v and w, (w.grad)v_i = d_j(w_j v_i) and
+    (v.grad)w_i = d_j(v_j w_i), so both terms come from the four products
+    v_i w_j.  Inputs and result are 2/3-rule
     dealiased.  `out` receives the band and `products` the (2, 2, n, n/2 + 1)
     rfft2 of the products; both are allocated when not given.
     """
@@ -218,22 +223,32 @@ def project_pair(grid: Grid, X: np.ndarray,
     return out
 
 
-def project_half(grid: Grid, pair: ForcingSpec) -> np.ndarray:
-    """P[(f, g)] of a forcing pair as a (4, n, n/2 + 1) half array, without
-    its envelope; since P[m(t) (f, g)] = m(t) P[(f, g)], the stepper scales
-    it per step."""
-    h = grid.half_width
-    return project_pair(grid, np.concatenate([pair.f[..., :h], pair.g[..., :h]]))
+def stack_pair(grid: Grid, first: np.ndarray, second: np.ndarray,
+               name: str) -> np.ndarray:
+    """(first, second) as one new (4, n, n/2 + 1) array; each must be a
+    (2, n, n/2 + 1) half spectrum."""
+    shape = (2, grid.n, grid.half_width)
+    for coef in (first, second):
+        if np.shape(coef) != shape:
+            raise ValueError(f"{name} must be {shape} half spectra, got an "
+                             f"array of shape {np.shape(coef)}")
+    return np.concatenate([first, second])
+
+
+def project_forcing(grid: Grid, pair: ForcingSpec) -> np.ndarray:
+    """P[(f, g)] of a forcing pair as a (4, n, n/2 + 1) array, without its
+    envelope; since P[m(t) (f, g)] = m(t) P[(f, g)], the stepper scales it
+    per step."""
+    X = stack_pair(grid, pair.f, pair.g, "forcing (f, g)")
+    return project_pair(grid, X, out=X)
 
 
 def norms(grid: Grid, X: np.ndarray):
     """(l2_v, l2_w, h1_v, h1_w) of a stacked (4, n, n/2 + 1) half spectrum
-    X = (v, w), with the Parseval weights of its columns."""
-    a = np.abs(X)
-    np.square(a, out=a)
-    a *= grid.parseval_weights
+    X = (v, w)."""
+    a = parseval_sq(X)
     l2v, l2w = np.sqrt(a.reshape(2, -1).sum(axis=1))
-    a *= grid.ksq[:, : X.shape[-1]]
+    a *= grid.ksq
     h1v, h1w = 2.0 * np.pi * np.sqrt(a.reshape(2, -1).sum(axis=1))
     return float(l2v), float(l2w), float(h1v), float(h1w)
 
@@ -256,7 +271,7 @@ def _implicit_operators(grid: Grid, params: ElsasserParams, dt: float,
 
     Returns ((p, q), (a, b), (idx, inv)).
     """
-    half = 0.5 * dt * FOUR_PI_SQ * grid.ksq[:, : grid.half_width]
+    half = 0.5 * dt * FOUR_PI_SQ * grid.ksq
     ha, hb = half * params.alpha, half * params.beta
     a0, b0 = 1.0 + ha, hb
     det = (a0 - b0) * (a0 + b0)
@@ -274,10 +289,10 @@ def _implicit_operators(grid: Grid, params: ElsasserParams, dt: float,
 class MhdStepper:
     """Owns one evolving (v, w) state and advances it with the IMEX scheme.
 
-    The state `X` is the (4, n, n/2 + 1) half spectrum of (v1, v2, w1, w2),
-    the columns k2 = 0..n/2 (see `spectral`); read it through `norms`,
-    which applies the Parseval weights.  Forcing and initial states are
-    given as full (2, n, n) arrays and sliced to the half here.  An advance
+    The state `X` is the (4, n, n/2 + 1) half spectrum of (v1, v2, w1, w2)
+    (see `spectral`); read it through `norms`, which applies the Parseval
+    weights.  Forcing and initial states are (2, n, n/2 + 1) half spectra,
+    and arrays of any other shape are refused.  An advance
     allocates no state-sized array: it works in two explicit-term buffers
     that swap roles as the Adams-Bashforth history, a right-hand side, the
     advection band and the rfft2 output of the advection products.
@@ -312,10 +327,8 @@ class MhdStepper:
     # -- state accessors ----------------------------------------------------
 
     def set_state(self, vcoef: np.ndarray, wcoef: np.ndarray, t: float = 0.0):
-        """Set (v, w) from (2, n, n) full or (2, n, n/2 + 1) half arrays."""
-        h = self.grid.half_width
-        self.X[:2] = vcoef[..., :h]
-        self.X[2:] = wcoef[..., :h]
+        """Set (v, w) from two (2, n, n/2 + 1) half spectra."""
+        self.X[...] = stack_pair(self.grid, vcoef, wcoef, "the state (v, w)")
         self.X[:, 0, 0] = 0.0
         self.restart(t)
 
@@ -327,9 +340,8 @@ class MhdStepper:
         self._prev_expl = None
         if forcing is not None:
             self._forcing = forcing
-            self._projected_forcing = project_half(self.grid, forcing)
-            self._forcing_sq = float(np.sum(np.abs(forcing.f) ** 2)
-                                     + np.sum(np.abs(forcing.g) ** 2))
+            self._projected_forcing = project_forcing(self.grid, forcing)
+            self._forcing_sq = l2_norm(forcing.f) ** 2 + l2_norm(forcing.g) ** 2
 
     @property
     def forcing(self) -> ForcingSpec:

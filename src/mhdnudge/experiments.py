@@ -57,6 +57,7 @@ from .interpolants import (
 from .nudging import (
     CoupledStepper,
     NudgingConfig,
+    check_explicit_gain,
     run_assimilation,
 )
 from .spectral import Grid, forward_transform, l2_norm, random_divfree_field
@@ -161,13 +162,9 @@ class ExperimentConfig:
             raise ConfigError("calibration_samples must be >= 1")
         if self.mu < 0:
             raise ConfigError("mu must be >= 0")
-        # explicit feedback is stable only for mu*dt <= 1; the determining
-        # scenario derives its own gain and does not use mu
-        if (self.interpolant_kind != SPECTRAL and self.scenario != "determining"
-                and self.mu * self.dt > 1.0):
-            raise ConfigError(
-                f"explicit nudging ({self.interpolant_kind} interpolant) needs "
-                f"mu*dt <= 1, got mu*dt = {self.mu * self.dt:g}")
+        # the determining scenario derives its own gain and does not use mu
+        if self.scenario != "determining":
+            _check_gain(self.interpolant_kind, self.mu, self.dt)
         return self
 
     def dump(self) -> str:
@@ -176,6 +173,14 @@ class ExperimentConfig:
 
 
 _TYPES = get_type_hints(ExperimentConfig)
+
+
+def _check_gain(kind: str, mu: float, dt: float, gain: str = "mu"):
+    """check_explicit_gain, raising ConfigError."""
+    try:
+        check_explicit_gain(kind, mu, dt, gain)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def parse_config_text(text: str, overrides: dict | None = None) -> ExperimentConfig:
@@ -346,6 +351,7 @@ def _run_nudged(cfgs, outdirs):
     G = grashof_number(forcing, params)
     traj = result.reference_trajectory
     traj_table, energy_flags = _trajectory_table(traj, params)
+    traj_csv = diag._csv_text("t,l2_v,l2_w,h1_v,h1_w,energy_residual", traj_table)
     constants = diag.ANALYSIS_CONSTANTS
     try:
         int_bound = diag.check_int_bound(traj, G, params)
@@ -367,8 +373,7 @@ def _run_nudged(cfgs, outdirs):
             calibrated[ncfg.interpolant] = calibrate(
                 ncfg.interpolant, grid, c.calibration_samples, c.forcing_seed)
         spec = calibrated[ncfg.interpolant]
-        diag._write_csv(os.path.join(outdir, "trajectory.csv"),
-                        "t,l2_v,l2_w,h1_v,h1_w,energy_residual", traj_table)
+        diag._write_text(os.path.join(outdir, "trajectory.csv"), traj_csv)
         errors.save_csv(os.path.join(outdir, "errors.csv"))
         _json_dump(os.path.join(outdir, "thresholds.json"),
                    threshold_report(c, params, G, spec))
@@ -517,13 +522,8 @@ def _scenario_determining(cfg: ExperimentConfig, outdir):
     else:
         mu_aux = params.nu_bar / (
             2.0 * cfg.interpolant_h ** 2 * max(spec.c2 ** 2, spec.c3))
-    # the explicit feedback of the volume and nodal interpolants is stable
-    # only for mu*dt <= 1, and validated() cannot see the derived mu_aux
-    if cfg.interpolant_kind != SPECTRAL and mu_aux * cfg.dt > 1.0:
-        raise ConfigError(
-            f"explicit nudging ({cfg.interpolant_kind} interpolant) needs "
-            f"mu_aux*dt <= 1, got mu_aux*dt = {mu_aux * cfg.dt:g}; the largest "
-            f"admissible dt is {1.0 / mu_aux:.3e}")
+    # validated() cannot see the derived gain
+    _check_gain(cfg.interpolant_kind, mu_aux, cfg.dt, "mu_aux")
     ncfg = NudgingConfig(mu_aux, InterpolantSpec(cfg.interpolant_kind,
                                                  cfg.interpolant_h), MASK_ALL)
     coupled = CoupledStepper(grid, params, forcing1, ncfg, cfg.dt)
@@ -535,10 +535,10 @@ def _scenario_determining(cfg: ExperimentConfig, outdir):
     sol1.set_state(init1, init1, 0.0)
     sol2.set_state(init2, init2, 0.0)
     spun = [spin_up(s, cfg.spinup_tol, cfg.spinup_max_time) for s in (sol1, sol2)]
-    sol2.restart(forcing=forcing2)  # envelope clock starts at the reset t=0
+    # the envelope clock starts at the reset t=0; aux starts at zero, its
+    # state since construction
+    sol2.restart(forcing=forcing2)
     aux.restart(forcing=forcing2)
-    aux.set_state(np.zeros((2, grid.n, grid.n), np.complex128),
-                  np.zeros((2, grid.n, grid.n), np.complex128), 0.0)
 
     n_steps = int(round(cfg.horizon / cfg.dt))
     rows = []

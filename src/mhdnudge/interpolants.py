@@ -6,15 +6,20 @@ Three interpolant kinds are provided:
 * ``volume``   - cellwise mean over a (1/h)^2 partition          (type 1)
 * ``nodal``    - bilinear interpolation of (1/h)^2 node samples  (type 2)
 
-All three act on the Fourier coefficients directly, with no transform.
-Volume and nodal I_h are linear and commute with shifts by whole cells of
-the m x m node lattice (m = 1/h, s = n/m points per cell), so a mode k only
-mixes with its aliases k + m j.  On an n x n grid
+All three act on the half spectrum (see `spectral`) directly, with no
+transform.  Volume and nodal I_h are linear and commute with shifts by
+whole cells of the m x m node lattice (m = 1/h, s = n/m points per cell),
+so a mode k only mixes with its aliases k + m j.  On an n x n grid
 
     I_h c = post * tile(fold(pre * c)),
 
 where ``fold`` sums each mode's aliases onto the m x m lattice and
-``tile`` repeats the lattice over the n x n modes.  With the box weight
+``tile`` repeats the lattice over the modes.  The aliases of a mode lie in
+both half planes, and the half spectrum holds those of the other half as
+conjugate mirrors, so the fold goes in two steps: the rows fold onto an
+m x (n/2 + 1) lattice, whose columns 1..n/2 - 1, conjugated with their
+rows negated mod m, are the columns n/2 + 1..n - 1 of the m x n lattice;
+its columns then fold onto m x m.  With the box weight
 B(k) = (1/s) sum_{r<s} exp(2 pi i k r/n), the DFT of an s-point cell mean:
 
 * volume: pre = B(k1) B(k2), post = conj(pre) - mean over the cell, then
@@ -43,7 +48,6 @@ import numpy as np
 from .dynamics import from_elsasser
 from .spectral import (
     Grid,
-    full_spectrum,
     h1_seminorm,
     h2_seminorm,
     l2_norm,
@@ -104,25 +108,27 @@ def _check_grid(spec: InterpolantSpec, grid: Grid):
 
 @lru_cache(maxsize=None)
 def _weights(kind: str, n: int, resolution: int):
-    """(m, pre, post) of I_h on an n x n grid (see the module docstring).
+    """(m, pre, post) of I_h on the (n, n/2 + 1) half spectrum (see the
+    module docstring).
 
     `pre` is None where it is 1.  The arrays are shared by every call with
     the same arguments, so they are read-only.
     """
     k = np.fft.fftfreq(n, 1.0 / n)
+    h = n // 2 + 1
     if kind == SPECTRAL:
         keep = np.abs(k) <= resolution
-        m, pre, post = n, None, np.outer(keep, keep)
+        m, pre, post = n, None, np.outer(keep, keep[:h])
     else:
         m = resolution
         s = n // m
         box = np.exp(2j * np.pi * np.outer(k, np.arange(s)) / n).mean(axis=1)
         if kind == VOLUME:
-            pre = np.outer(box, box)
+            pre = np.outer(box, box[:h])
             post = pre.conj()
         else:  # NODAL
             fejer = np.abs(box) ** 2
-            pre, post = None, np.outer(fejer, fejer)
+            pre, post = None, np.outer(fejer, fejer[:h])
     for w in (pre, post):
         if w is not None:
             w.setflags(write=False)
@@ -132,69 +138,66 @@ def _weights(kind: str, n: int, resolution: int):
 def apply_interpolant_coef(spec: InterpolantSpec, grid: Grid,
                            coef: np.ndarray,
                            out: np.ndarray | None = None) -> np.ndarray:
-    """I_h on raw coefficients, full (..., n, n) or half (..., n, n/2 + 1)
-    spectra; supports stacked leading axes.  The result is written to
-    `out` when it is given; for a full spectrum that allocates no (n, n)
-    array.
+    """I_h on (..., n, n/2 + 1) half spectra, with any leading axes.  The
+    result is written to `out` when it is given, which may be coef itself;
+    no temporary is larger than the m x n lattice of the fold.
 
     Complex-linear: on the coefficients of a real field it returns those of
-    a real field.  The spectral mask acts per mode; the fold of volume and
-    nodal I_h gathers aliases from both half planes, so a half spectrum is
-    first rebuilt by the conjugate mirror, and only the result's first
-    columns are kept.
+    a real field.
     """
     _check_grid(spec, grid)
     m, pre, post = _weights(spec.kind, grid.n, spec.resolution)
-    s = grid.n // m
-    w = coef.shape[-1]
+    n, h = grid.n, grid.half_width
+    s = n // m
     if s == 1:
-        out = np.multiply(coef, post[:, :w], out=out)
+        out = np.multiply(coef, post, out=out)
     else:
-        if w < grid.n:
-            coef = full_spectrum(grid, coef)
-            full = coef  # a new array, worked on in place
-        else:
-            full = np.empty_like(coef) if out is None else out
-        x = coef if pre is None else np.multiply(coef, pre, out=full)
-        folded = x.reshape(*x.shape[:-2], s, m, s, m).sum(axis=(-4, -2))
-        # tile the m x m lattice over the n x n modes
-        full.reshape(folded.shape[:-2] + (s, m, s, m))[...] = \
-            folded[..., None, :, None, :]
-        full *= post
         if out is None:
-            out = full[..., :w]
-        elif out is not full:
-            out[...] = full[..., :w]
+            out = np.empty(coef.shape, dtype=np.complex128)
+        x = coef if pre is None else np.multiply(coef, pre, out=out)
+        lead = x.shape[:-2]
+        # fold the rows, then mirror to the m x n lattice and fold its columns
+        rows = x.reshape(lead + (s, m, h)).sum(axis=-3)
+        lattice = np.empty(lead + (m, n), dtype=np.complex128)
+        lattice[..., :h] = rows
+        np.conjugate(rows[..., -np.arange(m) % m, h - 2:0:-1],
+                     out=lattice[..., h:])
+        folded = lattice.reshape(lead + (m, s, m)).sum(axis=-2)
+        # tile the m x m lattice over the half spectrum, times post
+        np.multiply(folded[..., np.arange(h) % m][..., None, :, :],
+                    post.reshape(s, m, h), out=out.reshape(lead + (s, m, h)))
     out[..., 0, 0] = 0.0
     return out
 
 
-def apply_masked(spec: InterpolantSpec, mask: str, grid: Grid,
-                 eta: np.ndarray, zeta: np.ndarray):
-    """Observation-masked feedback from the state difference (eta, zeta).
-
-    eta/zeta are raw (2, n, n) coefficient arrays of v - v~ and w - w~.
-    Returns the raw (feedback_v, feedback_w) pair *before* the Leray
-    projection and the gain mu are applied.
+def apply_masked(spec: InterpolantSpec, mask: str, grid: Grid, X: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Observation-masked I_h of a stacked (4, n, n/2 + 1) state difference
+    X = (v - v~, w - w~), as one (4, n, n/2 + 1) array written to `out`
+    when it is given, which may be X itself.  The Leray projection and the
+    gain mu are not applied.
     """
+    if out is None:
+        out = np.empty(X.shape, dtype=np.complex128)
     if mask == MASK_ALL:
-        return (apply_interpolant_coef(spec, grid, eta),
-                apply_interpolant_coef(spec, grid, zeta))
-    if mask == MASK_FIRST:
-        fv = np.zeros_like(eta)
-        fw = np.zeros_like(zeta)
-        fv[0] = apply_interpolant_coef(spec, grid, eta[0])
-        fw[0] = apply_interpolant_coef(spec, grid, zeta[0])
-        return fv, fw
-    if mask == MASK_V_ONLY:
-        return apply_interpolant_coef(spec, grid, eta), np.zeros_like(zeta)
-    if mask == MASK_B_ONLY:
-        obs = apply_interpolant_coef(spec, grid, from_elsasser(eta, zeta)[1])
-        return obs, -obs
-    if mask == MASK_U_ONLY:
-        obs = apply_interpolant_coef(spec, grid, from_elsasser(eta, zeta)[0])
-        return obs, obs
-    raise ValueError(f"unknown observation mask {mask!r}")
+        apply_interpolant_coef(spec, grid, X, out=out)
+    elif mask == MASK_FIRST:
+        apply_interpolant_coef(spec, grid, X[::2], out=out[::2])
+        out[1::2] = 0.0
+    elif mask == MASK_V_ONLY:
+        apply_interpolant_coef(spec, grid, X[:2], out=out[:2])
+        out[2:] = 0.0
+    elif mask == MASK_B_ONLY:
+        apply_interpolant_coef(spec, grid, from_elsasser(X[:2], X[2:])[1],
+                               out=out[:2])
+        np.negative(out[:2], out=out[2:])
+    elif mask == MASK_U_ONLY:
+        apply_interpolant_coef(spec, grid, from_elsasser(X[:2], X[2:])[0],
+                               out=out[:2])
+        out[2:] = out[:2]
+    else:
+        raise ValueError(f"unknown observation mask {mask!r}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +210,14 @@ def _bound_samples(spec: InterpolantSpec, grid: Grid, n_samples: int,
     and b = h^2|Lap u| when `lap` is set (else None)."""
     a, r = np.empty(n_samples), np.empty(n_samples)
     b = np.empty(n_samples) if lap else None
-    # Per-sample (n, n) temporaries made glibc give the top of the heap
+    # Per-sample (n, n/2 + 1) temporaries made glibc give the top of the heap
     # back and fault it in again on the next sample whenever earlier
     # allocations left no hole below it: at n = 128 about 96 minor faults
     # per sample and a fifth of the run time.  Reused buffers take the
     # largest of them instead.
-    u, residual = np.empty((2, grid.n, grid.n), dtype=np.complex128)
-    work = np.empty((grid.n, grid.n))
+    shape = (grid.n, grid.half_width)
+    u, residual = np.empty((2,) + shape, dtype=np.complex128)
+    work = np.empty(shape)
     for i in range(n_samples):
         random_scalar_field(grid, seed + i, energy_spectrum_decay=1.0, out=u)
         np.subtract(u, apply_interpolant_coef(spec, grid, u, out=residual),

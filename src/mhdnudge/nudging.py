@@ -6,10 +6,11 @@ spectral-projection interpolants the self-damping half of the feedback is
 folded into the implicit solve as dense 4x4 blocks on the observed modes,
 the only modes where it acts (the theorem-scale gains would otherwise
 force dt ~ 1/mu); for the other interpolant kinds the feedback is
-explicit, with the stability restriction mu*dt <= 1.  Like the steppers'
-states, the feedback and its inputs are (.., n, n/2 + 1) half spectra.
-Nudging is one-way, so any number of assimilating systems (members), each
-with its own gain, interpolant and mask, can share one reference.
+explicit, with the stability restriction mu*dt <= 1
+(`check_explicit_gain`).  Like the steppers' states, the feedback and its
+inputs are stacked (4, n, n/2 + 1) half spectra.  Nudging is one-way, so
+any number of assimilating systems (members), each with its own gain,
+interpolant and mask, can share one reference.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ from .dynamics import (
     MhdStepper,
     Trajectory,
     norms,
-    project_half,
+    project_forcing,
     project_pair,
     spin_up,
+    stack_pair,
     trajectory_row,
 )
 from .interpolants import (
@@ -67,20 +69,27 @@ class NudgingConfig:
 # feedback term
 
 
-def nudging_term(config: NudgingConfig, grid: Grid, eta: np.ndarray,
-                 zeta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """mu * P[I_h masked(eta, zeta)] as a (4, n, w) array, written to `out`
-    when it is given.
+def check_explicit_gain(kind: str, mu: float, dt: float, gain: str = "mu"):
+    """Raise ValueError unless feedback through a `kind` interpolant with
+    gain mu is stable at dt: explicit feedback (volume and nodal) needs
+    mu*dt <= 1.  `gain` names mu in the message."""
+    if kind != SPECTRAL and mu * dt > 1.0:
+        raise ValueError(
+            f"explicit nudging ({kind} interpolant) needs {gain}*dt <= 1, got "
+            f"{gain}*dt = {mu * dt:g}; the largest admissible dt is "
+            f"{1.0 / mu:.3e}")
 
-    Linear in the raw (2, n, w) coefficient arrays eta and zeta (half
-    spectra, w = n/2 + 1, or full ones, w = n), which are observed minus
-    model for the explicit feedback and the observation alone for the
-    implicit data term.
+
+def nudging_term(config: NudgingConfig, grid: Grid, X: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """mu * P[I_h masked(X)] as a (4, n, n/2 + 1) array, written to `out`
+    when it is given, which may be X itself.
+
+    Linear in the stacked (4, n, n/2 + 1) half spectrum X = (eta, zeta),
+    which is observed minus model for the explicit feedback and the
+    observation alone for the implicit data term.
     """
-    if out is None:
-        out = np.empty((4,) + eta.shape[1:], dtype=np.complex128)
-    out[:2], out[2:] = apply_masked(config.interpolant, config.mask, grid,
-                                    eta, zeta)
+    out = apply_masked(config.interpolant, config.mask, grid, X, out)
     project_pair(grid, out, out=out)
     out *= config.mu
     return out
@@ -105,7 +114,7 @@ def _observation_blocks(grid: Grid, config: NudgingConfig):
     for j in range(4):
         e = np.zeros((4,) + shape, dtype=np.complex128)
         e[j] = 1.0
-        col = nudging_term(config, grid, e[:2], e[2:]).reshape(4, -1)
+        col = nudging_term(config, grid, e).reshape(4, -1)
         blocks[:, :, j] = col[:, idx].real.T
     return idx, blocks
 
@@ -117,19 +126,15 @@ class _Member:
                  config: NudgingConfig, dt: float):
         self.config = config
         self.implicit = config.interpolant.kind == SPECTRAL
-        if not self.implicit and config.mu * dt > 1.0:
-            raise ValueError(
-                f"explicit nudging needs mu*dt <= 1; max admissible dt "
-                f"is {1.0 / config.mu:.3e}")
+        check_explicit_gain(config.interpolant.kind, config.mu, dt)
         damping = _observation_blocks(grid, config) if self.implicit else None
         self.stepper = MhdStepper(grid, params, forcing, dt, damping=damping)
         # P[m(t) delta] = m(t) P[delta], as for the forcing
-        self.projected_delta = None if config.delta is None else project_half(
+        self.projected_delta = None if config.delta is None else project_forcing(
             grid, config.delta)
         eps = config.eps
-        h = grid.half_width
-        self.eps = None if eps is None else np.concatenate(
-            [eps.f[..., :h], eps.g[..., :h]])
+        self.eps = None if eps is None else stack_pair(grid, eps.f, eps.g,
+                                                       "eps (f, g)")
         self.feedback = np.empty_like(self.stepper.X)
 
     def observed(self, ref: MhdStepper) -> np.ndarray:
@@ -198,8 +203,8 @@ class CoupledStepper:
         active = [(k, self._members[k]) for k in self.active()]
         for k, m in active:
             if not m.implicit:
-                diff = m.observed(ref) - m.stepper.X
-                nudging_term(m.config, grid, diff[:2], diff[2:], out=m.feedback)
+                np.subtract(m.observed(ref), m.stepper.X, out=m.feedback)
+                nudging_term(m.config, grid, m.feedback, out=m.feedback)
                 if m.projected_delta is not None:
                     m.feedback += m.delta()
         try:
@@ -212,9 +217,8 @@ class CoupledStepper:
         for k, m in active:
             try:
                 if m.implicit:
-                    obs = m.observed(ref)
                     m.stepper.advance(extra_ab=m.delta(), extra_plain=nudging_term(
-                        m.config, grid, obs[:2], obs[2:], out=m.feedback))
+                        m.config, grid, m.observed(ref), out=m.feedback))
                 else:
                     m.stepper.advance(extra_ab=m.feedback)
             except (BlowUpError, CflError) as exc:
@@ -240,7 +244,7 @@ class RunResult:
 
 
 def _check_divfree(grid: Grid, named_fields):
-    """Reject any (name, (2, n, n) coef) pair whose field is not
+    """Reject any (name, (2, n, n/2 + 1) coef) pair whose field is not
     divergence-free, to a relative tolerance of 1e-10."""
     for name, coef in named_fields:
         if divergence_defect(grid, coef) > 1e-10 * max(l2_norm(coef), 1e-300):
@@ -259,7 +263,7 @@ def run_assimilation(grid: Grid, params, forcing: ForcingSpec,
 
     Every member starts at zero (`init_mode` "zero"), at a copy of the
     spun-up reference ("copy"), or at a caller-supplied (v, w) pair of
-    (2, n, n) arrays.  Every caller-supplied field must be
+    (2, n, n/2 + 1) half spectra.  Every caller-supplied field must be
     divergence-free.  A member whose state or error turns non-finite, or
     that breaks the CFL limit, is retired and the others go on; a failure
     of the reference in spin-up is raised, and one while co-evolving

@@ -1,24 +1,24 @@
 """Periodic fields on the unit square: transforms, projection and norms.
 
-Fields live on the non-dimensional torus [0,1]^2.  A field is a raw
-complex array of Fourier coefficients, (n, n) for a scalar and (2, n, n)
-for a vector, passed beside the `Grid` it lives on, with the convention
+Fields live on the non-dimensional torus [0,1]^2 and are real, with the
+convention
 
-    u(x) = sum_k c_k exp(2*pi*i k.x),   c_k = fft2(samples) / n**2,
+    u(x) = sum_k c_k exp(2*pi*i k.x),   c(-k) = c(k)^*,
 
-so Parseval reads ||u||_L2^2 = sum |c_k|^2 and the gradient is
-multiplication by 2*pi*i*k.  The zero mode is kept at zero (the governing
-equations assume zero space average).
+so each field is stored as the rfft2 half spectrum of its samples divided
+by n**2: the columns k2 = 0..n/2 of the coefficients, an (n, n/2 + 1)
+array for a scalar and a (2, n, n/2 + 1) array for a vector, passed beside
+the `Grid` it lives on.  That is the package's one coefficient layout; the
+wavenumber arrays of `Grid` have the same shape.  The gradient is
+multiplication by 2*pi*i*k, and the zero mode is kept at zero (the
+governing equations assume zero space average).
 
-The coefficients of a real field satisfy c(-k) = c(k)^*, so the time
-stepper keeps only the rfft2 half spectrum: the columns k2 = 0..n/2, an
-(..., n, n/2 + 1) array.  `full_spectrum` rebuilds the other columns by
-the conjugate mirror.  Each mode of columns 1..n/2 - 1 stands for itself
-and its mirror, so Parseval on a half array weights |c_k|^2 by 2 there and
-by 1 on column 0 and on the Nyquist column n/2 (`Grid.parseval_weights`).
-The per-mode operators (`leray_project_coef`, `dealias_coef`,
-`divergence_defect`) act on the first columns of whatever width they are
-given, so they serve full arrays and half arrays alike.
+Each mode of columns 1..n/2 - 1 stands for itself and its conjugate mirror
+-k, so Parseval weights |c_k|^2 by 2 there and by 1 on column 0 and on the
+Nyquist column n/2: ||u||_L2^2 = sum w_k |c_k|^2 (`parseval_sq`).  The
+per-mode operators (`leray_project_coef`, `dealias_coef`) act on the first
+columns of whatever width they are given, so they serve the advection band
+k2 = 0..cutoff as well.
 """
 
 from __future__ import annotations
@@ -48,15 +48,21 @@ class Grid:
         """Dealiasing cutoff: modes with max(|k1|,|k2|) > cutoff are dropped."""
         return self.n // 3
 
+    @property
+    def half_width(self) -> int:
+        """Columns of the half spectrum, k2 = 0..n/2."""
+        return self.n // 2 + 1
+
     @cached_property
     def k1(self) -> np.ndarray:
         k = np.fft.fftfreq(self.n, 1.0 / self.n)
-        return np.broadcast_to(k[:, None], (self.n, self.n)).copy()
+        return np.broadcast_to(k[:, None], (self.n, self.half_width)).copy()
 
     @cached_property
     def k2(self) -> np.ndarray:
-        k = np.fft.fftfreq(self.n, 1.0 / self.n)
-        return np.broadcast_to(k[None, :], (self.n, self.n)).copy()
+        """fftfreq's k2 = 0..n/2 - 1, then -n/2 on the Nyquist column."""
+        k = np.fft.fftfreq(self.n, 1.0 / self.n)[: self.half_width]
+        return np.broadcast_to(k[None, :], (self.n, self.half_width)).copy()
 
     @cached_property
     def ksq(self) -> np.ndarray:
@@ -79,20 +85,6 @@ class Grid:
         out[nz] = 1.0 / self.ksq[nz]
         return out
 
-    @property
-    def half_width(self) -> int:
-        """Columns of the half spectrum, k2 = 0..n/2."""
-        return self.n // 2 + 1
-
-    @cached_property
-    def parseval_weights(self) -> np.ndarray:
-        """Weight of each half-spectrum column in a Parseval sum: 1 on
-        column 0 and on the Nyquist column n/2, 2 on the others."""
-        w = np.full(self.half_width, 2.0)
-        w[0] = w[-1] = 1.0
-        w.setflags(write=False)
-        return w
-
     def points(self):
         x = np.arange(self.n) / self.n
         return np.meshgrid(x, x, indexing="ij")
@@ -100,8 +92,7 @@ class Grid:
 
 def divergence_defect(grid: Grid, coef: np.ndarray) -> float:
     """max_k |k . c_k|, which is 0 for exactly divergence-free fields."""
-    w = coef.shape[-1]
-    d = grid.k1[:, :w] * coef[0] + grid.k2[:, :w] * coef[1]
+    d = grid.k1 * coef[0] + grid.k2 * coef[1]
     return float(np.max(np.abs(d)))
 
 
@@ -110,13 +101,13 @@ def divergence_defect(grid: Grid, coef: np.ndarray) -> float:
 
 
 def forward_transform(grid: Grid, samples: np.ndarray):
-    """Physical samples (..., n, n) -> (coefficients, removed mean)."""
+    """Physical samples (..., n, n) -> (half spectrum, removed mean)."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.shape[-2:] != (grid.n, grid.n):
         raise ValueError(
             f"sample array {samples.shape} does not match grid n={grid.n}"
         )
-    coef = np.fft.fft2(samples) / grid.n ** 2
+    coef = np.fft.rfft2(samples) / grid.n ** 2
     mean = coef[..., 0, 0].real.copy()
     coef[..., 0, 0] = 0.0
     return coef, mean
@@ -129,7 +120,7 @@ def forward_transform(grid: Grid, samples: np.ndarray):
 def leray_project_coef(grid: Grid, coef: np.ndarray,
                        out: np.ndarray | None = None) -> np.ndarray:
     """c -> c - k (k.c)/|k|^2 on raw (..., 2, n, w) coefficients, the
-    first w columns of the spectrum: the component axis is third from
+    first w columns of the half spectrum: the component axis is third from
     last, so a stacked (v, w) pair is projected by one call on its
     (2, 2, n, w) view.  `out` may be coef itself.
 
@@ -160,54 +151,34 @@ def dealias_coef(grid: Grid, coef: np.ndarray,
     return np.multiply(coef, grid.dealias_mask[:, : coef.shape[-1]], out=out)
 
 
-def full_spectrum(grid: Grid, half: np.ndarray,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """(..., n, n) coefficients of a real field from its columns
-    k2 = 0..c, a (..., n, c + 1) array with c <= n/2, written to `out`
-    when it is given.
-
-    Columns k2 = -min(c, n/2 - 1)..-1 are the conjugate mirror
-    c(k1, k2) = c(-k1, -k2)^*; the Nyquist column n/2, when given, is kept
-    as it is, and every other column with |k2| > c is zero.
-    """
-    n = grid.n
-    c = half.shape[-1] - 1
-    m = min(c, n // 2 - 1)
-    if out is None:
-        out = np.zeros(half.shape[:-1] + (n,), dtype=np.complex128)
-    else:
-        out[..., c + 1:] = 0.0
-    out[..., : c + 1] = half
-    np.conjugate(half[..., -np.arange(n) % n, m:0:-1], out=out[..., n - m:])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # norms (Parseval); scalars and vectors alike
 
 
-# `work`, a real array of coef's shape, takes the temporaries when given:
-# a loop over many samples then allocates and frees no (n, n) array
-
-
-def _abs_sq(coef: np.ndarray, work: np.ndarray | None) -> np.ndarray:
+def parseval_sq(coef: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    """The terms w_k |c_k|^2 of the squared L2 norm of a (..., n, n/2 + 1)
+    half spectrum, with the Parseval weights w of its columns (2, and 1 on
+    the first and the last).  `work`, a real array of coef's shape, takes
+    them when given: a loop over many fields then allocates no array."""
     a = np.abs(coef, out=work)
-    return np.square(a, out=a)
+    np.square(a, out=a)
+    a[..., 1:-1] *= 2.0
+    return a
 
 
 def l2_norm(coef: np.ndarray, work: np.ndarray | None = None) -> float:
-    return float(np.sqrt(np.sum(_abs_sq(coef, work))))
+    return float(np.sqrt(np.sum(parseval_sq(coef, work))))
 
 
 def h1_seminorm(grid: Grid, coef: np.ndarray,
                 work: np.ndarray | None = None) -> float:
-    a = _abs_sq(coef, work)
+    a = parseval_sq(coef, work)
     return float(TWO_PI * np.sqrt(np.sum(np.multiply(grid.ksq, a, out=a))))
 
 
 def h2_seminorm(grid: Grid, coef: np.ndarray,
                 work: np.ndarray | None = None) -> float:
-    a = _abs_sq(coef, work)
+    a = parseval_sq(coef, work)
     return float(4.0 * np.pi ** 2
                  * np.sqrt(np.sum(np.multiply(grid.ksq_sq, a, out=a))))
 
@@ -232,38 +203,39 @@ def _band_shaping(n: int, decay: float, k_max: int) -> np.ndarray:
 
 def _band_noise(grid: Grid, seed: int, shape: tuple, decay: float,
                 k_max: int | None, out: np.ndarray | None = None) -> np.ndarray:
-    """Coefficients of Gaussian noise of `shape` shaped by |k|^-decay on the
-    band 0 < |k| <= k_max (default: the dealias cutoff), zero elsewhere;
-    written to `out` when it is given."""
+    """Half spectrum of Gaussian noise samples of `shape` (..., n, n),
+    shaped by |k|^-decay on the band 0 < |k| <= k_max (default: the dealias
+    cutoff) and zero elsewhere; written to `out` when it is given."""
     k_max = grid.cutoff if k_max is None else k_max
     if k_max > grid.cutoff:
         raise ValueError(f"k_max={k_max} exceeds dealias cutoff {grid.cutoff}")
     rng = np.random.default_rng(seed)
-    noise = rng.standard_normal(shape)
-    half = np.fft.rfft2(noise)[..., : k_max + 1]
-    half /= grid.n ** 2
-    half *= _band_shaping(grid.n, decay, k_max)
-    return full_spectrum(grid, half, out)
+    coef = np.fft.rfft2(rng.standard_normal(shape), out=out)
+    coef[..., k_max + 1:] = 0.0
+    band = coef[..., : k_max + 1]
+    band /= grid.n ** 2
+    band *= _band_shaping(grid.n, decay, k_max)
+    return coef
 
 
 def random_divfree_field(
     grid: Grid, seed: int, energy_spectrum_decay: float = 2.0, k_max: int | None = None
 ) -> np.ndarray:
-    """Deterministic random divergence-free (2, n, n) field with |k|^-decay
-    amplitudes.
+    """Deterministic random divergence-free (2, n, n/2 + 1) field with
+    |k|^-decay amplitudes.
 
     Energy lives on modes 0 < |k| <= k_max; everything above is exactly zero.
     """
     coef = _band_noise(grid, seed, (2, grid.n, grid.n), energy_spectrum_decay,
                        k_max)
-    return leray_project_coef(grid, coef)
+    return leray_project_coef(grid, coef, out=coef)
 
 
 def random_scalar_field(
     grid: Grid, seed: int, energy_spectrum_decay: float = 1.0, k_max: int | None = None,
     out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Mean-zero random (n, n) scalar with band-limited |k|^-decay spectrum,
-    written to `out` when it is given."""
+    """Mean-zero random (n, n/2 + 1) scalar with band-limited |k|^-decay
+    spectrum, written to `out` when it is given."""
     return _band_noise(grid, seed, (grid.n, grid.n), energy_spectrum_decay, k_max,
                        out)

@@ -8,6 +8,7 @@ from mhdnudge.dynamics import (
     norms,
     trajectory_row,
 )
+from mhdnudge.interpolants import SPECTRAL, VOLUME
 from mhdnudge.spectral import Grid, l2_norm, random_divfree_field
 
 
@@ -41,20 +42,66 @@ def diffusion(grid, params, X):
                                        + params.beta * X[[2, 3, 0, 1]])
 
 
-def half(grid, coef):
-    """The half spectrum, columns k2 = 0..n/2, of a full coefficient array."""
-    return coef[..., : grid.half_width]
-
-
 def state_l2(grid, X):
     """L2 norm of a stacked (4, n, n/2 + 1) half spectrum (v, w)."""
     return float(np.hypot(*norms(grid, X)[:2]))
 
 
 def inverse_transform(grid, coef):
-    """Physical samples of raw coefficients, the inverse of forward_transform
+    """Physical samples of a half spectrum, the inverse of forward_transform
     for a mean-zero field."""
-    return np.real(np.fft.ifft2(coef)) * grid.n ** 2
+    return np.fft.irfft2(coef, s=(grid.n, grid.n)) * grid.n ** 2
+
+
+# ---------------------------------------------------------------------------
+# full-spectrum oracles: the (..., n, n) layout the package used before the
+# half spectrum became its only one
+
+
+def full_spectrum(grid, half):
+    """(..., n, n) coefficients of a real field from its columns k2 = 0..c,
+    a (..., n, c + 1) array with c <= n/2.
+
+    Columns k2 = -min(c, n/2 - 1)..-1 are the conjugate mirror
+    c(k1, k2) = c(-k1, -k2)^*; the Nyquist column n/2, when given, is kept
+    as it is, and every other column with |k2| > c is zero.
+    """
+    n = grid.n
+    c = half.shape[-1] - 1
+    m = min(c, n // 2 - 1)
+    out = np.zeros(half.shape[:-1] + (n,), dtype=np.complex128)
+    out[..., : c + 1] = half
+    out[..., n - m:] = np.conj(half[..., -np.arange(n) % n, m:0:-1])
+    return out
+
+
+def full_wavenumbers(grid):
+    """fftfreq's (k1, k2) over the n x n modes of the full spectrum."""
+    k = np.fft.fftfreq(grid.n, 1.0 / grid.n)
+    return np.meshgrid(k, k, indexing="ij")
+
+
+def interpolant_full(spec, grid, coef):
+    """I_h on full (..., n, n) spectra: post * tile(fold(pre * c)), the fold
+    over all n x n modes (see `mhdnudge.interpolants`)."""
+    n, m = grid.n, spec.resolution
+    k = np.fft.fftfreq(n, 1.0 / n)
+    if spec.kind == SPECTRAL:
+        keep = np.abs(k) <= m
+        out = coef * np.outer(keep, keep)
+    else:
+        s = n // m
+        box = np.exp(2j * np.pi * np.outer(k, np.arange(s)) / n).mean(axis=1)
+        if spec.kind == VOLUME:
+            pre = np.outer(box, box)
+            post = pre.conj()
+        else:
+            pre, post = 1.0, np.outer(np.abs(box) ** 2, np.abs(box) ** 2)
+        x = coef * pre
+        folded = x.reshape(*x.shape[:-2], s, m, s, m).sum(axis=(-4, -2))
+        out = np.tile(folded, (s, s)) * post
+    out[..., 0, 0] = 0.0
+    return out
 
 
 def record_trajectory(stepper, n_steps):

@@ -24,7 +24,6 @@ from mhdnudge.spectral import (
     Grid,
     dealias_coef,
     forward_transform,
-    full_spectrum,
     h1_seminorm,
     l2_norm,
     leray_project_coef,
@@ -33,7 +32,8 @@ from mhdnudge.spectral import (
 
 from conftest import (
     diffusion,
-    half,
+    full_spectrum,
+    full_wavenumbers,
     normalized_field,
     record_trajectory,
     state_l2,
@@ -41,15 +41,15 @@ from conftest import (
 
 
 def shear_mode(grid, amplitude=1.0):
-    """v = (2 amplitude cos(2 pi x2), 0): single-mode, advection-free."""
-    coef = np.zeros((2, grid.n, grid.n), dtype=complex)
+    """v = (2 amplitude cos(2 pi x2), 0): single-mode, advection-free; the
+    half spectrum holds its mode k = (0, 1), the mirror (0, -1) implied."""
+    coef = np.zeros((2, grid.n, grid.half_width), dtype=complex)
     coef[0, 0, 1] = amplitude
-    coef[0, 0, -1] = amplitude
     return coef
 
 
 def zero_forcing(grid):
-    z = np.zeros((2, grid.n, grid.n), dtype=complex)
+    z = np.zeros((2, grid.n, grid.half_width), dtype=complex)
     return ForcingSpec(z, z)
 
 
@@ -153,32 +153,37 @@ def test_forcing_from_original():
 
 def advective_form(grid, a, b):
     """Reference (a.grad)b in advective form: six inverse transforms of a and
-    of the gradient of b, the products a_j d_j b_i, 2/3 dealiasing."""
+    of the gradient of b, the products a_j d_j b_i, 2/3 dealiasing; on full
+    (2, n, n) spectra."""
     n2 = grid.n ** 2
-    ad = dealias_coef(grid, a)
-    bd = dealias_coef(grid, b)
+    k1, k2 = full_wavenumbers(grid)
+    keep = (np.abs(k1) <= grid.cutoff) & (np.abs(k2) <= grid.cutoff)
+    ad = a * keep
+    bd = b * keep
     fac = 2.0 * np.pi * 1j
     a1 = np.real(np.fft.ifft2(ad[0])) * n2
     a2 = np.real(np.fft.ifft2(ad[1])) * n2
-    g1x = np.real(np.fft.ifft2(fac * grid.k1 * bd[0])) * n2
-    g1y = np.real(np.fft.ifft2(fac * grid.k2 * bd[0])) * n2
-    g2x = np.real(np.fft.ifft2(fac * grid.k1 * bd[1])) * n2
-    g2y = np.real(np.fft.ifft2(fac * grid.k2 * bd[1])) * n2
+    g1x = np.real(np.fft.ifft2(fac * k1 * bd[0])) * n2
+    g1y = np.real(np.fft.ifft2(fac * k2 * bd[0])) * n2
+    g2x = np.real(np.fft.ifft2(fac * k1 * bd[1])) * n2
+    g2y = np.real(np.fft.ifft2(fac * k2 * bd[1])) * n2
     prod = np.stack([a1 * g1x + a2 * g1y, a1 * g2x + a2 * g2y])
-    out = dealias_coef(grid, np.fft.fft2(prod) / n2)
+    out = np.fft.fft2(prod) / n2 * keep
     out[:, 0, 0] = 0.0
     return out
 
 
 def mhd_tendency(grid, params, u, b):
-    """Unforced 2D MHD tendency in the original variables:
+    """Unforced 2D MHD tendency in the original variables, of half spectra:
     P[-(u.grad)u + (b.grad)b + Lap u / Re] and
     P[-(u.grad)b + (b.grad)u + Lap b / Rm]."""
+    h = grid.half_width
     lap = -4.0 * np.pi ** 2 * grid.ksq
-    du = (-advective_form(grid, u, u) + advective_form(grid, b, b)
-          + lap * u / params.Re)
-    db = (-advective_form(grid, u, b) + advective_form(grid, b, u)
-          + lap * b / params.Rm)
+    fu, fb = full_spectrum(grid, u), full_spectrum(grid, b)
+    du = (-advective_form(grid, fu, fu) + advective_form(grid, fb, fb))[..., :h]
+    db = (-advective_form(grid, fu, fb) + advective_form(grid, fb, fu))[..., :h]
+    du += lap * u / params.Re
+    db += lap * b / params.Rm
     return leray_project_coef(grid, du), leray_project_coef(grid, db)
 
 
@@ -195,13 +200,13 @@ def test_stepper_tendency_matches_mhd(re, rm):
     explicit = np.empty_like(st.X)
     st._explicit_terms(explicit)
     got = diffusion(g, p, st.X) + explicit
-    expected = half(g, np.concatenate(to_elsasser(*mhd_tendency(g, p, u, b))))
+    expected = np.concatenate(to_elsasser(*mhd_tendency(g, p, u, b)))
     assert state_l2(g, got - expected) <= 1e-13 * state_l2(g, expected)
 
 
 def projected_band(grid, adv):
     """The Leray-projected columns k2 = 0..cutoff of a full (4, n, n) term."""
-    return project_pair(grid, adv)[..., : grid.cutoff + 1]
+    return project_pair(grid, adv[..., : grid.cutoff + 1])
 
 
 @pytest.mark.parametrize("n", [32, 64])
@@ -209,25 +214,27 @@ def test_advection_matches_advective_form(n):
     g = Grid(n)
     v = random_divfree_field(g, 5, 1.0, g.cutoff)
     w = random_divfree_field(g, 6, 1.0, g.cutoff)
-    adv, _ = advection(g, half(g, np.concatenate([v, w])))
+    adv, _ = advection(g, np.concatenate([v, w]))
+    v, w = full_spectrum(g, v), full_spectrum(g, w)
     expected = projected_band(g, np.concatenate([advective_form(g, w, v),
                                                  advective_form(g, v, w)]))
     assert np.max(np.abs(adv - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def advection_full_fft(grid, X):
-    """Reference advection: the same divergence form with a full complex
-    fft2 of the four products, differentiated and dealiased on all modes."""
+    """Reference advection of a (4, n, n/2 + 1) state: the same divergence
+    form with a full complex fft2 of the four products, differentiated and
+    dealiased on all n x n modes."""
     n2 = grid.n ** 2
-    Xd = dealias_coef(grid, X)
-    phys = np.fft.irfft2(Xd[..., : grid.n // 2 + 1], s=(grid.n, grid.n)) * n2
+    phys = np.fft.irfft2(dealias_coef(grid, X), s=(grid.n, grid.n)) * n2
     v, w = phys[:2], phys[2:]
     P = np.fft.fft2(v[:, None] * w[None, :]) / n2  # P[i, j] = (v_i w_j)^
+    k1, k2 = full_wavenumbers(grid)
     fac = 2.0 * np.pi * 1j
-    adv = np.empty_like(X)
-    adv[:2] = fac * (grid.k1 * P[:, 0] + grid.k2 * P[:, 1])
-    adv[2:] = fac * (grid.k1 * P[0] + grid.k2 * P[1])
-    adv = dealias_coef(grid, adv)
+    adv = np.empty((4, grid.n, grid.n), dtype=complex)
+    adv[:2] = fac * (k1 * P[:, 0] + k2 * P[:, 1])
+    adv[2:] = fac * (k1 * P[0] + k2 * P[1])
+    adv *= (np.abs(k1) <= grid.cutoff) & (np.abs(k2) <= grid.cutoff)
     adv[:, 0, 0] = 0.0
     speed = max(float(np.max(np.sum(v * v, axis=0))),
                 float(np.max(np.sum(w * w, axis=0)))) ** 0.5
@@ -240,7 +247,7 @@ def test_advection_matches_full_fft(n):
     # mode, so the input dealiasing is exercised too
     g = Grid(n)
     X, _ = forward_transform(g, np.random.default_rng(n).standard_normal((4, n, n)))
-    adv, speed = advection(g, half(g, X))
+    adv, speed = advection(g, X)
     full, expected_speed = advection_full_fft(g, X)
     expected = projected_band(g, full)
     assert np.max(np.abs(adv - expected)) <= 1e-13 * np.max(np.abs(expected))
@@ -252,18 +259,18 @@ def test_advection_skew_symmetry():
     g = Grid(32)
     a = random_divfree_field(g, 5, 1.0, g.cutoff)
     b = random_divfree_field(g, 6, 1.0, g.cutoff)
-    adv, _ = advection(g, half(g, np.concatenate([b, a])))
+    adv, _ = advection(g, np.concatenate([b, a]))
     # P[(w.grad)v] with v = b, w = a; P is self-adjoint and P b = b
     adv = full_spectrum(g, adv[:2])
-    ip = np.real(np.sum(np.conj(adv) * b))
-    scale = l2_norm(adv) * l2_norm(b)
+    ip = np.real(np.sum(np.conj(adv) * full_spectrum(g, b)))
+    scale = np.sqrt(np.sum(np.abs(adv) ** 2)) * l2_norm(b)
     assert abs(ip) < 1e-12 * max(scale, 1e-300)
 
 
 def test_advection_of_shear_flow_vanishes():
     g = Grid(32)
     c = shear_mode(g)
-    adv, speed = advection(g, half(g, np.concatenate([c, c])))
+    adv, speed = advection(g, np.concatenate([c, c]))
     assert np.max(np.abs(adv)) < 1e-15
     assert speed == pytest.approx(2.0, rel=1e-14)
 
@@ -381,6 +388,19 @@ def test_restart_matches_fresh_stepper(grid32, params, forcing32):
     assert st.t == fresh.t and st.step_count == fresh.step_count == 1
 
 
+def test_full_spectrum_arrays_rejected(grid32, params, forcing32):
+    # (2, n, n) arrays of the full layout are refused, not sliced
+    full = np.zeros((2, 32, 32), dtype=complex)
+    st = MhdStepper(grid32, params, forcing32, 2e-3)
+    with pytest.raises(ValueError, match=r"must be \(2, 32, 17\) half spectra, "
+                                         r"got an array of shape \(2, 32, 32\)"):
+        st.set_state(full, full)
+    with pytest.raises(ValueError, match=r"must be \(2, 32, 17\) half spectra"):
+        MhdStepper(grid32, params, ForcingSpec(full, full), 2e-3)
+    with pytest.raises(ValueError, match=r"must be \(2, 32, 17\) half spectra"):
+        st.restart(forcing=ForcingSpec(forcing32.f, full))
+
+
 def test_errors_round_trip_through_pickle():
     for exc in (CflError(0.05, 1.2e-3), BlowUpError(1.5, 750, "(mu=60)")):
         back = pickle.loads(pickle.dumps(exc))
@@ -396,7 +416,7 @@ def test_errors_round_trip_through_pickle():
 def test_norms_match_field_norms(grid32):
     v = random_divfree_field(grid32, 1, 2.0)
     w = random_divfree_field(grid32, 2, 2.0)
-    got = norms(grid32, half(grid32, np.concatenate([v, w])))
+    got = norms(grid32, np.concatenate([v, w]))
     want = (l2_norm(v), l2_norm(w), h1_seminorm(grid32, v),
             h1_seminorm(grid32, w))
     np.testing.assert_allclose(got, want, rtol=1e-13)
@@ -409,12 +429,12 @@ def test_norms_parseval_weights_on_half_spectrum():
     X, _ = forward_transform(g, np.random.default_rng(7).standard_normal((4, 16, 16)))
     assert np.count_nonzero(X[..., 0]) == 4 * 15  # all but the zero modes
     assert np.count_nonzero(X[..., 8]) == 4 * 16
-    got = norms(g, half(g, X))
-    want = (l2_norm(X[:2]), l2_norm(X[2:]), h1_seminorm(g, X[:2]),
-            h1_seminorm(g, X[2:]))
-    np.testing.assert_allclose(got, want, rtol=1e-14)
-    np.testing.assert_allclose(full_spectrum(g, half(g, X)), X, rtol=0,
-                               atol=1e-15 * np.max(np.abs(X)))
+    full = full_spectrum(g, X)
+    k1, k2 = full_wavenumbers(g)
+    a = (np.abs(full) ** 2).reshape(2, 2, -1).sum(axis=1)
+    want = (*np.sqrt(a.sum(axis=1)),
+            *(2 * np.pi * np.sqrt(a @ (k1 ** 2 + k2 ** 2).ravel())))
+    np.testing.assert_allclose(norms(g, X), want, rtol=1e-14)
 
 
 def test_record_trajectory_shapes(grid32, params, forcing32):

@@ -18,7 +18,7 @@ from mhdnudge.experiments import (
     run_sweep,
 )
 from mhdnudge.nudging import CoupledStepper
-from mhdnudge.spectral import Grid
+from mhdnudge.spectral import Grid, l2_norm
 
 
 def test_minimal_config_defaults():
@@ -100,8 +100,7 @@ def test_build_forcing_amplitude():
     g = Grid(32)
     forcing = build_forcing(g, cfg)
     # f = f1+g1, g = f1-g1 with ||f1|| = 3 and ||g1|| = 1
-    nf2 = np.sum(np.abs(forcing.f) ** 2)
-    ng2 = np.sum(np.abs(forcing.g) ** 2)
+    nf2, ng2 = l2_norm(forcing.f) ** 2, l2_norm(forcing.g) ** 2
     assert nf2 + ng2 == pytest.approx(2.0 * (9.0 + 1.0), rel=1e-10)
 
 
@@ -111,9 +110,10 @@ def test_build_forcing_kolmogorov():
                             "n = 32\n")
     g = Grid(32)
     forcing = build_forcing(g, cfg)
-    # energy exactly at k = (0, +-3), first component only
+    # energy exactly at k = (0, +-3), first component only; the half
+    # spectrum holds k = (0, 3)
     nz = np.nonzero(np.abs(forcing.f) > 1e-12)
-    assert set(zip(*nz)) == {(0, 0, 3), (0, 0, 29)}
+    assert set(zip(*nz)) == {(0, 0, 3)}
 
 
 def test_sweep_rejects_bad_axis_and_values():
@@ -318,7 +318,7 @@ def test_sweep_retires_a_non_finite_member_and_goes_on(tmp_path, monkeypatch):
     def step_then_spoil_second_member(self):
         step(self)
         if self.reference.step_count == 100:
-            nan = np.full((2, cfg.n, cfg.n), np.nan, dtype=complex)
+            nan = np.full((2, cfg.n, cfg.n // 2 + 1), np.nan, dtype=complex)
             self.members[1].set_state(nan, nan, self.members[1].t)
 
     monkeypatch.setattr(CoupledStepper, "step", step_then_spoil_second_member)

@@ -1,6 +1,7 @@
 """The half-spectrum steppers against a full-spectrum oracle: a copy of the
-IMEX stepper on the full (4, n, n) spectrum, as the package ran it before
-its state became the rfft2 half spectrum (columns k2 = 0..n/2)."""
+IMEX stepper, the feedback and I_h on the full (4, n, n) spectrum, as the
+package ran them before the rfft2 half spectrum (columns k2 = 0..n/2)
+became its only layout."""
 
 import itertools
 
@@ -15,17 +16,44 @@ from mhdnudge.interpolants import (
     SPECTRAL,
     VOLUME,
     InterpolantSpec,
-    apply_interpolant_coef,
 )
-from mhdnudge.nudging import CoupledStepper, NudgingConfig, nudging_term
-from mhdnudge.spectral import Grid, full_spectrum, leray_project_coef
+from mhdnudge.nudging import CoupledStepper, NudgingConfig
+from mhdnudge.spectral import Grid
 
-from conftest import half, normalized_field, state_l2
+from conftest import (
+    full_spectrum,
+    full_wavenumbers,
+    interpolant_full,
+    normalized_field,
+    state_l2,
+)
 
 
 def project_full(grid, X):
+    """Leray projection of v and of w in a full (4, n, n) array, with the
+    Nyquist row and column set to zero as leray_project_coef sets them."""
     n = grid.n
-    return leray_project_coef(grid, X.reshape(2, 2, n, n)).reshape(4, n, n)
+    k1, k2 = full_wavenumbers(grid)
+    ksq = k1 ** 2 + k2 ** 2
+    ksq[0, 0] = 1.0
+    out = X.reshape(2, 2, n, n).copy()
+    kd = (k1 * out[:, 0] + k2 * out[:, 1]) / ksq
+    out[:, 0] -= k1 * kd
+    out[:, 1] -= k2 * kd
+    out = out.reshape(4, n, n)
+    out[:, 0, 0] = 0.0
+    out[:, n // 2] = 0.0
+    out[..., n // 2] = 0.0
+    return out
+
+
+def nudging_full(config, grid, X):
+    """mu P[I_h masked(X)] of a full (4, n, n) pair, for the masks all and
+    first."""
+    fb = interpolant_full(config.interpolant, grid, X)
+    if config.mask == MASK_FIRST:
+        fb[1::2] = 0.0
+    return config.mu * project_full(grid, fb)
 
 
 def advection_full(grid, X):
@@ -50,15 +78,15 @@ def advection_full(grid, X):
 
 def observation_blocks_full(grid, config):
     """(flat indices over the n x n modes, real 4x4 blocks) of the spectral
-    nudging_term."""
+    nudging_full."""
     n = grid.n
-    idx = np.flatnonzero(apply_interpolant_coef(config.interpolant, grid,
-                                                np.ones((n, n))))
+    idx = np.flatnonzero(interpolant_full(config.interpolant, grid,
+                                          np.ones((n, n))))
     blocks = np.empty((idx.size, 4, 4))
     for j in range(4):
         e = np.zeros((4, n, n), dtype=np.complex128)
         e[j] = 1.0
-        col = nudging_term(config, grid, e[:2], e[2:]).reshape(4, -1)
+        col = nudging_full(config, grid, e).reshape(4, -1)
         blocks[:, :, j] = col[:, idx].real.T
     return idx, blocks
 
@@ -66,11 +94,12 @@ def observation_blocks_full(grid, config):
 class FullStepper:
     """Crank-Nicolson diffusion, AB2 advection and forcing, with optional
     implicit damping blocks, on the full spectrum and an unmodulated
-    forcing."""
+    forcing; it takes half spectra and rebuilds their full ones."""
 
     def __init__(self, grid, params, forcing, dt, damping=None):
         self.grid, self.dt = grid, dt
-        hk = 0.5 * dt * FOUR_PI_SQ * grid.ksq
+        k1, k2 = full_wavenumbers(grid)
+        hk = 0.5 * dt * FOUR_PI_SQ * (k1 ** 2 + k2 ** 2)
         ha, hb = hk * params.alpha, hk * params.beta
         a0, b0 = 1.0 + ha, hb
         det = (a0 - b0) * (a0 + b0)
@@ -80,12 +109,13 @@ class FullStepper:
         A = (a0.ravel()[idx, None, None] * eye
              + b0.ravel()[idx, None, None] * eye[[2, 3, 0, 1]] + dt * blocks)
         self.idx, self.inv = idx, np.linalg.inv(A)
-        self.forcing = project_full(grid, np.concatenate([forcing.f, forcing.g]))
+        self.forcing = project_full(
+            grid, full_spectrum(grid, np.concatenate([forcing.f, forcing.g])))
         self.X = np.zeros((4, grid.n, grid.n), dtype=np.complex128)
         self.prev = None
 
     def set_state(self, v, w):
-        self.X = np.concatenate([v, w])
+        self.X = full_spectrum(self.grid, np.concatenate([v, w]))
         self.X[:, 0, 0] = 0.0
 
     def advance(self, extra_ab=None, extra_plain=None):
@@ -113,10 +143,9 @@ class FullStepper:
 def full_coupled_step(grid, config, ref, assim):
     if config.interpolant.kind == SPECTRAL:
         ref.advance()
-        assim.advance(extra_plain=nudging_term(config, grid, ref.X[:2], ref.X[2:]))
+        assim.advance(extra_plain=nudging_full(config, grid, ref.X))
     else:
-        diff = ref.X - assim.X
-        fb = nudging_term(config, grid, diff[:2], diff[2:])
+        fb = nudging_full(config, grid, ref.X - assim.X)
         ref.advance()
         assim.advance(extra_ab=fb)
 
@@ -147,10 +176,11 @@ def test_coupled_stepper_matches_full_spectrum(params, n, kind, mask):
     for _ in range(20):
         cs.step()
         full_coupled_step(g, config, ref, assim)
-    for got, want in ((cs.reference.X, ref.X), (cs.assimilated.X, assim.X)):
+    for got, full in ((cs.reference.X, ref.X), (cs.assimilated.X, assim.X)):
         # the oracle's state is the coefficients of a real field, so its
         # half spectrum holds all of it
-        np.testing.assert_allclose(full_spectrum(g, half(g, want)), want,
-                                   rtol=0, atol=1e-15 * np.max(np.abs(want)))
-        assert state_l2(g, got - half(g, want)) <= 1e-13 * state_l2(g, half(g, want))
+        want = full[..., : g.half_width]
+        np.testing.assert_allclose(full_spectrum(g, want), full, rtol=0,
+                                   atol=1e-15 * np.max(np.abs(full)))
+        assert state_l2(g, got - want) <= 1e-13 * state_l2(g, want)
     assert state_l2(g, cs.reference.X - cs.assimilated.X) > 1e-3

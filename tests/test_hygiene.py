@@ -136,3 +136,36 @@ def test_inverse_real_fft_with_out_is_found():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_inverse_real_fft_with_out(path):
     assert inverse_real_fft_with_out(path.read_text()) == [], IRFFT_OUT_DEFECT
+
+
+# ---------------------------------------------------------------------------
+# no complex FFT in the package
+
+# every coefficient array is an rfft2 half spectrum; a complex transform
+# would bring back the full (..., n, n) layout
+COMPLEX_FFT_NAMES = ("fft2", "ifft2", "fftn", "ifftn")
+
+
+def complex_fft_calls(source: str):
+    """Lines of each fft2(...), ifft2(...), fftn(...) or ifftn(...) call,
+    as a bare name or as an attribute such as np.fft.fft2."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in COMPLEX_FFT_NAMES:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_complex_fft_call_is_found():
+    src = ("np.fft.rfft2(x)\nnp.fft.fft2(x)\nfftn(x)\nnp.fft.irfft2(x, s=(8, 8))\n"
+           "numpy.fft.ifft2(x)\nfrom numpy.fft import ifftn\nnp.fft.fft(x)\n")
+    assert complex_fft_calls(src) == [2, 3, 5]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_complex_fft(path):
+    assert complex_fft_calls(path.read_text()) == []

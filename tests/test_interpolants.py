@@ -10,6 +10,7 @@ from mhdnudge.interpolants import (
     MASK_FIRST,
     MASK_U_ONLY,
     MASK_V_ONLY,
+    MASKS,
     NODAL,
     SPECTRAL,
     VOLUME,
@@ -23,28 +24,38 @@ from mhdnudge.interpolants import (
 )
 from mhdnudge.spectral import (
     Grid,
+    forward_transform,
     h1_seminorm,
     h2_seminorm,
     l2_norm,
     random_scalar_field,
 )
 
-from conftest import half, inverse_transform
+from conftest import full_spectrum, interpolant_full, inverse_transform
 
 
 @pytest.mark.parametrize("kind", [SPECTRAL, VOLUME, NODAL])
 def test_half_spectrum_input_matches_full(kind):
-    # a half spectrum is rebuilt by the conjugate mirror before the fold;
-    # the result is the first n/2 + 1 columns of I_h on the full spectrum
-    g = Grid(32)
-    u = np.stack([random_scalar_field(g, s) for s in (1, 2)])
-    for h in (0.25, 0.125, 1.0 / 3 if kind == SPECTRAL else 0.0625):
-        spec = InterpolantSpec(kind, h)
-        got = apply_interpolant_coef(spec, g, half(g, u))
-        want = half(g, apply_interpolant_coef(spec, g, u))
-        assert got.shape == (2, 32, 17)
-        np.testing.assert_allclose(got, want, rtol=0,
-                                   atol=1e-15 * np.max(np.abs(want)))
+    # the direct fold of the half spectrum against the fold over the full
+    # plane, on the first n/2 + 1 columns; at n = 48, h = 1/16 the cell
+    # width is odd (3).  Real noise has energy on every mode, Nyquist
+    # row and column included.
+    for n in (32, 48, 64, 128):
+        g = Grid(n)
+        noise = np.random.default_rng(n).standard_normal((2, n, n))
+        fields = (np.stack([random_scalar_field(g, s) for s in (1, 2)]),
+                  forward_transform(g, noise)[0])
+        hs = (1.0 / 16,) if n == 48 else (0.25, 0.125, 1.0 / 16)
+        if kind == SPECTRAL and n == 32:
+            hs += (1.0 / 3,)
+        for u, h in itertools.product(fields, hs):
+            spec = InterpolantSpec(kind, h)
+            for x in (u, u[0]):
+                got = apply_interpolant_coef(spec, g, x)
+                want = interpolant_full(spec, g, full_spectrum(g, x))
+                assert got.shape == x.shape
+                np.testing.assert_allclose(got, want[..., : g.half_width], rtol=0,
+                                           atol=1e-14 * np.max(np.abs(want)))
 
 
 def test_spec_validation():
@@ -96,7 +107,7 @@ def test_idempotence(kind):
 def test_spectral_projection_keeps_low_modes_exactly():
     g = Grid(32)
     spec = InterpolantSpec(SPECTRAL, 0.125)  # keeps max(|k1|,|k2|) <= 8
-    coef = np.zeros((32, 32), dtype=complex)
+    coef = np.zeros((32, 17), dtype=complex)
     coef[3, 5] = 1.0 + 2.0j
     coef[9, 0] = 4.0
     out = apply_interpolant_coef(spec, g, coef)
@@ -132,17 +143,17 @@ def test_nodal_matches_samples_at_nodes():
 
 def _ref_volume(coef, n, m):
     s = n // m
-    phys = np.real(np.fft.ifft2(coef, axes=(-2, -1))) * n ** 2
+    phys = np.fft.irfft2(coef, s=(n, n)) * n ** 2
     cells = phys.reshape(*phys.shape[:-2], m, s, m, s).mean(axis=(-3, -1))
     flat = np.repeat(np.repeat(cells, s, axis=-2), s, axis=-1)
-    out = np.fft.fft2(flat, axes=(-2, -1)) / n ** 2
+    out = np.fft.rfft2(flat) / n ** 2
     out[..., 0, 0] = 0.0
     return out
 
 
 def _ref_nodal(coef, n, m):
     s = n // m
-    phys = np.real(np.fft.ifft2(coef, axes=(-2, -1))) * n ** 2
+    phys = np.fft.irfft2(coef, s=(n, n)) * n ** 2
     nodes = phys[..., ::s, ::s]
     frac = (np.arange(n) % s) / s
     cell = np.arange(n) // s
@@ -155,7 +166,7 @@ def _ref_nodal(coef, n, m):
     f11 = nodes[..., nxt[:, None], nxt[None, :]]
     interp = ((1 - fx) * (1 - fy) * f00 + fx * (1 - fy) * f10
               + (1 - fx) * fy * f01 + fx * fy * f11)
-    out = np.fft.fft2(interp, axes=(-2, -1)) / n ** 2
+    out = np.fft.rfft2(interp) / n ** 2
     out[..., 0, 0] = 0.0
     return out
 
@@ -182,11 +193,13 @@ def test_matches_physical_space_reference(n, kind, stacked):
 
 @pytest.mark.parametrize("kind", [SPECTRAL, VOLUME, NODAL])
 def test_real_field_stays_real(kind):
+    # on column 0 and on the Nyquist column the half spectrum holds both
+    # k and -k, so a real result needs c(-k) = c(k)^* there
     g = Grid(64)
     coef = random_scalar_field(g, 12)
     for h in (0.25, 0.125, 0.0625):
         out = apply_interpolant_coef(InterpolantSpec(kind, h), g, coef)
-        phys = np.fft.ifft2(out) * g.n ** 2
+        phys = np.fft.ifft2(full_spectrum(g, out)) * g.n ** 2
         assert np.abs(phys.imag).max() <= 1e-14
 
 
@@ -212,7 +225,7 @@ def test_spectral_c1_single_mode_oracle():
     h = 0.125
     spec = InterpolantSpec(SPECTRAL, h)
     m = 9
-    u = np.zeros((64, 64), dtype=complex)
+    u = np.zeros((64, 33), dtype=complex)
     u[m, 0] = 1.0
     res = l2_norm(u - apply_interpolant_coef(spec, g, u))
     ratio = res / (h * h1_seminorm(g, u))
@@ -354,64 +367,76 @@ def test_verification_report_keys():
 
 
 def _random_pair(g, seed):
+    """A stacked (4, n, n/2 + 1) pair (eta, zeta) of random half spectra."""
     rng = np.random.default_rng(seed)
-    eta = rng.standard_normal((2, g.n, g.n)) + 1j * rng.standard_normal((2, g.n, g.n))
-    zeta = rng.standard_normal((2, g.n, g.n)) + 1j * rng.standard_normal((2, g.n, g.n))
-    return eta, zeta
+    shape = (4, g.n, g.half_width)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def test_mask_all_applies_componentwise():
     g = Grid(32)
     spec = InterpolantSpec(SPECTRAL, 0.125)
-    eta, zeta = _random_pair(g, 0)
-    fv, fw = apply_masked(spec, MASK_ALL, g, eta, zeta)
-    np.testing.assert_allclose(fv, apply_interpolant_coef(spec, g, eta), atol=1e-14)
-    np.testing.assert_allclose(fw, apply_interpolant_coef(spec, g, zeta), atol=1e-14)
+    X = _random_pair(g, 0)
+    fb = apply_masked(spec, MASK_ALL, g, X)
+    np.testing.assert_allclose(fb[:2], apply_interpolant_coef(spec, g, X[:2]),
+                               atol=1e-14)
+    np.testing.assert_allclose(fb[2:], apply_interpolant_coef(spec, g, X[2:]),
+                               atol=1e-14)
 
 
 def test_mask_first_zeroes_second_component():
     g = Grid(32)
     spec = InterpolantSpec(SPECTRAL, 0.125)
-    eta, zeta = _random_pair(g, 1)
-    fv, fw = apply_masked(spec, MASK_FIRST, g, eta, zeta)
-    assert np.all(fv[1] == 0.0)
-    assert np.all(fw[1] == 0.0)
-    np.testing.assert_allclose(fv[0], apply_interpolant_coef(spec, g, eta[0]),
+    X = _random_pair(g, 1)
+    fb = apply_masked(spec, MASK_FIRST, g, X)
+    assert np.all(fb[1] == 0.0)
+    assert np.all(fb[3] == 0.0)
+    np.testing.assert_allclose(fb[0], apply_interpolant_coef(spec, g, X[0]),
+                               atol=1e-14)
+    np.testing.assert_allclose(fb[2], apply_interpolant_coef(spec, g, X[2]),
                                atol=1e-14)
 
 
 def test_mask_v_only():
     g = Grid(32)
     spec = InterpolantSpec(SPECTRAL, 0.125)
-    eta, zeta = _random_pair(g, 2)
-    fv, fw = apply_masked(spec, MASK_V_ONLY, g, eta, zeta)
-    assert np.all(fw == 0.0)
-    assert np.any(fv != 0.0)
+    fb = apply_masked(spec, MASK_V_ONLY, g, _random_pair(g, 2))
+    assert np.all(fb[2:] == 0.0)
+    assert np.any(fb[:2] != 0.0)
 
 
 def test_mask_b_only_antisymmetric():
     g = Grid(32)
     spec = InterpolantSpec(SPECTRAL, 0.125)
-    eta, zeta = _random_pair(g, 3)
-    fv, fw = apply_masked(spec, MASK_B_ONLY, g, eta, zeta)
-    np.testing.assert_allclose(fw, -fv, atol=1e-14)
+    X = _random_pair(g, 3)
+    fb = apply_masked(spec, MASK_B_ONLY, g, X)
+    np.testing.assert_allclose(fb[2:], -fb[:2], atol=1e-14)
     # vanishes identically when eta == zeta (b-difference zero)
-    fv2, fw2 = apply_masked(spec, MASK_B_ONLY, g, eta, eta)
-    assert np.max(np.abs(fv2)) < 1e-14
+    X[2:] = X[:2]
+    assert np.max(np.abs(apply_masked(spec, MASK_B_ONLY, g, X))) < 1e-14
 
 
 def test_mask_u_only_symmetric():
     g = Grid(32)
     spec = InterpolantSpec(SPECTRAL, 0.125)
-    eta, zeta = _random_pair(g, 4)
-    fv, fw = apply_masked(spec, MASK_U_ONLY, g, eta, zeta)
-    np.testing.assert_allclose(fw, fv, atol=1e-14)
+    fb = apply_masked(spec, MASK_U_ONLY, g, _random_pair(g, 4))
+    np.testing.assert_allclose(fb[2:], fb[:2], atol=1e-14)
+
+
+@pytest.mark.parametrize("mask", MASKS)
+@pytest.mark.parametrize("kind", [SPECTRAL, VOLUME, NODAL])
+def test_masked_in_place_matches_new_array(kind, mask):
+    # the explicit feedback writes I_h of the difference over the difference
+    g = Grid(32)
+    spec = InterpolantSpec(kind, 0.125)
+    X = _random_pair(g, 6)
+    want = apply_masked(spec, mask, g, X)
+    assert np.array_equal(apply_masked(spec, mask, g, X, out=X), want)
 
 
 def test_unknown_mask_rejected():
     g = Grid(32)
     spec = InterpolantSpec(SPECTRAL, 0.125)
-    eta, zeta = _random_pair(g, 5)
     with pytest.raises(ValueError):
-        apply_masked(spec, "everything", g, eta, zeta)
+        apply_masked(spec, "everything", g, _random_pair(g, 5))
 

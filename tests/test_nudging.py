@@ -31,7 +31,7 @@ from mhdnudge.nudging import (
 )
 from mhdnudge.spectral import Grid, divergence_defect, l2_norm
 
-from conftest import diffusion, half, normalized_field, state_l2
+from conftest import diffusion, normalized_field, state_l2
 
 
 def spec_config(mu=20.0, mask=MASK_ALL, kind=SPECTRAL, h=0.125, **kw):
@@ -48,9 +48,10 @@ def decaying_pair(f, g, amplitude, rate):
 
 
 def seeded_diff(grid):
-    """(eta, zeta) half spectra: the difference of two seeded states."""
-    return (half(grid, seeded_init(grid, 0) - seeded_init(grid, 2)),
-            half(grid, seeded_init(grid, 1) - seeded_init(grid, 3)))
+    """A stacked (4, n, n/2 + 1) difference (eta, zeta) of two seeded
+    states."""
+    return np.concatenate([seeded_init(grid, 0) - seeded_init(grid, 2),
+                           seeded_init(grid, 1) - seeded_init(grid, 3)])
 
 
 ALL_MASKS = (MASK_ALL, MASK_FIRST, MASK_V_ONLY, MASK_B_ONLY, MASK_U_ONLY)
@@ -76,7 +77,7 @@ def test_init_modes(grid32, params, forcing32):
     ref.set_state(init, init, 0.0)
     spin_up(ref, max_time=0.5)
     custom = seeded_init(grid32, seed=5)
-    pair = half(grid32, np.concatenate([custom, custom]))
+    pair = np.concatenate([custom, custom])
     for init_mode, expected in (("zero", norms(grid32, ref.X)),
                                 ("copy", (0.0, 0.0, 0.0, 0.0)),
                                 ((custom, custom.copy()), norms(grid32, ref.X - pair))):
@@ -85,7 +86,7 @@ def test_init_modes(grid32, params, forcing32):
 
 
 def no_divfree_field():
-    bad = np.zeros((2, 32, 32), dtype=complex)
+    bad = np.zeros((2, 32, 17), dtype=complex)
     bad[0, 1, 0] = 1.0  # k.c != 0 at k=(1,0)
     return bad
 
@@ -118,17 +119,17 @@ def test_reference_init_rejects_non_divfree(grid32, params, forcing32,
 
 
 def test_nudging_term_is_divergence_free(grid32):
-    eta, zeta = seeded_diff(grid32)
+    diff = seeded_diff(grid32)
     for mask, h in itertools.product(ALL_MASKS, (0.125, 0.0625)):
-        term = nudging_term(spec_config(mask=mask, h=h), grid32, eta, zeta)
+        term = nudging_term(spec_config(mask=mask, h=h), grid32, diff)
         assert divergence_defect(grid32, term[:2]) < 1e-10
         assert divergence_defect(grid32, term[2:]) < 1e-10
 
 
 def test_nudging_term_scales_with_mu(grid32):
-    eta, zeta = seeded_diff(grid32)
-    t1 = nudging_term(spec_config(mu=10.0), grid32, eta, zeta)
-    t2 = nudging_term(spec_config(mu=30.0), grid32, eta, zeta)
+    diff = seeded_diff(grid32)
+    t1 = nudging_term(spec_config(mu=10.0), grid32, diff)
+    t2 = nudging_term(spec_config(mu=30.0), grid32, diff)
     np.testing.assert_allclose(t2, 3.0 * t1, atol=1e-13)
 
 
@@ -136,14 +137,14 @@ def test_observation_matrix_matches_nudging_term(grid32):
     # the folded-in implicit operator must agree with the explicit feedback:
     # the blocks on their modes, and zero at every other mode
     from mhdnudge.nudging import _observation_blocks
-    eta, zeta = seeded_diff(grid32)
-    diff = np.concatenate([eta, zeta]).reshape(4, -1)
+    diff = seeded_diff(grid32)
     for mask, h in itertools.product(ALL_MASKS, (0.125, 0.0625)):
         cfg = spec_config(mu=17.0, mask=mask, h=h)
-        term = nudging_term(cfg, grid32, eta, zeta)
+        term = nudging_term(cfg, grid32, diff)
         idx, blocks = _observation_blocks(grid32, cfg)
-        applied = np.zeros_like(diff)
-        applied[:, idx] = np.einsum("sij,js->is", blocks, diff[:, idx])
+        flat = diff.reshape(4, -1)
+        applied = np.zeros_like(flat)
+        applied[:, idx] = np.einsum("sij,js->is", blocks, flat[:, idx])
         np.testing.assert_allclose(applied.reshape(term.shape), term, atol=1e-11)
 
 
@@ -160,7 +161,7 @@ def dense_implicit_operator(grid, params, dt, config=None):
         e = e.reshape(shape)
         col = e - 0.5 * dt * diffusion(grid, params, e)
         if config is not None:
-            col = col + dt * nudging_term(config, grid, e[:2], e[2:])
+            col = col + dt * nudging_term(config, grid, e)
         A[:, j] = col.ravel()
     return A
 
@@ -175,7 +176,7 @@ def test_implicit_solve_matches_dense_solve(re, rm):
     rng = np.random.default_rng(3)
     shape = (4, 16, g.half_width)
     rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    z = np.zeros((2, 16, 16), dtype=complex)
+    z = np.zeros((2, 16, 9), dtype=complex)
     for mask in ALL_MASKS:
         cfg = spec_config(mu=80.0, mask=mask, h=0.25)
         cs = CoupledStepper(g, p, ForcingSpec(z, z), cfg, dt)
@@ -199,7 +200,7 @@ def test_steppers_hold_no_per_mode_matrix(params):
     # on the observed half-plane modes: 17 * 9 - 1 = 152 of them for
     # h = 1/8 at n = 64; no array is larger than the (4, n, n/2 + 1) state
     g = Grid(64)
-    z = np.zeros((2, 64, 64), dtype=complex)
+    z = np.zeros((2, 64, 33), dtype=complex)
     cs = CoupledStepper(g, params, ForcingSpec(z, z), spec_config(mu=50.0), 2e-3)
     ref, assim = cs.reference, cs.assimilated
     assert ref._blocks[0].size == 0
@@ -357,7 +358,7 @@ def test_failed_member_is_retired_and_others_go_on(grid32, params, forcing32):
     solo = CoupledStepper(grid32, params, forcing32, cfgs[1], 2e-3)
     for system in (cs, solo):
         system.reference.set_state(init, init, 0.0)
-    nan = np.full((2, 32, 32), np.nan, dtype=complex)
+    nan = np.full((2, 32, 17), np.nan, dtype=complex)
     cs.members[0].set_state(nan, nan, 0.0)
     for _ in range(60):  # the stepper checks for non-finite states every 50
         cs.step()
