@@ -7,9 +7,12 @@ Verbs:
 * ``mhdnudge verify-interpolant <config> [--samples N]``
 * ``mhdnudge determining <config>``
 
-``--seed N`` overrides the config's seed; ``--outdir DIR`` the output
-directory.  Exit codes: 0 success, 2 invalid config, 3 numerical blow-up,
-4 a scenario check failed.
+``determining`` is ``run`` with ``scenario = determining``.  ``--seed N``
+overrides the config's seed; ``--outdir DIR`` the output directory.  Exit
+codes: 0 success, 2 invalid config, 3 numerical blow-up, CFL violation or
+another failure of the run (its ``summary.json`` names it), 4 a scenario
+check failed.  A config that cannot be read exits 2 here; every run that
+starts ends in the experiments module, which writes its ``summary.json``.
 """
 
 from __future__ import annotations
@@ -19,9 +22,7 @@ import json
 import sys
 from dataclasses import replace
 
-from .dynamics import BlowUpError, CflError
 from .experiments import (
-    EXIT_BLOWUP,
     EXIT_CONFIG,
     EXIT_OK,
     ConfigError,
@@ -80,10 +81,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load(args)
-        if args.verb == "run":
-            code, summary = run_scenario(cfg)
-            print(json.dumps(summary, indent=2, sort_keys=True, default=float))
-            return code
         if args.verb == "sweep":
             table = run_sweep(cfg, args.axis, args.values,
                               max_workers=args.workers)
@@ -95,17 +92,14 @@ def main(argv=None) -> int:
             code, report = run_interpolant_verification(cfg, args.samples)
             print(json.dumps(report, indent=2, sort_keys=True, default=float))
             return code
-        # determining
-        cfg = replace(cfg, scenario="determining")
+        if args.verb == "determining":
+            cfg = replace(cfg, scenario="determining")
         code, summary = run_scenario(cfg)
         print(json.dumps(summary, indent=2, sort_keys=True, default=float))
         return code
     except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (BlowUpError, CflError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_BLOWUP
 
 
 if __name__ == "__main__":

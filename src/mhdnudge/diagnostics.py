@@ -165,15 +165,21 @@ class TheoremThresholds:
     constants_used: dict
 
     def __post_init__(self):
-        if self.mu_min < 0 or self.h_max <= 0:
-            raise ValueError("thresholds must be positive")
+        # mu_min = inf, h_max = 0 is a regime no gain or resolution satisfies
+        if not (self.mu_min >= 0 and self.h_max >= 0):
+            raise ValueError("thresholds must be nonnegative and not NaN")
 
 
 def theorem_thresholds(theorem_id: str, G: float, params: ElsasserParams,
                        c1: float | None = None, c2: float | None = None,
                        c3: float | None = None) -> TheoremThresholds:
     """Sufficient (mu_min, h_max) per theorem at ANALYSIS_CONSTANTS; h_max
-    is evaluated at the gain mu = mu_min."""
+    is evaluated at the gain mu = mu_min.
+
+    A type-2 mu_min beyond float range is inf, with h_max = 0: nothing
+    satisfies it.  An interpolant constant of 0 (c1, or both c2 and c3)
+    gives h_max = inf, since the interpolant inequality then holds at
+    every h."""
     if theorem_id not in THEOREM_IDS:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
     if G < 0:
@@ -203,16 +209,18 @@ def theorem_thresholds(theorem_id: str, G: float, params: ElsasserParams,
     elif theorem_id in (THM_V, THM_H1_V):
         mu_min = (np.pi ** 2 * k["c_L"] ** 4 * G ** 2
                   * (4.0 + nub ** 2 * G ** 2) ** 2 / (16.0 * nub))
-    else:  # THM_T2_FIRST
-        mu_min = (2000.0 * (k["c_B"] + k["c_T"]) ** 2
-                  * (20.0 * np.pi ** 2 + k["c_M"]) * G ** 2
-                  * (1.0 + G ** 2) ** 3 * np.exp(2.0 * k["C"] * G ** 4)
-                  * (k["c_tilde_t2"] + np.log(1.0 + G) + k["C"] * G ** 4))
+    else:  # THM_T2_FIRST; past G ~ 12.9 it overflows to inf
+        with np.errstate(over="ignore"):
+            mu_min = (2000.0 * (k["c_B"] + k["c_T"]) ** 2
+                      * (20.0 * np.pi ** 2 + k["c_M"]) * G ** 2
+                      * (1.0 + G ** 2) ** 3 * np.exp(2.0 * k["C"] * G ** 4)
+                      * (k["c_tilde_t2"] + np.log(1.0 + G) + k["C"] * G ** 4))
     mu_min = float(max(mu_min, 0.0))
-    if mu_min <= 0:
+    c = max(c2 ** 2, c3) if theorem_id == THM_T2_FIRST else c1
+    if mu_min <= 0 or c == 0:
         h_max = np.inf
     elif theorem_id == THM_T2_FIRST:
-        h_max = float(np.sqrt(nub / (2.0 * mu_min * max(c2 ** 2, c3))))
+        h_max = float(np.sqrt(nub / (2.0 * mu_min * c)))
     elif theorem_id in _H1_IDS:
         h_max = float((2.0 * np.sqrt(2.0) * c1) ** -1 * nub ** 0.5 * mu_min ** -0.5)
     else:

@@ -337,7 +337,6 @@ class MhdStepper:
         next step is an Euler step; `forcing`, if given, replaces the forcing."""
         self.t = t
         self.step_count = 0
-        self._prev_expl = None
         if forcing is not None:
             self._forcing = forcing
             self._projected_forcing = project_forcing(self.grid, forcing)
@@ -408,12 +407,11 @@ class MhdStepper:
         if extra_ab is not None:
             E += extra_ab
         rhs = self._rhs
-        if self._prev_expl is None:
+        if self.step_count == 0:
             np.multiply(self.dt, E, out=rhs)  # startup Euler step
         else:
             np.multiply(1.5 * self.dt, E, out=rhs)
             rhs -= np.multiply(0.5 * self.dt, spare, out=spare)
-        self._prev_expl = E
         self._E = (spare, E)
         p, q = self._half_step
         X = self.X

@@ -6,8 +6,11 @@ directory receives the normalized config, the reference trajectory and
 error-series CSVs, a constants ledger and a threshold report, so a run can
 be replayed bitwise from its own embedded config.
 
-Exit codes: 0 all checks passed, 2 invalid config, 3 numerical blow-up,
-4 scenario check failed.
+Every run ends in `_run_group`, which writes its `summary.json` and maps
+its outcome to an exit code: 0 all checks passed, 2 invalid config, 3
+numerical blow-up or CFL violation, or any other exception, whose type the
+summary's error names, 4 scenario check failed.  A sweep records each
+value's code and goes on.
 """
 
 from __future__ import annotations
@@ -333,7 +336,7 @@ def _run_nudged(cfgs, outdirs):
     """Nudge one member per config against one reference run and write each
     surviving member's artifacts.  The configs differ at most in mu and
     interpolant_h.  Returns, per config, (its ErrorSeries, its summary) or
-    the error that retired its member."""
+    the error that retired its member or ended its analysis."""
     cfg = cfgs[0]
     grid = Grid(cfg.n)
     params = derive_elsasser_params(cfg.re, cfg.rm)
@@ -348,6 +351,8 @@ def _run_nudged(cfgs, outdirs):
         grid, params, forcing, ncfgs, init, init, cfg.dt, cfg.horizon,
         spinup_max_time=cfg.spinup_max_time, spinup_tol=cfg.spinup_tol,
         sample_every=cfg.sample_every, init_mode=init_mode)
+    if len(result.failures) == len(cfgs):  # nothing is left to analyse
+        return [result.failures[k] for k in range(len(cfgs))]
     G = grashof_number(forcing, params)
     traj = result.reference_trajectory
     traj_table, energy_flags = _trajectory_table(traj, params)
@@ -369,39 +374,41 @@ def _run_nudged(cfgs, outdirs):
         if errors is None:
             outcomes.append(result.failures[k])
             continue
-        if ncfg.interpolant not in calibrated:
-            calibrated[ncfg.interpolant] = calibrate(
-                ncfg.interpolant, grid, c.calibration_samples, c.forcing_seed)
-        spec = calibrated[ncfg.interpolant]
-        diag._write_text(os.path.join(outdir, "trajectory.csv"), traj_csv)
-        errors.save_csv(os.path.join(outdir, "errors.csv"))
-        _json_dump(os.path.join(outdir, "thresholds.json"),
-                   threshold_report(c, params, G, spec))
-        _json_dump(os.path.join(outdir, "constants.json"),
-                   {**constants, "c1": spec.c1, "c2": spec.c2, "c3": spec.c3})
-        try:
-            gronwall = diag.gronwall_condition_check(
-                traj.times, c.mu - enstrophy_term, params.window)
-        except ValueError as exc:
-            gronwall = {"error": str(exc)}
-        summary = {
-            "scenario": c.scenario,
-            "n": c.n, "re": c.re, "rm": c.rm,
-            "alpha": params.alpha, "beta": params.beta,
-            "G": G, "mu": c.mu, "mask": c.mask,
-            "interpolant_kind": c.interpolant_kind, "h": c.interpolant_h,
-            "spin_up_time": result.spin_up_time,
-            "spin_up_converged": result.spin_up_converged,
-            "l2_fit": diag.decay_window_fit(errors.times, errors.l2_total()),
-            "h1_fit": diag.decay_window_fit(errors.times, errors.h1_total()),
-            "checks": {
-                "energy_budget": not energy_flags.any(),
-                "int_bound": int_bound,
-                "gronwall": gronwall,
-            },
-            "note": "desk-scale regime chosen by this artifact, not by theory",
-        }
-        outcomes.append((errors, summary))
+        try:  # an exception here fails this member's value only
+            if ncfg.interpolant not in calibrated:
+                calibrated[ncfg.interpolant] = calibrate(
+                    ncfg.interpolant, grid, c.calibration_samples, c.forcing_seed)
+            spec = calibrated[ncfg.interpolant]
+            diag._write_text(os.path.join(outdir, "trajectory.csv"), traj_csv)
+            errors.save_csv(os.path.join(outdir, "errors.csv"))
+            _json_dump(os.path.join(outdir, "thresholds.json"),
+                       threshold_report(c, params, G, spec))
+            _json_dump(os.path.join(outdir, "constants.json"),
+                       {**constants, "c1": spec.c1, "c2": spec.c2, "c3": spec.c3})
+            try:
+                gronwall = diag.gronwall_condition_check(
+                    traj.times, c.mu - enstrophy_term, params.window)
+            except ValueError as exc:
+                gronwall = {"error": str(exc)}
+            outcomes.append((errors, {
+                "scenario": c.scenario,
+                "n": c.n, "re": c.re, "rm": c.rm,
+                "alpha": params.alpha, "beta": params.beta,
+                "G": G, "mu": c.mu, "mask": c.mask,
+                "interpolant_kind": c.interpolant_kind, "h": c.interpolant_h,
+                "spin_up_time": result.spin_up_time,
+                "spin_up_converged": result.spin_up_converged,
+                "l2_fit": diag.decay_window_fit(errors.times, errors.l2_total()),
+                "h1_fit": diag.decay_window_fit(errors.times, errors.h1_total()),
+                "checks": {
+                    "energy_budget": not energy_flags.any(),
+                    "int_bound": int_bound,
+                    "gronwall": gronwall,
+                },
+                "note": "desk-scale regime chosen by this artifact, not by theory",
+            }))
+        except Exception as exc:
+            outcomes.append(exc)
     return outcomes
 
 
@@ -446,6 +453,16 @@ def _judge(cfg: ExperimentConfig, errors, summary: dict) -> bool:
         rate = _tail_rate(errors.times, errors.l2_total(), checks)
         checks["tail_trend_decaying"] = rate is not None and rate > 0
         return checks["tail_trend_decaying"]
+    if cfg.scenario == "determining":
+        rate_ih, rate_full = (summary["tail_rate_interpolant"],
+                              summary["tail_rate_full"])
+        checks["ih_difference_decays"] = rate_ih is not None and rate_ih > 0
+        checks["full_difference_decays"] = rate_full is not None and rate_full > 0
+        checks["terminal_below_1e3_peak"] = (summary["terminal_full_difference"]
+                                             <= 1e-3 * summary["peak_full_difference"])
+        return all(checks[k] for k in ("ih_difference_decays",
+                                       "full_difference_decays",
+                                       "terminal_below_1e3_peak"))
     if cfg.scenario == "b-only-control":
         vals = errors.l2_total()
         checks["non_convergence"] = bool(vals[-1] > 1e-2 * vals[0])
@@ -468,10 +485,26 @@ def _group_key(cfg: ExperimentConfig) -> ExperimentConfig:
     return replace(cfg, mu=0.0, interpolant_h=1.0)
 
 
+def _conclude(cfg: ExperimentConfig, outcome):
+    """(exit code, summary) of a config's outcome: the exception that ended
+    it, or the (errors, summary) of a finished run, judged here."""
+    if isinstance(outcome, Exception):
+        error = str(outcome)
+        if not isinstance(outcome, (ConfigError, BlowUpError, CflError)):
+            error = f"{type(outcome).__name__}: {error}"
+        code = EXIT_CONFIG if isinstance(outcome, ConfigError) else EXIT_BLOWUP
+        return code, {"scenario": cfg.scenario, "error": error, "passed": False}
+    errors, summary = outcome
+    summary["passed"] = bool(_judge(cfg, errors, summary))
+    return (EXIT_OK if summary["passed"] else EXIT_CHECK), summary
+
+
 def _run_group(cfgs, outdirs):
     """Execute configs with one _group_key, each into its own directory,
     with one reference run for all of them.  Returns one (exit_code,
-    summary) per config, each what a run of that config alone gives."""
+    summary) per config, each what a run of that config alone gives, and
+    writes that summary.  An exception that escapes the group fails each
+    of its values."""
     for cfg, outdir in zip(cfgs, outdirs):
         os.makedirs(outdir, exist_ok=True)
         with open(os.path.join(outdir, "config.txt"), "w") as fh:
@@ -479,22 +512,14 @@ def _run_group(cfgs, outdirs):
     try:
         if cfgs[0].scenario == "determining":
             (cfg,), (outdir,) = cfgs, outdirs
-            return [_scenario_determining(cfg, outdir)]
-        outcomes = _run_nudged(cfgs, outdirs)
-    except (ConfigError, BlowUpError, CflError) as exc:
-        outcomes = [exc] * len(cfgs)
-    results = []
-    for cfg, outdir, outcome in zip(cfgs, outdirs, outcomes):
-        if isinstance(outcome, Exception):
-            summary = {"scenario": cfg.scenario, "error": str(outcome),
-                       "passed": False}
-            code = EXIT_CONFIG if isinstance(outcome, ConfigError) else EXIT_BLOWUP
+            outcomes = [_scenario_determining(cfg, outdir)]
         else:
-            errors, summary = outcome
-            summary["passed"] = bool(_judge(cfg, errors, summary))
-            code = EXIT_OK if summary["passed"] else EXIT_CHECK
+            outcomes = _run_nudged(cfgs, outdirs)
+    except Exception as exc:
+        outcomes = [exc] * len(cfgs)
+    results = [_conclude(cfg, outcome) for cfg, outcome in zip(cfgs, outcomes)]
+    for outdir, (_, summary) in zip(outdirs, results):
         _json_dump(os.path.join(outdir, "summary.json"), summary)
-        results.append((code, summary))
     return results
 
 
@@ -503,6 +528,8 @@ def _run_group(cfgs, outdirs):
 
 
 def _scenario_determining(cfg: ExperimentConfig, outdir):
+    """Two free solutions and the auxiliary nudged toward the first; writes
+    determining.csv and returns (None, summary), for _judge."""
     grid = Grid(cfg.n)
     params = derive_elsasser_params(cfg.re, cfg.rm)
     forcing1 = build_forcing(grid, cfg)
@@ -518,10 +545,15 @@ def _scenario_determining(cfg: ExperimentConfig, outdir):
     # auxiliary assimilating solution of the proof, nudged toward solution 1
     # at the gain the convergence argument dictates for this resolution
     if spec.type_class == 1:
-        mu_aux = params.nu_bar / (spec.c1 ** 2 * cfg.interpolant_h ** 2)
+        scale = spec.c1 ** 2 * cfg.interpolant_h ** 2
     else:
-        mu_aux = params.nu_bar / (
-            2.0 * cfg.interpolant_h ** 2 * max(spec.c2 ** 2, spec.c3))
+        scale = 2.0 * cfg.interpolant_h ** 2 * max(spec.c2 ** 2, spec.c3)
+    if scale == 0:
+        raise ConfigError(
+            f"determining derives its gain from the interpolant constants, "
+            f"which are 0 at h={cfg.interpolant_h}, n={cfg.n}: I_h reproduces "
+            f"every resolved field, and no finite gain follows")
+    mu_aux = params.nu_bar / scale
     # validated() cannot see the derived gain
     _check_gain(cfg.interpolant_kind, mu_aux, cfg.dt, "mu_aux")
     ncfg = NudgingConfig(mu_aux, InterpolantSpec(cfg.interpolant_kind,
@@ -566,31 +598,16 @@ def _scenario_determining(cfg: ExperimentConfig, outdir):
     full = np.sqrt(arr[:, 3] ** 2 + arr[:, 4] ** 2)
     ih = np.sqrt(arr[:, 1] ** 2 + arr[:, 2] ** 2)
     checks = {}
-    rate_full = _tail_rate(arr[:, 0], full, checks)
-    rate_ih = _tail_rate(arr[:, 0], ih, checks)
-    peak = float(np.max(full))
-    terminal = float(full[-1])
-    checks.update({
-        "ih_difference_decays": rate_ih is not None and rate_ih > 0,
-        "full_difference_decays": rate_full is not None and rate_full > 0,
-        "terminal_below_1e3_peak": terminal <= 1e-3 * peak,
-    })
-    passed = all(checks[k] for k in ("ih_difference_decays",
-                                     "full_difference_decays",
-                                     "terminal_below_1e3_peak"))
-    summary = {
+    return None, {
         "scenario": "determining",
         "G": G, "mu_aux": mu_aux, "h": cfg.interpolant_h,
-        "peak_full_difference": peak,
-        "terminal_full_difference": terminal,
-        "tail_rate_full": rate_full,
-        "tail_rate_interpolant": rate_ih,
+        "peak_full_difference": float(np.max(full)),
+        "terminal_full_difference": float(full[-1]),
+        "tail_rate_full": _tail_rate(arr[:, 0], full, checks),
+        "tail_rate_interpolant": _tail_rate(arr[:, 0], ih, checks),
         "spin_up_converged": all(r.converged for r in spun),
         "checks": checks,
-        "passed": bool(passed),
     }
-    _json_dump(os.path.join(outdir, "summary.json"), summary)
-    return (EXIT_OK if passed else EXIT_CHECK), summary
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +658,7 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, outdir=None,
         try:
             sub = parse_config_text(sub.dump())
         except ConfigError as exc:
-            results[i] = (EXIT_CONFIG, {"error": str(exc), "passed": False})
+            results[i] = _conclude(sub, exc)
         else:
             groups.setdefault(_group_key(sub), []).append(i)
         subs.append(sub)

@@ -306,5 +306,6 @@ def run_assimilation(grid: Grid, params, forcing: ForcingSpec,
                 break  # every member is retired, each with its error
     errors = [None if k in coupled.failures else ErrorSeries(*rows.T)
               for k, rows in enumerate(err_rows)]
-    return RunResult(errors, coupled.failures, Trajectory.from_rows(traj_rows),
-                     spun.time, spun.converged)
+    # after a break, the rows past i were never written
+    traj = Trajectory.from_rows(traj_rows[:i + 1])
+    return RunResult(errors, coupled.failures, traj, spun.time, spun.converged)

@@ -2,7 +2,8 @@
 
 Each test prints one PASS/FAIL line for its criterion before asserting, so
 a full run of this module doubles as the acceptance report.  The expensive
-reference runs are shared through module-scope fixtures.
+reference run is shared through module-scope fixtures: criteria 1-4 are the
+members of one nudged system.
 """
 
 import json
@@ -83,49 +84,42 @@ def forcing64(grid64):
     return build_forcing(grid64, parse_config_text("scenario = baseline\n"))
 
 
-def nudged_run(grid, params, forcing, mask, kind, h, mu):
+# the golden configs nudged against the one reference of shared_run; each
+# member advances bitwise as it would in its own pair
+# (test_nudging.py::test_members_match_one_member_systems)
+MEMBERS = ("baseline", "first", "v-only", "type2")
+
+
+@pytest.fixture(scope="module")
+def shared_run(grid64, params64, forcing64):
+    """(the RunResult, its wall time, member name -> its ErrorSeries)."""
     g = GOLDEN["baseline"]
-    cfg = NudgingConfig(mu, InterpolantSpec(kind, h), mask)
-    init = normalized_field(grid, 0, 1.0)
+    configs = [NudgingConfig(GOLDEN[key]["mu"],
+                             InterpolantSpec(GOLDEN[key]["interpolant_kind"],
+                                             GOLDEN[key]["h"]),
+                             GOLDEN[key]["mask"]) for key in MEMBERS]
+    init = normalized_field(grid64, 0, 1.0)
     start = time.monotonic()
-    result = run_assimilation(grid, params, forcing, cfg, init, init.copy(),
-                              g["dt"], g["horizon"], sample_every=5)
+    result = run_assimilation(grid64, params64, forcing64, configs, init,
+                              init.copy(), g["dt"], g["horizon"], sample_every=5)
     elapsed = time.monotonic() - start
-    return result, elapsed
+    return result, elapsed, dict(zip(MEMBERS, result.errors))
 
 
-@pytest.fixture(scope="module")
-def baseline_run(grid64, params64, forcing64):
-    g = GOLDEN["baseline"]
-    result, elapsed = nudged_run(grid64, params64, forcing64, g["mask"],
-                                 g["interpolant_kind"], g["h"], g["mu"])
-    return result, elapsed
-
-
-@pytest.fixture(scope="module")
-def abridged_runs(grid64, params64, forcing64):
-    out = {}
-    for key in ("first", "v-only"):
-        g = GOLDEN[key]
-        out[key], _ = nudged_run(grid64, params64, forcing64, g["mask"],
-                                 g["interpolant_kind"], g["h"], g["mu"])
-    return out
-
-
-def test_criterion_1_full_observation_sync(baseline_run, grid64):
-    result, elapsed = baseline_run
-    fit = decay_window_fit(result.errors[0].times, result.errors[0].l2_total())
+def test_criterion_1_full_observation_sync(shared_run):
+    _, elapsed, errors = shared_run
+    fit = decay_window_fit(errors["baseline"].times, errors["baseline"].l2_total())
     ok = converged(fit) and elapsed < 300.0
     report(1, f"full-observation L2 sync: {fit['orders_of_decay']:.1f} orders, "
               f"R^2={fit['r_squared']:.4f}, {elapsed:.0f}s", ok)
     assert ok
 
 
-def test_criterion_2_h1_tracking(baseline_run):
-    result, _ = baseline_run
-    l2 = decay_window_fit(result.errors[0].times, result.errors[0].l2_total())
-    h1 = decay_window_fit(result.errors[0].times, result.errors[0].h1_total())
-    dt_sample = np.diff(result.errors[0].times).max()
+def test_criterion_2_h1_tracking(shared_run):
+    errors = shared_run[2]["baseline"]
+    l2 = decay_window_fit(errors.times, errors.l2_total())
+    h1 = decay_window_fit(errors.times, errors.h1_total())
+    dt_sample = np.diff(errors.times).max()
     onset_ok = h1["onset_time"] >= l2["onset_time"] - dt_sample
     ok = converged(h1) and onset_ok
     report(2, f"H1 tracking: {h1['orders_of_decay']:.1f} orders, "
@@ -134,11 +128,12 @@ def test_criterion_2_h1_tracking(baseline_run):
     assert ok
 
 
-def test_criterion_3_abridged_observations(abridged_runs):
+def test_criterion_3_abridged_observations(shared_run):
     ok = True
     parts = []
-    for key, result in abridged_runs.items():
-        fit = decay_window_fit(result.errors[0].times, result.errors[0].l2_total())
+    for key in ("first", "v-only"):
+        errors = shared_run[2][key]
+        fit = decay_window_fit(errors.times, errors.l2_total())
         ok = ok and converged(fit)
         parts.append(f"{key}: {fit['orders_of_decay']:.1f} orders")
     h_ok = all(GOLDEN[k]["h"] <= GOLDEN["baseline"]["h"]
@@ -149,13 +144,11 @@ def test_criterion_3_abridged_observations(abridged_runs):
     assert ok
 
 
-def test_criterion_4_type2_interpolant(grid64, params64, forcing64):
-    g = GOLDEN["type2"]
-    spec = calibrate(InterpolantSpec(NODAL, g["h"]), grid64, 200, 0)
+def test_criterion_4_type2_interpolant(shared_run, grid64):
+    spec = calibrate(InterpolantSpec(NODAL, GOLDEN["type2"]["h"]), grid64, 200, 0)
     assert spec.c2 is not None and spec.c3 is not None
-    result, _ = nudged_run(grid64, params64, forcing64, g["mask"],
-                           g["interpolant_kind"], g["h"], g["mu"])
-    fit = decay_window_fit(result.errors[0].times, result.errors[0].h1_total())
+    errors = shared_run[2]["type2"]
+    fit = decay_window_fit(errors.times, errors.h1_total())
     ok = fit["orders_of_decay"] >= 4.0 and fit["rate"] > 0
     report(4, f"nodal bilinear (c2={spec.c2:.3g}, c3={spec.c3:.3g}) H1 decay "
               f"{fit['orders_of_decay']:.1f} orders", ok)
@@ -204,10 +197,9 @@ def test_criterion_6_interpolant_inequalities(grid64):
     assert ok
 
 
-def test_criterion_7_a_priori_bound(baseline_run, grid64, forcing64, params64):
-    result, _ = baseline_run
+def test_criterion_7_a_priori_bound(shared_run, grid64, forcing64, params64):
     G = grashof_number(forcing64, params64)
-    full = check_int_bound(result.reference_trajectory, G, params64)
+    full = check_int_bound(shared_run[0].reference_trajectory, G, params64)
     # Negative control: a true solution outside the absorbing ball.  With
     # beta = 0 the energy identity makes the first window dissipate about
     # E0 / (2 nub) = 4B from initial energy E0 = 8 nub B, so the check must
@@ -230,14 +222,10 @@ def test_criterion_7_a_priori_bound(baseline_run, grid64, forcing64, params64):
     assert ok
 
 
-def test_criterion_8_energy_budget(baseline_run, abridged_runs, params64):
-    worst = -np.inf
-    ok = True
-    for result in [baseline_run[0]] + list(abridged_runs.values()):
-        traj = result.reference_trajectory
-        residuals, flags = energy_budget(traj, params64)
-        ok = ok and not flags.any()
-        worst = max(worst, float(residuals.max()))
+def test_criterion_8_energy_budget(shared_run, params64):
+    residuals, flags = energy_budget(shared_run[0].reference_trajectory, params64)
+    ok = not flags.any()
+    worst = float(residuals.max())
     report(8, f"energy budget residuals within tolerance at every step "
               f"(worst {worst:.2e})", ok)
     assert ok

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from mhdnudge.diagnostics import (
     THM_V,
     ANALYSIS_CONSTANTS,
     ErrorSeries,
+    TheoremThresholds,
     _window_integrals,
     check_int_bound,
     decay_window_fit,
@@ -183,6 +186,33 @@ def test_thresholds_monotone_in_g(p52):
         hs = [theorem_thresholds(tid, G, p52, **kw).h_max
               for G in (0.5, 1.0, 2.0, 4.0)]
         assert all(a > b for a, b in zip(hs, hs[1:]))
+
+
+def test_t2_overflow_is_unsatisfiable(p52):
+    # at G = 162 (a nodal Kolmogorov run at Re = Rm = 20) e^(2 C G^4) is far
+    # beyond float range: no gain and no resolution satisfy the theorem
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        th = theorem_thresholds(THM_T2_FIRST, 162.0, p52, c2=0.0, c3=0.04)
+    assert th.mu_min == np.inf
+    assert th.h_max == 0.0
+
+
+def test_zero_interpolant_constant_admits_every_h(p52):
+    # c1 = 0 (spectral with 1/h past the dealiasing cutoff) or c2 = c3 = 0:
+    # the interpolant inequality holds at every h
+    for tid in (THM_ALL, THM_H1_ALL, THM_FIRST, THM_V):
+        th = theorem_thresholds(tid, 10.0, p52, c1=0.0)
+        assert th.mu_min > 0 and th.h_max == np.inf
+    th = theorem_thresholds(THM_T2_FIRST, 1.0, p52, c2=0.0, c3=0.0)
+    assert th.mu_min > 0 and th.h_max == np.inf
+
+
+@pytest.mark.parametrize("mu_min, h_max", [(-1.0, 1.0), (1.0, -1.0),
+                                           (np.nan, 1.0), (1.0, np.nan)])
+def test_negative_or_nan_thresholds_rejected(mu_min, h_max):
+    with pytest.raises(ValueError, match="nonnegative and not NaN"):
+        TheoremThresholds(THM_ALL, 1.0, mu_min, h_max, {})
 
 
 def test_threshold_argument_validation(p52):

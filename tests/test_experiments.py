@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mhdnudge import experiments
 from mhdnudge.dynamics import derive_elsasser_params, grashof_number
 from mhdnudge.experiments import (
     EXIT_BLOWUP,
@@ -332,3 +333,74 @@ def test_sweep_retires_a_non_finite_member_and_goes_on(tmp_path, monkeypatch):
     assert not (failed / "errors.csv").exists()
     for v in (60.0, 480.0):
         assert_same_artifacts(tmp_path / "sweep" / f"mu={v:g}", plain[v][0])
+
+
+# ---------------------------------------------------------------------------
+# every run ends with its exit code and a summary.json
+
+
+SHORT = "horizon = 0.004\nspinup_max_time = 0.1\n"
+
+
+@pytest.mark.parametrize("text", [
+    # G = 162: the type-2 mu_min overflows float range
+    "scenario = baseline\nn = 32\ninterpolant_kind = nodal\n"
+    "forcing_mode = kolmogorov\nre = 20\nrm = 20\nmu = 60\n",
+    # 1/h = 8 is past the dealiasing cutoff n//3, so the calibrated c1 is 0
+    "scenario = baseline\nn = 16\n",
+    "scenario = baseline\nn = 24\n",
+], ids=["nodal-re20-kolmogorov", "default-n16", "default-n24"])
+def test_unrepresentable_thresholds_end_the_run(tmp_path, text):
+    code, summary = run_scenario(parse_config_text(text + SHORT), tmp_path)
+    assert code in (EXIT_OK, EXIT_CHECK)
+    assert json.loads((tmp_path / "summary.json").read_text()) == summary
+    theorems = json.loads((tmp_path / "thresholds.json").read_text())["theorems"]
+    assert any(th["mu_min"] == np.inf or th["h_max"] == np.inf
+               for th in theorems.values())
+
+
+def test_h_sweep_past_the_cutoff_writes_every_value(tmp_path):
+    cfg = parse_config_text("scenario = baseline\nn = 32\n" + SHORT)
+    table = run_sweep(cfg, "h", [0.25, 0.0625], outdir=tmp_path, max_workers=1)
+    assert all(row["exit_code"] in (EXIT_OK, EXIT_CHECK) for row in table)
+    for v in (0.25, 0.0625):
+        for name in ARTIFACTS:
+            assert (tmp_path / f"h={v:g}" / name).exists(), (v, name)
+    assert (tmp_path / "sweep.json").exists()
+
+
+def test_analysis_error_fails_only_its_value(tmp_path, monkeypatch):
+    # an exception in one member's analysis is exit 3 for that value, with
+    # its type named; the other values of the group go on
+    cfg = parse_config_text(SMALL.replace("u-only-exploratory", "baseline")
+                            .replace("u-only", "all"))
+    calibrate = experiments.calibrate
+
+    def calibrate_fails_at_quarter(spec, *args):
+        if spec.h == 0.25:
+            raise KeyError("no constant")
+        return calibrate(spec, *args)
+
+    monkeypatch.setattr(experiments, "calibrate", calibrate_fails_at_quarter)
+    table = run_sweep(cfg, "h", [0.25, 0.125], outdir=tmp_path, max_workers=1)
+    assert table[0]["exit_code"] == EXIT_BLOWUP
+    assert table[1]["exit_code"] in (EXIT_OK, EXIT_CHECK)
+    failed = json.loads((tmp_path / "h=0.25" / "summary.json").read_text())
+    assert failed == {"scenario": "baseline", "error": "KeyError: 'no constant'",
+                      "passed": False}
+    assert (tmp_path / "h=0.125" / "thresholds.json").exists()
+
+
+@pytest.mark.parametrize("scenario", ["baseline", "determining"])
+def test_error_escaping_the_group_fails_each_value(tmp_path, monkeypatch,
+                                                   scenario):
+    def broken(*args):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(experiments, "build_forcing", broken)
+    cfg = parse_config_text(f"scenario = {scenario}\nn = 32\n" + SHORT)
+    table = run_sweep(cfg, "mu", [10.0, 20.0], outdir=tmp_path, max_workers=1)
+    assert [row["exit_code"] for row in table] == [EXIT_BLOWUP, EXIT_BLOWUP]
+    for v in (10, 20):
+        summary = json.loads((tmp_path / f"mu={v}" / "summary.json").read_text())
+        assert summary["error"] == "ZeroDivisionError: division by zero"

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from mhdnudge import dynamics
+
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for p in (ROOT / "src" / "mhdnudge").glob("*.py")
                  if p.name != "__init__.py") + sorted((ROOT / "tests").glob("*.py"))
@@ -169,3 +171,60 @@ def test_complex_fft_call_is_found():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_complex_fft(path):
     assert complex_fft_calls(path.read_text()) == []
+
+
+# ---------------------------------------------------------------------------
+# every run ends in one place: one writer of summary.json, and the CLI
+# leaves the numerical errors to the experiments module
+
+
+def functions_with_literal(source: str, literal: str):
+    """The innermost function around each string constant equal to
+    `literal`, in source order; "<module>" for one outside any function."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Constant) and node.value == literal:
+            found.append(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_function_with_literal_is_found():
+    src = ("def f():\n    return 'x'\n\n\ndef g():\n    def h():\n"
+           "        return 'x'\n    return h, 'y'\n\n\nz = 'x'\n")
+    assert functions_with_literal(src, "x") == ["f", "h", "<module>"]
+
+
+def test_one_summary_writer():
+    writers = {(p.stem, func) for p in PACKAGE for func in
+               functions_with_literal(p.read_text(), "summary.json")}
+    assert writers == {("experiments", "_run_group")}
+
+
+def names_imported_from(source: str, module: str):
+    """Names that `from ... module import ...` statements bind, for any
+    package prefix of `module`."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[-1] == module
+            for alias in node.names}
+
+
+def test_names_imported_from_are_found():
+    src = ("from .dynamics import A, B\nfrom mhdnudge.dynamics import C\n"
+           "from .experiments import D\nimport dynamics\n")
+    assert names_imported_from(src, "dynamics") == {"A", "B", "C"}
+
+
+def test_cli_imports_no_exception_from_dynamics():
+    errors = {name for name, obj in vars(dynamics).items()
+              if isinstance(obj, type) and issubclass(obj, BaseException)}
+    assert errors >= {"BlowUpError", "CflError"}
+    cli = (ROOT / "src" / "mhdnudge" / "cli.py").read_text()
+    assert names_imported_from(cli, "dynamics") & errors == set()
