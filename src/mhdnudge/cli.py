@@ -11,8 +11,9 @@ Verbs:
 overrides the config's seed; ``--outdir DIR`` the output directory.  Exit
 codes: 0 success, 2 invalid config, 3 numerical blow-up, CFL violation or
 another failure of the run (its ``summary.json`` names it), 4 a scenario
-check failed.  A config that cannot be read exits 2 here; every run that
-starts ends in the experiments module, which writes its ``summary.json``.
+check failed.  A config that cannot be read, or an output directory that
+cannot be made, exits 2 here; every run that starts ends in the
+experiments module, which writes its ``summary.json``.
 """
 
 from __future__ import annotations
@@ -69,12 +70,9 @@ def build_parser():
 
 
 def _load(args):
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.outdir is not None:
-        overrides["outdir"] = args.outdir
-    return parse_config(args.config, overrides)
+    overrides = {"seed": args.seed, "outdir": args.outdir}
+    return parse_config(args.config,
+                        {k: v for k, v in overrides.items() if v is not None})
 
 
 def main(argv=None) -> int:
@@ -97,7 +95,7 @@ def main(argv=None) -> int:
         code, summary = run_scenario(cfg)
         print(json.dumps(summary, indent=2, sort_keys=True, default=float))
         return code
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -322,7 +322,10 @@ class MhdStepper:
         self._rhs = np.empty_like(self.X)
         self._adv = np.empty((4, n, grid.cutoff + 1), dtype=np.complex128)
         self._products = np.empty((2, 2, n, h), dtype=np.complex128)
-        self.restart(forcing=forcing)
+        self._forcing = forcing
+        self._projected_forcing = project_forcing(grid, forcing)
+        self._forcing_sq = l2_norm(forcing.f) ** 2 + l2_norm(forcing.g) ** 2
+        self.restart()
 
     # -- state accessors ----------------------------------------------------
 
@@ -332,20 +335,17 @@ class MhdStepper:
         self.X[:, 0, 0] = 0.0
         self.restart(t)
 
-    def restart(self, t: float = 0.0, forcing: ForcingSpec | None = None):
+    def restart(self, t: float = 0.0):
         """Set the clock to t and drop the Adams-Bashforth history, so the
-        next step is an Euler step; `forcing`, if given, replaces the forcing."""
+        next step is an Euler step.  The state and the forcing stay."""
         self.t = t
         self.step_count = 0
-        if forcing is not None:
-            self._forcing = forcing
-            self._projected_forcing = project_forcing(self.grid, forcing)
-            self._forcing_sq = l2_norm(forcing.f) ** 2 + l2_norm(forcing.g) ** 2
 
     @property
     def forcing(self) -> ForcingSpec:
-        """Read-only: restart(forcing=...) replaces it together with its
-        projection."""
+        """Read-only: the forcing and its projection are set once, at
+        construction.  A system forced differently is a nudging member
+        with a `delta`, not a stepper whose forcing changes mid-run."""
         return self._forcing
 
     # -- norms --------------------------------------------------------------
@@ -500,18 +500,19 @@ def spin_up(stepper: MhdStepper, tol: float = SPINUP_TOL,
     Runs whole windows of length T = 1/(pi^2 nu_bar) and stops when
     two consecutive window averages differ by less than `tol` relative, or
     at the first window end at or past `max_time`.  `max_time` is thus not
-    a hard cap: the returned time may exceed it by up to one window (at
-    least one window always runs), and the window that crosses it may still
-    settle.  At the default Reynolds numbers and dt = 2e-3 a window is 0.506
-    long, and a config with `spinup_max_time = 2.0` settles only in window
-    4, at t = 2.024.  The stepper is restarted at t = 0 afterwards.
+    a hard cap: the returned time may exceed it by up to one window, and
+    the window that crosses it may still settle.  The first window always
+    runs, so a `max_time` of 0 or below runs exactly one.  At the default
+    Reynolds numbers and dt = 2e-3 a window is 0.506 long, and a config
+    with `spinup_max_time = 2.0` settles only in window 4, at t = 2.024.
+    The stepper is restarted at t = 0 afterwards.
     """
     T = stepper.params.window
     steps_per_window = max(int(round(T / stepper.dt)), 8)
     prev_avg = None
     elapsed = 0.0
     converged = False
-    while elapsed < max_time:
+    while prev_avg is None or elapsed < max_time:
         acc = 0.0
         for _ in range(steps_per_window):
             stepper.advance()

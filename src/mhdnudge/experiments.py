@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import get_type_hints
 
@@ -31,7 +30,6 @@ from .dynamics import (
     BlowUpError,
     CflError,
     ForcingSpec,
-    MhdStepper,
     Modulation,
     derive_elsasser_params,
     energy_budget,
@@ -145,7 +143,8 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         for key in ("modulation_rate", "delta_rate", "eps_rate",
-                    "det_envelope_rate"):
+                    "det_envelope_rate", "seed", "forcing_seed", "init_seed",
+                    "det_seed2"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
         # a wavenumber above the dealiasing cutoff n//3 is not resolved
@@ -217,7 +216,7 @@ def parse_config_text(text: str, overrides: dict | None = None) -> ExperimentCon
 
 
 def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return parse_config_text(fh.read(), overrides)
 
 
@@ -261,6 +260,22 @@ def _decaying_pair(grid: Grid, cfg: ExperimentConfig, seed: int,
     return ForcingSpec(f, g, Modulation(amplitude, rate, 0.0))
 
 
+def _envelope_difference(m2: Modulation, m1: Modulation) -> Modulation:
+    """m2(t) - m1(t) as one Modulation.  A ConfigError if both decay, at
+    different rates: no Modulation holds that sum."""
+    terms = {}  # rate -> amplitude of exp(-rate t); rate 0 is the constant
+    for sign, m in ((1.0, m2), (-1.0, m1)):
+        for rate, amplitude in ((0.0, m.offset), (m.rate, m.amplitude)):
+            terms[rate] = terms.get(rate, 0.0) + sign * amplitude
+    offset = terms.pop(0.0)
+    decaying = [(a, rate) for rate, a in terms.items() if a != 0.0]
+    if len(decaying) > 1:
+        raise ConfigError(f"determining needs f2 - f1 to decay at one rate, got "
+                          f"det_envelope_rate {m2.rate}, modulation_rate {m1.rate}")
+    amplitude, rate = decaying[0] if decaying else (0.0, 0.0)
+    return Modulation(amplitude, rate, offset)
+
+
 def build_nudging_config(grid: Grid, cfg: ExperimentConfig) -> NudgingConfig:
     spec = InterpolantSpec(cfg.interpolant_kind, cfg.interpolant_h)
     delta = _decaying_pair(grid, cfg, cfg.forcing_seed + 11,
@@ -285,9 +300,7 @@ def _trajectory_table(traj, params):
 
 
 def _json_default(o):
-    if isinstance(o, np.bool_):
-        return bool(o)
-    if isinstance(o, (np.floating, np.integer)):
+    if isinstance(o, (np.bool_, np.floating, np.integer)):
         return o.item()
     return float(o)
 
@@ -528,22 +541,32 @@ def _run_group(cfgs, outdirs):
 
 
 def _scenario_determining(cfg: ExperimentConfig, outdir):
-    """Two free solutions and the auxiliary nudged toward the first; writes
-    determining.csv and returns (None, summary), for _judge."""
+    """Two solutions, forced by f1 and f2, and the auxiliary nudged toward
+    the first; writes determining.csv and returns (None, summary), for
+    _judge.
+
+    The three run on one CoupledStepper.  Solution 1 is its reference.
+    Solution 2 and the auxiliary are its members, and both carry the
+    forcing error delta = f2 - f1: solution 2 with gain 0, which makes it
+    the free system forced by f2, and the auxiliary with the gain the
+    convergence proof dictates.  A failure of any of the three ends the
+    run.
+    """
     grid = Grid(cfg.n)
     params = derive_elsasser_params(cfg.re, cfg.rm)
     forcing1 = build_forcing(grid, cfg)
     envelope = Modulation(cfg.det_envelope_amplitude, cfg.det_envelope_rate, 1.0)
     forcing2 = ForcingSpec(forcing1.f, forcing1.g, envelope)
     G = grashof_number(forcing1, params)
-    G2 = grashof_number(forcing2, params)
-    if abs(G - G2) > 1e-9 * max(G, 1.0):
+    if abs(G - grashof_number(forcing2, params)) > 1e-9 * max(G, 1.0):
         raise ConfigError("determining setup requires equal Grashof numbers")
+    delta = ForcingSpec(forcing1.f, forcing1.g,
+                        _envelope_difference(envelope, forcing1.modulation))
 
-    spec = calibrate(InterpolantSpec(cfg.interpolant_kind, cfg.interpolant_h),
-                     grid, cfg.calibration_samples, cfg.forcing_seed)
-    # auxiliary assimilating solution of the proof, nudged toward solution 1
-    # at the gain the convergence argument dictates for this resolution
+    chi_spec = InterpolantSpec(cfg.interpolant_kind, cfg.interpolant_h)
+    spec = calibrate(chi_spec, grid, cfg.calibration_samples, cfg.forcing_seed)
+    # the auxiliary's gain is the one the convergence argument dictates for
+    # this resolution
     if spec.type_class == 1:
         scale = spec.c1 ** 2 * cfg.interpolant_h ** 2
     else:
@@ -556,25 +579,20 @@ def _scenario_determining(cfg: ExperimentConfig, outdir):
     mu_aux = params.nu_bar / scale
     # validated() cannot see the derived gain
     _check_gain(cfg.interpolant_kind, mu_aux, cfg.dt, "mu_aux")
-    ncfg = NudgingConfig(mu_aux, InterpolantSpec(cfg.interpolant_kind,
-                                                 cfg.interpolant_h), MASK_ALL)
-    coupled = CoupledStepper(grid, params, forcing1, ncfg, cfg.dt)
+    coupled = CoupledStepper(grid, params, forcing1, [
+        NudgingConfig(mu_aux, chi_spec, MASK_ALL, delta),
+        NudgingConfig(0.0, chi_spec, MASK_ALL, delta)], cfg.dt)
     sol1 = coupled.reference
-    aux = coupled.assimilated
-    sol2 = MhdStepper(grid, params, forcing1, cfg.dt)
-    init1 = _initial_field(grid, cfg, cfg.seed)
-    init2 = _initial_field(grid, cfg, cfg.det_seed2)
-    sol1.set_state(init1, init1, 0.0)
-    sol2.set_state(init2, init2, 0.0)
+    aux, sol2 = coupled.members  # aux starts at zero
+    for sol, seed in ((sol1, cfg.seed), (sol2, cfg.det_seed2)):
+        init = _initial_field(grid, cfg, seed)
+        sol.set_state(init, init, 0.0)
+    # both solutions spin up under f1; f2's envelope clock starts at the
+    # reset t = 0
     spun = [spin_up(s, cfg.spinup_tol, cfg.spinup_max_time) for s in (sol1, sol2)]
-    # the envelope clock starts at the reset t=0; aux starts at zero, its
-    # state since construction
-    sol2.restart(forcing=forcing2)
-    aux.restart(forcing=forcing2)
 
     n_steps = int(round(cfg.horizon / cfg.dt))
     rows = []
-    chi_spec = ncfg.interpolant
 
     def record():
         diff = sol1.X - sol2.X
@@ -587,8 +605,9 @@ def _scenario_determining(cfg: ExperimentConfig, outdir):
     for i in range(n_steps + 1):
         record()
         if i < n_steps:
-            sol2.advance()
-            coupled.step()  # advances solution 1 and the nudged auxiliary
+            coupled.step()
+            if coupled.failures:  # the step retires a member and goes on
+                raise next(iter(coupled.failures.values()))
 
     arr = np.array(rows)
     diag._write_csv(os.path.join(outdir, "determining.csv"),
@@ -638,9 +657,8 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, outdir=None,
     outdir = outdir or cfg.outdir
     os.makedirs(outdir, exist_ok=True)
     if axis == "G":
-        grid = Grid(cfg.n)
-        params = derive_elsasser_params(cfg.re, cfg.rm)
-        g_base = grashof_number(build_forcing(grid, cfg), params)
+        g_base = grashof_number(build_forcing(Grid(cfg.n), cfg),
+                                derive_elsasser_params(cfg.re, cfg.rm))
         if g_base == 0:
             raise ConfigError("cannot sweep G from a zero-forcing base config")
     results = [None] * len(values)
@@ -666,7 +684,8 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, outdir=None,
             for idx in groups.values()]
     if max_workers == 1 or len(jobs) <= 1:
         done = [_run_group(*job) for job in jobs]
-    else:
+    else:  # imported here, so that no other run loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             done = list(pool.map(_run_group, *zip(*jobs)))
     for idx, group_results in zip(groups.values(), done):

@@ -158,8 +158,9 @@ class CoupledStepper:
     `configs` is one NudgingConfig or a sequence of them, one per member.
     Nudging is one-way: the reference never sees a member and the members
     never see each other, so every member of a mu or h sweep shares the
-    reference.  `members` lists the assimilated steppers in config order;
-    `assimilated` is the one member of a one-member system.
+    reference.  A member with gain 0 is an unobserved copy: a free system
+    forced by the reference's forcing plus its `delta`.  `members` lists
+    the assimilated steppers in config order.
     """
 
     def __init__(self, grid: Grid, params, forcing: ForcingSpec,
@@ -174,11 +175,6 @@ class CoupledStepper:
         self.reference = MhdStepper(grid, params, forcing, dt)
         # member index -> the BlowUpError or CflError that retired it
         self.failures = {}
-
-    @property
-    def assimilated(self) -> MhdStepper:
-        (member,) = self._members
-        return member.stepper
 
     def active(self) -> list[int]:
         """Indices of the members that are still advanced."""

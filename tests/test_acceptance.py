@@ -296,10 +296,10 @@ def test_criterion_11_zero_error_absorbing_state(params64):
         cs = CoupledStepper(grid, params64, forcing, cfg, 2e-3)
         init = normalized_field(grid, 0, 0.5)
         cs.reference.set_state(init, init, 0.0)
-        cs.assimilated.set_state(init, init, 0.0)
+        cs.members[0].set_state(init, init, 0.0)
         for _ in range(1000):
             cs.step()
-        err = state_l2(grid, cs.reference.X - cs.assimilated.X)
+        err = state_l2(grid, cs.reference.X - cs.members[0].X)
         worst = max(worst, err)
     ok = worst <= 1e-10
     report(11, f"identical initialization stays synchronized for 1000 steps "

@@ -61,12 +61,21 @@ def test_invalid_config_exit_2(tmp_path, capsys):
     ("forcing_mode = kolmogorov\nforcing_kolmogorov_k = 16", "run", [],
      "forcing_kolmogorov_k must lie in 1..10"),
     ("forcing_kolmogorov_k = 0", "run", [], "forcing_kolmogorov_k must lie in 1..10"),
+    ("seed = -1", "run", [], "seed must be >= 0, got -1"),
+    ("", "run", ["--seed", "-1"], "seed must be >= 0, got -1"),
+    ("forcing_seed = -3", "sweep", ["--axis", "mu", "--values", "1", "2",
+                                    "--workers", "1"],
+     "forcing_seed must be >= 0, got -3"),
+    ("init_mode = random\ninit_seed = -1", "run", [],
+     "init_seed must be >= 0, got -1"),
+    ("det_seed2 = -7", "determining", [], "det_seed2 must be >= 0, got -7"),
 ], ids=["sample_every=0", "sample_every=-5", "calibration_samples=0",
         "horizon<2dt", "sweep-workers=0", "nodal-h=0.2-n=32",
         "verify-samples=0", "verify-samples=-3", "modulation_rate<0",
         "delta_rate<0", "sweep-eps_rate<0", "det_envelope_rate<0",
         "forcing_kmax=20-n=32", "forcing_kmax=0", "kolmogorov_k=16-n=32",
-        "kolmogorov_k=0"])
+        "kolmogorov_k=0", "seed<0", "--seed<0", "sweep-forcing_seed<0",
+        "init_seed<0", "det_seed2<0"])
 def test_config_rejected_exit_2(tmp_path, capsys, line, verb, args, message):
     cfg = write_cfg(tmp_path, f"scenario = baseline\nn = 32\n{line}\n"
                     f"outdir = {tmp_path / 'out'}\n")
@@ -75,6 +84,30 @@ def test_config_rejected_exit_2(tmp_path, capsys, line, verb, args, message):
     assert err.startswith("config error:") and message in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_unreadable_config_exit_2(tmp_path, capsys):
+    # a directory, and a file that is not UTF-8
+    (tmp_path / "latin1.cfg").write_bytes(b"scenario = baseline # \xe9t\xe9\n")
+    for path in (tmp_path, tmp_path / "latin1.cfg"):
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb, args", [
+    ("run", []),
+    ("sweep", ["--axis", "mu", "--values", "20", "30", "--workers", "1"]),
+    ("verify-interpolant", ["--samples", "2"]),
+], ids=["run", "sweep", "verify-interpolant"])
+def test_outdir_that_is_a_file_exit_2(tmp_path, capsys, verb, args):
+    outdir = tmp_path / "out"
+    outdir.write_text("not a directory\n")
+    cfg = write_cfg(tmp_path, f"scenario = baseline\nn = 32\noutdir = {outdir}\n")
+    assert main([verb, cfg, *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(outdir) in err
+    assert outdir.read_text() == "not a directory\n"
 
 
 def test_explicit_feedback_mu_dt_exit_2(tmp_path, capsys):

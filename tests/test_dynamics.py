@@ -375,11 +375,11 @@ def test_restart_matches_fresh_stepper(grid32, params, forcing32):
     # stepper set to the same state, clock and forcing
     init = random_divfree_field(grid32, 1, 2.0)
     modulated = ForcingSpec(forcing32.f, forcing32.g, Modulation(1.0, 1.0, 1.0))
-    st = MhdStepper(grid32, params, forcing32, 1e-3)
+    st = MhdStepper(grid32, params, modulated, 1e-3)
     st.set_state(init, init, 0.0)
     for _ in range(5):
         st.advance()
-    st.restart(forcing=modulated)
+    st.restart()
     fresh = MhdStepper(grid32, params, modulated, 1e-3)
     fresh.set_state(st.X[:2], st.X[2:], 0.0)
     st.advance()
@@ -398,7 +398,7 @@ def test_full_spectrum_arrays_rejected(grid32, params, forcing32):
     with pytest.raises(ValueError, match=r"must be \(2, 32, 17\) half spectra"):
         MhdStepper(grid32, params, ForcingSpec(full, full), 2e-3)
     with pytest.raises(ValueError, match=r"must be \(2, 32, 17\) half spectra"):
-        st.restart(forcing=ForcingSpec(forcing32.f, full))
+        MhdStepper(grid32, params, ForcingSpec(forcing32.f, full), 2e-3)
 
 
 def test_errors_round_trip_through_pickle():
@@ -477,6 +477,21 @@ def test_spin_up_resets_clock(grid32, params, forcing32):
     assert spun.time > 0.0
     assert spun.converged
     assert st.t == 0.0
+
+
+@pytest.mark.parametrize("max_time", [0.0, -1.0])
+def test_spin_up_runs_one_window_at_nonpositive_max_time(grid32, params,
+                                                         forcing32, max_time):
+    dt = 2e-3
+    st = MhdStepper(grid32, params, forcing32, dt)
+    init = random_divfree_field(grid32, 1, 2.0)
+    st.set_state(init, init, 0.0)
+    start = st.X.copy()
+    spun = spin_up(st, tol=0.05, max_time=max_time)
+    assert spun.time == round(params.window / dt) * dt
+    assert spun.converged is False
+    assert st.t == 0.0
+    assert not np.array_equal(st.X, start)
 
 
 def test_spin_up_reports_not_converged(grid32, params, forcing32):

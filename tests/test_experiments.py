@@ -1,11 +1,17 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mhdnudge import experiments
-from mhdnudge.dynamics import derive_elsasser_params, grashof_number
+from mhdnudge.dynamics import (
+    BlowUpError,
+    Modulation,
+    derive_elsasser_params,
+    grashof_number,
+)
 from mhdnudge.experiments import (
     EXIT_BLOWUP,
     EXIT_CHECK,
@@ -234,6 +240,27 @@ def test_g_sweep_scales_grashof(tmp_path):
         pytest.approx(2.0 * base, rel=1e-12)
 
 
+def tree(root):
+    """Relative path -> bytes of every file under root."""
+    return {p.relative_to(root): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_g_sweep_in_the_pool_matches_the_serial_sweep(tmp_path):
+    cfg = parse_config_text("scenario = h1track\nn = 16\nhorizon = 0.02\n"
+                            "spinup_max_time = 0.1\n")
+    for workers in (1, 2):
+        run_sweep(cfg, "G", [5.0, 10.0], outdir=tmp_path / f"w{workers}",
+                  max_workers=workers)
+    serial = tree(tmp_path / "w1")
+    assert tree(tmp_path / "w2") == serial
+    for v in (5, 10):
+        summary = json.loads(serial[Path(f"G={v}", "summary.json")])
+        assert summary["G"] == pytest.approx(v, rel=1e-12)
+    assert serial[Path("G=5", "trajectory.csv")] != \
+        serial[Path("G=10", "trajectory.csv")]
+
+
 def test_h_sweep_records_indivisible_h_and_goes_on(tmp_path):
     # 1/h = 5 does not divide n = 32: that value is a config error, the next
     # value still runs and the sweep table is written
@@ -404,3 +431,54 @@ def test_error_escaping_the_group_fails_each_value(tmp_path, monkeypatch,
     for v in (10, 20):
         summary = json.loads((tmp_path / f"mu={v}" / "summary.json").read_text())
         assert summary["error"] == "ZeroDivisionError: division by zero"
+
+
+@pytest.mark.parametrize("system", [0, 1, 2],
+                         ids=["reference", "auxiliary", "solution-2"])
+def test_determining_ends_when_any_system_fails(tmp_path, monkeypatch, system):
+    # the coupled step retires a failing member and goes on; determining
+    # must not, whichever of its three systems fails
+    step = CoupledStepper.step
+    steps = []
+
+    def step_with_failure(self):
+        steps.append(self)
+        if len(steps) == 3:
+            target = [self.reference, *self.members][system]
+
+            def fail(*args, **kwargs):
+                raise BlowUpError(target.t, target.step_count, f"(system {system})")
+
+            target.advance = fail
+        step(self)
+
+    monkeypatch.setattr(CoupledStepper, "step", step_with_failure)
+    cfg = parse_config_text("scenario = determining\nn = 32\nhorizon = 0.02\n"
+                            "spinup_max_time = 0.1\n")
+    code, summary = run_scenario(cfg, tmp_path)
+    assert code == EXIT_BLOWUP
+    assert summary["error"].endswith(f"(system {system})")
+    assert len(steps) == 3
+    assert not (tmp_path / "determining.csv").exists()
+
+
+@pytest.mark.parametrize("m1", [
+    Modulation(0.0, 0.0, 1.0),
+    Modulation(0.0, 3.0, -1.0),
+    Modulation(0.5, 0.0, 0.5),
+    Modulation(0.5, 1.0, 1.0),
+    Modulation(1.0, 1.0, 1.0),
+], ids=["unmodulated", "negated", "constant", "same-rate", "equal"])
+@pytest.mark.parametrize("rate", [1.0, 0.0])
+def test_envelope_difference(m1, rate):
+    m2 = Modulation(1.0, rate, 1.0)
+    diff = experiments._envelope_difference(m2, m1)
+    for t in (0.0, 0.3, 2.0):
+        assert diff.value(t) == pytest.approx(m2.value(t) - m1.value(t),
+                                              rel=1e-15, abs=1e-15)
+
+
+def test_envelope_difference_of_two_rates_is_a_config_error():
+    with pytest.raises(ConfigError, match="decay at one rate"):
+        experiments._envelope_difference(Modulation(1.0, 1.0, 1.0),
+                                         Modulation(0.5, 2.0, 1.0))

@@ -2,6 +2,9 @@
 skipped: its imports are the public re-exports."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -228,3 +231,17 @@ def test_cli_imports_no_exception_from_dynamics():
     assert errors >= {"BlowUpError", "CflError"}
     cli = (ROOT / "src" / "mhdnudge" / "cli.py").read_text()
     assert names_imported_from(cli, "dynamics") & errors == set()
+
+
+# ---------------------------------------------------------------------------
+# only a parallel G sweep loads the process pool
+
+
+def test_experiments_import_loads_no_process_pool():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = ("import sys, mhdnudge.experiments; print(sorted(m for m in "
+            "sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -180,7 +180,7 @@ def test_implicit_solve_matches_dense_solve(re, rm):
     for mask in ALL_MASKS:
         cfg = spec_config(mu=80.0, mask=mask, h=0.25)
         cs = CoupledStepper(g, p, ForcingSpec(z, z), cfg, dt)
-        for stepper, config in ((cs.reference, None), (cs.assimilated, cfg)):
+        for stepper, config in ((cs.reference, None), (cs.members[0], cfg)):
             want = np.linalg.solve(dense_implicit_operator(g, p, dt, config),
                                    rhs.ravel()).reshape(rhs.shape)
             got = stepper._implicit_solve(rhs.copy(), out=np.empty_like(rhs))
@@ -202,7 +202,7 @@ def test_steppers_hold_no_per_mode_matrix(params):
     g = Grid(64)
     z = np.zeros((2, 64, 33), dtype=complex)
     cs = CoupledStepper(g, params, ForcingSpec(z, z), spec_config(mu=50.0), 2e-3)
-    ref, assim = cs.reference, cs.assimilated
+    ref, assim = cs.reference, cs.members[0]
     assert ref._blocks[0].size == 0
     state = (4, 64, 33)
     for arr in _arrays(ref):
@@ -230,10 +230,10 @@ def test_synchronized_pair_is_fixed_point(grid32, params, forcing32, kind):
     cs = CoupledStepper(grid32, params, forcing32, cfg, dt=2e-3)
     init = seeded_init(grid32, 0, 0.5)
     cs.reference.set_state(init, init, 0.0)
-    cs.assimilated.set_state(init, init, 0.0)
+    cs.members[0].set_state(init, init, 0.0)
     for _ in range(200):
         cs.step()
-    err = state_l2(grid32, cs.reference.X - cs.assimilated.X)
+    err = state_l2(grid32, cs.reference.X - cs.members[0].X)
     assert err <= 1e-12
 
 
@@ -244,13 +244,13 @@ def test_mu_zero_decouples(grid32, params, forcing32):
     init = seeded_init(grid32, 0, 0.5)
     other = seeded_init(grid32, 1, 0.5)
     cs.reference.set_state(init, init, 0.0)
-    cs.assimilated.set_state(other, other, 0.0)
+    cs.members[0].set_state(other, other, 0.0)
     solo = MhdStepper(grid32, params, forcing32, 2e-3)
     solo.set_state(other, other, 0.0)
     for _ in range(100):
         cs.step()
         solo.advance()
-    np.testing.assert_allclose(cs.assimilated.X, solo.X, atol=1e-13)
+    np.testing.assert_allclose(cs.members[0].X, solo.X, atol=1e-13)
 
 
 @pytest.mark.parametrize("kind", [SPECTRAL, VOLUME])
@@ -262,15 +262,15 @@ def test_delta_matches_perturbed_forcing(grid32, params, forcing32, kind):
     init = seeded_init(grid32, 0, 0.5)
     other = seeded_init(grid32, 1, 0.5)
     cs.reference.set_state(init, init, 0.0)
-    cs.assimilated.set_state(other, other, 0.0)
+    cs.members[0].set_state(other, other, 0.0)
     perturbed = ForcingSpec(forcing32.f + df, forcing32.g + dg)
     solo = MhdStepper(grid32, params, perturbed, 2e-3)
     solo.set_state(other, other, 0.0)
     for _ in range(100):
         cs.step()
         solo.advance()
-    np.testing.assert_allclose(cs.assimilated.X, solo.X, rtol=0, atol=1e-13)
-    assert np.max(np.abs(cs.assimilated.X - cs.reference.X)) > 1e-3
+    np.testing.assert_allclose(cs.members[0].X, solo.X, rtol=0, atol=1e-13)
+    assert np.max(np.abs(cs.members[0].X - cs.reference.X)) > 1e-3
 
 
 def test_states_stay_divergence_free(grid32, params, forcing32):
@@ -281,8 +281,8 @@ def test_states_stay_divergence_free(grid32, params, forcing32):
     for _ in range(100):
         cs.step()
     assert divergence_defect(grid32, cs.reference.X[:2]) < 1e-10
-    assert divergence_defect(grid32, cs.assimilated.X[:2]) < 1e-10
-    assert divergence_defect(grid32, cs.assimilated.X[2:]) < 1e-10
+    assert divergence_defect(grid32, cs.members[0].X[:2]) < 1e-10
+    assert divergence_defect(grid32, cs.members[0].X[2:]) < 1e-10
 
 
 def test_run_assimilation_converges(grid32, params, forcing32):
@@ -348,7 +348,7 @@ def test_members_match_one_member_systems(grid32, params, forcing32):
     shared = systems[0]
     for k, single in enumerate(systems[1:]):
         assert np.array_equal(shared.reference.X, single.reference.X)
-        assert np.array_equal(shared.members[k].X, single.assimilated.X)
+        assert np.array_equal(shared.members[k].X, single.members[0].X)
 
 
 def test_failed_member_is_retired_and_others_go_on(grid32, params, forcing32):
@@ -365,7 +365,7 @@ def test_failed_member_is_retired_and_others_go_on(grid32, params, forcing32):
         solo.step()
     assert cs.active() == [1]
     assert isinstance(cs.failures[0], BlowUpError)
-    assert np.array_equal(cs.members[1].X, solo.assimilated.X)
+    assert np.array_equal(cs.members[1].X, solo.members[0].X)
     # once no member is left, step raises the error of the last one
     cs.members[1].set_state(nan, nan, cs.reference.t)
     with pytest.raises(BlowUpError):
