@@ -136,6 +136,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown forcing mode {self.forcing_mode!r}")
         if self.init_mode not in ("zero", "copy", "random"):
             raise ConfigError(f"unknown init mode {self.init_mode!r}")
+        for key, typ in _TYPES.items():
+            if typ is float and not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         try:
             _check_grid(InterpolantSpec(self.interpolant_kind, self.interpolant_h),
                         Grid(self.n))
@@ -258,22 +261,6 @@ def _decaying_pair(grid: Grid, cfg: ExperimentConfig, seed: int,
     f, g = (_normalize(random_divfree_field(grid, k, 2.0, cfg.forcing_kmax), 1.0)
             for k in (seed, seed + 1))
     return ForcingSpec(f, g, Modulation(amplitude, rate, 0.0))
-
-
-def _envelope_difference(m2: Modulation, m1: Modulation) -> Modulation:
-    """m2(t) - m1(t) as one Modulation.  A ConfigError if both decay, at
-    different rates: no Modulation holds that sum."""
-    terms = {}  # rate -> amplitude of exp(-rate t); rate 0 is the constant
-    for sign, m in ((1.0, m2), (-1.0, m1)):
-        for rate, amplitude in ((0.0, m.offset), (m.rate, m.amplitude)):
-            terms[rate] = terms.get(rate, 0.0) + sign * amplitude
-    offset = terms.pop(0.0)
-    decaying = [(a, rate) for rate, a in terms.items() if a != 0.0]
-    if len(decaying) > 1:
-        raise ConfigError(f"determining needs f2 - f1 to decay at one rate, got "
-                          f"det_envelope_rate {m2.rate}, modulation_rate {m1.rate}")
-    amplitude, rate = decaying[0] if decaying else (0.0, 0.0)
-    return Modulation(amplitude, rate, offset)
 
 
 def build_nudging_config(grid: Grid, cfg: ExperimentConfig) -> NudgingConfig:
@@ -516,13 +503,15 @@ def _run_group(cfgs, outdirs):
     """Execute configs with one _group_key, each into its own directory,
     with one reference run for all of them.  Returns one (exit_code,
     summary) per config, each what a run of that config alone gives, and
-    writes that summary.  An exception that escapes the group fails each
-    of its values."""
+    writes that summary.  An exception that escapes the group, an invalid
+    config's ConfigError among them, fails each of its values."""
     for cfg, outdir in zip(cfgs, outdirs):
         os.makedirs(outdir, exist_ok=True)
         with open(os.path.join(outdir, "config.txt"), "w") as fh:
             fh.write(cfg.dump())
     try:
+        for cfg in cfgs:
+            cfg.validated()
         if cfgs[0].scenario == "determining":
             (cfg,), (outdir,) = cfgs, outdirs
             outcomes = [_scenario_determining(cfg, outdir)]
@@ -545,23 +534,25 @@ def _scenario_determining(cfg: ExperimentConfig, outdir):
     the first; writes determining.csv and returns (None, summary), for
     _judge.
 
-    The three run on one CoupledStepper.  Solution 1 is its reference.
-    Solution 2 and the auxiliary are its members, and both carry the
-    forcing error delta = f2 - f1: solution 2 with gain 0, which makes it
+    f2 is f1 + delta, with delta = A exp(-r t) (f, g): (f, g) is f1's
+    unmodulated pair, A and r are det_envelope_amplitude and
+    det_envelope_rate.  delta must decay (r > 0 or A = 0), so f2 and f1
+    share their Grashof number.  The three run on one CoupledStepper.
+    Solution 1 is its reference.  Solution 2 and the auxiliary are its
+    members, and both carry delta: solution 2 with gain 0, which makes it
     the free system forced by f2, and the auxiliary with the gain the
     convergence proof dictates.  A failure of any of the three ends the
     run.
     """
+    amplitude, rate = cfg.det_envelope_amplitude, cfg.det_envelope_rate
+    if rate == 0 and amplitude != 0:
+        raise ConfigError(f"determining needs f2 - f1 to decay, but det_envelope_rate"
+                          f" is 0 and det_envelope_amplitude {amplitude}")
     grid = Grid(cfg.n)
     params = derive_elsasser_params(cfg.re, cfg.rm)
     forcing1 = build_forcing(grid, cfg)
-    envelope = Modulation(cfg.det_envelope_amplitude, cfg.det_envelope_rate, 1.0)
-    forcing2 = ForcingSpec(forcing1.f, forcing1.g, envelope)
     G = grashof_number(forcing1, params)
-    if abs(G - grashof_number(forcing2, params)) > 1e-9 * max(G, 1.0):
-        raise ConfigError("determining setup requires equal Grashof numbers")
-    delta = ForcingSpec(forcing1.f, forcing1.g,
-                        _envelope_difference(envelope, forcing1.modulation))
+    delta = ForcingSpec(forcing1.f, forcing1.g, Modulation(amplitude, rate, 0.0))
 
     chi_spec = InterpolantSpec(cfg.interpolant_kind, cfg.interpolant_h)
     spec = calibrate(chi_spec, grid, cfg.calibration_samples, cfg.forcing_seed)
@@ -675,8 +666,8 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, outdir=None,
                           forcing_g_amplitude=cfg.forcing_g_amplitude * scalef)
         try:
             sub = parse_config_text(sub.dump())
-        except ConfigError as exc:
-            results[i] = _conclude(sub, exc)
+        except ConfigError:  # runs alone, to its ConfigError in _run_group
+            groups[i] = [i]
         else:
             groups.setdefault(_group_key(sub), []).append(i)
         subs.append(sub)

@@ -120,12 +120,18 @@ def _observation_blocks(grid: Grid, config: NudgingConfig):
 
 
 class _Member:
-    """One assimilated system: its stepper and what its feedback needs."""
+    """One assimilated system: its stepper and what its feedback needs.
+
+    A member with gain 0 observes nothing.  It has no damping blocks and no
+    feedback buffer, and it takes the free step with its `delta` alone, so
+    without a delta it is bitwise the free MhdStepper.
+    """
 
     def __init__(self, grid: Grid, params, forcing: ForcingSpec,
                  config: NudgingConfig, dt: float):
         self.config = config
-        self.implicit = config.interpolant.kind == SPECTRAL
+        self.observes = config.mu > 0
+        self.implicit = self.observes and config.interpolant.kind == SPECTRAL
         check_explicit_gain(config.interpolant.kind, config.mu, dt)
         damping = _observation_blocks(grid, config) if self.implicit else None
         self.stepper = MhdStepper(grid, params, forcing, dt, damping=damping)
@@ -135,7 +141,7 @@ class _Member:
         eps = config.eps
         self.eps = None if eps is None else stack_pair(grid, eps.f, eps.g,
                                                        "eps (f, g)")
-        self.feedback = np.empty_like(self.stepper.X)
+        self.feedback = np.empty_like(self.stepper.X) if self.observes else None
 
     def observed(self, ref: MhdStepper) -> np.ndarray:
         """The observed reference state: its X plus the observation error."""
@@ -158,9 +164,9 @@ class CoupledStepper:
     `configs` is one NudgingConfig or a sequence of them, one per member.
     Nudging is one-way: the reference never sees a member and the members
     never see each other, so every member of a mu or h sweep shares the
-    reference.  A member with gain 0 is an unobserved copy: a free system
-    forced by the reference's forcing plus its `delta`.  `members` lists
-    the assimilated steppers in config order.
+    reference.  A member with gain 0 is unobserved: the free system, forced
+    by the reference's forcing plus its `delta`, which it advances with one
+    free step.  `members` lists the assimilated steppers in config order.
     """
 
     def __init__(self, grid: Grid, params, forcing: ForcingSpec,
@@ -189,16 +195,17 @@ class CoupledStepper:
 
         Explicit members take their feedback from the reference before it
         steps; implicit members observe it after, matching the implicitly
-        treated damping so a synchronized pair stays a fixed point.  A
-        member whose advance raises BlowUpError or CflError is retired; an
-        error of the reference retires every active member.  Once no
-        member is active, step raises the error that retired the last one,
-        so a one-member system fails as a plain pair does.
+        treated damping so a synchronized pair stays a fixed point; members
+        with gain 0 do not observe it.  A member whose advance raises
+        BlowUpError or CflError is retired; an error of the reference
+        retires every active member.  Once no member is active, step raises
+        the error that retired the last one, so a one-member system fails
+        as a plain pair does.
         """
         grid, ref = self.grid, self.reference
         active = [(k, self._members[k]) for k in self.active()]
         for k, m in active:
-            if not m.implicit:
+            if m.observes and not m.implicit:
                 np.subtract(m.observed(ref), m.stepper.X, out=m.feedback)
                 nudging_term(m.config, grid, m.feedback, out=m.feedback)
                 if m.projected_delta is not None:
@@ -215,8 +222,10 @@ class CoupledStepper:
                 if m.implicit:
                     m.stepper.advance(extra_ab=m.delta(), extra_plain=nudging_term(
                         m.config, grid, m.observed(ref), out=m.feedback))
-                else:
+                elif m.observes:
                     m.stepper.advance(extra_ab=m.feedback)
+                else:
+                    m.stepper.advance(extra_ab=m.delta())
             except (BlowUpError, CflError) as exc:
                 self.retire(k, exc)
                 error = exc

@@ -69,13 +69,19 @@ def test_invalid_config_exit_2(tmp_path, capsys):
     ("init_mode = random\ninit_seed = -1", "run", [],
      "init_seed must be >= 0, got -1"),
     ("det_seed2 = -7", "determining", [], "det_seed2 must be >= 0, got -7"),
+    ("dt = nan", "run", [], "dt must be finite, got nan"),
+    ("horizon = inf", "run", [], "horizon must be finite, got inf"),
+    ("mu = nan", "run", [], "mu must be finite, got nan"),
+    ("re = nan", "sweep", ["--axis", "mu", "--values", "1", "2", "--workers", "1"],
+     "re must be finite, got nan"),
 ], ids=["sample_every=0", "sample_every=-5", "calibration_samples=0",
         "horizon<2dt", "sweep-workers=0", "nodal-h=0.2-n=32",
         "verify-samples=0", "verify-samples=-3", "modulation_rate<0",
         "delta_rate<0", "sweep-eps_rate<0", "det_envelope_rate<0",
         "forcing_kmax=20-n=32", "forcing_kmax=0", "kolmogorov_k=16-n=32",
         "kolmogorov_k=0", "seed<0", "--seed<0", "sweep-forcing_seed<0",
-        "init_seed<0", "det_seed2<0"])
+        "init_seed<0", "det_seed2<0", "dt=nan", "horizon=inf", "mu=nan",
+        "sweep-re=nan"])
 def test_config_rejected_exit_2(tmp_path, capsys, line, verb, args, message):
     cfg = write_cfg(tmp_path, f"scenario = baseline\nn = 32\n{line}\n"
                     f"outdir = {tmp_path / 'out'}\n")
@@ -130,6 +136,23 @@ def test_determining_explicit_mu_aux_dt_exit_2(tmp_path, capsys):
     assert summary["passed"] is False
     assert "mu_aux*dt <= 1, got mu_aux*dt = 1.44" in summary["error"]
     assert "the largest admissible dt is 1.38" in summary["error"]
+
+
+@pytest.mark.parametrize("line", [
+    "det_envelope_rate = 0",
+    "det_envelope_rate = 0\ndet_envelope_amplitude = -2",
+], ids=["rate=0", "rate=0-amplitude=-2"])
+def test_determining_forcing_difference_must_decay_exit_2(tmp_path, capsys, line):
+    # f2 - f1 = A exp(-r t) (f, g) must vanish; -2 would make f2 = -f1, whose
+    # Grashof number equals f1's
+    cfg = write_cfg(tmp_path, f"scenario = determining\nn = 32\n{line}\n"
+                    f"outdir = {tmp_path / 'out'}\n")
+    assert main(["determining", cfg]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["passed"] is False
+    assert "f2 - f1 to decay" in summary["error"]
+    assert not (tmp_path / "out" / "determining.csv").exists()
 
 
 @pytest.mark.parametrize("verb, scenario", [("determining", "determining"),

@@ -8,7 +8,6 @@ import pytest
 from mhdnudge import experiments
 from mhdnudge.dynamics import (
     BlowUpError,
-    Modulation,
     derive_elsasser_params,
     grashof_number,
 )
@@ -272,6 +271,11 @@ def test_h_sweep_records_indivisible_h_and_goes_on(tmp_path):
     assert table[0]["exit_code"] == EXIT_CONFIG
     assert table[1]["exit_code"] in (EXIT_OK, EXIT_CHECK)
     assert (tmp_path / "h=0.25" / "summary.json").exists()
+    # the invalid value leaves its config and its summary too
+    assert "interpolant_h = 0.2\n" in (tmp_path / "h=0.2" / "config.txt").read_text()
+    failed = json.loads((tmp_path / "h=0.2" / "summary.json").read_text())
+    assert failed["passed"] is False
+    assert "1/h=5 must divide the grid size n=32" in failed["error"]
     assert (tmp_path / "sweep.csv").read_text().count("\n") == 3
 
 
@@ -462,23 +466,12 @@ def test_determining_ends_when_any_system_fails(tmp_path, monkeypatch, system):
     assert not (tmp_path / "determining.csv").exists()
 
 
-@pytest.mark.parametrize("m1", [
-    Modulation(0.0, 0.0, 1.0),
-    Modulation(0.0, 3.0, -1.0),
-    Modulation(0.5, 0.0, 0.5),
-    Modulation(0.5, 1.0, 1.0),
-    Modulation(1.0, 1.0, 1.0),
-], ids=["unmodulated", "negated", "constant", "same-rate", "equal"])
-@pytest.mark.parametrize("rate", [1.0, 0.0])
-def test_envelope_difference(m1, rate):
-    m2 = Modulation(1.0, rate, 1.0)
-    diff = experiments._envelope_difference(m2, m1)
-    for t in (0.0, 0.3, 2.0):
-        assert diff.value(t) == pytest.approx(m2.value(t) - m1.value(t),
-                                              rel=1e-15, abs=1e-15)
-
-
-def test_envelope_difference_of_two_rates_is_a_config_error():
-    with pytest.raises(ConfigError, match="decay at one rate"):
-        experiments._envelope_difference(Modulation(1.0, 1.0, 1.0),
-                                         Modulation(0.5, 2.0, 1.0))
+def test_determining_with_a_second_decay_rate_runs(tmp_path):
+    # f1 decays at modulation_rate, f2 - f1 at det_envelope_rate
+    cfg = parse_config_text("scenario = determining\nn = 16\ninterpolant_h = 0.25\n"
+                            "modulation_amplitude = 0.5\nmodulation_rate = 2\n"
+                            "horizon = 0.1\nspinup_max_time = 0.1\n")
+    code, summary = run_scenario(cfg, tmp_path)
+    assert code in (EXIT_OK, EXIT_CHECK)
+    assert "error" not in summary
+    assert (tmp_path / "determining.csv").exists()

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from mhdnudge import nudging
 from mhdnudge.dynamics import (
     BlowUpError,
     ForcingSpec,
@@ -22,6 +23,7 @@ from mhdnudge.interpolants import (
     SPECTRAL,
     VOLUME,
     InterpolantSpec,
+    apply_masked,
 )
 from mhdnudge.nudging import (
     CoupledStepper,
@@ -93,8 +95,6 @@ def no_divfree_field():
 
 @pytest.fixture
 def no_spin_up(monkeypatch):
-    from mhdnudge import nudging
-
     def fail(*args, **kw):
         pytest.fail("spin_up ran before the initial fields were checked")
 
@@ -251,6 +251,44 @@ def test_mu_zero_decouples(grid32, params, forcing32):
         cs.step()
         solo.advance()
     np.testing.assert_allclose(cs.members[0].X, solo.X, atol=1e-13)
+
+
+@pytest.mark.parametrize("kind", [SPECTRAL, VOLUME, NODAL])
+def test_gain_zero_member_is_the_free_stepper(grid32, params, forcing32, kind):
+    # a member with gain 0 and no delta takes the free step, bit for bit
+    cs = CoupledStepper(grid32, params, forcing32, spec_config(mu=0.0, kind=kind),
+                        dt=2e-3)
+    init = seeded_init(grid32, 0, 0.5)
+    other = seeded_init(grid32, 1, 0.5)
+    cs.reference.set_state(init, init, 0.0)
+    cs.members[0].set_state(other, other, 0.0)
+    solo = MhdStepper(grid32, params, forcing32, 2e-3)
+    solo.set_state(other, other, 0.0)
+    for _ in range(200):
+        cs.step()
+        solo.advance()
+    np.testing.assert_array_equal(cs.members[0].X, solo.X)
+
+
+@pytest.mark.parametrize("kind", [SPECTRAL, VOLUME, NODAL])
+def test_gain_zero_member_observes_nothing(grid32, params, forcing32, kind,
+                                           monkeypatch):
+    # a member with gain 0 forms no feedback, so no step observes anything
+    cs = CoupledStepper(grid32, params, forcing32, spec_config(mu=0.0, kind=kind),
+                        dt=2e-3)
+    init = seeded_init(grid32, 0, 0.5)
+    cs.reference.set_state(init, init, 0.0)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return apply_masked(*args)
+
+    monkeypatch.setattr(nudging, "apply_masked", counted)
+    for _ in range(3):
+        cs.step()
+    assert calls == []
+    assert cs.members[0].step_count == 3
 
 
 @pytest.mark.parametrize("kind", [SPECTRAL, VOLUME])
