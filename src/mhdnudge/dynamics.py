@@ -20,6 +20,7 @@ forcings and every per-mode operator are half spectra (see `spectral`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,7 +183,9 @@ def advection(grid: Grid, X: np.ndarray, out: np.ndarray | None = None,
     on the columns k2 = 0..cutoff, a (4, n, cutoff + 1) band that is zero
     past the dealias cutoff, and the physical-space maximum speed of v and w.
 
-    Only the columns 0..cutoff of X are read.  Divergence form: for
+    Only the columns 0..cutoff of X are read.  The speed is one maximum over
+    |v|^2 and |w|^2, so it is NaN or inf when either field holds a
+    non-finite value in those columns.  Divergence form: for
     divergence-free v and w, (w.grad)v_i = d_j(w_j v_i) and
     (v.grad)w_i = d_j(v_j w_i), so both terms come from the four products
     v_i w_j.  Inputs and result are 2/3-rule
@@ -207,8 +210,7 @@ def advection(grid: Grid, X: np.ndarray, out: np.ndarray | None = None,
     np.multiply(fac, k1 * P[0] + k2 * P[1], out=out[2:])
     dealias_coef(grid, out, out=out)
     project_pair(grid, out, out=out)
-    speed = max(float(np.max(np.sum(v * v, axis=0))),
-                float(np.max(np.sum(w * w, axis=0)))) ** 0.5
+    speed = float(np.max(np.sum((phys * phys).reshape(2, 2, n, n), axis=1))) ** 0.5
     return out, speed
 
 
@@ -226,12 +228,17 @@ def project_pair(grid: Grid, X: np.ndarray,
 def stack_pair(grid: Grid, first: np.ndarray, second: np.ndarray,
                name: str) -> np.ndarray:
     """(first, second) as one new (4, n, n/2 + 1) array; each must be a
-    (2, n, n/2 + 1) half spectrum."""
+    finite (2, n, n/2 + 1) half spectrum.
+
+    Every state, forcing, delta and eps enters a stepper through here, so a
+    stepper starts finite, and `MhdStepper.advance` keeps it so."""
     shape = (2, grid.n, grid.half_width)
     for coef in (first, second):
         if np.shape(coef) != shape:
             raise ValueError(f"{name} must be {shape} half spectra, got an "
                              f"array of shape {np.shape(coef)}")
+        if not np.isfinite(coef).all():
+            raise ValueError(f"{name} must be finite, got a non-finite value")
     return np.concatenate([first, second])
 
 
@@ -397,10 +404,19 @@ class MhdStepper:
         the current time level; extra_plain is added to the right-hand side
         as-is (used for the implicitly balanced nudging data term).  Both
         are (4, n, n/2 + 1) half arrays.
+
+        The step fails before it changes the state: with BlowUpError at the
+        current t and step when the maximum speed is not finite, and with
+        CflError when dt exceeds the admissible dt.  This is the one
+        finiteness test.  A finite state, finite inputs and a speed within
+        the CFL limit give a finite next state, so every non-finite value
+        that reaches the columns advection reads is caught on the next step.
         """
         # spare holds the previous E, if any; it is free once rhs has it
         E, spare = self._E
         speed = self._explicit_terms(E)
+        if not math.isfinite(speed):
+            raise BlowUpError(self.t, self.step_count)
         adm = self.max_admissible_dt(speed)
         if self.dt > adm:
             raise CflError(self.dt, adm)
@@ -424,8 +440,6 @@ class MhdStepper:
         X[:, 0, 0] = 0.0
         self.t += self.dt
         self.step_count += 1
-        if self.step_count % 50 == 0 and not np.isfinite(X.view(np.float64)).all():
-            raise BlowUpError(self.t, self.step_count)
 
 
 # ---------------------------------------------------------------------------

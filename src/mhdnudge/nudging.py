@@ -30,7 +30,6 @@ from .dynamics import (
     MhdStepper,
     Trajectory,
     norms,
-    project_forcing,
     project_pair,
     spin_up,
     stack_pair,
@@ -135,10 +134,10 @@ class _Member:
         check_explicit_gain(config.interpolant.kind, config.mu, dt)
         damping = _observation_blocks(grid, config) if self.implicit else None
         self.stepper = MhdStepper(grid, params, forcing, dt, damping=damping)
+        delta, eps = config.delta, config.eps
         # P[m(t) delta] = m(t) P[delta], as for the forcing
-        self.projected_delta = None if config.delta is None else project_forcing(
-            grid, config.delta)
-        eps = config.eps
+        self.projected_delta = None if delta is None else project_pair(
+            grid, stack_pair(grid, delta.f, delta.g, "delta (f, g)"))
         self.eps = None if eps is None else stack_pair(grid, eps.f, eps.g,
                                                        "eps (f, g)")
         self.feedback = np.empty_like(self.stepper.X) if self.observes else None
@@ -179,16 +178,13 @@ class CoupledStepper:
                          for cfg in self.configs]
         self.members = [m.stepper for m in self._members]
         self.reference = MhdStepper(grid, params, forcing, dt)
-        # member index -> the BlowUpError or CflError that retired it
+        # member index -> the BlowUpError or CflError that retired it;
+        # written only by step
         self.failures = {}
 
     def active(self) -> list[int]:
         """Indices of the members that are still advanced."""
         return [k for k in range(len(self._members)) if k not in self.failures]
-
-    def retire(self, k: int, error: Exception):
-        """Stop advancing member k, recording the error that ended it."""
-        self.failures.setdefault(k, error)
 
     def step(self):
         """Advance the reference once, then every active member.
@@ -197,10 +193,11 @@ class CoupledStepper:
         steps; implicit members observe it after, matching the implicitly
         treated damping so a synchronized pair stays a fixed point; members
         with gain 0 do not observe it.  A member whose advance raises
-        BlowUpError or CflError is retired; an error of the reference
-        retires every active member.  Once no member is active, step raises
-        the error that retired the last one, so a one-member system fails
-        as a plain pair does.
+        BlowUpError or CflError is retired with that error; an error of the
+        reference retires every active member with the reference's error,
+        and is raised.  Once no member is active, step raises the error that
+        retired the last one, so a one-member system fails as a plain pair
+        does.  This is the only place a system is retired.
         """
         grid, ref = self.grid, self.reference
         active = [(k, self._members[k]) for k in self.active()]
@@ -214,7 +211,7 @@ class CoupledStepper:
             ref.advance()
         except (BlowUpError, CflError) as exc:
             for k, _ in active:
-                self.retire(k, exc)
+                self.failures[k] = exc
             raise
         error = None
         for k, m in active:
@@ -227,8 +224,7 @@ class CoupledStepper:
                 else:
                     m.stepper.advance(extra_ab=m.delta())
             except (BlowUpError, CflError) as exc:
-                self.retire(k, exc)
-                error = exc
+                self.failures[k] = error = exc
         if error is not None and not self.active():
             raise error
 
@@ -269,10 +265,11 @@ def run_assimilation(grid: Grid, params, forcing: ForcingSpec,
     Every member starts at zero (`init_mode` "zero"), at a copy of the
     spun-up reference ("copy"), or at a caller-supplied (v, w) pair of
     (2, n, n/2 + 1) half spectra.  Every caller-supplied field must be
-    divergence-free.  A member whose state or error turns non-finite, or
-    that breaks the CFL limit, is retired and the others go on; a failure
-    of the reference in spin-up is raised, and one while co-evolving
-    retires every remaining member.
+    divergence-free.  A member whose step fails (`MhdStepper.advance`: a
+    non-finite state or a CFL violation) is retired by
+    `CoupledStepper.step` and the others go on; a failure of the reference
+    in spin-up is raised, and one while co-evolving retires every remaining
+    member with the reference's error.
     """
     fields = [("initial v", initial_v), ("initial w", initial_w)]
     if init_mode not in ("zero", "copy"):
@@ -297,13 +294,8 @@ def run_assimilation(grid: Grid, params, forcing: ForcingSpec,
         traj_rows[i] = trajectory_row(ref)
         if i % sample_every == 0:
             for k in coupled.active():
-                row = (ref.t, *norms(grid, ref.X - members[k].X))
-                if not np.isfinite(row).all():
-                    coupled.retire(k, BlowUpError(
-                        ref.t, i, f"(mu={coupled.configs[k].mu}, dt={dt})"))
-                err_rows[k, i // sample_every] = row
-        if not coupled.active():
-            break
+                diff = ref.X - members[k].X
+                err_rows[k, i // sample_every] = (ref.t, *norms(grid, diff))
         if i < n_steps:
             try:
                 coupled.step()

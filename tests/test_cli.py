@@ -101,6 +101,16 @@ def test_unreadable_config_exit_2(tmp_path, capsys):
         assert err.startswith("config error:") and "Traceback" not in err
 
 
+def test_config_with_a_byte_order_mark_is_read(tmp_path, capsys):
+    # some editors save UTF-8 with a leading byte-order mark
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(f"scenario = baseline\nn = 32\noutdir = {tmp_path / 'v'}\n"
+                     .encode("utf-8-sig"))
+    assert main(["verify-interpolant", str(path), "--samples", "20"]) == 0
+    assert "config error" not in capsys.readouterr().err
+    assert (tmp_path / "v" / "interpolant_report.json").exists()
+
+
 @pytest.mark.parametrize("verb, args", [
     ("run", []),
     ("sweep", ["--axis", "mu", "--values", "20", "30", "--workers", "1"]),

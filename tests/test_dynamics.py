@@ -401,6 +401,32 @@ def test_full_spectrum_arrays_rejected(grid32, params, forcing32):
         MhdStepper(grid32, params, ForcingSpec(forcing32.f, full), 2e-3)
 
 
+def test_non_finite_state_fails_the_next_advance(grid32, params, forcing32):
+    # the CFL speed is the one finiteness test: a NaN in one w coefficient
+    # fails the very next advance, at the current clock and step
+    st = MhdStepper(grid32, params, forcing32, 2e-3)
+    init = random_divfree_field(grid32, 1, 2.0)
+    st.set_state(init, init, 0.0)
+    for _ in range(7):
+        st.advance()
+    st.X[2, 3, 1] = np.nan
+    with pytest.raises(BlowUpError) as info:
+        st.advance()
+    assert info.value.t == pytest.approx(0.014) and info.value.step == 7
+    assert st.step_count == 7
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_inputs_rejected(grid32, params, forcing32, value):
+    bad = forcing32.g.copy()
+    bad[1, 2, 3] = value
+    st = MhdStepper(grid32, params, forcing32, 2e-3)
+    with pytest.raises(ValueError, match=r"the state \(v, w\) must be finite"):
+        st.set_state(forcing32.f, bad)
+    with pytest.raises(ValueError, match=r"forcing \(f, g\) must be finite"):
+        MhdStepper(grid32, params, ForcingSpec(forcing32.f, bad), 2e-3)
+
+
 def test_errors_round_trip_through_pickle():
     for exc in (CflError(0.05, 1.2e-3), BlowUpError(1.5, 750, "(mu=60)")):
         back = pickle.loads(pickle.dumps(exc))

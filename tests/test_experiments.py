@@ -22,7 +22,9 @@ from mhdnudge.experiments import (
     parse_config_text,
     run_scenario,
     run_sweep,
+    threshold_report,
 )
+from mhdnudge.interpolants import InterpolantSpec, calibrate
 from mhdnudge.nudging import CoupledStepper
 from mhdnudge.spectral import Grid, l2_norm
 
@@ -350,8 +352,7 @@ def test_sweep_retires_a_non_finite_member_and_goes_on(tmp_path, monkeypatch):
     def step_then_spoil_second_member(self):
         step(self)
         if self.reference.step_count == 100:
-            nan = np.full((2, cfg.n, cfg.n // 2 + 1), np.nan, dtype=complex)
-            self.members[1].set_state(nan, nan, self.members[1].t)
+            self.members[1].X[...] = np.nan
 
     monkeypatch.setattr(CoupledStepper, "step", step_then_spoil_second_member)
     table = run_sweep(cfg, "mu", values, outdir=tmp_path / "sweep", max_workers=1)
@@ -360,10 +361,43 @@ def test_sweep_retires_a_non_finite_member_and_goes_on(tmp_path, monkeypatch):
     failed = tmp_path / "sweep" / "mu=240"
     summary = json.loads((failed / "summary.json").read_text())
     assert summary["passed"] is False
-    assert "non-finite" in summary["error"] and "mu=240.0" in summary["error"]
+    assert "non-finite" in summary["error"]
     assert not (failed / "errors.csv").exists()
     for v in (60.0, 480.0):
         assert_same_artifacts(tmp_path / "sweep" / f"mu={v:g}", plain[v][0])
+
+
+def test_a_failing_reference_fails_every_value_with_its_error(tmp_path,
+                                                             monkeypatch):
+    cfg = parse_config_text("scenario = baseline\nn = 32\nhorizon = 0.4\n"
+                            "spinup_max_time = 0.1\n")
+    step = CoupledStepper.step
+
+    def step_then_spoil_reference(self):
+        step(self)
+        if self.reference.step_count == 103:
+            self.reference.X[...] = np.nan
+
+    monkeypatch.setattr(CoupledStepper, "step", step_then_spoil_reference)
+    table = run_sweep(cfg, "mu", [20.0, 50.0], outdir=tmp_path, max_workers=1)
+    assert [row["exit_code"] for row in table] == [EXIT_BLOWUP, EXIT_BLOWUP]
+    errors = {json.loads((tmp_path / f"mu={v:g}" / "summary.json").read_text())
+              ["error"] for v in (20.0, 50.0)}
+    (error,) = errors  # the reference's error, not one per value
+    assert error.startswith("non-finite state at t=0.206 (step 103)")
+    assert "mu=" not in error
+
+
+@pytest.mark.parametrize("kind", ["spectral", "volume", "nodal"])
+@pytest.mark.parametrize("mask", ["b-only", "u-only"])
+def test_no_theorem_covers_b_or_u_observations(kind, mask):
+    # the theorems observe all variables, one component or one Elsasser
+    # variable; b and u are none of these
+    cfg = parse_config_text(f"scenario = baseline\nn = 32\n"
+                            f"interpolant_kind = {kind}\nmask = {mask}\n")
+    spec = calibrate(InterpolantSpec(kind, cfg.interpolant_h), Grid(32), 2, 0)
+    report = threshold_report(cfg, derive_elsasser_params(5.0, 5.0), 1.0, spec)
+    assert report["theorems"] == {}
 
 
 # ---------------------------------------------------------------------------

@@ -210,6 +210,44 @@ def test_one_summary_writer():
     assert writers == {("experiments", "_run_group")}
 
 
+def functions_calling(source: str, callee: str):
+    """The qualified name (Class.method, outer.inner) of the innermost
+    function around each call of `callee`, by bare name or as an
+    attribute, in source order; "<module>" for one outside any function."""
+    found = []
+
+    def visit(node, path, func):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            path = path + (node.name,)
+            if not isinstance(node, ast.ClassDef):
+                func = ".".join(path)
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if name == callee:
+                found.append(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, func)
+
+    visit(ast.parse(source), (), "<module>")
+    return found
+
+
+def test_function_calling_is_found():
+    src = ("class A:\n    def m(self):\n        raise E(1)\n\n\n"
+           "def f():\n    def g():\n        return x.E()\n    return E, F(2)\n\n\n"
+           "E(3)\n")
+    assert functions_calling(src, "E") == ["A.m", "f.g", "<module>"]
+
+
+def test_one_blow_up_check():
+    # the stepper's CFL speed is the one finiteness test; every other
+    # failure of a system is that error, passed on
+    sites = {(p.stem, func) for p in PACKAGE for func in
+             functions_calling(p.read_text(), "BlowUpError")}
+    assert sites == {("dynamics", "MhdStepper.advance")}
+
+
 def names_imported_from(source: str, module: str):
     """Names that `from ... module import ...` statements bind, for any
     package prefix of `module`."""

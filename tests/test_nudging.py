@@ -396,17 +396,24 @@ def test_failed_member_is_retired_and_others_go_on(grid32, params, forcing32):
     solo = CoupledStepper(grid32, params, forcing32, cfgs[1], 2e-3)
     for system in (cs, solo):
         system.reference.set_state(init, init, 0.0)
-    nan = np.full((2, 32, 17), np.nan, dtype=complex)
-    cs.members[0].set_state(nan, nan, 0.0)
-    for _ in range(60):  # the stepper checks for non-finite states every 50
+    cs.members[0].X[...] = np.nan
+    for _ in range(60):
         cs.step()
         solo.step()
     assert cs.active() == [1]
     assert isinstance(cs.failures[0], BlowUpError)
     assert np.array_equal(cs.members[1].X, solo.members[0].X)
     # once no member is left, step raises the error of the last one
-    cs.members[1].set_state(nan, nan, cs.reference.t)
+    cs.members[1].X[...] = np.nan
     with pytest.raises(BlowUpError):
         for _ in range(60):
             cs.step()
     assert cs.active() == []
+
+
+@pytest.mark.parametrize("name", ["delta", "eps"])
+def test_member_refuses_a_non_finite_pair(grid32, params, forcing32, name):
+    bad = ForcingSpec(forcing32.f, np.full_like(forcing32.g, np.nan),
+                      Modulation(1.0, 1.0, 0.0))
+    with pytest.raises(ValueError, match=rf"{name} \(f, g\) must be finite"):
+        CoupledStepper(grid32, params, forcing32, spec_config(**{name: bad}), 2e-3)
