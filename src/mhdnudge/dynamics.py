@@ -68,7 +68,8 @@ class BlowUpError(RuntimeError):
         self.detail = detail
 
     def __str__(self):
-        return f"non-finite state at t={self.t:.6g} (step {self.step}) {self.detail}"
+        text = f"non-finite state at t={self.t:.6g} (step {self.step})"
+        return f"{text} {self.detail}" if self.detail else text
 
 
 # ---------------------------------------------------------------------------
@@ -177,51 +178,103 @@ def grashof_number(forcing: ForcingSpec, params: ElsasserParams) -> float:
 # right-hand side
 
 
-def advection(grid: Grid, X: np.ndarray, out: np.ndarray | None = None,
-              products: np.ndarray | None = None):
+class AdvectionWork:
+    """Work buffers of `advection` for up to `size` systems.
+
+    A call on S systems works in the first S of each buffer, so it
+    allocates no state-sized array, and the bands it returns are views of
+    `band`, valid until the next call.  One instance serves every stepper
+    of a `CoupledStepper`.
+    """
+
+    def __init__(self, grid: Grid, size: int):
+        n, c = grid.n, grid.cutoff + 1
+        # the dealiased input band, then the result
+        self.band = np.empty((size, 4, n, c), dtype=np.complex128)
+        # the band inverted along k1, then the products' transform on it,
+        # then the temporaries of the projection
+        self.cols = np.empty((size, 4, n, c), dtype=np.complex128)
+        self.phys = np.empty((size, 4, n, n))  # (v, w) on the grid
+        # the squares of the components of v and w, then the products v_i w_j
+        self.products = np.empty((size, 2, 2, n, n))
+        # the products transformed along x2
+        self.rows = np.empty((size, 2, 2, n, grid.half_width),
+                             dtype=np.complex128)
+        self.speed_sq = np.empty(size)
+
+
+def advection(grid: Grid, X: np.ndarray, work: AdvectionWork | None = None):
     """P[(w.grad)v] and P[(v.grad)w] of the stacked state X = (v1, v2, w1, w2)
     on the columns k2 = 0..cutoff, a (4, n, cutoff + 1) band that is zero
     past the dealias cutoff, and the physical-space maximum speed of v and w.
 
-    Only the columns 0..cutoff of X are read.  The speed is one maximum over
-    |v|^2 and |w|^2, so it is NaN or inf when either field holds a
-    non-finite value in those columns.  Divergence form: for
-    divergence-free v and w, (w.grad)v_i = d_j(w_j v_i) and
+    X may also be an (S, 4, n, w) stack of S states: the result is then the
+    (S, 4, n, cutoff + 1) bands and a list of S speeds, each bitwise what
+    the call on that state alone returns, so one call serves a reference
+    and all its members.  Only the columns 0..cutoff of X are read.  The
+    speed is one maximum over |v|^2 and |w|^2, so it is NaN or inf when
+    either field holds a non-finite value in those columns.  Divergence
+    form: for divergence-free v and w, (w.grad)v_i = d_j(w_j v_i) and
     (v.grad)w_i = d_j(v_j w_i), so both terms come from the four products
-    v_i w_j.  Inputs and result are 2/3-rule
-    dealiased.  `out` receives the band and `products` the (2, 2, n, n/2 + 1)
-    rfft2 of the products; both are allocated when not given.
+    v_i w_j.  Inputs and result are 2/3-rule dealiased.  Every array goes
+    to a buffer of `work` (see AdvectionWork), which is allocated for this
+    call when not given.
     """
-    n = grid.n
+    stack = X if X.ndim == 4 else X[None]
+    S = len(stack)
+    if work is None:
+        work = AdvectionWork(grid, S)
+    band, cols, phys, products, rows = (
+        a[:S] for a in (work.band, work.cols, work.phys, work.products,
+                        work.rows))
+    n, c = grid.n, grid.cutoff + 1
     n2 = n * n
-    c = grid.cutoff
-    # irfft2 zero-pads the columns c+1..n/2; no out= here, since numpy 2.4.6
-    # leaves wrong values in irfft2's out array
-    phys = np.fft.irfft2(dealias_coef(grid, X[..., : c + 1]), s=(n, n))
+    # irfft2(s=(n, n)), which zero-pads the columns c..n/2, as its two 1-D
+    # passes: numpy 2.4.6 leaves wrong values in irfft2's out array
+    np.multiply(stack[..., :c], grid.dealias_mask[:, :c], out=band)
+    np.fft.ifft(band, axis=-2, out=cols)
+    np.fft.irfft(cols, n=n, axis=-1, out=phys)
     phys *= n2
-    v, w = phys[:2], phys[2:]
-    P = np.fft.rfft2(v[:, None] * w[None, :], out=products)[..., : c + 1]
-    P /= n2  # (v_i w_j)^
-    k1, k2 = grid.k1[:, : c + 1], grid.k2[:, : c + 1]
-    if out is None:
-        out = np.empty((4, n, c + 1), dtype=np.complex128)
-    fac = 2.0 * np.pi * 1j
-    np.multiply(fac, k1 * P[:, 0] + k2 * P[:, 1], out=out[:2])
-    np.multiply(fac, k1 * P[0] + k2 * P[1], out=out[2:])
-    dealias_coef(grid, out, out=out)
-    project_pair(grid, out, out=out)
-    speed = float(np.max(np.sum((phys * phys).reshape(2, 2, n, n), axis=1))) ** 0.5
-    return out, speed
+    squares = products.reshape(S, 4, n, n)
+    np.multiply(phys, phys, out=squares)
+    np.add(squares[:, 0], squares[:, 1], out=squares[:, 0])  # |v|^2
+    np.add(squares[:, 2], squares[:, 3], out=squares[:, 1])  # |w|^2
+    np.max(squares[:, :2], axis=(1, 2, 3), out=work.speed_sq[:S])
+    v, w = phys[:, :2], phys[:, 2:]
+    np.multiply(v[:, :, None], w[:, None], out=products)
+    # rfft2 as its two 1-D passes, the second on the columns 0..cutoff only
+    np.fft.rfft(products, axis=-1, out=rows)
+    P = cols.reshape(S, 2, 2, n, c)  # n^2 (v_i w_j)^
+    np.fft.fft(rows[..., :c], axis=-2, out=P)
+    k1, k2 = grid.k1[:, :c], grid.k2[:, :c]
+    # v: k1 P[i, 0] + k2 P[i, 1], with the w half of band as scratch
+    np.multiply(k1, P[:, :, 0], out=band[:, :2])
+    band[:, :2] += np.multiply(k2, P[:, :, 1], out=band[:, 2:])
+    # w: k1 P[0, j] + k2 P[1, j]; P is not read again
+    np.multiply(k1, P[:, 0], out=P[:, 0])
+    np.multiply(k2, P[:, 1], out=P[:, 1])
+    np.add(P[:, 0], P[:, 1], out=band[:, 2:])
+    # 2 pi i k (v_i w_j)^, with the transform's 1/n^2 folded in: exact
+    # when n is a power of two
+    np.multiply(2.0 * np.pi / n2 * 1j, band, out=band)
+    dealias_coef(grid, band, out=band)
+    project_pair(grid, band, out=band, work=cols)
+    speeds = [float(m) ** 0.5 for m in work.speed_sq[:S]]
+    if X.ndim == 4:
+        return band, speeds
+    return band[0], speeds[0]
 
 
-def project_pair(grid: Grid, X: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """Leray projection of v and of w in a stacked (4, n, w) array, in one
-    call; `out` may be X itself."""
-    shape = (2, 2) + X.shape[1:]
+def project_pair(grid: Grid, X: np.ndarray, out: np.ndarray | None = None,
+                 work: np.ndarray | None = None) -> np.ndarray:
+    """Leray projection of v and of w in a stacked (..., 4, n, w) array, in
+    one call; `out` may be X itself, and `work`, of X's shape and dtype,
+    takes the temporaries (see leray_project_coef)."""
+    shape = X.shape[:-3] + (2, 2) + X.shape[-2:]
     if out is None:
         out = np.empty_like(X)
-    leray_project_coef(grid, X.reshape(shape), out=out.reshape(shape))
+    leray_project_coef(grid, X.reshape(shape), out=out.reshape(shape),
+                       work=None if work is None else work.reshape(shape))
     return out
 
 
@@ -299,10 +352,13 @@ class MhdStepper:
     The state `X` is the (4, n, n/2 + 1) half spectrum of (v1, v2, w1, w2)
     (see `spectral`); read it through `norms`, which applies the Parseval
     weights.  Forcing and initial states are (2, n, n/2 + 1) half spectra,
-    and arrays of any other shape are refused.  An advance
-    allocates no state-sized array: it works in two explicit-term buffers
-    that swap roles as the Adams-Bashforth history, a right-hand side, the
-    advection band and the rfft2 output of the advection products.
+    and arrays of any other shape are refused.  `state`, when given, is the
+    zeroed array the stepper evolves in place as X, such as one slot of a
+    `CoupledStepper`'s stack of states; `work` is the AdvectionWork of its
+    advection, shared by every stepper of that stack.  A stepper given
+    neither owns both, for one system.  An advance allocates no state-sized
+    array: besides `work` it uses two buffers that swap roles as the
+    Adams-Bashforth history and a right-hand side.
 
     `damping` is an optional linear operator added implicitly to the
     left-hand side (used for the nudging self-damping term).  It is given
@@ -313,7 +369,9 @@ class MhdStepper:
     """
 
     def __init__(self, grid: Grid, params: ElsasserParams, forcing: ForcingSpec,
-                 dt: float, damping: tuple | None = None):
+                 dt: float, damping: tuple | None = None,
+                 state: np.ndarray | None = None,
+                 work: AdvectionWork | None = None):
         if dt <= 0:
             raise ValueError("dt must be positive")
         self.grid = grid
@@ -322,13 +380,12 @@ class MhdStepper:
         self._half_step, self._inverse, self._blocks = _implicit_operators(
             grid, params, dt, damping)
         n, h = grid.n, grid.half_width
-        self.X = np.zeros((4, n, h), dtype=np.complex128)
-        # work buffers: (this step's E, the previous step's E), the
-        # right-hand side, the advection band and the rfft2 products
+        self.X = np.zeros((4, n, h), dtype=np.complex128) if state is None \
+            else state
+        self._work = AdvectionWork(grid, 1) if work is None else work
+        # (this step's E, the previous step's E) and the right-hand side
         self._E = (np.empty_like(self.X), np.empty_like(self.X))
         self._rhs = np.empty_like(self.X)
-        self._adv = np.empty((4, n, grid.cutoff + 1), dtype=np.complex128)
-        self._products = np.empty((2, 2, n, h), dtype=np.complex128)
         self._forcing = forcing
         self._projected_forcing = project_forcing(grid, forcing)
         self._forcing_sq = l2_norm(forcing.f) ** 2 + l2_norm(forcing.g) ** 2
@@ -367,10 +424,13 @@ class MhdStepper:
 
     # -- stepping -----------------------------------------------------------
 
-    def _explicit_terms(self, E: np.ndarray) -> float:
+    def _explicit_terms(self, E: np.ndarray, advected: tuple | None = None
+                        ) -> float:
         """Projected forcing minus advection, written to E; returns the
-        physical-space max speed."""
-        adv, speed = advection(self.grid, self.X, self._adv, self._products)
+        physical-space max speed.  `advected` is advection's (band, speed)
+        of the current state, computed here when not given."""
+        adv, speed = advection(self.grid, self.X, self._work) \
+            if advected is None else advected
         m = self.forcing.modulation.value(self.t)
         np.multiply(m, self._projected_forcing, out=E)
         E[..., : adv.shape[-1]] -= adv
@@ -397,13 +457,17 @@ class MhdStepper:
         return CFL_SAFETY / (self.grid.n * speed)
 
     def advance(self, extra_ab: np.ndarray | None = None,
-                extra_plain: np.ndarray | None = None):
+                extra_plain: np.ndarray | None = None,
+                advected: tuple | None = None):
         """One IMEX step.
 
         extra_ab joins the Adams-Bashforth-extrapolated explicit terms at
         the current time level; extra_plain is added to the right-hand side
         as-is (used for the implicitly balanced nudging data term).  Both
-        are (4, n, n/2 + 1) half arrays.
+        are (4, n, n/2 + 1) half arrays.  `advected` is the (band, speed)
+        that `advection` returned for the current state, as
+        `CoupledStepper.step` computes it for all its systems in one call;
+        without it the step makes that call on X alone.
 
         The step fails before it changes the state: with BlowUpError at the
         current t and step when the maximum speed is not finite, and with
@@ -414,7 +478,7 @@ class MhdStepper:
         """
         # spare holds the previous E, if any; it is free once rhs has it
         E, spare = self._E
-        speed = self._explicit_terms(E)
+        speed = self._explicit_terms(E, advected)
         if not math.isfinite(speed):
             raise BlowUpError(self.t, self.step_count)
         adm = self.max_admissible_dt(speed)

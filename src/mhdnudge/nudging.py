@@ -24,11 +24,13 @@ from .diagnostics import ErrorSeries
 from .dynamics import (
     SPINUP_MAX_TIME,
     SPINUP_TOL,
+    AdvectionWork,
     BlowUpError,
     CflError,
     ForcingSpec,
     MhdStepper,
     Trajectory,
+    advection,
     norms,
     project_pair,
     spin_up,
@@ -127,13 +129,15 @@ class _Member:
     """
 
     def __init__(self, grid: Grid, params, forcing: ForcingSpec,
-                 config: NudgingConfig, dt: float):
+                 config: NudgingConfig, dt: float, state: np.ndarray,
+                 work: AdvectionWork):
         self.config = config
         self.observes = config.mu > 0
         self.implicit = self.observes and config.interpolant.kind == SPECTRAL
         check_explicit_gain(config.interpolant.kind, config.mu, dt)
         damping = _observation_blocks(grid, config) if self.implicit else None
-        self.stepper = MhdStepper(grid, params, forcing, dt, damping=damping)
+        self.stepper = MhdStepper(grid, params, forcing, dt, damping=damping,
+                                  state=state, work=work)
         delta, eps = config.delta, config.eps
         # P[m(t) delta] = m(t) P[delta], as for the forcing
         self.projected_delta = None if delta is None else project_pair(
@@ -166,6 +170,10 @@ class CoupledStepper:
     reference.  A member with gain 0 is unobserved: the free system, forced
     by the reference's forcing plus its `delta`, which it advances with one
     free step.  `members` lists the assimilated steppers in config order.
+
+    The states of the reference and the members are the slots of one
+    (1 + K, 4, n, n/2 + 1) stack, the reference first, and every stepper's
+    X is a view of its slot; one AdvectionWork serves them all.
     """
 
     def __init__(self, grid: Grid, params, forcing: ForcingSpec,
@@ -174,10 +182,16 @@ class CoupledStepper:
             configs = [configs]
         self.grid = grid
         self.configs = list(configs)
-        self._members = [_Member(grid, params, forcing, cfg, dt)
-                         for cfg in self.configs]
+        size = 1 + len(self.configs)
+        self._states = np.zeros((size, 4, grid.n, grid.half_width),
+                                dtype=np.complex128)
+        self._work = AdvectionWork(grid, size)
+        self.reference = MhdStepper(grid, params, forcing, dt,
+                                    state=self._states[0], work=self._work)
+        self._members = [_Member(grid, params, forcing, cfg, dt,
+                                 self._states[1 + k], self._work)
+                         for k, cfg in enumerate(self.configs)]
         self.members = [m.stepper for m in self._members]
-        self.reference = MhdStepper(grid, params, forcing, dt)
         # member index -> the BlowUpError or CflError that retired it;
         # written only by step
         self.failures = {}
@@ -189,10 +203,14 @@ class CoupledStepper:
     def step(self):
         """Advance the reference once, then every active member.
 
-        Explicit members take their feedback from the reference before it
-        steps; implicit members observe it after, matching the implicitly
-        treated damping so a synchronized pair stays a fixed point; members
-        with gain 0 do not observe it.  A member whose advance raises
+        The advection of the reference and of every active member is one
+        `advection` call on their slots of the stack, made before any of
+        them steps; each `advance` then finishes from its own band and makes
+        its own checks.  A retired member leaves that call.  Explicit members
+        take their feedback from the reference before it steps; implicit
+        members observe it after, matching the implicitly treated damping so
+        a synchronized pair stays a fixed point; members with gain 0 do not
+        observe it.  A member whose advance raises
         BlowUpError or CflError is retired with that error; an error of the
         reference retires every active member with the reference's error,
         and is raised.  Once no member is active, step raises the error that
@@ -207,22 +225,28 @@ class CoupledStepper:
                 nudging_term(m.config, grid, m.feedback, out=m.feedback)
                 if m.projected_delta is not None:
                     m.feedback += m.delta()
+        # a view of the whole stack, or a copy of the active slots once a
+        # member is retired
+        states = self._states if not self.failures else \
+            self._states[[0] + [1 + k for k, _ in active]]
+        bands, speeds = advection(grid, states, self._work)
         try:
-            ref.advance()
+            ref.advance(advected=(bands[0], speeds[0]))
         except (BlowUpError, CflError) as exc:
             for k, _ in active:
                 self.failures[k] = exc
             raise
         error = None
-        for k, m in active:
+        for (k, m), advected in zip(active, zip(bands[1:], speeds[1:])):
             try:
                 if m.implicit:
                     m.stepper.advance(extra_ab=m.delta(), extra_plain=nudging_term(
-                        m.config, grid, m.observed(ref), out=m.feedback))
+                        m.config, grid, m.observed(ref), out=m.feedback),
+                        advected=advected)
                 elif m.observes:
-                    m.stepper.advance(extra_ab=m.feedback)
+                    m.stepper.advance(extra_ab=m.feedback, advected=advected)
                 else:
-                    m.stepper.advance(extra_ab=m.delta())
+                    m.stepper.advance(extra_ab=m.delta(), advected=advected)
             except (BlowUpError, CflError) as exc:
                 self.failures[k] = error = exc
         if error is not None and not self.active():

@@ -118,11 +118,14 @@ def forward_transform(grid: Grid, samples: np.ndarray):
 
 
 def leray_project_coef(grid: Grid, coef: np.ndarray,
-                       out: np.ndarray | None = None) -> np.ndarray:
+                       out: np.ndarray | None = None,
+                       work: np.ndarray | None = None) -> np.ndarray:
     """c -> c - k (k.c)/|k|^2 on raw (..., 2, n, w) coefficients, the
     first w columns of the half spectrum: the component axis is third from
     last, so a stacked (v, w) pair is projected by one call on its
-    (2, 2, n, w) view.  `out` may be coef itself.
+    (2, 2, n, w) view.  `out` may be coef itself.  `work`, an array of
+    coef's shape and dtype, takes the temporaries when given, so that the
+    call allocates nothing.
 
     The Nyquist row k1 = n/2, and the Nyquist column k2 = n/2 when it is
     among the w, are set to zero: each such mode stands for both signs of
@@ -131,11 +134,18 @@ def leray_project_coef(grid: Grid, coef: np.ndarray,
     """
     w = coef.shape[-1]
     k1, k2 = grid.k1[:, :w], grid.k2[:, :w]
-    kd = (k1 * coef[..., 0, :, :] + k2 * coef[..., 1, :, :]) * grid.inv_ksq[:, :w]
+    if work is None:
+        work = np.empty_like(coef)
     if out is None:
         out = np.empty_like(coef)
-    np.subtract(coef[..., 0, :, :], k1 * kd, out=out[..., 0, :, :])
-    np.subtract(coef[..., 1, :, :], k2 * kd, out=out[..., 1, :, :])
+    kd, term = work[..., 0, :, :], work[..., 1, :, :]
+    np.multiply(k1, coef[..., 0, :, :], out=kd)
+    kd += np.multiply(k2, coef[..., 1, :, :], out=term)
+    kd *= grid.inv_ksq[:, :w]  # (k.c)/|k|^2
+    np.subtract(coef[..., 0, :, :], np.multiply(k1, kd, out=term),
+                out=out[..., 0, :, :])
+    np.subtract(coef[..., 1, :, :], np.multiply(k2, kd, out=term),
+                out=out[..., 1, :, :])
     nyq = grid.n // 2
     out[..., 0, 0] = 0.0
     out[..., nyq, :] = 0.0

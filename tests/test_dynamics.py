@@ -1,9 +1,11 @@
+import math
 import pickle
 
 import numpy as np
 import pytest
 
 from mhdnudge.dynamics import (
+    AdvectionWork,
     BlowUpError,
     CflError,
     ForcingSpec,
@@ -254,6 +256,32 @@ def test_advection_matches_full_fft(n):
     assert speed == expected_speed
 
 
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_batched_advection_is_each_system_alone(n, size):
+    # one call on a stack gives each slot bitwise its own call's band and
+    # speed; the states have energy on every mode, so the input dealiasing
+    # is exercised too
+    g = Grid(n)
+    rng = np.random.default_rng(size)
+    states = np.stack([forward_transform(g, rng.standard_normal((4, n, n)))[0]
+                       for _ in range(size)])
+    work = AdvectionWork(g, size)
+    bands, speeds = advection(g, states, work)
+    assert bands.shape == (size, 4, n, g.cutoff + 1) and len(speeds) == size
+    bands = bands.copy()
+    for s in range(size):
+        band, speed = advection(g, states[s])
+        np.testing.assert_array_equal(bands[s], band)
+        assert speeds[s] == speed
+    # a NaN in the last slot makes only its own speed non-finite
+    states[-1, 2, 3, 1] = np.nan
+    got, got_speeds = advection(g, states, work)
+    assert not math.isfinite(got_speeds[-1])
+    np.testing.assert_array_equal(got[:-1], bands[:-1])
+    assert got_speeds[:-1] == speeds[:-1]
+
+
 def test_advection_skew_symmetry():
     # <(a.grad)b, b> = 0 discretely for divergence-free a and band-limited b
     g = Grid(32)
@@ -427,8 +455,13 @@ def test_non_finite_inputs_rejected(grid32, params, forcing32, value):
         MhdStepper(grid32, params, ForcingSpec(forcing32.f, bad), 2e-3)
 
 
+def test_blow_up_text_ends_at_the_step():
+    assert str(BlowUpError(0.206, 103)) == "non-finite state at t=0.206 (step 103)"
+
+
 def test_errors_round_trip_through_pickle():
-    for exc in (CflError(0.05, 1.2e-3), BlowUpError(1.5, 750, "(mu=60)")):
+    for exc in (CflError(0.05, 1.2e-3), BlowUpError(1.5, 750, "(mu=60)"),
+                BlowUpError(0.206, 103)):
         back = pickle.loads(pickle.dumps(exc))
         assert type(back) is type(exc)
         assert str(back) == str(exc)

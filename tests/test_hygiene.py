@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mhdnudge import dynamics
@@ -141,6 +142,29 @@ def test_inverse_real_fft_with_out_is_found():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_inverse_real_fft_with_out(path):
     assert inverse_real_fft_with_out(path.read_text()) == [], IRFFT_OUT_DEFECT
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_split_real_ffts_with_out_match_the_2d_ones(n):
+    # dynamics.advection relies on this in place of irfft2(..., out=): on
+    # (S, 4, n, cutoff + 1) bands, ifft over axis -2 then irfft over axis -1,
+    # each into a reused buffer, is irfft2(s=(n, n)) bitwise; and rfft over
+    # axis -1 then fft over axis -2 of the columns 0..cutoff is rfft2's band
+    rng = np.random.default_rng(n)
+    c = n // 3 + 1
+    cols = np.empty((3, 4, n, c), dtype=np.complex128)
+    phys = np.empty((3, 4, n, n))
+    rows = np.empty((3, 4, n, n // 2 + 1), dtype=np.complex128)
+    band = np.empty((3, 4, n, c), dtype=np.complex128)
+    for _ in range(3):
+        spec = rng.standard_normal((3, 4, n, c)) \
+            + 1j * rng.standard_normal((3, 4, n, c))
+        np.fft.ifft(spec, axis=-2, out=cols)
+        np.fft.irfft(cols, n=n, axis=-1, out=phys)
+        np.testing.assert_array_equal(phys, np.fft.irfft2(spec, s=(n, n)))
+        np.fft.rfft(phys, axis=-1, out=rows)
+        np.fft.fft(rows[..., :c], axis=-2, out=band)
+        np.testing.assert_array_equal(band, np.fft.rfft2(phys)[..., :c])
 
 
 # ---------------------------------------------------------------------------

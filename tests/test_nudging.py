@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -402,6 +403,16 @@ def test_failed_member_is_retired_and_others_go_on(grid32, params, forcing32):
         solo.step()
     assert cs.active() == [1]
     assert isinstance(cs.failures[0], BlowUpError)
+    assert np.array_equal(cs.members[1].X, solo.members[0].X)
+    # the retired member leaves the batched advection: an inf in its slot
+    # would warn in any arithmetic, and its state stays as it is
+    cs.members[0].X[...] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for _ in range(20):
+            cs.step()
+            solo.step()
+    assert np.all(cs.members[0].X == np.inf)
     assert np.array_equal(cs.members[1].X, solo.members[0].X)
     # once no member is left, step raises the error of the last one
     cs.members[1].X[...] = np.nan
