@@ -27,7 +27,6 @@ import numpy as np
 
 from .spectral import (
     Grid,
-    dealias_coef,
     l2_norm,
     leray_project_coef,
     parseval_sq,
@@ -181,6 +180,8 @@ def grashof_number(forcing: ForcingSpec, params: ElsasserParams) -> float:
 class AdvectionWork:
     """Work buffers of `advection` for up to `size` systems.
 
+    Per system they hold the four components of (v, w) in each form, and
+    the forward transforms of the three products M12, M21 and D alone.
     A call on S systems works in the first S of each buffer, so it
     allocates no state-sized array, and the bands it returns are views of
     `band`, valid until the next call.  One instance serves every stepper
@@ -191,14 +192,15 @@ class AdvectionWork:
         n, c = grid.n, grid.cutoff + 1
         # the dealiased input band, then the result
         self.band = np.empty((size, 4, n, c), dtype=np.complex128)
-        # the band inverted along k1, then the products' transform on it,
-        # then the temporaries of the projection
+        # the band inverted along k1, then the transforms of M12, M21 and D
+        # on it and a temporary
         self.cols = np.empty((size, 4, n, c), dtype=np.complex128)
         self.phys = np.empty((size, 4, n, n))  # (v, w) on the grid
-        # the squares of the components of v and w, then the products v_i w_j
-        self.products = np.empty((size, 2, 2, n, n))
-        # the products transformed along x2
-        self.rows = np.empty((size, 2, 2, n, grid.half_width),
+        # the squares of the components of v and w, then M12, M21, D and
+        # a temporary
+        self.products = np.empty((size, 4, n, n))
+        # M12, M21 and D transformed along x2
+        self.rows = np.empty((size, 3, n, grid.half_width),
                              dtype=np.complex128)
         self.speed_sq = np.empty(size)
 
@@ -206,19 +208,26 @@ class AdvectionWork:
 def advection(grid: Grid, X: np.ndarray, work: AdvectionWork | None = None):
     """P[(w.grad)v] and P[(v.grad)w] of the stacked state X = (v1, v2, w1, w2)
     on the columns k2 = 0..cutoff, a (4, n, cutoff + 1) band that is zero
-    past the dealias cutoff, and the physical-space maximum speed of v and w.
+    past the dealias cutoff and at k = 0, and the physical-space maximum
+    speed of v and w.
 
     X may also be an (S, 4, n, w) stack of S states: the result is then the
     (S, 4, n, cutoff + 1) bands and a list of S speeds, each bitwise what
     the call on that state alone returns, so one call serves a reference
     and all its members.  Only the columns 0..cutoff of X are read.  The
     speed is one maximum over |v|^2 and |w|^2, so it is NaN or inf when
-    either field holds a non-finite value in those columns.  Divergence
-    form: for divergence-free v and w, (w.grad)v_i = d_j(w_j v_i) and
-    (v.grad)w_i = d_j(v_j w_i), so both terms come from the four products
-    v_i w_j.  Inputs and result are 2/3-rule dealiased.  Every array goes
-    to a buffer of `work` (see AdvectionWork), which is allocated for this
-    call when not given.
+    either field holds a non-finite value in those columns.
+
+    Curl form: for divergence-free w, (w.grad)v_i = d_j M_ij with
+    M_ij = v_i w_j, whose transform is A_i = 2 pi i k_j M_ij^.  A 2D field's
+    projection keeps only its part along (-k2, k1), so P[A] =
+    2 pi i (-k2, k1) s_A with s_A = (k1^2 M21 - k2^2 M12 + k1 k2 D)/|k|^2
+    and D = M22 - M11; P[(v.grad)w] is the same with M12 and M21 swapped.
+    Three products, M12, M21 and D, thus give both terms with their
+    projection, through the weights of `Grid.curl_weights`, which also
+    dealias the result.  The input is 2/3-rule dealiased too.  Every array
+    goes to a buffer of `work` (see AdvectionWork), which is allocated for
+    this call when not given.
     """
     stack = X if X.ndim == 4 else X[None]
     S = len(stack)
@@ -228,53 +237,48 @@ def advection(grid: Grid, X: np.ndarray, work: AdvectionWork | None = None):
         a[:S] for a in (work.band, work.cols, work.phys, work.products,
                         work.rows))
     n, c = grid.n, grid.cutoff + 1
-    n2 = n * n
     # irfft2(s=(n, n)), which zero-pads the columns c..n/2, as its two 1-D
     # passes: numpy 2.4.6 leaves wrong values in irfft2's out array
     np.multiply(stack[..., :c], grid.dealias_mask[:, :c], out=band)
     np.fft.ifft(band, axis=-2, out=cols)
     np.fft.irfft(cols, n=n, axis=-1, out=phys)
-    phys *= n2
-    squares = products.reshape(S, 4, n, n)
-    np.multiply(phys, phys, out=squares)
-    np.add(squares[:, 0], squares[:, 1], out=squares[:, 0])  # |v|^2
-    np.add(squares[:, 2], squares[:, 3], out=squares[:, 1])  # |w|^2
-    np.max(squares[:, :2], axis=(1, 2, 3), out=work.speed_sq[:S])
+    phys *= n * n
+    np.multiply(phys, phys, out=products)
+    np.add(products[:, 0], products[:, 1], out=products[:, 0])  # |v|^2
+    np.add(products[:, 2], products[:, 3], out=products[:, 1])  # |w|^2
+    np.max(products[:, :2], axis=(1, 2, 3), out=work.speed_sq[:S])
     v, w = phys[:, :2], phys[:, 2:]
-    np.multiply(v[:, :, None], w[:, None], out=products)
+    np.multiply(v, w[:, ::-1], out=products[:, :2])  # M12, M21
+    np.multiply(v, w, out=products[:, 2:])  # M11, M22
+    np.subtract(products[:, 3], products[:, 2], out=products[:, 2])  # D
     # rfft2 as its two 1-D passes, the second on the columns 0..cutoff only
-    np.fft.rfft(products, axis=-1, out=rows)
-    P = cols.reshape(S, 2, 2, n, c)  # n^2 (v_i w_j)^
-    np.fft.fft(rows[..., :c], axis=-2, out=P)
-    k1, k2 = grid.k1[:, :c], grid.k2[:, :c]
-    # v: k1 P[i, 0] + k2 P[i, 1], with the w half of band as scratch
-    np.multiply(k1, P[:, :, 0], out=band[:, :2])
-    band[:, :2] += np.multiply(k2, P[:, :, 1], out=band[:, 2:])
-    # w: k1 P[0, j] + k2 P[1, j]; P is not read again
-    np.multiply(k1, P[:, 0], out=P[:, 0])
-    np.multiply(k2, P[:, 1], out=P[:, 1])
-    np.add(P[:, 0], P[:, 1], out=band[:, 2:])
-    # 2 pi i k (v_i w_j)^, with the transform's 1/n^2 folded in: exact
-    # when n is a power of two
-    np.multiply(2.0 * np.pi / n2 * 1j, band, out=band)
-    dealias_coef(grid, band, out=band)
-    project_pair(grid, band, out=band, work=cols)
+    np.fft.rfft(products[:, :3], axis=-1, out=rows)
+    M = cols[:, :3]  # n^2 (M12, M21, D)^
+    np.fft.fft(rows[..., :c], axis=-2, out=M)
+    (W11, W22, W12), (R1, R2) = grid.curl_weights
+    # (s_A, s_B) in the first components of v and w, with the second ones
+    # as scratch
+    s = band[:, 0::2]
+    np.multiply(W11, M[:, 1::-1], out=s)
+    s -= np.multiply(W22, M[:, :2], out=band[:, 1::2])
+    s += np.multiply(W12, M[:, 2], out=cols[:, 3])[:, None]
+    np.multiply(R2, s, out=band[:, 1::2])
+    np.multiply(R1, s, out=s)
     speeds = [float(m) ** 0.5 for m in work.speed_sq[:S]]
     if X.ndim == 4:
         return band, speeds
     return band[0], speeds[0]
 
 
-def project_pair(grid: Grid, X: np.ndarray, out: np.ndarray | None = None,
-                 work: np.ndarray | None = None) -> np.ndarray:
+def project_pair(grid: Grid, X: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Leray projection of v and of w in a stacked (..., 4, n, w) array, in
-    one call; `out` may be X itself, and `work`, of X's shape and dtype,
-    takes the temporaries (see leray_project_coef)."""
+    one call, for the forcing and the nudging feedback; `out` may be X
+    itself."""
     shape = X.shape[:-3] + (2, 2) + X.shape[-2:]
     if out is None:
         out = np.empty_like(X)
-    leray_project_coef(grid, X.reshape(shape), out=out.reshape(shape),
-                       work=None if work is None else work.reshape(shape))
+    leray_project_coef(grid, X.reshape(shape), out=out.reshape(shape))
     return out
 
 

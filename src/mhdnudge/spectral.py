@@ -17,8 +17,9 @@ Each mode of columns 1..n/2 - 1 stands for itself and its conjugate mirror
 -k, so Parseval weights |c_k|^2 by 2 there and by 1 on column 0 and on the
 Nyquist column n/2: ||u||_L2^2 = sum w_k |c_k|^2 (`parseval_sq`).  The
 per-mode operators (`leray_project_coef`, `dealias_coef`) act on the first
-columns of whatever width they are given, so they serve the advection band
-k2 = 0..cutoff as well.
+columns of whatever width they are given.  Advection does not use them:
+the weights of `Grid.curl_weights` project and dealias its band
+k2 = 0..cutoff.
 """
 
 from __future__ import annotations
@@ -79,11 +80,28 @@ class Grid:
 
     @cached_property
     def inv_ksq(self) -> np.ndarray:
-        """1/|k|^2 with the zero mode mapped to 0 (used by the Leray projector)."""
+        """1/|k|^2 with the zero mode mapped to 0."""
         out = np.zeros_like(self.ksq)
         nz = self.ksq > 0
         out[nz] = 1.0 / self.ksq[nz]
         return out
+
+    @cached_property
+    def curl_weights(self) -> tuple:
+        """(W, R), the read-only operators of the curl-form advection on the
+        band k2 = 0..cutoff.  The real (3, n, cutoff + 1) W is
+        (k1^2, k2^2, k1 k2) 2 pi / (n^2 |k|^2), zero at k = 0 and past the
+        dealias cutoff, and the complex (2, n, cutoff + 1) R is i (-k2, k1).
+        """
+        c = self.cutoff + 1
+        k1, k2 = self.k1[:, :c], self.k2[:, :c]
+        scale = TWO_PI / self.n ** 2 * self.inv_ksq[:, :c] \
+            * self.dealias_mask[:, :c]
+        W = np.stack([k1 * k1, k2 * k2, k1 * k2]) * scale
+        R = np.stack([-1j * k2, 1j * k1])
+        W.setflags(write=False)
+        R.setflags(write=False)
+        return W, R
 
     def points(self):
         x = np.arange(self.n) / self.n
@@ -118,14 +136,12 @@ def forward_transform(grid: Grid, samples: np.ndarray):
 
 
 def leray_project_coef(grid: Grid, coef: np.ndarray,
-                       out: np.ndarray | None = None,
-                       work: np.ndarray | None = None) -> np.ndarray:
+                       out: np.ndarray | None = None) -> np.ndarray:
     """c -> c - k (k.c)/|k|^2 on raw (..., 2, n, w) coefficients, the
     first w columns of the half spectrum: the component axis is third from
     last, so a stacked (v, w) pair is projected by one call on its
-    (2, 2, n, w) view.  `out` may be coef itself.  `work`, an array of
-    coef's shape and dtype, takes the temporaries when given, so that the
-    call allocates nothing.
+    (2, 2, n, w) view.  `out` may be coef itself.  It serves the forcing
+    and the nudging feedback; advection projects by its curl form.
 
     The Nyquist row k1 = n/2, and the Nyquist column k2 = n/2 when it is
     among the w, are set to zero: each such mode stands for both signs of
@@ -134,18 +150,11 @@ def leray_project_coef(grid: Grid, coef: np.ndarray,
     """
     w = coef.shape[-1]
     k1, k2 = grid.k1[:, :w], grid.k2[:, :w]
-    if work is None:
-        work = np.empty_like(coef)
+    kd = (k1 * coef[..., 0, :, :] + k2 * coef[..., 1, :, :]) * grid.inv_ksq[:, :w]
     if out is None:
         out = np.empty_like(coef)
-    kd, term = work[..., 0, :, :], work[..., 1, :, :]
-    np.multiply(k1, coef[..., 0, :, :], out=kd)
-    kd += np.multiply(k2, coef[..., 1, :, :], out=term)
-    kd *= grid.inv_ksq[:, :w]  # (k.c)/|k|^2
-    np.subtract(coef[..., 0, :, :], np.multiply(k1, kd, out=term),
-                out=out[..., 0, :, :])
-    np.subtract(coef[..., 1, :, :], np.multiply(k2, kd, out=term),
-                out=out[..., 1, :, :])
+    np.subtract(coef[..., 0, :, :], k1 * kd, out=out[..., 0, :, :])
+    np.subtract(coef[..., 1, :, :], k2 * kd, out=out[..., 1, :, :])
     nyq = grid.n // 2
     out[..., 0, 0] = 0.0
     out[..., nyq, :] = 0.0

@@ -4,6 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
+from mhdnudge import dynamics, spectral
 from mhdnudge.dynamics import (
     AdvectionWork,
     BlowUpError,
@@ -25,6 +26,7 @@ from mhdnudge.dynamics import (
 from mhdnudge.spectral import (
     Grid,
     dealias_coef,
+    divergence_defect,
     forward_transform,
     h1_seminorm,
     l2_norm,
@@ -280,6 +282,67 @@ def test_batched_advection_is_each_system_alone(n, size):
     assert not math.isfinite(got_speeds[-1])
     np.testing.assert_array_equal(got[:-1], bands[:-1])
     assert got_speeds[:-1] == speeds[:-1]
+
+
+def random_stack(grid, size, seed):
+    """`size` states drawn from white noise on the grid: energy on every
+    mode, and not divergence-free."""
+    rng = np.random.default_rng(seed)
+    return np.stack([forward_transform(grid, rng.standard_normal((4, grid.n, grid.n)))[0]
+                     for _ in range(size)])
+
+
+@pytest.mark.parametrize("n", [16, 48, 64])
+@pytest.mark.parametrize("size", [1, 3])
+def test_advection_band_is_projected_and_dealiased(n, size):
+    # the curl-form reconstruction is the projection: each half of every
+    # slot's band is divergence-free, zero past the cutoff and at k = 0,
+    # and a fixed point of the Leray projection, although the states are not
+    # divergence-free
+    g = Grid(n)
+    states = random_stack(g, size, n + size)
+    assert divergence_defect(g, states[0, :2]) > 1.0
+    bands, _ = advection(g, states)
+    projected = project_pair(g, bands)
+    c = g.cutoff + 1
+    outside = np.abs(g.k1[:, :c]) > g.cutoff
+    full = np.zeros((2, n, g.half_width), dtype=complex)
+    for half, p_half in zip(bands.reshape(-1, 2, n, c),
+                            projected.reshape(-1, 2, n, c)):
+        scale = np.max(np.abs(half))
+        full[..., :c] = half
+        assert divergence_defect(g, full) <= 1e-14 * scale
+        assert not half[:, outside].any() and not half[:, 0, 0].any()
+        assert np.max(np.abs(p_half - half)) <= 1e-15 * scale
+
+
+def test_advection_makes_three_forward_transforms_per_system(monkeypatch):
+    # the 1-D FFT passes of one call on S systems: the inverse ones on the
+    # 4 components of each state, the forward ones on its 3 products; and
+    # no Leray projection or dealiasing call, since the curl weights do both
+    g = Grid(32)
+    size = 3
+    states = random_stack(g, size, 7)
+    planes = dict.fromkeys(("ifft", "irfft", "rfft", "fft"), 0)
+
+    def counted(name, transform):
+        def wrapper(a, *args, **kwargs):
+            planes[name] += math.prod(np.shape(a)[:-2])
+            return transform(a, *args, **kwargs)
+        return wrapper
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("advection called a per-mode operator")
+
+    for name in planes:
+        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    for module in (spectral, dynamics):
+        for name in ("leray_project_coef", "dealias_coef"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    advection(g, states)
+    assert planes == {"ifft": 4 * size, "irfft": 4 * size,
+                      "rfft": 3 * size, "fft": 3 * size}
 
 
 def test_advection_skew_symmetry():
