@@ -5,7 +5,6 @@ from .spectral import (
     Grid,
     leray_project_coef,
     dealias_coef,
-    h1_seminorm,
     random_divfree_field,
 )
 from .dynamics import (

@@ -713,6 +713,8 @@ def run_interpolant_verification(cfg: ExperimentConfig, n_samples: int,
         raise ConfigError(f"verification samples must be >= 1, got {n_samples}")
     outdir = outdir or cfg.outdir
     os.makedirs(outdir, exist_ok=True)
+    with open(os.path.join(outdir, "config.txt"), "w") as fh:
+        fh.write(cfg.dump())
     grid = Grid(cfg.n)
     spec = InterpolantSpec(cfg.interpolant_kind, cfg.interpolant_h)
     report = verification_report(spec, grid, n_samples, cfg.forcing_seed)

@@ -174,32 +174,18 @@ def dealias_coef(grid: Grid, coef: np.ndarray,
 # norms (Parseval); scalars and vectors alike
 
 
-def parseval_sq(coef: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+def parseval_sq(coef: np.ndarray) -> np.ndarray:
     """The terms w_k |c_k|^2 of the squared L2 norm of a (..., n, n/2 + 1)
     half spectrum, with the Parseval weights w of its columns (2, and 1 on
-    the first and the last).  `work`, a real array of coef's shape, takes
-    them when given: a loop over many fields then allocates no array."""
-    a = np.abs(coef, out=work)
+    the first and the last)."""
+    a = np.abs(coef)
     np.square(a, out=a)
     a[..., 1:-1] *= 2.0
     return a
 
 
-def l2_norm(coef: np.ndarray, work: np.ndarray | None = None) -> float:
-    return float(np.sqrt(np.sum(parseval_sq(coef, work))))
-
-
-def h1_seminorm(grid: Grid, coef: np.ndarray,
-                work: np.ndarray | None = None) -> float:
-    a = parseval_sq(coef, work)
-    return float(TWO_PI * np.sqrt(np.sum(np.multiply(grid.ksq, a, out=a))))
-
-
-def h2_seminorm(grid: Grid, coef: np.ndarray,
-                work: np.ndarray | None = None) -> float:
-    a = parseval_sq(coef, work)
-    return float(4.0 * np.pi ** 2
-                 * np.sqrt(np.sum(np.multiply(grid.ksq_sq, a, out=a))))
+def l2_norm(coef: np.ndarray) -> float:
+    return float(np.sqrt(np.sum(parseval_sq(coef))))
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +206,29 @@ def _band_shaping(n: int, decay: float, k_max: int) -> np.ndarray:
     return shaping
 
 
-def _band_noise(grid: Grid, seed: int, shape: tuple, decay: float,
-                k_max: int | None, out: np.ndarray | None = None) -> np.ndarray:
+def _band_noise(grid: Grid, seed, shape: tuple, decay: float,
+                k_max: int | None, out: np.ndarray | None = None,
+                work: np.ndarray | None = None) -> np.ndarray:
     """Half spectrum of Gaussian noise samples of `shape` (..., n, n),
     shaped by |k|^-decay on the band 0 < |k| <= k_max (default: the dealias
-    cutoff) and zero elsewhere; written to `out` when it is given."""
+    cutoff) and zero elsewhere; written to `out` when it is given.
+
+    `seed` is one seed, or a sequence of seeds whose spectra stack on a new
+    leading axis, each the spectrum of its seed alone.  The samples go to
+    `work`, a real array of their shape, when it is given.  The rows are
+    transformed, then the columns 0..k_max only: bitwise the band of rfft2.
+    """
     k_max = grid.cutoff if k_max is None else k_max
     if k_max > grid.cutoff:
         raise ValueError(f"k_max={k_max} exceeds dealias cutoff {grid.cutoff}")
-    rng = np.random.default_rng(seed)
-    coef = np.fft.rfft2(rng.standard_normal(shape), out=out)
-    coef[..., k_max + 1:] = 0.0
+    seeds = [seed] if np.ndim(seed) == 0 else seed
+    noise = np.empty(np.shape(seed) + shape) if work is None else work
+    for x, s in zip(noise.reshape((len(seeds),) + shape), seeds):
+        np.random.default_rng(s).standard_normal(out=x)
+    coef = np.fft.rfft(noise, axis=-1, out=out)
     band = coef[..., : k_max + 1]
+    np.fft.fft(band, axis=-2, out=band)
+    coef[..., k_max + 1:] = 0.0
     band /= grid.n ** 2
     band *= _band_shaping(grid.n, decay, k_max)
     return coef
@@ -251,10 +248,13 @@ def random_divfree_field(
 
 
 def random_scalar_field(
-    grid: Grid, seed: int, energy_spectrum_decay: float = 1.0, k_max: int | None = None,
-    out: np.ndarray | None = None
+    grid: Grid, seed, energy_spectrum_decay: float = 1.0, k_max: int | None = None,
+    out: np.ndarray | None = None, work: np.ndarray | None = None
 ) -> np.ndarray:
     """Mean-zero random (n, n/2 + 1) scalar with band-limited |k|^-decay
-    spectrum, written to `out` when it is given."""
+    spectrum, written to `out` when it is given.  A sequence of seeds gives
+    a (len(seeds), n, n/2 + 1) block of them, bitwise the fields of each
+    seed alone.  `work`, a real (..., n, n) array, takes the Gaussian
+    samples: a loop over many blocks then allocates no array that size."""
     return _band_noise(grid, seed, (grid.n, grid.n), energy_spectrum_decay, k_max,
-                       out)
+                       out, work)

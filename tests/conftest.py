@@ -9,7 +9,7 @@ from mhdnudge.dynamics import (
     trajectory_row,
 )
 from mhdnudge.interpolants import SPECTRAL, VOLUME
-from mhdnudge.spectral import Grid, l2_norm, random_divfree_field
+from mhdnudge.spectral import Grid, l2_norm, parseval_sq, random_divfree_field
 
 
 @pytest.fixture(scope="session")
@@ -45,6 +45,17 @@ def diffusion(grid, params, X):
 def state_l2(grid, X):
     """L2 norm of a stacked (4, n, n/2 + 1) half spectrum (v, w)."""
     return float(np.hypot(*norms(grid, X)[:2]))
+
+
+def h1_seminorm(grid, coef):
+    """||grad u|| of a (..., n, n/2 + 1) half spectrum, by Parseval."""
+    return float(2 * np.pi * np.sqrt(np.sum(grid.ksq * parseval_sq(coef))))
+
+
+def h2_seminorm(grid, coef):
+    """||Lap u|| of a (..., n, n/2 + 1) half spectrum, by Parseval."""
+    return float(4 * np.pi ** 2
+                 * np.sqrt(np.sum(grid.ksq_sq * parseval_sq(coef))))
 
 
 def inverse_transform(grid, coef):

@@ -47,13 +47,17 @@ from mhdnudge.interpolants import (
 from mhdnudge.nudging import CoupledStepper, NudgingConfig, run_assimilation
 from mhdnudge.spectral import (
     Grid,
-    h1_seminorm,
-    h2_seminorm,
     l2_norm,
     random_scalar_field,
 )
 
-from conftest import normalized_field, record_trajectory, state_l2
+from conftest import (
+    h1_seminorm,
+    h2_seminorm,
+    normalized_field,
+    record_trajectory,
+    state_l2,
+)
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_summary.json").read_text())
 

@@ -28,7 +28,6 @@ from mhdnudge.spectral import (
     dealias_coef,
     divergence_defect,
     forward_transform,
-    h1_seminorm,
     l2_norm,
     leray_project_coef,
     random_divfree_field,
@@ -38,6 +37,7 @@ from conftest import (
     diffusion,
     full_spectrum,
     full_wavenumbers,
+    h1_seminorm,
     normalized_field,
     record_trajectory,
     state_l2,

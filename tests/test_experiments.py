@@ -20,6 +20,7 @@ from mhdnudge.experiments import (
     build_forcing,
     parse_config,
     parse_config_text,
+    run_interpolant_verification,
     run_scenario,
     run_sweep,
     threshold_report,
@@ -163,6 +164,16 @@ def test_run_scenario_writes_artifacts(tmp_path):
     # the embedded config replays to the identical configuration
     again = parse_config(tmp_path / "config.txt")
     assert again == cfg
+
+
+def test_interpolant_verification_writes_its_config(tmp_path):
+    # the report does not name n, and n sets the constants
+    cfg = parse_config_text("scenario = baseline\nn = 32\ninterpolant_kind = nodal\n"
+                            f"outdir = {tmp_path}\n")
+    code, report = run_interpolant_verification(cfg, 5)
+    assert code == EXIT_OK
+    assert parse_config(tmp_path / "config.txt") == cfg
+    assert json.loads((tmp_path / "interpolant_report.json").read_text()) == report
 
 
 def test_run_scenario_trajectory_format(tmp_path):

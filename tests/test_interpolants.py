@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from mhdnudge import interpolants
 from mhdnudge.interpolants import (
+    _bound_samples,
     _type2_lp,
     MASK_ALL,
     MASK_B_ONLY,
@@ -23,15 +25,20 @@ from mhdnudge.interpolants import (
     verify_type2_bound,
 )
 from mhdnudge.spectral import (
+    _band_shaping,
     Grid,
     forward_transform,
-    h1_seminorm,
-    h2_seminorm,
     l2_norm,
     random_scalar_field,
 )
 
-from conftest import full_spectrum, interpolant_full, inverse_transform
+from conftest import (
+    full_spectrum,
+    h1_seminorm,
+    h2_seminorm,
+    interpolant_full,
+    inverse_transform,
+)
 
 
 @pytest.mark.parametrize("kind", [SPECTRAL, VOLUME, NODAL])
@@ -360,6 +367,74 @@ def test_verification_report_keys():
     assert set(r1) == {"kind", "h", "type_class", "n_samples", "seed", "c1"}
     r2 = verification_report(InterpolantSpec(NODAL, 0.125), g, 20, 0)
     assert {"c2", "c3"} <= set(r2)
+
+
+# ---------------------------------------------------------------------------
+# the bound samples on the alias lattice against the direct formula
+
+
+def rfft2_field(grid, seed, decay, k_max):
+    """random_scalar_field as one rfft2 of the noise of one seed, the form it
+    had before it drew blocks."""
+    coef = np.fft.rfft2(np.random.default_rng(seed).standard_normal((grid.n, grid.n)))
+    coef[..., k_max + 1:] = 0.0
+    band = coef[..., : k_max + 1]
+    band /= grid.n ** 2
+    band *= _band_shaping(grid.n, decay, k_max)
+    return coef
+
+
+@pytest.mark.parametrize("n", [32, 48])
+def test_block_draw_is_each_seed_alone(n, monkeypatch):
+    # 7 samples: the last block is not full
+    g = Grid(n)
+    drawn = []
+
+    def spy(grid, seed, *args, **kwargs):
+        block = random_scalar_field(grid, seed, *args, **kwargs)
+        drawn.extend(zip(seed, block.copy()))
+        return block
+
+    monkeypatch.setattr(interpolants, "random_scalar_field", spy)
+    _bound_samples(InterpolantSpec(NODAL, 0.25), g, 7, 40)
+    assert [seed for seed, _ in drawn] == list(range(40, 47))
+    for seed, field in drawn:
+        assert np.array_equal(field, rfft2_field(g, seed, 1.0, g.cutoff))
+    out, work = np.empty((3, n, g.half_width), complex), np.empty((3, n, n))
+    for seeds in ([5], [5, 6, 7], range(9, 12)):
+        block = random_scalar_field(g, seeds, 1.5, 4, out=out[: len(seeds)],
+                                    work=work[: len(seeds)])
+        for seed, field in zip(seeds, block):
+            assert np.array_equal(field, rfft2_field(g, seed, 1.5, 4))
+
+
+@pytest.mark.parametrize("n", [32, 48, 64])
+@pytest.mark.parametrize("kind", [SPECTRAL, VOLUME, NODAL])
+def test_bound_samples_match_the_direct_formula(kind, n):
+    g = Grid(n)
+    for h in (0.25, 0.125, 1.0 / 16):
+        spec = InterpolantSpec(kind, h)
+        got = _bound_samples(spec, g, 7, 21)
+        want = np.empty((3, 7))
+        for i in range(7):
+            u = random_scalar_field(g, 21 + i)
+            want[:, i] = (h * h1_seminorm(g, u), h ** 2 * h2_seminorm(g, u),
+                          l2_norm(u - apply_interpolant_coef(spec, g, u)))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("kind, inv_h", [(SPECTRAL, 10), (SPECTRAL, 16),
+                                         (VOLUME, 32), (NODAL, 32)])
+def test_reproduced_band_has_zero_constants(kind, inv_h):
+    # I_h reproduces the band (|k| <= cutoff 10 at n = 32): the residual is
+    # exactly 0, with no roundoff from the lattice terms
+    g = Grid(32)
+    spec = InterpolantSpec(kind, 1.0 / inv_h)
+    assert np.all(_bound_samples(spec, g, 9, 0)[2] == 0.0)
+    if spec.type_class == 1:
+        assert verify_type1_bound(spec, g, 9, 0) == 0.0
+    else:
+        assert verify_type2_bound(spec, g, 9, 0) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

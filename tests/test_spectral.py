@@ -6,15 +6,19 @@ from mhdnudge.spectral import (
     dealias_coef,
     divergence_defect,
     forward_transform,
-    h1_seminorm,
-    h2_seminorm,
     l2_norm,
     leray_project_coef,
     random_divfree_field,
     random_scalar_field,
 )
 
-from conftest import full_spectrum, full_wavenumbers, inverse_transform
+from conftest import (
+    full_spectrum,
+    full_wavenumbers,
+    h1_seminorm,
+    h2_seminorm,
+    inverse_transform,
+)
 
 
 def test_grid_validation():
