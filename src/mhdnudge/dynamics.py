@@ -27,6 +27,7 @@ import numpy as np
 
 from .spectral import (
     Grid,
+    divergence_defect,
     l2_norm,
     leray_project_coef,
     parseval_sq,
@@ -398,8 +399,17 @@ class MhdStepper:
     # -- state accessors ----------------------------------------------------
 
     def set_state(self, vcoef: np.ndarray, wcoef: np.ndarray, t: float = 0.0):
-        """Set (v, w) from two (2, n, n/2 + 1) half spectra."""
-        self.X[...] = stack_pair(self.grid, vcoef, wcoef, "the state (v, w)")
+        """Set (v, w) from two (2, n, n/2 + 1) half spectra.
+
+        Every state enters a stepper through here, so this is the one check
+        that it is divergence-free, to a relative tolerance of 1e-10: the
+        curl-form advection and the convergence results assume it.  A
+        refused state leaves X as it was."""
+        X = stack_pair(self.grid, vcoef, wcoef, "the state (v, w)")
+        for name, coef in (("v", X[:2]), ("w", X[2:])):
+            if divergence_defect(self.grid, coef) > 1e-10 * max(l2_norm(coef), 1e-300):
+                raise ValueError(f"the state (v, w): {name} is not divergence-free")
+        self.X[...] = X
         self.X[:, 0, 0] = 0.0
         self.restart(t)
 

@@ -44,7 +44,7 @@ from .interpolants import (
     apply_interpolant_coef,
     apply_masked,
 )
-from .spectral import Grid, divergence_defect, l2_norm
+from .spectral import Grid
 
 
 @dataclass
@@ -268,14 +268,6 @@ class RunResult:
     spin_up_converged: bool
 
 
-def _check_divfree(grid: Grid, named_fields):
-    """Reject any (name, (2, n, n/2 + 1) coef) pair whose field is not
-    divergence-free, to a relative tolerance of 1e-10."""
-    for name, coef in named_fields:
-        if divergence_defect(grid, coef) > 1e-10 * max(l2_norm(coef), 1e-300):
-            raise ValueError(f"{name} is not divergence-free")
-
-
 def run_assimilation(grid: Grid, params, forcing: ForcingSpec,
                      configs: NudgingConfig | Sequence[NudgingConfig],
                      initial_v: np.ndarray, initial_w: np.ndarray, dt: float,
@@ -288,27 +280,26 @@ def run_assimilation(grid: Grid, params, forcing: ForcingSpec,
 
     Every member starts at zero (`init_mode` "zero"), at a copy of the
     spun-up reference ("copy"), or at a caller-supplied (v, w) pair of
-    (2, n, n/2 + 1) half spectra.  Every caller-supplied field must be
-    divergence-free.  A member whose step fails (`MhdStepper.advance`: a
+    (2, n, n/2 + 1) half spectra; `set_state` checks every state, and a
+    caller's states are set before any time goes into spin-up, which steps
+    the reference alone.  A member whose step fails (`MhdStepper.advance`: a
     non-finite state or a CFL violation) is retired by
     `CoupledStepper.step` and the others go on; a failure of the reference
     in spin-up is raised, and one while co-evolving retires every remaining
     member with the reference's error.
     """
-    fields = [("initial v", initial_v), ("initial w", initial_w)]
-    if init_mode not in ("zero", "copy"):
-        fields += [("custom initial v", init_mode[0]),
-                   ("custom initial w", init_mode[1])]
-    _check_divfree(grid, fields)
+    if isinstance(init_mode, str) and init_mode not in ("zero", "copy"):
+        raise ValueError(f'init_mode {init_mode!r} is not "zero", "copy" or (v, w)')
     coupled = CoupledStepper(grid, params, forcing, configs, dt)
     ref = coupled.reference
     ref.set_state(initial_v, initial_w, 0.0)
-    spun = spin_up(ref, tol=spinup_tol, max_time=spinup_max_time)
-    for assim in coupled.members:
-        if init_mode == "copy":
-            assim.set_state(ref.X[:2], ref.X[2:])
-        elif init_mode != "zero":
+    if not isinstance(init_mode, str):
+        for assim in coupled.members:
             assim.set_state(*init_mode)
+    spun = spin_up(ref, tol=spinup_tol, max_time=spinup_max_time)
+    if init_mode == "copy":
+        for assim in coupled.members:
+            assim.set_state(ref.X[:2], ref.X[2:])
 
     n_steps = int(round(horizon / dt))
     members = coupled.members

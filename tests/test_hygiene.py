@@ -272,6 +272,14 @@ def test_one_blow_up_check():
     assert sites == {("dynamics", "MhdStepper.advance")}
 
 
+def test_one_state_gate():
+    # every state enters a stepper through set_state, which checks it for
+    # divergence; no caller keeps a check of its own
+    sites = {(p.stem, func) for p in PACKAGE for func in
+             functions_calling(p.read_text(), "divergence_defect")}
+    assert sites == {("dynamics", "MhdStepper.set_state")}
+
+
 def names_imported_from(source: str, module: str):
     """Names that `from ... module import ...` statements bind, for any
     package prefix of `module`."""

@@ -105,7 +105,7 @@ def no_spin_up(monkeypatch):
 def test_init_rejects_non_divfree(grid32, params, forcing32, no_spin_up):
     # the caller's pair is checked before any time goes into spin-up
     bad = no_divfree_field()
-    with pytest.raises(ValueError, match="custom initial v is not divergence-free"):
+    with pytest.raises(ValueError, match=r"^the state \(v, w\): v is not divergence-free"):
         short_run(grid32, params, forcing32, (bad, bad))
 
 
@@ -113,10 +113,59 @@ def test_reference_init_rejects_non_divfree(grid32, params, forcing32,
                                             no_spin_up):
     # the reference's initial state is checked the same way
     init = seeded_init(grid32, 0, 0.5)
-    with pytest.raises(ValueError, match="^initial v is not divergence-free"):
+    with pytest.raises(ValueError, match=r"^the state \(v, w\): v is not divergence-free"):
         run_assimilation(grid32, params, forcing32, spec_config(),
                          init + no_divfree_field(), init, 2e-3, 0.04,
                          spinup_max_time=0.5)
+
+
+def test_unknown_init_mode_is_refused_before_spin_up(grid32, params, forcing32,
+                                                     no_spin_up):
+    # "random" is a config word, which the scenario turns into a (v, w) pair
+    with pytest.raises(ValueError, match=r"'random' is not \"zero\", \"copy\" or \(v, w\)"):
+        short_run(grid32, params, forcing32, "random")
+
+
+@pytest.mark.parametrize("bad", ["v", "w"])
+def test_set_state_refuses_a_divergent_field(grid32, params, forcing32, bad):
+    # set_state is the one gate for a state: on a lone stepper and on a
+    # member alike it names the divergent field and changes nothing
+    good = seeded_init(grid32, 0, 0.5)
+    pair = {"v": good, "w": good, bad: good + no_divfree_field()}
+    coupled = CoupledStepper(grid32, params, forcing32, spec_config(), 2e-3)
+    for stepper in (MhdStepper(grid32, params, forcing32, 2e-3), coupled.members[0]):
+        stepper.set_state(good, seeded_init(grid32, 1, 0.5), 0.25)
+        before = stepper.X.copy()
+        with pytest.raises(ValueError, match=rf"^the state \(v, w\): {bad} is not "
+                                             r"divergence-free$"):
+            stepper.set_state(pair["v"], pair["w"])
+        np.testing.assert_array_equal(stepper.X, before)
+        assert stepper.t == 0.25
+    assert not coupled.reference.X.any()
+
+
+def test_the_gate_tolerance_is_1e_10_of_the_norm(grid32, params, forcing32):
+    # good has norm 0.5, and max |k . c_k| of bad is 1
+    good, bad = seeded_init(grid32, 0, 0.5), no_divfree_field()
+    stepper = MhdStepper(grid32, params, forcing32, 2e-3)
+    stepper.set_state(good, good + 2e-11 * bad)
+    with pytest.raises(ValueError, match="w is not divergence-free"):
+        stepper.set_state(good, good + 1e-10 * bad)
+
+
+def test_a_copy_of_the_spun_up_reference_passes_the_gate(grid32, params, forcing32):
+    # the steps keep a state divergence-free, so a copy member passes the
+    # gate that a divergent state fails
+    coupled = CoupledStepper(grid32, params, forcing32, spec_config(), 2e-3)
+    ref, member = coupled.reference, coupled.members[0]
+    init = seeded_init(grid32, 0, 0.5)
+    ref.set_state(init, init)
+    spin_up(ref, max_time=0.5)
+    member.set_state(ref.X[:2], ref.X[2:])
+    np.testing.assert_array_equal(member.X, ref.X)
+    with pytest.raises(ValueError, match="w is not divergence-free"):
+        member.set_state(ref.X[:2], ref.X[2:] + no_divfree_field())
+    np.testing.assert_array_equal(member.X, ref.X)
 
 
 def test_nudging_term_is_divergence_free(grid32):
