@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .spectral import (
     divergence_defect,
     l2_norm,
     leray_project_coef,
-    parseval_sq,
 )
 
 FOUR_PI_SQ = 4.0 * np.pi ** 2
@@ -274,7 +274,7 @@ def advection(grid: Grid, X: np.ndarray, work: AdvectionWork | None = None):
 def project_pair(grid: Grid, X: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
     """Leray projection of v and of w in a stacked (..., 4, n, w) array, in
-    one call, for the forcing and the nudging feedback; `out` may be X
+    one call, for the forcing and a nudging member's delta; `out` may be X
     itself."""
     shape = X.shape[:-3] + (2, 2) + X.shape[-2:]
     if out is None:
@@ -308,13 +308,27 @@ def project_forcing(grid: Grid, pair: ForcingSpec) -> np.ndarray:
     return project_pair(grid, X, out=X)
 
 
+@lru_cache(maxsize=None)
+def _norm_weights(n: int) -> np.ndarray:
+    """The read-only (2, n, n + 2) table (w, 4 pi^2 w |k|^2) of `norms` on
+    the float64 view of an n x n grid's half spectrum, w the Parseval
+    weights, each mode's weight twice: for its real and its imaginary part.
+    """
+    ksq = Grid(n).ksq
+    w = np.broadcast_to(np.where(np.arange(n // 2 + 1) % (n // 2) == 0, 1.0, 2.0),
+                        ksq.shape)
+    table = np.repeat(np.stack([w, FOUR_PI_SQ * w * ksq]), 2, axis=-1)
+    table.setflags(write=False)
+    return table
+
+
 def norms(grid: Grid, X: np.ndarray):
     """(l2_v, l2_w, h1_v, h1_w) of a stacked (4, n, n/2 + 1) half spectrum
-    X = (v, w)."""
-    a = parseval_sq(X)
-    l2v, l2w = np.sqrt(a.reshape(2, -1).sum(axis=1))
-    a *= grid.ksq
-    h1v, h1w = 2.0 * np.pi * np.sqrt(a.reshape(2, -1).sum(axis=1))
+    X = (v, w): one pass over X's float64 view against the Parseval table
+    of `_norm_weights`, with no temporary of X's size."""
+    x = X.view(np.float64).reshape(2, 2, grid.n, -1)
+    sq = np.einsum("vcab,vcab,tab->tv", x, x, _norm_weights(grid.n))
+    l2v, l2w, h1v, h1w = np.sqrt(sq.ravel())
     return float(l2v), float(l2w), float(h1v), float(h1w)
 
 
@@ -455,14 +469,16 @@ class MhdStepper:
         written to the C-contiguous `out`, which must not overlap rhs; rhs
         is overwritten."""
         idx, inv = self._blocks
-        blocks = np.einsum("sij,js->is", inv, rhs.reshape(4, -1)[:, idx])
+        if idx.size:  # without damping there is no block to solve
+            blocks = np.einsum("sij,js->is", inv, rhs.reshape(4, -1)[:, idx])
         a, b = self._inverse
         np.multiply(a, rhs, out=out)
         rhs[2:] *= b
         out[:2] += rhs[2:]
         rhs[:2] *= b
         out[2:] += rhs[:2]
-        out.reshape(4, -1)[:, idx] = blocks
+        if idx.size:
+            out.reshape(4, -1)[:, idx] = blocks
         return out
 
     def max_admissible_dt(self, speed: float) -> float:

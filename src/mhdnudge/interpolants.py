@@ -178,6 +178,35 @@ def apply_interpolant_coef(spec: InterpolantSpec, grid: Grid,
     return out
 
 
+def _observed(mask: str, X: np.ndarray, buf: np.ndarray):
+    """(Y, sign): the fields that `mask` observes in a stacked (4, n, w)
+    X = (v, w), as a (J, L, n, w) array of J vectors with their first L
+    components, and for J = 1 the factor that gives w's feedback from v's.
+
+    `all` observes v and w, `first` the first components of both (L = 1),
+    `v-only` v, and `b-only`/`u-only` the b or u of `from_elsasser`, which
+    are written to buf[2:], where w's feedback goes last; buf may be X
+    itself.  Y is a view of X or of buf.
+    """
+    if mask == MASK_ALL:
+        return X.reshape((2, 2) + X.shape[1:]), None
+    if mask == MASK_FIRST:
+        return X[::2, None], None
+    if mask == MASK_V_ONLY:
+        return X[None, :2], 0.0
+    if mask in (MASK_B_ONLY, MASK_U_ONLY):
+        u, b = from_elsasser(X[:2], X[2:])
+        buf[2:] = b if mask == MASK_B_ONLY else u
+        return buf[None, 2:], -1.0 if mask == MASK_B_ONLY else 1.0
+    raise ValueError(f"unknown observation mask {mask!r}")
+
+
+def _fill_masked(out: np.ndarray, J: int, sign):
+    """With one observed vector (J = 1), w's feedback is sign times v's."""
+    if J == 1:
+        np.multiply(out[:2], sign, out=out[2:])
+
+
 def apply_masked(spec: InterpolantSpec, mask: str, grid: Grid, X: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
     """Observation-masked I_h of a stacked (4, n, n/2 + 1) state difference
@@ -187,24 +216,82 @@ def apply_masked(spec: InterpolantSpec, mask: str, grid: Grid, X: np.ndarray,
     """
     if out is None:
         out = np.empty(X.shape, dtype=np.complex128)
-    if mask == MASK_ALL:
-        apply_interpolant_coef(spec, grid, X, out=out)
-    elif mask == MASK_FIRST:
-        apply_interpolant_coef(spec, grid, X[::2], out=out[::2])
-        out[1::2] = 0.0
-    elif mask == MASK_V_ONLY:
-        apply_interpolant_coef(spec, grid, X[:2], out=out[:2])
-        out[2:] = 0.0
-    elif mask == MASK_B_ONLY:
-        apply_interpolant_coef(spec, grid, from_elsasser(X[:2], X[2:])[1],
-                               out=out[:2])
-        np.negative(out[:2], out=out[2:])
-    elif mask == MASK_U_ONLY:
-        apply_interpolant_coef(spec, grid, from_elsasser(X[:2], X[2:])[0],
-                               out=out[:2])
-        out[2:] = out[:2]
+    Y, sign = _observed(mask, X, out)
+    J, L = Y.shape[:2]
+    pairs = out.reshape((2, 2) + X.shape[1:])[:J]
+    apply_interpolant_coef(spec, grid, Y, out=pairs[:, :L])
+    pairs[:, L:] = 0.0
+    _fill_masked(out, J, sign)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _feedback_weights(kind: str, n: int, resolution: int):
+    """(m, pre, W) of `projected_masked`: `_weights`' m and pre, and the
+    read-only per-mode table W of P post, the Leray projection after I_h's
+    post, on the float64 view of the half spectrum.
+
+    P post maps (a1, a2) to (A a1 + C a2, C a1 + B a2), with
+    A = post k2^2/|k|^2, B = post k1^2/|k|^2 and C = -post k1 k2/|k|^2, all
+    zero at k = 0 and on the Nyquist row and column, which P drops.  W
+    holds ((A, C), (C, B)) times the real part of post, then the imaginary
+    part when post is complex (volume), as a real (2, 2, q, n, n + 2) array
+    with each mode's weight twice, once for its real and once for its
+    imaginary part.
+    """
+    m, pre, post = _weights(kind, n, resolution)
+    grid = Grid(n)
+    k1, k2 = grid.k1, grid.k2
+    inv = grid.inv_ksq.copy()
+    inv[n // 2] = 0.0
+    inv[:, n // 2] = 0.0
+    P = np.array([[k2 * k2, -k1 * k2], [-k1 * k2, k1 * k1]]) * inv
+    parts = [post.real] + ([post.imag] if np.any(np.imag(post)) else [])
+    W = np.repeat(np.stack([P * part for part in parts], axis=2), 2, axis=-1)
+    W.setflags(write=False)
+    return m, pre, W
+
+
+def projected_masked(spec: InterpolantSpec, mask: str, grid: Grid,
+                     X: np.ndarray, mu: float,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """mu P[masked I_h X], the Leray projection of `apply_masked` times mu,
+    of a stacked (4, n, n/2 + 1) X, written to `out` when it is given, which
+    may be X itself.
+
+    P post is one per-mode table (`_feedback_weights`), so the result is
+    mu W tile(fold(pre Y)) of the fields Y the mask observes: the fold
+    reads only those components, mu scales the m x m lattice (or the
+    field, s = 1), and W gives both components of each observed vector.
+    No temporary is larger than the m x n lattice of the fold, apart from
+    the u and b of `from_elsasser` (b-only, u-only) and numpy's copy of X
+    when out overlaps it with s = 1.
+    """
+    _check_grid(spec, grid)
+    m, pre, W = _feedback_weights(spec.kind, grid.n, spec.resolution)
+    n, h = grid.n, grid.half_width
+    s = n // m
+    if out is None:
+        out = np.empty(X.shape, dtype=np.complex128)
+    Y, sign = _observed(mask, X, out)
+    J, L = Y.shape[:2]
+    if s == 1:  # per-mode I_h: post is real, and mu scales the result
+        lattice = Y
     else:
-        raise ValueError(f"unknown observation mask {mask!r}")
+        x = Y if pre is None else np.multiply(
+            Y, pre, out=out.reshape((2, 2) + X.shape[1:])[:J, :L])
+        lattice = _fold(x, n, m)
+        lattice *= mu
+        lattice = lattice.take(np.arange(h) % m, axis=-1)
+    # post = Re post + i Im post when it is complex
+    lattice = np.stack([lattice, 1j * lattice], axis=2) if W.shape[2] == 2 \
+        else lattice[:, :, None]
+    np.einsum("ilqsab,jlqab->jisab", W[:, :L].reshape(2, L, -1, s, m, 2 * h),
+              lattice.view(np.float64),
+              out=out[:2 * J].view(np.float64).reshape(J, 2, s, m, 2 * h))
+    if s == 1:
+        out[:2 * J] *= mu
+    _fill_masked(out, J, sign)
     return out
 
 

@@ -8,7 +8,10 @@ the only modes where it acts (the theorem-scale gains would otherwise
 force dt ~ 1/mu); for the other interpolant kinds the feedback is
 explicit, with the stability restriction mu*dt <= 1
 (`check_explicit_gain`).  Like the steppers' states, the feedback and its
-inputs are stacked (4, n, n/2 + 1) half spectra.  Nudging is one-way, so
+inputs are stacked (4, n, n/2 + 1) half spectra.  The feedback makes no
+Leray pass: P and I_h's post are one per-mode table, cached per
+interpolant and grid, applied to the m x m lattice of the observed
+components (`interpolants.projected_masked`).  Nudging is one-way, so
 any number of assimilating systems (members), each with its own gain,
 interpolant and mask, can share one reference.
 """
@@ -42,7 +45,7 @@ from .interpolants import (
     SPECTRAL,
     InterpolantSpec,
     apply_interpolant_coef,
-    apply_masked,
+    projected_masked,
 )
 from .spectral import Grid
 
@@ -88,12 +91,12 @@ def nudging_term(config: NudgingConfig, grid: Grid, X: np.ndarray,
 
     Linear in the stacked (4, n, n/2 + 1) half spectrum X = (eta, zeta),
     which is observed minus model for the explicit feedback and the
-    observation alone for the implicit data term.
+    observation alone for the implicit data term.  P and I_h's post are
+    one cached per-mode table, so this makes no Leray pass and no post pass
+    (`interpolants.projected_masked`).
     """
-    out = apply_masked(config.interpolant, config.mask, grid, X, out)
-    project_pair(grid, out, out=out)
-    out *= config.mu
-    return out
+    return projected_masked(config.interpolant, config.mask, grid, X,
+                            config.mu, out)
 
 
 def _observation_blocks(grid: Grid, config: NudgingConfig):
@@ -145,19 +148,25 @@ class _Member:
         self.eps = None if eps is None else stack_pair(grid, eps.f, eps.g,
                                                        "eps (f, g)")
         self.feedback = np.empty_like(self.stepper.X) if self.observes else None
+        # what observed and delta return, each written over the last
+        self._observed = None if eps is None else np.empty_like(self.eps)
+        self._delta = None if delta is None else np.empty_like(
+            self.projected_delta)
 
     def observed(self, ref: MhdStepper) -> np.ndarray:
         """The observed reference state: its X plus the observation error."""
         if self.eps is None:
             return ref.X
-        return ref.X + self.config.eps.modulation.value(ref.t) * self.eps
+        np.multiply(self.config.eps.modulation.value(ref.t), self.eps,
+                    out=self._observed)
+        return np.add(ref.X, self._observed, out=self._observed)
 
     def delta(self) -> np.ndarray | None:
         """P[delta] at the member's time, or None without a delta."""
         if self.projected_delta is None:
             return None
-        return self.config.delta.modulation.value(self.stepper.t) \
-            * self.projected_delta
+        return np.multiply(self.config.delta.modulation.value(self.stepper.t),
+                           self.projected_delta, out=self._delta)
 
 
 class CoupledStepper:

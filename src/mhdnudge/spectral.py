@@ -140,8 +140,10 @@ def leray_project_coef(grid: Grid, coef: np.ndarray,
     """c -> c - k (k.c)/|k|^2 on raw (..., 2, n, w) coefficients, the
     first w columns of the half spectrum: the component axis is third from
     last, so a stacked (v, w) pair is projected by one call on its
-    (2, 2, n, w) view.  `out` may be coef itself.  It serves the forcing
-    and the nudging feedback; advection projects by its curl form.
+    (2, 2, n, w) view.  `out` may be coef itself.  It serves the forcing,
+    delta and random fields; advection projects by its curl form, and the
+    nudging feedback through the cached tables of
+    `interpolants.projected_masked`.
 
     The Nyquist row k1 = n/2, and the Nyquist column k2 = n/2 when it is
     among the w, are set to zero: each such mode stands for both signs of

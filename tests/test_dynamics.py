@@ -546,17 +546,25 @@ def test_norms_match_field_norms(grid32):
 
 def test_norms_parseval_weights_on_half_spectrum():
     # real noise has energy on every column, column 0 and the Nyquist
-    # column n/2 included, which count once; the others count twice
-    g = Grid(16)
-    X, _ = forward_transform(g, np.random.default_rng(7).standard_normal((4, 16, 16)))
-    assert np.count_nonzero(X[..., 0]) == 4 * 15  # all but the zero modes
-    assert np.count_nonzero(X[..., 8]) == 4 * 16
-    full = full_spectrum(g, X)
-    k1, k2 = full_wavenumbers(g)
-    a = (np.abs(full) ** 2).reshape(2, 2, -1).sum(axis=1)
-    want = (*np.sqrt(a.sum(axis=1)),
-            *(2 * np.pi * np.sqrt(a @ (k1 ** 2 + k2 ** 2).ravel())))
-    np.testing.assert_allclose(norms(g, X), want, rtol=1e-14)
+    # column n/2 included, which count once; the others count twice, and
+    # on the Nyquist row; the cached table must weigh them all as the
+    # full spectrum and the Parseval sums of conftest do
+    for n in (16, 48):
+        g = Grid(n)
+        X, _ = forward_transform(
+            g, np.random.default_rng(7).standard_normal((4, n, n)))
+        assert np.count_nonzero(X[..., 0]) == 4 * (n - 1)  # all but k = 0
+        assert np.count_nonzero(X[..., n // 2]) == 4 * n
+        assert np.count_nonzero(X[:, n // 2]) == 4 * g.half_width
+        full = full_spectrum(g, X)
+        k1, k2 = full_wavenumbers(g)
+        a = (np.abs(full) ** 2).reshape(2, 2, -1).sum(axis=1)
+        want = (*np.sqrt(a.sum(axis=1)),
+                *(2 * np.pi * np.sqrt(a @ (k1 ** 2 + k2 ** 2).ravel())))
+        np.testing.assert_allclose(norms(g, X), want, rtol=1e-14)
+        parseval = (l2_norm(X[:2]), l2_norm(X[2:]), h1_seminorm(g, X[:2]),
+                    h1_seminorm(g, X[2:]))
+        np.testing.assert_allclose(norms(g, X), parseval, rtol=1e-14)
 
 
 def test_record_trajectory_shapes(grid32, params, forcing32):

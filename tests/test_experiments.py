@@ -17,7 +17,9 @@ from mhdnudge.experiments import (
     EXIT_CONFIG,
     EXIT_OK,
     ConfigError,
+    ExperimentConfig,
     build_forcing,
+    build_nudging_config,
     parse_config,
     parse_config_text,
     run_interpolant_verification,
@@ -531,3 +533,34 @@ def test_determining_repeats_bitwise(tmp_path):
     for name in ("determining.csv", "summary.json"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("g_amplitude", [0.0, 1.0])
+def test_default_forcing_keeps_b_zero(g_amplitude):
+    # forcing_g_amplitude = 0 gives f = g; the reference starts at (init,
+    # init) and every init_mode starts members with v = w, so the v <-> w
+    # swap symmetry keeps b = (v - w)/2 exactly 0: the runs are 2D
+    # Navier-Stokes.  Only a mask that tells v from w (v-only) breaks it
+    cfg = ExperimentConfig("baseline", n=32)
+    cfg = replace(cfg, forcing_g_amplitude=g_amplitude)
+    grid = Grid(cfg.n)
+    masks = (("spectral", "all"), ("volume", "first"), ("nodal", "b-only"),
+             ("nodal", "u-only"), ("spectral", "v-only"))
+    configs = [build_nudging_config(
+        grid, replace(cfg, interpolant_kind=kind, mask=mask))
+        for kind, mask in masks]
+    cs = CoupledStepper(grid, derive_elsasser_params(cfg.re, cfg.rm),
+                        build_forcing(grid, cfg), configs, cfg.dt)
+    init = experiments._initial_field(grid, cfg, cfg.seed)
+    alt = experiments._initial_field(grid, cfg, cfg.init_seed)
+    cs.reference.set_state(init, init, 0.0)
+    for member in cs.members:
+        member.set_state(alt, alt, 0.0)
+    for _ in range(200):
+        cs.step()
+    b = [l2_norm(s.X[:2] - s.X[2:]) for s in [cs.reference] + cs.members]
+    if g_amplitude == 0.0:
+        assert b[:-1] == [0.0] * len(masks)
+        assert b[-1] > 0.0
+    else:
+        assert min(b) > 1e-3 * l2_norm(cs.reference.X)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mhdnudge import nudging
+from mhdnudge import dynamics, interpolants, nudging, spectral
 from mhdnudge.dynamics import (
     BlowUpError,
     ForcingSpec,
@@ -12,6 +12,7 @@ from mhdnudge.dynamics import (
     Modulation,
     derive_elsasser_params,
     norms,
+    project_pair,
     spin_up,
 )
 from mhdnudge.interpolants import (
@@ -183,6 +184,27 @@ def test_nudging_term_scales_with_mu(grid32):
     np.testing.assert_allclose(t2, 3.0 * t1, atol=1e-13)
 
 
+@pytest.mark.parametrize("h", [0.25, 0.125])
+@pytest.mark.parametrize("n", [32, 48])
+@pytest.mark.parametrize("kind", [SPECTRAL, VOLUME, NODAL])
+def test_nudging_term_is_projected_masked_interpolant(kind, n, h):
+    # the cached per-mode tables of P post against mu P[masked I_h X] built
+    # from public functions, in a new array and over X; at n = 48 and
+    # h = 1/8 the Nyquist row and column lie an odd number of cells out
+    g = Grid(n)
+    rng = np.random.default_rng(n)
+    shape = (4, n, g.half_width)
+    X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for mask in ALL_MASKS:
+        cfg = spec_config(mu=37.0, mask=mask, kind=kind, h=h)
+        want = cfg.mu * project_pair(g, apply_masked(cfg.interpolant, mask, g, X))
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(nudging_term(cfg, g, X) - want)) <= 1e-15 * scale
+        Y = X.copy()
+        assert nudging_term(cfg, g, Y, out=Y) is Y
+        assert np.max(np.abs(Y - want)) <= 1e-15 * scale
+
+
 def test_observation_matrix_matches_nudging_term(grid32):
     # the folded-in implicit operator must agree with the explicit feedback:
     # the blocks on their modes, and zero at every other mode
@@ -330,15 +352,42 @@ def test_gain_zero_member_observes_nothing(grid32, params, forcing32, kind,
     cs.reference.set_state(init, init, 0.0)
     calls = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return apply_masked(*args)
+        return nudging_term(*args, **kwargs)
 
-    monkeypatch.setattr(nudging, "apply_masked", counted)
+    monkeypatch.setattr(nudging, "nudging_term", counted)
     for _ in range(3):
         cs.step()
     assert calls == []
     assert cs.members[0].step_count == 3
+
+
+def test_coupled_step_makes_no_projection_or_interpolant_call(
+        grid32, params, forcing32, monkeypatch):
+    # the feedback of every kind, and delta and eps, come from cached
+    # per-mode tables and member buffers: a step calls no Leray projection
+    # and no I_h
+    pair = decaying_pair(forcing32.f, forcing32.g, 0.1, 1.0)
+    configs = [spec_config(mu=50.0, kind=kind, mask=mask, delta=pair, eps=pair)
+               for kind, mask in ((SPECTRAL, MASK_ALL), (VOLUME, MASK_FIRST),
+                                  (NODAL, MASK_B_ONLY), (NODAL, MASK_FIRST))]
+    cs = CoupledStepper(grid32, params, forcing32, configs, dt=2e-3)
+    init = seeded_init(grid32, 0, 0.5)
+    cs.reference.set_state(init, init, 0.0)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a coupled step called a per-mode operator")
+
+    for module in (spectral, dynamics, interpolants, nudging):
+        for name in ("leray_project_coef", "apply_interpolant_coef",
+                     "apply_masked"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    for _ in range(3):
+        cs.step()
+    assert cs.failures == {}
+    assert [m.step_count for m in cs.members] == [3] * len(configs)
 
 
 @pytest.mark.parametrize("kind", [SPECTRAL, VOLUME])
