@@ -181,9 +181,10 @@ def grashof_number(forcing: ForcingSpec, params: ElsasserParams) -> float:
 class AdvectionWork:
     """Work buffers of `advection` for up to `size` systems.
 
-    Per system they hold the four components of (v, w) in each form, and
-    the forward transforms of the three products M12, M21 and D alone.
-    A call on S systems works in the first S of each buffer, so it
+    Per system they hold the four components of (v, w) in each form, the
+    forward transforms of the three products M12, M21 and D, and the pair
+    (s_A, s_B) of the curl form.  A call on S systems works in the first S
+    of each buffer and reads nothing an earlier call left there, so it
     allocates no state-sized array, and the bands it returns are views of
     `band`, valid until the next call.  One instance serves every stepper
     of a `CoupledStepper`.
@@ -191,10 +192,11 @@ class AdvectionWork:
 
     def __init__(self, grid: Grid, size: int):
         n, c = grid.n, grid.cutoff + 1
-        # the dealiased input band, then the result
-        self.band = np.empty((size, 4, n, c), dtype=np.complex128)
-        # the band inverted along k1, then the transforms of M12, M21 and D
-        # on it and a temporary
+        # the dealiased state, then the result, over the whole half spectrum
+        self.band = np.empty((size, 4, n, grid.half_width),
+                             dtype=np.complex128)
+        # the band's columns 0..cutoff inverted along k1, then the
+        # transforms of M12, M21 and D on them
         self.cols = np.empty((size, 4, n, c), dtype=np.complex128)
         self.phys = np.empty((size, 4, n, n))  # (v, w) on the grid
         # the squares of the components of v and w, then M12, M21, D and
@@ -203,21 +205,23 @@ class AdvectionWork:
         # M12, M21 and D transformed along x2
         self.rows = np.empty((size, 3, n, grid.half_width),
                              dtype=np.complex128)
+        self.curl = np.empty((size, 2, n, c), dtype=np.complex128)  # s_A, s_B
         self.speed_sq = np.empty(size)
 
 
 def advection(grid: Grid, X: np.ndarray, work: AdvectionWork | None = None):
     """P[(w.grad)v] and P[(v.grad)w] of the stacked state X = (v1, v2, w1, w2)
-    on the columns k2 = 0..cutoff, a (4, n, cutoff + 1) band that is zero
-    past the dealias cutoff and at k = 0, and the physical-space maximum
-    speed of v and w.
+    as a (4, n, n/2 + 1) half spectrum that is zero past the dealias cutoff
+    and at k = 0, and the physical-space maximum speed of v and w.
 
-    X may also be an (S, 4, n, w) stack of S states: the result is then the
-    (S, 4, n, cutoff + 1) bands and a list of S speeds, each bitwise what
-    the call on that state alone returns, so one call serves a reference
-    and all its members.  Only the columns 0..cutoff of X are read.  The
-    speed is one maximum over |v|^2 and |w|^2, so it is NaN or inf when
-    either field holds a non-finite value in those columns.
+    X may also be an (S, 4, n, n/2 + 1) stack of S states: the result is
+    then the (S, 4, n, n/2 + 1) bands and a list of S speeds, each bitwise
+    what the call on that state alone returns, so one call serves a
+    reference and all its members.  X is dealiased whole, in one pass, and
+    the columns 0..cutoff of that give the result; past them the band is X
+    times zero, which is exactly zero for a finite X.  The speed is one
+    maximum over |v|^2 and |w|^2, so it is NaN or inf when either field
+    holds a non-finite value in the columns 0..cutoff.
 
     Curl form: for divergence-free w, (w.grad)v_i = d_j M_ij with
     M_ij = v_i w_j, whose transform is A_i = 2 pi i k_j M_ij^.  A 2D field's
@@ -226,22 +230,26 @@ def advection(grid: Grid, X: np.ndarray, work: AdvectionWork | None = None):
     and D = M22 - M11; P[(v.grad)w] is the same with M12 and M21 swapped.
     Three products, M12, M21 and D, thus give both terms with their
     projection, through the weights of `Grid.curl_weights`, which also
-    dealias the result.  The input is 2/3-rule dealiased too.  Every array
-    goes to a buffer of `work` (see AdvectionWork), which is allocated for
-    this call when not given.
+    dealias the input and the result.  Every array goes to a buffer of
+    `work` (see AdvectionWork), which is allocated for this call when not
+    given.  No operand of a pass overlaps its output, and every table is
+    complex, so numpy makes no copy of an operand and casts none.
     """
     stack = X if X.ndim == 4 else X[None]
     S = len(stack)
     if work is None:
         work = AdvectionWork(grid, S)
-    band, cols, phys, products, rows = (
+    band, cols, phys, products, rows, s = (
         a[:S] for a in (work.band, work.cols, work.phys, work.products,
-                        work.rows))
+                        work.rows, work.curl))
     n, c = grid.n, grid.cutoff + 1
-    # irfft2(s=(n, n)), which zero-pads the columns c..n/2, as its two 1-D
-    # passes: numpy 2.4.6 leaves wrong values in irfft2's out array
-    np.multiply(stack[..., :c], grid.dealias_mask[:, :c], out=band)
-    np.fft.ifft(band, axis=-2, out=cols)
+    dealias, (W11, W22, W12), (R1, R2) = grid.curl_weights
+    np.multiply(stack, dealias, out=band)
+    # irfft2(s=(n, n)) of the columns 0..cutoff, which zero-pads the others,
+    # as its two 1-D passes: numpy 2.4.6 leaves wrong values in irfft2's out
+    # array.  The n^2 is applied after them, as a factor folded into
+    # `dealias` rounds differently unless n is a power of two.
+    np.fft.ifft(band[..., :c], axis=-2, out=cols)
     np.fft.irfft(cols, n=n, axis=-1, out=phys)
     phys *= n * n
     np.multiply(phys, phys, out=products)
@@ -256,15 +264,12 @@ def advection(grid: Grid, X: np.ndarray, work: AdvectionWork | None = None):
     np.fft.rfft(products[:, :3], axis=-1, out=rows)
     M = cols[:, :3]  # n^2 (M12, M21, D)^
     np.fft.fft(rows[..., :c], axis=-2, out=M)
-    (W11, W22, W12), (R1, R2) = grid.curl_weights
-    # (s_A, s_B) in the first components of v and w, with the second ones
-    # as scratch
-    s = band[:, 0::2]
+    # (s_A, s_B), with M weighted in place
     np.multiply(W11, M[:, 1::-1], out=s)
-    s -= np.multiply(W22, M[:, :2], out=band[:, 1::2])
-    s += np.multiply(W12, M[:, 2], out=cols[:, 3])[:, None]
-    np.multiply(R2, s, out=band[:, 1::2])
-    np.multiply(R1, s, out=s)
+    s -= np.multiply(W22, M[:, :2], out=M[:, :2])
+    s += np.multiply(W12, M[:, 2], out=M[:, 2])[:, None]
+    np.multiply(R1, s, out=band[:, 0::2, :, :c])
+    np.multiply(R2, s, out=band[:, 1::2, :, :c])
     speeds = [float(m) ** 0.5 for m in work.speed_sq[:S]]
     if X.ndim == 4:
         return band, speeds
@@ -309,26 +314,32 @@ def project_forcing(grid: Grid, pair: ForcingSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _norm_weights(n: int) -> np.ndarray:
-    """The read-only (2, n, n + 2) table (w, 4 pi^2 w |k|^2) of `norms` on
-    the float64 view of an n x n grid's half spectrum, w the Parseval
-    weights, each mode's weight twice: for its real and its imaginary part.
-    """
+def _norm_tables(n: int) -> tuple:
+    """The tables of `norms` on an n x n grid: the read-only
+    (2, 4 n (n/2 + 1)) weights (w, 4 pi^2 w |k|^2) of the float64 view of a
+    vector's half spectrum, w the Parseval weights, each mode's weight once
+    for its real and once for its imaginary part, for each component; and
+    the scratch that holds the squares of the view of a state's v and w.
+    The scratch is shared by every call with this n, so `norms` must not
+    run in two threads at once."""
     ksq = Grid(n).ksq
     w = np.broadcast_to(np.where(np.arange(n // 2 + 1) % (n // 2) == 0, 1.0, 2.0),
                         ksq.shape)
-    table = np.repeat(np.stack([w, FOUR_PI_SQ * w * ksq]), 2, axis=-1)
-    table.setflags(write=False)
-    return table
+    weights = np.tile(np.repeat(np.stack([w, FOUR_PI_SQ * w * ksq]), 2,
+                                axis=-1).reshape(2, -1), 2)
+    weights.setflags(write=False)
+    return weights, np.empty_like(weights)
 
 
 def norms(grid: Grid, X: np.ndarray):
     """(l2_v, l2_w, h1_v, h1_w) of a stacked (4, n, n/2 + 1) half spectrum
-    X = (v, w): one pass over X's float64 view against the Parseval table
-    of `_norm_weights`, with no temporary of X's size."""
-    x = X.view(np.float64).reshape(2, 2, grid.n, -1)
-    sq = np.einsum("vcab,vcab,tab->tv", x, x, _norm_weights(grid.n))
-    l2v, l2w, h1v, h1w = np.sqrt(sq.ravel())
+    X = (v, w): the squares of X's float64 view go to the scratch of
+    `_norm_tables`, and one matrix product with its weights gives the four
+    squared norms, with no temporary of X's size."""
+    weights, sq = _norm_tables(grid.n)
+    x = X.view(np.float64).reshape(2, -1)
+    np.multiply(x, x, out=sq)
+    (l2v, h1v), (l2w, h1w) = np.sqrt(sq @ weights.T)
     return float(l2v), float(l2w), float(h1v), float(h1w)
 
 
@@ -398,6 +409,10 @@ class MhdStepper:
         self.dt = dt
         self._half_step, self._inverse, self._blocks = _implicit_operators(
             grid, params, dt, damping)
+        # the rhs at the damped modes and their solution, each (4, s)
+        damped = (4, self._blocks[0].size)
+        self._damped = (np.empty(damped, dtype=np.complex128),
+                        np.empty(damped, dtype=np.complex128))
         n, h = grid.n, grid.half_width
         self.X = np.zeros((4, n, h), dtype=np.complex128) if state is None \
             else state
@@ -461,16 +476,25 @@ class MhdStepper:
             if advected is None else advected
         m = self.forcing.modulation.value(self.t)
         np.multiply(m, self._projected_forcing, out=E)
-        E[..., : adv.shape[-1]] -= adv
+        E -= adv
         return speed
 
     def _implicit_solve(self, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
         """(I - dt/2 L + dt*damping)^-1 rhs for a stacked (4, n, n/2 + 1) rhs,
         written to the C-contiguous `out`, which must not overlap rhs; rhs
-        is overwritten."""
+        is overwritten.  At the damped modes the real (s, 4, 4) blocks act
+        on the real and imaginary parts of the gathered rhs as one batched
+        matrix product."""
         idx, inv = self._blocks
+        gathered, solved = self._damped
         if idx.size:  # without damping there is no block to solve
-            blocks = np.einsum("sij,js->is", inv, rhs.reshape(4, -1)[:, idx])
+            # mode "clip" (idx is in range): take buffers `out` in "raise"
+            np.take(rhs.reshape(4, -1), idx, axis=1, out=gathered, mode="clip")
+            # (s, 4, 2) views: per mode, the 4 components' real and imag parts
+            np.matmul(inv, gathered.view(np.float64).reshape(4, -1, 2)
+                      .transpose(1, 0, 2),
+                      out=solved.view(np.float64).reshape(4, -1, 2)
+                      .transpose(1, 0, 2))
         a, b = self._inverse
         np.multiply(a, rhs, out=out)
         rhs[2:] *= b
@@ -478,7 +502,7 @@ class MhdStepper:
         rhs[:2] *= b
         out[2:] += rhs[:2]
         if idx.size:
-            out.reshape(4, -1)[:, idx] = blocks
+            out.reshape(4, -1)[:, idx] = solved
         return out
 
     def max_admissible_dt(self, speed: float) -> float:

@@ -314,11 +314,12 @@ def run_assimilation(grid: Grid, params, forcing: ForcingSpec,
     members = coupled.members
     err_rows = np.empty((len(members), n_steps // sample_every + 1, 5))
     traj_rows = np.empty((n_steps + 1, 6))
+    diff = np.empty_like(ref.X)  # the reference minus a member, per sample
     for i in range(n_steps + 1):
         traj_rows[i] = trajectory_row(ref)
         if i % sample_every == 0:
             for k in coupled.active():
-                diff = ref.X - members[k].X
+                np.subtract(ref.X, members[k].X, out=diff)
                 err_rows[k, i // sample_every] = (ref.t, *norms(grid, diff))
         if i < n_steps:
             try:

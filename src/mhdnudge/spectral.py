@@ -18,8 +18,8 @@ Each mode of columns 1..n/2 - 1 stands for itself and its conjugate mirror
 Nyquist column n/2: ||u||_L2^2 = sum w_k |c_k|^2 (`parseval_sq`).  The
 per-mode operators (`leray_project_coef`, `dealias_coef`) act on the first
 columns of whatever width they are given.  Advection does not use them:
-the weights of `Grid.curl_weights` project and dealias its band
-k2 = 0..cutoff.
+the weights of `Grid.curl_weights` dealias its input and project and
+dealias its band k2 = 0..cutoff.
 """
 
 from __future__ import annotations
@@ -88,20 +88,23 @@ class Grid:
 
     @cached_property
     def curl_weights(self) -> tuple:
-        """(W, R), the read-only operators of the curl-form advection on the
-        band k2 = 0..cutoff.  The real (3, n, cutoff + 1) W is
+        """(D, W, R), the read-only operators of the curl-form advection, all
+        complex128, so that no product with a complex band casts.  D is the
+        dealias mask over the whole (n, n/2 + 1) half spectrum.  On the band
+        k2 = 0..cutoff, W (3, n, cutoff + 1) is
         (k1^2, k2^2, k1 k2) 2 pi / (n^2 |k|^2), zero at k = 0 and past the
-        dealias cutoff, and the complex (2, n, cutoff + 1) R is i (-k2, k1).
+        dealias cutoff, and R (2, n, cutoff + 1) is i (-k2, k1).
         """
         c = self.cutoff + 1
         k1, k2 = self.k1[:, :c], self.k2[:, :c]
         scale = TWO_PI / self.n ** 2 * self.inv_ksq[:, :c] \
             * self.dealias_mask[:, :c]
-        W = np.stack([k1 * k1, k2 * k2, k1 * k2]) * scale
+        D = self.dealias_mask.astype(np.complex128)
+        W = (np.stack([k1 * k1, k2 * k2, k1 * k2]) * scale).astype(np.complex128)
         R = np.stack([-1j * k2, 1j * k1])
-        W.setflags(write=False)
-        R.setflags(write=False)
-        return W, R
+        for table in (D, W, R):
+            table.setflags(write=False)
+        return D, W, R
 
     def points(self):
         x = np.arange(self.n) / self.n

@@ -209,8 +209,9 @@ def test_stepper_tendency_matches_mhd(re, rm):
 
 
 def projected_band(grid, adv):
-    """The Leray-projected columns k2 = 0..cutoff of a full (4, n, n) term."""
-    return project_pair(grid, adv[..., : grid.cutoff + 1])
+    """The Leray-projected half spectrum, the columns k2 = 0..n/2, of a full
+    (4, n, n) term."""
+    return project_pair(grid, adv[..., : grid.half_width])
 
 
 @pytest.mark.parametrize("n", [32, 64])
@@ -223,6 +224,7 @@ def test_advection_matches_advective_form(n):
     expected = projected_band(g, np.concatenate([advective_form(g, w, v),
                                                  advective_form(g, v, w)]))
     assert np.max(np.abs(adv - expected)) <= 1e-13 * np.max(np.abs(expected))
+    assert not adv[..., g.cutoff + 1:].any()
 
 
 def advection_full_fft(grid, X):
@@ -270,7 +272,7 @@ def test_batched_advection_is_each_system_alone(n, size):
                        for _ in range(size)])
     work = AdvectionWork(g, size)
     bands, speeds = advection(g, states, work)
-    assert bands.shape == (size, 4, n, g.cutoff + 1) and len(speeds) == size
+    assert bands.shape == (size, 4, n, g.half_width) and len(speeds) == size
     bands = bands.copy()
     for s in range(size):
         band, speed = advection(g, states[s])
@@ -304,16 +306,38 @@ def test_advection_band_is_projected_and_dealiased(n, size):
     assert divergence_defect(g, states[0, :2]) > 1.0
     bands, _ = advection(g, states)
     projected = project_pair(g, bands)
-    c = g.cutoff + 1
-    outside = np.abs(g.k1[:, :c]) > g.cutoff
-    full = np.zeros((2, n, g.half_width), dtype=complex)
-    for half, p_half in zip(bands.reshape(-1, 2, n, c),
-                            projected.reshape(-1, 2, n, c)):
+    shape = (-1, 2, n, g.half_width)
+    for half, p_half in zip(bands.reshape(shape), projected.reshape(shape)):
         scale = np.max(np.abs(half))
-        full[..., :c] = half
-        assert divergence_defect(g, full) <= 1e-14 * scale
-        assert not half[:, outside].any() and not half[:, 0, 0].any()
+        assert divergence_defect(g, half) <= 1e-14 * scale
+        assert not half[:, ~g.dealias_mask].any() and not half[:, 0, 0].any()
         assert np.max(np.abs(p_half - half)) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("n", [32, 48])
+def test_advection_band_is_zero_past_the_cutoff(n):
+    # the band spans the whole half spectrum: noise in a state's columns
+    # past the cutoff, and noise left in every buffer of a reused
+    # AdvectionWork, leave its columns cutoff + 1..n/2 exactly 0.0 and each
+    # slot bitwise the lone call on the state without that noise
+    g = Grid(n)
+    c = g.cutoff + 1
+    rng = np.random.default_rng(n)
+    clean = random_stack(g, 3, n)
+    clean[..., c:] = 0.0
+    noisy = clean.copy()
+    noisy[..., c:] = 1e3 * rng.standard_normal(noisy[..., c:].shape)
+    work = AdvectionWork(g, 3)
+    for buf in vars(work).values():
+        buf.view(np.float64)[...] = 1e3 * rng.standard_normal(
+            buf.view(np.float64).shape)
+    bands, speeds = advection(g, noisy, work)
+    assert bands.shape == (3, 4, n, g.half_width)
+    assert np.all(bands[..., c:] == 0.0)
+    for s in range(3):
+        band, speed = advection(g, clean[s])
+        np.testing.assert_array_equal(bands[s], band)
+        assert speeds[s] == speed
 
 
 def test_advection_makes_three_forward_transforms_per_system(monkeypatch):

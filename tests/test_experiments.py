@@ -524,6 +524,18 @@ def test_determining_with_a_second_decay_rate_runs(tmp_path):
     assert (tmp_path / "determining.csv").exists()
 
 
+def test_baseline_repeats_bitwise(tmp_path):
+    # the repeated-runs oracle: the second run in the process reuses the
+    # cached tables and the scratch of `norms`, and writes the same bytes
+    cfg = parse_config_text("scenario = baseline\nn = 32\nhorizon = 0.2\n"
+                            "spinup_max_time = 0.2\n")
+    for run in ("a", "b"):
+        run_scenario(cfg, tmp_path / run)
+    for name in ("trajectory.csv", "errors.csv", "summary.json"):
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes(), name
+
+
 def test_determining_repeats_bitwise(tmp_path):
     # criterion 12 compares the baseline CSVs; determining writes its own
     cfg = parse_config_text("scenario = determining\nn = 32\nhorizon = 0.1\n"

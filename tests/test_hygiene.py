@@ -280,6 +280,19 @@ def test_one_state_gate():
     assert sites == {("dynamics", "MhdStepper.set_state")}
 
 
+def test_einsum_call_is_found():
+    src = ("import numpy as np\n\n\nclass A:\n    def m(self, x):\n"
+           "        return np.einsum('i,i', x, x)\n")
+    assert functions_calling(src, "einsum") == ["A.m"]
+
+
+def test_no_einsum_in_dynamics():
+    # a step's per-mode work is contiguous ufunc passes and BLAS matrix
+    # products; einsum's generic loops are slower on those operands
+    source = (ROOT / "src" / "mhdnudge" / "dynamics.py").read_text()
+    assert functions_calling(source, "einsum") == []
+
+
 def names_imported_from(source: str, module: str):
     """Names that `from ... module import ...` statements bind, for any
     package prefix of `module`."""
