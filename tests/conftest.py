@@ -4,6 +4,7 @@ import pytest
 from mhdnudge.dynamics import (
     ForcingSpec,
     Trajectory,
+    advection,
     derive_elsasser_params,
     norms,
     trajectory_row,
@@ -45,6 +46,26 @@ def diffusion(grid, params, X):
 def state_l2(grid, X):
     """L2 norm of a stacked (4, n, n/2 + 1) half spectrum (v, w)."""
     return float(np.hypot(*norms(grid, X)[:2]))
+
+
+def inner(a, b):
+    """The L2 inner product of two (..., n, n/2 + 1) half spectra, by
+    Parseval: each mode's Re(conj(a) b) weighed as in `parseval_sq`."""
+    p = np.real(np.conj(a) * b)
+    p[..., 1:-1] *= 2.0
+    return float(np.sum(p))
+
+
+def stream(grid, coef):
+    """The stream function psi of a divergence-free (2, n, n/2 + 1) field,
+    coef = 2 pi i (-k2, k1) psi."""
+    return (-grid.k2 * coef[0] + grid.k1 * coef[1]) * grid.inv_ksq / (2j * np.pi)
+
+
+def advected_fields(grid, V):
+    """The bands P[(w.grad)v] and P[(v.grad)w] of an (S, 4, n, n/2 + 1)
+    stack of pairs (v, w), from one batched `advection` call."""
+    return advection(grid, V)[0]
 
 
 def h1_seminorm(grid, coef):

@@ -34,13 +34,16 @@ from mhdnudge.spectral import (
 )
 
 from conftest import (
+    advected_fields,
     diffusion,
     full_spectrum,
     full_wavenumbers,
     h1_seminorm,
+    inner,
     normalized_field,
     record_trajectory,
     state_l2,
+    stream,
 )
 
 
@@ -380,6 +383,28 @@ def test_advection_skew_symmetry():
     ip = np.real(np.sum(np.conj(adv) * full_spectrum(g, b)))
     scale = np.sqrt(np.sum(np.abs(adv) ** 2)) * l2_norm(b)
     assert abs(ip) < 1e-12 * max(scale, 1e-300)
+
+
+@pytest.mark.parametrize("n", [32, 48, 64])
+@pytest.mark.parametrize("size", [1, 3])
+def test_advection_keeps_the_elsasser_invariants(n, size):
+    # the truncated nonlinear terms N_v = P[(w.grad)v] and N_w = P[(v.grad)w]
+    # are orthogonal to v and to w, and N_a = (psi of N_v - N_w)/2 to the
+    # magnetic potential a = (psi_v - psi_w)/2: ||v||^2, ||w||^2 and ||a||^2
+    # are invariants of the band-limited nonlinear part, and only a v != w
+    # shows how the two Elsasser equations couple
+    g = Grid(n)
+    V = np.stack([np.concatenate([random_divfree_field(g, 10 * s + 1, 1.0, g.cutoff),
+                                  random_divfree_field(g, 10 * s + 2, 1.0, g.cutoff)])
+                  for s in range(size)])
+    for X, N in zip(V, advected_fields(g, V)):
+        v, w = X[:2], X[2:]
+        a, Na = stream(g, (v - w) / 2), stream(g, (N[:2] - N[2:]) / 2)
+        assert l2_norm(v - w) > 0.1 * l2_norm(v)
+        for x, y in ((v, N[:2]), (w, N[2:]), (a, Na)):
+            scale = math.sqrt(inner(x, x) * inner(y, y))
+            assert scale > 0.0
+            assert abs(inner(x, y)) <= 1e-14 * scale
 
 
 def test_advection_of_shear_flow_vanishes():
