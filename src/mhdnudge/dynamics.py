@@ -11,11 +11,17 @@ beta = (1/Re - 1/Rm)/2 (negative when Re > Rm) and P the Leray projection
 alpha + beta = 1/Re and alpha - beta = 1/Rm, so the effective dissipation
 is nu_bar = alpha - |beta| = min(1/Re, 1/Rm).  Time discretization:
 Crank-Nicolson on the coupled diffusion block, Adams-Bashforth 2 on
-advection and forcing, explicit Euler on the first step.  The diffusion
-block couples v and w only through beta, so its Crank-Nicolson solve is a
-closed form per mode; an implicit damping term (the nudging feedback) is
-solved with dense 4x4 blocks on the modes where it acts.  States,
-forcings and every per-mode operator are half spectra (see `spectral`).
+advection and forcing, explicit Euler on the first step.
+
+In 2D a divergence-free field is the curl of a stream function, so a
+state is the pair (psi_v, psi_w) with v = 2 pi i (-k2, k1) psi_v and w
+likewise (`spectral.velocity`): one (2, n, n/2 + 1) half spectrum (see
+`spectral`), which no step can make divergent.  P[f] is the stream function
+of f (`spectral.stream_function`), so no step projects.  The diffusion
+block and an implicit damping term (the spectral nudging feedback) act on
+each mode's (psi_v, psi_w) as a symmetric 2x2 matrix, so the implicit
+solve is a closed form per mode.  Fields enter and leave as vectors (v, w):
+`MhdStepper.set_state` and `MhdStepper.fields`.
 """
 
 from __future__ import annotations
@@ -30,7 +36,9 @@ from .spectral import (
     Grid,
     divergence_defect,
     l2_norm,
-    leray_project_coef,
+    stream_function,
+    velocity,
+    view_weights,
 )
 
 FOUR_PI_SQ = 4.0 * np.pi ** 2
@@ -181,10 +189,10 @@ def grashof_number(forcing: ForcingSpec, params: ElsasserParams) -> float:
 class AdvectionWork:
     """Work buffers of `advection` for up to `size` systems.
 
-    Per system they hold the four components of (v, w) in each form, the
-    forward transforms of the three products M12, M21 and D, and the pair
-    (s_A, s_B) of the curl form.  A call on S systems works in the first S
-    of each buffer and reads nothing an earlier call left there, so it
+    Per system they hold the dealiased velocities (v, w) of its stream
+    functions in each form, the forward transforms of the three products
+    M12, M21 and D, and the result.  A call on S systems works in the first
+    S of each buffer and reads nothing an earlier call left there, so it
     allocates no state-sized array, and the bands it returns are views of
     `band`, valid until the next call.  One instance serves every stepper
     of a `CoupledStepper`.
@@ -192,12 +200,12 @@ class AdvectionWork:
 
     def __init__(self, grid: Grid, size: int):
         n, c = grid.n, grid.cutoff + 1
-        # the dealiased state, then the result, over the whole half spectrum
-        self.band = np.empty((size, 4, n, grid.half_width),
-                             dtype=np.complex128)
-        # the band's columns 0..cutoff inverted along k1, then the
-        # transforms of M12, M21 and D on them
-        self.cols = np.empty((size, 4, n, c), dtype=np.complex128)
+        self.band = np.empty((size, 2, n, grid.half_width),
+                             dtype=np.complex128)  # the result
+        # (v1, v2, w1, w2) on the columns 0..cutoff, then the transforms of
+        # M12, M21 and D there
+        self.vel = np.empty((size, 4, n, c), dtype=np.complex128)
+        self.cols = np.empty((size, 4, n, c), dtype=np.complex128)  # vel along x1
         self.phys = np.empty((size, 4, n, n))  # (v, w) on the grid
         # the squares of the components of v and w, then M12, M21, D and
         # a temporary
@@ -205,53 +213,51 @@ class AdvectionWork:
         # M12, M21 and D transformed along x2
         self.rows = np.empty((size, 3, n, grid.half_width),
                              dtype=np.complex128)
-        self.curl = np.empty((size, 2, n, c), dtype=np.complex128)  # s_A, s_B
         self.speed_sq = np.empty(size)
 
 
 def advection(grid: Grid, X: np.ndarray, work: AdvectionWork | None = None):
-    """P[(w.grad)v] and P[(v.grad)w] of the stacked state X = (v1, v2, w1, w2)
-    as a (4, n, n/2 + 1) half spectrum that is zero past the dealias cutoff
-    and at k = 0, and the physical-space maximum speed of v and w.
+    """The stream functions of P[(w.grad)v] and P[(v.grad)w] for the state
+    X = (psi_v, psi_w), as a (2, n, n/2 + 1) half spectrum that is zero past
+    the dealias cutoff and at k = 0, and the physical-space maximum speed of
+    v and w.
 
-    X may also be an (S, 4, n, n/2 + 1) stack of S states: the result is
-    then the (S, 4, n, n/2 + 1) bands and a list of S speeds, each bitwise
+    X may also be an (S, 2, n, n/2 + 1) stack of S states: the result is
+    then the (S, 2, n, n/2 + 1) bands and a list of S speeds, each bitwise
     what the call on that state alone returns, so one call serves a
-    reference and all its members.  X is dealiased whole, in one pass, and
-    the columns 0..cutoff of that give the result; past them the band is X
-    times zero, which is exactly zero for a finite X.  The speed is one
-    maximum over |v|^2 and |w|^2, so it is NaN or inf when either field
-    holds a non-finite value in the columns 0..cutoff.
+    reference and all its members.  The velocities come from the columns
+    0..cutoff of X, dealiased, and the band past them is set to zero.  The
+    speed is one maximum over |v|^2 and |w|^2, so it is NaN or inf when
+    either field holds a non-finite value in the columns 0..cutoff.
 
     Curl form: for divergence-free w, (w.grad)v_i = d_j M_ij with
     M_ij = v_i w_j, whose transform is A_i = 2 pi i k_j M_ij^.  A 2D field's
     projection keeps only its part along (-k2, k1), so P[A] =
-    2 pi i (-k2, k1) s_A with s_A = (k1^2 M21 - k2^2 M12 + k1 k2 D)/|k|^2
-    and D = M22 - M11; P[(v.grad)w] is the same with M12 and M21 swapped.
-    Three products, M12, M21 and D, thus give both terms with their
-    projection, through the weights of `Grid.curl_weights`, which also
-    dealias the input and the result.  Every array goes to a buffer of
-    `work` (see AdvectionWork), which is allocated for this call when not
-    given.  No operand of a pass overlaps its output, and every table is
-    complex, so numpy makes no copy of an operand and casts none.
+    2 pi i (-k2, k1) s_A with the stream function
+    s_A = (k1^2 M21 - k2^2 M12 + k1 k2 D)/|k|^2 and D = M22 - M11;
+    P[(v.grad)w] is the same with M12 and M21 swapped.  Three products,
+    M12, M21 and D, thus give both terms with their projection, through the
+    tables of `Grid.curl_weights`, which also dealias.  Every array goes to
+    a buffer of `work` (see AdvectionWork), which is allocated for this call
+    when not given.  No operand of a pass overlaps its output, and no
+    product mixes a real and a complex operand, so numpy makes no copy of an
+    operand and casts none.
     """
     stack = X if X.ndim == 4 else X[None]
     S = len(stack)
     if work is None:
         work = AdvectionWork(grid, S)
-    band, cols, phys, products, rows, s = (
-        a[:S] for a in (work.band, work.cols, work.phys, work.products,
-                        work.rows, work.curl))
+    band, vel, cols, phys, products, rows = (
+        a[:S] for a in (work.band, work.vel, work.cols, work.phys,
+                        work.products, work.rows))
     n, c = grid.n, grid.cutoff + 1
-    dealias, (W11, W22, W12), (R1, R2) = grid.curl_weights
-    np.multiply(stack, dealias, out=band)
+    V, (W11, W22, W12) = grid.curl_weights
+    np.multiply(V, stack[:, :, None, :, :c], out=vel.reshape(S, 2, 2, n, c))
     # irfft2(s=(n, n)) of the columns 0..cutoff, which zero-pads the others,
-    # as its two 1-D passes: numpy 2.4.6 leaves wrong values in irfft2's out
-    # array.  The n^2 is applied after them, as a factor folded into
-    # `dealias` rounds differently unless n is a power of two.
-    np.fft.ifft(band[..., :c], axis=-2, out=cols)
-    np.fft.irfft(cols, n=n, axis=-1, out=phys)
-    phys *= n * n
+    # as its two 1-D passes, unscaled: numpy 2.4.6 leaves wrong values in
+    # irfft2's out array
+    np.fft.ifft(vel, axis=-2, norm="forward", out=cols)
+    np.fft.irfft(cols, n=n, axis=-1, norm="forward", out=phys)
     np.multiply(phys, phys, out=products)
     np.add(products[:, 0], products[:, 1], out=products[:, 0])  # |v|^2
     np.add(products[:, 2], products[:, 3], out=products[:, 1])  # |w|^2
@@ -262,35 +268,23 @@ def advection(grid: Grid, X: np.ndarray, work: AdvectionWork | None = None):
     np.subtract(products[:, 3], products[:, 2], out=products[:, 2])  # D
     # rfft2 as its two 1-D passes, the second on the columns 0..cutoff only
     np.fft.rfft(products[:, :3], axis=-1, out=rows)
-    M = cols[:, :3]  # n^2 (M12, M21, D)^
+    M = vel[:, :3]  # n^2 (M12, M21, D)^
     np.fft.fft(rows[..., :c], axis=-2, out=M)
-    # (s_A, s_B), with M weighted in place
+    # (s_A, s_B) on the float64 views, with M weighted in place
+    M, s = M.view(np.float64), band.view(np.float64)[..., :2 * c]
     np.multiply(W11, M[:, 1::-1], out=s)
     s -= np.multiply(W22, M[:, :2], out=M[:, :2])
     s += np.multiply(W12, M[:, 2], out=M[:, 2])[:, None]
-    np.multiply(R1, s, out=band[:, 0::2, :, :c])
-    np.multiply(R2, s, out=band[:, 1::2, :, :c])
+    band[..., c:] = 0.0
     speeds = [float(m) ** 0.5 for m in work.speed_sq[:S]]
     if X.ndim == 4:
         return band, speeds
     return band[0], speeds[0]
 
 
-def project_pair(grid: Grid, X: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """Leray projection of v and of w in a stacked (..., 4, n, w) array, in
-    one call, for the forcing and a nudging member's delta; `out` may be X
-    itself."""
-    shape = X.shape[:-3] + (2, 2) + X.shape[-2:]
-    if out is None:
-        out = np.empty_like(X)
-    leray_project_coef(grid, X.reshape(shape), out=out.reshape(shape))
-    return out
-
-
 def stack_pair(grid: Grid, first: np.ndarray, second: np.ndarray,
                name: str) -> np.ndarray:
-    """(first, second) as one new (4, n, n/2 + 1) array; each must be a
+    """(first, second) as one new (2, 2, n, n/2 + 1) array; each must be a
     finite (2, n, n/2 + 1) half spectrum.
 
     Every state, forcing, delta and eps enters a stepper through here, so a
@@ -302,38 +296,30 @@ def stack_pair(grid: Grid, first: np.ndarray, second: np.ndarray,
                              f"array of shape {np.shape(coef)}")
         if not np.isfinite(coef).all():
             raise ValueError(f"{name} must be finite, got a non-finite value")
-    return np.concatenate([first, second])
-
-
-def project_forcing(grid: Grid, pair: ForcingSpec) -> np.ndarray:
-    """P[(f, g)] of a forcing pair as a (4, n, n/2 + 1) array, without its
-    envelope; since P[m(t) (f, g)] = m(t) P[(f, g)], the stepper scales it
-    per step."""
-    X = stack_pair(grid, pair.f, pair.g, "forcing (f, g)")
-    return project_pair(grid, X, out=X)
+    return np.stack([first, second])
 
 
 @lru_cache(maxsize=None)
 def _norm_tables(n: int) -> tuple:
     """The tables of `norms` on an n x n grid: the read-only
-    (2, 4 n (n/2 + 1)) weights (w, 4 pi^2 w |k|^2) of the float64 view of a
-    vector's half spectrum, w the Parseval weights, each mode's weight once
-    for its real and once for its imaginary part, for each component; and
-    the scratch that holds the squares of the view of a state's v and w.
-    The scratch is shared by every call with this n, so `norms` must not
-    run in two threads at once."""
-    ksq = Grid(n).ksq
-    w = np.broadcast_to(np.where(np.arange(n // 2 + 1) % (n // 2) == 0, 1.0, 2.0),
-                        ksq.shape)
-    weights = np.tile(np.repeat(np.stack([w, FOUR_PI_SQ * w * ksq]), 2,
-                                axis=-1).reshape(2, -1), 2)
+    (2, 2 n (n/2 + 1)) weights (4 pi^2 w |k|^2, 16 pi^4 w |k|^4) of the
+    float64 view of a stream function's half spectrum, w the Parseval
+    weights, and the scratch that holds the squares of the view of a
+    state.  The scratch is shared by every call with this n, so `norms`
+    must not run in two threads at once."""
+    grid = Grid(n)
+    w = np.where(np.arange(grid.half_width) % (n // 2) == 0, 1.0, 2.0)
+    weights = view_weights(np.stack([FOUR_PI_SQ * w * grid.ksq,
+                                     FOUR_PI_SQ ** 2 * w * grid.ksq_sq])
+                           ).reshape(2, -1)
     weights.setflags(write=False)
     return weights, np.empty_like(weights)
 
 
 def norms(grid: Grid, X: np.ndarray):
-    """(l2_v, l2_w, h1_v, h1_w) of a stacked (4, n, n/2 + 1) half spectrum
-    X = (v, w): the squares of X's float64 view go to the scratch of
+    """(l2_v, l2_w, h1_v, h1_w) of a state X = (psi_v, psi_w), a
+    (2, n, n/2 + 1) half spectrum, as |v|^2 = 4 pi^2 |k|^2 |psi_v|^2 per
+    mode: the squares of X's float64 view go to the scratch of
     `_norm_tables`, and one matrix product with its weights gives the four
     squared norms, with no temporary of X's size."""
     weights, sq = _norm_tables(grid.n)
@@ -349,53 +335,51 @@ def norms(grid: Grid, X: np.ndarray):
 
 def _implicit_operators(grid: Grid, params: ElsasserParams, dt: float,
                         damping: tuple | None):
-    """Per-mode operators of one Crank-Nicolson step with implicit damping D,
-    on the half spectrum.
+    """Per-mode tables of one Crank-Nicolson step with implicit damping D,
+    on the float64 view of a state (`spectral.view_weights`).
 
-    L = -4 pi^2 |k|^2 (alpha I + beta S), where S swaps v and w, so
-    I + dt/2 L = p I + q S and (I - dt/2 L)^-1 = a I + b S with real
-    (n, n/2 + 1) coefficients.  I - dt/2 L = a0 I + b0 S has the determinant
-    (a0 - b0)(a0 + b0) > 0, since a0 - |b0| = 1 + dt/2 4 pi^2 |k|^2 nu_bar.
-    D is zero off the modes idx, so (I - dt/2 L + dt D)^-1 is a I + b S
-    there as well; at idx it is the real (s, 4, 4) block inverse `inv`.
+    L = -4 pi^2 |k|^2 (alpha I + beta S), where S swaps psi_v and psi_w,
+    so I + dt/2 L = p I + q S.  D is [[dv, ds], [ds, dw]] at each mode, so
+    I - dt/2 L + dt D = [[A, B], [B, C]], whose inverse is
+    [[C, -B], [-B, A]] / det.  The determinant AC - B^2 > 0, as
+    I - dt/2 L is positive definite and D positive semidefinite, is formed
+    as (A - B)(C + B) + B (C - A), so that the damping terms, as large as
+    mu dt, never cancel: dv - ds and dw + ds are non-negative for every
+    mask, and C - A is nonzero only for v-only, where B holds beta alone.
 
-    Returns ((p, q), (a, b), (idx, inv)).
+    Returns ((p, q), (diag, off)): the inverse is diag (2, n, n + 2), its
+    rows for psi_v and psi_w, on the diagonal and off (n, n + 2) off it.
     """
     half = 0.5 * dt * FOUR_PI_SQ * grid.ksq
     ha, hb = half * params.alpha, half * params.beta
-    a0, b0 = 1.0 + ha, hb
-    det = (a0 - b0) * (a0 + b0)
-    if damping is None:
-        idx, blocks = np.zeros(0, dtype=np.intp), np.zeros((0, 4, 4))
-    else:
-        idx, blocks = damping
-    eye = np.eye(4)
-    swap = eye[[2, 3, 0, 1]]  # S on (v1, v2, w1, w2)
-    A = (a0.ravel()[idx, None, None] * eye + b0.ravel()[idx, None, None] * swap
-         + dt * blocks)
-    return (1.0 - ha, -hb), (a0 / det, -b0 / det), (idx, np.linalg.inv(A))
+    dv, dw, ds = (0.0, 0.0, 0.0) if damping is None else (dt * d for d in damping)
+    A, C, B = 1.0 + ha + dv, 1.0 + ha + dw, hb + ds
+    det = (1.0 + ha - hb + dv - ds) * (1.0 + ha + hb + dw + ds) + B * (dw - dv)
+    return ((view_weights(1.0 - ha), view_weights(-hb)),
+            (view_weights(np.stack([C, A]) / det), view_weights(-B / det)))
 
 
 class MhdStepper:
     """Owns one evolving (v, w) state and advances it with the IMEX scheme.
 
-    The state `X` is the (4, n, n/2 + 1) half spectrum of (v1, v2, w1, w2)
-    (see `spectral`); read it through `norms`, which applies the Parseval
-    weights.  Forcing and initial states are (2, n, n/2 + 1) half spectra,
+    The state `X` is the (2, n, n/2 + 1) half spectrum of the stream
+    functions (psi_v, psi_w) (see `spectral`); read it through `norms`,
+    which applies the Parseval weights, or as vectors through `fields`.
+    Forcing and initial states are (2, n, n/2 + 1) half spectra of vectors,
     and arrays of any other shape are refused.  `state`, when given, is the
     zeroed array the stepper evolves in place as X, such as one slot of a
     `CoupledStepper`'s stack of states; `work` is the AdvectionWork of its
     advection, shared by every stepper of that stack.  A stepper given
-    neither owns both, for one system.  An advance allocates no state-sized
-    array: besides `work` it uses two buffers that swap roles as the
-    Adams-Bashforth history and a right-hand side.
+    neither owns both, for one system.  An advance allocates no array
+    data: besides `work` it uses two buffers that swap roles as the
+    Adams-Bashforth history and a right-hand side, and per-mode tables on
+    their float64 views.
 
     `damping` is an optional linear operator added implicitly to the
-    left-hand side (used for the nudging self-damping term).  It is given
-    as (flat indices idx into the (n, n/2 + 1) half-spectrum modes, real
-    (s, 4, 4) blocks acting on (v1, v2, w1, w2) at those modes) and is zero
-    at every other mode; the matching data term is supplied per step via
-    `extra_plain`.
+    left-hand side (used for the nudging self-damping term), given as three
+    real (n, n/2 + 1) tables (dv, dw, ds): the symmetric 2x2 matrix
+    [[dv, ds], [ds, dw]] on each mode's (psi_v, psi_w).  The matching data
+    term is supplied per step via `extra_plain`.
     """
 
     def __init__(self, grid: Grid, params: ElsasserParams, forcing: ForcingSpec,
@@ -407,21 +391,19 @@ class MhdStepper:
         self.grid = grid
         self.params = params
         self.dt = dt
-        self._half_step, self._inverse, self._blocks = _implicit_operators(
+        self._half_step, self._inverse = _implicit_operators(
             grid, params, dt, damping)
-        # the rhs at the damped modes and their solution, each (4, s)
-        damped = (4, self._blocks[0].size)
-        self._damped = (np.empty(damped, dtype=np.complex128),
-                        np.empty(damped, dtype=np.complex128))
         n, h = grid.n, grid.half_width
-        self.X = np.zeros((4, n, h), dtype=np.complex128) if state is None \
+        self.X = np.zeros((2, n, h), dtype=np.complex128) if state is None \
             else state
         self._work = AdvectionWork(grid, 1) if work is None else work
         # (this step's E, the previous step's E) and the right-hand side
         self._E = (np.empty_like(self.X), np.empty_like(self.X))
         self._rhs = np.empty_like(self.X)
         self._forcing = forcing
-        self._projected_forcing = project_forcing(grid, forcing)
+        # P[m(t) (f, g)] = m(t) P[(f, g)], so the stepper scales it per step
+        self._forcing_stream = stream_function(
+            grid, stack_pair(grid, forcing.f, forcing.g, "forcing (f, g)"))
         self._forcing_sq = l2_norm(forcing.f) ** 2 + l2_norm(forcing.g) ** 2
         self.restart()
 
@@ -432,15 +414,22 @@ class MhdStepper:
 
         Every state enters a stepper through here, so this is the one check
         that it is divergence-free, to a relative tolerance of 1e-10: the
-        curl-form advection and the convergence results assume it.  A
-        refused state leaves X as it was."""
-        X = stack_pair(self.grid, vcoef, wcoef, "the state (v, w)")
-        for name, coef in (("v", X[:2]), ("w", X[2:])):
+        stream functions keep only the divergence-free part, and would drop
+        the rest silently.  A refused state leaves X as it was; an accepted
+        one is stored whole, its zero mode aside, so `fields` gives it
+        back."""
+        pair = stack_pair(self.grid, vcoef, wcoef, "the state (v, w)")
+        for name, coef in zip("vw", pair):
             if divergence_defect(self.grid, coef) > 1e-10 * max(l2_norm(coef), 1e-300):
                 raise ValueError(f"the state (v, w): {name} is not divergence-free")
-        self.X[...] = X
-        self.X[:, 0, 0] = 0.0
+        self.X[...] = stream_function(self.grid, pair, nyquist=True)
         self.restart(t)
+
+    def fields(self):
+        """(v, w) of the current state, as two new (2, n, n/2 + 1) half
+        spectra."""
+        v, w = velocity(self.grid, self.X)
+        return v, w
 
     def restart(self, t: float = 0.0):
         """Set the clock to t and drop the Adams-Bashforth history, so the
@@ -475,34 +464,20 @@ class MhdStepper:
         adv, speed = advection(self.grid, self.X, self._work) \
             if advected is None else advected
         m = self.forcing.modulation.value(self.t)
-        np.multiply(m, self._projected_forcing, out=E)
+        np.multiply(m, self._forcing_stream, out=E)
         E -= adv
         return speed
 
     def _implicit_solve(self, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """(I - dt/2 L + dt*damping)^-1 rhs for a stacked (4, n, n/2 + 1) rhs,
-        written to the C-contiguous `out`, which must not overlap rhs; rhs
-        is overwritten.  At the damped modes the real (s, 4, 4) blocks act
-        on the real and imaginary parts of the gathered rhs as one batched
-        matrix product."""
-        idx, inv = self._blocks
-        gathered, solved = self._damped
-        if idx.size:  # without damping there is no block to solve
-            # mode "clip" (idx is in range): take buffers `out` in "raise"
-            np.take(rhs.reshape(4, -1), idx, axis=1, out=gathered, mode="clip")
-            # (s, 4, 2) views: per mode, the 4 components' real and imag parts
-            np.matmul(inv, gathered.view(np.float64).reshape(4, -1, 2)
-                      .transpose(1, 0, 2),
-                      out=solved.view(np.float64).reshape(4, -1, 2)
-                      .transpose(1, 0, 2))
-        a, b = self._inverse
-        np.multiply(a, rhs, out=out)
-        rhs[2:] *= b
-        out[:2] += rhs[2:]
-        rhs[:2] *= b
-        out[2:] += rhs[:2]
-        if idx.size:
-            out.reshape(4, -1)[:, idx] = solved
+        """(I - dt/2 L + dt*damping)^-1 rhs for a (2, n, n/2 + 1) rhs, written
+        to `out`, which must not overlap rhs; rhs is overwritten.  Three
+        passes over the float64 views, each mode's 2x2 inverse in closed
+        form."""
+        diag, off = self._inverse
+        r, o = rhs.view(np.float64), out.view(np.float64)
+        np.multiply(diag, r, out=o)
+        r *= off
+        o += r[::-1]
         return out
 
     def max_admissible_dt(self, speed: float) -> float:
@@ -518,8 +493,8 @@ class MhdStepper:
         extra_ab joins the Adams-Bashforth-extrapolated explicit terms at
         the current time level; extra_plain is added to the right-hand side
         as-is (used for the implicitly balanced nudging data term).  Both
-        are (4, n, n/2 + 1) half arrays.  `advected` is the (band, speed)
-        that `advection` returned for the current state, as
+        are (2, n, n/2 + 1) stream functions, as X.  `advected` is the
+        (band, speed) that `advection` returned for the current state, as
         `CoupledStepper.step` computes it for all its systems in one call;
         without it the step makes that call on X alone.
 
@@ -549,9 +524,9 @@ class MhdStepper:
         self._E = (spare, E)
         p, q = self._half_step
         X = self.X
-        rhs += np.multiply(p, X, out=spare)
-        rhs[:2] += np.multiply(q, X[2:], out=spare[:2])
-        rhs[2:] += np.multiply(q, X[:2], out=spare[2:])
+        x, r, t = (a.view(np.float64) for a in (X, rhs, spare))
+        r += np.multiply(p, x, out=t)
+        r += np.multiply(q, x[::-1], out=t)
         if extra_plain is not None:
             rhs += np.multiply(self.dt, extra_plain, out=spare)
         self._implicit_solve(rhs, out=X)

@@ -61,7 +61,13 @@ from .nudging import (
     check_explicit_gain,
     run_assimilation,
 )
-from .spectral import Grid, forward_transform, l2_norm, random_divfree_field
+from .spectral import (
+    Grid,
+    forward_transform,
+    l2_norm,
+    random_divfree_field,
+    velocity,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -591,7 +597,9 @@ def _scenario_determining(cfg: ExperimentConfig, outdir):
 
     def record():
         diff = sol1.X - sol2.X
-        l2_ih = norms(grid, apply_interpolant_coef(chi_spec, grid, diff))[:2]
+        # I_h acts on the vectors; its result need not be divergence-free
+        l2_ih = [l2_norm(x) for x in apply_interpolant_coef(
+            chi_spec, grid, velocity(grid, diff))]
         l2_diff = norms(grid, diff)[:2]
         rows.append((sol1.t, *l2_ih, *l2_diff,
                      math.hypot(*norms(grid, sol1.X - aux.X)[:2]),

@@ -50,7 +50,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dynamics import from_elsasser
-from .spectral import TWO_PI, Grid, random_scalar_field
+from .spectral import TWO_PI, Grid, random_scalar_field, view_weights
 
 SPECTRAL = "spectral"
 VOLUME = "volume"
@@ -179,37 +179,42 @@ def apply_interpolant_coef(spec: InterpolantSpec, grid: Grid,
 
 
 def _observed(mask: str, X: np.ndarray, buf: np.ndarray):
-    """(Y, sign): the fields that `mask` observes in a stacked (4, n, w)
-    X = (v, w), as a (J, L, n, w) array of J vectors with their first L
-    components, and for J = 1 the factor that gives w's feedback from v's.
+    """(Y, sign): the fields that `mask` observes in a stacked (2 c, n, w)
+    X = (v, w) of two c-component fields, velocities (c = 2) or stream
+    functions (c = 1), as a (J, L, n, w) array of J fields with their first
+    L components, and for J = 1 the factor that gives w's feedback from v's.
 
-    `all` observes v and w, `first` the first components of both (L = 1),
-    `v-only` v, and `b-only`/`u-only` the b or u of `from_elsasser`, which
-    are written to buf[2:], where w's feedback goes last; buf may be X
-    itself.  Y is a view of X or of buf.
+    `all` observes v and w, `first` the first components of both (L = 1; a
+    stream function stands for its whole field), `v-only` v, and
+    `b-only`/`u-only` the b or u of `from_elsasser`, which are written to
+    buf's second half, where w's feedback goes last; buf may be X itself.
+    Y is a view of X or of buf.
     """
+    pair = X.reshape((2, -1) + X.shape[1:])
     if mask == MASK_ALL:
-        return X.reshape((2, 2) + X.shape[1:]), None
+        return pair, None
     if mask == MASK_FIRST:
-        return X[::2, None], None
+        return pair[:, :1], None
     if mask == MASK_V_ONLY:
-        return X[None, :2], 0.0
+        return pair[:1], 0.0
     if mask in (MASK_B_ONLY, MASK_U_ONLY):
-        u, b = from_elsasser(X[:2], X[2:])
-        buf[2:] = b if mask == MASK_B_ONLY else u
-        return buf[None, 2:], -1.0 if mask == MASK_B_ONLY else 1.0
+        u, b = from_elsasser(pair[0], pair[1])
+        observed = buf.reshape(pair.shape)[1:]
+        observed[0] = b if mask == MASK_B_ONLY else u
+        return observed, -1.0 if mask == MASK_B_ONLY else 1.0
     raise ValueError(f"unknown observation mask {mask!r}")
 
 
 def _fill_masked(out: np.ndarray, J: int, sign):
-    """With one observed vector (J = 1), w's feedback is sign times v's."""
+    """With one observed field (J = 1), w's feedback is sign times v's."""
     if J == 1:
-        np.multiply(out[:2], sign, out=out[2:])
+        half = len(out) // 2
+        np.multiply(out[:half], sign, out=out[half:])
 
 
 def apply_masked(spec: InterpolantSpec, mask: str, grid: Grid, X: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
-    """Observation-masked I_h of a stacked (4, n, n/2 + 1) state difference
+    """Observation-masked I_h of a stacked (4, n, n/2 + 1) vector difference
     X = (v - v~, w - w~), as one (4, n, n/2 + 1) array written to `out`
     when it is given, which may be X itself.  The Leray projection and the
     gain mu are not applied.
@@ -227,27 +232,33 @@ def apply_masked(spec: InterpolantSpec, mask: str, grid: Grid, X: np.ndarray,
 
 @lru_cache(maxsize=None)
 def _feedback_weights(kind: str, n: int, resolution: int):
-    """(m, pre, W) of `projected_masked`: `_weights`' m and pre, and the
-    read-only per-mode table W of P post, the Leray projection after I_h's
-    post, on the float64 view of the half spectrum.
+    """(m, pre, W) of `projected_masked`, read-only.
 
-    P post maps (a1, a2) to (A a1 + C a2, C a1 + B a2), with
-    A = post k2^2/|k|^2, B = post k1^2/|k|^2 and C = -post k1 k2/|k|^2, all
-    zero at k = 0 and on the Nyquist row and column, which P drops.  W
-    holds ((A, C), (C, B)) times the real part of post, then the imaginary
-    part when post is complex (volume), as a real (2, 2, q, n, n + 2) array
-    with each mode's weight twice, once for its real and once for its
-    imaginary part.
+    With e = (-k2, k1), the velocity of a stream function psi is
+    2 pi i e psi, and the stream function of P[a] is
+    e.a / (2 pi i |k|^2), zero at k = 0 and on the Nyquist row and column,
+    which P drops.  So I_h's pre on velocity component l is pre e_l 2 pi i,
+    and P after I_h's post is post e_l / (2 pi i |k|^2); both leave out the
+    real factors 2 pi, which cancel, but not i: the fold conjugates the
+    mirrored modes, so it is linear over the reals only.  For s > 1 pre
+    (2, n, n/2 + 1) is i pre e and W (2, n, n/2 + 1) is -i post e/|k|^2,
+    both complex.  For s = 1 the two are one per-mode gain, and
+    W (2, n, n + 2) holds it for the first components, post k2^2/|k|^2,
+    and for both, post, on the float64 view of the half spectrum
+    (`spectral.view_weights`); pre is None.
     """
     m, pre, post = _weights(kind, n, resolution)
     grid = Grid(n)
-    k1, k2 = grid.k1, grid.k2
     inv = grid.inv_ksq.copy()
     inv[n // 2] = 0.0
     inv[:, n // 2] = 0.0
-    P = np.array([[k2 * k2, -k1 * k2], [-k1 * k2, k1 * k1]]) * inv
-    parts = [post.real] + ([post.imag] if np.any(np.imag(post)) else [])
-    W = np.repeat(np.stack([P * part for part in parts], axis=2), 2, axis=-1)
+    e = np.stack([-grid.k2, grid.k1])
+    if m == n:
+        pre, W = None, view_weights(np.stack([grid.k2 ** 2 * inv, inv > 0]) * post)
+    else:
+        pre = 1j * e if pre is None else 1j * e * pre
+        W = -1j * e * inv * post
+        pre.setflags(write=False)
     W.setflags(write=False)
     return m, pre, W
 
@@ -255,17 +266,18 @@ def _feedback_weights(kind: str, n: int, resolution: int):
 def projected_masked(spec: InterpolantSpec, mask: str, grid: Grid,
                      X: np.ndarray, mu: float,
                      out: np.ndarray | None = None) -> np.ndarray:
-    """mu P[masked I_h X], the Leray projection of `apply_masked` times mu,
-    of a stacked (4, n, n/2 + 1) X, written to `out` when it is given, which
-    may be X itself.
+    """mu P[masked I_h velocity(X)], the Leray projection of `apply_masked`
+    times mu, as the stream functions of its two fields, for a
+    (2, n, n/2 + 1) pair X of stream functions; written to `out` when it is
+    given, which may be X itself.
 
-    P post is one per-mode table (`_feedback_weights`), so the result is
-    mu W tile(fold(pre Y)) of the fields Y the mask observes: the fold
-    reads only those components, mu scales the m x m lattice (or the
-    field, s = 1), and W gives both components of each observed vector.
-    No temporary is larger than the m x n lattice of the fold, apart from
-    the u and b of `from_elsasser` (b-only, u-only) and numpy's copy of X
-    when out overlaps it with s = 1.
+    The mask observes the stream functions Y of `_observed`, and I_h the
+    first L velocity components of each, L = 1 for `first` and 2 else.
+    With the tables of `_feedback_weights` the result is
+    mu sum_l W_l tile(fold(pre_l Y)), mu scaling the m x m lattice, or for
+    s = 1 mu times a per-mode gain.  No temporary is larger than the pre
+    products of the fold, apart from the u or b of `from_elsasser`
+    (b-only, u-only).
     """
     _check_grid(spec, grid)
     m, pre, W = _feedback_weights(spec.kind, grid.n, spec.resolution)
@@ -274,23 +286,17 @@ def projected_masked(spec: InterpolantSpec, mask: str, grid: Grid,
     if out is None:
         out = np.empty(X.shape, dtype=np.complex128)
     Y, sign = _observed(mask, X, out)
-    J, L = Y.shape[:2]
-    if s == 1:  # per-mode I_h: post is real, and mu scales the result
-        lattice = Y
-    else:
-        x = Y if pre is None else np.multiply(
-            Y, pre, out=out.reshape((2, 2) + X.shape[1:])[:J, :L])
-        lattice = _fold(x, n, m)
-        lattice *= mu
-        lattice = lattice.take(np.arange(h) % m, axis=-1)
-    # post = Re post + i Im post when it is complex
-    lattice = np.stack([lattice, 1j * lattice], axis=2) if W.shape[2] == 2 \
-        else lattice[:, :, None]
-    np.einsum("ilqsab,jlqab->jisab", W[:, :L].reshape(2, L, -1, s, m, 2 * h),
-              lattice.view(np.float64),
-              out=out[:2 * J].view(np.float64).reshape(J, 2, s, m, 2 * h))
+    J, L = len(Y), 1 if mask == MASK_FIRST else 2
     if s == 1:
-        out[:2 * J] *= mu
+        o = out[:J].view(np.float64)
+        np.multiply(W[L - 1], Y[:, 0].view(np.float64), out=o)
+        o *= mu
+    else:
+        lattice = _fold(pre[:L] * Y, n, m)
+        lattice *= mu
+        np.einsum("lsab,jlab->jsab", W[:L].reshape(L, s, m, h),
+                  lattice.take(np.arange(h) % m, axis=-1),
+                  out=out[:J].reshape(J, s, m, h))
     _fill_masked(out, J, sign)
     return out
 

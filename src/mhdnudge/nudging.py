@@ -3,17 +3,19 @@
 The assimilating system is the reference system plus the feedback term
 mu * P[I_h(observed - model)] applied through an observation mask.  For
 spectral-projection interpolants the self-damping half of the feedback is
-folded into the implicit solve as dense 4x4 blocks on the observed modes,
-the only modes where it acts (the theorem-scale gains would otherwise
-force dt ~ 1/mu); for the other interpolant kinds the feedback is
-explicit, with the stability restriction mu*dt <= 1
-(`check_explicit_gain`).  Like the steppers' states, the feedback and its
-inputs are stacked (4, n, n/2 + 1) half spectra.  The feedback makes no
-Leray pass: P and I_h's post are one per-mode table, cached per
-interpolant and grid, applied to the m x m lattice of the observed
-components (`interpolants.projected_masked`).  Nudging is one-way, so
-any number of assimilating systems (members), each with its own gain,
-interpolant and mask, can share one reference.
+folded into the implicit solve as a symmetric 2x2 matrix per mode (the
+theorem-scale gains would otherwise force dt ~ 1/mu); for the other
+interpolant kinds the feedback is explicit, with the stability
+restriction mu*dt <= 1 (`check_explicit_gain`).  Like the steppers'
+states, the feedback and its inputs are (2, n, n/2 + 1) stream functions
+(psi_v, psi_w).  The feedback makes no Leray pass: I_h's pre on the
+velocity and P after its post are cached per-mode tables, applied to the
+m x m lattice of the observed velocity components
+(`interpolants.projected_masked`).  A delta becomes a stream function once,
+and an observation error eps, which need not be divergence-free, its
+feedback term once.  Nudging is one-way, so any number of assimilating
+systems (members), each with its own gain, interpolant and mask, can share
+one reference.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .dynamics import (
     Trajectory,
     advection,
     norms,
-    project_pair,
     spin_up,
     stack_pair,
     trajectory_row,
@@ -44,10 +45,10 @@ from .interpolants import (
     MASK_ALL,
     SPECTRAL,
     InterpolantSpec,
-    apply_interpolant_coef,
+    apply_masked,
     projected_masked,
 )
-from .spectral import Grid
+from .spectral import Grid, stream_function
 
 
 @dataclass
@@ -86,47 +87,40 @@ def check_explicit_gain(kind: str, mu: float, dt: float, gain: str = "mu"):
 
 def nudging_term(config: NudgingConfig, grid: Grid, X: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
-    """mu * P[I_h masked(X)] as a (4, n, n/2 + 1) array, written to `out`
-    when it is given, which may be X itself.
+    """mu * P[I_h masked(X)] as a (2, n, n/2 + 1) stream function pair,
+    written to `out` when it is given, which may be X itself.
 
-    Linear in the stacked (4, n, n/2 + 1) half spectrum X = (eta, zeta),
-    which is observed minus model for the explicit feedback and the
-    observation alone for the implicit data term.  P and I_h's post are
-    one cached per-mode table, so this makes no Leray pass and no post pass
-    (`interpolants.projected_masked`).
+    Linear in the (2, n, n/2 + 1) stream functions X = (eta, zeta) of the
+    velocities it observes, which are observed minus model for the explicit
+    feedback and the observation alone for the implicit data term.  The
+    cached per-mode tables of `interpolants.projected_masked` make it with
+    no Leray pass and no post pass.
     """
     return projected_masked(config.interpolant, config.mask, grid, X,
                             config.mu, out)
 
 
-def _observation_blocks(grid: Grid, config: NudgingConfig):
-    """nudging_term for the spectral projection interpolant as (idx, blocks):
-    the flat indices of the observed half-spectrum modes and the real
-    (s, 4, 4) matrix of nudging_term at each of them.
+def _damping(grid: Grid, config: NudgingConfig):
+    """nudging_term for the spectral projection interpolant as the tables
+    (dv, dw, ds) of `MhdStepper`'s damping.
 
-    That interpolant, every mask and P act mode by mode, so column j of a
-    mode's matrix is nudging_term applied to the constant unit field e_j.
-    Every mask observes through I_h, so nudging_term is zero wherever I_h
-    drops the mode.
+    That interpolant, every mask and P act mode by mode, on each mode's
+    (psi_v, psi_w) as a symmetric 2x2 matrix, so its columns are
+    nudging_term applied to the constant unit planes.
     """
     if config.interpolant.kind != SPECTRAL:
         raise ValueError("implicit feedback requires the spectral interpolant")
-    shape = (grid.n, grid.half_width)
-    observed = apply_interpolant_coef(config.interpolant, grid, np.ones(shape))
-    idx = np.flatnonzero(observed)
-    blocks = np.empty((idx.size, 4, 4))
-    for j in range(4):
-        e = np.zeros((4,) + shape, dtype=np.complex128)
-        e[j] = 1.0
-        col = nudging_term(config, grid, e).reshape(4, -1)
-        blocks[:, :, j] = col[:, idx].real.T
-    return idx, blocks
+    unit = np.zeros((2, grid.n, grid.half_width), dtype=np.complex128)
+    unit[0] = 1.0
+    dv, ds = nudging_term(config, grid, unit).real
+    dw = nudging_term(config, grid, unit[::-1]).real[1]
+    return dv, dw, ds
 
 
 class _Member:
     """One assimilated system: its stepper and what its feedback needs.
 
-    A member with gain 0 observes nothing.  It has no damping blocks and no
+    A member with gain 0 observes nothing.  It has no damping and no
     feedback buffer, and it takes the free step with its `delta` alone, so
     without a delta it is bitwise the free MhdStepper.
     """
@@ -138,35 +132,43 @@ class _Member:
         self.observes = config.mu > 0
         self.implicit = self.observes and config.interpolant.kind == SPECTRAL
         check_explicit_gain(config.interpolant.kind, config.mu, dt)
-        damping = _observation_blocks(grid, config) if self.implicit else None
+        damping = _damping(grid, config) if self.implicit else None
         self.stepper = MhdStepper(grid, params, forcing, dt, damping=damping,
                                   state=state, work=work)
         delta, eps = config.delta, config.eps
         # P[m(t) delta] = m(t) P[delta], as for the forcing
-        self.projected_delta = None if delta is None else project_pair(
+        self.delta_stream = None if delta is None else stream_function(
             grid, stack_pair(grid, delta.f, delta.g, "delta (f, g)"))
-        self.eps = None if eps is None else stack_pair(grid, eps.f, eps.g,
-                                                       "eps (f, g)")
+        self.eps_term = None
+        if eps is not None:
+            # nudging_term is linear, so the feedback of m(t) eps is m(t)
+            # times that of eps; eps need not be divergence-free, so its I_h
+            # acts on the vectors
+            pair = stack_pair(grid, eps.f, eps.g, "eps (f, g)")
+            observed = apply_masked(config.interpolant, config.mask, grid,
+                                    pair.reshape(4, grid.n, -1))
+            self.eps_term = config.mu * stream_function(
+                grid, observed.reshape(pair.shape))
         self.feedback = np.empty_like(self.stepper.X) if self.observes else None
-        # what observed and delta return, each written over the last
-        self._observed = None if eps is None else np.empty_like(self.eps)
-        self._delta = None if delta is None else np.empty_like(
-            self.projected_delta)
+        # what observe and delta scale, each written over the last
+        self._eps = None if eps is None else np.empty_like(self.eps_term)
+        self._delta = None if delta is None else np.empty_like(self.delta_stream)
 
-    def observed(self, ref: MhdStepper) -> np.ndarray:
-        """The observed reference state: its X plus the observation error."""
-        if self.eps is None:
-            return ref.X
-        np.multiply(self.config.eps.modulation.value(ref.t), self.eps,
-                    out=self._observed)
-        return np.add(ref.X, self._observed, out=self._observed)
+    def observe(self, grid: Grid, ref: MhdStepper, X: np.ndarray) -> np.ndarray:
+        """The feedback of the observation X plus the observation error at
+        the reference's time, written to `feedback`; X may be `feedback`."""
+        nudging_term(self.config, grid, X, out=self.feedback)
+        if self.eps_term is not None:
+            self.feedback += np.multiply(self.config.eps.modulation.value(ref.t),
+                                         self.eps_term, out=self._eps)
+        return self.feedback
 
     def delta(self) -> np.ndarray | None:
         """P[delta] at the member's time, or None without a delta."""
-        if self.projected_delta is None:
+        if self.delta_stream is None:
             return None
         return np.multiply(self.config.delta.modulation.value(self.stepper.t),
-                           self.projected_delta, out=self._delta)
+                           self.delta_stream, out=self._delta)
 
 
 class CoupledStepper:
@@ -181,7 +183,7 @@ class CoupledStepper:
     free step.  `members` lists the assimilated steppers in config order.
 
     The states of the reference and the members are the slots of one
-    (1 + K, 4, n, n/2 + 1) stack, the reference first, and every stepper's
+    (1 + K, 2, n, n/2 + 1) stack, the reference first, and every stepper's
     X is a view of its slot; one AdvectionWork serves them all.
     """
 
@@ -192,7 +194,7 @@ class CoupledStepper:
         self.grid = grid
         self.configs = list(configs)
         size = 1 + len(self.configs)
-        self._states = np.zeros((size, 4, grid.n, grid.half_width),
+        self._states = np.zeros((size, 2, grid.n, grid.half_width),
                                 dtype=np.complex128)
         self._work = AdvectionWork(grid, size)
         self.reference = MhdStepper(grid, params, forcing, dt,
@@ -230,9 +232,9 @@ class CoupledStepper:
         active = [(k, self._members[k]) for k in self.active()]
         for k, m in active:
             if m.observes and not m.implicit:
-                np.subtract(m.observed(ref), m.stepper.X, out=m.feedback)
-                nudging_term(m.config, grid, m.feedback, out=m.feedback)
-                if m.projected_delta is not None:
+                m.observe(grid, ref, np.subtract(ref.X, m.stepper.X,
+                                                 out=m.feedback))
+                if m.delta_stream is not None:
                     m.feedback += m.delta()
         # a view of the whole stack, or a copy of the active slots once a
         # member is retired
@@ -249,9 +251,9 @@ class CoupledStepper:
         for (k, m), advected in zip(active, zip(bands[1:], speeds[1:])):
             try:
                 if m.implicit:
-                    m.stepper.advance(extra_ab=m.delta(), extra_plain=nudging_term(
-                        m.config, grid, m.observed(ref), out=m.feedback),
-                        advected=advected)
+                    m.stepper.advance(extra_ab=m.delta(),
+                                      extra_plain=m.observe(grid, ref, ref.X),
+                                      advected=advected)
                 elif m.observes:
                     m.stepper.advance(extra_ab=m.feedback, advected=advected)
                 else:
@@ -308,7 +310,7 @@ def run_assimilation(grid: Grid, params, forcing: ForcingSpec,
     spun = spin_up(ref, tol=spinup_tol, max_time=spinup_max_time)
     if init_mode == "copy":
         for assim in coupled.members:
-            assim.set_state(ref.X[:2], ref.X[2:])
+            assim.set_state(*ref.fields())
 
     n_steps = int(round(horizon / dt))
     members = coupled.members

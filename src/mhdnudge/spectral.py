@@ -15,11 +15,14 @@ governing equations assume zero space average).
 
 Each mode of columns 1..n/2 - 1 stands for itself and its conjugate mirror
 -k, so Parseval weights |c_k|^2 by 2 there and by 1 on column 0 and on the
-Nyquist column n/2: ||u||_L2^2 = sum w_k |c_k|^2 (`parseval_sq`).  The
-per-mode operators (`leray_project_coef`, `dealias_coef`) act on the first
-columns of whatever width they are given.  Advection does not use them:
-the weights of `Grid.curl_weights` dealias its input and project and
-dealias its band k2 = 0..cutoff.
+Nyquist column n/2: ||u||_L2^2 = sum w_k |c_k|^2 (`parseval_sq`).
+
+A divergence-free vector field is the curl 2*pi*i*(-k2, k1)*psi of a
+stream function psi (`velocity`); `stream_function` gives the psi of a
+field's Leray projection.  The steppers evolve stream functions, so the
+per-mode operators on vectors (`leray_project_coef`, `dealias_coef`) serve
+only the random fields and the tests, and the advection dealiases and
+projects through the tables of `Grid.curl_weights`.
 """
 
 from __future__ import annotations
@@ -88,33 +91,66 @@ class Grid:
 
     @cached_property
     def curl_weights(self) -> tuple:
-        """(D, W, R), the read-only operators of the curl-form advection, all
-        complex128, so that no product with a complex band casts.  D is the
-        dealias mask over the whole (n, n/2 + 1) half spectrum.  On the band
-        k2 = 0..cutoff, W (3, n, cutoff + 1) is
-        (k1^2, k2^2, k1 k2) 2 pi / (n^2 |k|^2), zero at k = 0 and past the
-        dealias cutoff, and R (2, n, cutoff + 1) is i (-k2, k1).
+        """(V, W), the read-only tables of the curl-form advection on the
+        band k2 = 0..cutoff, zero past the dealias cutoff.  V (2, n,
+        cutoff + 1), complex, is 2 pi i (-k2, k1): it gives the dealiased
+        velocity of a stream function.  W (3, n, 2 (cutoff + 1)) is
+        (k1^2, k2^2, k1 k2) / (n^2 |k|^2), zero at k = 0, on the float64
+        view of the band (`view_weights`).
         """
         c = self.cutoff + 1
         k1, k2 = self.k1[:, :c], self.k2[:, :c]
-        scale = TWO_PI / self.n ** 2 * self.inv_ksq[:, :c] \
-            * self.dealias_mask[:, :c]
-        D = self.dealias_mask.astype(np.complex128)
-        W = (np.stack([k1 * k1, k2 * k2, k1 * k2]) * scale).astype(np.complex128)
-        R = np.stack([-1j * k2, 1j * k1])
-        for table in (D, W, R):
+        keep = self.dealias_mask[:, :c]
+        V = np.stack([-k2, k1]) * (TWO_PI * 1j * keep)
+        W = view_weights(np.stack([k1 * k1, k2 * k2, k1 * k2])
+                         * (self.inv_ksq[:, :c] * keep / self.n ** 2))
+        for table in (V, W):
             table.setflags(write=False)
-        return D, W, R
+        return V, W
 
     def points(self):
         x = np.arange(self.n) / self.n
         return np.meshgrid(x, x, indexing="ij")
 
 
+def view_weights(table: np.ndarray) -> np.ndarray:
+    """A real (..., n, w) per-mode table for the float64 view of a complex
+    half spectrum: each mode's weight once for its real and once for its
+    imaginary part, so that its product with the view neither casts nor
+    allocates."""
+    return np.repeat(table, 2, axis=-1)
+
+
 def divergence_defect(grid: Grid, coef: np.ndarray) -> float:
     """max_k |k . c_k|, which is 0 for exactly divergence-free fields."""
     d = grid.k1 * coef[0] + grid.k2 * coef[1]
     return float(np.max(np.abs(d)))
+
+
+def velocity(grid: Grid, psi: np.ndarray) -> np.ndarray:
+    """The divergence-free field 2 pi i (-k2, k1) psi of (..., n, n/2 + 1)
+    stream functions psi, as a new (..., 2, n, n/2 + 1) array."""
+    return np.stack([-grid.k2 * psi, grid.k1 * psi], axis=-3) * (TWO_PI * 1j)
+
+
+def stream_function(grid: Grid, coef: np.ndarray,
+                    nyquist: bool = False) -> np.ndarray:
+    """The stream function psi of P[c] = 2 pi i (-k2, k1) psi, the Leray
+    projection of a (..., 2, n, n/2 + 1) half spectrum c, as a new
+    (..., n, n/2 + 1) array: (k1 c2 - k2 c1) / (2 pi i |k|^2), zero at
+    k = 0.
+
+    Like `leray_project_coef`, it is zero on the Nyquist row and column,
+    unless `nyquist`: then `velocity` of it is c at every mode of a
+    divergence-free c, and a state round-trips whole.
+    """
+    psi = grid.k1 * coef[..., 1, :, :]
+    psi -= grid.k2 * coef[..., 0, :, :]
+    psi *= grid.inv_ksq / (TWO_PI * 1j)
+    if not nyquist:
+        psi[..., grid.n // 2, :] = 0.0
+        psi[..., grid.n // 2] = 0.0
+    return psi
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +179,8 @@ def leray_project_coef(grid: Grid, coef: np.ndarray,
     """c -> c - k (k.c)/|k|^2 on raw (..., 2, n, w) coefficients, the
     first w columns of the half spectrum: the component axis is third from
     last, so a stacked (v, w) pair is projected by one call on its
-    (2, 2, n, w) view.  `out` may be coef itself.  It serves the forcing,
-    delta and random fields; advection projects by its curl form, and the
-    nudging feedback through the cached tables of
-    `interpolants.projected_masked`.
+    (2, 2, n, w) view.  `out` may be coef itself.  It serves the random
+    fields; the steppers project with `stream_function`.
 
     The Nyquist row k1 = n/2, and the Nyquist column k2 = n/2 when it is
     among the w, are set to zero: each such mode stands for both signs of

@@ -9,8 +9,16 @@ from mhdnudge.dynamics import (
     norms,
     trajectory_row,
 )
-from mhdnudge.interpolants import SPECTRAL, VOLUME
-from mhdnudge.spectral import Grid, l2_norm, parseval_sq, random_divfree_field
+from mhdnudge.interpolants import SPECTRAL, VOLUME, apply_masked
+from mhdnudge.spectral import (
+    Grid,
+    l2_norm,
+    leray_project_coef,
+    parseval_sq,
+    random_divfree_field,
+    stream_function,
+    velocity,
+)
 
 
 @pytest.fixture(scope="session")
@@ -36,16 +44,32 @@ def forcing32(grid32):
 
 
 def diffusion(grid, params, X):
-    """L X = -4 pi^2 |k|^2 (alpha X + beta S X) of a stacked (4, n, w) X,
-    the first w columns of the spectrum, S swapping v and w."""
+    """L X = -4 pi^2 |k|^2 (alpha X + beta S X) of a stacked (v, w) X,
+    vectors (4, n, w) or stream functions (2, n, w), the first w columns of
+    the spectrum, S swapping v and w."""
     ksq = grid.ksq[:, : X.shape[-1]]
-    return -4.0 * np.pi ** 2 * ksq * (params.alpha * X
-                                       + params.beta * X[[2, 3, 0, 1]])
+    swapped = X.reshape((2, -1) + X.shape[1:])[::-1].reshape(X.shape)
+    return -4.0 * np.pi ** 2 * ksq * (params.alpha * X + params.beta * swapped)
 
 
 def state_l2(grid, X):
-    """L2 norm of a stacked (4, n, n/2 + 1) half spectrum (v, w)."""
+    """L2 norm of the (v, w) of a (2, n, n/2 + 1) stream function pair."""
     return float(np.hypot(*norms(grid, X)[:2]))
+
+
+def vectors(grid, X):
+    """The stacked (..., 4, n, n/2 + 1) vectors (v, w) of stream function
+    pairs X (..., 2, n, n/2 + 1)."""
+    return velocity(grid, X).reshape(X.shape[:-3] + (4,) + X.shape[-2:])
+
+
+def nudging_oracle(config, grid, X):
+    """mu P[masked I_h (v, w)] as stacked (4, n, n/2 + 1) vectors, for the
+    stream function pair X, by the vector path: `apply_masked`, then
+    `leray_project_coef`, then mu."""
+    shape = (2, 2) + X.shape[-2:]
+    fb = apply_masked(config.interpolant, config.mask, grid, vectors(grid, X))
+    return config.mu * leray_project_coef(grid, fb.reshape(shape)).reshape(fb.shape)
 
 
 def inner(a, b):
@@ -57,15 +81,17 @@ def inner(a, b):
 
 
 def stream(grid, coef):
-    """The stream function psi of a divergence-free (2, n, n/2 + 1) field,
-    coef = 2 pi i (-k2, k1) psi."""
-    return (-grid.k2 * coef[0] + grid.k1 * coef[1]) * grid.inv_ksq / (2j * np.pi)
+    """The stream functions psi of divergence-free (..., 2, n, n/2 + 1)
+    fields, coef = 2 pi i (-k2, k1) psi, as `MhdStepper.set_state` stores
+    them."""
+    return stream_function(grid, coef, nyquist=True)
 
 
 def advected_fields(grid, V):
     """The bands P[(w.grad)v] and P[(v.grad)w] of an (S, 4, n, n/2 + 1)
     stack of pairs (v, w), from one batched `advection` call."""
-    return advection(grid, V)[0]
+    psi = stream(grid, V.reshape(V.shape[:-3] + (2, 2) + V.shape[-2:]))
+    return vectors(grid, advection(grid, psi)[0])
 
 
 def h1_seminorm(grid, coef):

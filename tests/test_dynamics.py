@@ -1,5 +1,6 @@
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from mhdnudge.dynamics import (
     from_elsasser,
     grashof_number,
     norms,
-    project_pair,
     spin_up,
     to_elsasser,
 )
@@ -44,6 +44,7 @@ from conftest import (
     record_trajectory,
     state_l2,
     stream,
+    vectors,
 )
 
 
@@ -206,15 +207,16 @@ def test_stepper_tendency_matches_mhd(re, rm):
     st.set_state(*to_elsasser(u, b))
     explicit = np.empty_like(st.X)
     st._explicit_terms(explicit)
-    got = diffusion(g, p, st.X) + explicit
+    got = vectors(g, diffusion(g, p, st.X) + explicit)
     expected = np.concatenate(to_elsasser(*mhd_tendency(g, p, u, b)))
-    assert state_l2(g, got - expected) <= 1e-13 * state_l2(g, expected)
+    assert l2_norm(got - expected) <= 1e-13 * l2_norm(expected)
 
 
 def projected_band(grid, adv):
     """The Leray-projected half spectrum, the columns k2 = 0..n/2, of a full
-    (4, n, n) term."""
-    return project_pair(grid, adv[..., : grid.half_width])
+    (4, n, n) term, or of a (4, n, n/2 + 1) one."""
+    pairs = adv[..., : grid.half_width].reshape(2, 2, grid.n, -1)
+    return leray_project_coef(grid, pairs).reshape(4, grid.n, -1)
 
 
 @pytest.mark.parametrize("n", [32, 64])
@@ -222,16 +224,17 @@ def test_advection_matches_advective_form(n):
     g = Grid(n)
     v = random_divfree_field(g, 5, 1.0, g.cutoff)
     w = random_divfree_field(g, 6, 1.0, g.cutoff)
-    adv, _ = advection(g, np.concatenate([v, w]))
+    adv, _ = advection(g, stream(g, np.stack([v, w])))
+    assert not adv[..., g.cutoff + 1:].any()
+    adv = vectors(g, adv)
     v, w = full_spectrum(g, v), full_spectrum(g, w)
     expected = projected_band(g, np.concatenate([advective_form(g, w, v),
                                                  advective_form(g, v, w)]))
     assert np.max(np.abs(adv - expected)) <= 1e-13 * np.max(np.abs(expected))
-    assert not adv[..., g.cutoff + 1:].any()
 
 
 def advection_full_fft(grid, X):
-    """Reference advection of a (4, n, n/2 + 1) state: the same divergence
+    """Reference advection of a (4, n, n/2 + 1) pair (v, w): the same divergence
     form with a full complex fft2 of the four products, differentiated and
     dealiased on all n x n modes."""
     n2 = grid.n ** 2
@@ -255,11 +258,11 @@ def test_advection_matches_full_fft(n):
     # n=48 puts the cutoff at exactly n/3; the state has energy on every
     # mode, so the input dealiasing is exercised too
     g = Grid(n)
-    X, _ = forward_transform(g, np.random.default_rng(n).standard_normal((4, n, n)))
+    X = random_stack(g, 1, n)[0]
     adv, speed = advection(g, X)
-    full, expected_speed = advection_full_fft(g, X)
+    full, expected_speed = advection_full_fft(g, vectors(g, X))
     expected = projected_band(g, full)
-    assert np.max(np.abs(adv - expected)) <= 1e-13 * np.max(np.abs(expected))
+    assert np.max(np.abs(vectors(g, adv) - expected)) <= 1e-13 * np.max(np.abs(expected))
     assert speed == expected_speed
 
 
@@ -270,19 +273,17 @@ def test_batched_advection_is_each_system_alone(n, size):
     # speed; the states have energy on every mode, so the input dealiasing
     # is exercised too
     g = Grid(n)
-    rng = np.random.default_rng(size)
-    states = np.stack([forward_transform(g, rng.standard_normal((4, n, n)))[0]
-                       for _ in range(size)])
+    states = random_stack(g, size, size)
     work = AdvectionWork(g, size)
     bands, speeds = advection(g, states, work)
-    assert bands.shape == (size, 4, n, g.half_width) and len(speeds) == size
+    assert bands.shape == (size, 2, n, g.half_width) and len(speeds) == size
     bands = bands.copy()
     for s in range(size):
         band, speed = advection(g, states[s])
         np.testing.assert_array_equal(bands[s], band)
         assert speeds[s] == speed
     # a NaN in the last slot makes only its own speed non-finite
-    states[-1, 2, 3, 1] = np.nan
+    states[-1, 1, 3, 1] = np.nan
     got, got_speeds = advection(g, states, work)
     assert not math.isfinite(got_speeds[-1])
     np.testing.assert_array_equal(got[:-1], bands[:-1])
@@ -290,31 +291,26 @@ def test_batched_advection_is_each_system_alone(n, size):
 
 
 def random_stack(grid, size, seed):
-    """`size` states drawn from white noise on the grid: energy on every
-    mode, and not divergence-free."""
+    """`size` states, stream function pairs drawn from white noise on the
+    grid: energy on every mode."""
     rng = np.random.default_rng(seed)
-    return np.stack([forward_transform(grid, rng.standard_normal((4, grid.n, grid.n)))[0]
+    return np.stack([forward_transform(grid, rng.standard_normal((2, grid.n, grid.n)))[0]
                      for _ in range(size)])
 
 
 @pytest.mark.parametrize("n", [16, 48, 64])
 @pytest.mark.parametrize("size", [1, 3])
 def test_advection_band_is_projected_and_dealiased(n, size):
-    # the curl-form reconstruction is the projection: each half of every
-    # slot's band is divergence-free, zero past the cutoff and at k = 0,
-    # and a fixed point of the Leray projection, although the states are not
-    # divergence-free
+    # every slot's band is zero past the cutoff and at k = 0, and the
+    # velocity of each of its stream functions is a fixed point of the
+    # Leray projection
     g = Grid(n)
-    states = random_stack(g, size, n + size)
-    assert divergence_defect(g, states[0, :2]) > 1.0
-    bands, _ = advection(g, states)
-    projected = project_pair(g, bands)
-    shape = (-1, 2, n, g.half_width)
-    for half, p_half in zip(bands.reshape(shape), projected.reshape(shape)):
-        scale = np.max(np.abs(half))
-        assert divergence_defect(g, half) <= 1e-14 * scale
-        assert not half[:, ~g.dealias_mask].any() and not half[:, 0, 0].any()
-        assert np.max(np.abs(p_half - half)) <= 1e-15 * scale
+    bands, _ = advection(g, random_stack(g, size, n + size))
+    for band in bands:
+        assert not band[:, ~g.dealias_mask].any() and not band[:, 0, 0].any()
+        adv = vectors(g, band)
+        scale = np.max(np.abs(adv))
+        assert np.max(np.abs(projected_band(g, adv) - adv)) <= 1e-15 * scale
 
 
 @pytest.mark.parametrize("n", [32, 48])
@@ -335,7 +331,7 @@ def test_advection_band_is_zero_past_the_cutoff(n):
         buf.view(np.float64)[...] = 1e3 * rng.standard_normal(
             buf.view(np.float64).shape)
     bands, speeds = advection(g, noisy, work)
-    assert bands.shape == (3, 4, n, g.half_width)
+    assert bands.shape == (3, 2, n, g.half_width)
     assert np.all(bands[..., c:] == 0.0)
     for s in range(3):
         band, speed = advection(g, clean[s])
@@ -345,7 +341,8 @@ def test_advection_band_is_zero_past_the_cutoff(n):
 
 def test_advection_makes_three_forward_transforms_per_system(monkeypatch):
     # the 1-D FFT passes of one call on S systems: the inverse ones on the
-    # 4 components of each state, the forward ones on its 3 products; and
+    # 4 velocity components of each state, the forward ones on its 3
+    # products; and
     # no Leray projection or dealiasing call, since the curl weights do both
     g = Grid(32)
     size = 3
@@ -377,9 +374,9 @@ def test_advection_skew_symmetry():
     g = Grid(32)
     a = random_divfree_field(g, 5, 1.0, g.cutoff)
     b = random_divfree_field(g, 6, 1.0, g.cutoff)
-    adv, _ = advection(g, np.concatenate([b, a]))
+    adv, _ = advection(g, stream(g, np.stack([b, a])))
     # P[(w.grad)v] with v = b, w = a; P is self-adjoint and P b = b
-    adv = full_spectrum(g, adv[:2])
+    adv = full_spectrum(g, vectors(g, adv)[:2])
     ip = np.real(np.sum(np.conj(adv) * full_spectrum(g, b)))
     scale = np.sqrt(np.sum(np.abs(adv) ** 2)) * l2_norm(b)
     assert abs(ip) < 1e-12 * max(scale, 1e-300)
@@ -410,7 +407,7 @@ def test_advection_keeps_the_elsasser_invariants(n, size):
 def test_advection_of_shear_flow_vanishes():
     g = Grid(32)
     c = shear_mode(g)
-    adv, speed = advection(g, np.concatenate([c, c]))
+    adv, speed = advection(g, stream(g, np.stack([c, c])))
     assert np.max(np.abs(adv)) < 1e-15
     assert speed == pytest.approx(2.0, rel=1e-14)
 
@@ -443,9 +440,10 @@ def test_crank_nicolson_single_mode_factor():
     st.advance()
     kappa = 4.0 * np.pi ** 2 * p.alpha  # |k|^2 = 1
     expected = (1.0 - 0.5 * dt * kappa) / (1.0 + 0.5 * dt * kappa)
-    assert st.X[0, 0, 1] == pytest.approx(expected * c[0, 0, 1], rel=1e-13)
+    v, w = st.fields()
+    assert v[0, 0, 1] == pytest.approx(expected * c[0, 0, 1], rel=1e-13)
     # w stays exactly zero when beta = 0
-    assert np.max(np.abs(st.X[2:])) == 0.0
+    assert np.max(np.abs(w)) == 0.0
 
 
 def test_crank_nicolson_beta_coupling():
@@ -465,8 +463,9 @@ def test_crank_nicolson_beta_coupling():
     # v(0) = c, w(0) = 0 means (v+w)(0) = (v-w)(0) = c
     expect_v = 0.5 * (fp + fm) * c[0, 0, 1]
     expect_w = 0.5 * (fp - fm) * c[0, 0, 1]
-    assert st.X[0, 0, 1] == pytest.approx(expect_v, rel=1e-13)
-    assert st.X[2, 0, 1] == pytest.approx(expect_w, rel=1e-13)
+    v, w = st.fields()
+    assert v[0, 0, 1] == pytest.approx(expect_v, rel=1e-13)
+    assert w[0, 0, 1] == pytest.approx(expect_w, rel=1e-13)
 
 
 def test_temporal_convergence_order(grid32, params, forcing32):
@@ -521,11 +520,53 @@ def test_restart_matches_fresh_stepper(grid32, params, forcing32):
         st.advance()
     st.restart()
     fresh = MhdStepper(grid32, params, modulated, 1e-3)
-    fresh.set_state(st.X[:2], st.X[2:], 0.0)
+    fresh.X[...] = st.X
     st.advance()
     fresh.advance()
     assert np.array_equal(st.X, fresh.X)
     assert st.t == fresh.t and st.step_count == fresh.step_count == 1
+
+
+@pytest.mark.parametrize("n", [16, 48])
+def test_state_round_trips_through_the_stream_functions(n):
+    # set_state keeps (v, w) as stream functions and fields gives them
+    # back, the Nyquist row and column included
+    g = Grid(n)
+    v, w = vectors(g, random_stack(g, 1, n)[0]).reshape(2, 2, n, -1)
+    assert divergence_defect(g, v) <= 1e-14 * l2_norm(v)
+    st = MhdStepper(g, derive_elsasser_params(5.0, 5.0), zero_forcing(g), 1e-3)
+    st.set_state(v, w)
+    for got, want in zip(st.fields(), (v, w)):
+        assert np.count_nonzero(want[:, n // 2]) and np.count_nonzero(want[..., n // 2])
+        assert l2_norm(got - want) <= 1e-15 * l2_norm(want)
+        for nyquist in (got[:, n // 2] - want[:, n // 2], got[..., n // 2] - want[..., n // 2]):
+            assert np.max(np.abs(nyquist)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_advance_allocates_no_array(n):
+    # every per-mode table is on the float64 view of the state, so no
+    # multiply casts, and an advance from a given band allocates only
+    # small Python objects
+    g = Grid(n)
+    forcing = ForcingSpec(normalized_field(g, 100, 2.0), normalized_field(g, 101, 0.5))
+    st = MhdStepper(g, derive_elsasser_params(5.0, 5.0), forcing, 1e-3)
+    init = normalized_field(g, 1, 0.5, g.cutoff)
+    st.set_state(init, init)
+    band, speed = advection(g, st.X)
+    advected = (band.copy(), speed)
+    extra = np.zeros_like(st.X)
+    for _ in range(2):  # the Euler step, then the Adams-Bashforth ones
+        st.advance(extra, extra, advected)
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            st.advance(extra, extra, advected)
+            assert tracemalloc.get_traced_memory()[1] - before < 8192
+    finally:
+        tracemalloc.stop()
 
 
 def test_full_spectrum_arrays_rejected(grid32, params, forcing32):
@@ -549,7 +590,7 @@ def test_non_finite_state_fails_the_next_advance(grid32, params, forcing32):
     st.set_state(init, init, 0.0)
     for _ in range(7):
         st.advance()
-    st.X[2, 3, 1] = np.nan
+    st.X[1, 3, 1] = np.nan
     with pytest.raises(BlowUpError) as info:
         st.advance()
     assert info.value.t == pytest.approx(0.014) and info.value.step == 7
@@ -587,7 +628,7 @@ def test_errors_round_trip_through_pickle():
 def test_norms_match_field_norms(grid32):
     v = random_divfree_field(grid32, 1, 2.0)
     w = random_divfree_field(grid32, 2, 2.0)
-    got = norms(grid32, np.concatenate([v, w]))
+    got = norms(grid32, stream(grid32, np.stack([v, w])))
     want = (l2_norm(v), l2_norm(w), h1_seminorm(grid32, v),
             h1_seminorm(grid32, w))
     np.testing.assert_allclose(got, want, rtol=1e-13)
@@ -600,20 +641,20 @@ def test_norms_parseval_weights_on_half_spectrum():
     # full spectrum and the Parseval sums of conftest do
     for n in (16, 48):
         g = Grid(n)
-        X, _ = forward_transform(
-            g, np.random.default_rng(7).standard_normal((4, n, n)))
-        assert np.count_nonzero(X[..., 0]) == 4 * (n - 1)  # all but k = 0
-        assert np.count_nonzero(X[..., n // 2]) == 4 * n
-        assert np.count_nonzero(X[:, n // 2]) == 4 * g.half_width
+        psi = random_stack(g, 1, 7)[0]
+        assert np.count_nonzero(psi[..., 0]) == 2 * (n - 1)  # all but k = 0
+        assert np.count_nonzero(psi[..., n // 2]) == 2 * n
+        assert np.count_nonzero(psi[:, n // 2]) == 2 * g.half_width
+        X = vectors(g, psi)
         full = full_spectrum(g, X)
         k1, k2 = full_wavenumbers(g)
         a = (np.abs(full) ** 2).reshape(2, 2, -1).sum(axis=1)
         want = (*np.sqrt(a.sum(axis=1)),
                 *(2 * np.pi * np.sqrt(a @ (k1 ** 2 + k2 ** 2).ravel())))
-        np.testing.assert_allclose(norms(g, X), want, rtol=1e-14)
+        np.testing.assert_allclose(norms(g, psi), want, rtol=1e-14)
         parseval = (l2_norm(X[:2]), l2_norm(X[2:]), h1_seminorm(g, X[:2]),
                     h1_seminorm(g, X[2:]))
-        np.testing.assert_allclose(norms(g, X), parseval, rtol=1e-14)
+        np.testing.assert_allclose(norms(g, psi), parseval, rtol=1e-14)
 
 
 def test_record_trajectory_shapes(grid32, params, forcing32):

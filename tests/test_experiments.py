@@ -570,9 +570,9 @@ def test_default_forcing_keeps_b_zero(g_amplitude):
         member.set_state(alt, alt, 0.0)
     for _ in range(200):
         cs.step()
-    b = [l2_norm(s.X[:2] - s.X[2:]) for s in [cs.reference] + cs.members]
+    b = [l2_norm(np.subtract(*s.fields())) for s in [cs.reference] + cs.members]
     if g_amplitude == 0.0:
         assert b[:-1] == [0.0] * len(masks)
         assert b[-1] > 0.0
     else:
-        assert min(b) > 1e-3 * l2_norm(cs.reference.X)
+        assert min(b) > 1e-3 * l2_norm(np.stack(cs.reference.fields()))

@@ -286,11 +286,23 @@ def test_einsum_call_is_found():
     assert functions_calling(src, "einsum") == ["A.m"]
 
 
+STEP_MODULES = ("dynamics", "nudging")
+
+
 def test_no_einsum_in_dynamics():
     # a step's per-mode work is contiguous ufunc passes and BLAS matrix
     # products; einsum's generic loops are slower on those operands
-    source = (ROOT / "src" / "mhdnudge" / "dynamics.py").read_text()
-    assert functions_calling(source, "einsum") == []
+    for module in STEP_MODULES:
+        source = (ROOT / "src" / "mhdnudge" / f"{module}.py").read_text()
+        assert functions_calling(source, "einsum") == [], module
+
+
+def test_steppers_make_no_leray_projection():
+    # the steppers evolve stream functions and project with
+    # stream_function, so no function of theirs calls the vector projection
+    for module in STEP_MODULES:
+        source = (ROOT / "src" / "mhdnudge" / f"{module}.py").read_text()
+        assert functions_calling(source, "leray_project_coef") == [], module
 
 
 def names_imported_from(source: str, module: str):

@@ -12,7 +12,6 @@ from mhdnudge.dynamics import (
     Modulation,
     derive_elsasser_params,
     norms,
-    project_pair,
     spin_up,
 )
 from mhdnudge.interpolants import (
@@ -25,7 +24,6 @@ from mhdnudge.interpolants import (
     SPECTRAL,
     VOLUME,
     InterpolantSpec,
-    apply_masked,
 )
 from mhdnudge.nudging import (
     CoupledStepper,
@@ -35,7 +33,14 @@ from mhdnudge.nudging import (
 )
 from mhdnudge.spectral import Grid, divergence_defect, l2_norm
 
-from conftest import diffusion, normalized_field, state_l2
+from conftest import (
+    diffusion,
+    normalized_field,
+    nudging_oracle,
+    state_l2,
+    stream,
+    vectors,
+)
 
 
 def spec_config(mu=20.0, mask=MASK_ALL, kind=SPECTRAL, h=0.125, **kw):
@@ -52,10 +57,10 @@ def decaying_pair(f, g, amplitude, rate):
 
 
 def seeded_diff(grid):
-    """A stacked (4, n, n/2 + 1) difference (eta, zeta) of two seeded
-    states."""
-    return np.concatenate([seeded_init(grid, 0) - seeded_init(grid, 2),
-                           seeded_init(grid, 1) - seeded_init(grid, 3)])
+    """The (2, n, n/2 + 1) stream functions of a difference (eta, zeta) of
+    two seeded states."""
+    return stream(grid, np.stack([seeded_init(grid, 0) - seeded_init(grid, 2),
+                                  seeded_init(grid, 1) - seeded_init(grid, 3)]))
 
 
 ALL_MASKS = (MASK_ALL, MASK_FIRST, MASK_V_ONLY, MASK_B_ONLY, MASK_U_ONLY)
@@ -81,12 +86,16 @@ def test_init_modes(grid32, params, forcing32):
     ref.set_state(init, init, 0.0)
     spin_up(ref, max_time=0.5)
     custom = seeded_init(grid32, seed=5)
-    pair = np.concatenate([custom, custom])
+    pair = stream(grid32, np.stack([custom, custom]))
     for init_mode, expected in (("zero", norms(grid32, ref.X)),
-                                ("copy", (0.0, 0.0, 0.0, 0.0)),
                                 ((custom, custom.copy()), norms(grid32, ref.X - pair))):
         e = short_run(grid32, params, forcing32, init_mode).errors[0]
         assert (e.l2_eta[0], e.l2_zeta[0], e.h1_eta[0], e.h1_zeta[0]) == expected
+    # a copy goes through the vectors (v, w) and back, so it is the
+    # reference to rounding
+    e = short_run(grid32, params, forcing32, "copy").errors[0]
+    first = np.array([e.l2_eta[0], e.l2_zeta[0], e.h1_eta[0], e.h1_zeta[0]])
+    assert np.all(first <= 1e-15 * np.array(norms(grid32, ref.X)))
 
 
 def no_divfree_field():
@@ -162,17 +171,20 @@ def test_a_copy_of_the_spun_up_reference_passes_the_gate(grid32, params, forcing
     init = seeded_init(grid32, 0, 0.5)
     ref.set_state(init, init)
     spin_up(ref, max_time=0.5)
-    member.set_state(ref.X[:2], ref.X[2:])
-    np.testing.assert_array_equal(member.X, ref.X)
+    v, w = ref.fields()
+    member.set_state(v, w)
+    np.testing.assert_allclose(member.X, ref.X, rtol=0,
+                               atol=1e-15 * np.max(np.abs(ref.X)))
+    before = member.X.copy()
     with pytest.raises(ValueError, match="w is not divergence-free"):
-        member.set_state(ref.X[:2], ref.X[2:] + no_divfree_field())
-    np.testing.assert_array_equal(member.X, ref.X)
+        member.set_state(v, w + no_divfree_field())
+    np.testing.assert_array_equal(member.X, before)
 
 
 def test_nudging_term_is_divergence_free(grid32):
     diff = seeded_diff(grid32)
     for mask, h in itertools.product(ALL_MASKS, (0.125, 0.0625)):
-        term = nudging_term(spec_config(mask=mask, h=h), grid32, diff)
+        term = vectors(grid32, nudging_term(spec_config(mask=mask, h=h), grid32, diff))
         assert divergence_defect(grid32, term[:2]) < 1e-10
         assert divergence_defect(grid32, term[2:]) < 1e-10
 
@@ -185,46 +197,50 @@ def test_nudging_term_scales_with_mu(grid32):
 
 
 @pytest.mark.parametrize("h", [0.25, 0.125])
-@pytest.mark.parametrize("n", [32, 48])
+@pytest.mark.parametrize("n", [16, 32, 48])
 @pytest.mark.parametrize("kind", [SPECTRAL, VOLUME, NODAL])
 def test_nudging_term_is_projected_masked_interpolant(kind, n, h):
-    # the cached per-mode tables of P post against mu P[masked I_h X] built
-    # from public functions, in a new array and over X; at n = 48 and
+    # the cached per-mode tables on stream functions against the vector
+    # path mu P[masked I_h (v, w)], in a new array and over X; at n = 48 and
     # h = 1/8 the Nyquist row and column lie an odd number of cells out
     g = Grid(n)
     rng = np.random.default_rng(n)
-    shape = (4, n, g.half_width)
+    shape = (2, n, g.half_width)
     X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     for mask in ALL_MASKS:
         cfg = spec_config(mu=37.0, mask=mask, kind=kind, h=h)
-        want = cfg.mu * project_pair(g, apply_masked(cfg.interpolant, mask, g, X))
+        want = nudging_oracle(cfg, g, X)
         scale = np.max(np.abs(want))
-        assert np.max(np.abs(nudging_term(cfg, g, X) - want)) <= 1e-15 * scale
+        assert np.max(np.abs(vectors(g, nudging_term(cfg, g, X)) - want)) <= 1e-15 * scale
         Y = X.copy()
         assert nudging_term(cfg, g, Y, out=Y) is Y
-        assert np.max(np.abs(Y - want)) <= 1e-15 * scale
+        assert np.max(np.abs(vectors(g, Y) - want)) <= 1e-15 * scale
 
 
-def test_observation_matrix_matches_nudging_term(grid32):
-    # the folded-in implicit operator must agree with the explicit feedback:
-    # the blocks on their modes, and zero at every other mode
-    from mhdnudge.nudging import _observation_blocks
-    diff = seeded_diff(grid32)
-    for mask, h in itertools.product(ALL_MASKS, (0.125, 0.0625)):
+def test_observation_matrix_matches_nudging_term():
+    # the implicit operator's per-mode 2x2 damping [[dv, ds], [ds, dw]]
+    # against the vector path of the explicit feedback, for every mask,
+    # zero where I_h drops a mode and on the Nyquist row and column
+    from mhdnudge.nudging import _damping
+    for n, mask, h in itertools.product((16, 32), ALL_MASKS, (0.25, 0.125)):
+        g = Grid(n)
+        rng = np.random.default_rng(n)
+        shape = (2, n, g.half_width)
+        X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         cfg = spec_config(mu=17.0, mask=mask, h=h)
-        term = nudging_term(cfg, grid32, diff)
-        idx, blocks = _observation_blocks(grid32, cfg)
-        flat = diff.reshape(4, -1)
-        applied = np.zeros_like(flat)
-        applied[:, idx] = np.einsum("sij,js->is", blocks, flat[:, idx])
-        np.testing.assert_allclose(applied.reshape(term.shape), term, atol=1e-11)
+        dv, dw, ds = _damping(g, cfg)
+        applied = np.stack([dv * X[0] + ds * X[1], ds * X[0] + dw * X[1]])
+        want = nudging_oracle(cfg, g, X)
+        assert np.max(np.abs(vectors(g, applied) - want)) <= 1e-13 * np.max(np.abs(want))
+        for d in (dv, dw, ds):
+            assert not d[n // 2].any() and not d[:, n // 2].any()
 
 
 def dense_implicit_operator(grid, params, dt, config=None):
-    """I - dt/2 L + dt D on the half spectrum as a dense (4 n w, 4 n w)
+    """I - dt/2 L + dt D on the stream functions as a dense (2 n w, 2 n w)
     matrix, w = n/2 + 1, column by column, with D = nudging_term(config)
     (zero without a config)."""
-    shape = (4, grid.n, grid.half_width)
+    shape = (2, grid.n, grid.half_width)
     m = int(np.prod(shape))
     A = np.empty((m, m), dtype=complex)
     for j in range(m):
@@ -240,13 +256,13 @@ def dense_implicit_operator(grid, params, dt, config=None):
 
 @pytest.mark.parametrize("re, rm", [(5.0, 20.0), (20.0, 5.0), (5.0, 5.0)])
 def test_implicit_solve_matches_dense_solve(re, rm):
-    # the closed form plus band blocks against a dense solve, for either
-    # sign of beta, undamped and with every mask
+    # the closed form per mode against a dense solve, for either sign of
+    # beta, undamped and with every mask
     g = Grid(16)
     p = derive_elsasser_params(re, rm)
     dt = 5e-3
     rng = np.random.default_rng(3)
-    shape = (4, 16, g.half_width)
+    shape = (2, 16, g.half_width)
     rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     z = np.zeros((2, 16, 9), dtype=complex)
     for mask in ALL_MASKS:
@@ -268,25 +284,28 @@ def _arrays(stepper):
 
 
 def test_steppers_hold_no_per_mode_matrix(params):
-    # the solve keeps real (n, n/2 + 1) coefficients, plus 4x4 blocks only
-    # on the observed half-plane modes: 17 * 9 - 1 = 152 of them for
-    # h = 1/8 at n = 64; no array is larger than the (4, n, n/2 + 1) state
+    # the solve keeps real per-mode tables on the float64 view, each mode's
+    # weight twice: (n, n + 2) ones and the (2, n, n + 2) diagonal of the
+    # inverse; the damped member has the same arrays as the reference, and
+    # besides the tables a stepper holds only (2, n, n/2 + 1) states
     g = Grid(64)
     z = np.zeros((2, 64, 33), dtype=complex)
     cs = CoupledStepper(g, params, ForcingSpec(z, z), spec_config(mu=50.0), 2e-3)
     ref, assim = cs.reference, cs.members[0]
-    assert ref._blocks[0].size == 0
-    state = (4, 64, 33)
-    for arr in _arrays(ref):
-        if arr.shape == (64, 33):
-            assert arr.dtype == np.float64
-        else:
-            assert arr.size == 0 or arr.shape in (state, (4, 64, 22), (2, 2, 64, 33))
-    idx, inv = assim._blocks
-    assert idx.shape == (152,)
-    assert inv.shape == (152, 4, 4) and inv.dtype == np.float64
-    for arr in list(_arrays(ref)) + list(_arrays(assim)):
-        assert arr.size <= 4 * 64 * 33
+    shapes = []
+    for stepper in (ref, assim):
+        arrays = list(_arrays(stepper))
+        for arr in arrays:
+            if arr.dtype == np.float64:
+                assert arr.shape in ((64, 66), (2, 64, 66))
+            else:
+                assert arr.shape == (2, 64, 33) and arr.dtype == np.complex128
+        shapes.append(sorted(arr.shape for arr in arrays))
+    assert shapes[0] == shapes[1]
+    # the damping acts on the observed modes: 17 * 9 - 1 = 152 of them for
+    # h = 1/8 at n = 64
+    diag, off = assim._inverse
+    assert np.count_nonzero(diag[0, :, ::2] != ref._inverse[0][0, :, ::2]) == 152
 
 
 def test_explicit_kind_requires_mu_dt_bound(grid32, params, forcing32):
@@ -363,6 +382,31 @@ def test_gain_zero_member_observes_nothing(grid32, params, forcing32, kind,
     assert cs.members[0].step_count == 3
 
 
+def test_each_observing_member_calls_nudging_term_once_per_step(
+        grid32, params, forcing32, monkeypatch):
+    # the feedback of every observing member, explicit or implicit, with or
+    # without eps, goes through nudging_term once per step, and that of no
+    # other member
+    pair = decaying_pair(forcing32.f, forcing32.g, 0.1, 1.0)
+    configs = [spec_config(mu=50.0), spec_config(mu=50.0, kind=VOLUME, eps=pair),
+               spec_config(mu=0.0, kind=NODAL), spec_config(mu=60.0, kind=NODAL,
+                                                             mask=MASK_FIRST),
+               spec_config(mu=40.0, mask=MASK_B_ONLY, eps=pair)]
+    cs = CoupledStepper(grid32, params, forcing32, configs, dt=2e-3)
+    init = seeded_init(grid32, 0, 0.5)
+    cs.reference.set_state(init, init, 0.0)
+    calls = []
+
+    def counted(config, *args, **kwargs):
+        calls.append(configs.index(config))
+        return nudging_term(config, *args, **kwargs)
+
+    monkeypatch.setattr(nudging, "nudging_term", counted)
+    for _ in range(3):
+        cs.step()
+    assert sorted(calls) == sorted([0, 1, 3, 4] * 3)
+
+
 def test_coupled_step_makes_no_projection_or_interpolant_call(
         grid32, params, forcing32, monkeypatch):
     # the feedback of every kind, and delta and eps, come from cached
@@ -417,9 +461,9 @@ def test_states_stay_divergence_free(grid32, params, forcing32):
     cs.reference.set_state(init, init, 0.0)
     for _ in range(100):
         cs.step()
-    assert divergence_defect(grid32, cs.reference.X[:2]) < 1e-10
-    assert divergence_defect(grid32, cs.members[0].X[:2]) < 1e-10
-    assert divergence_defect(grid32, cs.members[0].X[2:]) < 1e-10
+    for stepper in (cs.reference, cs.members[0]):
+        for field in stepper.fields():
+            assert divergence_defect(grid32, field) < 1e-10
 
 
 def test_run_assimilation_converges(grid32, params, forcing32):
