@@ -244,7 +244,7 @@ def _feedback_weights(kind: str, n: int, resolution: int):
     (2, n, n/2 + 1) is i pre e and W (2, n, n/2 + 1) is -i post e/|k|^2,
     both complex.  For s = 1 the two are one per-mode gain, and
     W (2, n, n + 2) holds it for the first components, post k2^2/|k|^2,
-    and for both, post, on the float64 view of the half spectrum
+    and for both, post, which is real, on the float64 view of the half spectrum
     (`spectral.view_weights`); pre is None.
     """
     m, pre, post = _weights(kind, n, resolution)
@@ -254,7 +254,10 @@ def _feedback_weights(kind: str, n: int, resolution: int):
     inv[:, n // 2] = 0.0
     e = np.stack([-grid.k2, grid.k1])
     if m == n:
-        pre, W = None, view_weights(np.stack([grid.k2 ** 2 * inv, inv > 0]) * post)
+        # per mode, box = 1 and so post is real, also for volume
+        assert not np.any(np.imag(post))
+        pre, W = None, view_weights(
+            np.stack([grid.k2 ** 2 * inv, inv > 0]) * np.real(post))
     else:
         pre = 1j * e if pre is None else 1j * e * pre
         W = -1j * e * inv * post

@@ -291,7 +291,7 @@ def run_assimilation(grid: Grid, params, forcing: ForcingSpec,
 
     Every member starts at zero (`init_mode` "zero"), at a copy of the
     spun-up reference ("copy"), or at a caller-supplied (v, w) pair of
-    (2, n, n/2 + 1) half spectra; `set_state` checks every state, and a
+    (2, n, n/2 + 1) half spectra, which `set_state` checks; a
     caller's states are set before any time goes into spin-up, which steps
     the reference alone.  A member whose step fails (`MhdStepper.advance`: a
     non-finite state or a CFL violation) is retired by
@@ -309,8 +309,10 @@ def run_assimilation(grid: Grid, params, forcing: ForcingSpec,
             assim.set_state(*init_mode)
     spun = spin_up(ref, tol=spinup_tol, max_time=spinup_max_time)
     if init_mode == "copy":
+        # a stepped state is stream functions, divergence-free by its form
         for assim in coupled.members:
-            assim.set_state(*ref.fields())
+            assim.X[...] = ref.X
+            assim.restart(0.0)
 
     n_steps = int(round(horizon / dt))
     members = coupled.members
