@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from .experiments import (
     EXIT_CONFIG,
@@ -70,7 +69,9 @@ def build_parser():
 
 
 def _load(args):
-    overrides = {"seed": args.seed, "outdir": args.outdir}
+    # determining validates its config as the scenario it runs
+    scenario = "determining" if args.verb == "determining" else None
+    overrides = {"seed": args.seed, "outdir": args.outdir, "scenario": scenario}
     return parse_config(args.config,
                         {k: v for k, v in overrides.items() if v is not None})
 
@@ -90,8 +91,6 @@ def main(argv=None) -> int:
             code, report = run_interpolant_verification(cfg, args.samples)
             print(json.dumps(report, indent=2, sort_keys=True, default=float))
             return code
-        if args.verb == "determining":
-            cfg = replace(cfg, scenario="determining")
         code, summary = run_scenario(cfg)
         print(json.dumps(summary, indent=2, sort_keys=True, default=float))
         return code

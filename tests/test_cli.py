@@ -148,6 +148,21 @@ def test_determining_explicit_mu_aux_dt_exit_2(tmp_path, capsys):
     assert "the largest admissible dt is 1.38" in summary["error"]
 
 
+def test_determining_validates_the_config_as_determining(tmp_path, capsys):
+    # determining never uses mu: a file written for another scenario, whose
+    # explicit mu*dt = 2 that scenario refuses, runs under the verb
+    text = ("n = 32\ninterpolant_kind = volume\nmu = 1000\nhorizon = 0.01\n"
+            f"spinup_max_time = 0.2\noutdir = {tmp_path / 'out'}\n")
+    cfg = write_cfg(tmp_path, "scenario = baseline\n" + text)
+    assert main(["run", cfg]) == 2
+    assert "mu*dt <= 1" in capsys.readouterr().err
+    assert main(["determining", cfg]) != 2
+    assert capsys.readouterr().err == ""
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["scenario"] == "determining"
+    assert (tmp_path / "out" / "determining.csv").exists()
+
+
 @pytest.mark.parametrize("line", [
     "det_envelope_rate = 0",
     "det_envelope_rate = 0\ndet_envelope_amplitude = -2",
