@@ -21,7 +21,10 @@ of f (`spectral.stream_function`), so no step projects.  The diffusion
 block and an implicit damping term (the spectral nudging feedback) act on
 each mode's (psi_v, psi_w) as a symmetric 2x2 matrix, so the implicit
 solve is a closed form per mode.  Fields enter and leave as vectors (v, w):
-`MhdStepper.set_state` and `MhdStepper.fields`.
+`MhdStepper.set_state` and `MhdStepper.fields`.  Systems that share a grid,
+parameters, forcing and dt are stepped together as the slots of a `Stack`,
+with one numpy pass per operation over all of them; a lone `MhdStepper` is
+the stack of one.
 """
 
 from __future__ import annotations
@@ -194,14 +197,13 @@ class AdvectionWork:
     M12, M21 and D, and the result.  A call on S systems works in the first
     S of each buffer and reads nothing an earlier call left there, so it
     allocates no state-sized array, and the bands it returns are views of
-    `band`, valid until the next call.  One instance serves every stepper
-    of a `CoupledStepper`.
+    `band`, valid until the next call.  One instance serves every system of
+    a `Stack`.
     """
 
     def __init__(self, grid: Grid, size: int):
         n, c = grid.n, grid.cutoff + 1
-        self.band = np.empty((size, 2, n, grid.half_width),
-                             dtype=np.complex128)  # the result
+        self.band = np.empty((size, 2, n, c), dtype=np.complex128)  # the result
         # (v1, v2, w1, w2) on the columns 0..cutoff, then the transforms of
         # M12, M21 and D there
         self.vel = np.empty((size, 4, n, c), dtype=np.complex128)
@@ -216,19 +218,34 @@ class AdvectionWork:
         self.speed_sq = np.empty(size)
 
 
+@lru_cache(maxsize=None)
+def _velocity_table(n: int, size: int) -> np.ndarray:
+    """The velocity table of `Grid.curl_weights` repeated for each system of
+    an (size, 2, n, n/2 + 1) stack, as a read-only (size, 4, n, cutoff + 1)
+    array: numpy buffers a product that broadcasts the table over the
+    systems, and not one with a table of the product's own shape."""
+    grid = Grid(n)
+    table = np.empty((size, 2, 2, n, grid.cutoff + 1), dtype=np.complex128)
+    table[...] = grid.curl_weights[0]
+    table = table.reshape(size, 4, n, -1)
+    table.setflags(write=False)
+    return table
+
+
 def advection(grid: Grid, X: np.ndarray, work: AdvectionWork | None = None):
     """The stream functions of P[(w.grad)v] and P[(v.grad)w] for the state
-    X = (psi_v, psi_w), as a (2, n, n/2 + 1) half spectrum that is zero past
-    the dealias cutoff and at k = 0, and the physical-space maximum speed of
-    v and w.
+    X = (psi_v, psi_w), as the contiguous (2, n, cutoff + 1) band of their
+    columns 0..cutoff, which is zero past the dealias cutoff and at k = 0
+    (so are the columns past it, which it leaves out), and the
+    physical-space maximum speed of v and w.
 
     X may also be an (S, 2, n, n/2 + 1) stack of S states: the result is
-    then the (S, 2, n, n/2 + 1) bands and a list of S speeds, each bitwise
-    what the call on that state alone returns, so one call serves a
+    then the (S, 2, n, cutoff + 1) bands and a list of S speeds, each
+    bitwise what the call on that state alone returns, so one call serves a
     reference and all its members.  The velocities come from the columns
-    0..cutoff of X, dealiased, and the band past them is set to zero.  The
-    speed is one maximum over |v|^2 and |w|^2, so it is NaN or inf when
-    either field holds a non-finite value in the columns 0..cutoff.
+    0..cutoff of X, dealiased.  The speed is one maximum over |v|^2 and
+    |w|^2, so it is NaN or inf when either field holds a non-finite value in
+    the columns 0..cutoff.
 
     Curl form: for divergence-free w, (w.grad)v_i = d_j M_ij with
     M_ij = v_i w_j, whose transform is A_i = 2 pi i k_j M_ij^.  A 2D field's
@@ -241,7 +258,9 @@ def advection(grid: Grid, X: np.ndarray, work: AdvectionWork | None = None):
     a buffer of `work` (see AdvectionWork), which is allocated for this call
     when not given.  No operand of a pass overlaps its output, and no
     product mixes a real and a complex operand, so numpy makes no copy of an
-    operand and casts none.
+    operand and casts none.  The velocity table and the reversed components
+    of M12 and M21 are not broadcast into a product, as numpy buffers such
+    a product's operands (`_velocity_table`).
     """
     stack = X if X.ndim == 4 else X[None]
     S = len(stack)
@@ -251,8 +270,11 @@ def advection(grid: Grid, X: np.ndarray, work: AdvectionWork | None = None):
         a[:S] for a in (work.band, work.vel, work.cols, work.phys,
                         work.products, work.rows))
     n, c = grid.n, grid.cutoff + 1
-    V, (W11, W22, W12) = grid.curl_weights
-    np.multiply(V, stack[:, :, None, :, :c], out=vel.reshape(S, 2, 2, n, c))
+    _, (W11, W22, W12) = grid.curl_weights
+    # the velocities: each stream function copied to both components, times
+    # the table
+    np.copyto(vel.reshape(S, 2, 2, n, c), stack[:, :, None, :, :c])
+    vel *= _velocity_table(n, S)
     # irfft2(s=(n, n)) of the columns 0..cutoff, which zero-pads the others,
     # as its two 1-D passes, unscaled: numpy 2.4.6 leaves wrong values in
     # irfft2's out array
@@ -263,7 +285,10 @@ def advection(grid: Grid, X: np.ndarray, work: AdvectionWork | None = None):
     np.add(products[:, 2], products[:, 3], out=products[:, 1])  # |w|^2
     np.max(products[:, :2], axis=(1, 2, 3), out=work.speed_sq[:S])
     v, w = phys[:, :2], phys[:, 2:]
-    np.multiply(v, w[:, ::-1], out=products[:, :2])  # M12, M21
+    # M12 and M21 one at a time: numpy buffers a product with w's components
+    # reversed
+    np.multiply(v[:, 0], w[:, 1], out=products[:, 0])
+    np.multiply(v[:, 1], w[:, 0], out=products[:, 1])
     np.multiply(v, w, out=products[:, 2:])  # M11, M22
     np.subtract(products[:, 3], products[:, 2], out=products[:, 2])  # D
     # rfft2 as its two 1-D passes, the second on the columns 0..cutoff only
@@ -271,11 +296,10 @@ def advection(grid: Grid, X: np.ndarray, work: AdvectionWork | None = None):
     M = vel[:, :3]  # n^2 (M12, M21, D)^
     np.fft.fft(rows[..., :c], axis=-2, out=M)
     # (s_A, s_B) on the float64 views, with M weighted in place
-    M, s = M.view(np.float64), band.view(np.float64)[..., :2 * c]
+    M, s = M.view(np.float64), band.view(np.float64)
     np.multiply(W11, M[:, 1::-1], out=s)
     s -= np.multiply(W22, M[:, :2], out=M[:, :2])
     s += np.multiply(W12, M[:, 2], out=M[:, 2])[:, None]
-    band[..., c:] = 0.0
     speeds = [float(m) ** 0.5 for m in work.speed_sq[:S]]
     if X.ndim == 4:
         return band, speeds
@@ -359,21 +383,142 @@ def _implicit_operators(grid: Grid, params: ElsasserParams, dt: float,
             (view_weights(np.stack([C, A]) / det), view_weights(-B / det)))
 
 
+def _implicit_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray,
+                    out: np.ndarray) -> np.ndarray:
+    """(I - dt/2 L + dt*damping)^-1 rhs for (..., 2, n, n/2 + 1) right-hand
+    sides, with the matching (..., 2, n, n + 2) diag and (..., n, n + 2) off
+    of `_implicit_operators`, written to `out`, which must not overlap rhs;
+    rhs is overwritten.  Three passes over the float64 views, each mode's
+    2x2 inverse in closed form."""
+    r, o = rhs.view(np.float64), out.view(np.float64)
+    np.multiply(diag, r, out=o)
+    r *= off[..., None, :, :]
+    o += r[..., ::-1, :, :]
+    return out
+
+
+class Stack:
+    """Up to `size` systems with one grid, parameters, forcing and time
+    step, advanced as one by `step`: their states X, one (2, n, n/2 + 1)
+    slot each, in one (size, 2, n, n/2 + 1) array.
+
+    Per slot it also holds the explicit terms of two steps, which swap roles
+    as this step's and the Adams-Bashforth history by the parity of the step
+    count, a right-hand side, and the inverse of the slot's implicit solve;
+    the Crank-Nicolson tables, the projected forcing and the AdvectionWork
+    are shared.  An `MhdStepper` built on a stack takes its next free slot,
+    and a lone stepper owns a stack of one.
+    """
+
+    def __init__(self, grid: Grid, params: ElsasserParams,
+                 forcing: ForcingSpec, dt: float, size: int):
+        if dt <= 0:
+            raise ValueError("dt must be positive")
+        n, h, c = grid.n, grid.half_width, grid.cutoff + 1
+        self.forcing, self.dt = forcing, dt
+        self.half_step, _ = _implicit_operators(grid, params, dt, None)
+        # P[m(t) (f, g)] = m(t) P[(f, g)], so the step scales it; its
+        # columns 0..cutoff are kept apart, contiguous like the advection
+        # band, with a buffer for them scaled
+        self.forcing_stream = stream_function(
+            grid, stack_pair(grid, forcing.f, forcing.g, "forcing (f, g)"))
+        self._forcing_band = self.forcing_stream[..., :c].copy()
+        self._scaled_band = np.empty_like(self._forcing_band)
+        self._m = None  # the m(t) that _scaled_band holds
+        self._cache = {}  # of _views
+        self.X = np.zeros((size, 2, n, h), dtype=np.complex128)
+        self.E = np.empty((2, size, 2, n, h), dtype=np.complex128)
+        self.rhs = np.empty_like(self.X)
+        self.inverse = (np.empty((size, 2, n, n + 2)), np.empty((size, n, n + 2)))
+        self.work = AdvectionWork(grid, size)
+        self.free = 0  # the next slot a stepper takes
+
+    def slot_arrays(self, k: int):
+        """The views of slot k that a system carries when it moves: its
+        state, its two explicit terms and its inverse tables."""
+        return (self.X[k], self.E[0, k], self.E[1, k],
+                self.inverse[0][k], self.inverse[1][k])
+
+    def step(self, slots: slice, t: float, step_count: int, bands: np.ndarray,
+             extra_ab=(), extra_plain=(), observe=None):
+        """One IMEX step of the systems in `slots`, which share the clock
+        (t, step_count), from the (len, 2, n, cutoff + 1) `bands` that
+        `advection` gave for their states; it overwrites them.  The caller
+        has checked each system's speed and advances the clocks.
+
+        extra_ab and extra_plain are (index, term) pairs, the index relative
+        to `slots`: a (2, n, n/2 + 1) stream function term, or a stack of
+        them for a slice, that joins the Adams-Bashforth-extrapolated
+        explicit terms at the current time level, or is added as-is, times
+        dt, to the right-hand side (the implicitly balanced nudging data
+        term).  With `observe`, the first system is solved first, and
+        observe() then gives the extra_plain pairs of the others, so that
+        they can read its new state.
+
+        Each pass is one numpy call over all the systems, and each system's
+        arithmetic is that of a lone system, in the same order.
+        """
+        dt, (p, q) = self.dt, self.half_step
+        views = self._views(slots, step_count % 2)
+        X, rhs, E, prev, x, r, spare = views[:7]
+        # E = m P[f] - advection, the band written apart and copied in: a
+        # ufunc pass over E's strided columns 0..cutoff would buffer them
+        m = self.forcing.modulation.value(t)
+        if m != self._m:
+            np.multiply(m, self._forcing_band, out=self._scaled_band)
+            self._m = m
+        np.subtract(self._scaled_band, bands, out=bands)
+        np.multiply(m, self.forcing_stream, out=E)
+        E[..., :bands.shape[-1]] = bands
+        for k, term in extra_ab:
+            E[k] += term
+        if step_count == 0:
+            np.multiply(dt, E, out=rhs)  # startup Euler step
+        else:
+            np.multiply(1.5 * dt, E, out=rhs)
+            rhs -= np.multiply(0.5 * dt, prev, out=prev)
+        # prev is free once rhs has it
+        r += np.multiply(p, x, out=spare)
+        r += np.multiply(q, x[..., ::-1, :, :], out=spare)
+        self._solve(views, slice(0, 1 if observe else None), extra_plain)
+        if observe is not None:
+            self._solve(views, slice(1, None), observe())
+
+    def _views(self, slots: slice, parity: int) -> tuple:
+        """The views of `step` on `slots` for a step count of this parity:
+        X, rhs, E, prev, the float64 views of X, rhs and prev, and the
+        inverse tables; made once per key, as the arrays never move."""
+        key = (slots.start, slots.stop, parity)
+        if key not in self._cache:
+            X, rhs, diag, off = (a[slots] for a in (self.X, self.rhs, *self.inverse))
+            E, prev = self.E[parity, slots], self.E[1 - parity, slots]
+            self._cache[key] = (X, rhs, E, prev, *(a.view(np.float64) for a in
+                                                   (X, rhs, prev)), diag, off)
+        return self._cache[key]
+
+    def _solve(self, views: tuple, part: slice, terms):
+        """Add each (index, term) of `terms` times dt to the right-hand side,
+        then solve the systems `part` of `views` into their states."""
+        X, rhs, _, prev, *_, diag, off = views
+        for k, term in terms:
+            rhs[k] += np.multiply(self.dt, term, out=prev[k])
+        _implicit_solve(diag[part], off[part], rhs[part], out=X[part])
+        X[part, :, 0, 0] = 0.0
+
+
 class MhdStepper:
-    """Owns one evolving (v, w) state and advances it with the IMEX scheme.
+    """One evolving (v, w) state, advanced with the IMEX scheme, in a slot
+    of a `Stack`.
 
     The state `X` is the (2, n, n/2 + 1) half spectrum of the stream
-    functions (psi_v, psi_w) (see `spectral`); read it through `norms`,
-    which applies the Parseval weights, or as vectors through `fields`.
-    Forcing and initial states are (2, n, n/2 + 1) half spectra of vectors,
-    and arrays of any other shape are refused.  `state`, when given, is the
-    zeroed array the stepper evolves in place as X, such as one slot of a
-    `CoupledStepper`'s stack of states; `work` is the AdvectionWork of its
-    advection, shared by every stepper of that stack.  A stepper given
-    neither owns both, for one system.  An advance allocates no array
-    data: besides `work` it uses two buffers that swap roles as the
-    Adams-Bashforth history and a right-hand side, and per-mode tables on
-    their float64 views.
+    functions (psi_v, psi_w) (see `spectral`), a view of its slot; read it
+    through `norms`, which applies the Parseval weights, or as vectors
+    through `fields`.  Forcing and initial states are (2, n, n/2 + 1) half
+    spectra of vectors, and arrays of any other shape are refused.  `work`,
+    when given, is the Stack of a `CoupledStepper`, built with the same
+    grid, parameters, forcing and dt, whose next free slot the stepper
+    takes; a stepper given none owns a stack of one.  `advance` is the
+    one-slot case of `Stack.step`, and allocates no array data.
 
     `damping` is an optional linear operator added implicitly to the
     left-hand side (used for the nudging self-damping term), given as three
@@ -384,28 +529,32 @@ class MhdStepper:
 
     def __init__(self, grid: Grid, params: ElsasserParams, forcing: ForcingSpec,
                  dt: float, damping: tuple | None = None,
-                 state: np.ndarray | None = None,
-                 work: AdvectionWork | None = None):
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+                 work: Stack | None = None):
+        stack = Stack(grid, params, forcing, dt, 1) if work is None else work
         self.grid = grid
         self.params = params
         self.dt = dt
-        self._half_step, self._inverse = _implicit_operators(
-            grid, params, dt, damping)
-        n, h = grid.n, grid.half_width
-        self.X = np.zeros((2, n, h), dtype=np.complex128) if state is None \
-            else state
-        self._work = AdvectionWork(grid, 1) if work is None else work
-        # (this step's E, the previous step's E) and the right-hand side
-        self._E = (np.empty_like(self.X), np.empty_like(self.X))
-        self._rhs = np.empty_like(self.X)
-        self._forcing = forcing
-        # P[m(t) (f, g)] = m(t) P[(f, g)], so the stepper scales it per step
-        self._forcing_stream = stream_function(
-            grid, stack_pair(grid, forcing.f, forcing.g, "forcing (f, g)"))
         self._forcing_sq = l2_norm(forcing.f) ** 2 + l2_norm(forcing.g) ** 2
+        k = stack.free
+        stack.free += 1
+        for table, inverse in zip(stack.inverse, _implicit_operators(
+                grid, params, dt, damping)[1]):
+            table[k] = inverse
+        self._bind(stack, k)
         self.restart()
+
+    def _bind(self, stack: Stack, k: int):
+        self._stack, self._slot = stack, k
+        X, _, _, diag, off = stack.slot_arrays(k)
+        self.X, self._inverse = X, (diag, off)
+
+    def move_to(self, stack: Stack, k: int):
+        """Move the system, with its step history and tables, to slot k of
+        `stack`, which must be free or the system's own; its old slot is no
+        longer read or written through it."""
+        for new, old in zip(stack.slot_arrays(k), self._stack.slot_arrays(self._slot)):
+            new[...] = old
+        self._bind(stack, k)
 
     # -- state accessors ----------------------------------------------------
 
@@ -442,7 +591,7 @@ class MhdStepper:
         """Read-only: the forcing and its projection are set once, at
         construction.  A system forced differently is a nudging member
         with a `delta`, not a stepper whose forcing changes mid-run."""
-        return self._forcing
+        return self._stack.forcing
 
     # -- norms --------------------------------------------------------------
 
@@ -456,81 +605,55 @@ class MhdStepper:
 
     # -- stepping -----------------------------------------------------------
 
-    def _explicit_terms(self, E: np.ndarray, advected: tuple | None = None
-                        ) -> float:
-        """Projected forcing minus advection, written to E; returns the
-        physical-space max speed.  `advected` is advection's (band, speed)
-        of the current state, computed here when not given."""
-        adv, speed = advection(self.grid, self.X, self._work) \
-            if advected is None else advected
-        m = self.forcing.modulation.value(self.t)
-        np.multiply(m, self._forcing_stream, out=E)
-        E -= adv
-        return speed
-
-    def _implicit_solve(self, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """(I - dt/2 L + dt*damping)^-1 rhs for a (2, n, n/2 + 1) rhs, written
-        to `out`, which must not overlap rhs; rhs is overwritten.  Three
-        passes over the float64 views, each mode's 2x2 inverse in closed
-        form."""
-        diag, off = self._inverse
-        r, o = rhs.view(np.float64), out.view(np.float64)
-        np.multiply(diag, r, out=o)
-        r *= off
-        o += r[::-1]
-        return out
-
     def max_admissible_dt(self, speed: float) -> float:
         if speed == 0.0:
             return np.inf
         return CFL_SAFETY / (self.grid.n * speed)
 
+    def step_error(self, speed: float) -> BlowUpError | CflError | None:
+        """The error that a step from a state of maximum speed `speed` fails
+        with, before it changes the state: BlowUpError at the current t and
+        step when the speed is not finite, CflError when dt exceeds the
+        admissible dt, and None when the step can go on.
+
+        This is the one finiteness test.  A finite state, finite inputs and
+        a speed within the CFL limit give a finite next state, so every
+        non-finite value that reaches the columns advection reads is caught
+        on the next step.
+        """
+        if not math.isfinite(speed):
+            return BlowUpError(self.t, self.step_count)
+        adm = self.max_admissible_dt(speed)
+        if self.dt > adm:
+            return CflError(self.dt, adm)
+        return None
+
     def advance(self, extra_ab: np.ndarray | None = None,
                 extra_plain: np.ndarray | None = None,
                 advected: tuple | None = None):
-        """One IMEX step.
+        """One IMEX step of this system alone: `Stack.step` on its slot.
 
         extra_ab joins the Adams-Bashforth-extrapolated explicit terms at
         the current time level; extra_plain is added to the right-hand side
         as-is (used for the implicitly balanced nudging data term).  Both
         are (2, n, n/2 + 1) stream functions, as X.  `advected` is the
-        (band, speed) that `advection` returned for the current state, as
-        `CoupledStepper.step` computes it for all its systems in one call;
-        without it the step makes that call on X alone.
-
-        The step fails before it changes the state: with BlowUpError at the
-        current t and step when the maximum speed is not finite, and with
-        CflError when dt exceeds the admissible dt.  This is the one
-        finiteness test.  A finite state, finite inputs and a speed within
-        the CFL limit give a finite next state, so every non-finite value
-        that reaches the columns advection reads is caught on the next step.
+        (band, speed) that `advection` returned for the current state, whose
+        band the step overwrites; without it the step makes that call on X
+        alone.  The step raises the error of `step_error` before it changes
+        the state.
         """
-        # spare holds the previous E, if any; it is free once rhs has it
-        E, spare = self._E
-        speed = self._explicit_terms(E, advected)
-        if not math.isfinite(speed):
-            raise BlowUpError(self.t, self.step_count)
-        adm = self.max_admissible_dt(speed)
-        if self.dt > adm:
-            raise CflError(self.dt, adm)
-        if extra_ab is not None:
-            E += extra_ab
-        rhs = self._rhs
-        if self.step_count == 0:
-            np.multiply(self.dt, E, out=rhs)  # startup Euler step
+        stack, k = self._stack, self._slot
+        slots = slice(k, k + 1)
+        if advected is None:
+            bands, (speed,) = advection(self.grid, stack.X[slots], stack.work)
         else:
-            np.multiply(1.5 * self.dt, E, out=rhs)
-            rhs -= np.multiply(0.5 * self.dt, spare, out=spare)
-        self._E = (spare, E)
-        p, q = self._half_step
-        X = self.X
-        x, r, t = (a.view(np.float64) for a in (X, rhs, spare))
-        r += np.multiply(p, x, out=t)
-        r += np.multiply(q, x[::-1], out=t)
-        if extra_plain is not None:
-            rhs += np.multiply(self.dt, extra_plain, out=spare)
-        self._implicit_solve(rhs, out=X)
-        X[:, 0, 0] = 0.0
+            bands, speed = advected[0][None], advected[1]
+        error = self.step_error(speed)
+        if error is not None:
+            raise error
+        stack.step(slots, self.t, self.step_count, bands,
+                   () if extra_ab is None else [(0, extra_ab)],
+                   () if extra_plain is None else [(0, extra_plain)])
         self.t += self.dt
         self.step_count += 1
 

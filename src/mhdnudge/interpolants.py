@@ -44,6 +44,7 @@ u on the m x m lattice, with no I_h u built (`_bound_samples`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -179,28 +180,29 @@ def apply_interpolant_coef(spec: InterpolantSpec, grid: Grid,
 
 
 def _observed(mask: str, X: np.ndarray, buf: np.ndarray):
-    """(Y, sign): the fields that `mask` observes in a stacked (2 c, n, w)
+    """(Y, sign): the fields that `mask` observes in a stacked (..., 2 c, n, w)
     X = (v, w) of two c-component fields, velocities (c = 2) or stream
-    functions (c = 1), as a (J, L, n, w) array of J fields with their first
-    L components, and for J = 1 the factor that gives w's feedback from v's.
+    functions (c = 1), as a (..., J, L, n, w) array of J fields with their
+    first L components, and for J = 1 the factor that gives w's feedback
+    from v's.
 
     `all` observes v and w, `first` the first components of both (L = 1; a
     stream function stands for its whole field), `v-only` v, and
     `b-only`/`u-only` the b or u of `from_elsasser`, which are written to
-    buf's second half, where w's feedback goes last; buf may be X itself.
-    Y is a view of X or of buf.
+    buf's second half, where w's feedback goes last; buf, shaped as X, may
+    be X itself.  Y is a view of X or of buf.
     """
-    pair = X.reshape((2, -1) + X.shape[1:])
+    pair = X.reshape(X.shape[:-3] + (2, -1) + X.shape[-2:])
     if mask == MASK_ALL:
         return pair, None
     if mask == MASK_FIRST:
-        return pair[:, :1], None
+        return pair[..., :1, :, :], None
     if mask == MASK_V_ONLY:
-        return pair[:1], 0.0
+        return pair[..., :1, :, :, :], 0.0
     if mask in (MASK_B_ONLY, MASK_U_ONLY):
-        u, b = from_elsasser(pair[0], pair[1])
-        observed = buf.reshape(pair.shape)[1:]
-        observed[0] = b if mask == MASK_B_ONLY else u
+        u, b = from_elsasser(pair[..., 0, :, :, :], pair[..., 1, :, :, :])
+        observed = buf.reshape(pair.shape)[..., 1:, :, :, :]
+        observed[..., 0, :, :, :] = b if mask == MASK_B_ONLY else u
         return observed, -1.0 if mask == MASK_B_ONLY else 1.0
     raise ValueError(f"unknown observation mask {mask!r}")
 
@@ -208,8 +210,8 @@ def _observed(mask: str, X: np.ndarray, buf: np.ndarray):
 def _fill_masked(out: np.ndarray, J: int, sign):
     """With one observed field (J = 1), w's feedback is sign times v's."""
     if J == 1:
-        half = len(out) // 2
-        np.multiply(out[:half], sign, out=out[half:])
+        half = out.shape[-3] // 2
+        np.multiply(out[..., :half, :, :], sign, out=out[..., half:, :, :])
 
 
 def apply_masked(spec: InterpolantSpec, mask: str, grid: Grid, X: np.ndarray,
@@ -267,12 +269,18 @@ def _feedback_weights(kind: str, n: int, resolution: int):
 
 
 def projected_masked(spec: InterpolantSpec, mask: str, grid: Grid,
-                     X: np.ndarray, mu: float,
-                     out: np.ndarray | None = None) -> np.ndarray:
+                     X: np.ndarray, mu, out: np.ndarray | None = None
+                     ) -> np.ndarray:
     """mu P[masked I_h velocity(X)], the Leray projection of `apply_masked`
     times mu, as the stream functions of its two fields, for a
     (2, n, n/2 + 1) pair X of stream functions; written to `out` when it is
     given, which may be X itself.
+
+    X may also be a (G, 2, n, n/2 + 1) stack of G pairs, and mu a (G,)
+    vector of gains, so that one call serves G nudged systems that share the
+    operator: the result is then (G, 2, n, n/2 + 1), each bitwise what the
+    call on its pair with its gain gives.  With one pair and G gains (s = 1)
+    the pair is observed once, and each gain scales that.
 
     The mask observes the stream functions Y of `_observed`, and I_h the
     first L velocity components of each, L = 1 for `first` and 2 else.
@@ -282,24 +290,42 @@ def projected_masked(spec: InterpolantSpec, mask: str, grid: Grid,
     products of the fold, apart from the u or b of `from_elsasser`
     (b-only, u-only).
     """
+    return _projected_masked(spec, mask, grid, X, mu, out, None)
+
+
+def _projected_masked(spec, mask, grid, X, mu, out, scratch):
+    """`projected_masked`, with its pre products written to `scratch`, a
+    flat complex array of at least four planes per pair, when it is not
+    None."""
     _check_grid(spec, grid)
     m, pre, W = _feedback_weights(spec.kind, grid.n, spec.resolution)
     n, h = grid.n, grid.half_width
     s = n // m
+    mu = np.asarray(mu, dtype=np.float64)
+    lead = mu.shape
     if out is None:
-        out = np.empty(X.shape, dtype=np.complex128)
-    Y, sign = _observed(mask, X, out)
-    J, L = len(Y), 1 if mask == MASK_FIRST else 2
+        out = np.empty(lead + X.shape[-3:], dtype=np.complex128)
+    Y, sign = _observed(mask, X, out if X.ndim == out.ndim else out[0])
+    J, L = Y.shape[-4], 1 if mask == MASK_FIRST else 2
+    mu = mu.reshape(lead + (1,) * 3)
+    o = out[..., :J, :, :]
     if s == 1:
-        o = out[:J].view(np.float64)
-        np.multiply(W[L - 1], Y[:, 0].view(np.float64), out=o)
-        o *= mu
+        o, y = o.view(np.float64), Y[..., 0, :, :].view(np.float64)
+        if y.ndim < o.ndim:  # one pair, G gains
+            np.multiply(W[L - 1], y, out=o[0])
+            np.multiply(o[0], mu[1:], out=o[1:])
+            o[0] *= mu[0]
+        else:
+            np.multiply(W[L - 1], y, out=o)
+            o *= mu
     else:
-        lattice = _fold(pre[:L] * Y, n, m)
-        lattice *= mu
-        np.einsum("lsab,jlab->jsab", W[:L].reshape(L, s, m, h),
+        shape = np.broadcast_shapes(pre[:L].shape, Y.shape)
+        x = None if scratch is None else scratch[:math.prod(shape)].reshape(shape)
+        lattice = _fold(np.multiply(pre[:L], Y, out=x), n, m)
+        lattice *= mu[..., None].astype(np.complex128)
+        np.einsum("lsab,...jlab->...jsab", W[:L].reshape(L, s, m, h),
                   lattice.take(np.arange(h) % m, axis=-1),
-                  out=out[:J].reshape(J, s, m, h))
+                  out=o.reshape(lead + (J, s, m, h)))
     _fill_masked(out, J, sign)
     return out
 

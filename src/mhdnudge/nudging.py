@@ -15,13 +15,17 @@ m x m lattice of the observed velocity components
 and an observation error eps, which need not be divergence-free, its
 feedback term once.  Nudging is one-way, so any number of assimilating
 systems (members), each with its own gain, interpolant and mask, can share
-one reference.
+one reference.  The reference and its members are the slots of one
+`dynamics.Stack`, advanced by one `Stack.step` per coupled step, and the
+members that share an observation operator get their feedback from one
+call, with a vector of gains.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -29,11 +33,11 @@ from .diagnostics import ErrorSeries
 from .dynamics import (
     SPINUP_MAX_TIME,
     SPINUP_TOL,
-    AdvectionWork,
     BlowUpError,
     CflError,
     ForcingSpec,
     MhdStepper,
+    Stack,
     Trajectory,
     advection,
     norms,
@@ -45,6 +49,7 @@ from .interpolants import (
     MASK_ALL,
     SPECTRAL,
     InterpolantSpec,
+    _projected_masked,
     apply_masked,
     projected_masked,
 )
@@ -118,23 +123,24 @@ def _damping(grid: Grid, config: NudgingConfig):
 
 
 class _Member:
-    """One assimilated system: its stepper and what its feedback needs.
+    """One assimilated system: its config and what its feedback needs.
 
     A member with gain 0 observes nothing.  It has no damping and no
-    feedback buffer, and it takes the free step with its `delta` alone, so
-    without a delta it is bitwise the free MhdStepper.
+    feedback, and it takes the free step with its `delta` alone, so
+    without a delta it is bitwise the free MhdStepper.  Observing members
+    that share a feedback mode and an observation operator form a group
+    (`key`).
     """
 
-    def __init__(self, grid: Grid, params, forcing: ForcingSpec,
-                 config: NudgingConfig, dt: float, state: np.ndarray,
-                 work: AdvectionWork):
+    def __init__(self, grid: Grid, config: NudgingConfig, dt: float):
         self.config = config
         self.observes = config.mu > 0
         self.implicit = self.observes and config.interpolant.kind == SPECTRAL
         check_explicit_gain(config.interpolant.kind, config.mu, dt)
-        damping = _damping(grid, config) if self.implicit else None
-        self.stepper = MhdStepper(grid, params, forcing, dt, damping=damping,
-                                  state=state, work=work)
+        self.key = (self.implicit, config.interpolant.kind,
+                    config.interpolant.resolution, config.mask) \
+            if self.observes else None
+        self.damping = _damping(grid, config) if self.implicit else None
         delta, eps = config.delta, config.eps
         # P[m(t) delta] = m(t) P[delta], as for the forcing
         self.delta_stream = None if delta is None else stream_function(
@@ -149,19 +155,16 @@ class _Member:
                                     pair.reshape(4, grid.n, -1))
             self.eps_term = config.mu * stream_function(
                 grid, observed.reshape(pair.shape))
-        self.feedback = np.empty_like(self.stepper.X) if self.observes else None
-        # what observe and delta scale, each written over the last
+        # what add_eps and delta scale, each written over the last
         self._eps = None if eps is None else np.empty_like(self.eps_term)
         self._delta = None if delta is None else np.empty_like(self.delta_stream)
+        self.stepper = None  # set by CoupledStepper, in the member's slot
 
-    def observe(self, grid: Grid, ref: MhdStepper, X: np.ndarray) -> np.ndarray:
-        """The feedback of the observation X plus the observation error at
-        the reference's time, written to `feedback`; X may be `feedback`."""
-        nudging_term(self.config, grid, X, out=self.feedback)
+    def add_eps(self, feedback: np.ndarray, t: float):
+        """Add the feedback of the observation error at time t, if any."""
         if self.eps_term is not None:
-            self.feedback += np.multiply(self.config.eps.modulation.value(ref.t),
-                                         self.eps_term, out=self._eps)
-        return self.feedback
+            feedback += np.multiply(self.config.eps.modulation.value(t),
+                                    self.eps_term, out=self._eps)
 
     def delta(self) -> np.ndarray | None:
         """P[delta] at the member's time, or None without a delta."""
@@ -169,6 +172,36 @@ class _Member:
             return None
         return np.multiply(self.config.delta.modulation.value(self.stepper.t),
                            self.delta_stream, out=self._delta)
+
+
+class _Group:
+    """Active observing members with one `key`, in the consecutive slots
+    `slots` of the stack: one `projected_masked` call with the vector `mu`
+    of their gains gives all their feedback, written to `feedback`, with the
+    pre products of the fold in `scratch`."""
+
+    def __init__(self, grid: Grid, members: list, start: int):
+        self.members = members
+        self.implicit = members[0].implicit
+        self.config = members[0].config
+        self.slots = slice(start, start + len(members))
+        self.mu = np.array([m.config.mu for m in members])
+        self.feedback = np.empty((len(members), 2, grid.n, grid.half_width),
+                                 dtype=np.complex128)
+        # the pre products of an explicit group's fold: at most four planes
+        # per member
+        self.scratch = None if self.implicit else np.empty(
+            2 * self.feedback.size, dtype=np.complex128)
+
+    def observe(self, grid: Grid, X: np.ndarray, t: float) -> np.ndarray:
+        """The feedback of the observation X, one pair or a stack of one
+        per member, plus the observation errors at time t, as `feedback`;
+        X may be `feedback`."""
+        _projected_masked(self.config.interpolant, self.config.mask, grid, X,
+                          self.mu, self.feedback, self.scratch)
+        for m, feedback in zip(self.members, self.feedback):
+            m.add_eps(feedback, t)
+        return self.feedback
 
 
 class CoupledStepper:
@@ -182,9 +215,11 @@ class CoupledStepper:
     by the reference's forcing plus its `delta`, which it advances with one
     free step.  `members` lists the assimilated steppers in config order.
 
-    The states of the reference and the members are the slots of one
-    (1 + K, 2, n, n/2 + 1) stack, the reference first, and every stepper's
-    X is a view of its slot; one AdvectionWork serves them all.
+    The reference and the members are the slots of one `Stack`, the
+    reference first.  The members follow it in groups: those that share a
+    feedback mode and an observation operator (kind, h, mask) sit in
+    consecutive slots, so that one call gives all their feedback, and the
+    unobserved ones come last.  A retired member leaves the stack.
     """
 
     def __init__(self, grid: Grid, params, forcing: ForcingSpec,
@@ -193,75 +228,114 @@ class CoupledStepper:
             configs = [configs]
         self.grid = grid
         self.configs = list(configs)
-        size = 1 + len(self.configs)
-        self._states = np.zeros((size, 2, grid.n, grid.half_width),
-                                dtype=np.complex128)
-        self._work = AdvectionWork(grid, size)
-        self.reference = MhdStepper(grid, params, forcing, dt,
-                                    state=self._states[0], work=self._work)
-        self._members = [_Member(grid, params, forcing, cfg, dt,
-                                 self._states[1 + k], self._work)
-                         for k, cfg in enumerate(self.configs)]
+        self._system = (params, forcing, dt)
+        self._stack = Stack(grid, params, forcing, dt, 1 + len(self.configs))
+        self._members = [_Member(grid, cfg, dt) for cfg in self.configs]
+        self.reference = MhdStepper(grid, params, forcing, dt, work=self._stack)
+        keys = [m.key for m in self._members]
+        # the members in slot order: each group where its key first appears,
+        # the unobserved ones last
+        self._order = sorted(range(len(keys)), key=lambda k: (
+            keys[k] is None, keys.index(keys[k])))
+        for k in self._order:
+            m = self._members[k]
+            m.stepper = MhdStepper(grid, params, forcing, dt, damping=m.damping,
+                                   work=self._stack)
         self.members = [m.stepper for m in self._members]
+        self._groups = self._group()
         # member index -> the BlowUpError or CflError that retired it;
         # written only by step
         self.failures = {}
+
+    def _group(self) -> list[_Group]:
+        """The groups of the active members, in their slots of `_order`."""
+        slotted = enumerate((self._members[k] for k in self._order), start=1)
+        groups = []
+        for key, run in groupby(slotted, key=lambda item: item[1].key):
+            run = list(run)
+            if key is not None:
+                groups.append(_Group(self.grid, [m for _, m in run], run[0][0]))
+        return groups
 
     def active(self) -> list[int]:
         """Indices of the members that are still advanced."""
         return [k for k in range(len(self._members)) if k not in self.failures]
 
-    def step(self):
-        """Advance the reference once, then every active member.
+    def _retire(self, errors: dict):
+        """Retire the members in `errors` (member index -> error): each moves
+        to a stack of its own, where no step reads it, and the active ones
+        close up in their order."""
+        grid = self.grid
+        for k in sorted(errors):
+            self.failures[k] = errors[k]
+            self.members[k].move_to(Stack(grid, *self._system, 1), 0)
+        self._order = [k for k in self._order if k not in errors]
+        for slot, k in enumerate(self._order, start=1):
+            self.members[k].move_to(self._stack, slot)
+        self._groups = self._group()
 
-        The advection of the reference and of every active member is one
-        `advection` call on their slots of the stack, made before any of
-        them steps; each `advance` then finishes from its own band and makes
-        its own checks.  A retired member leaves that call.  Explicit members
-        take their feedback from the reference before it steps; implicit
-        members observe it after, matching the implicitly treated damping so
-        a synchronized pair stays a fixed point; members with gain 0 do not
-        observe it.  A member whose advance raises
-        BlowUpError or CflError is retired with that error; an error of the
-        reference retires every active member with the reference's error,
-        and is raised.  Once no member is active, step raises the error that
-        retired the last one, so a one-member system fails as a plain pair
-        does.  This is the only place a system is retired.
+    def step(self):
+        """Advance the reference and every active member by one step, as
+        one `Stack.step` over their slots.
+
+        The members must be on the reference's clock.  The advection of
+        them all is one `advection` call, and each checks its speed
+        (`MhdStepper.step_error`) before any state changes.  An error of the
+        reference retires every active member with it and is raised; a
+        member's error retires that member, and the others step.  Once no
+        member is active, step raises the error that retired the last one,
+        so a one-member system fails as a plain pair does.  This is the only
+        place a system is retired.
+
+        The feedback is one `projected_masked` call per group.  Explicit
+        members take theirs from the stack of reference minus member before
+        the step.  Implicit members observe the reference after it is
+        solved, matching the implicitly treated damping so a synchronized
+        pair stays a fixed point: one observation of it, scaled by each
+        gain.  Members with gain 0 observe nothing.
         """
-        grid, ref = self.grid, self.reference
-        active = [(k, self._members[k]) for k in self.active()]
-        for k, m in active:
-            if m.observes and not m.implicit:
-                m.observe(grid, ref, np.subtract(ref.X, m.stepper.X,
-                                                 out=m.feedback))
-                if m.delta_stream is not None:
-                    m.feedback += m.delta()
-        # a view of the whole stack, or a copy of the active slots once a
-        # member is retired
-        states = self._states if not self.failures else \
-            self._states[[0] + [1 + k for k, _ in active]]
-        bands, speeds = advection(grid, states, self._work)
-        try:
-            ref.advance(advected=(bands[0], speeds[0]))
-        except (BlowUpError, CflError) as exc:
-            for k, _ in active:
-                self.failures[k] = exc
-            raise
-        error = None
-        for (k, m), advected in zip(active, zip(bands[1:], speeds[1:])):
-            try:
-                if m.implicit:
-                    m.stepper.advance(extra_ab=m.delta(),
-                                      extra_plain=m.observe(grid, ref, ref.X),
-                                      advected=advected)
-                elif m.observes:
-                    m.stepper.advance(extra_ab=m.feedback, advected=advected)
-                else:
-                    m.stepper.advance(extra_ab=m.delta(), advected=advected)
-            except (BlowUpError, CflError) as exc:
-                self.failures[k] = error = exc
-        if error is not None and not self.active():
-            raise error
+        grid, ref, stack = self.grid, self.reference, self._stack
+        steppers = [ref] + [self.members[k] for k in self._order]
+        if any((s.t, s.step_count) != (ref.t, ref.step_count) for s in steppers):
+            raise ValueError("every active member must be on the reference's "
+                             "clock (t, step_count)")
+        bands, speeds = advection(grid, stack.X[:len(steppers)], stack.work)
+        errors = [s.step_error(speed) for s, speed in zip(steppers, speeds)]
+        if errors[0] is not None:
+            self._retire(dict.fromkeys(self._order, errors[0]))
+            raise errors[0]
+        failed = {k: e for k, e in zip(self._order, errors[1:]) if e is not None}
+        if failed:
+            self._retire(failed)
+            steppers = [ref] + [self.members[k] for k in self._order]
+            bands, _ = advection(grid, stack.X[:len(steppers)], stack.work)
+        extra_ab = []
+        for g in self._groups:
+            if not g.implicit:
+                diff = np.subtract(stack.X[0], stack.X[g.slots], out=g.feedback)
+                g.observe(grid, diff, ref.t)
+                for m, feedback in zip(g.members, g.feedback):
+                    if m.delta_stream is not None:
+                        feedback += m.delta()
+                extra_ab.append((g.slots, g.feedback))
+        for slot, k in enumerate(self._order, start=1):
+            m = self._members[k]
+            if m.delta_stream is not None and (m.implicit or not m.observes):
+                extra_ab.append((slot, m.delta()))
+        # the reference's time once it is solved
+        t = ref.t + ref.dt
+
+        def observe():
+            return [(g.slots, g.observe(grid, ref.X, t))
+                    for g in self._groups if g.implicit]
+
+        stack.step(slice(0, len(steppers)), ref.t, ref.step_count, bands,
+                   extra_ab, observe=observe)
+        for s in steppers:
+            s.t += s.dt
+            s.step_count += 1
+        if failed and not self._order:
+            raise failed[max(failed)]
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +367,8 @@ def run_assimilation(grid: Grid, params, forcing: ForcingSpec,
     spun-up reference ("copy"), or at a caller-supplied (v, w) pair of
     (2, n, n/2 + 1) half spectra, which `set_state` checks; a
     caller's states are set before any time goes into spin-up, which steps
-    the reference alone.  A member whose step fails (`MhdStepper.advance`: a
-    non-finite state or a CFL violation) is retired by
+    the reference alone.  A member whose step fails (`MhdStepper.step_error`:
+    a non-finite state or a CFL violation) is retired by
     `CoupledStepper.step` and the others go on; a failure of the reference
     in spin-up is raised, and one while co-evolving retires every remaining
     member with the reference's error.

@@ -87,11 +87,19 @@ def stream(grid, coef):
     return stream_function(grid, coef, nyquist=True)
 
 
+def full_band(grid, band):
+    """An (..., n, cutoff + 1) band of `advection` as the (..., n, n/2 + 1)
+    half spectrum that is zero past it."""
+    out = np.zeros(band.shape[:-1] + (grid.half_width,), dtype=band.dtype)
+    out[..., : band.shape[-1]] = band
+    return out
+
+
 def advected_fields(grid, V):
     """The bands P[(w.grad)v] and P[(v.grad)w] of an (S, 4, n, n/2 + 1)
     stack of pairs (v, w), from one batched `advection` call."""
     psi = stream(grid, V.reshape(V.shape[:-3] + (2, 2) + V.shape[-2:]))
-    return vectors(grid, advection(grid, psi)[0])
+    return vectors(grid, full_band(grid, advection(grid, psi)[0]))
 
 
 def h1_seminorm(grid, coef):

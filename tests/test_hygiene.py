@@ -269,7 +269,16 @@ def test_one_blow_up_check():
     # failure of a system is that error, passed on
     sites = {(p.stem, func) for p in PACKAGE for func in
              functions_calling(p.read_text(), "BlowUpError")}
-    assert sites == {("dynamics", "MhdStepper.advance")}
+    assert sites == {("dynamics", "MhdStepper.step_error")}
+
+
+def test_one_imex_step():
+    # the closed-form solve has one caller, the step of a whole stack, of
+    # which a lone stepper's advance is the one-slot case: no per-system
+    # copy of the step sits beside it
+    sites = [(p.stem, func) for p in PACKAGE for func in
+             functions_calling(p.read_text(), "_implicit_solve")]
+    assert sites == [("dynamics", "Stack._solve")]
 
 
 def test_one_state_gate():

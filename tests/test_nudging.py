@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from mhdnudge.dynamics import (
     ForcingSpec,
     MhdStepper,
     Modulation,
+    _implicit_solve,
     derive_elsasser_params,
     norms,
     spin_up,
@@ -24,6 +26,7 @@ from mhdnudge.interpolants import (
     SPECTRAL,
     VOLUME,
     InterpolantSpec,
+    _projected_masked,
 )
 from mhdnudge.nudging import (
     CoupledStepper,
@@ -270,7 +273,7 @@ def test_implicit_solve_matches_dense_solve(re, rm):
         for stepper, config in ((cs.reference, None), (cs.members[0], cfg)):
             want = np.linalg.solve(dense_implicit_operator(g, p, dt, config),
                                    rhs.ravel()).reshape(rhs.shape)
-            got = stepper._implicit_solve(rhs.copy(), out=np.empty_like(rhs))
+            got = _implicit_solve(*stepper._inverse, rhs.copy(), out=np.empty_like(rhs))
             assert l2_norm(got - want) <= 1e-13 * l2_norm(want)
 
 
@@ -372,38 +375,44 @@ def test_gain_zero_member_observes_nothing(grid32, params, forcing32, kind,
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return nudging_term(*args, **kwargs)
+        return _projected_masked(*args, **kwargs)
 
-    monkeypatch.setattr(nudging, "nudging_term", counted)
+    monkeypatch.setattr(nudging, "_projected_masked", counted)
     for _ in range(3):
         cs.step()
     assert calls == []
     assert cs.members[0].step_count == 3
 
 
-def test_each_observing_member_calls_nudging_term_once_per_step(
-        grid32, params, forcing32, monkeypatch):
-    # the feedback of every observing member, explicit or implicit, with or
-    # without eps, goes through nudging_term once per step, and that of no
-    # other member
+def test_each_group_observes_once_per_step(grid32, params, forcing32,
+                                           monkeypatch):
+    # the feedback of the observing members, explicit or implicit, with or
+    # without eps, is one projected_masked call per step for each operator
+    # (kind, h, mask) and feedback mode, with the gains of its members in
+    # config order; a member with gain 0 observes nothing
     pair = decaying_pair(forcing32.f, forcing32.g, 0.1, 1.0)
     configs = [spec_config(mu=50.0), spec_config(mu=50.0, kind=VOLUME, eps=pair),
                spec_config(mu=0.0, kind=NODAL), spec_config(mu=60.0, kind=NODAL,
                                                              mask=MASK_FIRST),
-               spec_config(mu=40.0, mask=MASK_B_ONLY, eps=pair)]
+               spec_config(mu=40.0, mask=MASK_B_ONLY, eps=pair),
+               spec_config(mu=70.0, kind=NODAL, mask=MASK_FIRST, eps=pair),
+               spec_config(mu=90.0)]
     cs = CoupledStepper(grid32, params, forcing32, configs, dt=2e-3)
     init = seeded_init(grid32, 0, 0.5)
     cs.reference.set_state(init, init, 0.0)
     calls = []
 
-    def counted(config, *args, **kwargs):
-        calls.append(configs.index(config))
-        return nudging_term(config, *args, **kwargs)
+    def counted(spec, mask, grid, X, mu, *args):
+        calls.append((spec.kind, mask, tuple(mu)))
+        return _projected_masked(spec, mask, grid, X, mu, *args)
 
-    monkeypatch.setattr(nudging, "nudging_term", counted)
+    monkeypatch.setattr(nudging, "_projected_masked", counted)
     for _ in range(3):
         cs.step()
-    assert sorted(calls) == sorted([0, 1, 3, 4] * 3)
+    assert sorted(calls) == sorted([
+        (SPECTRAL, MASK_ALL, (50.0, 90.0)), (VOLUME, MASK_ALL, (50.0,)),
+        (NODAL, MASK_FIRST, (60.0, 70.0)), (SPECTRAL, MASK_B_ONLY, (40.0,))] * 3)
+    assert cs.failures == {}
 
 
 def test_coupled_step_makes_no_projection_or_interpolant_call(
@@ -561,6 +570,166 @@ def test_failed_member_is_retired_and_others_go_on(grid32, params, forcing32):
         for _ in range(60):
             cs.step()
     assert cs.active() == []
+
+
+def test_stack_members_match_one_member_systems(grid32, params, forcing32):
+    # one stack with two explicit nodal groups' members, two implicit members
+    # that share one observation of the reference, a volume member with a
+    # delta and an eps, and a gain-0 member: after 50 steps each member is
+    # bitwise its own one-member system
+    noise = normalized_field(grid32, 9, 0.3)
+    configs = [spec_config(mu=60.0, kind=NODAL, mask=MASK_FIRST),
+               spec_config(mu=50.0),
+               spec_config(mu=100.0, kind=VOLUME,
+                           delta=decaying_pair(noise, noise, 0.5, 1.0),
+                           eps=decaying_pair(noise, 0.5 * noise, 0.2, 2.0)),
+               spec_config(mu=480.0, kind=NODAL, mask=MASK_FIRST),
+               spec_config(mu=0.0, kind=NODAL),
+               spec_config(mu=200.0)]
+    init = seeded_init(grid32, 0, 0.5)
+    others = [seeded_init(grid32, 1 + k, 0.5) for k in range(len(configs))]
+    shared = CoupledStepper(grid32, params, forcing32, configs, 2e-3)
+    singles = [CoupledStepper(grid32, params, forcing32, cfg, 2e-3)
+               for cfg in configs]
+    assert [len(g.members) for g in shared._groups] == [2, 2, 1]
+    for cs, states in [(shared, others)] + [(cs, [x]) for cs, x in zip(singles, others)]:
+        cs.reference.set_state(init, init, 0.0)
+        for assim, other in zip(cs.members, states):
+            assim.set_state(other, other, 0.0)
+    for _ in range(50):
+        for cs in [shared] + singles:
+            cs.step()
+    for k, single in enumerate(singles):
+        np.testing.assert_array_equal(shared.reference.X, single.reference.X)
+        np.testing.assert_array_equal(shared.members[k].X, single.members[0].X)
+        assert shared.members[k].t == single.members[0].t
+    assert state_l2(grid32, shared.members[4].X - shared.reference.X) > 1e-3
+
+
+def test_stack_members_follow_the_feedback_formulas(grid32, params, forcing32):
+    # each member of a stack is bitwise a lone stepper driven by the
+    # feedback as written out here: explicit, mu P[I_h(ref - member)] plus
+    # eps at the reference's time, plus delta at the member's, joins the
+    # explicit terms; implicit, mu P[I_h ref] of the stepped reference plus
+    # eps at its new time is the data term, and delta joins the explicit
+    # terms; gain 0, delta alone
+    from mhdnudge.interpolants import apply_masked
+    from mhdnudge.nudging import _damping
+    from mhdnudge.spectral import stream_function
+
+    noise = normalized_field(grid32, 9, 0.3)
+    delta = decaying_pair(noise, 0.5 * noise, 0.5, 1.0)
+    eps = decaying_pair(0.7 * noise, noise, 0.2, 2.0)
+    configs = [spec_config(mu=100.0, kind=VOLUME, delta=delta, eps=eps),
+               spec_config(mu=50.0, eps=eps, delta=delta),
+               spec_config(mu=60.0, kind=NODAL, mask=MASK_FIRST),
+               spec_config(mu=0.0, delta=delta),
+               spec_config(mu=200.0, eps=eps),
+               spec_config(mu=480.0, kind=NODAL, mask=MASK_FIRST, eps=eps)]
+    init = seeded_init(grid32, 0, 0.5)
+    others = [seeded_init(grid32, 1 + k, 0.5) for k in range(len(configs))]
+    cs = CoupledStepper(grid32, params, forcing32, configs, 2e-3)
+    ref = MhdStepper(grid32, params, forcing32, 2e-3)
+    lone = [MhdStepper(grid32, params, forcing32, 2e-3, damping=_damping(grid32, cfg)
+                       if cfg.mu > 0 and cfg.interpolant.kind == SPECTRAL else None)
+            for cfg in configs]
+    for a, b in [(cs.reference, init), (ref, init)] + list(zip(cs.members, others)) \
+            + list(zip(lone, others)):
+        a.set_state(b, b, 0.0)
+
+    def stream(pair):
+        return stream_function(grid32, np.stack([pair.f, pair.g]))
+
+    def eps_term(cfg):
+        pair = np.stack([cfg.eps.f, cfg.eps.g])
+        observed = apply_masked(cfg.interpolant, cfg.mask, grid32,
+                                pair.reshape(4, 32, -1))
+        return cfg.mu * stream_function(grid32, observed.reshape(pair.shape))
+
+    for _ in range(30):
+        cs.step()
+        ab = []
+        for cfg, st in zip(configs, lone):
+            term = None
+            if cfg.mu > 0 and cfg.interpolant.kind != SPECTRAL:
+                term = nudging_term(cfg, grid32, ref.X - st.X)
+                if cfg.eps is not None:
+                    term += cfg.eps.modulation.value(ref.t) * eps_term(cfg)
+            if cfg.delta is not None:
+                d = cfg.delta.modulation.value(st.t) * stream(cfg.delta)
+                term = d if term is None else term + d
+            ab.append(term)
+        ref.advance()
+        for cfg, st, term in zip(configs, lone, ab):
+            plain = None
+            if cfg.mu > 0 and cfg.interpolant.kind == SPECTRAL:
+                plain = nudging_term(cfg, grid32, ref.X)
+                if cfg.eps is not None:
+                    plain += cfg.eps.modulation.value(ref.t) * eps_term(cfg)
+            st.advance(extra_ab=term, extra_plain=plain)
+    np.testing.assert_array_equal(cs.reference.X, ref.X)
+    for member, st in zip(cs.members, lone):
+        np.testing.assert_array_equal(member.X, st.X)
+
+
+def test_a_retired_group_member_leaves_the_others_bitwise(grid32, params,
+                                                          forcing32):
+    # two explicit members share one observation operator; once one fails,
+    # the other goes on bitwise as in its one-member system, and the failed
+    # one's state stays as it was
+    configs = [spec_config(mu=mu, kind=NODAL, mask=MASK_FIRST) for mu in (60.0, 480.0)]
+    init = seeded_init(grid32, 0, 0.5)
+    cs = CoupledStepper(grid32, params, forcing32, configs, 2e-3)
+    solo = CoupledStepper(grid32, params, forcing32, configs[1], 2e-3)
+    for system in (cs, solo):
+        system.reference.set_state(init, init, 0.0)
+    for _ in range(20):
+        cs.step()
+        solo.step()
+    cs.members[0].X[1, 2, 3] = np.nan
+    spoiled = cs.members[0].X.copy()
+    for _ in range(20):
+        cs.step()
+        solo.step()
+    assert cs.active() == [1] and isinstance(cs.failures[0], BlowUpError)
+    assert cs.failures[0].step == 20
+    assert [len(g.members) for g in cs._groups] == [1]
+    np.testing.assert_array_equal(cs.members[0].X, spoiled)
+    np.testing.assert_array_equal(cs.members[1].X, solo.members[0].X)
+    np.testing.assert_array_equal(cs.reference.X, solo.reference.X)
+
+
+def test_group_feedback_allocates_less_than_one_member_did(params):
+    # the pre products of a group's fold go to a scratch the group owns:
+    # one feedback call for two nodal first members at n = 64 allocates
+    # less than one member's call did when it allocated them (136,904 B)
+    g = Grid(64)
+    z = np.zeros((2, 64, 33), dtype=complex)
+    configs = [spec_config(mu=mu, kind=NODAL, mask=MASK_FIRST) for mu in (60.0, 480.0)]
+    (group,) = CoupledStepper(g, params, ForcingSpec(z, z), configs, 2e-3)._groups
+    rng = np.random.default_rng(2)
+    X = rng.standard_normal((2, 2, 64, 33)) + 1j * rng.standard_normal((2, 2, 64, 33))
+    group.observe(g, X, 0.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        group.observe(g, X, 0.0)
+        assert tracemalloc.get_traced_memory()[1] - before < 136_904
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_members_must_share_the_reference_clock(grid32, params, forcing32):
+    # the stack steps on one clock: a member set to another time is refused
+    # before any state changes
+    cs = CoupledStepper(grid32, params, forcing32, spec_config(), 2e-3)
+    init = seeded_init(grid32, 0, 0.5)
+    cs.reference.set_state(init, init, 0.0)
+    cs.members[0].set_state(init, init, 0.25)
+    before = cs.reference.X.copy()
+    with pytest.raises(ValueError, match="reference's clock"):
+        cs.step()
+    np.testing.assert_array_equal(cs.reference.X, before)
 
 
 @pytest.mark.parametrize("name", ["delta", "eps"])
