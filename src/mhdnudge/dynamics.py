@@ -518,7 +518,8 @@ class MhdStepper:
     when given, is the Stack of a `CoupledStepper`, built with the same
     grid, parameters, forcing and dt, whose next free slot the stepper
     takes; a stepper given none owns a stack of one.  `advance` is the
-    one-slot case of `Stack.step`, and allocates no array data.
+    one-slot case of `Stack.step`, and allocates no array data at n = 64
+    and above (at n = 32 numpy buffers its broadcast table passes).
 
     `damping` is an optional linear operator added implicitly to the
     left-hand side (used for the nudging self-damping term), given as three
