@@ -199,10 +199,19 @@ class AdvectionWork:
     allocates no state-sized array, and the bands it returns are views of
     `band`, valid until the next call.  One instance serves every system of
     a `Stack`.
+
+    `velocity` is the velocity table of `Grid.curl_weights` repeated for
+    each system, read-only and filled once: numpy buffers a product that
+    broadcasts the table over the systems, and not one with a table of the
+    product's own shape.
     """
 
     def __init__(self, grid: Grid, size: int):
         n, c = grid.n, grid.cutoff + 1
+        velocity = np.empty((size, 2, 2, n, c), dtype=np.complex128)
+        velocity[...] = grid.curl_weights[0]
+        self.velocity = velocity.reshape(size, 4, n, c)
+        self.velocity.setflags(write=False)
         self.band = np.empty((size, 2, n, c), dtype=np.complex128)  # the result
         # (v1, v2, w1, w2) on the columns 0..cutoff, then the transforms of
         # M12, M21 and D there
@@ -216,20 +225,6 @@ class AdvectionWork:
         self.rows = np.empty((size, 3, n, grid.half_width),
                              dtype=np.complex128)
         self.speed_sq = np.empty(size)
-
-
-@lru_cache(maxsize=None)
-def _velocity_table(n: int, size: int) -> np.ndarray:
-    """The velocity table of `Grid.curl_weights` repeated for each system of
-    an (size, 2, n, n/2 + 1) stack, as a read-only (size, 4, n, cutoff + 1)
-    array: numpy buffers a product that broadcasts the table over the
-    systems, and not one with a table of the product's own shape."""
-    grid = Grid(n)
-    table = np.empty((size, 2, 2, n, grid.cutoff + 1), dtype=np.complex128)
-    table[...] = grid.curl_weights[0]
-    table = table.reshape(size, 4, n, -1)
-    table.setflags(write=False)
-    return table
 
 
 def advection(grid: Grid, X: np.ndarray, work: AdvectionWork | None = None):
@@ -258,9 +253,9 @@ def advection(grid: Grid, X: np.ndarray, work: AdvectionWork | None = None):
     a buffer of `work` (see AdvectionWork), which is allocated for this call
     when not given.  No operand of a pass overlaps its output, and no
     product mixes a real and a complex operand, so numpy makes no copy of an
-    operand and casts none.  The velocity table and the reversed components
-    of M12 and M21 are not broadcast into a product, as numpy buffers such
-    a product's operands (`_velocity_table`).
+    operand and casts none.  The velocity table (`work.velocity[:S]`) and
+    the reversed components of M12 and M21 are not broadcast into a
+    product, as numpy buffers such a product's operands.
     """
     stack = X if X.ndim == 4 else X[None]
     S = len(stack)
@@ -274,7 +269,7 @@ def advection(grid: Grid, X: np.ndarray, work: AdvectionWork | None = None):
     # the velocities: each stream function copied to both components, times
     # the table
     np.copyto(vel.reshape(S, 2, 2, n, c), stack[:, :, None, :, :c])
-    vel *= _velocity_table(n, S)
+    vel *= work.velocity[:S]
     # irfft2(s=(n, n)) of the columns 0..cutoff, which zero-pads the others,
     # as its two 1-D passes, unscaled: numpy 2.4.6 leaves wrong values in
     # irfft2's out array
@@ -407,7 +402,8 @@ class Stack:
     count, a right-hand side, and the inverse of the slot's implicit solve;
     the Crank-Nicolson tables, the projected forcing and the AdvectionWork
     are shared.  An `MhdStepper` built on a stack takes its next free slot,
-    and a lone stepper owns a stack of one.
+    and a lone stepper owns a stack of one.  The arrays are allocated once,
+    here: `reorder` moves the systems between the slots in place.
     """
 
     def __init__(self, grid: Grid, params: ElsasserParams,
@@ -433,11 +429,19 @@ class Stack:
         self.work = AdvectionWork(grid, size)
         self.free = 0  # the next slot a stepper takes
 
-    def slot_arrays(self, k: int):
-        """The views of slot k that a system carries when it moves: its
-        state, its two explicit terms and its inverse tables."""
-        return (self.X[k], self.E[0, k], self.E[1, k],
-                self.inverse[0][k], self.inverse[1][k])
+    def reorder(self, steppers):
+        """Put the systems of `steppers`, every stepper on this stack, in
+        the slots 0, 1, ... in that order: each keeps its state, its two
+        explicit terms and its inverse tables, and its stepper's views
+        follow it."""
+        order = [s._slot for s in steppers]
+        if sorted(order) != list(range(self.free)):
+            raise ValueError("reorder needs every stepper of the stack once")
+        for a in (self.X, *self.inverse):
+            a[...] = a[order]
+        self.E[...] = self.E[:, order]
+        for k, s in enumerate(steppers):
+            s._bind(k)
 
     def step(self, slots: slice, t: float, step_count: int, bands: np.ndarray,
              extra_ab=(), extra_plain=(), observe=None):
@@ -517,9 +521,11 @@ class MhdStepper:
     spectra of vectors, and arrays of any other shape are refused.  `work`,
     when given, is the Stack of a `CoupledStepper`, built with the same
     grid, parameters, forcing and dt, whose next free slot the stepper
-    takes; a stepper given none owns a stack of one.  `advance` is the
-    one-slot case of `Stack.step`, and allocates no array data at n = 64
-    and above (at n = 32 numpy buffers its broadcast table passes).
+    takes; a stepper given none owns a stack of one.  The stepper keeps
+    views of its slot, which `Stack.reorder` may change.  `advance` is the
+    one-slot case of `Stack.step`; a step of the stack from a given band
+    allocates no array data at n = 64 and above (at n = 32 numpy buffers
+    its broadcast table passes).
 
     `damping` is an optional linear operator added implicitly to the
     left-hand side (used for the nudging self-damping term), given as three
@@ -536,26 +542,18 @@ class MhdStepper:
         self.params = params
         self.dt = dt
         self._forcing_sq = l2_norm(forcing.f) ** 2 + l2_norm(forcing.g) ** 2
-        k = stack.free
+        self._stack, k = stack, stack.free
         stack.free += 1
         for table, inverse in zip(stack.inverse, _implicit_operators(
                 grid, params, dt, damping)[1]):
             table[k] = inverse
-        self._bind(stack, k)
+        self._bind(k)
         self.restart()
 
-    def _bind(self, stack: Stack, k: int):
-        self._stack, self._slot = stack, k
-        X, _, _, diag, off = stack.slot_arrays(k)
-        self.X, self._inverse = X, (diag, off)
-
-    def move_to(self, stack: Stack, k: int):
-        """Move the system, with its step history and tables, to slot k of
-        `stack`, which must be free or the system's own; its old slot is no
-        longer read or written through it."""
-        for new, old in zip(stack.slot_arrays(k), self._stack.slot_arrays(self._slot)):
-            new[...] = old
-        self._bind(stack, k)
+    def _bind(self, k: int):
+        """Take the views of slot k of the stack (`Stack.reorder`)."""
+        self._slot, self.X = k, self._stack.X[k]
+        self._inverse = tuple(table[k] for table in self._stack.inverse)
 
     # -- state accessors ----------------------------------------------------
 
@@ -630,25 +628,19 @@ class MhdStepper:
         return None
 
     def advance(self, extra_ab: np.ndarray | None = None,
-                extra_plain: np.ndarray | None = None,
-                advected: tuple | None = None):
-        """One IMEX step of this system alone: `Stack.step` on its slot.
+                extra_plain: np.ndarray | None = None):
+        """One IMEX step of this system alone: `advection` of its state,
+        then `Stack.step` on its slot.
 
         extra_ab joins the Adams-Bashforth-extrapolated explicit terms at
         the current time level; extra_plain is added to the right-hand side
         as-is (used for the implicitly balanced nudging data term).  Both
-        are (2, n, n/2 + 1) stream functions, as X.  `advected` is the
-        (band, speed) that `advection` returned for the current state, whose
-        band the step overwrites; without it the step makes that call on X
-        alone.  The step raises the error of `step_error` before it changes
-        the state.
+        are (2, n, n/2 + 1) stream functions, as X.  The step raises the
+        error of `step_error` before it changes the state.
         """
         stack, k = self._stack, self._slot
         slots = slice(k, k + 1)
-        if advected is None:
-            bands, (speed,) = advection(self.grid, stack.X[slots], stack.work)
-        else:
-            bands, speed = advected[0][None], advected[1]
+        bands, (speed,) = advection(self.grid, stack.X[slots], stack.work)
         error = self.step_error(speed)
         if error is not None:
             raise error

@@ -269,8 +269,8 @@ def _feedback_weights(kind: str, n: int, resolution: int):
 
 
 def projected_masked(spec: InterpolantSpec, mask: str, grid: Grid,
-                     X: np.ndarray, mu, out: np.ndarray | None = None
-                     ) -> np.ndarray:
+                     X: np.ndarray, mu, out: np.ndarray | None = None,
+                     scratch: np.ndarray | None = None) -> np.ndarray:
     """mu P[masked I_h velocity(X)], the Leray projection of `apply_masked`
     times mu, as the stream functions of its two fields, for a
     (2, n, n/2 + 1) pair X of stream functions; written to `out` when it is
@@ -286,17 +286,11 @@ def projected_masked(spec: InterpolantSpec, mask: str, grid: Grid,
     first L velocity components of each, L = 1 for `first` and 2 else.
     With the tables of `_feedback_weights` the result is
     mu sum_l W_l tile(fold(pre_l Y)), mu scaling the m x m lattice, or for
-    s = 1 mu times a per-mode gain.  No temporary is larger than the pre
-    products of the fold, apart from the u or b of `from_elsasser`
-    (b-only, u-only).
+    s = 1 mu times a per-mode gain.  The pre products of the fold go to
+    `scratch` when it is given, a flat complex array of at least four
+    planes per pair, and are allocated otherwise; no other temporary is as
+    large, apart from the u or b of `from_elsasser` (b-only, u-only).
     """
-    return _projected_masked(spec, mask, grid, X, mu, out, None)
-
-
-def _projected_masked(spec, mask, grid, X, mu, out, scratch):
-    """`projected_masked`, with its pre products written to `scratch`, a
-    flat complex array of at least four planes per pair, when it is not
-    None."""
     _check_grid(spec, grid)
     m, pre, W = _feedback_weights(spec.kind, grid.n, spec.resolution)
     n, h = grid.n, grid.half_width

@@ -16,9 +16,10 @@ and an observation error eps, which need not be divergence-free, its
 feedback term once.  Nudging is one-way, so any number of assimilating
 systems (members), each with its own gain, interpolant and mask, can share
 one reference.  The reference and its members are the slots of one
-`dynamics.Stack`, advanced by one `Stack.step` per coupled step, and the
-members that share an observation operator get their feedback from one
-call, with a vector of gains.
+`dynamics.Stack`, built once and advanced by one `Stack.step` per coupled
+step; a retired member keeps its slot, behind the active ones, where no
+step reads it.  The members that share an observation operator get their
+feedback from one `projected_masked` call, with a vector of gains.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .interpolants import (
     MASK_ALL,
     SPECTRAL,
     InterpolantSpec,
-    _projected_masked,
     apply_masked,
     projected_masked,
 )
@@ -158,7 +158,6 @@ class _Member:
         # what add_eps and delta scale, each written over the last
         self._eps = None if eps is None else np.empty_like(self.eps_term)
         self._delta = None if delta is None else np.empty_like(self.delta_stream)
-        self.stepper = None  # set by CoupledStepper, in the member's slot
 
     def add_eps(self, feedback: np.ndarray, t: float):
         """Add the feedback of the observation error at time t, if any."""
@@ -166,11 +165,9 @@ class _Member:
             feedback += np.multiply(self.config.eps.modulation.value(t),
                                     self.eps_term, out=self._eps)
 
-    def delta(self) -> np.ndarray | None:
-        """P[delta] at the member's time, or None without a delta."""
-        if self.delta_stream is None:
-            return None
-        return np.multiply(self.config.delta.modulation.value(self.stepper.t),
+    def delta(self, t: float) -> np.ndarray:
+        """P[delta] at time t; the member must have a delta."""
+        return np.multiply(self.config.delta.modulation.value(t),
                            self.delta_stream, out=self._delta)
 
 
@@ -197,8 +194,8 @@ class _Group:
         """The feedback of the observation X, one pair or a stack of one
         per member, plus the observation errors at time t, as `feedback`;
         X may be `feedback`."""
-        _projected_masked(self.config.interpolant, self.config.mask, grid, X,
-                          self.mu, self.feedback, self.scratch)
+        projected_masked(self.config.interpolant, self.config.mask, grid, X,
+                         self.mu, self.feedback, self.scratch)
         for m, feedback in zip(self.members, self.feedback):
             m.add_eps(feedback, t)
         return self.feedback
@@ -219,7 +216,8 @@ class CoupledStepper:
     reference first.  The members follow it in groups: those that share a
     feedback mode and an observation operator (kind, h, mask) sit in
     consecutive slots, so that one call gives all their feedback, and the
-    unobserved ones come last.  A retired member leaves the stack.
+    unobserved ones come last.  The stack is built once, here: a retired
+    member moves behind the active ones in it, where no step reads it.
     """
 
     def __init__(self, grid: Grid, params, forcing: ForcingSpec,
@@ -227,21 +225,18 @@ class CoupledStepper:
         if isinstance(configs, NudgingConfig):
             configs = [configs]
         self.grid = grid
-        self.configs = list(configs)
-        self._system = (params, forcing, dt)
-        self._stack = Stack(grid, params, forcing, dt, 1 + len(self.configs))
-        self._members = [_Member(grid, cfg, dt) for cfg in self.configs]
+        self._members = [_Member(grid, cfg, dt) for cfg in configs]
+        self._stack = Stack(grid, params, forcing, dt, 1 + len(self._members))
         self.reference = MhdStepper(grid, params, forcing, dt, work=self._stack)
         keys = [m.key for m in self._members]
         # the members in slot order: each group where its key first appears,
         # the unobserved ones last
         self._order = sorted(range(len(keys)), key=lambda k: (
             keys[k] is None, keys.index(keys[k])))
-        for k in self._order:
-            m = self._members[k]
-            m.stepper = MhdStepper(grid, params, forcing, dt, damping=m.damping,
-                                   work=self._stack)
-        self.members = [m.stepper for m in self._members]
+        steppers = {k: MhdStepper(grid, params, forcing, dt, work=self._stack,
+                                  damping=self._members[k].damping)
+                    for k in self._order}
+        self.members = [steppers[k] for k in range(len(keys))]
         self._groups = self._group()
         # member index -> the BlowUpError or CflError that retired it;
         # written only by step
@@ -262,16 +257,14 @@ class CoupledStepper:
         return [k for k in range(len(self._members)) if k not in self.failures]
 
     def _retire(self, errors: dict):
-        """Retire the members in `errors` (member index -> error): each moves
-        to a stack of its own, where no step reads it, and the active ones
-        close up in their order."""
-        grid = self.grid
-        for k in sorted(errors):
-            self.failures[k] = errors[k]
-            self.members[k].move_to(Stack(grid, *self._system, 1), 0)
+        """Retire the members in `errors` (member index -> error), in place:
+        `Stack.reorder` puts the reference first, then the active members in
+        their order, then every retired member, which keeps its state, step
+        history and tables, and which no step reads again."""
+        self.failures.update(sorted(errors.items()))
         self._order = [k for k in self._order if k not in errors]
-        for slot, k in enumerate(self._order, start=1):
-            self.members[k].move_to(self._stack, slot)
+        self._stack.reorder([self.reference] + [
+            self.members[k] for k in self._order + list(self.failures)])
         self._groups = self._group()
 
     def step(self):
@@ -282,10 +275,10 @@ class CoupledStepper:
         them all is one `advection` call, and each checks its speed
         (`MhdStepper.step_error`) before any state changes.  An error of the
         reference retires every active member with it and is raised; a
-        member's error retires that member, and the others step.  Once no
-        member is active, step raises the error that retired the last one,
-        so a one-member system fails as a plain pair does.  This is the only
-        place a system is retired.
+        member's error retires that member, and the others step.  The step
+        that retires the last active member raises the error that retired
+        it, before any state changes, so a one-member system fails as a
+        plain pair does.  This is the only place a system is retired.
 
         The feedback is one `projected_masked` call per group.  Explicit
         members take theirs from the stack of reference minus member before
@@ -307,6 +300,8 @@ class CoupledStepper:
         failed = {k: e for k, e in zip(self._order, errors[1:]) if e is not None}
         if failed:
             self._retire(failed)
+            if not self._order:
+                raise failed[max(failed)]
             steppers = [ref] + [self.members[k] for k in self._order]
             bands, _ = advection(grid, stack.X[:len(steppers)], stack.work)
         extra_ab = []
@@ -316,12 +311,12 @@ class CoupledStepper:
                 g.observe(grid, diff, ref.t)
                 for m, feedback in zip(g.members, g.feedback):
                     if m.delta_stream is not None:
-                        feedback += m.delta()
+                        feedback += m.delta(ref.t)
                 extra_ab.append((g.slots, g.feedback))
         for slot, k in enumerate(self._order, start=1):
             m = self._members[k]
             if m.delta_stream is not None and (m.implicit or not m.observes):
-                extra_ab.append((slot, m.delta()))
+                extra_ab.append((slot, m.delta(ref.t)))
         # the reference's time once it is solved
         t = ref.t + ref.dt
 
@@ -334,8 +329,6 @@ class CoupledStepper:
         for s in steppers:
             s.t += s.dt
             s.step_count += 1
-        if failed and not self._order:
-            raise failed[max(failed)]
 
 
 # ---------------------------------------------------------------------------

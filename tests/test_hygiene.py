@@ -2,6 +2,7 @@
 skipped: its imports are the public re-exports."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -287,6 +288,29 @@ def test_one_state_gate():
     sites = {(p.stem, func) for p in PACKAGE for func in
              functions_calling(p.read_text(), "divergence_defect")}
     assert sites == {("dynamics", "MhdStepper.set_state")}
+
+
+def test_no_stack_built_mid_run():
+    # a stack is built with its stepper or its coupled stepper, once: a
+    # retirement reorders the coupled stepper's stack in place
+    sites = {(p.stem, func) for p in PACKAGE for func in
+             functions_calling(p.read_text(), "Stack")}
+    assert sites == {("dynamics", "MhdStepper.__init__"),
+                     ("nudging", "CoupledStepper.__init__")}
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings():
+    # tools/code_lines.py counts every line of a statement, a string that
+    # is no docstring included, and no blank, comment or docstring line
+    spec = importlib.util.spec_from_file_location(
+        "code_lines", ROOT / "tools" / "code_lines.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    src = ('"""Module\n\ndocstring."""\n\n# a comment\nx = f(1,\n'
+           '      2)  # trailing\n\n\nclass A:\n    """One line."""\n\n'
+           '    def m(self):\n        """Two\n        lines."""\n'
+           '        return """not a\ndocstring"""\n')
+    assert tool.code_lines(src) == 6
 
 
 def test_einsum_call_is_found():

@@ -26,7 +26,7 @@ from mhdnudge.interpolants import (
     SPECTRAL,
     VOLUME,
     InterpolantSpec,
-    _projected_masked,
+    projected_masked,
 )
 from mhdnudge.nudging import (
     CoupledStepper,
@@ -375,9 +375,9 @@ def test_gain_zero_member_observes_nothing(grid32, params, forcing32, kind,
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return _projected_masked(*args, **kwargs)
+        return projected_masked(*args, **kwargs)
 
-    monkeypatch.setattr(nudging, "_projected_masked", counted)
+    monkeypatch.setattr(nudging, "projected_masked", counted)
     for _ in range(3):
         cs.step()
     assert calls == []
@@ -404,9 +404,9 @@ def test_each_group_observes_once_per_step(grid32, params, forcing32,
 
     def counted(spec, mask, grid, X, mu, *args):
         calls.append((spec.kind, mask, tuple(mu)))
-        return _projected_masked(spec, mask, grid, X, mu, *args)
+        return projected_masked(spec, mask, grid, X, mu, *args)
 
-    monkeypatch.setattr(nudging, "_projected_masked", counted)
+    monkeypatch.setattr(nudging, "projected_masked", counted)
     for _ in range(3):
         cs.step()
     assert sorted(calls) == sorted([
@@ -570,6 +570,49 @@ def test_failed_member_is_retired_and_others_go_on(grid32, params, forcing32):
         for _ in range(60):
             cs.step()
     assert cs.active() == []
+
+
+def test_retiring_the_last_member_leaves_the_reference(grid32, params,
+                                                       forcing32):
+    # the step that retires the last member raises before any state
+    # changes: the reference keeps its state and its clock
+    cs = CoupledStepper(grid32, params, forcing32, spec_config(), 2e-3)
+    init = seeded_init(grid32, 0, 0.5)
+    cs.reference.set_state(init, init, 0.0)
+    for _ in range(3):
+        cs.step()
+    cs.members[0].X[1, 2, 3] = np.nan
+    ref = cs.reference
+    X, clock = ref.X.copy(), (ref.t, ref.step_count)
+    with pytest.raises(BlowUpError):
+        cs.step()
+    assert cs.active() == []
+    np.testing.assert_array_equal(ref.X, X)
+    assert (ref.t, ref.step_count) == clock
+
+
+def test_retirement_holds_no_memory(params):
+    # a retired member stays in the coupled stepper's one stack, behind the
+    # active ones: retiring seven of eight spectral members at n = 64, one
+    # per step, builds no stack and no table
+    g = Grid(64)
+    forcing = ForcingSpec(normalized_field(g, 100, 2.0), normalized_field(g, 101, 0.5))
+    configs = [spec_config(mu=10.0 * k) for k in range(1, 9)]
+    cs = CoupledStepper(g, params, forcing, configs, 1e-3)
+    init = normalized_field(g, 0, 0.5)
+    cs.reference.set_state(init, init, 0.0)
+    cs.step()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(7):
+            cs.members[k].X[1, 2, 3] = np.nan
+            cs.step()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert cs.active() == [7]
+    assert held < 1_000_000
 
 
 def test_stack_members_match_one_member_systems(grid32, params, forcing32):
