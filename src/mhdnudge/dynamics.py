@@ -72,15 +72,13 @@ class CflError(RuntimeError):
 
 
 class BlowUpError(RuntimeError):
-    def __init__(self, t: float, step: int, detail: str = ""):
-        super().__init__(t, step, detail)
+    def __init__(self, t: float, step: int):
+        super().__init__(t, step)
         self.t = t
         self.step = step
-        self.detail = detail
 
     def __str__(self):
-        text = f"non-finite state at t={self.t:.6g} (step {self.step})"
-        return f"{text} {self.detail}" if self.detail else text
+        return f"non-finite state at t={self.t:.6g} (step {self.step})"
 
 
 # ---------------------------------------------------------------------------
@@ -227,20 +225,19 @@ class AdvectionWork:
         self.speed_sq = np.empty(size)
 
 
-def advection(grid: Grid, X: np.ndarray, work: AdvectionWork | None = None):
-    """The stream functions of P[(w.grad)v] and P[(v.grad)w] for the state
-    X = (psi_v, psi_w), as the contiguous (2, n, cutoff + 1) band of their
-    columns 0..cutoff, which is zero past the dealias cutoff and at k = 0
-    (so are the columns past it, which it leaves out), and the
-    physical-space maximum speed of v and w.
+def advection(grid: Grid, X: np.ndarray, work: AdvectionWork):
+    """The stream functions of P[(w.grad)v] and P[(v.grad)w] for each state
+    (psi_v, psi_w) of the (S, 2, n, n/2 + 1) stack X, as the contiguous
+    (S, 2, n, cutoff + 1) bands of their columns 0..cutoff, which are zero
+    past the dealias cutoff and at k = 0 (so are the columns past it, which
+    they leave out), and the list of the S physical-space maximum speeds of
+    v and w.
 
-    X may also be an (S, 2, n, n/2 + 1) stack of S states: the result is
-    then the (S, 2, n, cutoff + 1) bands and a list of S speeds, each
-    bitwise what the call on that state alone returns, so one call serves a
-    reference and all its members.  The velocities come from the columns
-    0..cutoff of X, dealiased.  The speed is one maximum over |v|^2 and
-    |w|^2, so it is NaN or inf when either field holds a non-finite value in
-    the columns 0..cutoff.
+    Each slot's band and speed are bitwise what the call on a stack of that
+    state alone gives, so one call serves a reference and all its members.
+    The velocities come from the columns 0..cutoff of X, dealiased.  A
+    speed is one maximum over |v|^2 and |w|^2, so it is NaN or inf when
+    either field holds a non-finite value in the columns 0..cutoff.
 
     Curl form: for divergence-free w, (w.grad)v_i = d_j M_ij with
     M_ij = v_i w_j, whose transform is A_i = 2 pi i k_j M_ij^.  A 2D field's
@@ -250,17 +247,14 @@ def advection(grid: Grid, X: np.ndarray, work: AdvectionWork | None = None):
     P[(v.grad)w] is the same with M12 and M21 swapped.  Three products,
     M12, M21 and D, thus give both terms with their projection, through the
     tables of `Grid.curl_weights`, which also dealias.  Every array goes to
-    a buffer of `work` (see AdvectionWork), which is allocated for this call
-    when not given.  No operand of a pass overlaps its output, and no
-    product mixes a real and a complex operand, so numpy makes no copy of an
-    operand and casts none.  The velocity table (`work.velocity[:S]`) and
-    the reversed components of M12 and M21 are not broadcast into a
-    product, as numpy buffers such a product's operands.
+    a buffer of `work`, an AdvectionWork of at least S systems.  No operand
+    of a pass overlaps its output, and no product mixes a real and a
+    complex operand, so numpy makes no copy of an operand and casts none.
+    The velocity table (`work.velocity[:S]`) and the reversed components of
+    M12 and M21 are not broadcast into a product, as numpy buffers such a
+    product's operands.
     """
-    stack = X if X.ndim == 4 else X[None]
-    S = len(stack)
-    if work is None:
-        work = AdvectionWork(grid, S)
+    S = len(X)
     band, vel, cols, phys, products, rows = (
         a[:S] for a in (work.band, work.vel, work.cols, work.phys,
                         work.products, work.rows))
@@ -268,7 +262,7 @@ def advection(grid: Grid, X: np.ndarray, work: AdvectionWork | None = None):
     _, (W11, W22, W12) = grid.curl_weights
     # the velocities: each stream function copied to both components, times
     # the table
-    np.copyto(vel.reshape(S, 2, 2, n, c), stack[:, :, None, :, :c])
+    np.copyto(vel.reshape(S, 2, 2, n, c), X[:, :, None, :, :c])
     vel *= work.velocity[:S]
     # irfft2(s=(n, n)) of the columns 0..cutoff, which zero-pads the others,
     # as its two 1-D passes, unscaled: numpy 2.4.6 leaves wrong values in
@@ -295,10 +289,7 @@ def advection(grid: Grid, X: np.ndarray, work: AdvectionWork | None = None):
     np.multiply(W11, M[:, 1::-1], out=s)
     s -= np.multiply(W22, M[:, :2], out=M[:, :2])
     s += np.multiply(W12, M[:, 2], out=M[:, 2])[:, None]
-    speeds = [float(m) ** 0.5 for m in work.speed_sq[:S]]
-    if X.ndim == 4:
-        return band, speeds
-    return band[0], speeds[0]
+    return band, [float(m) ** 0.5 for m in work.speed_sq[:S]]
 
 
 def stack_pair(grid: Grid, first: np.ndarray, second: np.ndarray,
@@ -401,9 +392,10 @@ class Stack:
     as this step's and the Adams-Bashforth history by the parity of the step
     count, a right-hand side, and the inverse of the slot's implicit solve;
     the Crank-Nicolson tables, the projected forcing and the AdvectionWork
-    are shared.  An `MhdStepper` built on a stack takes its next free slot,
-    and a lone stepper owns a stack of one.  The arrays are allocated once,
-    here: `reorder` moves the systems between the slots in place.
+    are shared.  An `MhdStepper` built on a stack takes its next free slot;
+    one built without a stack owns a stack of one.  The arrays are
+    allocated once, here: `reorder` moves the systems between the slots in
+    place.
     """
 
     def __init__(self, grid: Grid, params: ElsasserParams,
@@ -411,7 +403,7 @@ class Stack:
         if dt <= 0:
             raise ValueError("dt must be positive")
         n, h, c = grid.n, grid.half_width, grid.cutoff + 1
-        self.forcing, self.dt = forcing, dt
+        self.grid, self.params, self.forcing, self.dt = grid, params, forcing, dt
         self.half_step, _ = _implicit_operators(grid, params, dt, None)
         # P[m(t) (f, g)] = m(t) P[(f, g)], so the step scales it; its
         # columns 0..cutoff are kept apart, contiguous like the advection
@@ -432,8 +424,8 @@ class Stack:
     def reorder(self, steppers):
         """Put the systems of `steppers`, every stepper on this stack, in
         the slots 0, 1, ... in that order: each keeps its state, its two
-        explicit terms and its inverse tables, and its stepper's views
-        follow it."""
+        explicit terms and its inverse tables, and its stepper's view of
+        the state follows it."""
         order = [s._slot for s in steppers]
         if sorted(order) != list(range(self.free)):
             raise ValueError("reorder needs every stepper of the stack once")
@@ -519,13 +511,14 @@ class MhdStepper:
     through `norms`, which applies the Parseval weights, or as vectors
     through `fields`.  Forcing and initial states are (2, n, n/2 + 1) half
     spectra of vectors, and arrays of any other shape are refused.  `work`,
-    when given, is the Stack of a `CoupledStepper`, built with the same
-    grid, parameters, forcing and dt, whose next free slot the stepper
-    takes; a stepper given none owns a stack of one.  The stepper keeps
-    views of its slot, which `Stack.reorder` may change.  `advance` is the
-    one-slot case of `Stack.step`; a step of the stack from a given band
-    allocates no array data at n = 64 and above (at n = 32 numpy buffers
-    its broadcast table passes).
+    when given, is the Stack of a `CoupledStepper`, whose next free slot
+    the stepper takes: the stepper must have the stack's grid, parameters
+    and dt, and the stack's forcing object itself, or a ValueError is
+    raised, as the stack steps every slot with its own.  A stepper given
+    no stack owns a stack of one; `Stack.reorder` may move the slot.
+    `advance` is the one-slot case of `Stack.step`; a step of the stack
+    from a given band allocates no array data at n = 64 and above (at
+    n = 32 numpy buffers its broadcast table passes).
 
     `damping` is an optional linear operator added implicitly to the
     left-hand side (used for the nudging self-damping term), given as three
@@ -538,6 +531,10 @@ class MhdStepper:
                  dt: float, damping: tuple | None = None,
                  work: Stack | None = None):
         stack = Stack(grid, params, forcing, dt, 1) if work is None else work
+        if (grid, params, dt) != (stack.grid, stack.params, stack.dt) \
+                or forcing is not stack.forcing:
+            raise ValueError("a stepper must have the grid, parameters, "
+                             "forcing and dt of its stack")
         self.grid = grid
         self.params = params
         self.dt = dt
@@ -551,9 +548,8 @@ class MhdStepper:
         self.restart()
 
     def _bind(self, k: int):
-        """Take the views of slot k of the stack (`Stack.reorder`)."""
+        """Take the view of slot k of the stack (`Stack.reorder`)."""
         self._slot, self.X = k, self._stack.X[k]
-        self._inverse = tuple(table[k] for table in self._stack.inverse)
 
     # -- state accessors ----------------------------------------------------
 

@@ -44,10 +44,8 @@ from .interpolants import (
     MASK_FIRST,
     MASK_U_ONLY,
     MASK_V_ONLY,
-    MASKS,
     NODAL,
     SPECTRAL,
-    VOLUME,
     CALIBRATION_INFLATION,
     InterpolantSpec,
     _check_grid,
@@ -56,6 +54,7 @@ from .interpolants import (
     verification_report,
 )
 from .nudging import (
+    ConfigError,
     CoupledStepper,
     NudgingConfig,
     check_explicit_gain,
@@ -83,10 +82,6 @@ SCENARIOS = (
     "b-only-control",
     "u-only-exploratory",
 )
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -131,13 +126,12 @@ class ExperimentConfig:
     calibration_samples: int = 100
 
     def validated(self) -> "ExperimentConfig":
+        """This config, once each key is checked: ConfigError otherwise.
+        The gain, interpolant and mask are checked by the NudgingConfig they
+        make, and the gain's stability by `check_explicit_gain`."""
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; "
                               f"expected one of {SCENARIOS}")
-        if self.mask not in MASKS:
-            raise ConfigError(f"unknown mask {self.mask!r}; expected one of {MASKS}")
-        if self.interpolant_kind not in (SPECTRAL, VOLUME, NODAL):
-            raise ConfigError(f"unknown interpolant kind {self.interpolant_kind!r}")
         if self.forcing_mode not in ("random", "kolmogorov"):
             raise ConfigError(f"unknown forcing mode {self.forcing_mode!r}")
         if self.init_mode not in ("zero", "copy", "random"):
@@ -146,8 +140,9 @@ class ExperimentConfig:
             if typ is float and not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         try:
-            _check_grid(InterpolantSpec(self.interpolant_kind, self.interpolant_h),
-                        Grid(self.n))
+            nudging = NudgingConfig(self.mu, InterpolantSpec(
+                self.interpolant_kind, self.interpolant_h), self.mask)
+            _check_grid(nudging.interpolant, Grid(self.n))
             derive_elsasser_params(self.re, self.rm)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -171,11 +166,9 @@ class ExperimentConfig:
             raise ConfigError("sample_every must be >= 1")
         if self.calibration_samples < 1:
             raise ConfigError("calibration_samples must be >= 1")
-        if self.mu < 0:
-            raise ConfigError("mu must be >= 0")
         # the determining scenario derives its own gain and does not use mu
         if self.scenario != "determining":
-            _check_gain(self.interpolant_kind, self.mu, self.dt)
+            check_explicit_gain(self.interpolant_kind, self.mu, self.dt)
         return self
 
     def dump(self) -> str:
@@ -184,14 +177,6 @@ class ExperimentConfig:
 
 
 _TYPES = get_type_hints(ExperimentConfig)
-
-
-def _check_gain(kind: str, mu: float, dt: float, gain: str = "mu"):
-    """check_explicit_gain, raising ConfigError."""
-    try:
-        check_explicit_gain(kind, mu, dt, gain)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def parse_config_text(text: str, overrides: dict | None = None) -> ExperimentConfig:
@@ -579,7 +564,7 @@ def _scenario_determining(cfg: ExperimentConfig, outdir):
             f"every resolved field, and no finite gain follows")
     mu_aux = params.nu_bar / scale
     # validated() cannot see the derived gain
-    _check_gain(cfg.interpolant_kind, mu_aux, cfg.dt, "mu_aux")
+    check_explicit_gain(cfg.interpolant_kind, mu_aux, cfg.dt, "mu_aux")
     coupled = CoupledStepper(grid, params, forcing1, [
         NudgingConfig(mu_aux, chi_spec, MASK_ALL, delta),
         NudgingConfig(0.0, chi_spec, MASK_ALL, delta)], cfg.dt)

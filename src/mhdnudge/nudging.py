@@ -48,6 +48,7 @@ from .dynamics import (
 )
 from .interpolants import (
     MASK_ALL,
+    MASKS,
     SPECTRAL,
     InterpolantSpec,
     apply_masked,
@@ -56,12 +57,19 @@ from .interpolants import (
 from .spectral import Grid, stream_function
 
 
+class ConfigError(ValueError):
+    """An invalid run configuration: a CLI run exits 2 with it."""
+
+
 @dataclass
 class NudgingConfig:
     """Gain, observation operator and mask of the feedback term.
 
     `delta` is a forcing pair added to the assimilated system only; `eps`
-    is an observation error pair (its f on v, its g on w).
+    is an observation error pair (its f on v, its g on w).  A mask not in
+    `interpolants.MASKS` and a negative gain are refused with a
+    ConfigError, here and nowhere else; the interpolant checks its own
+    kind and h (`InterpolantSpec`).
     """
 
     mu: float
@@ -71,8 +79,10 @@ class NudgingConfig:
     eps: ForcingSpec | None = None
 
     def __post_init__(self):
+        if self.mask not in MASKS:
+            raise ConfigError(f"unknown mask {self.mask!r}; expected one of {MASKS}")
         if self.mu < 0:
-            raise ValueError("gain mu must be >= 0")
+            raise ConfigError("mu must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -80,29 +90,28 @@ class NudgingConfig:
 
 
 def check_explicit_gain(kind: str, mu: float, dt: float, gain: str = "mu"):
-    """Raise ValueError unless feedback through a `kind` interpolant with
+    """Raise ConfigError unless feedback through a `kind` interpolant with
     gain mu is stable at dt: explicit feedback (volume and nodal) needs
-    mu*dt <= 1.  `gain` names mu in the message."""
+    mu*dt <= 1.  `gain` names mu in the message.  This is the one place the
+    rule is written."""
     if kind != SPECTRAL and mu * dt > 1.0:
-        raise ValueError(
+        raise ConfigError(
             f"explicit nudging ({kind} interpolant) needs {gain}*dt <= 1, got "
             f"{gain}*dt = {mu * dt:g}; the largest admissible dt is "
             f"{1.0 / mu:.3e}")
 
 
-def nudging_term(config: NudgingConfig, grid: Grid, X: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """mu * P[I_h masked(X)] as a (2, n, n/2 + 1) stream function pair,
-    written to `out` when it is given, which may be X itself.
+def nudging_term(config: NudgingConfig, grid: Grid, X: np.ndarray) -> np.ndarray:
+    """mu * P[I_h masked(X)] as a new (2, n, n/2 + 1) stream function pair.
 
     Linear in the (2, n, n/2 + 1) stream functions X = (eta, zeta) of the
     velocities it observes, which are observed minus model for the explicit
     feedback and the observation alone for the implicit data term.  The
     cached per-mode tables of `interpolants.projected_masked` make it with
-    no Leray pass and no post pass.
+    no Leray pass and no post pass.  A step calls `projected_masked` once
+    per group of members; this serves `_damping`.
     """
-    return projected_masked(config.interpolant, config.mask, grid, X,
-                            config.mu, out)
+    return projected_masked(config.interpolant, config.mask, grid, X, config.mu)
 
 
 def _damping(grid: Grid, config: NudgingConfig):
@@ -111,10 +120,9 @@ def _damping(grid: Grid, config: NudgingConfig):
 
     That interpolant, every mask and P act mode by mode, on each mode's
     (psi_v, psi_w) as a symmetric 2x2 matrix, so its columns are
-    nudging_term applied to the constant unit planes.
+    nudging_term applied to the constant unit planes.  Only implicit
+    members, whose interpolant is spectral, call it.
     """
-    if config.interpolant.kind != SPECTRAL:
-        raise ValueError("implicit feedback requires the spectral interpolant")
     unit = np.zeros((2, grid.n, grid.half_width), dtype=np.complex128)
     unit[0] = 1.0
     dv, ds = nudging_term(config, grid, unit).real
@@ -379,7 +387,6 @@ def run_assimilation(grid: Grid, params, forcing: ForcingSpec,
         # a stepped state is stream functions, divergence-free by its form
         for assim in coupled.members:
             assim.X[...] = ref.X
-            assim.restart(0.0)
 
     n_steps = int(round(horizon / dt))
     members = coupled.members

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mhdnudge.dynamics import (
+    AdvectionWork,
     ForcingSpec,
     Trajectory,
     advection,
@@ -95,11 +96,20 @@ def full_band(grid, band):
     return out
 
 
+def advect(grid, X):
+    """`advection` of one (2, n, n/2 + 1) state, as its band and speed, or
+    of an (S, 2, n, n/2 + 1) stack, as its bands and speeds, with work
+    buffers of its own."""
+    stack = X if X.ndim == 4 else X[None]
+    bands, speeds = advection(grid, stack, AdvectionWork(grid, len(stack)))
+    return (bands, speeds) if X.ndim == 4 else (bands[0], speeds[0])
+
+
 def advected_fields(grid, V):
     """The bands P[(w.grad)v] and P[(v.grad)w] of an (S, 4, n, n/2 + 1)
     stack of pairs (v, w), from one batched `advection` call."""
     psi = stream(grid, V.reshape(V.shape[:-3] + (2, 2) + V.shape[-2:]))
-    return vectors(grid, full_band(grid, advection(grid, psi)[0]))
+    return vectors(grid, full_band(grid, advect(grid, psi)[0]))
 
 
 def h1_seminorm(grid, coef):

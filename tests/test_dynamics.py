@@ -36,6 +36,7 @@ from mhdnudge.spectral import (
 )
 
 from conftest import (
+    advect,
     advected_fields,
     diffusion,
     full_band,
@@ -229,7 +230,7 @@ def test_advection_matches_advective_form(n):
     g = Grid(n)
     v = random_divfree_field(g, 5, 1.0, g.cutoff)
     w = random_divfree_field(g, 6, 1.0, g.cutoff)
-    adv, _ = advection(g, stream(g, np.stack([v, w])))
+    adv, _ = advect(g, stream(g, np.stack([v, w])))
     assert adv.shape == (2, n, g.cutoff + 1)
     adv = vectors(g, full_band(g, adv))
     v, w = full_spectrum(g, v), full_spectrum(g, w)
@@ -264,7 +265,7 @@ def test_advection_matches_full_fft(n):
     # mode, so the input dealiasing is exercised too
     g = Grid(n)
     X = random_stack(g, 1, n)[0]
-    adv, speed = advection(g, X)
+    adv, speed = advect(g, X)
     full, expected_speed = advection_full_fft(g, vectors(g, X))
     expected = projected_band(g, full)
     adv = vectors(g, full_band(g, adv))
@@ -285,7 +286,7 @@ def test_batched_advection_is_each_system_alone(n, size):
     assert bands.shape == (size, 2, n, g.cutoff + 1) and len(speeds) == size
     bands = bands.copy()
     for s in range(size):
-        band, speed = advection(g, states[s])
+        band, speed = advect(g, states[s])
         np.testing.assert_array_equal(bands[s], band)
         assert speeds[s] == speed
     # a NaN in the last slot makes only its own speed non-finite
@@ -313,7 +314,7 @@ def test_advection_band_is_projected_and_dealiased(n, size):
     # where the advective form aliases differently)
     g = Grid(n)
     states = random_stack(g, size, n + size)
-    bands, _ = advection(g, states)
+    bands, _ = advect(g, states)
     for band, psi in zip(full_band(g, bands), states):
         assert not band[:, ~g.dealias_mask].any() and not band[:, 0, 0].any()
         full, _ = advection_full_fft(g, vectors(g, psi))
@@ -343,7 +344,7 @@ def test_advection_band_is_zero_past_the_cutoff(n):
     bands, speeds = advection(g, noisy, work)
     assert bands.shape == (3, 2, n, c)
     for s in range(3):
-        band, speed = advection(g, clean[s])
+        band, speed = advect(g, clean[s])
         np.testing.assert_array_equal(bands[s], band)
         assert speeds[s] == speed
 
@@ -373,7 +374,7 @@ def test_advection_makes_three_forward_transforms_per_system(monkeypatch):
         for name in ("leray_project_coef", "dealias_coef"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
-    advection(g, states)
+    advect(g, states)
     assert planes == {"ifft": 4 * size, "irfft": 4 * size,
                       "rfft": 3 * size, "fft": 3 * size}
 
@@ -383,7 +384,7 @@ def test_advection_skew_symmetry():
     g = Grid(32)
     a = random_divfree_field(g, 5, 1.0, g.cutoff)
     b = random_divfree_field(g, 6, 1.0, g.cutoff)
-    adv, _ = advection(g, stream(g, np.stack([b, a])))
+    adv, _ = advect(g, stream(g, np.stack([b, a])))
     # P[(w.grad)v] with v = b, w = a; P is self-adjoint and P b = b
     adv = full_spectrum(g, vectors(g, full_band(g, adv))[:2])
     ip = np.real(np.sum(np.conj(adv) * full_spectrum(g, b)))
@@ -416,7 +417,7 @@ def test_advection_keeps_the_elsasser_invariants(n, size):
 def test_advection_of_shear_flow_vanishes():
     g = Grid(32)
     c = shear_mode(g)
-    adv, speed = advection(g, stream(g, np.stack([c, c])))
+    adv, speed = advect(g, stream(g, np.stack([c, c])))
     assert np.max(np.abs(adv)) < 1e-15
     assert speed == pytest.approx(2.0, rel=1e-14)
 
@@ -585,6 +586,24 @@ def test_advance_allocates_no_array(n):
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("change", ["dt", "params", "grid", "forcing"])
+def test_a_stepper_must_match_its_stack(grid32, params, forcing32, change):
+    # the stack steps every slot with its own grid, parameters, forcing and
+    # dt, so a stepper that differs in any of them, or that brings forcing
+    # arrays equal to the stack's in another ForcingSpec, is refused
+    stack = Stack(grid32, params, forcing32, 2e-3, 2)
+    other = {"dt": 1e-3, "params": derive_elsasser_params(5.0, 10.0),
+             "grid": Grid(16),
+             "forcing": ForcingSpec(forcing32.f.copy(), forcing32.g.copy())}
+    args = {"grid": grid32, "params": params, "forcing": forcing32, "dt": 2e-3,
+            change: other[change]}
+    with pytest.raises(ValueError, match="grid, parameters, forcing and dt of its stack"):
+        MhdStepper(work=stack, **args)
+    assert stack.free == 0
+    MhdStepper(grid32, params, forcing32, 2e-3, work=stack)
+    assert stack.free == 1
+
+
 def test_full_spectrum_arrays_rejected(grid32, params, forcing32):
     # (2, n, n) arrays of the full layout are refused, not sliced
     full = np.zeros((2, 32, 32), dtype=complex)
@@ -629,8 +648,7 @@ def test_blow_up_text_ends_at_the_step():
 
 
 def test_errors_round_trip_through_pickle():
-    for exc in (CflError(0.05, 1.2e-3), BlowUpError(1.5, 750, "(mu=60)"),
-                BlowUpError(0.206, 103)):
+    for exc in (CflError(0.05, 1.2e-3), BlowUpError(0.206, 103)):
         back = pickle.loads(pickle.dumps(exc))
         assert type(back) is type(exc)
         assert str(back) == str(exc)

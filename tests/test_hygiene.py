@@ -290,6 +290,24 @@ def test_one_state_gate():
     assert sites == {("dynamics", "MhdStepper.set_state")}
 
 
+def test_one_gain_rule():
+    # mu*dt <= 1 is written once, in check_explicit_gain, and each caller
+    # with a gain and a dt calls it directly: a member, a config, and the
+    # determining scenario with its derived gain
+    sites = {(p.stem, func) for p in PACKAGE for func in
+             functions_calling(p.read_text(), "check_explicit_gain")}
+    assert sites == {("nudging", "_Member.__init__"),
+                     ("experiments", "ExperimentConfig.validated"),
+                     ("experiments", "_scenario_determining")}
+
+
+def test_config_layer_restates_no_observation_rule():
+    # the masks and interpolant kinds are checked by NudgingConfig and
+    # InterpolantSpec, so the config layer needs neither list
+    source = (ROOT / "src" / "mhdnudge" / "experiments.py").read_text()
+    assert names_imported_from(source, "interpolants") & {"MASKS", "VOLUME"} == set()
+
+
 def test_no_stack_built_mid_run():
     # a stack is built with its stepper or its coupled stepper, once: a
     # retirement reorders the coupled stepper's stack in place
