@@ -563,7 +563,8 @@ def _scenario_determining(cfg: ExperimentConfig, outdir):
             f"which are 0 at h={cfg.interpolant_h}, n={cfg.n}: I_h reproduces "
             f"every resolved field, and no finite gain follows")
     mu_aux = params.nu_bar / scale
-    # validated() cannot see the derived gain
+    # validated() cannot see the derived gain; CoupledStepper checks it too,
+    # and this call only names it mu_aux in summary.json's message
     check_explicit_gain(cfg.interpolant_kind, mu_aux, cfg.dt, "mu_aux")
     coupled = CoupledStepper(grid, params, forcing1, [
         NudgingConfig(mu_aux, chi_spec, MASK_ALL, delta),

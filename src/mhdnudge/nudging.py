@@ -92,8 +92,8 @@ class NudgingConfig:
 def check_explicit_gain(kind: str, mu: float, dt: float, gain: str = "mu"):
     """Raise ConfigError unless feedback through a `kind` interpolant with
     gain mu is stable at dt: explicit feedback (volume and nodal) needs
-    mu*dt <= 1.  `gain` names mu in the message.  This is the one place the
-    rule is written."""
+    mu*dt <= 1.  `gain` names mu in the message, which only the determining
+    scenario sets ("mu_aux").  This is the one place the rule is written."""
     if kind != SPECTRAL and mu * dt > 1.0:
         raise ConfigError(
             f"explicit nudging ({kind} interpolant) needs {gain}*dt <= 1, got "

@@ -17,12 +17,12 @@ def tool():
     return module
 
 
-def write_case(root, config_outdir="out", exit_code=0, summary=b'{"passed": true}\n'):
+def write_case(root, exit_code=0, summary=b'{"passed": true}\n'):
     """One case of the tool's layout: its streams and a run directory."""
     case = root / "case"
     (case / "out").mkdir(parents=True)
     (case / "out" / "config.txt").write_text(
-        f"scenario = baseline\noutdir = {config_outdir}\nn = 32\n")
+        "scenario = baseline\noutdir = out\nn = 32\n")
     (case / "out" / "summary.json").write_bytes(summary)
     (case / "stdout").write_text("{}\n")
     (case / "stderr").write_text("")
@@ -42,11 +42,9 @@ def test_one_changed_byte_is_reported(tool, tmp_path):
         "differs: case/out/summary.json"]
 
 
-def test_config_outdir_line_is_ignored(tool, tmp_path):
-    write_case(tmp_path / "old", config_outdir="/a/out")
-    write_case(tmp_path / "new", config_outdir="/b/out")
-    assert tool.compare_trees(tmp_path / "old", tmp_path / "new") == []
-    # any other line of config.txt counts
+def test_config_line_is_reported(tool, tmp_path):
+    write_case(tmp_path / "old")
+    write_case(tmp_path / "new")
     config = tmp_path / "new" / "case" / "out" / "config.txt"
     config.write_text(config.read_text().replace("n = 32", "n = 64"))
     assert tool.compare_trees(tmp_path / "old", tmp_path / "new") == [

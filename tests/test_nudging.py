@@ -294,26 +294,28 @@ def _arrays(stepper):
 
 def test_steppers_hold_no_per_mode_matrix(params):
     # the solve keeps real per-mode tables on the float64 view, each mode's
-    # weight twice: (n, n + 2) ones and the (2, n, n + 2) diagonal of the
-    # inverse; the damped member has the same arrays as the reference, and
-    # besides the tables a stepper holds only (2, n, n/2 + 1) states
+    # weight twice: per slot, the stack holds the (2, n, n + 2) diagonal and
+    # the (n, n + 2) off-diagonal of the inverse; a stepper itself holds only
+    # (2, n, n/2 + 1) states, the damped member the same arrays as the
+    # reference
     g = Grid(64)
     z = np.zeros((2, 64, 33), dtype=complex)
     cs = CoupledStepper(g, params, ForcingSpec(z, z), spec_config(mu=50.0), 2e-3)
     ref, assim = cs.reference, cs.members[0]
+    diag, off = cs._stack.inverse
+    assert diag.dtype == off.dtype == np.float64
+    assert diag.shape == (2, 2, 64, 66) and off.shape == (2, 64, 66)
+    for table in (diag, off):
+        assert np.array_equal(table[..., ::2], table[..., 1::2])
     shapes = []
     for stepper in (ref, assim):
         arrays = list(_arrays(stepper))
         for arr in arrays:
-            if arr.dtype == np.float64:
-                assert arr.shape in ((64, 66), (2, 64, 66))
-            else:
-                assert arr.shape == (2, 64, 33) and arr.dtype == np.complex128
+            assert arr.shape == (2, 64, 33) and arr.dtype == np.complex128
         shapes.append(sorted(arr.shape for arr in arrays))
     assert shapes[0] == shapes[1]
     # the damping acts on the observed modes: 17 * 9 - 1 = 152 of them for
     # h = 1/8 at n = 64
-    diag, _ = cs._stack.inverse
     assert np.count_nonzero(diag[assim._slot, 0, :, ::2]
                             != diag[ref._slot, 0, :, ::2]) == 152
 

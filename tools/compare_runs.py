@@ -10,9 +10,8 @@ stdout, stderr and exit code are kept beside its artifacts, as the files
 `stdout`, `stderr` and `exit_code`.
 
 The script reports every file that differs, stdout, stderr and exit code
-included, and every file present on one side only.  The `outdir` line of
-`config.txt` is ignored.  It exits 0 only when nothing differs, and 1
-otherwise.
+included, and every file present on one side only, byte for byte.  It
+exits 0 only when nothing differs, and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -50,6 +49,9 @@ CASES = {
     "error-kind": (["run"],
                    "scenario = baseline\nn = 32\ninterpolant_kind = bogus\n"),
     "error-mu": (["run"], "scenario = baseline\nn = 32\nmu = -1\n"),
+    # two errors: the first check that fails is reported
+    "error-mask-and-sample-every": (
+        ["run"], "scenario = baseline\nn = 32\nmask = bogus\nsample_every = 0\n"),
     "error-gain": (["run"], "scenario = baseline\nn = 32\n"
                    "interpolant_kind = nodal\nmu = 600\ndt = 0.002\n"),
     "error-determining-gain": (
@@ -76,15 +78,6 @@ def run_cases(src: Path, root: Path):
         (case / "exit_code").write_text(f"{done.returncode}\n")
 
 
-def _content(path: Path) -> bytes:
-    """The bytes of a file, less the `outdir` line of a config.txt."""
-    data = path.read_bytes()
-    if path.name == "config.txt":
-        data = b"".join(line for line in data.splitlines(keepends=True)
-                        if not line.startswith(b"outdir = "))
-    return data
-
-
 def compare_trees(old: Path, new: Path) -> list[str]:
     """One line per difference between the files under `old` and `new`:
     a file on one side only, or a file whose content differs."""
@@ -93,7 +86,7 @@ def compare_trees(old: Path, new: Path) -> list[str]:
     report = [f"only in old: {name}" for name in sorted(sides[0] - sides[1])]
     report += [f"only in new: {name}" for name in sorted(sides[1] - sides[0])]
     report += [f"differs: {name}" for name in sorted(sides[0] & sides[1])
-               if _content(old / name) != _content(new / name)]
+               if (old / name).read_bytes() != (new / name).read_bytes()]
     return report
 
 
