@@ -23,8 +23,8 @@ each mode's (psi_v, psi_w) as a symmetric 2x2 matrix, so the implicit
 solve is a closed form per mode.  Fields enter and leave as vectors (v, w):
 `MhdStepper.set_state` and `MhdStepper.fields`.  Systems that share a grid,
 parameters, forcing and dt are stepped together as the slots of a `Stack`,
-with one numpy pass per operation over all of them; a lone `MhdStepper` is
-the stack of one.
+with one numpy pass per operation over all of them; each system is an
+`MhdStepper` on a slot, and a lone one is the stepper of a stack of one.
 """
 
 from __future__ import annotations
@@ -391,11 +391,11 @@ class Stack:
     Per slot it also holds the explicit terms of two steps, which swap roles
     as this step's and the Adams-Bashforth history by the parity of the step
     count, a right-hand side, and the inverse of the slot's implicit solve;
-    the Crank-Nicolson tables, the projected forcing and the AdvectionWork
-    are shared.  An `MhdStepper` built on a stack takes its next free slot;
-    one built without a stack owns a stack of one.  The arrays are
-    allocated once, here: `reorder` moves the systems between the slots in
-    place.
+    the Crank-Nicolson tables, the projected forcing, ||f||^2 + ||g||^2 and
+    the AdvectionWork are shared.  Each `MhdStepper` takes the next free
+    slot, so a lone system is the stepper of a stack of size 1.  The
+    arrays are allocated once, here: `reorder` moves the systems between
+    the slots in place.
     """
 
     def __init__(self, grid: Grid, params: ElsasserParams,
@@ -411,6 +411,7 @@ class Stack:
         self.forcing_stream = stream_function(
             grid, stack_pair(grid, forcing.f, forcing.g, "forcing (f, g)"))
         self._forcing_band = self.forcing_stream[..., :c].copy()
+        self.forcing_sq = l2_norm(forcing.f) ** 2 + l2_norm(forcing.g) ** 2
         self._scaled_band = np.empty_like(self._forcing_band)
         self._m = None  # the m(t) that _scaled_band holds
         self._cache = {}  # of _views
@@ -506,44 +507,37 @@ class MhdStepper:
     """One evolving (v, w) state, advanced with the IMEX scheme, in a slot
     of a `Stack`.
 
-    The state `X` is the (2, n, n/2 + 1) half spectrum of the stream
-    functions (psi_v, psi_w) (see `spectral`), a view of its slot; read it
-    through `norms`, which applies the Parseval weights, or as vectors
-    through `fields`.  Forcing and initial states are (2, n, n/2 + 1) half
-    spectra of vectors, and arrays of any other shape are refused.  `work`,
-    when given, is the Stack of a `CoupledStepper`, whose next free slot
-    the stepper takes: the stepper must have the stack's grid, parameters
-    and dt, and the stack's forcing object itself, or a ValueError is
-    raised, as the stack steps every slot with its own.  A stepper given
-    no stack owns a stack of one; `Stack.reorder` may move the slot.
-    `advance` is the one-slot case of `Stack.step`; a step of the stack
-    from a given band allocates no array data at n = 64 and above (at
-    n = 32 numpy buffers its broadcast table passes).
+    The stepper takes the next free slot of `stack` and writes that slot's
+    inverse tables; its `grid`, `params`, `dt` and `forcing` are the
+    stack's own, as the stack steps every slot with them.  A full stack is
+    refused with a ValueError, before anything changes.  A lone system is
+    `MhdStepper(Stack(grid, params, forcing, dt, 1))`.
 
-    `damping` is an optional linear operator added implicitly to the
-    left-hand side (used for the nudging self-damping term), given as three
-    real (n, n/2 + 1) tables (dv, dw, ds): the symmetric 2x2 matrix
-    [[dv, ds], [ds, dw]] on each mode's (psi_v, psi_w).  The matching data
-    term is supplied per step via `extra_plain`.
+    The state `X` is the (2, n, n/2 + 1) half spectrum of the stream
+    functions (psi_v, psi_w) (see `spectral`), a view of its slot, which
+    `Stack.reorder` may move; read it through `norms`, which applies the
+    Parseval weights, or as vectors through `fields`.  Initial states are
+    (2, n, n/2 + 1) half spectra of vectors, and arrays of any other shape
+    are refused.  `advance` is the one-slot case of `Stack.step`; a step of
+    the stack from a given band allocates no array data at n = 64 and above
+    (at n = 32 numpy buffers its broadcast table passes).
     """
 
-    def __init__(self, grid: Grid, params: ElsasserParams, forcing: ForcingSpec,
-                 dt: float, damping: tuple | None = None,
-                 work: Stack | None = None):
-        stack = Stack(grid, params, forcing, dt, 1) if work is None else work
-        if (grid, params, dt) != (stack.grid, stack.params, stack.dt) \
-                or forcing is not stack.forcing:
-            raise ValueError("a stepper must have the grid, parameters, "
-                             "forcing and dt of its stack")
-        self.grid = grid
-        self.params = params
-        self.dt = dt
-        self._forcing_sq = l2_norm(forcing.f) ** 2 + l2_norm(forcing.g) ** 2
-        self._stack, k = stack, stack.free
-        stack.free += 1
+    def __init__(self, stack: Stack, damping: tuple | None = None):
+        """`damping` is an optional linear operator added implicitly to the
+        left-hand side (the nudging self-damping term), given as three real
+        (n, n/2 + 1) tables (dv, dw, ds): the symmetric 2x2 matrix
+        [[dv, ds], [ds, dw]] on each mode's (psi_v, psi_w).  The matching
+        data term is supplied per step through `Stack.step`."""
+        k = stack.free
+        if k == len(stack.X):
+            raise ValueError(f"the stack has no free slot: all {k} are taken")
+        self.grid, self.params, self.dt = stack.grid, stack.params, stack.dt
         for table, inverse in zip(stack.inverse, _implicit_operators(
-                grid, params, dt, damping)[1]):
+                self.grid, self.params, self.dt, damping)[1]):
             table[k] = inverse
+        self._stack = stack
+        stack.free += 1
         self._bind(k)
         self.restart()
 
@@ -596,14 +590,9 @@ class MhdStepper:
 
     def forcing_sq(self) -> float:
         """||f||^2 + ||g||^2 of the forcing at the current time."""
-        return self.forcing.modulation.value(self.t) ** 2 * self._forcing_sq
+        return self.forcing.modulation.value(self.t) ** 2 * self._stack.forcing_sq
 
     # -- stepping -----------------------------------------------------------
-
-    def max_admissible_dt(self, speed: float) -> float:
-        if speed == 0.0:
-            return np.inf
-        return CFL_SAFETY / (self.grid.n * speed)
 
     def step_error(self, speed: float) -> BlowUpError | CflError | None:
         """The error that a step from a state of maximum speed `speed` fails
@@ -618,31 +607,22 @@ class MhdStepper:
         """
         if not math.isfinite(speed):
             return BlowUpError(self.t, self.step_count)
-        adm = self.max_admissible_dt(speed)
+        adm = np.inf if speed == 0.0 else CFL_SAFETY / (self.grid.n * speed)
         if self.dt > adm:
             return CflError(self.dt, adm)
         return None
 
-    def advance(self, extra_ab: np.ndarray | None = None,
-                extra_plain: np.ndarray | None = None):
+    def advance(self):
         """One IMEX step of this system alone: `advection` of its state,
-        then `Stack.step` on its slot.
-
-        extra_ab joins the Adams-Bashforth-extrapolated explicit terms at
-        the current time level; extra_plain is added to the right-hand side
-        as-is (used for the implicitly balanced nudging data term).  Both
-        are (2, n, n/2 + 1) stream functions, as X.  The step raises the
-        error of `step_error` before it changes the state.
-        """
+        then `Stack.step` on its slot.  The step raises the error of
+        `step_error` before it changes the state."""
         stack, k = self._stack, self._slot
         slots = slice(k, k + 1)
         bands, (speed,) = advection(self.grid, stack.X[slots], stack.work)
         error = self.step_error(speed)
         if error is not None:
             raise error
-        stack.step(slots, self.t, self.step_count, bands,
-                   () if extra_ab is None else [(0, extra_ab)],
-                   () if extra_plain is None else [(0, extra_plain)])
+        stack.step(slots, self.t, self.step_count, bands)
         self.t += self.dt
         self.step_count += 1
 

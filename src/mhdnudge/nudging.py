@@ -220,8 +220,10 @@ class CoupledStepper:
     by the reference's forcing plus its `delta`, which it advances with one
     free step.  `members` lists the assimilated steppers in config order.
 
-    The reference and the members are the slots of one `Stack`, the
-    reference first.  The members follow it in groups: those that share a
+    The reference and the members are the `MhdStepper`s of one `Stack`,
+    which gives them all its grid, parameters, forcing and dt; an implicit
+    member's stepper also takes its damping.  The reference is in the first
+    slot, and the members follow it in groups: those that share a
     feedback mode and an observation operator (kind, h, mask) sit in
     consecutive slots, so that one call gives all their feedback, and the
     unobserved ones come last.  The stack is built once, here: a retired
@@ -235,14 +237,13 @@ class CoupledStepper:
         self.grid = grid
         self._members = [_Member(grid, cfg, dt) for cfg in configs]
         self._stack = Stack(grid, params, forcing, dt, 1 + len(self._members))
-        self.reference = MhdStepper(grid, params, forcing, dt, work=self._stack)
+        self.reference = MhdStepper(self._stack)
         keys = [m.key for m in self._members]
         # the members in slot order: each group where its key first appears,
         # the unobserved ones last
         self._order = sorted(range(len(keys)), key=lambda k: (
             keys[k] is None, keys.index(keys[k])))
-        steppers = {k: MhdStepper(grid, params, forcing, dt, work=self._stack,
-                                  damping=self._members[k].damping)
+        steppers = {k: MhdStepper(self._stack, self._members[k].damping)
                     for k in self._order}
         self.members = [steppers[k] for k in range(len(keys))]
         self._groups = self._group()

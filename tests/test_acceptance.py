@@ -27,6 +27,7 @@ from mhdnudge.diagnostics import (
 )
 from mhdnudge.dynamics import (
     MhdStepper,
+    Stack,
     derive_elsasser_params,
     energy_budget,
     grashof_number,
@@ -214,7 +215,7 @@ def test_criterion_7_a_priori_bound(shared_run, grid64, forcing64, params64):
     v0 = normalized_field(grid64, 0, amplitude)
     w0 = normalized_field(grid64, 1, amplitude)
     dt = 5e-4
-    stepper = MhdStepper(grid64, params64, forcing64, dt)
+    stepper = MhdStepper(Stack(grid64, params64, forcing64, dt, 1))
     stepper.set_state(v0, w0)
     traj = record_trajectory(stepper, int(np.ceil(1.2 * full["T"] / dt)))
     control = check_int_bound(traj, G, params64)

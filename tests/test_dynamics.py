@@ -207,7 +207,7 @@ def test_stepper_tendency_matches_mhd(re, rm):
     p = derive_elsasser_params(re, rm)
     u = random_divfree_field(g, 5, 1.0, g.cutoff)
     b = random_divfree_field(g, 6, 1.0, g.cutoff)
-    st = MhdStepper(g, p, zero_forcing(g), 1e-3)
+    st = MhdStepper(Stack(g, p, zero_forcing(g), 1e-3, 1))
     st.set_state(*to_elsasser(u, b))
     X = st.X.copy()
     st.advance()
@@ -427,7 +427,7 @@ def test_stokes_steady_state_is_fixed_point():
     g = Grid(32)
     p = derive_elsasser_params(5.0, 5.0)
     fc = shear_mode(g, amplitude=0.3)
-    st = MhdStepper(g, p, ForcingSpec(fc, fc), 2e-3)
+    st = MhdStepper(Stack(g, p, ForcingSpec(fc, fc), 2e-3, 1))
     vc = fc / (4.0 * np.pi ** 2 * p.alpha)
     st.set_state(vc, vc)
     X0 = st.X.copy()
@@ -444,7 +444,7 @@ def test_crank_nicolson_single_mode_factor():
     g = Grid(32)
     p = derive_elsasser_params(5.0, 5.0)  # beta = 0
     dt = 5e-3
-    st = MhdStepper(g, p, zero_forcing(g), dt)
+    st = MhdStepper(Stack(g, p, zero_forcing(g), dt, 1))
     c = shear_mode(g)
     st.set_state(c, np.zeros_like(c), 0.0)
     st.advance()
@@ -462,7 +462,7 @@ def test_crank_nicolson_beta_coupling():
     p = derive_elsasser_params(5.0, 20.0)
     assert p.beta > 0
     dt = 5e-3
-    st = MhdStepper(g, p, zero_forcing(g), dt)
+    st = MhdStepper(Stack(g, p, zero_forcing(g), dt, 1))
     c = shear_mode(g)
     st.set_state(c, np.zeros_like(c), 0.0)
     st.advance()
@@ -483,7 +483,7 @@ def test_temporal_convergence_order(grid32, params, forcing32):
     horizon = 0.25
 
     def final_state(dt):
-        st = MhdStepper(grid32, params, forcing32, dt)
+        st = MhdStepper(Stack(grid32, params, forcing32, dt, 1))
         st.set_state(init, init, 0.0)
         for _ in range(int(round(horizon / dt))):
             st.advance()
@@ -500,14 +500,14 @@ def test_temporal_convergence_order(grid32, params, forcing32):
 
 def test_cfl_violation_raises(grid32, params):
     fld = normalized_field(grid32, 2, 50.0)
-    st = MhdStepper(grid32, params, zero_forcing(grid32), dt=0.05)
+    st = MhdStepper(Stack(grid32, params, zero_forcing(grid32), 0.05, 1))
     st.set_state(fld, fld, 0.0)
     with pytest.raises(CflError):
         st.advance()
 
 
 def test_stepper_clock_and_counters(grid32, params, forcing32):
-    st = MhdStepper(grid32, params, forcing32, 1e-3)
+    st = MhdStepper(Stack(grid32, params, forcing32, 1e-3, 1))
     init = random_divfree_field(grid32, 1, 2.0)
     st.set_state(init, init, 0.0)
     for _ in range(5):
@@ -524,12 +524,12 @@ def test_restart_matches_fresh_stepper(grid32, params, forcing32):
     # stepper set to the same state, clock and forcing
     init = random_divfree_field(grid32, 1, 2.0)
     modulated = ForcingSpec(forcing32.f, forcing32.g, Modulation(1.0, 1.0, 1.0))
-    st = MhdStepper(grid32, params, modulated, 1e-3)
+    st = MhdStepper(Stack(grid32, params, modulated, 1e-3, 1))
     st.set_state(init, init, 0.0)
     for _ in range(5):
         st.advance()
     st.restart()
-    fresh = MhdStepper(grid32, params, modulated, 1e-3)
+    fresh = MhdStepper(Stack(grid32, params, modulated, 1e-3, 1))
     fresh.X[...] = st.X
     st.advance()
     fresh.advance()
@@ -544,7 +544,7 @@ def test_state_round_trips_through_the_stream_functions(n):
     g = Grid(n)
     v, w = vectors(g, random_stack(g, 1, n)[0]).reshape(2, 2, n, -1)
     assert divergence_defect(g, v) <= 1e-14 * l2_norm(v)
-    st = MhdStepper(g, derive_elsasser_params(5.0, 5.0), zero_forcing(g), 1e-3)
+    st = MhdStepper(Stack(g, derive_elsasser_params(5.0, 5.0), zero_forcing(g), 1e-3, 1))
     st.set_state(v, w)
     for got, want in zip(st.fields(), (v, w)):
         assert np.count_nonzero(want[:, n // 2]) and np.count_nonzero(want[..., n // 2])
@@ -562,7 +562,7 @@ def test_advance_allocates_no_array(n):
     params = derive_elsasser_params(5.0, 5.0)
     forcing = ForcingSpec(normalized_field(g, 100, 2.0), normalized_field(g, 101, 0.5))
     stack = Stack(g, params, forcing, 1e-3, 1)
-    st = MhdStepper(g, params, forcing, 1e-3, work=stack)
+    st = MhdStepper(stack)
     init = normalized_field(g, 1, 0.5, g.cutoff)
     st.set_state(init, init)
     saved = advection(g, stack.X, stack.work)[0].copy()
@@ -586,41 +586,52 @@ def test_advance_allocates_no_array(n):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("change", ["dt", "params", "grid", "forcing"])
-def test_a_stepper_must_match_its_stack(grid32, params, forcing32, change):
+def test_a_stepper_has_its_stacks_values(grid32, params):
     # the stack steps every slot with its own grid, parameters, forcing and
-    # dt, so a stepper that differs in any of them, or that brings forcing
-    # arrays equal to the stack's in another ForcingSpec, is refused
-    stack = Stack(grid32, params, forcing32, 2e-3, 2)
-    other = {"dt": 1e-3, "params": derive_elsasser_params(5.0, 10.0),
-             "grid": Grid(16),
-             "forcing": ForcingSpec(forcing32.f.copy(), forcing32.g.copy())}
-    args = {"grid": grid32, "params": params, "forcing": forcing32, "dt": 2e-3,
-            change: other[change]}
-    with pytest.raises(ValueError, match="grid, parameters, forcing and dt of its stack"):
-        MhdStepper(work=stack, **args)
-    assert stack.free == 0
-    MhdStepper(grid32, params, forcing32, 2e-3, work=stack)
+    # dt, so a stepper holds those very objects, and its ||f||^2 + ||g||^2
+    # is the stack's, computed once, times the squared envelope
+    forcing = ForcingSpec(normalized_field(grid32, 100, 2.0),
+                          normalized_field(grid32, 101, 0.5),
+                          Modulation(0.5, 2.0, 1.0))
+    stack = Stack(grid32, params, forcing, 2e-3, 2)
+    for st in (MhdStepper(stack), MhdStepper(stack)):
+        assert st.grid is stack.grid and st.params is stack.params
+        assert st.dt is stack.dt and st.forcing is forcing
+        st.t = 0.3
+        want = (l2_norm(forcing.f) ** 2 + l2_norm(forcing.g) ** 2) \
+            * forcing.modulation.value(0.3) ** 2
+        assert st.forcing_sq() == want
+
+
+def test_a_full_stack_refuses_a_stepper(grid32, params, forcing32):
+    # a stepper past the last slot is refused before it changes anything
+    stack = Stack(grid32, params, forcing32, 2e-3, 1)
+    MhdStepper(stack)
+    tables = [t.copy() for t in stack.inverse]
+    with pytest.raises(ValueError, match="no free slot"):
+        MhdStepper(stack)
     assert stack.free == 1
+    for before, after in zip(tables, stack.inverse):
+        np.testing.assert_array_equal(after, before)
 
 
 def test_full_spectrum_arrays_rejected(grid32, params, forcing32):
     # (2, n, n) arrays of the full layout are refused, not sliced
     full = np.zeros((2, 32, 32), dtype=complex)
-    st = MhdStepper(grid32, params, forcing32, 2e-3)
+    st = MhdStepper(Stack(grid32, params, forcing32, 2e-3, 1))
     with pytest.raises(ValueError, match=r"must be \(2, 32, 17\) half spectra, "
                                          r"got an array of shape \(2, 32, 32\)"):
         st.set_state(full, full)
     with pytest.raises(ValueError, match=r"must be \(2, 32, 17\) half spectra"):
-        MhdStepper(grid32, params, ForcingSpec(full, full), 2e-3)
+        MhdStepper(Stack(grid32, params, ForcingSpec(full, full), 2e-3, 1))
     with pytest.raises(ValueError, match=r"must be \(2, 32, 17\) half spectra"):
-        MhdStepper(grid32, params, ForcingSpec(forcing32.f, full), 2e-3)
+        MhdStepper(Stack(grid32, params, ForcingSpec(forcing32.f, full), 2e-3, 1))
 
 
 def test_non_finite_state_fails_the_next_advance(grid32, params, forcing32):
     # the CFL speed is the one finiteness test: a NaN in one w coefficient
     # fails the very next advance, at the current clock and step
-    st = MhdStepper(grid32, params, forcing32, 2e-3)
+    st = MhdStepper(Stack(grid32, params, forcing32, 2e-3, 1))
     init = random_divfree_field(grid32, 1, 2.0)
     st.set_state(init, init, 0.0)
     for _ in range(7):
@@ -636,11 +647,11 @@ def test_non_finite_state_fails_the_next_advance(grid32, params, forcing32):
 def test_non_finite_inputs_rejected(grid32, params, forcing32, value):
     bad = forcing32.g.copy()
     bad[1, 2, 3] = value
-    st = MhdStepper(grid32, params, forcing32, 2e-3)
+    st = MhdStepper(Stack(grid32, params, forcing32, 2e-3, 1))
     with pytest.raises(ValueError, match=r"the state \(v, w\) must be finite"):
         st.set_state(forcing32.f, bad)
     with pytest.raises(ValueError, match=r"forcing \(f, g\) must be finite"):
-        MhdStepper(grid32, params, ForcingSpec(forcing32.f, bad), 2e-3)
+        MhdStepper(Stack(grid32, params, ForcingSpec(forcing32.f, bad), 2e-3, 1))
 
 
 def test_blow_up_text_ends_at_the_step():
@@ -692,7 +703,7 @@ def test_norms_parseval_weights_on_half_spectrum():
 
 
 def test_record_trajectory_shapes(grid32, params, forcing32):
-    st = MhdStepper(grid32, params, forcing32, 2e-3)
+    st = MhdStepper(Stack(grid32, params, forcing32, 2e-3, 1))
     init = random_divfree_field(grid32, 1, 2.0)
     st.set_state(init, init, 0.0)
     traj = record_trajectory(st, 50)
@@ -704,7 +715,7 @@ def test_record_trajectory_shapes(grid32, params, forcing32):
 
 
 def test_energy_budget_holds_on_run(grid32, params, forcing32):
-    st = MhdStepper(grid32, params, forcing32, 2e-3)
+    st = MhdStepper(Stack(grid32, params, forcing32, 2e-3, 1))
     init = random_divfree_field(grid32, 1, 2.0)
     st.set_state(init, init, 0.0)
     traj = record_trajectory(st, 500)
@@ -724,7 +735,7 @@ def test_energy_budget_flags_synthetic_violation(params):
 
 
 def test_spin_up_resets_clock(grid32, params, forcing32):
-    st = MhdStepper(grid32, params, forcing32, 2e-3)
+    st = MhdStepper(Stack(grid32, params, forcing32, 2e-3, 1))
     init = random_divfree_field(grid32, 1, 2.0)
     st.set_state(init, init, 0.0)
     spun = spin_up(st, tol=0.05, max_time=10.0)
@@ -737,7 +748,7 @@ def test_spin_up_resets_clock(grid32, params, forcing32):
 def test_spin_up_runs_one_window_at_nonpositive_max_time(grid32, params,
                                                          forcing32, max_time):
     dt = 2e-3
-    st = MhdStepper(grid32, params, forcing32, dt)
+    st = MhdStepper(Stack(grid32, params, forcing32, dt, 1))
     init = random_divfree_field(grid32, 1, 2.0)
     st.set_state(init, init, 0.0)
     start = st.X.copy()
@@ -750,7 +761,7 @@ def test_spin_up_runs_one_window_at_nonpositive_max_time(grid32, params,
 
 def test_spin_up_reports_not_converged(grid32, params, forcing32):
     # settling needs two windows; max_time below that stops after one
-    st = MhdStepper(grid32, params, forcing32, 2e-3)
+    st = MhdStepper(Stack(grid32, params, forcing32, 2e-3, 1))
     init = random_divfree_field(grid32, 1, 2.0)
     st.set_state(init, init, 0.0)
     T = 1.0 / (np.pi ** 2 * params.nu_bar)

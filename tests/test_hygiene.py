@@ -309,12 +309,12 @@ def test_config_layer_restates_no_observation_rule():
 
 
 def test_no_stack_built_mid_run():
-    # a stack is built with its stepper or its coupled stepper, once: a
-    # retirement reorders the coupled stepper's stack in place
+    # the package builds a stack only with its coupled stepper, once: a
+    # stepper takes a slot of a stack it is given, and a retirement
+    # reorders the coupled stepper's stack in place
     sites = {(p.stem, func) for p in PACKAGE for func in
              functions_calling(p.read_text(), "Stack")}
-    assert sites == {("dynamics", "MhdStepper.__init__"),
-                     ("nudging", "CoupledStepper.__init__")}
+    assert sites == {("nudging", "CoupledStepper.__init__")}
 
 
 def test_code_lines_skip_blanks_comments_and_docstrings():

@@ -11,7 +11,9 @@ from mhdnudge.dynamics import (
     ForcingSpec,
     MhdStepper,
     Modulation,
+    Stack,
     _implicit_solve,
+    advection,
     derive_elsasser_params,
     norms,
     spin_up,
@@ -94,7 +96,7 @@ def short_run(grid, params, forcing, init_mode):
 def test_init_modes(grid32, params, forcing32):
     # the first error row is the spun-up reference minus the initial state
     init = seeded_init(grid32, 0, 0.5)
-    ref = MhdStepper(grid32, params, forcing32, 2e-3)
+    ref = MhdStepper(Stack(grid32, params, forcing32, 2e-3, 1))
     ref.set_state(init, init, 0.0)
     spin_up(ref, max_time=0.5)
     custom = seeded_init(grid32, seed=5)
@@ -151,7 +153,8 @@ def test_set_state_refuses_a_divergent_field(grid32, params, forcing32, bad):
     good = seeded_init(grid32, 0, 0.5)
     pair = {"v": good, "w": good, bad: good + no_divfree_field()}
     coupled = CoupledStepper(grid32, params, forcing32, spec_config(), 2e-3)
-    for stepper in (MhdStepper(grid32, params, forcing32, 2e-3), coupled.members[0]):
+    lone = MhdStepper(Stack(grid32, params, forcing32, 2e-3, 1))
+    for stepper in (lone, coupled.members[0]):
         stepper.set_state(good, seeded_init(grid32, 1, 0.5), 0.25)
         before = stepper.X.copy()
         with pytest.raises(ValueError, match=rf"^the state \(v, w\): {bad} is not "
@@ -165,7 +168,7 @@ def test_set_state_refuses_a_divergent_field(grid32, params, forcing32, bad):
 def test_the_gate_tolerance_is_1e_10_of_the_norm(grid32, params, forcing32):
     # good has norm 0.5, and max |k . c_k| of bad is 1
     good, bad = seeded_init(grid32, 0, 0.5), no_divfree_field()
-    stepper = MhdStepper(grid32, params, forcing32, 2e-3)
+    stepper = MhdStepper(Stack(grid32, params, forcing32, 2e-3, 1))
     stepper.set_state(good, good + 2e-11 * bad)
     with pytest.raises(ValueError, match="w is not divergence-free"):
         stepper.set_state(good, good + 1e-10 * bad)
@@ -348,7 +351,7 @@ def test_mu_zero_decouples(grid32, params, forcing32):
     other = seeded_init(grid32, 1, 0.5)
     cs.reference.set_state(init, init, 0.0)
     cs.members[0].set_state(other, other, 0.0)
-    solo = MhdStepper(grid32, params, forcing32, 2e-3)
+    solo = MhdStepper(Stack(grid32, params, forcing32, 2e-3, 1))
     solo.set_state(other, other, 0.0)
     for _ in range(100):
         cs.step()
@@ -365,7 +368,7 @@ def test_gain_zero_member_is_the_free_stepper(grid32, params, forcing32, kind):
     other = seeded_init(grid32, 1, 0.5)
     cs.reference.set_state(init, init, 0.0)
     cs.members[0].set_state(other, other, 0.0)
-    solo = MhdStepper(grid32, params, forcing32, 2e-3)
+    solo = MhdStepper(Stack(grid32, params, forcing32, 2e-3, 1))
     solo.set_state(other, other, 0.0)
     for _ in range(200):
         cs.step()
@@ -463,7 +466,7 @@ def test_delta_matches_perturbed_forcing(grid32, params, forcing32, kind):
     cs.reference.set_state(init, init, 0.0)
     cs.members[0].set_state(other, other, 0.0)
     perturbed = ForcingSpec(forcing32.f + df, forcing32.g + dg)
-    solo = MhdStepper(grid32, params, perturbed, 2e-3)
+    solo = MhdStepper(Stack(grid32, params, perturbed, 2e-3, 1))
     solo.set_state(other, other, 0.0)
     for _ in range(100):
         cs.step()
@@ -665,7 +668,8 @@ def test_stack_members_follow_the_feedback_formulas(grid32, params, forcing32):
     # eps at the reference's time, plus delta at the member's, joins the
     # explicit terms; implicit, mu P[I_h ref] of the stepped reference plus
     # eps at its new time is the data term, and delta joins the explicit
-    # terms; gain 0, delta alone
+    # terms; gain 0, delta alone.  Each lone stepper is the one slot of its
+    # own stack, built with its damping, and steps on its own clock
     from mhdnudge.interpolants import apply_masked
     from mhdnudge.nudging import _damping
     from mhdnudge.spectral import stream_function
@@ -682,8 +686,9 @@ def test_stack_members_follow_the_feedback_formulas(grid32, params, forcing32):
     init = seeded_init(grid32, 0, 0.5)
     others = [seeded_init(grid32, 1 + k, 0.5) for k in range(len(configs))]
     cs = CoupledStepper(grid32, params, forcing32, configs, 2e-3)
-    ref = MhdStepper(grid32, params, forcing32, 2e-3)
-    lone = [MhdStepper(grid32, params, forcing32, 2e-3, damping=_damping(grid32, cfg)
+    ref = MhdStepper(Stack(grid32, params, forcing32, 2e-3, 1))
+    lone = [MhdStepper(Stack(grid32, params, forcing32, 2e-3, 1),
+                       _damping(grid32, cfg)
                        if cfg.mu > 0 and cfg.interpolant.kind == SPECTRAL else None)
             for cfg in configs]
     for a, b in [(cs.reference, init), (ref, init)] + list(zip(cs.members, others)) \
@@ -698,6 +703,15 @@ def test_stack_members_follow_the_feedback_formulas(grid32, params, forcing32):
         observed = apply_masked(cfg.interpolant, cfg.mask, grid32,
                                 pair.reshape(4, 32, -1))
         return cfg.mu * stream_function(grid32, observed.reshape(pair.shape))
+
+    def lone_step(st, term, plain):
+        stack = st._stack
+        bands, _ = advection(grid32, stack.X, stack.work)
+        stack.step(slice(0, 1), st.t, st.step_count, bands,
+                   [] if term is None else [(0, term)],
+                   [] if plain is None else [(0, plain)])
+        st.t += st.dt
+        st.step_count += 1
 
     for _ in range(30):
         cs.step()
@@ -719,7 +733,7 @@ def test_stack_members_follow_the_feedback_formulas(grid32, params, forcing32):
                 plain = nudging_term(cfg, grid32, ref.X)
                 if cfg.eps is not None:
                     plain += cfg.eps.modulation.value(ref.t) * eps_term(cfg)
-            st.advance(extra_ab=term, extra_plain=plain)
+            lone_step(st, term, plain)
     np.testing.assert_array_equal(cs.reference.X, ref.X)
     for member, st in zip(cs.members, lone):
         np.testing.assert_array_equal(member.X, st.X)

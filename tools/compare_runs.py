@@ -30,6 +30,11 @@ CASES = {
         ["sweep", "--axis", "mu", "--values", "60", "480"],
         "scenario = type2\nn = 32\ninterpolant_kind = nodal\nmask = first\n"
         "horizon = 2\ninit_mode = random\ninit_seed = 1\n"),
+    # damped members with different inverse tables on one stack; v-only
+    # makes the C - A term of their determinant nonzero
+    "sweep-h-v-only": (
+        ["sweep", "--axis", "h", "--values", "0.125", "0.25"],
+        "scenario = baseline\nn = 32\nmask = v-only\nhorizon = 2\n"),
     "determining-n32": (["determining"],
                         "scenario = determining\nn = 32\nhorizon = 5\n"),
     "determining-volume": (
