@@ -23,8 +23,9 @@ each mode's (psi_v, psi_w) as a symmetric 2x2 matrix, so the implicit
 solve is a closed form per mode.  Fields enter and leave as vectors (v, w):
 `MhdStepper.set_state` and `MhdStepper.fields`.  Systems that share a grid,
 parameters, forcing and dt are stepped together as the slots of a `Stack`,
-with one numpy pass per operation over all of them; each system is an
-`MhdStepper` on a slot, and a lone one is the stepper of a stack of one.
+on its one clock, with one numpy pass per operation over all of them; each
+system is an `MhdStepper` on a slot, and a lone one is the stepper of a
+stack of one.
 """
 
 from __future__ import annotations
@@ -196,7 +197,8 @@ class AdvectionWork:
     S of each buffer and reads nothing an earlier call left there, so it
     allocates no state-sized array, and the bands it returns are views of
     `band`, valid until the next call.  One instance serves every system of
-    a `Stack`.
+    a `Stack`, whose `reorder` moves each system's band with its state, so
+    that a band read after a reorder is still the band of its slot's state.
 
     `velocity` is the velocity table of `Grid.curl_weights` repeated for
     each system, read-only and filled once: numpy buffers a product that
@@ -385,17 +387,20 @@ def _implicit_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray,
 
 class Stack:
     """Up to `size` systems with one grid, parameters, forcing and time
-    step, advanced as one by `step`: their states X, one (2, n, n/2 + 1)
-    slot each, in one (size, 2, n, n/2 + 1) array.
+    step, advanced as one by `step` on one clock: their states X, one
+    (2, n, n/2 + 1) slot each, in one (size, 2, n, n/2 + 1) array.
 
-    Per slot it also holds the explicit terms of two steps, which swap roles
-    as this step's and the Adams-Bashforth history by the parity of the step
-    count, a right-hand side, and the inverse of the slot's implicit solve;
-    the Crank-Nicolson tables, the projected forcing, ||f||^2 + ||g||^2 and
-    the AdvectionWork are shared.  Each `MhdStepper` takes the next free
-    slot, so a lone system is the stepper of a stack of size 1.  The
-    arrays are allocated once, here: `reorder` moves the systems between
-    the slots in place.
+    The clock is the time `t` and the `step_count` since the last
+    `restart`; only `step` and `restart` change it, and every stepper on
+    the stack reads it.  Per slot the stack also holds the explicit terms
+    of two steps, which swap roles as this step's and the Adams-Bashforth
+    history by the parity of the step count, a right-hand side, the
+    forcing band scaled by the envelope, and the inverse of the slot's
+    implicit solve; the Crank-Nicolson tables, the projected forcing,
+    ||f||^2 + ||g||^2 and the AdvectionWork are shared.  Each `MhdStepper`
+    takes the next free slot, so a lone system is the stepper of a stack of
+    size 1.  The arrays are allocated once, here: `reorder` moves the
+    systems between the slots in place.
     """
 
     def __init__(self, grid: Grid, params: ElsasserParams,
@@ -412,8 +417,10 @@ class Stack:
             grid, stack_pair(grid, forcing.f, forcing.g, "forcing (f, g)"))
         self._forcing_band = self.forcing_stream[..., :c].copy()
         self.forcing_sq = l2_norm(forcing.f) ** 2 + l2_norm(forcing.g) ** 2
-        self._scaled_band = np.empty_like(self._forcing_band)
-        self._m = None  # the m(t) that _scaled_band holds
+        # the band scaled, once per slot: numpy buffers a pass that
+        # broadcasts one band over the slots
+        self._scaled_band = np.empty((size, 2, n, c), dtype=np.complex128)
+        self._scaled = None  # the (m(t), slots) of the last scaling
         self._cache = {}  # of _views
         self.X = np.zeros((size, 2, n, h), dtype=np.complex128)
         self.E = np.empty((2, size, 2, n, h), dtype=np.complex128)
@@ -421,55 +428,82 @@ class Stack:
         self.inverse = (np.empty((size, 2, n, n + 2)), np.empty((size, n, n + 2)))
         self.work = AdvectionWork(grid, size)
         self.free = 0  # the next slot a stepper takes
+        self.restart()
+
+    def restart(self):
+        """Set the clock to t = 0 and drop the Adams-Bashforth history of
+        every slot, so that the next step is an Euler step.  The states and
+        the forcing stay."""
+        self.t = 0.0
+        self.step_count = 0
 
     def reorder(self, steppers):
         """Put the systems of `steppers`, every stepper on this stack, in
-        the slots 0, 1, ... in that order: each keeps its state, its two
-        explicit terms and its inverse tables, and its stepper's view of
-        the state follows it."""
+        the slots 0, 1, ... in that order: each keeps its state, its
+        advection band, its two explicit terms and its inverse tables, and
+        its stepper's view of the state follows it."""
         order = [s._slot for s in steppers]
         if sorted(order) != list(range(self.free)):
             raise ValueError("reorder needs every stepper of the stack once")
-        for a in (self.X, *self.inverse):
+        for a in (self.X, self.work.band, *self.inverse):
             a[...] = a[order]
         self.E[...] = self.E[:, order]
         for k, s in enumerate(steppers):
             s._bind(k)
 
-    def step(self, slots: slice, t: float, step_count: int, bands: np.ndarray,
-             extra_ab=(), extra_plain=(), observe=None):
-        """One IMEX step of the systems in `slots`, which share the clock
-        (t, step_count), from the (len, 2, n, cutoff + 1) `bands` that
-        `advection` gave for their states; it overwrites them.  The caller
-        has checked each system's speed and advances the clocks.
+    def step_error(self, speed: float) -> BlowUpError | CflError | None:
+        """The error that a step from a state of maximum speed `speed` fails
+        with, before it changes the state: BlowUpError at the current t and
+        step count when the speed is not finite, CflError when dt exceeds
+        the admissible dt, and None when the step can go on.
 
-        extra_ab and extra_plain are (index, term) pairs, the index relative
-        to `slots`: a (2, n, n/2 + 1) stream function term, or a stack of
-        them for a slice, that joins the Adams-Bashforth-extrapolated
-        explicit terms at the current time level, or is added as-is, times
-        dt, to the right-hand side (the implicitly balanced nudging data
-        term).  With `observe`, the first system is solved first, and
-        observe() then gives the extra_plain pairs of the others, so that
-        they can read its new state.
+        This is the one finiteness test.  A finite state, finite inputs and
+        a speed within the CFL limit give a finite next state, so every
+        non-finite value that reaches the columns advection reads is caught
+        on the next step.
+        """
+        if not math.isfinite(speed):
+            return BlowUpError(self.t, self.step_count)
+        adm = np.inf if speed == 0.0 else CFL_SAFETY / (self.grid.n * speed)
+        if self.dt > adm:
+            return CflError(self.dt, adm)
+        return None
+
+    def step(self, slots: slice, bands: np.ndarray, extra_ab=(), observe=None):
+        """One IMEX step of the systems in `slots` at the stack's clock,
+        from the (len, 2, n, cutoff + 1) `bands` that `advection` gave for
+        their states; it overwrites them.  The caller has checked each
+        system's speed (`step_error`); the step advances the clock once the
+        systems are solved.
+
+        extra_ab is a list of (index, term) pairs, the index relative to
+        `slots`: a (2, n, n/2 + 1) stream function term, or a stack of them
+        for a slice, that joins the Adams-Bashforth-extrapolated explicit
+        terms at the current time level.  With `observe`, the first system
+        is solved first, and observe() then gives the pairs of terms that
+        are added as-is, times dt, to the right-hand sides of the others
+        (the implicitly balanced nudging data terms), so that they can read
+        its new state.
 
         Each pass is one numpy call over all the systems, and each system's
         arithmetic is that of a lone system, in the same order.
         """
         dt, (p, q) = self.dt, self.half_step
-        views = self._views(slots, step_count % 2)
+        views = self._views(slots, self.step_count % 2)
         X, rhs, E, prev, x, r, spare = views[:7]
         # E = m P[f] - advection, the band written apart and copied in: a
         # ufunc pass over E's strided columns 0..cutoff would buffer them
-        m = self.forcing.modulation.value(t)
-        if m != self._m:
-            np.multiply(m, self._forcing_band, out=self._scaled_band)
-            self._m = m
-        np.subtract(self._scaled_band, bands, out=bands)
+        m = self.forcing.modulation.value(self.t)
+        if (m, slots.start, slots.stop) != self._scaled:
+            for band in self._scaled_band[slots]:
+                np.multiply(m, self._forcing_band, out=band)
+            self._scaled = (m, slots.start, slots.stop)
+        np.subtract(self._scaled_band[slots], bands, out=bands)
         np.multiply(m, self.forcing_stream, out=E)
         E[..., :bands.shape[-1]] = bands
         for k, term in extra_ab:
             E[k] += term
-        if step_count == 0:
+        if self.step_count == 0:
             np.multiply(dt, E, out=rhs)  # startup Euler step
         else:
             np.multiply(1.5 * dt, E, out=rhs)
@@ -477,9 +511,10 @@ class Stack:
         # prev is free once rhs has it
         r += np.multiply(p, x, out=spare)
         r += np.multiply(q, x[..., ::-1, :, :], out=spare)
-        self._solve(views, slice(0, 1 if observe else None), extra_plain)
+        self._solve(views, slice(0, 1 if observe else None), ())
         if observe is not None:
             self._solve(views, slice(1, None), observe())
+        self.t, self.step_count = self.t + dt, self.step_count + 1
 
     def _views(self, slots: slice, parity: int) -> tuple:
         """The views of `step` on `slots` for a step count of this parity:
@@ -511,7 +546,9 @@ class MhdStepper:
     inverse tables; its `grid`, `params`, `dt` and `forcing` are the
     stack's own, as the stack steps every slot with them.  A full stack is
     refused with a ValueError, before anything changes.  A lone system is
-    `MhdStepper(Stack(grid, params, forcing, dt, 1))`.
+    `MhdStepper(Stack(grid, params, forcing, dt, 1))`.  Its clock, `t` and
+    `step_count`, is the stack's, read-only here: every slot of a stack
+    steps on one clock, which `Stack.step` advances and `restart` restarts.
 
     The state `X` is the (2, n, n/2 + 1) half spectrum of the stream
     functions (psi_v, psi_w) (see `spectral`), a view of its slot, which
@@ -519,8 +556,9 @@ class MhdStepper:
     Parseval weights, or as vectors through `fields`.  Initial states are
     (2, n, n/2 + 1) half spectra of vectors, and arrays of any other shape
     are refused.  `advance` is the one-slot case of `Stack.step`; a step of
-    the stack from a given band allocates no array data at n = 64 and above
-    (at n = 32 numpy buffers its broadcast table passes).
+    the stack, of one slot or several, from given bands allocates no array
+    data at n = 64 and above (at n = 32 numpy buffers its broadcast table
+    passes).
     """
 
     def __init__(self, stack: Stack, damping: tuple | None = None):
@@ -539,7 +577,6 @@ class MhdStepper:
         self._stack = stack
         stack.free += 1
         self._bind(k)
-        self.restart()
 
     def _bind(self, k: int):
         """Take the view of slot k of the stack (`Stack.reorder`)."""
@@ -547,21 +584,21 @@ class MhdStepper:
 
     # -- state accessors ----------------------------------------------------
 
-    def set_state(self, vcoef: np.ndarray, wcoef: np.ndarray, t: float = 0.0):
-        """Set (v, w) from two (2, n, n/2 + 1) half spectra.
+    def set_state(self, vcoef: np.ndarray, wcoef: np.ndarray):
+        """Set (v, w) from two (2, n, n/2 + 1) half spectra and `restart`.
 
         Every state enters a stepper through here, so this is the one check
         that it is divergence-free, to a relative tolerance of 1e-10: the
         stream functions keep only the divergence-free part, and would drop
-        the rest silently.  A refused state leaves X as it was; an accepted
-        one is stored whole, its zero mode aside, so `fields` gives it
-        back."""
+        the rest silently.  A refused state leaves X and the clock as they
+        were; an accepted one is stored whole, its zero mode aside, so
+        `fields` gives it back."""
         pair = stack_pair(self.grid, vcoef, wcoef, "the state (v, w)")
         for name, coef in zip("vw", pair):
             if divergence_defect(self.grid, coef) > 1e-10 * max(l2_norm(coef), 1e-300):
                 raise ValueError(f"the state (v, w): {name} is not divergence-free")
         self.X[...] = stream_function(self.grid, pair, nyquist=True)
-        self.restart(t)
+        self.restart()
 
     def fields(self):
         """(v, w) of the current state, as two new (2, n, n/2 + 1) half
@@ -569,11 +606,21 @@ class MhdStepper:
         v, w = velocity(self.grid, self.X)
         return v, w
 
-    def restart(self, t: float = 0.0):
-        """Set the clock to t and drop the Adams-Bashforth history, so the
-        next step is an Euler step.  The state and the forcing stay."""
-        self.t = t
-        self.step_count = 0
+    def restart(self):
+        """Restart the stack's clock at t = 0 (`Stack.restart`): the next
+        step of this slot and of every other is an Euler step.  The states
+        and the forcing stay."""
+        self._stack.restart()
+
+    @property
+    def t(self) -> float:
+        """The time of the stack's clock."""
+        return self._stack.t
+
+    @property
+    def step_count(self) -> int:
+        """The steps of the stack since its clock last restarted."""
+        return self._stack.step_count
 
     @property
     def forcing(self) -> ForcingSpec:
@@ -594,37 +641,18 @@ class MhdStepper:
 
     # -- stepping -----------------------------------------------------------
 
-    def step_error(self, speed: float) -> BlowUpError | CflError | None:
-        """The error that a step from a state of maximum speed `speed` fails
-        with, before it changes the state: BlowUpError at the current t and
-        step when the speed is not finite, CflError when dt exceeds the
-        admissible dt, and None when the step can go on.
-
-        This is the one finiteness test.  A finite state, finite inputs and
-        a speed within the CFL limit give a finite next state, so every
-        non-finite value that reaches the columns advection reads is caught
-        on the next step.
-        """
-        if not math.isfinite(speed):
-            return BlowUpError(self.t, self.step_count)
-        adm = np.inf if speed == 0.0 else CFL_SAFETY / (self.grid.n * speed)
-        if self.dt > adm:
-            return CflError(self.dt, adm)
-        return None
-
     def advance(self):
         """One IMEX step of this system alone: `advection` of its state,
-        then `Stack.step` on its slot.  The step raises the error of
-        `step_error` before it changes the state."""
+        then `Stack.step` on its slot, which advances the stack's clock.
+        The step raises the error of `Stack.step_error` before it changes
+        the state."""
         stack, k = self._stack, self._slot
         slots = slice(k, k + 1)
         bands, (speed,) = advection(self.grid, stack.X[slots], stack.work)
-        error = self.step_error(speed)
+        error = stack.step_error(speed)
         if error is not None:
             raise error
-        stack.step(slots, self.t, self.step_count, bands)
-        self.t += self.dt
-        self.step_count += 1
+        stack.step(slots, bands)
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +732,7 @@ def spin_up(stepper: MhdStepper, tol: float = SPINUP_TOL,
     runs, so a `max_time` of 0 or below runs exactly one.  At the default
     Reynolds numbers and dt = 2e-3 a window is 0.506 long, and a config
     with `spinup_max_time = 2.0` settles only in window 4, at t = 2.024.
-    The stepper is restarted at t = 0 afterwards.
+    The stepper, and so its stack's clock, is restarted at t = 0 afterwards.
     """
     T = stepper.params.window
     steps_per_window = max(int(round(T / stepper.dt)), 8)

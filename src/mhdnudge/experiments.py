@@ -573,7 +573,7 @@ def _scenario_determining(cfg: ExperimentConfig, outdir):
     aux, sol2 = coupled.members  # aux starts at zero
     for sol, seed in ((sol1, cfg.seed), (sol2, cfg.det_seed2)):
         init = _initial_field(grid, cfg, seed)
-        sol.set_state(init, init, 0.0)
+        sol.set_state(init, init)
     # both solutions spin up under f1; f2's envelope clock starts at the
     # reset t = 0
     spun = [spin_up(s, cfg.spinup_tol, cfg.spinup_max_time) for s in (sol1, sol2)]

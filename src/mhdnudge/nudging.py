@@ -17,9 +17,10 @@ feedback term once.  Nudging is one-way, so any number of assimilating
 systems (members), each with its own gain, interpolant and mask, can share
 one reference.  The reference and its members are the slots of one
 `dynamics.Stack`, built once and advanced by one `Stack.step` per coupled
-step; a retired member keeps its slot, behind the active ones, where no
-step reads it.  The members that share an observation operator get their
-feedback from one `projected_masked` call, with a vector of gains.
+step on the stack's one clock, which they all read; a retired member keeps
+its slot, behind the active ones, where no step reads it.  The members
+that share an observation operator get their feedback from one
+`projected_masked` call, with a vector of gains.
 """
 
 from __future__ import annotations
@@ -278,16 +279,17 @@ class CoupledStepper:
 
     def step(self):
         """Advance the reference and every active member by one step, as
-        one `Stack.step` over their slots.
+        one `Stack.step` over their slots, on the stack's clock.
 
-        The members must be on the reference's clock.  The advection of
-        them all is one `advection` call, and each checks its speed
-        (`MhdStepper.step_error`) before any state changes.  An error of the
-        reference retires every active member with it and is raised; a
-        member's error retires that member, and the others step.  The step
-        that retires the last active member raises the error that retired
-        it, before any state changes, so a one-member system fails as a
-        plain pair does.  This is the only place a system is retired.
+        The advection of them all is one `advection` call, and each checks
+        its speed (`Stack.step_error`) before any state changes.  An error
+        of the reference retires every active member with it and is raised;
+        a member's error retires that member, and the others step from the
+        bands that the call gave, which `Stack.reorder` moves with their
+        states.  The step that retires the last active member raises the
+        error that retired it, before any state changes, so a one-member
+        system fails as a plain pair does.  This is the only place a system
+        is retired.
 
         The feedback is one `projected_masked` call per group.  Explicit
         members take theirs from the stack of reference minus member before
@@ -296,13 +298,9 @@ class CoupledStepper:
         pair stays a fixed point: one observation of it, scaled by each
         gain.  Members with gain 0 observe nothing.
         """
-        grid, ref, stack = self.grid, self.reference, self._stack
-        steppers = [ref] + [self.members[k] for k in self._order]
-        if any((s.t, s.step_count) != (ref.t, ref.step_count) for s in steppers):
-            raise ValueError("every active member must be on the reference's "
-                             "clock (t, step_count)")
-        bands, speeds = advection(grid, stack.X[:len(steppers)], stack.work)
-        errors = [s.step_error(speed) for s, speed in zip(steppers, speeds)]
+        grid, stack = self.grid, self._stack
+        bands, speeds = advection(grid, stack.X[:1 + len(self._order)], stack.work)
+        errors = [stack.step_error(speed) for speed in speeds]
         if errors[0] is not None:
             self._retire(dict.fromkeys(self._order, errors[0]))
             raise errors[0]
@@ -311,33 +309,28 @@ class CoupledStepper:
             self._retire(failed)
             if not self._order:
                 raise failed[max(failed)]
-            steppers = [ref] + [self.members[k] for k in self._order]
-            bands, _ = advection(grid, stack.X[:len(steppers)], stack.work)
+            bands = stack.work.band[:1 + len(self._order)]
+        t = stack.t
         extra_ab = []
         for g in self._groups:
             if not g.implicit:
                 diff = np.subtract(stack.X[0], stack.X[g.slots], out=g.feedback)
-                g.observe(grid, diff, ref.t)
+                g.observe(grid, diff, t)
                 for m, feedback in zip(g.members, g.feedback):
                     if m.delta_stream is not None:
-                        feedback += m.delta(ref.t)
+                        feedback += m.delta(t)
                 extra_ab.append((g.slots, g.feedback))
         for slot, k in enumerate(self._order, start=1):
             m = self._members[k]
             if m.delta_stream is not None and (m.implicit or not m.observes):
-                extra_ab.append((slot, m.delta(ref.t)))
-        # the reference's time once it is solved
-        t = ref.t + ref.dt
+                extra_ab.append((slot, m.delta(t)))
 
         def observe():
-            return [(g.slots, g.observe(grid, ref.X, t))
+            # the reference, solved, at its new time
+            return [(g.slots, g.observe(grid, stack.X[0], t + stack.dt))
                     for g in self._groups if g.implicit]
 
-        stack.step(slice(0, len(steppers)), ref.t, ref.step_count, bands,
-                   extra_ab, observe=observe)
-        for s in steppers:
-            s.t += s.dt
-            s.step_count += 1
+        stack.step(slice(0, len(bands)), bands, extra_ab, observe=observe)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +362,7 @@ def run_assimilation(grid: Grid, params, forcing: ForcingSpec,
     spun-up reference ("copy"), or at a caller-supplied (v, w) pair of
     (2, n, n/2 + 1) half spectra, which `set_state` checks; a
     caller's states are set before any time goes into spin-up, which steps
-    the reference alone.  A member whose step fails (`MhdStepper.step_error`:
+    the reference alone.  A member whose step fails (`Stack.step_error`:
     a non-finite state or a CFL violation) is retired by
     `CoupledStepper.step` and the others go on; a failure of the reference
     in spin-up is raised, and one while co-evolving retires every remaining
@@ -379,7 +372,7 @@ def run_assimilation(grid: Grid, params, forcing: ForcingSpec,
         raise ValueError(f'init_mode {init_mode!r} is not "zero", "copy" or (v, w)')
     coupled = CoupledStepper(grid, params, forcing, configs, dt)
     ref = coupled.reference
-    ref.set_state(initial_v, initial_w, 0.0)
+    ref.set_state(initial_v, initial_w)
     if not isinstance(init_mode, str):
         for assim in coupled.members:
             assim.set_state(*init_mode)

@@ -300,8 +300,8 @@ def test_criterion_11_zero_error_absorbing_state(params64):
         cfg = NudgingConfig(50.0, InterpolantSpec(SPECTRAL, 0.125), mask)
         cs = CoupledStepper(grid, params64, forcing, cfg, 2e-3)
         init = normalized_field(grid, 0, 0.5)
-        cs.reference.set_state(init, init, 0.0)
-        cs.members[0].set_state(init, init, 0.0)
+        cs.reference.set_state(init, init)
+        cs.members[0].set_state(init, init)
         for _ in range(1000):
             cs.step()
         err = state_l2(grid, cs.reference.X - cs.members[0].X)

@@ -446,7 +446,7 @@ def test_crank_nicolson_single_mode_factor():
     dt = 5e-3
     st = MhdStepper(Stack(g, p, zero_forcing(g), dt, 1))
     c = shear_mode(g)
-    st.set_state(c, np.zeros_like(c), 0.0)
+    st.set_state(c, np.zeros_like(c))
     st.advance()
     kappa = 4.0 * np.pi ** 2 * p.alpha  # |k|^2 = 1
     expected = (1.0 - 0.5 * dt * kappa) / (1.0 + 0.5 * dt * kappa)
@@ -464,7 +464,7 @@ def test_crank_nicolson_beta_coupling():
     dt = 5e-3
     st = MhdStepper(Stack(g, p, zero_forcing(g), dt, 1))
     c = shear_mode(g)
-    st.set_state(c, np.zeros_like(c), 0.0)
+    st.set_state(c, np.zeros_like(c))
     st.advance()
     kp = 4.0 * np.pi ** 2 * (p.alpha + p.beta)
     km = 4.0 * np.pi ** 2 * (p.alpha - p.beta)
@@ -484,7 +484,7 @@ def test_temporal_convergence_order(grid32, params, forcing32):
 
     def final_state(dt):
         st = MhdStepper(Stack(grid32, params, forcing32, dt, 1))
-        st.set_state(init, init, 0.0)
+        st.set_state(init, init)
         for _ in range(int(round(horizon / dt))):
             st.advance()
         return st.X.copy()
@@ -501,7 +501,7 @@ def test_temporal_convergence_order(grid32, params, forcing32):
 def test_cfl_violation_raises(grid32, params):
     fld = normalized_field(grid32, 2, 50.0)
     st = MhdStepper(Stack(grid32, params, zero_forcing(grid32), 0.05, 1))
-    st.set_state(fld, fld, 0.0)
+    st.set_state(fld, fld)
     with pytest.raises(CflError):
         st.advance()
 
@@ -509,7 +509,7 @@ def test_cfl_violation_raises(grid32, params):
 def test_stepper_clock_and_counters(grid32, params, forcing32):
     st = MhdStepper(Stack(grid32, params, forcing32, 1e-3, 1))
     init = random_divfree_field(grid32, 1, 2.0)
-    st.set_state(init, init, 0.0)
+    st.set_state(init, init)
     for _ in range(5):
         st.advance()
     assert st.t == pytest.approx(5e-3)
@@ -525,7 +525,7 @@ def test_restart_matches_fresh_stepper(grid32, params, forcing32):
     init = random_divfree_field(grid32, 1, 2.0)
     modulated = ForcingSpec(forcing32.f, forcing32.g, Modulation(1.0, 1.0, 1.0))
     st = MhdStepper(Stack(grid32, params, modulated, 1e-3, 1))
-    st.set_state(init, init, 0.0)
+    st.set_state(init, init)
     for _ in range(5):
         st.advance()
     st.restart()
@@ -555,32 +555,36 @@ def test_state_round_trips_through_the_stream_functions(n):
 
 @pytest.mark.parametrize("n", [64, 128])
 def test_advance_allocates_no_array(n):
-    # every per-mode table is on the float64 view of the state, so no
-    # multiply casts, and a step of a one-slot stack from a given band
+    # every per-mode table is on the float64 view of the state, and the
+    # scaled forcing band is held per slot, so no multiply casts or
+    # broadcasts over the slots, and a step of a two-slot stack, a
+    # reference and a damped member with its data term, from given bands
     # allocates only small Python objects
     g = Grid(n)
     params = derive_elsasser_params(5.0, 5.0)
     forcing = ForcingSpec(normalized_field(g, 100, 2.0), normalized_field(g, 101, 0.5))
-    stack = Stack(g, params, forcing, 1e-3, 1)
-    st = MhdStepper(stack)
-    init = normalized_field(g, 1, 0.5, g.cutoff)
-    st.set_state(init, init)
+    stack = Stack(g, params, forcing, 1e-3, 2)
+    damping = tuple(np.full((n, g.half_width), d) for d in (50.0, 40.0, 5.0))
+    ref, member = MhdStepper(stack), MhdStepper(stack, damping)
+    for st, seed in ((ref, 1), (member, 2)):
+        init = normalized_field(g, seed, 0.5, g.cutoff)
+        st.set_state(init, init)
     saved = advection(g, stack.X, stack.work)[0].copy()
     bands = np.empty_like(saved)
-    extra = [(0, np.zeros_like(st.X))]
+    extra = [(1, np.zeros_like(member.X))]
 
-    def step(count):
+    def step():
         np.copyto(bands, saved)
-        stack.step(slice(0, 1), count * 1e-3, count, bands, extra, extra)
+        stack.step(slice(0, 2), bands, extra, observe=lambda: extra)
 
-    for count in range(2):  # the Euler step, then the Adams-Bashforth ones
-        step(count)
+    for _ in range(2):  # the Euler step, then the Adams-Bashforth ones
+        step()
     tracemalloc.start()
     try:
-        for count in range(2, 5):
+        for _ in range(3):
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            step(count)
+            step()
             assert tracemalloc.get_traced_memory()[1] - before < 8192
     finally:
         tracemalloc.stop()
@@ -594,10 +598,10 @@ def test_a_stepper_has_its_stacks_values(grid32, params):
                           normalized_field(grid32, 101, 0.5),
                           Modulation(0.5, 2.0, 1.0))
     stack = Stack(grid32, params, forcing, 2e-3, 2)
+    stack.t = 0.3
     for st in (MhdStepper(stack), MhdStepper(stack)):
         assert st.grid is stack.grid and st.params is stack.params
         assert st.dt is stack.dt and st.forcing is forcing
-        st.t = 0.3
         want = (l2_norm(forcing.f) ** 2 + l2_norm(forcing.g) ** 2) \
             * forcing.modulation.value(0.3) ** 2
         assert st.forcing_sq() == want
@@ -633,7 +637,7 @@ def test_non_finite_state_fails_the_next_advance(grid32, params, forcing32):
     # fails the very next advance, at the current clock and step
     st = MhdStepper(Stack(grid32, params, forcing32, 2e-3, 1))
     init = random_divfree_field(grid32, 1, 2.0)
-    st.set_state(init, init, 0.0)
+    st.set_state(init, init)
     for _ in range(7):
         st.advance()
     st.X[1, 3, 1] = np.nan
@@ -705,7 +709,7 @@ def test_norms_parseval_weights_on_half_spectrum():
 def test_record_trajectory_shapes(grid32, params, forcing32):
     st = MhdStepper(Stack(grid32, params, forcing32, 2e-3, 1))
     init = random_divfree_field(grid32, 1, 2.0)
-    st.set_state(init, init, 0.0)
+    st.set_state(init, init)
     traj = record_trajectory(st, 50)
     assert len(traj.times) == 51
     assert traj.times[0] == 0.0
@@ -717,7 +721,7 @@ def test_record_trajectory_shapes(grid32, params, forcing32):
 def test_energy_budget_holds_on_run(grid32, params, forcing32):
     st = MhdStepper(Stack(grid32, params, forcing32, 2e-3, 1))
     init = random_divfree_field(grid32, 1, 2.0)
-    st.set_state(init, init, 0.0)
+    st.set_state(init, init)
     traj = record_trajectory(st, 500)
     residuals, flags = energy_budget(traj, params)
     assert not flags.any()
@@ -737,7 +741,7 @@ def test_energy_budget_flags_synthetic_violation(params):
 def test_spin_up_resets_clock(grid32, params, forcing32):
     st = MhdStepper(Stack(grid32, params, forcing32, 2e-3, 1))
     init = random_divfree_field(grid32, 1, 2.0)
-    st.set_state(init, init, 0.0)
+    st.set_state(init, init)
     spun = spin_up(st, tol=0.05, max_time=10.0)
     assert spun.time > 0.0
     assert spun.converged
@@ -750,7 +754,7 @@ def test_spin_up_runs_one_window_at_nonpositive_max_time(grid32, params,
     dt = 2e-3
     st = MhdStepper(Stack(grid32, params, forcing32, dt, 1))
     init = random_divfree_field(grid32, 1, 2.0)
-    st.set_state(init, init, 0.0)
+    st.set_state(init, init)
     start = st.X.copy()
     spun = spin_up(st, tol=0.05, max_time=max_time)
     assert spun.time == round(params.window / dt) * dt
@@ -763,7 +767,7 @@ def test_spin_up_reports_not_converged(grid32, params, forcing32):
     # settling needs two windows; max_time below that stops after one
     st = MhdStepper(Stack(grid32, params, forcing32, 2e-3, 1))
     init = random_divfree_field(grid32, 1, 2.0)
-    st.set_state(init, init, 0.0)
+    st.set_state(init, init)
     T = 1.0 / (np.pi ** 2 * params.nu_bar)
     spun = spin_up(st, tol=0.05, max_time=0.5 * T)
     assert spun.converged is False

@@ -563,9 +563,9 @@ def test_default_forcing_keeps_b_zero(g_amplitude):
                         build_forcing(grid, cfg), configs, cfg.dt)
     init = experiments._initial_field(grid, cfg, cfg.seed)
     alt = experiments._initial_field(grid, cfg, cfg.init_seed)
-    cs.reference.set_state(init, init, 0.0)
+    cs.reference.set_state(init, init)
     for member in cs.members:
-        member.set_state(alt, alt, 0.0)
+        member.set_state(alt, alt)
     for _ in range(200):
         cs.step()
     b = [l2_norm(np.subtract(*s.fields())) for s in [cs.reference] + cs.members]

@@ -235,10 +235,10 @@ def test_one_summary_writer():
     assert writers == {("experiments", "_run_group")}
 
 
-def functions_calling(source: str, callee: str):
+def functions_where(source: str, matches):
     """The qualified name (Class.method, outer.inner) of the innermost
-    function around each call of `callee`, by bare name or as an
-    attribute, in source order; "<module>" for one outside any function."""
+    function around each node for which `matches(node)` holds, in source
+    order; "<module>" for one outside any function."""
     found = []
 
     def visit(node, path, func):
@@ -246,16 +246,41 @@ def functions_calling(source: str, callee: str):
             path = path + (node.name,)
             if not isinstance(node, ast.ClassDef):
                 func = ".".join(path)
-        if isinstance(node, ast.Call):
-            f = node.func
-            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
-            if name == callee:
-                found.append(func)
+        if matches(node):
+            found.append(func)
         for child in ast.iter_child_nodes(node):
             visit(child, path, func)
 
     visit(ast.parse(source), (), "<module>")
     return found
+
+
+def functions_calling(source: str, callee: str):
+    """`functions_where` for each call of `callee`, by bare name or as an
+    attribute."""
+    def matches(node):
+        if not isinstance(node, ast.Call):
+            return False
+        f = node.func
+        return (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == callee
+
+    return functions_where(source, matches)
+
+
+def functions_assigning(source: str, attr: str):
+    """`functions_where` for each assignment, plain or augmented, to an
+    attribute named `attr`, also as part of a tuple target."""
+    def matches(node):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            return False
+        return any(isinstance(t, ast.Attribute) and t.attr == attr
+                   for target in targets for t in ast.walk(target))
+
+    return functions_where(source, matches)
 
 
 def test_function_calling_is_found():
@@ -265,12 +290,29 @@ def test_function_calling_is_found():
     assert functions_calling(src, "E") == ["A.m", "f.g", "<module>"]
 
 
+def test_function_assigning_is_found():
+    src = ("class A:\n    def m(self):\n        self.t = 1\n\n\n"
+           "def f(x):\n    x.t += 1\n    x.u, (y, x.t) = 1, (2, 3)\n    t = 0\n\n\n"
+           "a.t: int = 0\n")
+    assert functions_assigning(src, "t") == ["A.m", "f", "f", "<module>"]
+
+
 def test_one_blow_up_check():
-    # the stepper's CFL speed is the one finiteness test; every other
+    # the stack's CFL speed test is the one finiteness test; every other
     # failure of a system is that error, passed on
     sites = {(p.stem, func) for p in PACKAGE for func in
              functions_calling(p.read_text(), "BlowUpError")}
-    assert sites == {("dynamics", "MhdStepper.step_error")}
+    assert sites == {("dynamics", "Stack.step_error")}
+
+
+def test_only_the_stack_sets_the_clock():
+    # every stepper reads the clock of its stack, which only the stack's
+    # step and restart change; a BlowUpError keeps the t it failed at
+    sites = {(p.stem, func, attr) for p in PACKAGE for attr in ("t", "step_count")
+             for func in functions_assigning(p.read_text(), attr)}
+    assert sites == {("dynamics", func, attr) for func in ("Stack.step", "Stack.restart")
+                     for attr in ("t", "step_count")} \
+        | {("dynamics", "BlowUpError.__init__", "t")}
 
 
 def test_one_imex_step():

@@ -97,7 +97,7 @@ def test_init_modes(grid32, params, forcing32):
     # the first error row is the spun-up reference minus the initial state
     init = seeded_init(grid32, 0, 0.5)
     ref = MhdStepper(Stack(grid32, params, forcing32, 2e-3, 1))
-    ref.set_state(init, init, 0.0)
+    ref.set_state(init, init)
     spin_up(ref, max_time=0.5)
     custom = seeded_init(grid32, seed=5)
     pair = stream(grid32, np.stack([custom, custom]))
@@ -149,19 +149,22 @@ def test_unknown_init_mode_is_refused_before_spin_up(grid32, params, forcing32,
 @pytest.mark.parametrize("bad", ["v", "w"])
 def test_set_state_refuses_a_divergent_field(grid32, params, forcing32, bad):
     # set_state is the one gate for a state: on a lone stepper and on a
-    # member alike it names the divergent field and changes nothing
+    # member alike it names the divergent field and changes nothing, the
+    # stepped clock included
     good = seeded_init(grid32, 0, 0.5)
     pair = {"v": good, "w": good, bad: good + no_divfree_field()}
     coupled = CoupledStepper(grid32, params, forcing32, spec_config(), 2e-3)
     lone = MhdStepper(Stack(grid32, params, forcing32, 2e-3, 1))
     for stepper in (lone, coupled.members[0]):
-        stepper.set_state(good, seeded_init(grid32, 1, 0.5), 0.25)
-        before = stepper.X.copy()
+        stepper.set_state(good, seeded_init(grid32, 1, 0.5))
+        for _ in range(3):
+            stepper.advance()
+        before, clock = stepper.X.copy(), (stepper.t, stepper.step_count)
         with pytest.raises(ValueError, match=rf"^the state \(v, w\): {bad} is not "
                                              r"divergence-free$"):
             stepper.set_state(pair["v"], pair["w"])
         np.testing.assert_array_equal(stepper.X, before)
-        assert stepper.t == 0.25
+        assert (stepper.t, stepper.step_count) == clock == (3 * 2e-3, 3)
     assert not coupled.reference.X.any()
 
 
@@ -335,8 +338,8 @@ def test_synchronized_pair_is_fixed_point(grid32, params, forcing32, kind):
     cfg = spec_config(mu=50.0, kind=kind)
     cs = CoupledStepper(grid32, params, forcing32, cfg, dt=2e-3)
     init = seeded_init(grid32, 0, 0.5)
-    cs.reference.set_state(init, init, 0.0)
-    cs.members[0].set_state(init, init, 0.0)
+    cs.reference.set_state(init, init)
+    cs.members[0].set_state(init, init)
     for _ in range(200):
         cs.step()
     err = state_l2(grid32, cs.reference.X - cs.members[0].X)
@@ -349,10 +352,10 @@ def test_mu_zero_decouples(grid32, params, forcing32):
     cs = CoupledStepper(grid32, params, forcing32, cfg, dt=2e-3)
     init = seeded_init(grid32, 0, 0.5)
     other = seeded_init(grid32, 1, 0.5)
-    cs.reference.set_state(init, init, 0.0)
-    cs.members[0].set_state(other, other, 0.0)
+    cs.reference.set_state(init, init)
+    cs.members[0].set_state(other, other)
     solo = MhdStepper(Stack(grid32, params, forcing32, 2e-3, 1))
-    solo.set_state(other, other, 0.0)
+    solo.set_state(other, other)
     for _ in range(100):
         cs.step()
         solo.advance()
@@ -366,10 +369,10 @@ def test_gain_zero_member_is_the_free_stepper(grid32, params, forcing32, kind):
                         dt=2e-3)
     init = seeded_init(grid32, 0, 0.5)
     other = seeded_init(grid32, 1, 0.5)
-    cs.reference.set_state(init, init, 0.0)
-    cs.members[0].set_state(other, other, 0.0)
+    cs.reference.set_state(init, init)
+    cs.members[0].set_state(other, other)
     solo = MhdStepper(Stack(grid32, params, forcing32, 2e-3, 1))
-    solo.set_state(other, other, 0.0)
+    solo.set_state(other, other)
     for _ in range(200):
         cs.step()
         solo.advance()
@@ -383,7 +386,7 @@ def test_gain_zero_member_observes_nothing(grid32, params, forcing32, kind,
     cs = CoupledStepper(grid32, params, forcing32, spec_config(mu=0.0, kind=kind),
                         dt=2e-3)
     init = seeded_init(grid32, 0, 0.5)
-    cs.reference.set_state(init, init, 0.0)
+    cs.reference.set_state(init, init)
     calls = []
 
     def counted(*args, **kwargs):
@@ -412,7 +415,7 @@ def test_each_group_observes_once_per_step(grid32, params, forcing32,
                spec_config(mu=90.0)]
     cs = CoupledStepper(grid32, params, forcing32, configs, dt=2e-3)
     init = seeded_init(grid32, 0, 0.5)
-    cs.reference.set_state(init, init, 0.0)
+    cs.reference.set_state(init, init)
     calls = []
 
     def counted(spec, mask, grid, X, mu, *args):
@@ -439,7 +442,7 @@ def test_coupled_step_makes_no_projection_or_interpolant_call(
                                   (NODAL, MASK_B_ONLY), (NODAL, MASK_FIRST))]
     cs = CoupledStepper(grid32, params, forcing32, configs, dt=2e-3)
     init = seeded_init(grid32, 0, 0.5)
-    cs.reference.set_state(init, init, 0.0)
+    cs.reference.set_state(init, init)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a coupled step called a per-mode operator")
@@ -463,11 +466,11 @@ def test_delta_matches_perturbed_forcing(grid32, params, forcing32, kind):
     cs = CoupledStepper(grid32, params, forcing32, cfg, dt=2e-3)
     init = seeded_init(grid32, 0, 0.5)
     other = seeded_init(grid32, 1, 0.5)
-    cs.reference.set_state(init, init, 0.0)
-    cs.members[0].set_state(other, other, 0.0)
+    cs.reference.set_state(init, init)
+    cs.members[0].set_state(other, other)
     perturbed = ForcingSpec(forcing32.f + df, forcing32.g + dg)
     solo = MhdStepper(Stack(grid32, params, perturbed, 2e-3, 1))
-    solo.set_state(other, other, 0.0)
+    solo.set_state(other, other)
     for _ in range(100):
         cs.step()
         solo.advance()
@@ -479,7 +482,7 @@ def test_states_stay_divergence_free(grid32, params, forcing32):
     cfg = spec_config(mu=20.0, mask=MASK_FIRST)
     cs = CoupledStepper(grid32, params, forcing32, cfg, dt=2e-3)
     init = seeded_init(grid32, 0, 0.5)
-    cs.reference.set_state(init, init, 0.0)
+    cs.reference.set_state(init, init)
     for _ in range(100):
         cs.step()
     for stepper in (cs.reference, cs.members[0]):
@@ -541,9 +544,9 @@ def test_members_match_one_member_systems(grid32, params, forcing32):
     systems = [CoupledStepper(grid32, params, forcing32, configs, 2e-3)] + [
         CoupledStepper(grid32, params, forcing32, cfg, 2e-3) for cfg in configs]
     for cs in systems:
-        cs.reference.set_state(init, init, 0.0)
+        cs.reference.set_state(init, init)
         for assim in cs.members:
-            assim.set_state(other, other, 0.0)
+            assim.set_state(other, other)
     for _ in range(30):
         for cs in systems:
             cs.step()
@@ -559,7 +562,7 @@ def test_failed_member_is_retired_and_others_go_on(grid32, params, forcing32):
     cs = CoupledStepper(grid32, params, forcing32, cfgs, 2e-3)
     solo = CoupledStepper(grid32, params, forcing32, cfgs[1], 2e-3)
     for system in (cs, solo):
-        system.reference.set_state(init, init, 0.0)
+        system.reference.set_state(init, init)
     cs.members[0].X[...] = np.nan
     for _ in range(60):
         cs.step()
@@ -591,7 +594,7 @@ def test_retiring_the_last_member_leaves_the_reference(grid32, params,
     # changes: the reference keeps its state and its clock
     cs = CoupledStepper(grid32, params, forcing32, spec_config(), 2e-3)
     init = seeded_init(grid32, 0, 0.5)
-    cs.reference.set_state(init, init, 0.0)
+    cs.reference.set_state(init, init)
     for _ in range(3):
         cs.step()
     cs.members[0].X[1, 2, 3] = np.nan
@@ -613,7 +616,7 @@ def test_retirement_holds_no_memory(params):
     configs = [spec_config(mu=10.0 * k) for k in range(1, 9)]
     cs = CoupledStepper(g, params, forcing, configs, 1e-3)
     init = normalized_field(g, 0, 0.5)
-    cs.reference.set_state(init, init, 0.0)
+    cs.reference.set_state(init, init)
     cs.step()
     tracemalloc.start()
     try:
@@ -649,9 +652,9 @@ def test_stack_members_match_one_member_systems(grid32, params, forcing32):
                for cfg in configs]
     assert [len(g.members) for g in shared._groups] == [2, 2, 1]
     for cs, states in [(shared, others)] + [(cs, [x]) for cs, x in zip(singles, others)]:
-        cs.reference.set_state(init, init, 0.0)
+        cs.reference.set_state(init, init)
         for assim, other in zip(cs.members, states):
-            assim.set_state(other, other, 0.0)
+            assim.set_state(other, other)
     for _ in range(50):
         for cs in [shared] + singles:
             cs.step()
@@ -668,8 +671,10 @@ def test_stack_members_follow_the_feedback_formulas(grid32, params, forcing32):
     # eps at the reference's time, plus delta at the member's, joins the
     # explicit terms; implicit, mu P[I_h ref] of the stepped reference plus
     # eps at its new time is the data term, and delta joins the explicit
-    # terms; gain 0, delta alone.  Each lone stepper is the one slot of its
-    # own stack, built with its damping, and steps on its own clock
+    # terms; gain 0, delta alone.  Each oracle steps on the clock of its
+    # own stack: an explicit or gain-0 one is that stack's one slot, and an
+    # implicit one, built with its damping, is slot 1 of two, whose data
+    # term `observe` gives once slot 0 is solved
     from mhdnudge.interpolants import apply_masked
     from mhdnudge.nudging import _damping
     from mhdnudge.spectral import stream_function
@@ -687,13 +692,17 @@ def test_stack_members_follow_the_feedback_formulas(grid32, params, forcing32):
     others = [seeded_init(grid32, 1 + k, 0.5) for k in range(len(configs))]
     cs = CoupledStepper(grid32, params, forcing32, configs, 2e-3)
     ref = MhdStepper(Stack(grid32, params, forcing32, 2e-3, 1))
-    lone = [MhdStepper(Stack(grid32, params, forcing32, 2e-3, 1),
-                       _damping(grid32, cfg)
-                       if cfg.mu > 0 and cfg.interpolant.kind == SPECTRAL else None)
-            for cfg in configs]
+    lone = []
+    for cfg in configs:
+        if cfg.mu > 0 and cfg.interpolant.kind == SPECTRAL:
+            stack = Stack(grid32, params, forcing32, 2e-3, 2)
+            MhdStepper(stack)
+            lone.append(MhdStepper(stack, _damping(grid32, cfg)))
+        else:
+            lone.append(MhdStepper(Stack(grid32, params, forcing32, 2e-3, 1)))
     for a, b in [(cs.reference, init), (ref, init)] + list(zip(cs.members, others)) \
             + list(zip(lone, others)):
-        a.set_state(b, b, 0.0)
+        a.set_state(b, b)
 
     def stream(pair):
         return stream_function(grid32, np.stack([pair.f, pair.g]))
@@ -705,13 +714,11 @@ def test_stack_members_follow_the_feedback_formulas(grid32, params, forcing32):
         return cfg.mu * stream_function(grid32, observed.reshape(pair.shape))
 
     def lone_step(st, term, plain):
-        stack = st._stack
+        stack, k = st._stack, st._slot
         bands, _ = advection(grid32, stack.X, stack.work)
-        stack.step(slice(0, 1), st.t, st.step_count, bands,
-                   [] if term is None else [(0, term)],
-                   [] if plain is None else [(0, plain)])
-        st.t += st.dt
-        st.step_count += 1
+        stack.step(slice(0, len(stack.X)), bands,
+                   [] if term is None else [(k, term)],
+                   None if plain is None else lambda: [(k, plain)])
 
     for _ in range(30):
         cs.step()
@@ -749,7 +756,7 @@ def test_a_retired_group_member_leaves_the_others_bitwise(grid32, params,
     cs = CoupledStepper(grid32, params, forcing32, configs, 2e-3)
     solo = CoupledStepper(grid32, params, forcing32, configs[1], 2e-3)
     for system in (cs, solo):
-        system.reference.set_state(init, init, 0.0)
+        system.reference.set_state(init, init)
     for _ in range(20):
         cs.step()
         solo.step()
@@ -786,17 +793,53 @@ def test_group_feedback_allocates_less_than_one_member_did(params):
         tracemalloc.stop()
 
 
-def test_the_members_must_share_the_reference_clock(grid32, params, forcing32):
-    # the stack steps on one clock: a member set to another time is refused
-    # before any state changes
-    cs = CoupledStepper(grid32, params, forcing32, spec_config(), 2e-3)
+def test_the_members_read_the_reference_clock(grid32, params, forcing32):
+    # the stack keeps the one clock: the members read the reference's time
+    # and step count, through its spin-up and its lone steps, and a restart
+    # of any stepper restarts them all
+    cs = CoupledStepper(grid32, params, forcing32,
+                        [spec_config(), spec_config(mu=0.0)], 2e-3)
+    ref, steppers = cs.reference, [cs.reference, *cs.members]
     init = seeded_init(grid32, 0, 0.5)
-    cs.reference.set_state(init, init, 0.0)
-    cs.members[0].set_state(init, init, 0.25)
-    before = cs.reference.X.copy()
-    with pytest.raises(ValueError, match="reference's clock"):
+    ref.set_state(init, init)
+    for _ in range(3):
         cs.step()
-    np.testing.assert_array_equal(cs.reference.X, before)
+    spin_up(ref, max_time=0.1)
+    ref.advance()
+    assert (ref.t, ref.step_count) == (2e-3, 1)
+    for member in cs.members:
+        assert (member.t, member.step_count) == (ref.t, ref.step_count)
+    for stepper in steppers:
+        for _ in range(2):
+            cs.step()
+        assert ref.step_count >= 2
+        stepper.restart()
+        assert [(s.t, s.step_count) for s in steppers] == [(0.0, 0)] * 3
+
+
+@pytest.mark.parametrize("spoil", [False, True])
+def test_a_step_calls_advection_once(grid32, params, forcing32, monkeypatch,
+                                     spoil):
+    # one advection call gives every band of a step; a member that retires
+    # takes its band behind the active ones, with its state, and the others
+    # step from theirs
+    configs = [spec_config(mu=mu, kind=NODAL, mask=MASK_FIRST) for mu in (60.0, 480.0)]
+    cs = CoupledStepper(grid32, params, forcing32, configs, 2e-3)
+    init = seeded_init(grid32, 0, 0.5)
+    cs.reference.set_state(init, init)
+    cs.step()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return advection(*args)
+
+    monkeypatch.setattr(nudging, "advection", counted)
+    if spoil:
+        cs.members[0].X[1, 2, 3] = np.nan
+    cs.step()
+    assert len(calls) == 1
+    assert cs.active() == ([1] if spoil else [0, 1])
 
 
 @pytest.mark.parametrize("name", ["delta", "eps"])

@@ -35,6 +35,12 @@ CASES = {
     "sweep-h-v-only": (
         ["sweep", "--axis", "h", "--values", "0.125", "0.25"],
         "scenario = baseline\nn = 32\nmask = v-only\nhorizon = 2\n"),
+    # mu = 20 and mu = 0 retire by CFL (exit 3) and mu = 2000 goes on
+    # (exit 4), so its state and band move from slot 2 to slot 1
+    "sweep-retire": (
+        ["sweep", "--axis", "mu", "--values", "20", "2000", "0"],
+        "scenario = generalized-da\nn = 32\nhorizon = 1\nspinup_max_time = 1\n"
+        "delta_amplitude = 200\ndelta_rate = 0\n"),
     "determining-n32": (["determining"],
                         "scenario = determining\nn = 32\nhorizon = 5\n"),
     "determining-volume": (
