@@ -441,13 +441,14 @@ class Stack:
         """Put the systems of `steppers`, every stepper on this stack, in
         the slots 0, 1, ... in that order: each keeps its state, its
         advection band, its two explicit terms and its inverse tables, and
-        its stepper's view of the state follows it."""
+        its stepper's view of the state follows it.  The free slots past
+        them stay as they are."""
         order = [s._slot for s in steppers]
         if sorted(order) != list(range(self.free)):
             raise ValueError("reorder needs every stepper of the stack once")
         for a in (self.X, self.work.band, *self.inverse):
-            a[...] = a[order]
-        self.E[...] = self.E[:, order]
+            a[:self.free] = a[order]
+        self.E[:, :self.free] = self.E[:, order]
         for k, s in enumerate(steppers):
             s._bind(k)
 
@@ -675,11 +676,6 @@ class Trajectory:
 
     def enstrophy(self) -> np.ndarray:
         return self.h1_v ** 2 + self.h1_w ** 2
-
-    @classmethod
-    def from_rows(cls, rows: np.ndarray) -> "Trajectory":
-        """From an (m, 6) array of trajectory_row rows."""
-        return cls(*rows.T)
 
 
 def trajectory_row(stepper: MhdStepper):

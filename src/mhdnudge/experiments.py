@@ -6,11 +6,13 @@ directory receives the normalized config, the reference trajectory and
 error-series CSVs, a constants ledger and a threshold report, so a run can
 be replayed bitwise from its own embedded config.
 
-Every run ends in `_run_group`, which writes its `summary.json` and maps
-its outcome to an exit code: 0 all checks passed, 2 invalid config, 3
-numerical blow-up or CFL violation, or any other exception, whose type the
-summary's error names, 4 scenario check failed.  A sweep records each
-value's code and goes on.
+Every run of a scenario, alone or as a sweep value, ends in `_run_group`,
+which writes its `summary.json` and maps its outcome to an exit code: 0 all
+checks passed, 2 invalid config, 3 numerical blow-up or CFL violation, or
+any other exception, whose type the summary's error names, 4 scenario check
+failed.  A sweep records each value's code and goes on.  The interpolant
+verification steps nothing and does not end there: it writes `config.txt`
+and `interpolant_report.json` and returns its own code.
 """
 
 from __future__ import annotations
@@ -496,10 +498,13 @@ def _conclude(cfg: ExperimentConfig, outcome):
 
 def _run_group(cfgs, outdirs):
     """Execute configs with one _group_key, each into its own directory,
-    with one reference run for all of them.  Returns one (exit_code,
-    summary) per config, each what a run of that config alone gives, and
-    writes that summary.  An exception that escapes the group, an invalid
-    config's ConfigError among them, fails each of its values."""
+    with one reference run for all of them: one call of the scenario's
+    runner, `_scenario_determining` or `_run_nudged`, which both take the
+    configs and their directories and return one outcome per config.
+    Returns one (exit_code, summary) per config, each what a run of that
+    config alone gives, and writes that summary.  An exception that escapes
+    the group, an invalid config's ConfigError among them, fails each of
+    its values."""
     for cfg, outdir in zip(cfgs, outdirs):
         os.makedirs(outdir, exist_ok=True)
         with open(os.path.join(outdir, "config.txt"), "w") as fh:
@@ -507,11 +512,9 @@ def _run_group(cfgs, outdirs):
     try:
         for cfg in cfgs:
             cfg.validated()
-        if cfgs[0].scenario == "determining":
-            (cfg,), (outdir,) = cfgs, outdirs
-            outcomes = [_scenario_determining(cfg, outdir)]
-        else:
-            outcomes = _run_nudged(cfgs, outdirs)
+        runner = (_scenario_determining if cfgs[0].scenario == "determining"
+                  else _run_nudged)
+        outcomes = runner(cfgs, outdirs)
     except Exception as exc:
         outcomes = [exc] * len(cfgs)
     results = [_conclude(cfg, outcome) for cfg, outcome in zip(cfgs, outcomes)]
@@ -524,10 +527,11 @@ def _run_group(cfgs, outdirs):
 # determining-interpolant experiment
 
 
-def _scenario_determining(cfg: ExperimentConfig, outdir):
+def _scenario_determining(cfgs, outdirs):
     """Two solutions, forced by f1 and f2, and the auxiliary nudged toward
-    the first; writes determining.csv and returns (None, summary), for
-    _judge.
+    the first, for the one config of `cfgs` (a determining config is its
+    own group key); writes determining.csv to the one directory of
+    `outdirs` and returns [(None, summary)], for _judge.
 
     f2 is f1 + delta, with delta = A exp(-r t) (f, g): (f, g) is f1's
     unmodulated pair, A and r are det_envelope_amplitude and
@@ -539,6 +543,7 @@ def _scenario_determining(cfg: ExperimentConfig, outdir):
     convergence proof dictates.  A failure of any of the three ends the
     run.
     """
+    (cfg,), (outdir,) = cfgs, outdirs
     amplitude, rate = cfg.det_envelope_amplitude, cfg.det_envelope_rate
     if rate == 0 and amplitude != 0:
         raise ConfigError(f"determining needs f2 - f1 to decay, but det_envelope_rate"
@@ -606,7 +611,7 @@ def _scenario_determining(cfg: ExperimentConfig, outdir):
     full = np.sqrt(arr[:, 3] ** 2 + arr[:, 4] ** 2)
     ih = np.sqrt(arr[:, 1] ** 2 + arr[:, 2] ** 2)
     checks = {}
-    return None, {
+    return [(None, {
         "scenario": "determining",
         "G": G, "mu_aux": mu_aux, "h": cfg.interpolant_h,
         "peak_full_difference": float(np.max(full)),
@@ -615,7 +620,7 @@ def _scenario_determining(cfg: ExperimentConfig, outdir):
         "tail_rate_interpolant": _tail_rate(arr[:, 0], ih, checks),
         "spin_up_converged": all(r.converged for r in spun),
         "checks": checks,
-    }
+    })]
 
 
 # ---------------------------------------------------------------------------

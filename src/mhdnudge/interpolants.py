@@ -214,15 +214,13 @@ def _fill_masked(out: np.ndarray, J: int, sign):
         np.multiply(out[..., :half, :, :], sign, out=out[..., half:, :, :])
 
 
-def apply_masked(spec: InterpolantSpec, mask: str, grid: Grid, X: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
+def apply_masked(spec: InterpolantSpec, mask: str, grid: Grid,
+                 X: np.ndarray) -> np.ndarray:
     """Observation-masked I_h of a stacked (4, n, n/2 + 1) vector difference
-    X = (v - v~, w - w~), as one (4, n, n/2 + 1) array written to `out`
-    when it is given, which may be X itself.  The Leray projection and the
-    gain mu are not applied.
+    X = (v - v~, w - w~), as a new (4, n, n/2 + 1) array.  The Leray
+    projection and the gain mu are not applied.
     """
-    if out is None:
-        out = np.empty(X.shape, dtype=np.complex128)
+    out = np.empty(X.shape, dtype=np.complex128)
     Y, sign = _observed(mask, X, out)
     J, L = Y.shape[:2]
     pairs = out.reshape((2, 2) + X.shape[1:])[:J]
@@ -279,8 +277,9 @@ def projected_masked(spec: InterpolantSpec, mask: str, grid: Grid,
     X may also be a (G, 2, n, n/2 + 1) stack of G pairs, and mu a (G,)
     vector of gains, so that one call serves G nudged systems that share the
     operator: the result is then (G, 2, n, n/2 + 1), each bitwise what the
-    call on its pair with its gain gives.  With one pair and G gains (s = 1)
-    the pair is observed once, and each gain scales that.
+    call on its pair with its gain gives.  One pair with G gains (s = 1) is
+    the same call with the pair broadcast over the gains: each result is
+    bitwise what the call with its gain alone gives.
 
     The mask observes the stream functions Y of `_observed`, and I_h the
     first L velocity components of each, L = 1 for `first` and 2 else.
@@ -299,19 +298,15 @@ def projected_masked(spec: InterpolantSpec, mask: str, grid: Grid,
     lead = mu.shape
     if out is None:
         out = np.empty(lead + X.shape[-3:], dtype=np.complex128)
-    Y, sign = _observed(mask, X, out if X.ndim == out.ndim else out[0])
+    # the observed fields go to out's first pair, shaped as X
+    Y, sign = _observed(mask, X, out[(0,) * (out.ndim - X.ndim)])
     J, L = Y.shape[-4], 1 if mask == MASK_FIRST else 2
     mu = mu.reshape(lead + (1,) * 3)
     o = out[..., :J, :, :]
     if s == 1:
         o, y = o.view(np.float64), Y[..., 0, :, :].view(np.float64)
-        if y.ndim < o.ndim:  # one pair, G gains
-            np.multiply(W[L - 1], y, out=o[0])
-            np.multiply(o[0], mu[1:], out=o[1:])
-            o[0] *= mu[0]
-        else:
-            np.multiply(W[L - 1], y, out=o)
-            o *= mu
+        np.multiply(W[L - 1], y, out=o)
+        o *= mu
     else:
         shape = np.broadcast_shapes(pre[:L].shape, Y.shape)
         x = None if scratch is None else scratch[:math.prod(shape)].reshape(shape)

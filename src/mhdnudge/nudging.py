@@ -295,8 +295,9 @@ class CoupledStepper:
         members take theirs from the stack of reference minus member before
         the step.  Implicit members observe the reference after it is
         solved, matching the implicitly treated damping so a synchronized
-        pair stays a fixed point: one observation of it, scaled by each
-        gain.  Members with gain 0 observe nothing.
+        pair stays a fixed point: each member's feedback is its gain times
+        the per-mode product of that one pair.  Members with gain 0 observe
+        nothing.
         """
         grid, stack = self.grid, self._stack
         bands, speeds = advection(grid, stack.X[:1 + len(self._order)], stack.work)
@@ -401,5 +402,5 @@ def run_assimilation(grid: Grid, params, forcing: ForcingSpec,
     errors = [None if k in coupled.failures else ErrorSeries(*rows.T)
               for k, rows in enumerate(err_rows)]
     # after a break, the rows past i were never written
-    traj = Trajectory.from_rows(traj_rows[:i + 1])
+    traj = Trajectory(*traj_rows[:i + 1].T)
     return RunResult(errors, coupled.failures, traj, spun.time, spun.converged)

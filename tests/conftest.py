@@ -187,4 +187,4 @@ def record_trajectory(stepper, n_steps):
         rows[i] = trajectory_row(stepper)
         if i < n_steps:
             stepper.advance()
-    return Trajectory.from_rows(rows)
+    return Trajectory(*rows.T)

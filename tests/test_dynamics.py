@@ -619,6 +619,26 @@ def test_a_full_stack_refuses_a_stepper(grid32, params, forcing32):
         np.testing.assert_array_equal(after, before)
 
 
+def test_reorder_leaves_a_free_slot_alone():
+    # two systems on a stack of three swap their states, bands, inverse
+    # tables and both explicit terms, each stepper's view follows its
+    # state, and the free slot 2 keeps what it holds
+    g = Grid(16)
+    stack = Stack(g, derive_elsasser_params(5.0, 5.0), zero_forcing(g), 1e-3, 3)
+    a, b = MhdStepper(stack), MhdStepper(stack)
+    rng = np.random.default_rng(0)
+    arrays = [stack.X, stack.work.band, *stack.inverse]
+    for x in arrays + [stack.E]:
+        x.view(np.float64)[...] = rng.standard_normal(x.view(np.float64).shape)
+    before = [x.copy() for x in arrays]
+    E = stack.E.copy()
+    stack.reorder([b, a])
+    for x, was in zip(arrays, before):
+        np.testing.assert_array_equal(x, was[[1, 0, 2]])
+    np.testing.assert_array_equal(stack.E, E[:, [1, 0, 2]])
+    assert np.shares_memory(b.X, stack.X[0]) and np.shares_memory(a.X, stack.X[1])
+
+
 def test_full_spectrum_arrays_rejected(grid32, params, forcing32):
     # (2, n, n) arrays of the full layout are refused, not sliced
     full = np.zeros((2, 32, 32), dtype=complex)

@@ -20,6 +20,7 @@ from mhdnudge.interpolants import (
     apply_interpolant_coef,
     apply_masked,
     calibrate,
+    projected_masked,
     verification_report,
     verify_type1_bound,
     verify_type2_bound,
@@ -498,15 +499,44 @@ def test_mask_u_only_symmetric():
     np.testing.assert_allclose(fb[2:], fb[:2], atol=1e-14)
 
 
+def _random_streams(g, lead, seed):
+    """A (*lead, 2, n, n/2 + 1) stack of random stream function pairs."""
+    rng = np.random.default_rng(seed)
+    shape = lead + (2, g.n, g.half_width)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 @pytest.mark.parametrize("mask", MASKS)
 @pytest.mark.parametrize("kind", [SPECTRAL, VOLUME, NODAL])
 def test_masked_in_place_matches_new_array(kind, mask):
-    # the explicit feedback writes I_h of the difference over the difference
+    # an explicit group (volume, nodal) writes the feedback of its
+    # differences over them, with its scratch: one pair with one gain, and
+    # two pairs with two
     g = Grid(32)
     spec = InterpolantSpec(kind, 0.125)
-    X = _random_pair(g, 6)
-    want = apply_masked(spec, mask, g, X)
-    assert np.array_equal(apply_masked(spec, mask, g, X, out=X), want)
+    for lead, mu in (((), 37.0), ((2,), np.array([37.0, 5.0]))):
+        X = _random_streams(g, lead, 6)
+        want = projected_masked(spec, mask, g, X, mu, np.empty_like(X))
+        scratch = np.empty(2 * X.size, dtype=np.complex128)
+        got = projected_masked(spec, mask, g, X, mu, X, scratch)
+        assert got is X and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mask", MASKS)
+@pytest.mark.parametrize("n", [16, 32])
+def test_one_pair_with_gains_is_each_gain_alone(n, mask):
+    # an implicit group observes one pair, the reference, with the gains of
+    # its members: each result is bitwise the call with its gain alone
+    g = Grid(n)
+    X = _random_streams(g, (), n)
+    gains = [37.0, 5.0, 1234.5]
+    for h, G in itertools.product((0.25, 0.125), (1, 2, 3)):
+        spec = InterpolantSpec(SPECTRAL, h)
+        got = projected_masked(spec, mask, g, X, np.array(gains[:G]))
+        assert got.shape == (G,) + X.shape
+        for mu, feedback in zip(gains, got):
+            alone = projected_masked(spec, mask, g, X, mu)
+            assert feedback.tobytes() == alone.tobytes()
 
 
 def test_unknown_mask_rejected():

@@ -41,6 +41,11 @@ CASES = {
         ["sweep", "--axis", "mu", "--values", "20", "2000", "0"],
         "scenario = generalized-da\nn = 32\nhorizon = 1\nspinup_max_time = 1\n"
         "delta_amplitude = 200\ndelta_rate = 0\n"),
+    # two implicit members share one group for the whole run, so one
+    # feedback call observes one pair with two gains
+    "sweep-mu-spectral": (
+        ["sweep", "--axis", "mu", "--values", "50", "200"],
+        "scenario = baseline\nn = 32\nhorizon = 2\n"),
     "determining-n32": (["determining"],
                         "scenario = determining\nn = 32\nhorizon = 5\n"),
     "determining-volume": (
@@ -56,6 +61,9 @@ CASES = {
         ["run"],
         "scenario = generalized-da\nn = 32\nmask = v-only\n"
         "delta_amplitude = 0.5\neps_amplitude = 0.1\nhorizon = 5\n"),
+    "verify-nodal": (
+        ["verify-interpolant", "--samples", "20"],
+        "scenario = baseline\nn = 32\ninterpolant_kind = nodal\n"),
     "error-mask": (["run"], "scenario = baseline\nn = 32\nmask = bogus\n"),
     "error-kind": (["run"],
                    "scenario = baseline\nn = 32\ninterpolant_kind = bogus\n"),
