@@ -13,7 +13,6 @@ from .dynamics import (
     MhdStepper,
     derive_elsasser_params,
     to_elsasser,
-    from_elsasser,
     spin_up,
 )
 from .interpolants import (

@@ -119,13 +119,9 @@ def derive_elsasser_params(Re: float, Rm: float) -> ElsasserParams:
 
 
 def to_elsasser(u: np.ndarray, b: np.ndarray):
-    """Original (u, b) -> Elsasser (v, w) = (u + b, u - b)."""
+    """Original (u, b) -> Elsasser (v, w) = (u + b, u - b); the inverse is
+    u = (v + w)/2, b = (v - w)/2."""
     return u + b, u - b
-
-
-def from_elsasser(v: np.ndarray, w: np.ndarray):
-    """Elsasser (v, w) -> original (u, b), the inverse of to_elsasser."""
-    return 0.5 * (v + w), 0.5 * (v - w)
 
 
 # ---------------------------------------------------------------------------

@@ -50,9 +50,9 @@ from .interpolants import (
     SPECTRAL,
     CALIBRATION_INFLATION,
     InterpolantSpec,
-    _check_grid,
     apply_interpolant_coef,
     calibrate,
+    check_grid,
     verification_report,
 )
 from .nudging import (
@@ -130,7 +130,8 @@ class ExperimentConfig:
     def validated(self) -> "ExperimentConfig":
         """This config, once each key is checked: ConfigError otherwise.
         The gain, interpolant and mask are checked by the NudgingConfig they
-        make, and the gain's stability by `check_explicit_gain`."""
+        make, the interpolant's fit to the grid by `check_grid` and the
+        gain's stability by `check_explicit_gain`."""
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; "
                               f"expected one of {SCENARIOS}")
@@ -142,9 +143,10 @@ class ExperimentConfig:
             if typ is float and not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         try:
-            nudging = NudgingConfig(self.mu, InterpolantSpec(
-                self.interpolant_kind, self.interpolant_h), self.mask)
-            _check_grid(nudging.interpolant, Grid(self.n))
+            spec = InterpolantSpec(self.interpolant_kind, self.interpolant_h)
+            NudgingConfig(self.mu, spec, self.mask)
+            # Grid checks n before the interpolant's fit to it
+            check_grid(spec.kind, Grid(self.n).n, spec.resolution)
             derive_elsasser_params(self.re, self.rm)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -308,13 +310,13 @@ def _theorem_ids_for(cfg: ExperimentConfig):
 
 
 def threshold_report(cfg: ExperimentConfig, params, G: float,
-                     spec: InterpolantSpec) -> dict:
-    """Per-theorem thresholds at the analysis constants."""
+                     constants: dict) -> dict:
+    """Per-theorem thresholds at the analysis constants and the
+    interpolant constants that `calibrate` returns."""
     report = {"G": G, "actual_mu": cfg.mu, "actual_h": cfg.interpolant_h,
               "theorems": {}}
     for tid in _theorem_ids_for(cfg):
-        th = diag.theorem_thresholds(tid, G, params,
-                                     c1=spec.c1, c2=spec.c2, c3=spec.c3)
+        th = diag.theorem_thresholds(tid, G, params, **constants)
         report["theorems"][tid] = {
             "mu_min": th.mu_min,
             "h_max": th.h_max,
@@ -375,13 +377,14 @@ def _run_nudged(cfgs, outdirs):
             if ncfg.interpolant not in calibrated:
                 calibrated[ncfg.interpolant] = calibrate(
                     ncfg.interpolant, grid, c.calibration_samples, c.forcing_seed)
-            spec = calibrated[ncfg.interpolant]
+            fitted = calibrated[ncfg.interpolant]
             diag._write_text(os.path.join(outdir, "trajectory.csv"), traj_csv)
             errors.save_csv(os.path.join(outdir, "errors.csv"))
             _json_dump(os.path.join(outdir, "thresholds.json"),
-                       threshold_report(c, params, G, spec))
+                       threshold_report(c, params, G, fitted))
+            # the keys of both types, null where this type has none
             _json_dump(os.path.join(outdir, "constants.json"),
-                       {**constants, "c1": spec.c1, "c2": spec.c2, "c3": spec.c3})
+                       {**constants, "c1": None, "c2": None, "c3": None, **fitted})
             try:
                 gronwall = diag.gronwall_condition_check(
                     traj.times, c.mu - enstrophy_term, params.window)
@@ -555,13 +558,13 @@ def _scenario_determining(cfgs, outdirs):
     delta = ForcingSpec(forcing1.f, forcing1.g, Modulation(amplitude, rate, 0.0))
 
     chi_spec = InterpolantSpec(cfg.interpolant_kind, cfg.interpolant_h)
-    spec = calibrate(chi_spec, grid, cfg.calibration_samples, cfg.forcing_seed)
+    fitted = calibrate(chi_spec, grid, cfg.calibration_samples, cfg.forcing_seed)
     # the auxiliary's gain is the one the convergence argument dictates for
     # this resolution
-    if spec.type_class == 1:
-        scale = spec.c1 ** 2 * cfg.interpolant_h ** 2
+    if chi_spec.type_class == 1:
+        scale = fitted["c1"] ** 2 * cfg.interpolant_h ** 2
     else:
-        scale = 2.0 * cfg.interpolant_h ** 2 * max(spec.c2 ** 2, spec.c3)
+        scale = 2.0 * cfg.interpolant_h ** 2 * max(fitted["c2"] ** 2, fitted["c3"])
     if scale == 0:
         raise ConfigError(
             f"determining derives its gain from the interpolant constants, "
@@ -668,7 +671,7 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, outdir=None,
             sub = replace(cfg, forcing_amplitude=cfg.forcing_amplitude * scalef,
                           forcing_g_amplitude=cfg.forcing_g_amplitude * scalef)
         try:
-            sub = parse_config_text(sub.dump())
+            sub.validated()
         except ConfigError:  # runs alone, to its ConfigError in _run_group
             groups[i] = [i]
         else:
@@ -720,7 +723,7 @@ def run_interpolant_verification(cfg: ExperimentConfig, n_samples: int,
     _json_dump(os.path.join(outdir, "interpolant_report.json"), report)
     ok = True
     if spec.kind == SPECTRAL:
-        # the inflated stored constant may exceed the analytic value; the
-        # raw empirical maximum must not
+        # the inflated constant that calibrate returns may exceed the
+        # analytic value; the raw empirical maximum must not
         ok = report["c1"] / CALIBRATION_INFLATION <= 1.0 / (2.0 * np.pi) + 1e-6
     return (EXIT_OK if ok else EXIT_CHECK), report

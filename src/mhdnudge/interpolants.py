@@ -34,23 +34,22 @@ uses it, and so does the verification, on the lattice alone.
 
 Type 1 satisfies  ||u - I_h u|| <= c1 h ||grad u||; type 2 satisfies
 ||u - I_h u|| <= c2 h ||grad u|| + c3 h^2 ||Lap u||.  The constants are
-empirical: fitted over random band-limited samples, then inflated 5% by
-`calibrate` before being stored (they feed sufficient-condition
-calculators, where an underestimate would be unsound).  The samples are
-drawn in blocks and only their band k2 = 0..cutoff is read: the norms
-come from one weighted sum of |c_k|^2, and ||u - I_h u|| from the fold of
-u on the m x m lattice, with no I_h u built (`_bound_samples`).
+empirical: fitted over random band-limited samples, then inflated 5% and
+returned by `calibrate` (they feed sufficient-condition calculators, where
+an underestimate would be unsound); a spec holds only its kind and h.  The
+samples are drawn in blocks and only their band k2 = 0..cutoff is read:
+the norms come from one weighted sum of |c_k|^2, and ||u - I_h u|| from
+the fold of u on the m x m lattice, with no I_h u built (`_bound_samples`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import from_elsasser
 from .spectral import TWO_PI, Grid, random_scalar_field, view_weights
 
 SPECTRAL = "spectral"
@@ -62,12 +61,12 @@ MASK_ALL = "all"
 MASK_FIRST = "first"
 MASK_V_ONLY = "v-only"
 # extensions used by the negative-control / exploratory scenarios: observe
-# only the original magnetic variable b or only u, as from_elsasser gives them
+# only the original magnetic variable b = (v - w)/2 or only u = (v + w)/2
 MASK_B_ONLY = "b-only"
 MASK_U_ONLY = "u-only"
 MASKS = (MASK_ALL, MASK_FIRST, MASK_V_ONLY, MASK_B_ONLY, MASK_U_ONLY)
 
-# calibrate stores the fitted constants times this factor
+# calibrate returns the fitted constants times this factor
 CALIBRATION_INFLATION = 1.05
 
 
@@ -75,9 +74,6 @@ CALIBRATION_INFLATION = 1.05
 class InterpolantSpec:
     kind: str
     h: float
-    c1: float | None = None
-    c2: float | None = None
-    c3: float | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -98,21 +94,24 @@ class InterpolantSpec:
         return int(round(1.0 / self.h))
 
 
-def _check_grid(spec: InterpolantSpec, grid: Grid):
-    if spec.kind in (VOLUME, NODAL) and grid.n % spec.resolution != 0:
-        raise ValueError(
-            f"1/h={spec.resolution} must divide the grid size n={grid.n}"
-        )
+def check_grid(kind: str, n: int, resolution: int):
+    """Raise ValueError unless a `kind` interpolant of 1/h = resolution
+    fits an n x n grid: volume and nodal need 1/h to divide n.  This is the
+    one place the rule is written: the tables of I_h (`_weights`) and the
+    gates of a config and of a member call it."""
+    if kind in (VOLUME, NODAL) and n % resolution != 0:
+        raise ValueError(f"1/h={resolution} must divide the grid size n={n}")
 
 
 @lru_cache(maxsize=None)
 def _weights(kind: str, n: int, resolution: int):
     """(m, pre, post) of I_h on the (n, n/2 + 1) half spectrum (see the
-    module docstring).
+    module docstring), once `check_grid` admits the grid.
 
     `pre` is None where it is 1.  The arrays are shared by every call with
     the same arguments, so they are read-only.
     """
+    check_grid(kind, n, resolution)
     k = np.fft.fftfreq(n, 1.0 / n)
     h = n // 2 + 1
     if kind == SPECTRAL:
@@ -160,7 +159,6 @@ def apply_interpolant_coef(spec: InterpolantSpec, grid: Grid,
     Complex-linear: on the coefficients of a real field it returns those of
     a real field.
     """
-    _check_grid(spec, grid)
     m, pre, post = _weights(spec.kind, grid.n, spec.resolution)
     n, h = grid.n, grid.half_width
     s = n // m
@@ -188,9 +186,9 @@ def _observed(mask: str, X: np.ndarray, buf: np.ndarray):
 
     `all` observes v and w, `first` the first components of both (L = 1; a
     stream function stands for its whole field), `v-only` v, and
-    `b-only`/`u-only` the b or u of `from_elsasser`, which are written to
-    buf's second half, where w's feedback goes last; buf, shaped as X, may
-    be X itself.  Y is a view of X or of buf.
+    `b-only`/`u-only` b = (v - w)/2 or u = (v + w)/2, which are written
+    straight to buf's second half, where w's feedback goes last; buf,
+    shaped as X, may be X itself.  Y is a view of X or of buf.
     """
     pair = X.reshape(X.shape[:-3] + (2, -1) + X.shape[-2:])
     if mask == MASK_ALL:
@@ -200,9 +198,10 @@ def _observed(mask: str, X: np.ndarray, buf: np.ndarray):
     if mask == MASK_V_ONLY:
         return pair[..., :1, :, :, :], 0.0
     if mask in (MASK_B_ONLY, MASK_U_ONLY):
-        u, b = from_elsasser(pair[..., 0, :, :, :], pair[..., 1, :, :, :])
         observed = buf.reshape(pair.shape)[..., 1:, :, :, :]
-        observed[..., 0, :, :, :] = b if mask == MASK_B_ONLY else u
+        op = np.subtract if mask == MASK_B_ONLY else np.add
+        op(pair[..., 0, :, :, :], pair[..., 1, :, :, :], out=observed[..., 0, :, :, :])
+        observed *= 0.5
         return observed, -1.0 if mask == MASK_B_ONLY else 1.0
     raise ValueError(f"unknown observation mask {mask!r}")
 
@@ -288,9 +287,8 @@ def projected_masked(spec: InterpolantSpec, mask: str, grid: Grid,
     s = 1 mu times a per-mode gain.  The pre products of the fold go to
     `scratch` when it is given, a flat complex array of at least four
     planes per pair, and are allocated otherwise; no other temporary is as
-    large, apart from the u or b of `from_elsasser` (b-only, u-only).
+    large.
     """
-    _check_grid(spec, grid)
     m, pre, W = _feedback_weights(spec.kind, grid.n, spec.resolution)
     n, h = grid.n, grid.half_width
     s = n // m
@@ -372,7 +370,6 @@ def _bound_samples(spec: InterpolantSpec, grid: Grid, n_samples: int,
 
     G = fold(conj(post) u) (= F for volume), all on the m x m lattice.
     """
-    _check_grid(spec, grid)
     n, c = grid.n, grid.cutoff + 1
     m, pre, post = _weights(spec.kind, n, spec.resolution)
     W, Q = _bound_weights(spec.kind, n, spec.resolution)
@@ -451,21 +448,20 @@ def verify_type2_bound(spec: InterpolantSpec, grid: Grid, n_samples: int = 200,
 
 
 def calibrate(spec: InterpolantSpec, grid: Grid, n_samples: int = 200,
-              seed: int = 0) -> InterpolantSpec:
-    """Populate the spec's empirical constants, inflated by
-    CALIBRATION_INFLATION."""
+              seed: int = 0) -> dict:
+    """The spec's empirical constants, inflated by CALIBRATION_INFLATION:
+    {"c1": c1} for type 1, {"c2": c2, "c3": c3} for type 2, the keywords
+    of `diagnostics.theorem_thresholds`."""
     if spec.type_class == 1:
-        c1 = verify_type1_bound(spec, grid, n_samples, seed)
-        return replace(spec, c1=CALIBRATION_INFLATION * c1)
+        return {"c1": CALIBRATION_INFLATION
+                * verify_type1_bound(spec, grid, n_samples, seed)}
     c2, c3 = verify_type2_bound(spec, grid, n_samples, seed)
-    return replace(spec, c2=CALIBRATION_INFLATION * c2,
-                   c3=CALIBRATION_INFLATION * c3)
+    return {"c2": CALIBRATION_INFLATION * c2, "c3": CALIBRATION_INFLATION * c3}
 
 
 def verification_report(spec: InterpolantSpec, grid: Grid, n_samples: int,
                         seed: int) -> dict:
-    fitted = calibrate(spec, grid, n_samples, seed)
-    names = ("c1",) if spec.type_class == 1 else ("c2", "c3")
+    """The spec, the sampling and the constants `calibrate` returns."""
     return {"kind": spec.kind, "h": spec.h, "type_class": spec.type_class,
             "n_samples": n_samples, "seed": seed,
-            **{name: getattr(fitted, name) for name in names}}
+            **calibrate(spec, grid, n_samples, seed)}

@@ -53,6 +53,7 @@ from .interpolants import (
     SPECTRAL,
     InterpolantSpec,
     apply_masked,
+    check_grid,
     projected_masked,
 )
 from .spectral import Grid, stream_function
@@ -138,7 +139,9 @@ class _Member:
     feedback, and it takes the free step with its `delta` alone, so
     without a delta it is bitwise the free MhdStepper.  Observing members
     that share a feedback mode and an observation operator form a group
-    (`key`).
+    (`key`).  A member whose gain is unstable at dt, or whose interpolant
+    does not fit the grid (`interpolants.check_grid`), is refused here,
+    before any step.
     """
 
     def __init__(self, grid: Grid, config: NudgingConfig, dt: float):
@@ -146,6 +149,7 @@ class _Member:
         self.observes = config.mu > 0
         self.implicit = self.observes and config.interpolant.kind == SPECTRAL
         check_explicit_gain(config.interpolant.kind, config.mu, dt)
+        check_grid(config.interpolant.kind, grid.n, config.interpolant.resolution)
         self.key = (self.implicit, config.interpolant.kind,
                     config.interpolant.resolution, config.mask) \
             if self.observes else None

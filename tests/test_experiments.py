@@ -294,6 +294,20 @@ def test_h_sweep_records_indivisible_h_and_goes_on(tmp_path):
     assert (tmp_path / "sweep.csv").read_text().count("\n") == 3
 
 
+def test_sweep_values_record_the_sweep_outdir(tmp_path):
+    # a '#' opens a comment in a config file, so a sweep checks each value
+    # in memory, not through its config text: each value's config.txt
+    # records the outdir as a plain run's does
+    outdir = str(tmp_path / "out#1")
+    cfg = replace(parse_config_text("scenario = baseline\nn = 16\n" + SHORT),
+                  outdir=outdir)
+    table = run_sweep(cfg, "mu", [10.0, 20.0], max_workers=1)
+    assert all(row["exit_code"] in (EXIT_OK, EXIT_CHECK) for row in table)
+    for v in (10, 20):
+        config = (tmp_path / "out#1" / f"mu={v}" / "config.txt").read_text()
+        assert f"outdir = {outdir}\n" in config
+
+
 def test_sweep_rejects_values_sharing_a_directory(tmp_path):
     # 50 and 50.0000001 both format as mu=50: the later would overwrite the
     # earlier's artifacts, so the sweep is refused before any run starts

@@ -6,12 +6,13 @@ import importlib.util
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mhdnudge import dynamics
+from mhdnudge import dynamics, interpolants
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for p in (ROOT / "src" / "mhdnudge").glob("*.py")
@@ -348,6 +349,29 @@ def test_config_layer_restates_no_observation_rule():
     # InterpolantSpec, so the config layer needs neither list
     source = (ROOT / "src" / "mhdnudge" / "experiments.py").read_text()
     assert names_imported_from(source, "interpolants") & {"MASKS", "VOLUME"} == set()
+
+
+def test_interpolants_stand_on_spectral_alone():
+    # I_h observes b = (v - w)/2 and u = (v + w)/2 itself, so the
+    # observation operators need nothing of the dynamics
+    source = (ROOT / "src" / "mhdnudge" / "interpolants.py").read_text()
+    assert names_imported_from(source, "dynamics") == set()
+
+
+def test_interpolant_spec_is_its_operator():
+    # the constants of the interpolant inequalities are facts fitted about
+    # I_h, which calibrate returns; a spec is the operator alone
+    assert [f.name for f in fields(interpolants.InterpolantSpec)] == ["kind", "h"]
+
+
+def test_one_grid_rule():
+    # "1/h divides n" is written once, in check_grid: the tables of I_h
+    # are built behind it, and a config and a member are refused by it
+    sites = {(p.stem, func) for p in PACKAGE for func in
+             functions_calling(p.read_text(), "check_grid")}
+    assert sites == {("interpolants", "_weights"),
+                     ("experiments", "ExperimentConfig.validated"),
+                     ("nudging", "_Member.__init__")}
 
 
 def test_no_stack_built_mid_run():

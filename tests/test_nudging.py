@@ -85,6 +85,30 @@ def test_unknown_mask_is_refused_when_configured(kind):
         NudgingConfig(10.0, InterpolantSpec(kind, 0.25), "bogus")
 
 
+@pytest.mark.parametrize("kind", [VOLUME, NODAL])
+def test_indivisible_grid_is_refused_when_a_member_is_built(
+        grid32, params, forcing32, monkeypatch, kind):
+    # 1/h = 5 does not divide n = 32: the member is refused when it is
+    # built, before any spin-up advance, not on its first coupled step
+    message = "1/h=5 must divide the grid size n=32"
+    config = spec_config(mu=50.0, kind=kind, h=0.2)
+    with pytest.raises(ValueError, match=message):
+        CoupledStepper(grid32, params, forcing32, config, 2e-3)
+    advances = []
+    advance = MhdStepper.advance
+
+    def counted(self, *args, **kw):
+        advances.append(self)
+        return advance(self, *args, **kw)
+
+    monkeypatch.setattr(MhdStepper, "advance", counted)
+    init = seeded_init(grid32, 0, 0.5)
+    with pytest.raises(ValueError, match=message):
+        run_assimilation(grid32, params, forcing32, config, init, init.copy(),
+                         2e-3, 0.04, spinup_max_time=1.0)
+    assert advances == []
+
+
 def short_run(grid, params, forcing, init_mode):
     """A 20-step run after a short spin-up, sampling every step."""
     init = seeded_init(grid, 0, 0.5)

@@ -46,6 +46,26 @@ CASES = {
     "sweep-mu-spectral": (
         ["sweep", "--axis", "mu", "--values", "50", "200"],
         "scenario = baseline\nn = 32\nhorizon = 2\n"),
+    # the b and u masks, through the explicit nodal feedback and through
+    # a volume member with an observation error
+    "b-only-nodal": (
+        ["run"],
+        "scenario = b-only-control\nn = 32\nmask = b-only\ninterpolant_kind = nodal\n"
+        "mu = 100\nhorizon = 2\ninit_mode = random\nforcing_g_amplitude = 1\n"),
+    "u-only-volume-eps": (
+        ["run"],
+        "scenario = u-only-exploratory\nn = 32\nmask = u-only\n"
+        "interpolant_kind = volume\ninterpolant_h = 0.25\neps_amplitude = 0.1\n"
+        "horizon = 2\ninit_mode = random\nforcing_g_amplitude = 1\n"),
+    # one implicit u-only group with two gains
+    "sweep-mu-u-only": (
+        ["sweep", "--axis", "mu", "--values", "50", "200"],
+        "scenario = u-only-exploratory\nn = 32\nmask = u-only\nhorizon = 2\n"
+        "init_mode = random\nforcing_g_amplitude = 1\n"),
+    # each G value has its own forcing and runs alone
+    "sweep-G": (
+        ["sweep", "--axis", "G", "--values", "5", "10", "--workers", "1"],
+        "scenario = baseline\nn = 32\nhorizon = 1\n"),
     "determining-n32": (["determining"],
                         "scenario = determining\nn = 32\nhorizon = 5\n"),
     "determining-volume": (
@@ -68,6 +88,9 @@ CASES = {
     "error-kind": (["run"],
                    "scenario = baseline\nn = 32\ninterpolant_kind = bogus\n"),
     "error-mu": (["run"], "scenario = baseline\nn = 32\nmu = -1\n"),
+    # 1/h = 5 does not divide n = 32
+    "error-grid": (["run"], "scenario = baseline\nn = 32\n"
+                   "interpolant_kind = volume\ninterpolant_h = 0.2\n"),
     # two errors: the first check that fails is reported
     "error-mask-and-sample-every": (
         ["run"], "scenario = baseline\nn = 32\nmask = bogus\nsample_every = 0\n"),
