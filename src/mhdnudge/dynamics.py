@@ -199,7 +199,10 @@ class AdvectionWork:
     `velocity` is the velocity table of `Grid.curl_weights` repeated for
     each system, read-only and filled once: numpy buffers a product that
     broadcasts the table over the systems, and not one with a table of the
-    product's own shape.
+    product's own shape.  The views of the buffers that a call on S
+    systems works in are made on the first call with that S (`views`) and
+    kept, as the buffers never move: a stack's steps call with one S until
+    a member retires, and a lone `advance` with S = 1.
     """
 
     def __init__(self, grid: Grid, size: int):
@@ -221,6 +224,31 @@ class AdvectionWork:
         self.rows = np.empty((size, 3, n, grid.half_width),
                              dtype=np.complex128)
         self.speed_sq = np.empty(size)
+        self._views = {}  # S -> views(S)
+
+    def views(self, S: int) -> tuple:
+        """The views of `advection` on the first S systems, made once per
+        S: the band, the velocities in their (S, 2, 2, n, cutoff + 1) form
+        and as they are, their table, the columns, the grid values (v1,
+        v2, w1, w2), v and w, the products, each plane and its pairs, the
+        squared speeds, the rows and their columns 0..cutoff, the
+        transforms of (M12, M21, D), and the float64 views of M12, M21, D,
+        (M12, M21), the band and its two planes."""
+        if S not in self._views:
+            c = self.band.shape[-1]
+            band, vel, phys, products = (a[:S] for a in (self.band, self.vel,
+                                                        self.phys, self.products))
+            M, rows = vel[:, :3], self.rows[:S]
+            Mf, sf = M.view(np.float64), band.view(np.float64)
+            self._views[S] = (
+                band, vel.reshape(S, 2, 2, *vel.shape[-2:]), vel,
+                self.velocity[:S], self.cols[:S], phys, tuple(phys[:, k] for k in range(4)),
+                phys[:, :2], phys[:, 2:], products,
+                tuple(products[:, k] for k in range(4)), products[:, :2],
+                products[:, 2:], products[:, :3], self.speed_sq[:S], rows,
+                rows[..., :c], M, tuple(Mf[:, k] for k in range(3)), Mf[:, :2],
+                sf, sf[:, 0], sf[:, 1])
+        return self._views[S]
 
 
 def advection(grid: Grid, X: np.ndarray, work: AdvectionWork):
@@ -245,49 +273,53 @@ def advection(grid: Grid, X: np.ndarray, work: AdvectionWork):
     P[(v.grad)w] is the same with M12 and M21 swapped.  Three products,
     M12, M21 and D, thus give both terms with their projection, through the
     tables of `Grid.curl_weights`, which also dealias.  Every array goes to
-    a buffer of `work`, an AdvectionWork of at least S systems.  No operand
-    of a pass overlaps its output, and no product mixes a real and a
-    complex operand, so numpy makes no copy of an operand and casts none.
-    The velocity table (`work.velocity[:S]`) and the reversed components of
-    M12 and M21 are not broadcast into a product, as numpy buffers such a
-    product's operands.
+    a buffer of `work`, an AdvectionWork of at least S systems, through
+    the views it keeps per S (`AdvectionWork.views`), so a call builds no
+    view of its own but X's.  No operand of a pass overlaps its output,
+    and no product mixes a real and a complex operand, so numpy makes no
+    copy of an operand and casts none.  The velocity table is repeated
+    per system, and the weights multiply one plane of M12, M21 or D at a
+    time: numpy buffers a product that broadcasts a table over the
+    systems' planes of pairs, or reverses one, at n = 64.  So from n = 64
+    on a call allocates no array data.
     """
-    S = len(X)
-    band, vel, cols, phys, products, rows = (
-        a[:S] for a in (work.band, work.vel, work.cols, work.phys,
-                        work.products, work.rows))
+    (band, vel_pairs, vel, velocity, cols, phys, (v1, v2, w1, w2), v, w,
+     products, (p0, p1, p2, p3), p01, p23, p012, speed_sq, rows, rows_band, M,
+     (M12, M21, D), M12_21, s, s_A, s_B) = work.views(len(X))
     n, c = grid.n, grid.cutoff + 1
     _, (W11, W22, W12) = grid.curl_weights
     # the velocities: each stream function copied to both components, times
     # the table
-    np.copyto(vel.reshape(S, 2, 2, n, c), X[:, :, None, :, :c])
-    vel *= work.velocity[:S]
+    np.copyto(vel_pairs, X[:, :, None, :, :c])
+    vel *= velocity
     # irfft2(s=(n, n)) of the columns 0..cutoff, which zero-pads the others,
     # as its two 1-D passes, unscaled: numpy 2.4.6 leaves wrong values in
     # irfft2's out array
     np.fft.ifft(vel, axis=-2, norm="forward", out=cols)
     np.fft.irfft(cols, n=n, axis=-1, norm="forward", out=phys)
     np.multiply(phys, phys, out=products)
-    np.add(products[:, 0], products[:, 1], out=products[:, 0])  # |v|^2
-    np.add(products[:, 2], products[:, 3], out=products[:, 1])  # |w|^2
-    np.max(products[:, :2], axis=(1, 2, 3), out=work.speed_sq[:S])
-    v, w = phys[:, :2], phys[:, 2:]
+    np.add(p0, p1, out=p0)  # |v|^2
+    np.add(p2, p3, out=p1)  # |w|^2
+    np.maximum.reduce(p01, axis=(1, 2, 3), out=speed_sq)
     # M12 and M21 one at a time: numpy buffers a product with w's components
     # reversed
-    np.multiply(v[:, 0], w[:, 1], out=products[:, 0])
-    np.multiply(v[:, 1], w[:, 0], out=products[:, 1])
-    np.multiply(v, w, out=products[:, 2:])  # M11, M22
-    np.subtract(products[:, 3], products[:, 2], out=products[:, 2])  # D
+    np.multiply(v1, w2, out=p0)
+    np.multiply(v2, w1, out=p1)
+    np.multiply(v, w, out=p23)  # M11, M22
+    np.subtract(p3, p2, out=p2)  # D
     # rfft2 as its two 1-D passes, the second on the columns 0..cutoff only
-    np.fft.rfft(products[:, :3], axis=-1, out=rows)
-    M = vel[:, :3]  # n^2 (M12, M21, D)^
-    np.fft.fft(rows[..., :c], axis=-2, out=M)
+    np.fft.rfft(p012, axis=-1, out=rows)
+    np.fft.fft(rows_band, axis=-2, out=M)  # n^2 (M12, M21, D)^
     # (s_A, s_B) on the float64 views, with M weighted in place
-    M, s = M.view(np.float64), band.view(np.float64)
-    np.multiply(W11, M[:, 1::-1], out=s)
-    s -= np.multiply(W22, M[:, :2], out=M[:, :2])
-    s += np.multiply(W12, M[:, 2], out=M[:, 2])[:, None]
-    return band, [float(m) ** 0.5 for m in work.speed_sq[:S]]
+    np.multiply(W11, M21, out=s_A)
+    np.multiply(W11, M12, out=s_B)
+    np.multiply(W22, M12, out=M12)
+    np.multiply(W22, M21, out=M21)
+    s -= M12_21
+    np.multiply(W12, D, out=D)
+    s_A += D
+    s_B += D
+    return band, [m ** 0.5 for m in speed_sq.tolist()]
 
 
 def stack_pair(grid: Grid, first: np.ndarray, second: np.ndarray,
@@ -422,6 +454,8 @@ class Stack:
         self.E = np.empty((2, size, 2, n, h), dtype=np.complex128)
         self.rhs = np.empty_like(self.X)
         self.inverse = (np.empty((size, 2, n, n + 2)), np.empty((size, n, n + 2)))
+        # one slot, through which `reorder` moves a slot of each array
+        self._spare = np.empty_like(self.X[0])
         self.work = AdvectionWork(grid, size)
         self.free = 0  # the next slot a stepper takes
         self.restart()
@@ -438,13 +472,34 @@ class Stack:
         the slots 0, 1, ... in that order: each keeps its state, its
         advection band, its two explicit terms and its inverse tables, and
         its stepper's view of the state follows it.  The free slots past
-        them stay as they are."""
+        them stay as they are.
+
+        Each array walks the permutation's cycles through one slot-sized
+        buffer, `_spare`, so a reorder allocates no slot-sized array, and
+        its result is bitwise the copy it stands for."""
         order = [s._slot for s in steppers]
         if sorted(order) != list(range(self.free)):
             raise ValueError("reorder needs every stepper of the stack once")
-        for a in (self.X, self.work.band, *self.inverse):
-            a[:self.free] = a[order]
-        self.E[:, :self.free] = self.E[:, order]
+        spare, c = self._spare, self.work.band.shape[-1]
+        # each array with its slot of `_spare`; E by parity, as numpy copies
+        # the source of an assignment between overlapping bounds first
+        moves = ((self.X, spare), (self.work.band, spare[..., :c]),
+                 (self.inverse[0], spare.view(np.float64)),
+                 (self.inverse[1], spare[0].view(np.float64)),
+                 (self.E[0], spare), (self.E[1], spare))
+        moved = set()
+        for start in range(len(order)):
+            if order[start] == start or start in moved:
+                continue
+            cycle = [start]  # slot k takes the system of slot order[k]
+            while order[cycle[-1]] != start:
+                cycle.append(order[cycle[-1]])
+            moved.update(cycle)
+            for a, buffer in moves:
+                np.copyto(buffer, a[start])
+                for dst, src in zip(cycle, cycle[1:]):
+                    a[dst] = a[src]
+                a[cycle[-1]] = buffer
         for k, s in enumerate(steppers):
             s._bind(k)
 
@@ -483,21 +538,24 @@ class Stack:
         its new state.
 
         Each pass is one numpy call over all the systems, and each system's
-        arithmetic is that of a lone system, in the same order.
+        arithmetic is that of a lone system, in the same order.  The views
+        that the passes work in are made on the first step with these
+        slots, parity and split (`_views`) and kept, so a step builds no
+        view but those of its terms.
         """
         dt, (p, q) = self.dt, self.half_step
-        views = self._views(slots, self.step_count % 2)
-        X, rhs, E, prev, x, r, spare = views[:7]
+        (X, rhs, E, prev, E_band, scaled, x, x_swapped, r, spare), solves = \
+            self._views(slots, self.step_count % 2, observe is not None)
         # E = m P[f] - advection, the band written apart and copied in: a
         # ufunc pass over E's strided columns 0..cutoff would buffer them
         m = self.forcing.modulation.value(self.t)
         if (m, slots.start, slots.stop) != self._scaled:
-            for band in self._scaled_band[slots]:
+            for band in scaled:
                 np.multiply(m, self._forcing_band, out=band)
             self._scaled = (m, slots.start, slots.stop)
-        np.subtract(self._scaled_band[slots], bands, out=bands)
+        np.subtract(scaled, bands, out=bands)
         np.multiply(m, self.forcing_stream, out=E)
-        E[..., :bands.shape[-1]] = bands
+        np.copyto(E_band, bands)
         for k, term in extra_ab:
             E[k] += term
         if self.step_count == 0:
@@ -507,32 +565,42 @@ class Stack:
             rhs -= np.multiply(0.5 * dt, prev, out=prev)
         # prev is free once rhs has it
         r += np.multiply(p, x, out=spare)
-        r += np.multiply(q, x[..., ::-1, :, :], out=spare)
-        self._solve(views, slice(0, 1 if observe else None), ())
+        r += np.multiply(q, x_swapped, out=spare)
+        self._solve(rhs, prev, solves[0], ())
         if observe is not None:
-            self._solve(views, slice(1, None), observe())
+            self._solve(rhs, prev, solves[1], observe())
         self.t, self.step_count = self.t + dt, self.step_count + 1
 
-    def _views(self, slots: slice, parity: int) -> tuple:
+    def _views(self, slots: slice, parity: int, split: bool) -> tuple:
         """The views of `step` on `slots` for a step count of this parity:
-        X, rhs, E, prev, the float64 views of X, rhs and prev, and the
-        inverse tables; made once per key, as the arrays never move."""
-        key = (slots.start, slots.stop, parity)
+        X, rhs, E, prev, E's columns 0..cutoff, the scaled forcing bands,
+        the float64 views of X, of X with psi_v and psi_w swapped, of rhs
+        and of prev, and then the parts that `_solve` solves one after the
+        other: the first system and the others when `split`, else all.
+        Made once per key, as the arrays never move."""
+        key = (slots.start, slots.stop, parity, split)
         if key not in self._cache:
             X, rhs, diag, off = (a[slots] for a in (self.X, self.rhs, *self.inverse))
             E, prev = self.E[parity, slots], self.E[1 - parity, slots]
-            self._cache[key] = (X, rhs, E, prev, *(a.view(np.float64) for a in
-                                                   (X, rhs, prev)), diag, off)
+            x = X.view(np.float64)
+            parts = (slice(0, 1), slice(1, None)) if split else (slice(None),)
+            self._cache[key] = (
+                (X, rhs, E, prev, E[..., :self._forcing_band.shape[-1]],
+                 self._scaled_band[slots], x, x[..., ::-1, :, :],
+                 rhs.view(np.float64), prev.view(np.float64)),
+                [(diag[part], off[part], rhs[part], X[part], X[part, :, 0, 0])
+                 for part in parts])
         return self._cache[key]
 
-    def _solve(self, views: tuple, part: slice, terms):
-        """Add each (index, term) of `terms` times dt to the right-hand side,
-        then solve the systems `part` of `views` into their states."""
-        X, rhs, _, prev, *_, diag, off = views
+    def _solve(self, rhs: np.ndarray, prev: np.ndarray, part: tuple, terms):
+        """Add each (index, term) of `terms` times dt to the right-hand side
+        `rhs`, with `prev` as scratch, then solve the systems of `part`
+        (`_views`) into their states."""
+        diag, off, part_rhs, X, zero_mode = part
         for k, term in terms:
             rhs[k] += np.multiply(self.dt, term, out=prev[k])
-        _implicit_solve(diag[part], off[part], rhs[part], out=X[part])
-        X[part, :, 0, 0] = 0.0
+        _implicit_solve(diag, off, part_rhs, out=X)
+        zero_mode[...] = 0.0
 
 
 class MhdStepper:
@@ -576,8 +644,9 @@ class MhdStepper:
         self._bind(k)
 
     def _bind(self, k: int):
-        """Take the view of slot k of the stack (`Stack.reorder`)."""
-        self._slot, self.X = k, self._stack.X[k]
+        """Take the view of slot k of the stack (`Stack.reorder`), and the
+        slots that `advance` steps."""
+        self._slot, self.X, self._slots = k, self._stack.X[k], slice(k, k + 1)
 
     # -- state accessors ----------------------------------------------------
 
@@ -643,13 +712,12 @@ class MhdStepper:
         then `Stack.step` on its slot, which advances the stack's clock.
         The step raises the error of `Stack.step_error` before it changes
         the state."""
-        stack, k = self._stack, self._slot
-        slots = slice(k, k + 1)
-        bands, (speed,) = advection(self.grid, stack.X[slots], stack.work)
+        stack = self._stack
+        bands, (speed,) = advection(self.grid, stack.X[self._slots], stack.work)
         error = stack.step_error(speed)
         if error is not None:
             raise error
-        stack.step(slots, bands)
+        stack.step(self._slots, bands)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import get_type_hints
 
@@ -183,10 +184,15 @@ class ExperimentConfig:
 _TYPES = get_type_hints(ExperimentConfig)
 
 
+# a comment: a `#` at the start of a line or after whitespace, to the end
+# of the line; any other `#` is part of its value, as in `outdir = out#1`
+_COMMENT = re.compile(r"(?:^|\s)#.*")
+
+
 def parse_config_text(text: str, overrides: dict | None = None) -> ExperimentConfig:
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.sub("", raw, count=1).strip()
         if not line:
             continue
         if "=" not in line:

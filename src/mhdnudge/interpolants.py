@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -133,20 +134,54 @@ def _weights(kind: str, n: int, resolution: int):
     return m, pre, post
 
 
-def _fold(x: np.ndarray, n: int, m: int) -> np.ndarray:
+def _fold_shapes(lead: tuple, n: int, m: int, w: int) -> list:
+    """The shapes of the buffers of `_fold` on (..., n, w) inputs with
+    leading axes `lead`: the row fold, the m x n lattice, the row fold
+    with its rows negated mod m, and the m x m fold."""
+    return [lead + (m, k) for k in (w, n, w, m)]
+
+
+def _carve(scratch: np.ndarray | None, shapes: list) -> list:
+    """Complex arrays of `shapes`, one after the other in the flat complex
+    array `scratch`, or in a new one when it is None."""
+    ends = [0, *accumulate(math.prod(shape) for shape in shapes)]
+    if scratch is None:
+        scratch = np.empty(ends[-1], dtype=np.complex128)
+    return [scratch[a:b].reshape(shape) for a, b, shape in zip(ends, ends[1:], shapes)]
+
+
+def _fold(x: np.ndarray, n: int, m: int, work: list | None = None) -> np.ndarray:
     """fold on the m x m lattice (see the module docstring) of the first w
     columns (..., n, w) of a half spectrum, w <= n/2 + 1, that is zero past
-    them: each lattice point sums its aliases over the full plane."""
+    them: each lattice point sums its aliases over the full plane.
+
+    Every pass writes to a buffer of `work`, arrays of the `_fold_shapes`
+    of x, which a caller that folds often carves once: the call then
+    allocates no array data.  The result is work's m x m fold, valid until
+    the next call with it; without `work` the buffers are new."""
     s, w = n // m, x.shape[-1]
     lead = x.shape[:-2]
+    rows, lattice, mirrored, folded = work or _carve(None, _fold_shapes(lead, n, m, w))
     # fold the rows, then mirror to the m x n lattice and fold its columns;
     # the Nyquist column n/2 stands for itself and has no mirror
-    rows = x.reshape(lead + (s, m, w)).sum(axis=-3)
-    lattice = np.zeros(lead + (m, n), dtype=np.complex128)
-    lattice[..., :w] = rows
+    np.add.reduce(x.reshape(lead + (s, m, w)), axis=-3, out=rows)
     v = min(w, n // 2) - 1
-    np.conjugate(rows[..., -np.arange(m) % m, v:0:-1], out=lattice[..., n - v:])
-    return lattice.reshape(lead + (m, s, m)).sum(axis=-2)
+    lattice[..., :w] = rows
+    lattice[..., w:n - v] = 0.0
+    # conjugated in place and then copied reversed: numpy buffers a ufunc
+    # pass from the reversed columns
+    np.take(rows, _negated(m), axis=-2, out=mirrored, mode="clip")
+    np.conjugate(mirrored, out=mirrored)
+    lattice[..., n - v:] = mirrored[..., v:0:-1]
+    return np.add.reduce(lattice.reshape(lead + (m, s, m)), axis=-2, out=folded)
+
+
+@lru_cache(maxsize=None)
+def _negated(m: int) -> np.ndarray:
+    """The indices -j mod m of j = 0..m-1, read-only as they are shared."""
+    negated = -np.arange(m) % m
+    negated.setflags(write=False)
+    return negated
 
 
 def apply_interpolant_coef(spec: InterpolantSpec, grid: Grid,
@@ -265,9 +300,84 @@ def _feedback_weights(kind: str, n: int, resolution: int):
     return m, pre, W
 
 
+def _observed_dims(mask: str) -> tuple:
+    """(J, L): the fields that `mask` observes (`_observed`) and the
+    velocity components of each that I_h observes."""
+    return (2 if mask in (MASK_ALL, MASK_FIRST) else 1,
+            1 if mask == MASK_FIRST else 2)
+
+
+class FeedbackWork:
+    """The tables, gains, views and buffers of `projected_masked` for one
+    operator `spec` and `mask`, on inputs of `shape` with the gains `mu`
+    and the result in `out` (new when it is None).
+
+    `shape` is that of one pair (2, n, n/2 + 1) or of a (G, 2, n, n/2 + 1)
+    stack, and `mu` one gain or a (G,) vector (see `projected_masked`).  A
+    caller that makes the call often, a group of nudged members, builds its
+    work once and gives it as the call's `scratch`: the call then builds no
+    table, index or view of its own but those of X, and from n = 64 on it
+    allocates no array data.  For s = 1 the work holds the per-mode gain of
+    the observed components, mu shaped to scale it and the float64 view of
+    out.  For s > 1 it holds W of the observed components shaped over the
+    alias classes, the lattice column of each column and the view of out
+    over the alias classes; and carved from the flat complex `scratch`,
+    which needs `scratch_size` elements per pair of `shape` (new when it is
+    None), pre repeated over the observed planes, the complex gains
+    repeated over the lattice, and the buffers of the pre products, of the
+    tiled lattice and of the fold (`_fold_shapes`).
+    """
+
+    def __init__(self, spec: InterpolantSpec, mask: str, grid: Grid, shape: tuple,
+                 mu, out: np.ndarray | None = None, scratch: np.ndarray | None = None):
+        m, pre, W = _feedback_weights(spec.kind, grid.n, spec.resolution)
+        n, h = grid.n, grid.half_width
+        s = n // m
+        mu = np.asarray(mu, dtype=np.float64)
+        lead = mu.shape
+        if out is None:
+            out = np.empty(lead + tuple(shape[-3:]), dtype=np.complex128)
+        J, L = _observed_dims(mask)
+        self.out, self.m, self.J = out, m, J
+        # the observed fields go to out's first pair, shaped as X
+        self.observed = out[(0,) * (out.ndim - len(shape))]
+        o = out[..., :J, :, :]
+        if s == 1:
+            self.W, self.gains, self.fold = W[L - 1], mu.reshape(lead + (1,) * 3), None
+            self.o = o.view(np.float64)
+        else:
+            self.W, self.tile = W[:L].reshape(L, s, m, h), np.arange(h) % m
+            self.o = o.reshape(lead + (J, s, m, h))
+            self.pre, self.x, self.taken, self.gains, *self.fold = _carve(
+                scratch, self._shapes(grid, m, J, L, tuple(shape[:-3])))
+            # pre and the gains at the shapes of their products: numpy
+            # buffers a product that broadcasts a table over the planes
+            self.pre[...] = pre[:L]
+            self.gains[...] = mu.reshape(lead + (1,) * 4)
+
+    @staticmethod
+    def _shapes(grid: Grid, m: int, J: int, L: int, lead: tuple) -> list:
+        """The shapes of the buffers of a work on (*lead, 2, n, n/2 + 1)
+        inputs: pre over the planes, the pre products, the tiled lattice,
+        the gains over the lattice and the buffers of the fold."""
+        planes, n, h = lead + (J, L), grid.n, grid.half_width
+        return [planes + (n, h), planes + (n, h), planes + (m, h), planes + (m, m),
+                *_fold_shapes(planes, n, m, h)]
+
+    @staticmethod
+    def scratch_size(spec: InterpolantSpec, mask: str, grid: Grid) -> int:
+        """The complex elements of the scratch of a work per pair: 0 for
+        s = 1, which needs none."""
+        m = _feedback_weights(spec.kind, grid.n, spec.resolution)[0]
+        if m == grid.n:
+            return 0
+        shapes = FeedbackWork._shapes(grid, m, *_observed_dims(mask), ())
+        return sum(math.prod(shape) for shape in shapes)
+
+
 def projected_masked(spec: InterpolantSpec, mask: str, grid: Grid,
                      X: np.ndarray, mu, out: np.ndarray | None = None,
-                     scratch: np.ndarray | None = None) -> np.ndarray:
+                     scratch: FeedbackWork | None = None) -> np.ndarray:
     """mu P[masked I_h velocity(X)], the Leray projection of `apply_masked`
     times mu, as the stream functions of its two fields, for a
     (2, n, n/2 + 1) pair X of stream functions; written to `out` when it is
@@ -284,37 +394,23 @@ def projected_masked(spec: InterpolantSpec, mask: str, grid: Grid,
     first L velocity components of each, L = 1 for `first` and 2 else.
     With the tables of `_feedback_weights` the result is
     mu sum_l W_l tile(fold(pre_l Y)), mu scaling the m x m lattice, or for
-    s = 1 mu times a per-mode gain.  The pre products of the fold go to
-    `scratch` when it is given, a flat complex array of at least four
-    planes per pair, and are allocated otherwise; no other temporary is as
-    large.
+    s = 1 mu times a per-mode gain.  `scratch` is the FeedbackWork of the
+    call's operator, mask, X's shape, mu and out, which a caller that makes
+    the call often builds once; the result is then its `out`.  Without it
+    the call builds its own, with new buffers.
     """
-    m, pre, W = _feedback_weights(spec.kind, grid.n, spec.resolution)
-    n, h = grid.n, grid.half_width
-    s = n // m
-    mu = np.asarray(mu, dtype=np.float64)
-    lead = mu.shape
-    if out is None:
-        out = np.empty(lead + X.shape[-3:], dtype=np.complex128)
-    # the observed fields go to out's first pair, shaped as X
-    Y, sign = _observed(mask, X, out[(0,) * (out.ndim - X.ndim)])
-    J, L = Y.shape[-4], 1 if mask == MASK_FIRST else 2
-    mu = mu.reshape(lead + (1,) * 3)
-    o = out[..., :J, :, :]
-    if s == 1:
-        o, y = o.view(np.float64), Y[..., 0, :, :].view(np.float64)
-        np.multiply(W[L - 1], y, out=o)
-        o *= mu
+    work = FeedbackWork(spec, mask, grid, X.shape, mu, out) if scratch is None else scratch
+    Y, sign = _observed(mask, X, work.observed)
+    if work.fold is None:
+        np.multiply(work.W, Y[..., 0, :, :].view(np.float64), out=work.o)
+        work.o *= work.gains
     else:
-        shape = np.broadcast_shapes(pre[:L].shape, Y.shape)
-        x = None if scratch is None else scratch[:math.prod(shape)].reshape(shape)
-        lattice = _fold(np.multiply(pre[:L], Y, out=x), n, m)
-        lattice *= mu[..., None].astype(np.complex128)
-        np.einsum("lsab,...jlab->...jsab", W[:L].reshape(L, s, m, h),
-                  lattice.take(np.arange(h) % m, axis=-1),
-                  out=o.reshape(lead + (J, s, m, h)))
-    _fill_masked(out, J, sign)
-    return out
+        lattice = _fold(np.multiply(work.pre, Y, out=work.x), grid.n, work.m, work.fold)
+        lattice *= work.gains
+        np.take(lattice, work.tile, axis=-1, out=work.taken, mode="clip")
+        np.einsum("lsab,...jlab->...jsab", work.W, work.taken, out=work.o)
+    _fill_masked(work.out, work.J, sign)
+    return work.out
 
 
 # ---------------------------------------------------------------------------

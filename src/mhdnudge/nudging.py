@@ -51,6 +51,7 @@ from .interpolants import (
     MASK_ALL,
     MASKS,
     SPECTRAL,
+    FeedbackWork,
     InterpolantSpec,
     apply_masked,
     check_grid,
@@ -170,7 +171,7 @@ class _Member:
                 grid, observed.reshape(pair.shape))
         # what add_eps and delta scale, each written over the last
         self._eps = None if eps is None else np.empty_like(self.eps_term)
-        self._delta = None if delta is None else np.empty_like(self.delta_stream)
+        self.delta_buffer = None if delta is None else np.empty_like(self.delta_stream)
 
     def add_eps(self, feedback: np.ndarray, t: float):
         """Add the feedback of the observation error at time t, if any."""
@@ -179,39 +180,57 @@ class _Member:
                                     self.eps_term, out=self._eps)
 
     def delta(self, t: float) -> np.ndarray:
-        """P[delta] at time t; the member must have a delta."""
+        """P[delta] at time t, in `delta_buffer`; the member must have a
+        delta."""
         return np.multiply(self.config.delta.modulation.value(t),
-                           self.delta_stream, out=self._delta)
+                           self.delta_stream, out=self.delta_buffer)
 
 
 class _Group:
     """Active observing members with one `key`, in the consecutive slots
     `slots` of the stack: one `projected_masked` call with the vector `mu`
-    of their gains gives all their feedback, written to `feedback`, with the
-    pre products of the fold in `scratch`."""
+    of their gains gives all their feedback, written to `feedback`.
 
-    def __init__(self, grid: Grid, members: list, start: int):
+    The call's tables, gains, index arrays and views are built once, here,
+    as the group's FeedbackWork (`work`): on their stack of differences for
+    an explicit group, with the buffers of the fold carved from `scratch`,
+    and on the one observed pair for an implicit group, which needs none.
+    `feedback` and `scratch` are the group's rows of its CoupledStepper's
+    arrays, so building a group allocates no state-sized array.  So are
+    the lists of the members with an observation error or, in an explicit
+    group, a delta, each with its row of `feedback`."""
+
+    def __init__(self, grid: Grid, members: list, start: int,
+                 feedback: np.ndarray, scratch: np.ndarray):
         self.members = members
         self.implicit = members[0].implicit
         self.config = members[0].config
         self.slots = slice(start, start + len(members))
         self.mu = np.array([m.config.mu for m in members])
-        self.feedback = np.empty((len(members), 2, grid.n, grid.half_width),
-                                 dtype=np.complex128)
-        # the pre products of an explicit group's fold: at most four planes
-        # per member
-        self.scratch = None if self.implicit else np.empty(
-            2 * self.feedback.size, dtype=np.complex128)
+        self.feedback = feedback
+        shape = feedback.shape[1:] if self.implicit else feedback.shape
+        self.work = FeedbackWork(self.config.interpolant, self.config.mask, grid,
+                                 shape, self.mu, feedback, scratch)
+        rows = list(zip(members, feedback))
+        self._eps = [(m, row) for m, row in rows if m.eps_term is not None]
+        self._deltas = [] if self.implicit else [
+            (m, row) for m, row in rows if m.delta_stream is not None]
 
     def observe(self, grid: Grid, X: np.ndarray, t: float) -> np.ndarray:
         """The feedback of the observation X, one pair or a stack of one
         per member, plus the observation errors at time t, as `feedback`;
         X may be `feedback`."""
         projected_masked(self.config.interpolant, self.config.mask, grid, X,
-                         self.mu, self.feedback, self.scratch)
-        for m, feedback in zip(self.members, self.feedback):
+                         self.mu, self.feedback, self.work)
+        for m, feedback in self._eps:
             m.add_eps(feedback, t)
         return self.feedback
+
+    def add_deltas(self, t: float):
+        """Add each member's delta at time t to its feedback, once the
+        feedback is observed: the explicit term of an explicit member."""
+        for m, feedback in self._deltas:
+            feedback += m.delta(t)
 
 
 class CoupledStepper:
@@ -232,7 +251,11 @@ class CoupledStepper:
     feedback mode and an observation operator (kind, h, mask) sit in
     consecutive slots, so that one call gives all their feedback, and the
     unobserved ones come last.  The stack is built once, here: a retired
-    member moves behind the active ones in it, where no step reads it.
+    member moves behind the active ones in it, where no step reads it.  So
+    are the arrays of the groups' feedback and of the buffers of their
+    folds, one row per member slot.  What a step does with them, the
+    groups, their views and the lists of its terms, is built by `_group`
+    here and again only when a member retires.
     """
 
     def __init__(self, grid: Grid, params, forcing: ForcingSpec,
@@ -251,20 +274,46 @@ class CoupledStepper:
         steppers = {k: MhdStepper(self._stack, self._members[k].damping)
                     for k in self._order}
         self.members = [steppers[k] for k in range(len(keys))]
-        self._groups = self._group()
+        # per member slot 1, 2, ...: its feedback, and the scratch of an
+        # explicit group's fold, as large as the largest member's
+        self._feedback = np.empty((len(keys), 2, grid.n, grid.half_width),
+                                  dtype=np.complex128)
+        self._scratch = np.empty((len(keys), max(
+            (FeedbackWork.scratch_size(m.config.interpolant, m.config.mask, grid)
+             for m in self._members if m.observes and not m.implicit), default=0)),
+            dtype=np.complex128)
+        self._group()
         # member index -> the BlowUpError or CflError that retired it;
         # written only by step
         self.failures = {}
 
-    def _group(self) -> list[_Group]:
-        """The groups of the active members, in their slots of `_order`."""
-        slotted = enumerate((self._members[k] for k in self._order), start=1)
+    def _group(self):
+        """Build the groups of the active members, in their slots of
+        `_order`, and what a step reads: the active slots and their states,
+        each explicit group with its stack of member states, the members
+        whose delta is a term of its own (an implicit or an unobserved
+        member), the step's explicit terms and the implicit groups."""
+        X = self._stack.X
+        slotted = list(enumerate((self._members[k] for k in self._order), start=1))
         groups = []
         for key, run in groupby(slotted, key=lambda item: item[1].key):
             run = list(run)
             if key is not None:
-                groups.append(_Group(self.grid, [m for _, m in run], run[0][0]))
-        return groups
+                # member slot j is row j - 1 of the feedback and scratch
+                rows = slice(run[0][0] - 1, run[-1][0])
+                groups.append(_Group(self.grid, [m for _, m in run], run[0][0],
+                                     self._feedback[rows],
+                                     self._scratch[rows].reshape(-1)))
+        self._groups = groups
+        self._slots = slice(0, 1 + len(self._order))
+        self._active = X[self._slots]
+        self._explicit = [(g, X[g.slots]) for g in groups if not g.implicit]
+        self._implicit = [g for g in groups if g.implicit]
+        self._deltas = [(slot, m) for slot, m in slotted if m.delta_stream is not None
+                        and (m.implicit or not m.observes)]
+        self._extra_ab = [(g.slots, g.feedback) for g, _ in self._explicit] + [
+            (slot, m.delta_buffer) for slot, m in self._deltas]
+        self._observed = [(g.slots, g.feedback) for g in self._implicit]
 
     def active(self) -> list[int]:
         """Indices of the members that are still advanced."""
@@ -279,7 +328,7 @@ class CoupledStepper:
         self._order = [k for k in self._order if k not in errors]
         self._stack.reorder([self.reference] + [
             self.members[k] for k in self._order + list(self.failures)])
-        self._groups = self._group()
+        self._group()
 
     def step(self):
         """Advance the reference and every active member by one step, as
@@ -301,10 +350,11 @@ class CoupledStepper:
         solved, matching the implicitly treated damping so a synchronized
         pair stays a fixed point: each member's feedback is its gain times
         the per-mode product of that one pair.  Members with gain 0 observe
-        nothing.
+        nothing.  The step reads the views and lists of `_group`, so that
+        at n >= 64 it allocates no array data.
         """
         grid, stack = self.grid, self._stack
-        bands, speeds = advection(grid, stack.X[:1 + len(self._order)], stack.work)
+        bands, speeds = advection(grid, self._active, stack.work)
         errors = [stack.step_error(speed) for speed in speeds]
         if errors[0] is not None:
             self._retire(dict.fromkeys(self._order, errors[0]))
@@ -314,28 +364,23 @@ class CoupledStepper:
             self._retire(failed)
             if not self._order:
                 raise failed[max(failed)]
-            bands = stack.work.band[:1 + len(self._order)]
+            bands = stack.work.band[self._slots]
         t = stack.t
-        extra_ab = []
-        for g in self._groups:
-            if not g.implicit:
-                diff = np.subtract(stack.X[0], stack.X[g.slots], out=g.feedback)
-                g.observe(grid, diff, t)
-                for m, feedback in zip(g.members, g.feedback):
-                    if m.delta_stream is not None:
-                        feedback += m.delta(t)
-                extra_ab.append((g.slots, g.feedback))
-        for slot, k in enumerate(self._order, start=1):
-            m = self._members[k]
-            if m.delta_stream is not None and (m.implicit or not m.observes):
-                extra_ab.append((slot, m.delta(t)))
+        for g, X in self._explicit:
+            g.observe(grid, np.subtract(self.reference.X, X, out=g.feedback), t)
+            g.add_deltas(t)
+        for _, m in self._deltas:
+            m.delta(t)
+        stack.step(self._slots, bands, self._extra_ab,
+                   observe=self._observe if self._implicit else None)
 
-        def observe():
-            # the reference, solved, at its new time
-            return [(g.slots, g.observe(grid, stack.X[0], t + stack.dt))
-                    for g in self._groups if g.implicit]
-
-        stack.step(slice(0, len(bands)), bands, extra_ab, observe=observe)
+    def _observe(self) -> list:
+        """The implicit groups' terms of `Stack.step`: their feedback of
+        the reference, solved, at its new time."""
+        t = self._stack.t + self._stack.dt
+        for g in self._implicit:
+            g.observe(self.grid, self.reference.X, t)
+        return self._observed
 
 
 # ---------------------------------------------------------------------------

@@ -337,8 +337,9 @@ def test_advection_band_is_zero_past_the_cutoff(n):
     noisy = clean.copy()
     noisy[..., c:] = 1e3 * rng.standard_normal(noisy[..., c:].shape)
     work = AdvectionWork(g, 3)
-    for buf in vars(work).values():
-        if buf.flags.writeable:  # all but the velocity table
+    for name, buf in vars(work).items():
+        # all but the velocity table and the views kept per stack size
+        if name != "_views" and buf.flags.writeable:
             buf.view(np.float64)[...] = 1e3 * rng.standard_normal(
                 buf.view(np.float64).shape)
     bands, speeds = advection(g, noisy, work)

@@ -70,6 +70,19 @@ def test_comments_and_blanks_ignored():
     assert cfg.mu == 12.5
 
 
+def test_a_hash_inside_a_value_reads_back():
+    # a '#' opens a comment only at the start of a line or after
+    # whitespace: an outdir that holds one reads back as dumped, as does a
+    # config read with an inline comment, and a '#' glued to a number is
+    # part of the value, which is then no number
+    for text in ("outdir = out#1\n", "mu = 50 # gain\n"):
+        cfg = parse_config_text("scenario = baseline\n" + text)
+        assert parse_config_text(cfg.dump()) == cfg
+    assert parse_config_text("scenario = baseline\noutdir = out#1\n").outdir == "out#1"
+    with pytest.raises(ConfigError, match="mu"):
+        parse_config_text("scenario = baseline\nmu = 50#x\n")
+
+
 def test_unknown_scenario_rejected():
     with pytest.raises(ConfigError, match="scenario"):
         parse_config_text("scenario = warp-drive\n")
@@ -295,8 +308,8 @@ def test_h_sweep_records_indivisible_h_and_goes_on(tmp_path):
 
 
 def test_sweep_values_record_the_sweep_outdir(tmp_path):
-    # a '#' opens a comment in a config file, so a sweep checks each value
-    # in memory, not through its config text: each value's config.txt
+    # a sweep checks each value in memory, not through its config text:
+    # each value's config.txt
     # records the outdir as a plain run's does
     outdir = str(tmp_path / "out#1")
     cfg = replace(parse_config_text("scenario = baseline\nn = 16\n" + SHORT),

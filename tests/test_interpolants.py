@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from mhdnudge.interpolants import (
     NODAL,
     SPECTRAL,
     VOLUME,
+    FeedbackWork,
     InterpolantSpec,
     apply_interpolant_coef,
     apply_masked,
@@ -513,16 +515,22 @@ def _random_streams(g, lead, seed):
 @pytest.mark.parametrize("kind", [SPECTRAL, VOLUME, NODAL])
 def test_masked_in_place_matches_new_array(kind, mask):
     # an explicit group (volume, nodal) writes the feedback of its
-    # differences over them, with its scratch: one pair with one gain, and
-    # two pairs with two
+    # differences over them, with its work built once and its buffers
+    # carved from its scratch: one pair with one gain, and two pairs with
+    # two, each call twice
     g = Grid(32)
     spec = InterpolantSpec(kind, 0.125)
     for lead, mu in (((), 37.0), ((2,), np.array([37.0, 5.0]))):
         X = _random_streams(g, lead, 6)
         want = projected_masked(spec, mask, g, X, mu, np.empty_like(X))
-        scratch = np.empty(2 * X.size, dtype=np.complex128)
-        got = projected_masked(spec, mask, g, X, mu, X, scratch)
+        scratch = np.empty(math.prod(lead) * FeedbackWork.scratch_size(spec, mask, g),
+                           dtype=np.complex128)
+        work = FeedbackWork(spec, mask, g, X.shape, mu, X, scratch)
+        again = X.copy()
+        got = projected_masked(spec, mask, g, X, mu, X, work)
         assert got is X and got.tobytes() == want.tobytes()
+        X[...] = again
+        assert projected_masked(spec, mask, g, X, mu, X, work).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("mask", MASKS)

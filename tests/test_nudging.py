@@ -817,6 +817,58 @@ def test_group_feedback_allocates_less_than_one_member_did(params):
         tracemalloc.stop()
 
 
+def _stepped(n, params, configs, steps=3):
+    """A CoupledStepper at n after `steps` steps from a seeded reference."""
+    g = Grid(n)
+    forcing = ForcingSpec(normalized_field(g, 100, 2.0), normalized_field(g, 101, 0.5))
+    cs = CoupledStepper(g, params, forcing, configs, 2e-3 if n == 64 else 1e-3)
+    init = seeded_init(g, 0, 0.5)
+    cs.reference.set_state(init, init)
+    for _ in range(steps):
+        cs.step()
+    return cs
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_coupled_step_allocates_no_array(params, n):
+    # a step reads the views, tables, gains and buffers built for its
+    # active set, so with a nodal `first` group of two and a spectral
+    # member it allocates only small Python objects, as a stack step does
+    # (103,656 B at n = 64 and 197,944 B at n = 128 when each feedback
+    # call built its own)
+    configs = [spec_config(mu=mu, kind=NODAL, mask=MASK_FIRST) for mu in (60.0, 480.0)]
+    cs = _stepped(n, params, configs + [spec_config(mu=50.0)])
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            cs.step()
+            assert tracemalloc.get_traced_memory()[1] - before < 8192
+    finally:
+        tracemalloc.stop()
+    assert cs.active() == [0, 1, 2]
+
+
+def test_a_retiring_step_moves_the_systems_through_one_slot(params):
+    # Stack.reorder walks the permutation's cycles through one slot-sized
+    # buffer, and the rebuilt group takes its rows of the stepper's
+    # feedback: the step that retires 1 of 8 spectral members at n = 64
+    # peaks under one slot of E, 135,168 B (1,221,744 B when the reorder
+    # copied E through a temporary)
+    cs = _stepped(64, params, [spec_config(mu=10.0 * k) for k in range(1, 9)])
+    cs.members[2].X[1, 2, 3] = np.nan
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cs.step()
+        assert tracemalloc.get_traced_memory()[1] - before < cs._stack.E[:, 0].nbytes
+    finally:
+        tracemalloc.stop()
+    assert cs.active() == [0, 1, 3, 4, 5, 6, 7]
+    assert [len(g.members) for g in cs._groups] == [7]
+
+
 def test_the_members_read_the_reference_clock(grid32, params, forcing32):
     # the stack keeps the one clock: the members read the reference's time
     # and step count, through its spin-up and its lone steps, and a restart

@@ -41,6 +41,13 @@ CASES = {
         ["sweep", "--axis", "mu", "--values", "20", "2000", "0"],
         "scenario = generalized-da\nn = 32\nhorizon = 1\nspinup_max_time = 1\n"
         "delta_amplitude = 200\ndelta_rate = 0\n"),
+    # mu = 20 retires by CFL at step 16 from the first slot of one
+    # explicit nodal group of three, so the group goes on with two members
+    # in new slots, and the advection with one system fewer
+    "sweep-retire-nodal": (
+        ["sweep", "--axis", "mu", "--values", "20", "480", "60"],
+        "scenario = generalized-da\nn = 32\ninterpolant_kind = nodal\nhorizon = 1\n"
+        "spinup_max_time = 1\ndelta_amplitude = 200\ndelta_rate = 0\n"),
     # two implicit members share one group for the whole run, so one
     # feedback call observes one pair with two gains
     "sweep-mu-spectral": (
