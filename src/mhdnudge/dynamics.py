@@ -399,17 +399,20 @@ def _implicit_operators(grid: Grid, params: ElsasserParams, dt: float,
             (view_weights(np.stack([C, A]) / det), view_weights(-B / det)))
 
 
-def _implicit_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray,
-                    out: np.ndarray) -> np.ndarray:
+def _implicit_solve(diag: np.ndarray, off: np.ndarray | None,
+                    rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
     """(I - dt/2 L + dt*damping)^-1 rhs for (..., 2, n, n/2 + 1) right-hand
     sides, with the matching (..., 2, n, n + 2) diag and (..., n, n + 2) off
     of `_implicit_operators`, written to `out`, which must not overlap rhs;
     rhs is overwritten.  Three passes over the float64 views, each mode's
-    2x2 inverse in closed form."""
+    2x2 inverse in closed form.  `off` is None when it is zero, as it is
+    when no mode couples psi_v and psi_w (`Stack.coupled`): then the one
+    diagonal pass is the solve."""
     r, o = rhs.view(np.float64), out.view(np.float64)
     np.multiply(diag, r, out=o)
-    r *= off[..., None, :, :]
-    o += r[..., ::-1, :, :]
+    if off is not None:
+        r *= off[..., None, :, :]
+        o += r[..., ::-1, :, :]
     return out
 
 
@@ -429,6 +432,14 @@ class Stack:
     takes the next free slot, so a lone system is the stepper of a stack of
     size 1.  The arrays are allocated once, here: `reorder` moves the
     systems between the slots in place.
+
+    `coupled` is True once a slot's inverse has a nonzero off-diagonal
+    table, so that some mode couples psi_v and psi_w: beta != 0 (Re != Rm)
+    couples every mode, and a damping cross term the modes it observes
+    (`MhdStepper`).  Each stepper sets it as it takes its slot, so it holds
+    from the next step on, and it stays set.  While it is False, every
+    mode's Crank-Nicolson block is diagonal, and a step skips the passes
+    of the off-diagonal terms, which would add zeros.
     """
 
     def __init__(self, grid: Grid, params: ElsasserParams,
@@ -438,6 +449,7 @@ class Stack:
         n, h, c = grid.n, grid.half_width, grid.cutoff + 1
         self.grid, self.params, self.forcing, self.dt = grid, params, forcing, dt
         self.half_step, _ = _implicit_operators(grid, params, dt, None)
+        self.coupled = False
         # P[m(t) (f, g)] = m(t) P[(f, g)], so the step scales it; its
         # columns 0..cutoff are kept apart, contiguous like the advection
         # band, with a buffer for them scaled
@@ -541,7 +553,13 @@ class Stack:
         arithmetic is that of a lone system, in the same order.  The views
         that the passes work in are made on the first step with these
         slots, parity and split (`_views`) and kept, so a step builds no
-        view but those of its terms.
+        view but those of its terms.  An uncoupled stack (`coupled`) skips
+        the half step's product with psi_v and psi_w swapped and its add,
+        and the solve's two off-diagonal passes: 4 full-width passes of
+        the 11 of an Adams-Bashforth step.  Their terms are zeros, so every
+        value is that of the full step; only the sign of a zero entry could
+        differ, where the right-hand side holds -0.0 (`tools/compare_runs.py`
+        finds no byte that differs).
         """
         dt, (p, q) = self.dt, self.half_step
         (X, rhs, E, prev, E_band, scaled, x, x_swapped, r, spare), solves = \
@@ -565,7 +583,8 @@ class Stack:
             rhs -= np.multiply(0.5 * dt, prev, out=prev)
         # prev is free once rhs has it
         r += np.multiply(p, x, out=spare)
-        r += np.multiply(q, x_swapped, out=spare)
+        if self.coupled:
+            r += np.multiply(q, x_swapped, out=spare)
         self._solve(rhs, prev, solves[0], ())
         if observe is not None:
             self._solve(rhs, prev, solves[1], observe())
@@ -599,7 +618,7 @@ class Stack:
         diag, off, part_rhs, X, zero_mode = part
         for k, term in terms:
             rhs[k] += np.multiply(self.dt, term, out=prev[k])
-        _implicit_solve(diag, off, part_rhs, out=X)
+        _implicit_solve(diag, off if self.coupled else None, part_rhs, out=X)
         zero_mode[...] = 0.0
 
 
@@ -631,7 +650,10 @@ class MhdStepper:
         left-hand side (the nudging self-damping term), given as three real
         (n, n/2 + 1) tables (dv, dw, ds): the symmetric 2x2 matrix
         [[dv, ds], [ds, dw]] on each mode's (psi_v, psi_w).  The matching
-        data term is supplied per step through `Stack.step`."""
+        data term is supplied per step through `Stack.step`.  When the
+        slot's inverse couples psi_v and psi_w, through beta != 0 or a
+        cross term ds (the b-only and u-only masks), the stepper sets the
+        stack's `coupled`, before its next step."""
         k = stack.free
         if k == len(stack.X):
             raise ValueError(f"the stack has no free slot: all {k} are taken")
@@ -639,6 +661,7 @@ class MhdStepper:
         for table, inverse in zip(stack.inverse, _implicit_operators(
                 self.grid, self.params, self.dt, damping)[1]):
             table[k] = inverse
+        stack.coupled = stack.coupled or bool(stack.inverse[1][k].any())
         self._stack = stack
         stack.free += 1
         self._bind(k)

@@ -171,6 +171,14 @@ class ExperimentConfig:
             raise ConfigError("sample_every must be >= 1")
         if self.calibration_samples < 1:
             raise ConfigError("calibration_samples must be >= 1")
+        # config.txt records the outdir as one `outdir = ...` line (`dump`),
+        # which must read back as this outdir
+        if (len(self.outdir.splitlines()) > 1
+                or _COMMENT.sub("", self.outdir, count=1).strip() != self.outdir):
+            raise ConfigError(
+                f"outdir {self.outdir!r} would not read back from config.txt: "
+                "it may not hold a line break, a '#' at its start or after "
+                "whitespace, or whitespace at either end")
         # the determining scenario derives its own gain and does not use mu
         if self.scenario != "determining":
             check_explicit_gain(self.interpolant_kind, self.mu, self.dt)

@@ -92,6 +92,19 @@ def test_config_rejected_exit_2(tmp_path, capsys, line, verb, args, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name", ["out #1", "out\t#1", "out ", "out\n1"])
+def test_outdir_that_would_not_read_back_exit_2(tmp_path, capsys, name):
+    # config.txt records the outdir on one line, from which a run must be
+    # replayable: an outdir that would read back as another is refused
+    # before anything is written
+    cfg = write_cfg(tmp_path, "scenario = baseline\nn = 16\nhorizon = 0.01\n"
+                    "spinup_max_time = 0\n")
+    assert main(["run", cfg, "--outdir", str(tmp_path / name)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: outdir") and "read back" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
 def test_unreadable_config_exit_2(tmp_path, capsys):
     # a directory, and a file that is not UTF-8
     (tmp_path / "latin1.cfg").write_bytes(b"scenario = baseline # \xe9t\xe9\n")

@@ -23,6 +23,18 @@ from mhdnudge.dynamics import (
     spin_up,
     to_elsasser,
 )
+from mhdnudge.interpolants import (
+    MASK_ALL,
+    MASK_B_ONLY,
+    MASK_FIRST,
+    MASK_U_ONLY,
+    MASK_V_ONLY,
+    NODAL,
+    SPECTRAL,
+    VOLUME,
+    InterpolantSpec,
+)
+from mhdnudge.nudging import CoupledStepper, NudgingConfig, _damping
 from mhdnudge.spectral import (
     Grid,
     dealias_coef,
@@ -477,6 +489,86 @@ def test_crank_nicolson_beta_coupling():
     v, w = st.fields()
     assert v[0, 0, 1] == pytest.approx(expect_v, rel=1e-13)
     assert w[0, 0, 1] == pytest.approx(expect_w, rel=1e-13)
+
+
+def written_out_step(stack, dampings):
+    """The next states of the first len(dampings) slots of `stack`, each
+    with its damping, by the full Crank-Nicolson 2x2 step written out from
+    the tables of `_implicit_operators`, in the order of `Stack.step`."""
+    g, dt, S = stack.grid, stack.dt, len(dampings)
+    X = stack.X[:S]
+    bands, _ = advection(g, X.copy(), AdvectionWork(g, S))
+    m, c = stack.forcing.modulation.value(stack.t), bands.shape[-1]
+    E = np.stack([m * stack.forcing_stream] * S)
+    E[..., :c] = m * stack.forcing_stream[..., :c] - bands
+    if stack.step_count == 0:
+        rhs = dt * E
+    else:
+        prev = stack.E[1 - stack.step_count % 2, :S]
+        rhs = 1.5 * dt * E - 0.5 * dt * prev
+    (p, q), _ = dynamics._implicit_operators(g, stack.params, dt, None)
+    x, r = X.view(np.float64), rhs.view(np.float64)
+    r = r + p * x + q * x[..., ::-1, :, :]
+    diag, off = (np.stack(t) for t in zip(*(
+        dynamics._implicit_operators(g, stack.params, dt, d)[1] for d in dampings)))
+    out = (diag * r + off[:, None] * r[..., ::-1, :, :]).view(np.complex128)
+    out[:, :, 0, 0] = 0.0
+    return out
+
+
+CROSS_FREE = [(SPECTRAL, MASK_ALL), (SPECTRAL, MASK_FIRST), (SPECTRAL, MASK_V_ONLY),
+              (NODAL, MASK_FIRST), (NODAL, MASK_B_ONLY), (VOLUME, MASK_ALL)]
+
+
+@pytest.mark.parametrize("re, rm, kind, mask, coupled", [
+    *((5.0, 5.0, kind, mask, False) for kind, mask in CROSS_FREE),
+    (5.0, 5.0, SPECTRAL, MASK_B_ONLY, True),
+    (5.0, 5.0, SPECTRAL, MASK_U_ONLY, True),
+    (5.0, 20.0, SPECTRAL, MASK_ALL, True),
+    (20.0, 5.0, NODAL, MASK_FIRST, True),
+])
+def test_a_stack_is_coupled_exactly_when_a_mode_couples(re, rm, kind, mask,
+                                                        coupled):
+    # beta couples psi_v and psi_w at every mode, and an implicit member's
+    # damping through its cross term, which only the b and u masks have;
+    # an explicit member has no damping
+    g = Grid(16)
+    cfg = NudgingConfig(50.0, InterpolantSpec(kind, 0.25), mask)
+    stack = CoupledStepper(g, derive_elsasser_params(re, rm), zero_forcing(g),
+                           cfg, 2e-3)._stack
+    assert stack.coupled == coupled
+    assert stack.coupled == (stack.params.beta != 0
+                             or bool(stack.inverse[1][:stack.free].any()))
+
+
+def test_an_uncoupled_step_is_the_full_step_bit_for_bit():
+    # at Re = Rm a reference and a damped member with no cross term step
+    # without the off-diagonal passes, bit for bit as the full 2x2 step,
+    # in the Euler step and the next; a member that couples, added after
+    # steps have run, turns the full step on for the next step
+    g = Grid(32)
+    forcing = ForcingSpec(normalized_field(g, 100, 2.0),
+                          normalized_field(g, 101, 0.5))
+    stack = Stack(g, derive_elsasser_params(5.0, 5.0), forcing, 2e-3, 3)
+    damped = _damping(g, NudgingConfig(50.0, InterpolantSpec(SPECTRAL, 0.25),
+                                       MASK_ALL))
+    ref, member = MhdStepper(stack), MhdStepper(stack, damped)
+    ref.set_state(normalized_field(g, 1, 1.0, 10), normalized_field(g, 2, 0.5, 10))
+    member.set_state(normalized_field(g, 3, 0.3, 4), normalized_field(g, 4, 0.3, 4))
+    assert not stack.coupled
+    for _ in range(2):
+        want = written_out_step(stack, [None, damped])
+        stack.step(slice(0, 2), advection(g, stack.X[:2], stack.work)[0])
+        np.testing.assert_array_equal(stack.X[:2].view(np.int64),
+                                      want.view(np.int64))
+    crossed = _damping(g, NudgingConfig(50.0, InterpolantSpec(SPECTRAL, 0.25),
+                                        MASK_B_ONLY))
+    MhdStepper(stack, crossed).set_state(normalized_field(g, 5, 0.3, 4),
+                                         normalized_field(g, 6, 0.3, 4))
+    assert stack.coupled
+    want = written_out_step(stack, [None, damped, crossed])
+    stack.step(slice(0, 3), advection(g, stack.X, stack.work)[0])
+    np.testing.assert_array_equal(stack.X.view(np.int64), want.view(np.int64))
 
 
 def test_temporal_convergence_order(grid32, params, forcing32):

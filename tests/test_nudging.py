@@ -295,7 +295,9 @@ def dense_implicit_operator(grid, params, dt, config=None):
 @pytest.mark.parametrize("re, rm", [(5.0, 20.0), (20.0, 5.0), (5.0, 5.0)])
 def test_implicit_solve_matches_dense_solve(re, rm):
     # the closed form per mode against a dense solve, for either sign of
-    # beta, undamped and with every mask
+    # beta, undamped and with every mask; at Re = Rm, undamped and with a
+    # mask whose damping has no cross term, the uncoupled form (off None)
+    # too, which is the full form bit for bit
     g = Grid(16)
     p = derive_elsasser_params(re, rm)
     dt = 5e-3
@@ -309,9 +311,16 @@ def test_implicit_solve_matches_dense_solve(re, rm):
         for stepper, config in ((cs.reference, None), (cs.members[0], cfg)):
             want = np.linalg.solve(dense_implicit_operator(g, p, dt, config),
                                    rhs.ravel()).reshape(rhs.shape)
-            inverse = (table[stepper._slot] for table in cs._stack.inverse)
-            got = _implicit_solve(*inverse, rhs.copy(), out=np.empty_like(rhs))
+            diag, off = (table[stepper._slot] for table in cs._stack.inverse)
+            got = _implicit_solve(diag, off, rhs.copy(), out=np.empty_like(rhs))
             assert l2_norm(got - want) <= 1e-13 * l2_norm(want)
+            crossed = config is not None and mask in (MASK_B_ONLY, MASK_U_ONLY)
+            assert off.any() == (re != rm or crossed)
+            if not off.any():
+                uncoupled = _implicit_solve(diag, None, rhs.copy(),
+                                            out=np.empty_like(rhs))
+                np.testing.assert_array_equal(uncoupled.view(np.int64),
+                                              got.view(np.int64))
 
 
 def _arrays(stepper):

@@ -69,6 +69,16 @@ CASES = {
         ["sweep", "--axis", "mu", "--values", "50", "200"],
         "scenario = u-only-exploratory\nn = 32\nmask = u-only\nhorizon = 2\n"
         "init_mode = random\nforcing_g_amplitude = 1\n"),
+    # beta = (1/Re - 1/Rm)/2 couples psi_v and psi_w in every mode's
+    # Crank-Nicolson block: positive for two implicit members in one
+    # group, negative for an explicit nodal member
+    "sweep-mu-beta": (
+        ["sweep", "--axis", "mu", "--values", "50", "200"],
+        "scenario = baseline\nn = 32\nre = 5\nrm = 20\n"),
+    "nodal-beta-negative": (
+        ["run"],
+        "scenario = baseline\nn = 32\nre = 20\nrm = 5\ninterpolant_kind = nodal\n"
+        "horizon = 2\n"),
     # each G value has its own forcing and runs alone
     "sweep-G": (
         ["sweep", "--axis", "G", "--values", "5", "10", "--workers", "1"],
